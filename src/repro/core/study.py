@@ -20,26 +20,21 @@ from repro.core.calibration import (
     COMPUTE_JITTER_SIGMA,
     HOROVOD_TUNED,
     OPTIMIZER_BYTES_PER_PARAM,
-    PAGEABLE_BLOCKING_FACTOR,
     TRAIN_BATCH_PER_GPU,
 )
 from repro.comm.api import broadcast_weights
 from repro.compression import CompressionConfig
+from repro.core.program import StepProgram, build_engine
 from repro.core.scenarios import IMAGE_SPEC, Scenario, ScenarioSpec
 from repro.errors import ConfigError
 from repro.hardware.cluster import build_cluster
 from repro.hardware.specs import ClusterSpec, LASSEN
 from repro.horovod.coordinator import straggler_factor
-from repro.horovod.engine import HorovodEngine, StepTiming
 from repro.horovod.env import HorovodConfig
-from repro.horovod.fusion import PendingTensor
-from repro.horovod.backend import build_backend
 from repro.models.costing import ModelCostModel, ThroughputModel, TrainingMemoryModel
 from repro.models.registry import get_model_cost, get_scenario_cost
-from repro.mpi.process import WorldSpec
 from repro.parallel.layout import ParallelLayout
 from repro.profiling.hvprof import Hvprof
-from repro.utils.seeding import SeedSequenceFactory
 
 
 @dataclass(frozen=True)
@@ -169,6 +164,11 @@ class ScalingPoint:
     step_time: float
     forward_time: float
     backward_time: float
+    # Communication of the last sync step not hidden behind backward,
+    # max(0, comm_finish - backward).  comm_finish is when the last fused
+    # message lands, and every Horovod cycle's coordination overhead
+    # delays the messages after it — so this already includes
+    # coordination_time; summing the two double-counts coordination.
     exposed_comm_time: float
     coordination_time: float
     update_time: float
@@ -241,9 +241,6 @@ class ScalingStudy:
             )
         self.throughput = ThroughputModel(self.cost, self.config.cluster.node.gpu)
         self.memory = TrainingMemoryModel(self.cost)
-        # lazily-built hybrid executor; shared across this study's points
-        # so its steady-state detector can guard layout changes mid-sweep
-        self._hybrid = None
 
     def batch_for(self, num_gpus: int) -> int:
         """Per-GPU batch at this scale (weak: constant; strong: shrinking)."""
@@ -272,41 +269,6 @@ class ScalingStudy:
         return (
             self.cost.total_params * OPTIMIZER_BYTES_PER_PARAM / gpu.hbm_bandwidth
         )
-
-    def _gradient_stream(
-        self, backward_time: float, rng=None
-    ) -> list[PendingTensor]:
-        """Per-tensor readiness; optional per-step jitter.
-
-        Real backward passes jitter a few percent step to step, so fusion
-        groups (and hence message sizes / registration extents) vary — the
-        reason the paper's registration-cache hit rate is ~93%, not ~100%.
-        """
-        schedule = self.cost.gradient_schedule()
-        if rng is None:
-            noise = [0.0] * len(schedule)
-        else:
-            noise = rng.normal(0.0, self.config.jitter_sigma, len(schedule))
-        return [
-            PendingTensor(
-                t.name,
-                t.nbytes,
-                ready_time=max(0.0, t.ready_fraction * backward_time * (1.0 + eps)),
-            )
-            for t, eps in zip(schedule, noise)
-        ]
-
-    def _parameter_stream(self) -> list[PendingTensor]:
-        """Model weights as a zero-ready-time stream (local-SGD sync).
-
-        Parameter tensors mirror the gradient schedule's names and sizes;
-        they are all resident when the sync fires, so every ready time is
-        zero and fusion packs them as one back-to-back burst.
-        """
-        return [
-            PendingTensor(t.name, t.nbytes, ready_time=0.0)
-            for t in self.cost.gradient_schedule()
-        ]
 
     def contexts_per_gpu(self) -> int:
         """Processes holding a CUDA context on each GPU under this policy.
@@ -410,12 +372,10 @@ class ScalingStudy:
                     "hybrid (tp/pp) layouts do not support fault plans yet; "
                     "run the resilience study data-parallel"
                 )
-            if self._hybrid is None:
-                from repro.parallel.executor import HybridExecutor
+            from repro.parallel.executor import run_hybrid
 
-                self._hybrid = HybridExecutor(self)
-            return self._hybrid.run(
-                num_gpus, self.config.layout, hvprof=hvprof
+            return run_hybrid(
+                self, num_gpus, self.config.layout, hvprof=hvprof
             )
         if self.fault_plan is not None and num_gpus > 1:
             return self._run_point_faulty(num_gpus, hvprof=hvprof)
@@ -450,187 +410,18 @@ class ScalingStudy:
                 comm_wall_time=0.0,
                 workload=workload_payload,
             )
-        cluster = build_cluster(cfg.cluster, num_gpus)
-        world_spec = WorldSpec(
-            num_ranks=num_gpus,
-            policy=self.scenario.policy,
-            config=self.scenario.mv2,
-        )
-        world, comm = build_backend(
-            cluster, self.scenario.backend, world_spec=world_spec, num_ranks=num_gpus
-        )
-        if cfg.engine_mode == "fast":
-            from repro.sim.fastpath import enable_fastpath
-
-            enable_fastpath(world)
-        if hvprof is not None:
-            comm.add_observer(hvprof.observer)
-        engine = HorovodEngine(
-            comm, cfg.horovod,
-            compression=CompressionConfig.parse(cfg.compression),
+        world, engine, _ = build_engine(
+            build_cluster(cfg.cluster, num_gpus), num_gpus, self.scenario,
+            cfg, hvprof=hvprof,
         )
         backward_eff = backward * straggler_factor(num_gpus, sigma=cfg.jitter_sigma)
-        transport = getattr(world, "transport", None)
-        # seeded independently of the scenario so that scenario comparisons
-        # (Figs. 10-12) see identical per-step jitter (paired runs)
-        rng = SeedSequenceFactory(2021).generator("gradient-jitter", num_gpus)
-        H = cfg.local_sgd_h
-        timing: StepTiming | None = None
-        if H > 1 or T > 1:
-            # a short run may end before any sync boundary fires; the
-            # point's comm fields then report the zero-comm local regime
-            timing = StepTiming(
-                backward_time=backward_eff, comm_finish=0.0,
-                coordination_time=0.0,
-            )
-        step_times = []
-        blocking = 0.0
-        # Steady-state extrapolation only makes sense in performance mode:
-        # a profiler is counting per-step ops, so every step must be real.
-        detector = None
-        periodic = None
-        if (
-            cfg.steady_detect
-            and hvprof is None
-            and cfg.measure_steps > cfg.steady_window
-        ):
-            if H > 1 or T > 1:
-                from repro.perf.steady import PeriodicSteadyState
-
-                # local-SGD and temporal sequences are mutually exclusive
-                # (StudyConfig rejects the combination), so the active
-                # cadence is whichever period exceeds one
-                periodic = PeriodicSteadyState(
-                    max(H, T), cfg.steady_window, cfg.steady_rel_tol
-                )
-            else:
-                from repro.perf.steady import SteadyStateDetector
-
-                detector = SteadyStateDetector(
-                    cfg.steady_window, cfg.steady_rel_tol
-                )
-        next_phase = 0
-        for step_index in range(cfg.warmup_steps + cfg.measure_steps):
-            if H > 1:
-                # local-SGD: H-1 communication-free steps, then a
-                # parameter-averaging sync priced through the engine
-                if (step_index + 1) % H == 0:
-                    staged_before = (
-                        transport.max_staged_seconds() if transport else 0.0
-                    )
-                    timing = engine.run_step(
-                        self._parameter_stream(),
-                        backward_time=0.0,
-                        force_dense=True,
-                    )
-                    staged_delta = (
-                        transport.max_staged_seconds() - staged_before
-                        if transport else 0.0
-                    )
-                    blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-                    step = (
-                        forward + backward_eff + blocking + update
-                        + timing.comm_finish
-                    )
-                else:
-                    step = forward + backward_eff + update
-                if step_index >= cfg.warmup_steps:
-                    step_times.append(step)
-                    if (
-                        periodic is not None
-                        and len(step_times) < cfg.measure_steps
-                    ):
-                        periodic.observe(step, step_index % H)
-                        if periodic.converged():
-                            next_phase = (step_index + 1) % H
-                            break
-                continue
-            if T > 1:
-                # temporal BPTT over a T-frame sequence: T-1 frame steps
-                # run forward+backward only, carrying the recurrent state;
-                # the sequence boundary drains the accumulated gradient
-                # through the engine (overlapped with the last backward)
-                # and applies the one optimizer update per sequence
-                if (step_index + 1) % T == 0:
-                    stream = self._gradient_stream(backward_eff, rng=rng)
-                    staged_before = (
-                        transport.max_staged_seconds() if transport else 0.0
-                    )
-                    timing = engine.run_step(
-                        stream, backward_time=backward_eff
-                    )
-                    staged_delta = (
-                        transport.max_staged_seconds() - staged_before
-                        if transport else 0.0
-                    )
-                    blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-                    step = (
-                        forward
-                        + max(backward_eff, timing.comm_finish)
-                        + blocking
-                        + update
-                    )
-                else:
-                    step = forward + backward_eff
-                if step_index >= cfg.warmup_steps:
-                    step_times.append(step)
-                    if (
-                        periodic is not None
-                        and len(step_times) < cfg.measure_steps
-                    ):
-                        periodic.observe(step, step_index % T)
-                        if periodic.converged():
-                            next_phase = (step_index + 1) % T
-                            break
-                continue
-            stream = self._gradient_stream(backward_eff, rng=rng)
-            staged_before = transport.max_staged_seconds() if transport else 0.0
-            timing = engine.run_step(stream, backward_time=backward_eff)
-            # Pageable staging copies block the GPU stream: charge the
-            # busiest rank's staging time serially against the step.
-            staged_delta = (
-                transport.max_staged_seconds() - staged_before if transport else 0.0
-            )
-            blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-            step = (
-                forward
-                + max(backward_eff, timing.comm_finish)
-                + blocking
-                + update
-            )
-            if step_index >= cfg.warmup_steps:
-                step_times.append(step)
-                if (
-                    detector is not None
-                    and len(step_times) < cfg.measure_steps
-                ):
-                    detector.observe(step)
-                    if detector.converged():
-                        break
-        assert timing is not None
-        simulated_steps = len(step_times)
-        extrapolated_steps = cfg.measure_steps - simulated_steps
-        if extrapolated_steps:
-            # Extend with the converged value and average over the *full*
-            # list — the same arithmetic a full simulation performs, with
-            # the tail replaced by the steady value.  The residual error is
-            # bounded by ``steady_rel_tol`` (at the default 1e-9 detection
-            # only ever fires on ulp-level accumulator noise, so the mean
-            # agrees with the slow path to ~1e-15 relative).  Local-SGD
-            # extrapolation replays the H-step cadence phase-aligned.
-            if periodic is not None:
-                step_times.extend(
-                    periodic.extrapolate(next_phase, extrapolated_steps)
-                )
-            else:
-                step_times.extend(
-                    [detector.steady_value()] * extrapolated_steps
-                )
+        program = StepProgram(
+            cfg, num_gpus, forward=forward, backward=backward_eff,
+            update=update, schedule=self.cost.gradient_schedule(),
+            world=world, engine=engine, hvprof=hvprof,
+        )
+        step_times, simulated = program.run(cfg.warmup_steps, cfg.measure_steps)
         mean_step = sum(step_times) / len(step_times)
-        regcache = None
-        if self.scenario.backend == "mpi":
-            stats = world.regcache_stats()
-            regcache = stats["hit_rate"] if stats["hits"] + stats["misses"] else None
         return ScalingPoint(
             scenario=self.scenario.name,
             num_gpus=num_gpus,
@@ -638,16 +429,11 @@ class ScalingStudy:
             step_time=mean_step,
             forward_time=forward,
             backward_time=backward_eff,
-            exposed_comm_time=timing.exposed_comm_time,
-            coordination_time=timing.coordination_time,
             update_time=update,
-            blocking_time=blocking,
-            comm_wall_time=timing.total_comm_time,
-            message_sizes=[m.nbytes for m in timing.messages],
-            regcache_hit_rate=regcache,
-            simulated_steps=simulated_steps,
-            extrapolated_steps=extrapolated_steps,
+            simulated_steps=simulated,
+            extrapolated_steps=cfg.measure_steps - simulated,
             workload=workload_payload,
+            **program.comm_fields(self.scenario.backend),
         )
 
     # -- elastic recovery (performance mode) --------------------------------------
@@ -680,40 +466,24 @@ class ScalingStudy:
             self.check_memory_feasible(batch)
         forward = self.throughput.forward_time(batch)
         backward = self.throughput.backward_time(batch)
-        update = self._update_time()
         cluster = build_cluster(cfg.cluster, num_gpus)
-        world_spec = WorldSpec(
-            num_ranks=num_gpus,
-            policy=self.scenario.policy,
-            config=self.scenario.mv2,
-        )
         injector = FaultInjector(self.fault_plan, topology=cluster.topology())
-        world, comm = build_backend(
-            cluster,
-            self.scenario.backend,
-            world_spec=world_spec,
-            num_ranks=num_gpus,
+        world, engine, session = build_engine(
+            cluster, num_gpus, self.scenario, cfg, hvprof=hvprof,
             faults=injector,
         )
-        session = None
-        if cfg.engine_mode == "fast":
-            from repro.sim.fastpath import enable_fastpath
-
-            session = enable_fastpath(world)
-        if hvprof is not None:
-            comm.add_observer(hvprof.observer)
-        engine = HorovodEngine(
-            comm, cfg.horovod,
-            compression=CompressionConfig.parse(cfg.compression),
+        program = StepProgram(
+            cfg, num_gpus, forward=forward, backward=backward,
+            update=self._update_time(), schedule=self.cost.gradient_schedule(),
+            world=world, engine=engine, hvprof=hvprof,
         )
+        detector = program.detector
         policy = self.recovery or RESTART_FROM_CHECKPOINT
         supervisor = HeartbeatSupervisor(
             range(num_gpus), injector, policy.heartbeat
         )
         acct = RecoveryAccounting()
         ckpt_nbytes = self._checkpoint_nbytes()
-        transport = getattr(world, "transport", None)
-        rng = SeedSequenceFactory(2021).generator("gradient-jitter", num_gpus)
         live = list(range(num_gpus))
         # (step_time, world_size) per completed step; truncated on restart
         records: list[tuple[float, int]] = []
@@ -723,38 +493,19 @@ class ScalingStudy:
         saves = 0
         clock = 0.0
         total_steps = cfg.warmup_steps + cfg.measure_steps
-        # Steady-state extrapolation under faults: the detector re-arms on
-        # every world perturbation (failure, blacklist, regrow, straggler
-        # slowdown) so the recovery transient never poisons the converged
-        # value; between perturbations, converged steps replay the steady
-        # value without walking the engine.
-        detector = None
-        periodic = None
         extrapolated = 0
-        H = cfg.local_sgd_h
-        blocking = 0.0
-        timing: StepTiming | None = None
-        if H > 1:
-            timing = StepTiming(
-                backward_time=backward, comm_finish=0.0, coordination_time=0.0
-            )
-        if (
-            cfg.steady_detect
-            and hvprof is None
-            and cfg.measure_steps > cfg.steady_window
-        ):
-            if H > 1:
-                from repro.perf.steady import PeriodicSteadyState
 
-                periodic = PeriodicSteadyState(
-                    H, cfg.steady_window, cfg.steady_rel_tol
-                )
-            else:
-                from repro.perf.steady import SteadyStateDetector
+        def world_changed() -> None:
+            # Steady-state extrapolation under faults: the detector re-arms
+            # on every world perturbation (failure, blacklist, regrow,
+            # straggler slowdown) so the recovery transient never poisons
+            # the converged value; between perturbations, converged steps
+            # replay the steady value without walking the engine.
+            if session is not None:
+                session.invalidate()
+            if detector is not None:
+                detector.rearm()
 
-                detector = SteadyStateDetector(
-                    cfg.steady_window, cfg.steady_rel_tol
-                )
         if policy.restart:
             cost = policy.checkpoint.write_cost(ckpt_nbytes)
             clock += cost
@@ -785,12 +536,7 @@ class ScalingStudy:
                 )
             if dead:
                 engine.shrink_to(sorted(live))
-                if session is not None:
-                    session.invalidate()
-                if detector is not None:
-                    detector.rearm()
-                if periodic is not None:
-                    periodic.rearm()
+                world_changed()
                 if policy.restart:
                     # checksum-verified recovery: walk newest -> oldest,
                     # charging a read per attempt, past corrupt snapshots
@@ -833,12 +579,7 @@ class ScalingStudy:
                         live.remove(rank)
                         supervisor.drop(rank)
                         engine.shrink_to(sorted(live))
-                        if session is not None:
-                            session.invalidate()
-                        if detector is not None:
-                            detector.rearm()
-                        if periodic is not None:
-                            periodic.rearm()
+                        world_changed()
                         acct.note_blacklist(rank)
                         injector.record(
                             "rank-blacklisted", clock, rank=rank,
@@ -850,12 +591,7 @@ class ScalingStudy:
                     live.sort()
                     supervisor.readmit(rank)
                     engine.reform_to(list(live))
-                    if session is not None:
-                        session.invalidate()
-                    if detector is not None:
-                        detector.rearm()
-                    if periodic is not None:
-                        periodic.rearm()
+                    world_changed()
                     # the regrown replica's weights ride the re-formed
                     # ring: one comm-layer broadcast of the checkpoint
                     # payload, charged with the restart overhead
@@ -875,73 +611,31 @@ class ScalingStudy:
                 f = injector.compute_factor(rank, clock, step_index)
                 supervisor.note_compute(rank, f, clock)
                 fault_factor = max(fault_factor, f)
-            if fault_factor > 1.0 or injector.wire_corruption_active(clock):
+            if (
+                fault_factor > 1.0 or injector.wire_corruption_active(clock)
+            ) and detector is not None:
                 # a straggler slowdown perturbs the step time without any
                 # membership change — the converged value is stale.  An
                 # active wire-corruption window likewise forces real steps:
                 # extrapolation sends no messages, so corruption (and its
                 # CRC retransmit cost) would silently vanish.
-                if detector is not None:
-                    detector.rearm()
-                if periodic is not None:
-                    periodic.rearm()
+                detector.rearm()
             backward_eff = (
                 backward
                 * straggler_factor(len(live), sigma=cfg.jitter_sigma)
                 * fault_factor
             )
-            if H == 1:
-                # Always draw the gradient stream, even for extrapolated
-                # steps: the jitter RNG must consume the same draws as a
-                # full run so a re-armed resumption stays aligned with
-                # exact simulation.  (Local-SGD never draws: neither the
-                # local steps nor the parameter sync carry jitter.)
-                stream = self._gradient_stream(backward_eff, rng=rng)
-            sync_step = H > 1 and (step_index + 1) % H == 0
+            # Draw before extrapolating: the jitter RNG must consume the
+            # same draws as a full run so a re-armed resumption stays
+            # aligned with exact simulation.
+            stream = program.draw(step_index, backward_eff)
             if detector is not None and detector.converged():
-                step = detector.steady_value()
+                step = detector.phase_value(step_index)
                 extrapolated += 1
-            elif periodic is not None and periodic.converged():
-                step = periodic.phase_value(step_index)
-                extrapolated += 1
-            elif H > 1 and not sync_step:
-                step = forward + backward_eff + update
-                if periodic is not None and step_index >= cfg.warmup_steps:
-                    periodic.observe(step, step_index % H)
             else:
-                staged_before = (
-                    transport.max_staged_seconds() if transport else 0.0
-                )
-                if sync_step:
-                    timing = engine.run_step(
-                        self._parameter_stream(),
-                        backward_time=0.0,
-                        force_dense=True,
-                    )
-                else:
-                    timing = engine.run_step(stream, backward_time=backward_eff)
-                staged_delta = (
-                    transport.max_staged_seconds() - staged_before
-                    if transport else 0.0
-                )
-                blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-                if sync_step:
-                    step = (
-                        forward + backward_eff + blocking + update
-                        + timing.comm_finish
-                    )
-                else:
-                    step = (
-                        forward
-                        + max(backward_eff, timing.comm_finish)
-                        + blocking
-                        + update
-                    )
-                if step_index >= cfg.warmup_steps:
-                    if detector is not None:
-                        detector.observe(step)
-                    if periodic is not None:
-                        periodic.observe(step, step_index % H)
+                step = program.price(step_index, backward_eff, stream)
+                if detector is not None and step_index >= cfg.warmup_steps:
+                    detector.observe(step, step_index)
             records.append((step, len(live)))
             clock += step
             acct.note_productive(step)
@@ -957,10 +651,6 @@ class ScalingStudy:
                 del snapshots[: -policy.checkpoint.keep_last]
         measured = records[cfg.warmup_steps:]
         mean_step = sum(t for t, _ in measured) / len(measured)
-        regcache = None
-        if self.scenario.backend == "mpi":
-            stats = world.regcache_stats()
-            regcache = stats["hit_rate"] if stats["hits"] + stats["misses"] else None
         trace_kinds: dict[str, int] = {}
         for event in injector.trace:
             trace_kinds[event.kind] = trace_kinds.get(event.kind, 0) + 1
@@ -986,16 +676,11 @@ class ScalingStudy:
             step_time=mean_step,
             forward_time=forward,
             backward_time=backward,
-            exposed_comm_time=timing.exposed_comm_time,
-            coordination_time=timing.coordination_time,
-            update_time=update,
-            blocking_time=blocking,
-            comm_wall_time=timing.total_comm_time,
-            message_sizes=[m.nbytes for m in timing.messages],
-            regcache_hit_rate=regcache,
+            update_time=program.update,
             simulated_steps=len(records) - extrapolated,
             extrapolated_steps=extrapolated,
             resilience=resilience,
+            **program.comm_fields(self.scenario.backend),
         )
 
     # -- full sweep ---------------------------------------------------------------

@@ -32,29 +32,21 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.compression import CompressionConfig
-from repro.core.calibration import (
-    OPTIMIZER_BYTES_PER_PARAM,
-    PAGEABLE_BLOCKING_FACTOR,
-)
+from repro.core.calibration import OPTIMIZER_BYTES_PER_PARAM
+from repro.core.program import StepProgram, build_engine
 from repro.errors import ConfigError, HardwareError
 from repro.hardware.cluster import build_cluster
 from repro.hardware.specs import ClusterSpec
 from repro.horovod.backend import build_backend
 from repro.horovod.coordinator import straggler_factor
-from repro.horovod.engine import HorovodEngine, StepTiming
-from repro.horovod.fusion import PendingTensor
-from repro.models.costing import (
-    ModelCostModel,
-    ThroughputModel,
-    TrainingMemoryModel,
-)
+from repro.models.costing import ThroughputModel, TrainingMemoryModel
 from repro.mpi.comm import GpuBuffer
-from repro.mpi.process import WorldSpec
 from repro.parallel.layout import ParallelLayout
-from repro.parallel.partition import StageShard, stage_models
-from repro.perf.steady import SteadyStateDetector
-from repro.utils.seeding import SeedSequenceFactory
+from repro.parallel.partition import (
+    StageShard,
+    split_stage_bounds,
+    stage_models,
+)
 
 
 def dp_cluster_spec(spec: ClusterSpec, layout: ParallelLayout) -> ClusterSpec:
@@ -119,306 +111,177 @@ def check_hybrid_memory(study, layout: ParallelLayout, batch: int) -> None:
         )
 
 
-class HybridExecutor:
-    """Prices hybrid layouts for one :class:`~repro.core.study.ScalingStudy`.
+def _tp_comm(
+    study, stages: list[StageShard], layout: ParallelLayout, mb: int
+) -> tuple[list[float], list[float], list[float]]:
+    """Per-stage (forward, backward, per-step sync) tp seconds.
 
-    The executor outlives one point: a sweep over GPU counts (or the
-    planner's serial pricing loop) reuses it, so its steady-state detector
-    carries ``rearm_if_changed`` context — the pipeline depth, microbatch
-    count and world size — and re-arms the moment any of them changes.
-    Without that guard a window converged at one pipeline depth would
-    extrapolate a *different* layout's step time into later points.
+    Forward: one activation allgather per sharded layer per microbatch;
+    backward: the mirrored reduce-scatter of the activation gradients;
+    sync: one per-step gradient allreduce for the replicated
+    (non-shardable) layers.  All three are closed-form hierarchical
+    envelopes — identical in fast and exact engine modes.
     """
-
-    def __init__(self, study):
-        self.study = study
-        cfg = study.config
-        self._steady = SteadyStateDetector(
-            cfg.steady_window, cfg.steady_rel_tol
-        )
-
-    # -- component pricing ---------------------------------------------------
-    def _tp_comm(
-        self, stages: list[StageShard], layout: ParallelLayout, mb: int
-    ) -> tuple[list[float], list[float], list[float]]:
-        """Per-stage (forward, backward, per-step sync) tp seconds.
-
-        Forward: one activation allgather per sharded layer per
-        microbatch; backward: the mirrored reduce-scatter of the
-        activation gradients; sync: one per-step gradient allreduce for
-        the replicated (non-shardable) layers.  All three are closed-form
-        hierarchical envelopes — identical in fast and exact engine modes.
-        """
-        tp = layout.tp
-        if tp == 1:
-            zero = [0.0] * len(stages)
-            return zero, list(zero), list(zero)
-        cluster = build_cluster(self.study.config.cluster, tp)
-        _, comm = build_backend(cluster, "hierarchical", num_ranks=tp)
-        ag_memo: dict[int, float] = {}
-        rs_memo: dict[int, float] = {}
-        fwd, bwd, sync = [], [], []
-        for stage in stages:
-            sharded = set(stage.sharded_layers)
-            f = b = 0.0
-            for layer in stage.cost.layers:
-                if layer.name not in sharded:
-                    continue
-                act = layer.activation_bytes * mb  # per-rank shard bytes
-                if act not in ag_memo:
-                    _, timing = comm.allgather(
-                        [GpuBuffer.virtual(act) for _ in range(tp)]
-                    )
-                    ag_memo[act] = timing.time
-                    _, timing = comm.reduce_scatter(
-                        [GpuBuffer.virtual(act * tp) for _ in range(tp)]
-                    )
-                    rs_memo[act] = timing.time
-                f += ag_memo[act]
-                b += rs_memo[act]
-            s = 0.0
-            if stage.replicated_params:
-                timing = comm.allreduce(
-                    [
-                        GpuBuffer.virtual(stage.replicated_params * 4)
-                        for _ in range(tp)
-                    ]
+    tp = layout.tp
+    if tp == 1:
+        zero = [0.0] * len(stages)
+        return zero, list(zero), list(zero)
+    cluster = build_cluster(study.config.cluster, tp)
+    _, comm = build_backend(cluster, "hierarchical", num_ranks=tp)
+    ag_memo: dict[int, float] = {}
+    rs_memo: dict[int, float] = {}
+    fwd, bwd, sync = [], [], []
+    for stage in stages:
+        sharded = set(stage.sharded_layers)
+        f = b = 0.0
+        for layer in stage.cost.layers:
+            if layer.name not in sharded:
+                continue
+            act = layer.activation_bytes * mb  # per-rank shard bytes
+            if act not in ag_memo:
+                _, timing = comm.allgather(
+                    [GpuBuffer.virtual(act) for _ in range(tp)]
                 )
-                s = timing.time
-            fwd.append(f)
-            bwd.append(b)
-            sync.append(s)
-        return fwd, bwd, sync
-
-    def _hop_time(
-        self, stages: list[StageShard], layout: ParallelLayout, mb: int
-    ) -> float:
-        """Worst stage-boundary point-to-point transfer per pipeline slot.
-
-        The full boundary activation (or its gradient, same bytes) crosses
-        IB split across the tp pairs of adjacent stages.
-        """
-        if layout.pp == 1:
-            return 0.0
-        ib = self.study.config.cluster.ib
-        return max(
-            ib.transfer_time(s.boundary_activation_bytes * mb / layout.tp)
-            for s in stages[:-1]
-        )
-
-    def _gradient_stream(
-        self, stage: StageShard, backward_time: float, rng
-    ) -> list[PendingTensor]:
-        """The bottleneck stage's shard gradients with per-step jitter."""
-        schedule = stage.cost.gradient_schedule()
-        sigma = self.study.config.jitter_sigma
-        if rng is None:
-            noise = [0.0] * len(schedule)
-        else:
-            noise = rng.normal(0.0, sigma, len(schedule))
-        return [
-            PendingTensor(
-                t.name,
-                t.nbytes,
-                ready_time=max(
-                    0.0, t.ready_fraction * backward_time * (1.0 + eps)
-                ),
-            )
-            for t, eps in zip(schedule, noise)
-        ]
-
-    # -- one point -----------------------------------------------------------
-    def run(self, num_gpus: int, layout: ParallelLayout, *, hvprof=None):
-        from repro.core.study import ScalingPoint
-
-        study = self.study
-        cfg = study.config
-        scenario = study.scenario
-        layout = layout.resolved(num_gpus)
-        layout.validate_model(study.cost)
-        layout.validate_cluster(cfg.cluster.node.gpus_per_node)
-        batch = study.batch_for(num_gpus)
-        layout.validate_batch(batch)
-        gpn = cfg.cluster.node.gpus_per_node
-        needed_nodes = (num_gpus + gpn - 1) // gpn
-        if needed_nodes > cfg.cluster.max_nodes:
-            raise HardwareError(
-                f"{cfg.cluster.name} has {cfg.cluster.max_nodes} nodes, "
-                f"requested {needed_nodes}; scale the spec with "
-                f"with_nodes() for beyond-capacity studies"
-            )
-        if cfg.check_memory:
-            check_hybrid_memory(study, layout, batch)
-        # satellite fix: the detector survives across points of a sweep —
-        # re-arm whenever the layout (pipeline depth above all) or world
-        # changes so extrapolation never replays a stale step time
-        self._steady.rearm_if_changed((num_gpus, batch, layout))
-
-        P, M = layout.pp, layout.microbatches
-        mb = batch * layout.model_parallel_size // M
-        gpu = cfg.cluster.node.gpu
-        stages = stage_models(study.cost, layout)
-        tp_fwd, tp_bwd, tp_sync = self._tp_comm(stages, layout, mb)
-        hop = self._hop_time(stages, layout, mb)
-        strag = straggler_factor(num_gpus, sigma=cfg.jitter_sigma)
-        stage_fwd = [
-            ThroughputModel(s.cost, gpu).forward_time(mb) for s in stages
-        ]
-        stage_bwd = [
-            ThroughputModel(s.cost, gpu).backward_time(mb) * strag
-            for s in stages
-        ]
-        slots = M + P - 1
-        slot_f = max(f + c for f, c in zip(stage_fwd, tp_fwd))
-        slot_b = max(b + c for b, c in zip(stage_bwd, tp_bwd))
-        fwd_wall = slots * (slot_f + hop)
-        bwd_wall = slots * (slot_b + hop)
-        sync_step = max(tp_sync)
-        update = (
-            max(s.cost.total_params for s in stages)
-            * OPTIMIZER_BYTES_PER_PARAM
-            / gpu.hbm_bandwidth
-        )
-
-        # the dp engine syncs the bottleneck stage's shard gradients
-        grad_stage = stages[0]
-        for stage in stages[1:]:
-            if stage.cost.param_bytes > grad_stage.cost.param_bytes:
-                grad_stage = stage
-
-        engine = None
-        transport = None
-        world = None
-        if layout.dp > 1:
-            spec = dp_cluster_spec(cfg.cluster, layout)
-            cluster = build_cluster(spec, layout.dp)
-            world_spec = WorldSpec(
-                num_ranks=layout.dp,
-                policy=scenario.policy,
-                config=scenario.mv2,
-            )
-            world, comm = build_backend(
-                cluster,
-                scenario.backend,
-                world_spec=world_spec,
-                num_ranks=layout.dp,
-            )
-            if cfg.engine_mode == "fast":
-                from repro.sim.fastpath import enable_fastpath
-
-                enable_fastpath(world)
-            if hvprof is not None:
-                comm.add_observer(hvprof.observer)
-            engine = HorovodEngine(
-                comm, cfg.horovod,
-                compression=CompressionConfig.parse(cfg.compression),
-            )
-            transport = getattr(world, "transport", None)
-        rng = SeedSequenceFactory(2021).generator("gradient-jitter", num_gpus)
-
-        detector = None
-        if (
-            cfg.steady_detect
-            and hvprof is None
-            and cfg.measure_steps > cfg.steady_window
-        ):
-            detector = self._steady
-        timing: StepTiming | None = None
-        step_times: list[float] = []
-        blocking = 0.0
-        for step_index in range(cfg.warmup_steps + cfg.measure_steps):
-            if engine is not None:
-                stream = self._gradient_stream(grad_stage, bwd_wall, rng)
-                staged_before = (
-                    transport.max_staged_seconds() if transport else 0.0
+                ag_memo[act] = timing.time
+                _, timing = comm.reduce_scatter(
+                    [GpuBuffer.virtual(act * tp) for _ in range(tp)]
                 )
-                timing = engine.run_step(stream, backward_time=bwd_wall)
-                staged_delta = (
-                    transport.max_staged_seconds() - staged_before
-                    if transport else 0.0
-                )
-                blocking = staged_delta * PAGEABLE_BLOCKING_FACTOR
-                comm_finish = timing.comm_finish
-            else:
-                comm_finish = 0.0
-            step = (
-                fwd_wall
-                + max(bwd_wall, comm_finish)
-                + blocking
-                + sync_step
-                + update
+                rs_memo[act] = timing.time
+            f += ag_memo[act]
+            b += rs_memo[act]
+        s = 0.0
+        if stage.replicated_params:
+            timing = comm.allreduce(
+                [
+                    GpuBuffer.virtual(stage.replicated_params * 4)
+                    for _ in range(tp)
+                ]
             )
-            if step_index >= cfg.warmup_steps:
-                step_times.append(step)
-                if (
-                    detector is not None
-                    and len(step_times) < cfg.measure_steps
-                ):
-                    detector.observe(step)
-                    if detector.converged():
-                        break
-        simulated_steps = len(step_times)
-        extrapolated_steps = cfg.measure_steps - simulated_steps
-        if extrapolated_steps:
-            step_times.extend(
-                [detector.steady_value()] * extrapolated_steps
-            )
-        mean_step = sum(step_times) / len(step_times)
-        regcache = None
-        if engine is not None and scenario.backend == "mpi":
-            stats = world.regcache_stats()
-            regcache = (
-                stats["hit_rate"] if stats["hits"] + stats["misses"] else None
-            )
-        tp_time = M * max(f + b for f, b in zip(tp_fwd, tp_bwd)) + sync_step
-        pp_time = slots * 2.0 * hop
-        dp_comm = timing.total_comm_time if timing is not None else 0.0
-        return ScalingPoint(
-            scenario=scenario.name,
-            num_gpus=num_gpus,
-            images_per_second=num_gpus * batch / mean_step,
-            step_time=mean_step,
-            forward_time=fwd_wall,
-            backward_time=bwd_wall,
-            exposed_comm_time=(
-                timing.exposed_comm_time if timing is not None else 0.0
-            ),
-            coordination_time=(
-                timing.coordination_time if timing is not None else 0.0
-            ),
-            update_time=update,
-            blocking_time=blocking,
-            comm_wall_time=dp_comm + tp_time + pp_time,
-            message_sizes=(
-                [m.nbytes for m in timing.messages]
-                if timing is not None else []
-            ),
-            regcache_hit_rate=regcache,
-            simulated_steps=simulated_steps,
-            extrapolated_steps=extrapolated_steps,
-            parallelism={
-                "dp": layout.dp,
-                "tp": layout.tp,
-                "pp": layout.pp,
-                "microbatches": M,
-                "schedule": layout.schedule,
-                "microbatch_size": mb,
-                "bubble_fraction": (P - 1) / slots,
-                "tp_comm_time": tp_time,
-                "pp_hop_time": pp_time,
-                "stage_bounds": [
-                    [s, e]
-                    for s, e in _stage_bounds_of(study.cost, layout)
-                ],
-                "stage_params": [s.cost.total_params for s in stages],
-                "grad_stage": grad_stage.index,
-            },
+            s = timing.time
+        fwd.append(f)
+        bwd.append(b)
+        sync.append(s)
+    return fwd, bwd, sync
+
+
+def _hop_time(
+    study, stages: list[StageShard], layout: ParallelLayout, mb: int
+) -> float:
+    """Worst stage-boundary point-to-point transfer per pipeline slot.
+
+    The full boundary activation (or its gradient, same bytes) crosses IB
+    split across the tp pairs of adjacent stages.
+    """
+    if layout.pp == 1:
+        return 0.0
+    ib = study.config.cluster.ib
+    return max(
+        ib.transfer_time(s.boundary_activation_bytes * mb / layout.tp)
+        for s in stages[:-1]
+    )
+
+
+def run_hybrid(study, num_gpus: int, layout: ParallelLayout, *, hvprof=None):
+    """Price one hybrid point of a :class:`~repro.core.study.ScalingStudy`.
+
+    The partitioned compute and the tp/pp terms reduce to the P=1 step
+    program's walls: forward and backward are the pipeline phases' wall
+    times, and the tp-group sync is a constant term outside the overlap.
+    The dp engine syncs the bottleneck stage's shard gradients.
+    """
+    from repro.core.study import ScalingPoint
+
+    cfg = study.config
+    scenario = study.scenario
+    layout = layout.resolved(num_gpus)
+    layout.validate_model(study.cost)
+    layout.validate_cluster(cfg.cluster.node.gpus_per_node)
+    batch = study.batch_for(num_gpus)
+    layout.validate_batch(batch)
+    gpn = cfg.cluster.node.gpus_per_node
+    needed_nodes = (num_gpus + gpn - 1) // gpn
+    if needed_nodes > cfg.cluster.max_nodes:
+        raise HardwareError(
+            f"{cfg.cluster.name} has {cfg.cluster.max_nodes} nodes, "
+            f"requested {needed_nodes}; scale the spec with "
+            f"with_nodes() for beyond-capacity studies"
         )
+    if cfg.check_memory:
+        check_hybrid_memory(study, layout, batch)
 
+    P, M = layout.pp, layout.microbatches
+    mb = batch * layout.model_parallel_size // M
+    gpu = cfg.cluster.node.gpu
+    stages = stage_models(study.cost, layout)
+    tp_fwd, tp_bwd, tp_sync = _tp_comm(study, stages, layout, mb)
+    hop = _hop_time(study, stages, layout, mb)
+    strag = straggler_factor(num_gpus, sigma=cfg.jitter_sigma)
+    stage_fwd = [
+        ThroughputModel(s.cost, gpu).forward_time(mb) for s in stages
+    ]
+    stage_bwd = [
+        ThroughputModel(s.cost, gpu).backward_time(mb) * strag
+        for s in stages
+    ]
+    slots = M + P - 1
+    slot_f = max(f + c for f, c in zip(stage_fwd, tp_fwd))
+    slot_b = max(b + c for b, c in zip(stage_bwd, tp_bwd))
+    fwd_wall = slots * (slot_f + hop)
+    bwd_wall = slots * (slot_b + hop)
+    sync_step = max(tp_sync)
+    update = (
+        max(s.cost.total_params for s in stages)
+        * OPTIMIZER_BYTES_PER_PARAM
+        / gpu.hbm_bandwidth
+    )
 
-def _stage_bounds_of(
-    cost: ModelCostModel, layout: ParallelLayout
-) -> list[tuple[int, int]]:
-    from repro.parallel.partition import split_stage_bounds
+    grad_stage = stages[0]
+    for stage in stages[1:]:
+        if stage.cost.param_bytes > grad_stage.cost.param_bytes:
+            grad_stage = stage
 
-    return split_stage_bounds(cost.layers, layout.pp)
+    world = engine = None
+    if layout.dp > 1:
+        world, engine, _ = build_engine(
+            build_cluster(dp_cluster_spec(cfg.cluster, layout), layout.dp),
+            layout.dp, scenario, cfg, hvprof=hvprof,
+        )
+    program = StepProgram(
+        cfg, num_gpus, forward=fwd_wall, backward=bwd_wall, update=update,
+        schedule=grad_stage.cost.gradient_schedule(), world=world,
+        engine=engine, extra=sync_step, hvprof=hvprof,
+    )
+    step_times, simulated = program.run(cfg.warmup_steps, cfg.measure_steps)
+    mean_step = sum(step_times) / len(step_times)
+    tp_time = M * max(f + b for f, b in zip(tp_fwd, tp_bwd)) + sync_step
+    pp_time = slots * 2.0 * hop
+    comm = program.comm_fields(scenario.backend)
+    comm["comm_wall_time"] = comm["comm_wall_time"] + tp_time + pp_time
+    return ScalingPoint(
+        scenario=scenario.name,
+        num_gpus=num_gpus,
+        images_per_second=num_gpus * batch / mean_step,
+        step_time=mean_step,
+        forward_time=fwd_wall,
+        backward_time=bwd_wall,
+        update_time=update,
+        simulated_steps=simulated,
+        extrapolated_steps=cfg.measure_steps - simulated,
+        parallelism={
+            "dp": layout.dp,
+            "tp": layout.tp,
+            "pp": layout.pp,
+            "microbatches": M,
+            "schedule": layout.schedule,
+            "microbatch_size": mb,
+            "bubble_fraction": (P - 1) / slots,
+            "tp_comm_time": tp_time,
+            "pp_hop_time": pp_time,
+            "stage_bounds": [
+                [s, e] for s, e in split_stage_bounds(study.cost.layers, P)
+            ],
+            "stage_params": [s.cost.total_params for s in stages],
+            "grad_stage": grad_stage.index,
+        },
+        **comm,
+    )

@@ -30,7 +30,7 @@ from repro.perf.cache import ResultCache, default_cache_dir
 from repro.perf.digest import CACHE_VERSION_SALT, canonical_digest, env_knobs
 from repro.perf.parallel import PointJob, run_point_jobs, run_scenario_sweeps
 from repro.perf.profile import profiled_call
-from repro.perf.steady import SteadyStateDetector
+from repro.perf.steady import PeriodicSteadyState
 
 __all__ = [
     "flags",
@@ -43,5 +43,5 @@ __all__ = [
     "run_point_jobs",
     "run_scenario_sweeps",
     "profiled_call",
-    "SteadyStateDetector",
+    "PeriodicSteadyState",
 ]

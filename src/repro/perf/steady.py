@@ -5,8 +5,8 @@ gradient jitter, so once the measured step time has converged the
 remaining steps carry no information — simulating them only burns wall
 clock.  The detector watches a sliding window of measured step times and
 declares steady state when the window's relative spread falls inside a
-tolerance; the run then *extrapolates* the remaining steps at the window
-mean instead of simulating them.
+tolerance; the run then *extrapolates* the remaining steps at the
+converged value instead of simulating them.
 
 Accuracy: with zero jitter the steps differ only by ulp-level float
 accumulation noise (cumulative staging counters), so detection fires at
@@ -22,21 +22,49 @@ from __future__ import annotations
 from repro.errors import ConfigError
 
 
-class SteadyStateDetector:
-    """Declares convergence when a window of samples agrees within tol."""
+class PeriodicSteadyState:
+    """Steady-state detection for a P-periodic step-time signal.
 
-    def __init__(self, window: int = 3, rel_tol: float = 1e-9):
+    A step program cycles through ``period`` phases — one for plain data
+    parallelism, H for local-SGD (H-1 cheap local steps, then the
+    parameter sync), T for video BPTT (T-1 frame steps, then the
+    sequence-boundary sync) — so a plain window over raw step times would
+    see the spread between phases and never converge.  The detector folds
+    each full period into its sum and declares convergence once the last
+    ``window`` period sums agree within ``rel_tol`` (relative spread).  It
+    remembers the last observed value per phase so extrapolation can
+    replay the cadence exactly.
+
+    The leading partial period (samples arriving before the first phase-0
+    step) is ignored; convergence is only declared on period boundaries so
+    an extrapolation always starts phase-aligned.
+    """
+
+    def __init__(self, period: int, window: int = 3, rel_tol: float = 1e-9):
+        if period < 1:
+            raise ConfigError(f"period must be >= 1, got {period}")
         if window < 2:
             raise ConfigError(f"steady-state window must be >= 2, got {window}")
         if rel_tol < 0:
             raise ConfigError(f"rel_tol must be >= 0, got {rel_tol}")
+        self.period = period
         self.window = window
         self.rel_tol = rel_tol
-        self._samples: list[float] = []
-        self._context: object | None = None
+        self._sums: list[float] = []
+        self._accum: list[float] = []
+        self._started = False
+        self._last: dict[int, float] = {}
 
-    def observe(self, sample: float) -> None:
-        self._samples.append(sample)
+    def observe(self, sample: float, phase: int = 0) -> None:
+        self._last[phase % self.period] = sample
+        if not self._started:
+            if phase % self.period != 0:
+                return
+            self._started = True
+        self._accum.append(sample)
+        if len(self._accum) == self.period:
+            self._sums.append(sum(self._accum))
+            self._accum.clear()
 
     def rearm(self) -> None:
         """Forget every sample after a world perturbation.
@@ -47,38 +75,20 @@ class SteadyStateDetector:
         Without re-arming, a window straddling the perturbation could keep
         reporting the *old* converged value and poison extrapolation; after
         ``rearm`` the detector must see a fresh window of post-recovery
-        samples before it converges again.
+        periods, starting at the next phase-0 step, before it converges
+        again.
         """
-        self._samples.clear()
-
-    def rearm_if_changed(self, key: object) -> bool:
-        """Re-arm when the measurement context changes mid-sweep.
-
-        A detector that outlives one measured point (the hybrid executor
-        reuses its detector across a sweep's points) must forget its
-        converged window the moment the context — world size, pipeline
-        depth, microbatch count — changes: a window converged at one
-        pipeline depth would otherwise extrapolate a *different* layout's
-        step time.  ``key`` is any equality-comparable description of the
-        context; returns True iff the change forced a re-arm.
-        """
-        if self._context is not None and self._context == key:
-            return False
-        changed = self._context is not None
-        self._context = key
-        if changed:
-            self.rearm()
-        return changed
-
-    @property
-    def samples(self) -> list[float]:
-        return list(self._samples)
+        self._sums.clear()
+        self._accum.clear()
+        self._started = False
+        self._last.clear()
 
     def converged(self) -> bool:
-        """True once the last ``window`` samples agree within ``rel_tol``."""
-        if len(self._samples) < self.window:
+        """True only on a period boundary with the last ``window`` period
+        sums agreeing within ``rel_tol``."""
+        if self._accum or len(self._sums) < self.window:
             return False
-        tail = self._samples[-self.window:]
+        tail = self._sums[-self.window:]
         lo, hi = min(tail), max(tail)
         if hi == lo:
             return True
@@ -88,79 +98,31 @@ class SteadyStateDetector:
         return (hi - lo) / mean <= self.rel_tol
 
     def steady_value(self) -> float:
-        """The extrapolation value: mean of the converged window.
+        """Mean of the last ``window`` period sums.
 
-        When every sample in the window is bit-identical this returns
-        that exact value rather than re-deriving it through a division.
+        When every sum in the window is bit-identical this returns that
+        exact value rather than re-deriving it through a division.
         """
-        if not self._samples:
+        if not self._sums:
             raise ConfigError("no samples observed")
-        tail = self._samples[-self.window:]
+        tail = self._sums[-self.window:]
         if all(s == tail[0] for s in tail):
             return tail[0]
         return sum(tail) / len(tail)
 
-
-class PeriodicSteadyState:
-    """Steady-state detection for an H-periodic step-time signal.
-
-    Local-SGD runs sync every H steps, so the per-step time is not constant
-    — it cycles through H phases (H-1 cheap local steps, one step carrying
-    the parameter-sync collective).  A plain window detector would see the
-    spread between phases and never converge.  This wrapper folds each full
-    period into its sum, feeds the sums to an inner
-    :class:`SteadyStateDetector`, and remembers the last observed value per
-    phase so extrapolation can replay the H-step cadence exactly.
-
-    The leading partial period (samples arriving before the first phase-0
-    step) is ignored; convergence is only declared on period boundaries so
-    an extrapolation always starts phase-aligned.
-    """
-
-    def __init__(self, period: int, window: int = 3, rel_tol: float = 1e-9):
-        if period < 1:
-            raise ConfigError(f"period must be >= 1, got {period}")
-        self.period = period
-        self._inner = SteadyStateDetector(window, rel_tol)
-        self._accum: list[float] = []
-        self._started = False
-        self._last: dict[int, float] = {}
-
-    def observe(self, sample: float, phase: int) -> None:
-        self._last[phase % self.period] = sample
-        if not self._started:
-            if phase % self.period != 0:
-                return
-            self._started = True
-        self._accum.append(sample)
-        if len(self._accum) == self.period:
-            self._inner.observe(sum(self._accum))
-            self._accum.clear()
-
-    def rearm(self) -> None:
-        """Forget everything after a world perturbation (see
-        :meth:`SteadyStateDetector.rearm`); detection restarts at the next
-        phase-0 step."""
-        self._inner.rearm()
-        self._accum.clear()
-        self._started = False
-        self._last.clear()
-
-    def converged(self) -> bool:
-        """True only on a period boundary with the period sums converged."""
-        return self._started and not self._accum and self._inner.converged()
-
     def phase_value(self, phase: int) -> float:
-        """The converged value for one phase (stepwise extrapolation)."""
+        """The converged value for one phase (stepwise extrapolation).
+
+        Period 1 replays the converged window's :meth:`steady_value`;
+        longer periods replay the last observed value of each phase.
+        """
         if not self.converged():
             raise ConfigError("cannot extrapolate before convergence")
+        if self.period == 1:
+            return self.steady_value()
         return self._last[phase % self.period]
 
     def extrapolate(self, next_phase: int, count: int) -> list[float]:
         """Per-step values for ``count`` extrapolated steps starting at
-        phase ``next_phase``, cycling the last observed value per phase."""
-        if not self.converged():
-            raise ConfigError("cannot extrapolate before convergence")
-        return [
-            self._last[(next_phase + j) % self.period] for j in range(count)
-        ]
+        phase ``next_phase``, cycling the converged value per phase."""
+        return [self.phase_value(next_phase + j) for j in range(count)]

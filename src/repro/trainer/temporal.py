@@ -6,7 +6,7 @@ recurrent hidden state, accumulates per-scale L1/MSE losses across frames,
 then backpropagates once through the whole sequence and applies a single
 optimizer update.  Hidden state resets at sequence boundaries — the same
 periodic step structure the performance-mode study prices in
-:meth:`repro.core.study.ScalingStudy._run_point`.
+:class:`repro.core.program.StepProgram` (period ``frames``).
 """
 
 from __future__ import annotations

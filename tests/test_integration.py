@@ -105,6 +105,7 @@ class TestEventModeIntegration:
         from repro.horovod.backend import build_backend
         from repro.hardware.cluster import build_cluster
         from repro.horovod.engine import HorovodEngine as HE
+        from repro.core.program import gradient_stream
 
         cluster = build_cluster(LASSEN, 8)
         spec = WorldSpec(num_ranks=8, policy=MPI_OPT.policy, config=MPI_OPT.mv2)
@@ -112,7 +113,10 @@ class TestEventModeIntegration:
                                     mode=ExecutionMode.EVENT)
         study = ScalingStudy(MPI_OPT, fast)
         engine = HE(comm, fast.horovod)
-        stream = study._gradient_stream(analytic.backward_time)
+        stream = gradient_stream(
+            study.cost.gradient_schedule(), analytic.backward_time, 0.0,
+            np.random.default_rng(0),
+        )
         timing = engine.run_step(stream, backward_time=analytic.backward_time)
         assert timing.comm_finish == pytest.approx(
             analytic.exposed_comm_time + analytic.backward_time, rel=0.6

@@ -27,14 +27,13 @@ from repro.parallel import (
     split_stage_bounds,
     stage_models,
 )
-from repro.parallel.executor import HybridExecutor, dp_cluster_spec
+from repro.parallel.executor import dp_cluster_spec, run_hybrid
 from repro.parallel.planner import (
     PlannerConfig,
     _PLAN_MEMO,
     enumerate_layouts,
     plan_hybrid,
 )
-from repro.perf.steady import SteadyStateDetector
 from repro.utils.units import MIB
 
 
@@ -222,36 +221,25 @@ class TestDigestSeparation:
 
 
 class TestSteadyRearm:
-    """Satellite 6: the detector re-arms when the layout changes."""
-
-    def test_rearm_if_changed_unit(self):
-        det = SteadyStateDetector(window=2)
-        assert det.rearm_if_changed(("a", 1)) is False  # first context
-        det.observe(1.0)
-        det.observe(1.0)
-        assert det.converged()
-        assert det.rearm_if_changed(("a", 1)) is False  # unchanged
-        assert det.converged()
-        assert det.rearm_if_changed(("a", 2)) is True  # changed: re-armed
-        assert det.samples == []
-        assert not det.converged()
+    """No steady-state detector state leaks between the points of a sweep."""
 
     def test_executor_rearms_on_layout_change(self):
         # a tolerance wide enough that a window straddling two layouts
-        # would (wrongly) pass: without the re-arm, point B would stop
-        # after one simulated step and extrapolate a mean polluted by
-        # layout A's converged window
+        # would (wrongly) pass: if point A's converged window leaked into
+        # point B, B would stop after one simulated step and extrapolate
+        # a mean polluted by layout A
         cfg = StudyConfig(
             jitter_sigma=0.0, measure_steps=10,
             steady_window=3, steady_rel_tol=0.9,
         )
-        shared = HybridExecutor(ScalingStudy(scenario_by_name("MPI-Opt"), cfg))
-        a = shared.run(16, ParallelLayout(pp=2, microbatches=4))
+        shared = ScalingStudy(scenario_by_name("MPI-Opt"), cfg)
+        a = run_hybrid(shared, 16, ParallelLayout(pp=2, microbatches=4))
         assert a.extrapolated_steps > 0  # converged early
-        b = shared.run(16, ParallelLayout(pp=4, microbatches=8))
-        fresh = HybridExecutor(
-            ScalingStudy(scenario_by_name("MPI-Opt"), cfg)
-        ).run(16, ParallelLayout(pp=4, microbatches=8))
+        b = run_hybrid(shared, 16, ParallelLayout(pp=4, microbatches=8))
+        fresh = run_hybrid(
+            ScalingStudy(scenario_by_name("MPI-Opt"), cfg),
+            16, ParallelLayout(pp=4, microbatches=8),
+        )
         assert b.simulated_steps >= cfg.steady_window
         assert b.step_time == fresh.step_time
         assert b.step_time != a.step_time

@@ -22,8 +22,8 @@ from repro.errors import ConfigError
 from repro.faults import FaultPlan, StragglerFault
 from repro.perf import (
     CACHE_VERSION_SALT,
+    PeriodicSteadyState,
     ResultCache,
-    SteadyStateDetector,
     canonical_digest,
     env_knobs,
 )
@@ -200,16 +200,18 @@ class TestStudyCacheIntegration:
 
 
 class TestSteadyStateDetector:
+    """Period 1 is the plain window detector over raw step times."""
+
     def test_requires_sane_parameters(self):
         with pytest.raises(ConfigError):
-            SteadyStateDetector(window=1)
+            PeriodicSteadyState(1, window=1)
         with pytest.raises(ConfigError):
-            SteadyStateDetector(rel_tol=-1.0)
+            PeriodicSteadyState(1, rel_tol=-1.0)
         with pytest.raises(ConfigError):
-            SteadyStateDetector().steady_value()
+            PeriodicSteadyState(1).steady_value()
 
     def test_converges_on_identical_samples(self):
-        det = SteadyStateDetector(window=3, rel_tol=0.0)
+        det = PeriodicSteadyState(1, window=3, rel_tol=0.0)
         for _ in range(2):
             det.observe(0.5)
         assert not det.converged()
@@ -218,29 +220,32 @@ class TestSteadyStateDetector:
         assert det.steady_value() == 0.5
 
     def test_does_not_converge_on_jittered_samples(self):
-        det = SteadyStateDetector(window=3, rel_tol=1e-9)
+        det = PeriodicSteadyState(1, window=3, rel_tol=1e-9)
         for s in (0.5, 0.51, 0.49, 0.502, 0.498):
             det.observe(s)
             assert not det.converged()
 
     def test_wide_tolerance_converges_with_mean(self):
-        det = SteadyStateDetector(window=3, rel_tol=0.1)
+        det = PeriodicSteadyState(1, window=3, rel_tol=0.1)
         for s in (0.50, 0.51, 0.49):
             det.observe(s)
         assert det.converged()
         assert det.steady_value() == pytest.approx(0.5)
+        # period 1 extrapolates the window mean, not the last sample
+        assert det.extrapolate(0, 2) == [det.steady_value()] * 2
 
     def test_rearm_forgets_converged_window(self):
         """Regression: after a world perturbation the detector must demand
         a *fresh* window — a stale pre-fault window must never keep
         reporting the old converged value."""
-        det = SteadyStateDetector(window=3, rel_tol=0.0)
+        det = PeriodicSteadyState(1, window=3, rel_tol=0.0)
         for _ in range(3):
             det.observe(0.5)
         assert det.converged()
         det.rearm()
         assert not det.converged()
-        assert det.samples == []
+        with pytest.raises(ConfigError):
+            det.steady_value()  # no samples survive the re-arm
         # fewer than `window` post-recovery samples: still not converged,
         # even though the pre-fault window would have straddled them
         det.observe(0.8)
@@ -248,6 +253,7 @@ class TestSteadyStateDetector:
         assert not det.converged()
         det.observe(0.8)
         assert det.converged()
+        assert det.steady_value() == 0.8
         assert det.steady_value() == 0.8  # post-recovery value, not 0.5
 
     def test_faulty_run_extrapolates_post_fault_step_time(self):
