@@ -49,7 +49,7 @@ def _add_engine_mode(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--fast", dest="engine_mode", action="store_const", const="fast",
-        help="trace/replay fast path (bit-identical to --exact; "
+        help="memoized-quote fast path (bit-identical to --exact; "
              "see docs/engine_fastpath.md)",
     )
     group.add_argument(

@@ -12,7 +12,7 @@ Training cells check:
   (productive + checkpoint + detection + lost work + recovery) sum to the
   independently accumulated simulation clock; nothing is double-charged
   or silently dropped.
-* **fast-exact-identity** — the trace/replay fast engine produced a
+* **fast-exact-identity** — the fast engine produced a
   bit-identical point to the exact engine under this fault plan.
 * **corruption-detected** — every wire corruption event was caught by a
   CRC check (no flipped payload reached the optimizer state).

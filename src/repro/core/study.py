@@ -66,10 +66,10 @@ class StudyConfig:
     steady_detect: bool = True
     steady_window: int = 3
     steady_rel_tol: float = 1e-9
-    # Engine execution mode: "exact" walks every collective schedule through
-    # the full transport cost model; "fast" attaches the repro.sim.fastpath
-    # trace/replay session, which memoizes each distinct transfer once and
-    # replays recurrences bit-identically (equivalence pinned by
+    # Engine execution mode: "exact" quotes every transfer of every
+    # collective schedule afresh; "fast" attaches the repro.sim.fastpath
+    # session, which memoizes each distinct transfer's quote and reuses it
+    # bit-identically (equivalence pinned by
     # tests/test_engine_equivalence.py).
     engine_mode: str = "exact"
     # Gradient compression spec ("none", "fp16", "bf16", "topk:<ratio>")

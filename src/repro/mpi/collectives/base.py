@@ -9,7 +9,12 @@ from dataclasses import dataclass, field
 from repro.comm.cost import FLOAT32_BYTES, reduce_time
 from repro.cuda.kernels import KernelCostModel
 from repro.errors import MpiError
-from repro.mpi.transports import TransportKind, TransportModel
+from repro.mpi.transports import (
+    STAGED_KINDS,
+    TransferQuote,
+    TransportKind,
+    TransportModel,
+)
 
 
 class ExecutionMode(enum.Enum):
@@ -219,8 +224,8 @@ class StepCoster:
         self.kernel_model = KernelCostModel(transport.cluster.spec.node.gpu)
         self.cpu = transport.cluster.spec.node.cpu
         # Optional repro.sim.fastpath.FastPathSession; when attached (via
-        # enable_fastpath), analytic schedule walks replay memoized
-        # transfers instead of re-running the full cost model.
+        # enable_fastpath), analytic walks reuse memoized transfer quotes
+        # and collapse warm ring phases into a closed form.
         self.fastpath = None
 
     # -- reduction compute costs ------------------------------------------------
@@ -234,10 +239,15 @@ class StepCoster:
         self, kind: TransportKind, nbytes: int, dtype_bytes: int = FLOAT32_BYTES
     ) -> float:
         """Reduction executes where the data landed: host for staged paths."""
-        if kind in (TransportKind.HOST_STAGED, TransportKind.SMP_EAGER,
-                    TransportKind.STAGED_INTER):
+        if kind in STAGED_KINDS:
             return self.host_reduce_time(nbytes, dtype_bytes)
         return self.gpu_reduce_time(nbytes, dtype_bytes)
+
+    def quote_reduce_time(self, q: TransferQuote, dtype_bytes: int) -> float:
+        """:meth:`reduce_time_for` a quoted transfer, cached on the quote."""
+        if q.reduce_s is None:
+            q.reduce_s = self.reduce_time_for(q.kind, q.nbytes, dtype_bytes)
+        return q.reduce_s
 
     # -- wire corruption (analytic path) -----------------------------------------
     def corruption_active(self) -> bool:
@@ -294,35 +304,55 @@ class StepCoster:
     def step_time_analytic(
         self, transfers: list[PairTransfer], *, reduce_after: bool = False
     ) -> float:
-        """Makespan of concurrent transfers under the contention model."""
+        """Makespan of concurrent transfers under the contention model.
+
+        The one analytic step walk: each transfer is quoted (memoized by an
+        attached fast-path session, fresh otherwise) and applied, then
+        charged its reduction and, under wire corruption, its CRC
+        retransmits priced from the plain time it was just charged.
+        """
         if not transfers:
             return 0.0
+        transport = self.transport
+        session = self.fastpath
+        corrupting = self.corruption_active()
+        quotes = []
+        totals = []
+        for t in transfers:
+            if session is not None:
+                q = session.quote(t)
+            else:
+                q = transport.quote(
+                    t.src, t.dst, t.nbytes,
+                    src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
+                    buffer_extent=t.buffer_extent,
+                )
+            plain = (q.wire + q.staging) + transport.apply(q)
+            total = plain
+            if reduce_after:
+                total += self.quote_reduce_time(q, t.dtype_bytes)
+            if corrupting:
+                total += self.corruption_surcharge(t.src, t.dst, t.nbytes, plain)
+            quotes.append(q)
+            totals.append(total)
+        return self.makespan(quotes, totals)
+
+    def makespan(self, quotes: list[TransferQuote], totals: list[float]) -> float:
+        """Makespan of one step's transfers given each one's total time.
+
+        Staged transfers sharing a source node serialize in
+        ``ceil(k / staging_engines)`` waves of the slowest; everything else
+        overlaps.
+        """
+        ranks = self.transport.ranks
         staged_by_node: dict[int, list[float]] = {}
         other_max = 0.0
-        engines = self.transport.cluster.spec.node.staging_engines
-        corrupting = self.corruption_active()
-        for t in transfers:
-            bd = self.transport.cost(
-                t.src, t.dst, t.nbytes,
-                src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
-                buffer_extent=t.buffer_extent,
-            )
-            total = bd.total
-            if reduce_after:
-                total += self.reduce_time_for(bd.kind, t.nbytes, t.dtype_bytes)
-            if corrupting:
-                total += self.corruption_surcharge(
-                    t.src, t.dst, t.nbytes, bd.total
-                )
-            if bd.kind in (
-                TransportKind.HOST_STAGED,
-                TransportKind.SMP_EAGER,
-                TransportKind.STAGED_INTER,
-            ):
-                node = self.transport.ranks[t.src].node_id
-                staged_by_node.setdefault(node, []).append(total)
+        for q, total in zip(quotes, totals):
+            if q.kind in STAGED_KINDS:
+                staged_by_node.setdefault(ranks[q.src].node_id, []).append(total)
             else:
                 other_max = max(other_max, total)
+        engines = self.transport.cluster.spec.node.staging_engines
         staged_max = 0.0
         for times in staged_by_node.values():
             waves = math.ceil(len(times) / engines)
@@ -357,10 +387,15 @@ class StepCoster:
     ) -> float:
         """Time a full step schedule in the configured mode."""
         if self.mode is ExecutionMode.ANALYTIC:
-            if self.fastpath is not None:
-                return self.fastpath.run_steps(
-                    self, steps, reduce_after=reduce_after
-                )
+            session = self.fastpath
+            # under a live wire-corruption window every transfer must roll
+            # the corruption stream, so no ring step is collapsed
+            if (
+                session is not None
+                and session.collapsible(steps)
+                and not self.corruption_active()
+            ):
+                return session.ring_time(self, steps, reduce_after=reduce_after)
             return sum(
                 self.step_time_analytic(step, reduce_after=reduce_after)
                 for step in steps

@@ -64,6 +64,13 @@ SMP_EAGER_THRESHOLD = 64 * 1024
 #: Table I shows gains only in the >=16 MB bins.
 CUDA_IPC_THRESHOLD = 4 * MIB
 
+#: transports whose copies run on a node's staging engines: their copy time
+#: is charged to both endpoints, the analytic step walk serializes them in
+#: engine waves, and a reduction after them runs on the host
+STAGED_KINDS = frozenset(
+    (TransportKind.HOST_STAGED, TransportKind.SMP_EAGER, TransportKind.STAGED_INTER)
+)
+
 
 @dataclass
 class CostBreakdown:
@@ -91,9 +98,46 @@ class TransportStats:
         default_factory=lambda: {k: 0 for k in TransportKind}
     )
 
-    def record(self, kind: TransportKind, nbytes: int) -> None:
-        self.bytes_moved[kind] += nbytes
-        self.transfers[kind] += 1
+
+class TransferQuote:
+    """The part of one transfer's cost that no protocol state changes.
+
+    :meth:`TransportModel.quote` builds it without side effects and
+    :meth:`TransportModel.apply` sends it: ``apply`` performs the
+    transfer's side effects and returns its protocol seconds, so the
+    transfer costs ``(wire + staging) + apply(q)``.  ``protocol`` is the
+    fixed part of that term: the queue or IPC synchronization (plus
+    ``IPC_OPEN_OVERHEAD_S`` when ``opens_ipc``), the eager copy, or the
+    rendezvous handshake (plus per-chunk registration when the sender's
+    cache is disabled).  A rendezvous also names the registration caches
+    and buffers it touches (``src_cache``/``src_buf`` on the sender's HCA,
+    ``dst_cache``/``dst_buf`` for a GDR receiver, both at ``extent``);
+    ``ib`` is the sender's HCA for IB kinds.  ``reduce_s`` caches the
+    reduction time of a transfer that is followed by one.
+    """
+
+    __slots__ = (
+        "kind", "src", "dst", "nbytes", "wire", "staging", "protocol",
+        "opens_ipc", "ib", "src_cache", "src_buf", "dst_cache", "dst_buf",
+        "extent", "reduce_s",
+    )
+
+    def __init__(self, kind: TransportKind, src: int, dst: int, nbytes: int):
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.wire = 0.0
+        self.staging = 0.0
+        self.protocol = 0.0
+        self.opens_ipc = False
+        self.ib = None
+        self.src_cache = None
+        self.src_buf = None
+        self.dst_cache = None
+        self.dst_buf = None
+        self.extent = nbytes
+        self.reduce_s = None
 
 
 class TransportModel:
@@ -136,9 +180,6 @@ class TransportModel:
         }
         self._ipc_pairs: set[tuple[int, int]] = set()
         self.stats = TransportStats()
-        # Optional repro.sim.fastpath MutationClock: bumped when a new IPC
-        # pair opens (the one structural transition the IPC path has).
-        self.mutation_clock = None
         # Seconds each rank spends driving pageable staging copies; these
         # copies are synchronous w.r.t. the GPU stream, so the scaling study
         # charges them against compute (the default path's hidden tax).
@@ -194,6 +235,134 @@ class TransportModel:
         )
 
     # -- analytic costs -----------------------------------------------------------
+    def quote(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        *,
+        src_buffer: int | None = None,
+        dst_buffer: int | None = None,
+        buffer_extent: int | None = None,
+    ) -> TransferQuote:
+        """Price one message from what no send changes; mutates nothing.
+
+        Registration-cache state never enters a quote.  Only
+        ``opens_ipc`` reads protocol state, and pairs never close, so a
+        quote that does not open one stays valid while the transport's
+        configuration, placement and link state do.
+        """
+        kind = self.select(src, dst, nbytes)
+        q = TransferQuote(kind, src, dst, nbytes)
+        if kind is TransportKind.SELF:
+            return q
+        a, b = self.ranks[src], self.ranks[dst]
+        spec = self.cluster.spec.node
+        if kind is TransportKind.SMP_EAGER:
+            q.protocol = 2.0e-6  # shared-memory queue post/poll
+            q.staging = 2 * nbytes / spec.pageable_copy_bandwidth
+        elif kind is TransportKind.CUDA_IPC:
+            q.opens_ipc = (min(src, dst), max(src, dst)) not in self._ipc_pairs
+            # first use maps the peer buffer, then IPC rendezvous sync
+            q.protocol = (IPC_OPEN_OVERHEAD_S if q.opens_ipc else 0.0) + 3.0e-6
+            path = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+            q.wire = max(path, nbytes / self.config.cuda_ipc_bandwidth)
+        elif kind is TransportKind.HOST_STAGED:
+            q.protocol = 2.5e-6
+            q.staging = self._staged_time(a, b, nbytes)
+        elif kind is TransportKind.IB_EAGER:
+            q.ib = self._ib[a.node_id]
+            q.protocol = q.ib.eager_overhead(nbytes)
+            # small D2H copy into the bounce buffer, then the wire
+            q.staging = nbytes / spec.pageable_copy_bandwidth
+            q.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+        elif kind is TransportKind.GDR_RDMA or kind is TransportKind.STAGED_INTER:
+            ib = q.ib = self._ib[a.node_id]
+            q.protocol = ib.rendezvous_overhead(nbytes)
+            q.src_cache = ib.reg_cache
+            q.src_buf = src_buffer if src_buffer is not None else -src - 1
+            if buffer_extent is not None:
+                q.extent = buffer_extent
+            if kind is TransportKind.GDR_RDMA:
+                # receiver's buffer is advertised once per call (CTS
+                # carries the rkey) through its own HCA's cache
+                q.dst_cache = self._ib[b.node_id].reg_cache
+                q.dst_buf = dst_buffer if dst_buffer is not None else -dst - 1
+                q.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+            else:
+                q.staging = 2 * nbytes / spec.pageable_copy_bandwidth
+                q.wire = self.cluster.path_cost(
+                    self._cpu_of(a), self._cpu_of(b), nbytes
+                )
+        else:  # pragma: no cover - enum is exhaustive
+            raise MpiError(f"unhandled transport {kind}")
+        return q
+
+    def apply(self, q: TransferQuote) -> float:
+        """Send a quoted transfer: perform its side effects (registration
+        acquires, IPC pair open, eager/rendezvous counters, staging
+        charges, transport stats) and return its protocol seconds."""
+        if q.kind is TransportKind.SELF:
+            return 0.0
+        protocol = q.protocol
+        if q.src_cache is not None:
+            protocol = self.acquire_registrations(q)
+        elif q.opens_ipc:
+            self._ipc_pairs.add((min(q.src, q.dst), max(q.src, q.dst)))
+        if q.kind in STAGED_KINDS:
+            self.charge_staging(q)
+        self.record_sends(q, 1)
+        return protocol
+
+    def acquire_registrations(self, q: TransferQuote) -> float:
+        """A rendezvous's protocol seconds after acquiring its sender
+        registration (cache enabled) and then its receiver's."""
+        protocol = q.protocol
+        if q.src_cache.enabled:
+            protocol += q.src_cache.acquire(q.src_buf, q.extent)
+        if q.dst_cache is not None:
+            protocol += q.dst_cache.acquire(q.dst_buf, q.extent)
+        return protocol
+
+    def steady_protocol(self, q: TransferQuote) -> float | None:
+        """What the next :meth:`apply` of ``q`` returns, if that apply opens
+        no IPC pair and changes no registration; else None.  Read-only."""
+        if q.opens_ipc:
+            return None
+        protocol = q.protocol
+        if q.src_cache is None:
+            return protocol
+        if q.src_cache.enabled:
+            charge = q.src_cache.peek(q.src_buf, q.extent)
+            if charge is None:
+                return None
+            protocol += charge
+        if q.dst_cache is not None:
+            charge = q.dst_cache.peek(q.dst_buf, q.extent)
+            if charge is None:
+                return None
+            protocol += charge
+        return protocol
+
+    def record_sends(self, q: TransferQuote, count: int) -> None:
+        """Count ``count`` sends of ``q``: transport stats, the HCA's eager
+        or rendezvous sends, and a disabled sender cache's per-chunk
+        registrations."""
+        self.stats.bytes_moved[q.kind] += q.nbytes * count
+        self.stats.transfers[q.kind] += count
+        if q.src_cache is not None:
+            q.ib.rndv_sends += count
+            if not q.src_cache.enabled:
+                q.src_cache.misses += count
+        elif q.ib is not None:
+            q.ib.eager_sends += count
+
+    def charge_staging(self, q: TransferQuote) -> None:
+        """Attribute a staged transfer's copy time to its two endpoints
+        (sender drives the D2H half, receiver the H2D half)."""
+        self.staged_seconds[q.src] += q.staging / 2
+        self.staged_seconds[q.dst] += q.staging / 2
+
     def cost(
         self,
         src: int,
@@ -203,74 +372,18 @@ class TransportModel:
         src_buffer: int | None = None,
         dst_buffer: int | None = None,
         buffer_extent: int | None = None,
-        kind: TransportKind | None = None,
     ) -> CostBreakdown:
         """Uncontended cost of one message; mutates protocol state
         (registration caches, IPC pair setup) exactly as a real send would."""
-        a, b = self.ranks[src], self.ranks[dst]
-        extent = buffer_extent if buffer_extent is not None else nbytes
-        kind = kind or self.select(src, dst, nbytes)
-        out = CostBreakdown(kind=kind, nbytes=nbytes)
-        if kind is TransportKind.SELF:
-            return out
-        if kind is TransportKind.SMP_EAGER:
-            spec = self.cluster.spec.node
-            out.protocol = 2.0e-6  # shared-memory queue post/poll
-            out.staging = 2 * nbytes / spec.pageable_copy_bandwidth
-            self._charge_staging(src, dst, out.staging)
-        elif kind is TransportKind.CUDA_IPC:
-            pair = (min(src, dst), max(src, dst))
-            if pair not in self._ipc_pairs:
-                if self.mutation_clock is not None:
-                    self.mutation_clock.bump()
-                self._ipc_pairs.add(pair)
-                out.protocol += IPC_OPEN_OVERHEAD_S
-            out.protocol += 3.0e-6  # IPC rendezvous synchronization
-            path = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-            pipeline = nbytes / self.config.cuda_ipc_bandwidth
-            out.wire = max(path, pipeline)
-        elif kind is TransportKind.HOST_STAGED:
-            out.protocol = 2.5e-6
-            out.staging = self._staged_time(a, b, nbytes)
-            self._charge_staging(src, dst, out.staging)
-        elif kind is TransportKind.IB_EAGER:
-            ib = self._ib[a.node_id]
-            out.protocol = ib.eager_overhead(nbytes)
-            # small D2H copy into the bounce buffer, then the wire
-            out.staging = nbytes / self.cluster.spec.node.pageable_copy_bandwidth
-            out.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-        elif kind is TransportKind.GDR_RDMA:
-            ib_src = self._ib[a.node_id]
-            ib_dst = self._ib[b.node_id]
-            out.protocol = ib_src.rendezvous_overhead(
-                src_buffer if src_buffer is not None else -src - 1, nbytes, extent
-            )
-            # receiver's buffer is advertised once per call (CTS carries the
-            # rkey); charge it through the call-scoped transaction
-            out.protocol += ib_dst.reg_cache.acquire(
-                dst_buffer if dst_buffer is not None else -dst - 1, extent
-            )
-            out.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-        elif kind is TransportKind.STAGED_INTER:
-            ib_src = self._ib[a.node_id]
-            out.protocol = ib_src.rendezvous_overhead(
-                src_buffer if src_buffer is not None else -src - 1, nbytes, extent
-            )
-            out.staging = 2 * nbytes / self.cluster.spec.node.pageable_copy_bandwidth
-            self._charge_staging(src, dst, out.staging)
-            out.wire = self.cluster.path_cost(
-                self._cpu_of(a), self._cpu_of(b), nbytes
-            )
-        else:  # pragma: no cover - enum is exhaustive
-            raise MpiError(f"unhandled transport {kind}")
-        self.stats.record(kind, nbytes)
-        return out
-
-    def _charge_staging(self, src: int, dst: int, staging: float) -> None:
-        """Attribute a staged transfer's copy time to its two endpoints
-        (sender drives the D2H half, receiver the H2D half)."""
-        self.staged_seconds[src] += staging / 2
-        self.staged_seconds[dst] += staging / 2
+        q = self.quote(
+            src, dst, nbytes, src_buffer=src_buffer, dst_buffer=dst_buffer,
+            buffer_extent=buffer_extent,
+        )
+        protocol = self.apply(q)
+        return CostBreakdown(
+            kind=q.kind, wire=q.wire, staging=q.staging, protocol=protocol,
+            nbytes=nbytes,
+        )
 
     def max_staged_seconds(self) -> float:
         """Busiest rank's cumulative staging time (the compute-blocking tax)."""
@@ -340,11 +453,11 @@ class TransportModel:
                 )
                 yield env_.timeout(self.retry.ack_timeout_s + backoff)
         a, b = self.ranks[src], self.ranks[dst]
-        kind = self.select(src, dst, nbytes)
         breakdown = self.cost(
             src, dst, nbytes, src_buffer=src_buffer, dst_buffer=dst_buffer,
-            buffer_extent=buffer_extent, kind=kind,
+            buffer_extent=buffer_extent,
         )
+        kind = breakdown.kind
         env = self.cluster.env
         if breakdown.protocol:
             yield env.timeout(breakdown.protocol)

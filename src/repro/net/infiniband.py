@@ -32,7 +32,9 @@ class IbTransferModel:
     """Computes protocol-side costs; the wire time itself comes from links.
 
     The model is *per HCA* (one per node in our clusters) and owns the
-    registration cache for buffers pinned through that HCA.
+    registration cache for buffers pinned through that HCA.  Its cost
+    methods are pure; the transport that sends through it counts
+    ``eager_sends`` and ``rndv_sends``.
     """
 
     def __init__(
@@ -47,30 +49,25 @@ class IbTransferModel:
 
     def eager_overhead(self, nbytes: int) -> float:
         """Sender-side protocol cost of an eager message (excl. wire time)."""
-        self.eager_sends += 1
         return self.costs.eager_overhead_s + nbytes / self.costs.eager_copy_bandwidth
 
-    def rendezvous_overhead(
-        self, buffer_id: int, chunk_bytes: int, extent: int | None = None
-    ) -> float:
-        """Sender-side protocol cost of a rendezvous message (excl. wire).
+    def rendezvous_overhead(self, chunk_bytes: int) -> float:
+        """Sender-side protocol cost of a rendezvous message before its
+        buffer registration (excl. wire).
 
-        With the registration cache enabled, the *whole buffer* (``extent``)
-        is registered once and reused across chunks and calls.  Without it,
-        MVAPICH2's pipelined rendezvous registers and deregisters **each
-        pipeline chunk** — the repeated cost the cache exists to remove
-        (paper §III-D / reference [22]).
+        With the registration cache enabled this is the RTS/CTS handshake
+        alone: the *whole buffer* is registered once, through
+        :meth:`RegistrationCache.acquire`, and reused across chunks and
+        calls.  Without it, MVAPICH2's pipelined rendezvous registers and
+        deregisters **each pipeline chunk** — the repeated cost the cache
+        exists to remove (paper §III-D / reference [22]).
         """
-        self.rndv_sends += 1
-        extent = extent if extent is not None else chunk_bytes
         if self.reg_cache.enabled:
-            reg = self.reg_cache.acquire(buffer_id, extent)
-        else:
-            self.reg_cache.misses += 1
-            reg = self.reg_cache.cost.register_time(
-                chunk_bytes
-            ) + self.reg_cache.cost.deregister_time(chunk_bytes)
-        return self.costs.rndv_handshake_s + reg
+            return self.costs.rndv_handshake_s
+        cost = self.reg_cache.cost
+        return self.costs.rndv_handshake_s + (
+            cost.register_time(chunk_bytes) + cost.deregister_time(chunk_bytes)
+        )
 
     def stats(self) -> dict[str, float]:
         out = {"eager_sends": self.eager_sends, "rndv_sends": self.rndv_sends}

@@ -23,7 +23,7 @@ partitioned compute:
 
 Every tp/pp term is a closed-form analytic envelope, so fast and exact
 engine modes agree bit-identically on them; the dp engine's fast/exact
-equivalence is pinned by the existing trace/replay harness.  At
+equivalence is pinned by the existing fast-engine harness.  At
 ``tp = pp = 1, M = 1`` the step expression degenerates exactly to the
 data-parallel formula (such layouts route through the original path).
 """

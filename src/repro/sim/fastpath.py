@@ -1,57 +1,42 @@
-"""Calibrated trace/replay fast path for the analytic collective engine.
+"""Memoized transfer quotes and a ring closed form for the analytic engine.
 
 The scaling studies spend nearly all of their wall clock re-walking
-collective step schedules: a 512-rank hierarchical allreduce re-costs the
-same ~2p distinct point-to-point transfers across hundreds of BSP steps,
-and every cost call re-derives the same transport selection, path cost,
-protocol overhead, and registration-cache outcome.  Echo-style replay
-applies directly: *simulate each distinct transfer faithfully once, then
-replay its recorded timing and side effects for every recurrence* — which
-collapses the schedule walk from O(steps x ranks) full cost-model
-evaluations to O(distinct transfers) evaluations plus O(steps x ranks)
-dictionary lookups.
+collective step schedules: a 512-rank hierarchical allreduce costs the
+same ~2p distinct point-to-point transfers across hundreds of BSP steps.
+Echo-style replay applies: *reuse one computation instead of keeping a
+second cost model in step with the first*.  Transfer costing is split in
+two (``repro.mpi.transports``): ``TransportModel.quote`` prices what no
+send changes (transport selection, path cost, staging, the fixed protocol
+term) and ``TransportModel.apply`` performs the send's side effects and
+returns its state-dependent protocol seconds.  Both engine modes walk
+steps through ``StepCoster.step_time_analytic``; exact mode quotes every
+transfer afresh, fast mode takes the quote from this session's memo.
 
 Correctness contract (the bit-identity guarantee the equivalence suite
 pins):
 
-* A transfer is memoized only when costing it mutated **no** structural
-  protocol state — no registration-cache insert, evict, re-register,
-  poison-repair, or flush, and no new CUDA IPC pair.  Warm-up transfers
-  (first touch of a buffer, first IPC open) therefore always run exact;
-  the steady-state recurrences replay.
-* Every structural mutation bumps a :class:`MutationClock` shared by the
-  transport and all of its registration caches.  A memo entry records the
-  clock at capture time and is dead the instant the clock moves — a cache
-  eviction anywhere, an HCA flush, or an explicit :meth:`invalidate`
-  (fault event, regrow, elastic reform, selection-table install)
-  conservatively re-records everything.
-* With a fault injector attached, ``path_cost`` becomes a function of
-  simulated time (link degradation windows), so each entry additionally
-  pins ``env.now`` at capture and only replays at the same timestamp.
-* Replay applies the *exact* side effects of the recorded path:
-  call-scoped hit/miss statistics (``RegistrationCache._txn`` semantics),
-  LRU ``move_to_end`` touches, eager/rendezvous counters, per-kind
-  transport stats, and ordered staging-time charges — so a run that mixes
-  replayed and exact transfers leaves behind byte-identical protocol
-  state, and comm-record accounting still adds up.
-* Replayed totals are precomputed floats using the same operation
-  association as the exact code; call-transaction-conditional branches
-  (the disabled-registration-cache receiver acquire, whose per-call cost
-  depends on whether the buffer was already advertised this call) are
-  captured per branch, with a record-time bitwise cross-check against the
-  observed breakdown — a mismatch skips memoization rather than risking
-  drift.
+* A quote never depends on registration-cache state, so a memo entry
+  stays valid across cache hits, misses, evictions, poisoning and flushes
+  — ``apply`` reads that state live.  Three guards remain: a quote that
+  opens a CUDA IPC pair is never memoized; with a fault injector attached
+  ``path_cost`` varies with simulated time, so the memo is pinned to the
+  ``env.now`` it was filled at; :meth:`FastPathSession.invalidate`
+  (whenever recovery changes the ring) empties it.
+* Every walked transfer, its quote memoized or fresh, goes through the
+  same ``apply``, reduction and corruption-surcharge code, so a run
+  leaves the same protocol state and the same floats in either mode.
+* Ring phases collapse into a closed form only once every remaining
+  transfer is steady (``TransportModel.steady_protocol``: its next
+  ``apply`` opens no IPC pair and changes no registration); the closed
+  form then applies the collapsed steps' side effects in aggregate.
 
-When replay cannot prove identity — an impure call, a clock or timestamp
-mismatch, a failed cross-check — the transfer silently falls back to the
-exact cost model.  ``repro.sim.fastpath`` never approximates; it only
-skips recomputing what is provably unchanged.
+``repro.sim.fastpath`` never approximates; it only skips recomputing
+what is provably unchanged.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,15 +45,15 @@ from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.collectives.base import PairTransfer, StepCoster
-    from repro.mpi.transports import TransportModel
+    from repro.mpi.transports import TransferQuote, TransportModel
 
 
 class EngineMode(enum.Enum):
     """How the analytic engine executes collective schedules."""
 
-    #: walk every schedule step through the full transport cost model
+    #: quote every transfer of every schedule step afresh
     EXACT = "exact"
-    #: record each distinct transfer once, replay recurrences (bit-identical)
+    #: quote each distinct transfer once, collapse warm rings (bit-identical)
     FAST = "fast"
 
 
@@ -86,135 +71,36 @@ def coerce_engine_mode(mode: "EngineMode | str | None") -> EngineMode:
         ) from None
 
 
-class MutationClock:
-    """Monotone counter of structural protocol-state mutations.
-
-    Shared by one transport and all of its registration caches.  Pure
-    counter updates (hits, byte stats, staging seconds) do *not* bump it;
-    any structural change (cache insert/evict/poison/flush, new IPC pair,
-    fault perturbation, elastic reform) does, killing every memo entry
-    recorded under the old value.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def bump(self) -> None:
-        self.value += 1
-
-
-# Effect flavors a memo entry can carry (which side effects replay applies).
-_F_NONE = 0  # SELF / CUDA_IPC: stats only
-_F_STAGED = 1  # SMP_EAGER / HOST_STAGED: stats + staging charge
-_F_EAGER = 2  # IB_EAGER: stats + eager_sends counter
-_F_RNDV = 3  # GDR_RDMA: rndv counter + src acquire + dst acquire
-_F_RNDV_STAGED = 4  # STAGED_INTER: rndv counter + src acquire + staging
-
-
-class TransferEntry:
-    """Recorded outcome of one pure transfer costing.
-
-    ``t_plain``/``t_reduce`` mirror ``CostBreakdown.total`` (+ optional
-    reduction term) with the float association the exact path uses; the
-    ``t_new_*`` variants cover the disabled-registration-cache receiver
-    branch, where the first advertisement of a buffer within an MPI call
-    pays register + deregister and later chunks ride the transaction.
-    """
-
-    __slots__ = (
-        "clock",
-        "now",
-        "kind",
-        "nbytes",
-        "flavor",
-        "t_plain",
-        "t_reduce",
-        "t_new_plain",
-        "t_new_reduce",
-        "staged_src",
-        "staged_dst",
-        "staged_half",
-        "ib",
-        "src_cache",
-        "src_buf",
-        "dst_cache",
-        "dst_buf",
-    )
-
-    def __init__(self, clock: int, now: float | None, kind, nbytes: int):
-        self.clock = clock
-        self.now = now
-        self.kind = kind
-        self.nbytes = nbytes
-        self.flavor = _F_NONE
-        self.t_plain = 0.0
-        self.t_reduce = 0.0
-        self.t_new_plain = 0.0
-        self.t_new_reduce = 0.0
-        self.staged_src = 0
-        self.staged_dst = 0
-        self.staged_half = 0.0
-        self.ib = None
-        self.src_cache = None
-        self.src_buf = 0
-        self.dst_cache = None
-        self.dst_buf = 0
-
-
 class FastPathSession:
-    """Per-world replay state: memo, clock, and run statistics.
+    """Per-world memo of transfer quotes, plus run statistics.
 
     One session is attached to a
     :class:`~repro.mpi.collectives.base.StepCoster` (``coster.fastpath``);
-    ``StepCoster.run_steps`` routes analytic schedule walks through
-    :meth:`run_steps` when a session is present.
+    its step walk takes quotes from :meth:`quote`, and ``run_steps``
+    hands ring schedules of at least ``RING_MIN_RANKS`` ranks to
+    :meth:`ring_time`.
     """
 
     #: memo safety valve — never-recurring keys (fresh per-step buffer ids
     #: of unfused tensors) would otherwise grow the table without bound
     MAX_ENTRIES = 1 << 18
+    #: below this ring size the per-transfer walk is already cheap and the
+    #: closed form's staged-contention preconditions rarely hold
+    RING_MIN_RANKS = 8
 
     def __init__(self, transport: "TransportModel"):
-        from repro.mpi.transports import TransportKind
-
         self.transport = transport
-        self.clock = MutationClock()
-        self.memo: dict[tuple, TransferEntry] = {}
+        self.memo: dict[tuple, "TransferQuote"] = {}
         self.replayed_transfers = 0
         self.exact_transfers = 0
         self.invalidations = 0
-        self._kinds = TransportKind
-        self._staged_kinds = (
-            TransportKind.HOST_STAGED,
-            TransportKind.SMP_EAGER,
-            TransportKind.STAGED_INTER,
-        )
         self._time_varying = transport.cluster.fault_injector is not None
-        self._attach(transport)
+        self._now: float | None = None
 
-    def _attach(self, transport: "TransportModel") -> None:
-        transport.mutation_clock = self.clock
-        for ib in transport._ib.values():
-            ib.reg_cache.clock = self.clock
-
-    # -- invalidation ------------------------------------------------------
     def invalidate(self) -> None:
-        """Kill every memo entry (fault event, regrow, table install...).
-
-        O(1): entries stay resident but their recorded clock no longer
-        matches, so each next occurrence re-records under the new value.
-        """
-        self.clock.bump()
+        """Empty the memo (the ring changed: failure, blacklist, regrow)."""
+        self.memo.clear()
         self.invalidations += 1
-
-    def adopt(self, transport: "TransportModel") -> None:
-        """Re-wire the session onto a rebuilt transport (elastic restart)."""
-        self.transport = transport
-        self._time_varying = transport.cluster.fault_injector is not None
-        self._attach(transport)
-        self.invalidate()
 
     def stats(self) -> dict[str, int]:
         return {
@@ -222,461 +108,112 @@ class FastPathSession:
             "exact_transfers": self.exact_transfers,
             "memo_entries": len(self.memo),
             "invalidations": self.invalidations,
-            "clock": self.clock.value,
         }
 
-    # -- recording ---------------------------------------------------------
-    def _record(
-        self,
-        coster: "StepCoster",
-        t: "PairTransfer",
-        bd,
-        dst_in_txn: bool,
-        now: float | None,
-    ) -> TransferEntry | None:
-        """Build a memo entry from a pure exact call.
+    # -- quotes ------------------------------------------------------------
+    def quote(self, t: "PairTransfer") -> "TransferQuote":
+        """The memoized quote of one schedule transfer."""
+        key = (
+            t.src,
+            t.dst,
+            t.nbytes,
+            t.src_buffer,
+            t.dst_buffer,
+            t.buffer_extent,
+            t.dtype_bytes,
+        )
+        q = self._memoized(key)
+        if q is None:
+            self.exact_transfers += 1
+            return self._fresh(key)
+        self.replayed_transfers += 1
+        return q
 
-        Returns ``None`` when the observed breakdown cannot be reproduced
-        branch-exactly (bitwise cross-check failure) — the transfer then
-        simply keeps running exact.
-        """
-        K = self._kinds
-        tr = self.transport
-        kind = bd.kind
-        entry = TransferEntry(self.clock.value, now, kind, t.nbytes)
-        reduce_s = coster.reduce_time_for(kind, t.nbytes, t.dtype_bytes)
-        entry.t_plain = bd.total
-        entry.t_reduce = bd.total + reduce_s
+    def _memoized(self, key: tuple) -> "TransferQuote | None":
+        if self._time_varying:
+            now = self.transport.cluster.env.now
+            if now != self._now:
+                self.memo.clear()
+                self._now = now
+        return self.memo.get(key)
 
-        if kind is K.SELF or kind is K.CUDA_IPC:
-            # stats only (IPC pair already open, or no protocol state at all)
-            return entry
-        if kind is K.SMP_EAGER or kind is K.HOST_STAGED:
-            entry.flavor = _F_STAGED
-            entry.staged_src = t.src
-            entry.staged_dst = t.dst
-            entry.staged_half = bd.staging / 2
-            return entry
-        if kind is K.IB_EAGER:
-            entry.flavor = _F_EAGER
-            entry.ib = tr._ib[tr.ranks[t.src].node_id]
-            return entry
-        if kind is not K.GDR_RDMA and kind is not K.STAGED_INTER:
-            return None  # pragma: no cover - enum is exhaustive
-
-        # Rendezvous paths: reconstruct the sender-side protocol term with
-        # the exact association rendezvous_overhead() uses, then cross-check
-        # bitwise against the observed breakdown.
-        a = tr.ranks[t.src]
-        extent = t.buffer_extent if t.buffer_extent is not None else t.nbytes
-        ib = tr._ib[a.node_id]
-        src_cache = ib.reg_cache
-        if src_cache.enabled:
-            # pure call => the source acquire was a transaction-scoped hit
-            rndv = ib.costs.rndv_handshake_s + 0.0
-        else:
-            cm = src_cache.cost
-            rndv = ib.costs.rndv_handshake_s + (
-                cm.register_time(t.nbytes) + cm.deregister_time(t.nbytes)
-            )
-        entry.ib = ib
-        entry.src_cache = src_cache
-        entry.src_buf = t.src_buffer if t.src_buffer is not None else -t.src - 1
-        base = bd.wire + bd.staging
-
-        if kind is K.STAGED_INTER:
-            if base + rndv != bd.total:
-                return None
-            entry.flavor = _F_RNDV_STAGED
-            entry.staged_src = t.src
-            entry.staged_dst = t.dst
-            entry.staged_half = bd.staging / 2
-            return entry
-
-        # GDR_RDMA: the receiver's buffer is advertised through its own
-        # HCA's cache; protocol = rndv + acquire_dst.
-        entry.flavor = _F_RNDV
-        b = tr.ranks[t.dst]
-        dst_cache = tr._ib[b.node_id].reg_cache
-        entry.dst_cache = dst_cache
-        entry.dst_buf = t.dst_buffer if t.dst_buffer is not None else -t.dst - 1
-        if dst_cache.enabled:
-            # pure call => the receiver acquire hit (0.0 cost either way;
-            # only the txn-scoped statistics differ, which replay applies)
-            if base + (rndv + 0.0) != bd.total:
-                return None
-            return entry
-        cm = dst_cache.cost
-        c_dst = cm.register_time(extent) + cm.deregister_time(extent)
-        t_plain = base + (rndv + 0.0)
-        t_new = base + (rndv + c_dst)
-        if bd.total != (t_plain if dst_in_txn else t_new):
-            return None
-        entry.t_plain = t_plain
-        entry.t_reduce = t_plain + reduce_s
-        entry.t_new_plain = t_new
-        entry.t_new_reduce = t_new + reduce_s
-        return entry
-
-    # -- replay ------------------------------------------------------------
-    def _replay(self, entry: TransferEntry, reduce_after: bool) -> float:
-        """Apply a recorded transfer's side effects; return its total."""
-        tr = self.transport
-        stats = tr.stats
-        kind = entry.kind
-        stats.bytes_moved[kind] += entry.nbytes
-        stats.transfers[kind] += 1
-        flavor = entry.flavor
-        if flavor == _F_NONE:
-            return entry.t_reduce if reduce_after else entry.t_plain
-        if flavor == _F_STAGED:
-            staged = tr.staged_seconds
-            staged[entry.staged_src] += entry.staged_half
-            staged[entry.staged_dst] += entry.staged_half
-            return entry.t_reduce if reduce_after else entry.t_plain
-        if flavor == _F_EAGER:
-            entry.ib.eager_sends += 1
-            return entry.t_reduce if reduce_after else entry.t_plain
-        # rendezvous flavors
-        entry.ib.rndv_sends += 1
-        src_cache = entry.src_cache
-        if src_cache.enabled:
-            # transaction-scoped hit: statistics + LRU touch, zero cost
-            txn = src_cache._txn
-            buf = entry.src_buf
-            if buf not in txn:
-                txn.add(buf)
-                src_cache.hits += 1
-            src_cache._entries.move_to_end(buf)
-        else:
-            # disabled-cache rendezvous charges each chunk unconditionally
-            src_cache.misses += 1
-        if flavor == _F_RNDV_STAGED:
-            staged = tr.staged_seconds
-            staged[entry.staged_src] += entry.staged_half
-            staged[entry.staged_dst] += entry.staged_half
-            return entry.t_reduce if reduce_after else entry.t_plain
-        # GDR: receiver-side advertisement through its own cache
-        dst_cache = entry.dst_cache
-        txn = dst_cache._txn
-        buf = entry.dst_buf
-        if dst_cache.enabled:
-            if buf not in txn:
-                txn.add(buf)
-                dst_cache.hits += 1
-            dst_cache._entries.move_to_end(buf)
-            return entry.t_reduce if reduce_after else entry.t_plain
-        if buf in txn:
-            return entry.t_reduce if reduce_after else entry.t_plain
-        txn.add(buf)
-        dst_cache.misses += 1
-        return entry.t_new_reduce if reduce_after else entry.t_new_plain
-
-    # -- schedule walking --------------------------------------------------
-    def step_time(
-        self,
-        coster: "StepCoster",
-        transfers: list,
-        *,
-        reduce_after: bool = False,
-    ) -> float:
-        """Makespan of one BSP step, replaying memoized transfers.
-
-        Mirrors ``StepCoster.step_time_analytic`` operation-for-operation;
-        only the source of each per-transfer total differs (memo replay vs
-        full costing).
-        """
-        if not transfers:
-            return 0.0
-        tr = self.transport
-        memo = self.memo
-        clock = self.clock
-        now = tr.cluster.env.now if self._time_varying else None
-        staged_by_node: dict[int, list[float]] = {}
-        other_max = 0.0
-        engines = tr.cluster.spec.node.staging_engines
-        staged_kinds = self._staged_kinds
-        corrupting = coster.corruption_active()
-        for t in transfers:
-            key = (
-                t.src,
-                t.dst,
-                t.nbytes,
-                t.src_buffer,
-                t.dst_buffer,
-                t.buffer_extent,
-                t.dtype_bytes,
-            )
-            entry = memo.get(key)
-            if (
-                entry is not None
-                and entry.clock == clock.value
-                and entry.now == now
-            ):
-                total = self._replay(entry, reduce_after)
-                kind = entry.kind
-                self.replayed_transfers += 1
-                if corrupting:
-                    # same rolls, same association order as the exact walk:
-                    # replay covers the clean transfer, the surcharge adds
-                    # CRC-detected retransmits on top
-                    total += coster.corruption_surcharge(
-                        t.src, t.dst, t.nbytes, entry.t_plain
-                    )
-            else:
-                # Snapshot the receiver-side transaction state *before* the
-                # call: with the registration cache disabled, the observed
-                # acquire cost depends on it, and _record must know which
-                # branch it is looking at.
-                dst_in_txn = False
-                a_node = tr.ranks[t.src].node_id
-                b_node = tr.ranks[t.dst].node_id
-                if a_node != b_node:
-                    dcache = tr._ib[b_node].reg_cache
-                    if not dcache.enabled:
-                        dbuf = (
-                            t.dst_buffer
-                            if t.dst_buffer is not None
-                            else -t.dst - 1
-                        )
-                        dst_in_txn = dbuf in dcache._txn
-                before = clock.value
-                bd = tr.cost(
-                    t.src,
-                    t.dst,
-                    t.nbytes,
-                    src_buffer=t.src_buffer,
-                    dst_buffer=t.dst_buffer,
-                    buffer_extent=t.buffer_extent,
-                )
-                kind = bd.kind
-                total = bd.total
-                if reduce_after:
-                    total += coster.reduce_time_for(kind, t.nbytes, t.dtype_bytes)
-                if corrupting:
-                    total += coster.corruption_surcharge(
-                        t.src, t.dst, t.nbytes, bd.total
-                    )
-                self.exact_transfers += 1
-                if clock.value == before:
-                    if len(memo) >= self.MAX_ENTRIES:
-                        memo.clear()
-                    new = self._record(coster, t, bd, dst_in_txn, now)
-                    if new is not None:
-                        memo[key] = new
-            if kind in staged_kinds:
-                node = tr.ranks[t.src].node_id
-                staged_by_node.setdefault(node, []).append(total)
-            else:
-                other_max = max(other_max, total)
-        staged_max = 0.0
-        for times in staged_by_node.values():
-            waves = math.ceil(len(times) / engines)
-            staged_max = max(staged_max, waves * max(times))
-        return max(other_max, staged_max)
-
-    def run_steps(
-        self,
-        coster: "StepCoster",
-        steps: list,
-        *,
-        reduce_after: bool = False,
-    ) -> float:
-        """Analytic schedule walk with per-transfer replay (same summation
-        order as the exact path: sequential over steps)."""
-        if getattr(steps, "is_ring_schedule", False) and not coster.corruption_active():
-            # the ring closed form collapses warm steps without walking
-            # their transfers — under an active wire-corruption window
-            # every transfer must roll the corruption stream, so fall
-            # through to the per-step walk
-            return self._ring_run(coster, steps, reduce_after)
-        total = 0.0
-        for step in steps:
-            total += self.step_time(coster, step, reduce_after=reduce_after)
-        return total
-
-    # -- warm-state synthesis ----------------------------------------------
-    def _synth(
-        self,
-        coster: "StepCoster",
-        src: int,
-        dst: int,
-        nbytes: int,
-        src_buffer: int | None,
-        dst_buffer: int | None,
-        buffer_extent: int | None,
-        now: float | None,
-        dtype_bytes: int,
-    ) -> TransferEntry | None:
-        """Build a memo entry *without* running the transfer, from warm state.
-
-        Mirrors ``TransportModel.cost`` branch-for-branch with the same
-        float associations, but refuses (returns ``None``) whenever the
-        exact call would mutate structural protocol state — a cold IPC
-        pair, a cold/undersized/poisoned registration — because those
-        warm-up transitions must run exact.  A synthesized entry is
-        therefore exactly what ``_record`` would capture from the next
-        pure exact call, obtained one call early; the ring closed form
-        uses it to cover chunk-size variants the walked steps have not
-        organically recorded yet.
-        """
-        K = self._kinds
-        tr = self.transport
-        kind = tr.select(src, dst, nbytes)
-        entry = TransferEntry(self.clock.value, now, kind, nbytes)
-        a = tr.ranks[src]
-        b = tr.ranks[dst]
-        extent = buffer_extent if buffer_extent is not None else nbytes
-        reduce_s = coster.reduce_time_for(kind, nbytes, dtype_bytes)
-
-        if kind is K.SELF:
-            entry.t_plain = 0.0
-            entry.t_reduce = 0.0 + reduce_s
-            return entry
-        if kind is K.SMP_EAGER:
-            staging = 2 * nbytes / tr.cluster.spec.node.pageable_copy_bandwidth
-            entry.flavor = _F_STAGED
-            entry.staged_src = src
-            entry.staged_dst = dst
-            entry.staged_half = staging / 2
-            entry.t_plain = (0.0 + staging) + 2.0e-6
-            entry.t_reduce = entry.t_plain + reduce_s
-            return entry
-        if kind is K.HOST_STAGED:
-            staging = tr._staged_time(a, b, nbytes)
-            entry.flavor = _F_STAGED
-            entry.staged_src = src
-            entry.staged_dst = dst
-            entry.staged_half = staging / 2
-            entry.t_plain = (0.0 + staging) + 2.5e-6
-            entry.t_reduce = entry.t_plain + reduce_s
-            return entry
-        if kind is K.CUDA_IPC:
-            if (min(src, dst), max(src, dst)) not in tr._ipc_pairs:
-                return None  # first transfer opens the pair: must run exact
-            protocol = 0.0 + 3.0e-6
-            path = tr.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-            wire = max(path, nbytes / tr.config.cuda_ipc_bandwidth)
-            entry.t_plain = (wire + 0.0) + protocol
-            entry.t_reduce = entry.t_plain + reduce_s
-            return entry
-        if kind is K.IB_EAGER:
-            ib = tr._ib[a.node_id]
-            protocol = ib.costs.eager_overhead_s + nbytes / ib.costs.eager_copy_bandwidth
-            staging = nbytes / tr.cluster.spec.node.pageable_copy_bandwidth
-            wire = tr.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-            entry.flavor = _F_EAGER
-            entry.ib = ib
-            entry.t_plain = (wire + staging) + protocol
-            entry.t_reduce = entry.t_plain + reduce_s
-            return entry
-
-        # rendezvous kinds: GDR_RDMA / STAGED_INTER
-        ib = tr._ib[a.node_id]
-        src_cache = ib.reg_cache
-        sbuf = src_buffer if src_buffer is not None else -src - 1
-        if src_cache.enabled:
-            reg = src_cache._entries.get(sbuf)
-            if reg is None or reg < extent or sbuf in src_cache._poisoned:
-                return None  # cold/stale registration: the acquire mutates
-            rndv = ib.costs.rndv_handshake_s + 0.0
-        else:
-            cm = src_cache.cost
-            rndv = ib.costs.rndv_handshake_s + (
-                cm.register_time(nbytes) + cm.deregister_time(nbytes)
-            )
-        entry.ib = ib
-        entry.src_cache = src_cache
-        entry.src_buf = sbuf
-
-        if kind is K.STAGED_INTER:
-            staging = 2 * nbytes / tr.cluster.spec.node.pageable_copy_bandwidth
-            wire = tr.cluster.path_cost(tr._cpu_of(a), tr._cpu_of(b), nbytes)
-            entry.flavor = _F_RNDV_STAGED
-            entry.staged_src = src
-            entry.staged_dst = dst
-            entry.staged_half = staging / 2
-            entry.t_plain = (wire + staging) + rndv
-            entry.t_reduce = entry.t_plain + reduce_s
-            return entry
-
-        # GDR_RDMA
-        entry.flavor = _F_RNDV
-        wire = tr.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
-        dst_cache = tr._ib[b.node_id].reg_cache
-        dbuf = dst_buffer if dst_buffer is not None else -dst - 1
-        entry.dst_cache = dst_cache
-        entry.dst_buf = dbuf
-        base = wire + 0.0
-        if dst_cache.enabled:
-            reg = dst_cache._entries.get(dbuf)
-            if reg is None or reg < extent or dbuf in dst_cache._poisoned:
-                return None
-            entry.t_plain = base + (rndv + 0.0)
-            entry.t_reduce = entry.t_plain + reduce_s
-            return entry
-        cm = dst_cache.cost
-        c_dst = cm.register_time(extent) + cm.deregister_time(extent)
-        entry.t_plain = base + (rndv + 0.0)
-        entry.t_reduce = entry.t_plain + reduce_s
-        entry.t_new_plain = base + (rndv + c_dst)
-        entry.t_new_reduce = entry.t_new_plain + reduce_s
-        return entry
+    def _fresh(self, key: tuple) -> "TransferQuote":
+        src, dst, nbytes, src_buffer, dst_buffer, extent, _ = key
+        q = self.transport.quote(
+            src, dst, nbytes, src_buffer=src_buffer, dst_buffer=dst_buffer,
+            buffer_extent=extent,
+        )
+        if not q.opens_ipc:
+            memo = self.memo
+            if len(memo) >= self.MAX_ENTRIES:
+                memo.clear()
+            memo[key] = q
+        return q
 
     # -- ring closed form --------------------------------------------------
-    #: below this ring size the per-transfer walk is already cheap and the
-    #: closed form's staged-contention preconditions rarely hold
-    _RING_MIN_RANKS = 8
+    def collapsible(self, steps) -> bool:
+        """True for a ring schedule large enough for :meth:`ring_time`."""
+        return (
+            getattr(steps, "is_ring_schedule", False)
+            and len(steps.ranks) >= self.RING_MIN_RANKS
+        )
 
-    def _ring_run(self, coster: "StepCoster", sched, reduce_after: bool) -> float:
+    def ring_time(
+        self, coster: "StepCoster", sched, *, reduce_after: bool = False
+    ) -> float:
         """Walk a ring phase, collapsing its tail into the closed form.
 
-        Walks steps per-transfer only while protocol state is still
-        mutating (cold caches, first-in-call advertisements); once every
-        distinct transfer is provably warm the remaining steps reduce to
-        a vectorized max over the ~2p recorded totals plus aggregate
-        side-effect application.
+        Walks steps through the coster only while a transfer's next apply
+        would still change protocol state (cold caches, first-in-call
+        advertisements, an IPC pair to open); from the first step at
+        which every distinct transfer is steady, the remaining steps
+        reduce to a vectorized max over the ~2p per-pair totals plus
+        aggregate side effects.  Sums steps in walk order, like the
+        exact walk.
         """
-        n_steps = len(sched)
-        if n_steps <= 0:
-            return 0.0
         total = 0.0
-        for s in range(n_steps):
+        for s in range(len(sched)):
             done = self._ring_tail(coster, sched, s, reduce_after, total)
             if done is not None:
                 return done
-            total += self.step_time(coster, sched.step(s), reduce_after=reduce_after)
+            total += coster.step_time_analytic(
+                sched.step(s), reduce_after=reduce_after
+            )
         return total
 
-    def _ring_entries(
-        self, coster: "StepCoster", sched, chunk: int, now: float | None
-    ) -> list[TransferEntry] | None:
-        """Valid memo entries for every ring pair at one chunk size."""
+    def _ring_row(
+        self, coster: "StepCoster", sched, chunk: int, reduce_after: bool
+    ) -> tuple[list, list[float]] | None:
+        """Quotes and steady totals of every ring pair at one chunk size,
+        or None while some pair's next apply would change protocol state."""
+        transport = self.transport
         ranks = sched.ranks
         p = len(ranks)
-        extent = sched.extent
         bids = sched.buffer_ids
-        dtype_bytes = sched.dtype_bytes
-        memo = self.memo
-        clock_value = self.clock.value
-        out = []
+        quotes = []
+        totals = []
         for i in range(p):
             src = ranks[i]
             dst = ranks[(i + 1) % p]
-            sbuf = bids.get(src) if bids else None
-            dbuf = bids.get(dst) if bids else None
-            key = (src, dst, chunk, sbuf, dbuf, extent, dtype_bytes)
-            entry = memo.get(key)
-            if entry is None or entry.clock != clock_value or entry.now != now:
-                entry = self._synth(coster, src, dst, chunk, sbuf, dbuf, extent,
-                                    now, dtype_bytes)
-                if entry is None:
-                    return None
-                if len(memo) >= self.MAX_ENTRIES:
-                    memo.clear()
-                memo[key] = entry
-            out.append(entry)
-        return out
+            key = (
+                src,
+                dst,
+                chunk,
+                bids.get(src) if bids else None,
+                bids.get(dst) if bids else None,
+                sched.extent,
+                sched.dtype_bytes,
+            )
+            q = self._memoized(key) or self._fresh(key)
+            protocol = transport.steady_protocol(q)
+            if protocol is None:
+                return None
+            total = (q.wire + q.staging) + protocol
+            if reduce_after:
+                total += coster.quote_reduce_time(q, sched.dtype_bytes)
+            quotes.append(q)
+            totals.append(total)
+        return quotes, totals
 
     def _ring_tail(
         self,
@@ -693,36 +230,27 @@ class FastPathSession:
         when the preconditions do not hold yet and step ``s0`` must be
         walked per-transfer.
         """
-        ranks = sched.ranks
-        p = len(ranks)
-        if p < self._RING_MIN_RANKS:
-            return None
-        tr = self.transport
-        now = tr.cluster.env.now if self._time_varying else None
+        from repro.mpi.transports import STAGED_KINDS
+
         rem = sched.rem
-        small = self._ring_entries(coster, sched, sched.chunk_small, now)
+        small = self._ring_row(coster, sched, sched.chunk_small, reduce_after)
         if small is None:
             return None
-        big = self._ring_entries(coster, sched, sched.chunk_big, now) if rem else small
+        big = (
+            self._ring_row(coster, sched, sched.chunk_big, reduce_after)
+            if rem else small
+        )
         if big is None:
             return None
+        (q_small, t_small), (q_big, t_big) = small, big
 
-        staged_pairs = []
-        nodes_distinct = len({tr.ranks[r].node_id for r in ranks}) == p
-        for i in range(p):
-            e_s, e_b = small[i], big[i]
-            if e_s.kind is not e_b.kind or e_s.flavor != e_b.flavor:
-                return None  # chunk classes straddle a transport threshold
-            if e_s.dst_cache is not None and not e_s.dst_cache.enabled:
-                # the receiver's first advertisement this call pays
-                # register+deregister and changes the step's makespan; the
-                # closed form only covers the post-advertisement regime
-                if e_s.dst_buf not in e_s.dst_cache._txn:
-                    return None
-            if e_s.flavor == _F_STAGED or e_s.flavor == _F_RNDV_STAGED:
-                staged_pairs.append(i)
-        shared_staging = staged_pairs and not nodes_distinct
-        if shared_staging and rem:
+        transport = self.transport
+        ranks = sched.ranks
+        p = len(ranks)
+        if rem and any(q_small[i].kind is not q_big[i].kind for i in range(p)):
+            return None  # chunk classes straddle a transport threshold
+        staged = [i for i in range(p) if q_small[i].kind in STAGED_KINDS]
+        if rem and staged and len({transport.ranks[r].node_id for r in ranks}) < p:
             # staged transfers sharing a node serialize in engine waves,
             # and the rotating big/small chunk classes reshuffle each
             # step's wave membership — only the uniform ring (allgather:
@@ -731,121 +259,59 @@ class FastPathSession:
             return None
 
         n_rem = (p - 1) - s0
-        t_small = np.fromiter(
-            ((e.t_reduce if reduce_after else e.t_plain) for e in small),
-            dtype=np.float64,
-            count=p,
-        )
         if rem:
-            t_big = np.fromiter(
-                ((e.t_reduce if reduce_after else e.t_plain) for e in big),
-                dtype=np.float64,
-                count=p,
-            )
+            # at most one staged transfer per node: each step's makespan
+            # is the plain max of its transfers' totals
             idx = np.arange(p)
             s_arr = np.arange(s0, p - 1)
             is_big = ((idx[None, :] - s_arr[:, None]) % p) < rem
-            makespans = np.where(is_big, t_big[None, :], t_small[None, :]).max(
-                axis=1
-            ).tolist()
+            makespans = np.where(
+                is_big,
+                np.array(t_big, dtype=np.float64)[None, :],
+                np.array(t_small, dtype=np.float64)[None, :],
+            ).max(axis=1).tolist()
             cnt_big = is_big.sum(axis=0).tolist()
-        elif shared_staging:
-            # uniform ring with node-shared staging: reproduce the exact
-            # walk's contention model (per-src-node engine waves) once —
-            # every collapsed step prices identically
-            engines = tr.cluster.spec.node.staging_engines
-            staged_set = set(staged_pairs)
-            by_node: dict[int, list[float]] = {}
-            other_max = 0.0
-            for i in range(p):
-                t = float(t_small[i])
-                if i in staged_set:
-                    by_node.setdefault(
-                        tr.ranks[ranks[i]].node_id, []).append(t)
-                else:
-                    other_max = max(other_max, t)
-            staged_max = 0.0
-            for times in by_node.values():
-                waves = math.ceil(len(times) / engines)
-                staged_max = max(staged_max, waves * max(times))
-            makespans = [max(other_max, staged_max)] * n_rem
-            cnt_big = [0] * p
         else:
-            makespans = [float(t_small.max())] * n_rem
+            # uniform ring: every collapsed step prices identically
+            makespans = [coster.makespan(q_small, t_small)] * n_rem
             cnt_big = [0] * p
         for m in makespans:
             total += m
 
         # aggregate side effects of the collapsed steps -------------------
-        stats = tr.stats
-        bytes_moved = stats.bytes_moved
-        transfer_counts = stats.transfers
         for i in range(p):
             cb = cnt_big[i]
-            for entry, cnt in ((big[i], cb), (small[i], n_rem - cb)):
-                if not cnt:
-                    continue
-                bytes_moved[entry.kind] += entry.nbytes * cnt
-                transfer_counts[entry.kind] += cnt
-                flavor = entry.flavor
-                if flavor == _F_EAGER:
-                    entry.ib.eager_sends += cnt
-                elif flavor == _F_RNDV or flavor == _F_RNDV_STAGED:
-                    entry.ib.rndv_sends += cnt
-                    if not entry.src_cache.enabled:
-                        # disabled-cache rendezvous charges each chunk
-                        entry.src_cache.misses += cnt
-        # transaction-scoped statistics: one hit per (call, buffer) on its
-        # first acquire; the chunk classes share buffers, so one pass over
-        # the small row covers every (cache, buffer) the phase touches
-        seen: set[tuple[int, int]] = set()
-        for entry in small:
-            for cache, buf in (
-                (entry.src_cache, entry.src_buf),
-                (entry.dst_cache, entry.dst_buf),
-            ):
-                if cache is None or not cache.enabled:
-                    continue
-                k = (id(cache), buf)
-                if k in seen:
-                    continue
-                seen.add(k)
-                if buf not in cache._txn:
-                    cache._txn.add(buf)
-                    cache.hits += 1
-        # LRU recency: the exact walk's final ordering is the last step's
-        # acquire sequence (src then dst, pairs ascending); one pass
-        # reproduces it — intermediate touches leave no other trace
-        for entry in small:
-            cache = entry.src_cache
-            if cache is not None and cache.enabled:
-                cache._entries.move_to_end(entry.src_buf)
-            cache = entry.dst_cache
-            if cache is not None and cache.enabled:
-                cache._entries.move_to_end(entry.dst_buf)
+            if cb:
+                transport.record_sends(q_big[i], cb)
+            if cb < n_rem:
+                transport.record_sends(q_small[i], n_rem - cb)
+        # every collapsed step repeats one sequence of warm acquires (src
+        # then dst, pairs ascending; both chunk classes share buffers and
+        # extent): running it once leaves the per-call hit counts and the
+        # LRU order that all of them would
+        for q in q_small:
+            if q.src_cache is not None:
+                transport.acquire_registrations(q)
         # staging charges accumulate per rank in walk order; replay the
         # per-rank add sequence literally (float += order is part of the
         # bit-identity contract)
-        if staged_pairs:
-            staged = tr.staged_seconds
-            for s in range(s0, p - 1):
-                for i in staged_pairs:
-                    entry = big[i] if (i - s) % p < rem else small[i]
-                    half = entry.staged_half
-                    staged[entry.staged_src] += half
-                    staged[entry.staged_dst] += half
+        for s in range(s0, p - 1):
+            for i in staged:
+                transport.charge_staging(
+                    q_big[i] if (i - s) % p < rem else q_small[i]
+                )
         self.replayed_transfers += n_rem * p
         return total
 
 
 def enable_fastpath(world) -> FastPathSession | None:
-    """Attach a replay session to a backend world's analytic coster.
+    """Attach a fast-path session to a backend world's analytic coster.
 
     Returns the session (idempotent — an already-attached session is
     returned as-is), or ``None`` when the backend exposes no
     :class:`~repro.mpi.collectives.base.StepCoster` (closed-form backends
     cost collectives without schedule walks and need no fast path) or the
-    coster runs in event mode (replay is only valid for analytic walks).
+    coster runs in event mode (quotes are memoized only for analytic walks).
     """
     from repro.mpi.collectives.base import ExecutionMode
 
@@ -864,7 +330,7 @@ def enable_fastpath(world) -> FastPathSession | None:
 
 
 def fastpath_stats(world) -> dict[str, int] | None:
-    """The replay statistics of a world's attached session, if any.
+    """The fast-path statistics of a world's attached session, if any.
 
     ``None`` when no session is attached — a closed-form backend, event
     mode, or an exact-mode run.  Diagnostics only: the counters depend on

@@ -24,7 +24,7 @@ import pytest
 from repro.core.scenarios import SCENARIOS, scenario_by_name
 from repro.core.study import ScalingStudy, StudyConfig, point_payload
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, RankFailure
+from repro.faults import CorruptionFault, FaultPlan, RankFailure
 from repro.resilience import CheckpointPolicy, RecoveryPolicy
 
 
@@ -90,6 +90,18 @@ class TestFaultyEquivalence:
         fast = run_point("MPI-Opt", 8, "fast", **kw)
         assert exact.resilience is not None
         assert exact.resilience["regrown_ranks"] == [1]
+        assert_points_identical(exact, fast)
+
+    @pytest.mark.parametrize("scenario", ["MPI", "MPI-Opt"])
+    def test_wire_corruption_bit_identity(self, scenario):
+        """CRC retransmits are priced from the plain time the transfer was
+        actually charged, including a receiver's first advertisement with
+        the registration cache off (the ``MPI`` scenario)."""
+        plan = FaultPlan(
+            seed=0, faults=(CorruptionFault(target="wire", prob=0.02),))
+        kw = dict(fault_plan=plan, warmup_steps=1, measure_steps=6)
+        exact = run_point(scenario, 16, "exact", **kw)
+        fast = run_point(scenario, 16, "fast", **kw)
         assert_points_identical(exact, fast)
 
 
