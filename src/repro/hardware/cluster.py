@@ -53,7 +53,6 @@ class Cluster:
         self.fault_injector = None
         # Topology is immutable after construction: memoize routes and the
         # (sum-of-alphas, bottleneck-bandwidth) pair per endpoint pair.
-        # path_cost/route are the hottest calls of an analytic sweep.
         self._route_cache: dict[
             tuple[DeviceRef, DeviceRef], list[tuple[Link, object, object]]
         ] = {}
@@ -189,6 +188,27 @@ class Cluster:
             here = there
         return hops
 
+    def path_constants(
+        self, src: DeviceRef, dst: DeviceRef
+    ) -> tuple[float, float]:
+        """Fault-free ``(sum of hop latencies, bottleneck bandwidth)`` of
+        the route, ``(0.0, inf)`` for an empty one.
+
+        Memoized: both are immutable once the fabric is built.
+        """
+        constants = self._path_cache.get((src, dst))
+        if constants is None:
+            hops = self.route(src, dst)
+            if not hops:
+                constants = (0.0, float("inf"))
+            else:
+                constants = (
+                    sum(link.spec.latency_s for link, _, _ in hops),
+                    min(link.spec.bandwidth for link, _, _ in hops),
+                )
+            self._path_cache[(src, dst)] = constants
+        return constants
+
     def path_cost(self, src: DeviceRef, dst: DeviceRef, nbytes: int) -> float:
         """Uncontended pipelined transfer time along the route."""
         if self.fault_injector is not None:
@@ -203,19 +223,7 @@ class Cluster:
                 alpha += link.spec.latency_s + extra
                 bottleneck = min(bottleneck, link.spec.bandwidth * bw_factor)
             return alpha + nbytes / bottleneck
-        # fault-free route constants are immutable: compute (alpha, B) once
-        constants = self._path_cache.get((src, dst))
-        if constants is None:
-            hops = self.route(src, dst)
-            if not hops:
-                constants = (0.0, float("inf"))
-            else:
-                constants = (
-                    sum(link.spec.latency_s for link, _, _ in hops),
-                    min(link.spec.bandwidth for link, _, _ in hops),
-                )
-            self._path_cache[(src, dst)] = constants
-        alpha, bottleneck = constants
+        alpha, bottleneck = self.path_constants(src, dst)
         if bottleneck == float("inf"):
             return 0.0
         return alpha + nbytes / bottleneck

@@ -223,6 +223,8 @@ class StepCoster:
         self.mode = mode
         self.kernel_model = KernelCostModel(transport.cluster.spec.node.gpu)
         self.cpu = transport.cluster.spec.node.cpu
+        # (staged, nbytes, dtype_bytes) -> reduction seconds
+        self._reductions: dict[tuple[bool, int, int], float] = {}
         # Optional repro.sim.fastpath.FastPathSession; when attached (via
         # enable_fastpath), analytic walks reuse memoized transfer quotes
         # and collapse warm ring phases into a closed form.
@@ -243,11 +245,18 @@ class StepCoster:
             return self.host_reduce_time(nbytes, dtype_bytes)
         return self.gpu_reduce_time(nbytes, dtype_bytes)
 
-    def quote_reduce_time(self, q: TransferQuote, dtype_bytes: int) -> float:
-        """:meth:`reduce_time_for` a quoted transfer, cached on the quote."""
-        if q.reduce_s is None:
-            q.reduce_s = self.reduce_time_for(q.kind, q.nbytes, dtype_bytes)
-        return q.reduce_s
+    def reduction(
+        self, kind: TransportKind, nbytes: int, dtype_bytes: int
+    ) -> float:
+        """:meth:`reduce_time_for`, priced once per ``(staged, nbytes,
+        dtype_bytes)``: whether the kind is staged is all it reads of it."""
+        key = (kind in STAGED_KINDS, nbytes, dtype_bytes)
+        seconds = self._reductions.get(key)
+        if seconds is None:
+            seconds = self._reductions[key] = self.reduce_time_for(
+                kind, nbytes, dtype_bytes
+            )
+        return seconds
 
     # -- wire corruption (analytic path) -----------------------------------------
     def corruption_active(self) -> bool:
@@ -330,7 +339,7 @@ class StepCoster:
             plain = (q.wire + q.staging) + transport.apply(q)
             total = plain
             if reduce_after:
-                total += self.quote_reduce_time(q, t.dtype_bytes)
+                total += self.reduction(q.kind, q.nbytes, t.dtype_bytes)
             if corrupting:
                 total += self.corruption_surcharge(t.src, t.dst, t.nbytes, plain)
             quotes.append(q)
@@ -348,7 +357,7 @@ class StepCoster:
         staged_by_node: dict[int, list[float]] = {}
         other_max = 0.0
         for q, total in zip(quotes, totals):
-            if q.kind in STAGED_KINDS:
+            if q.staged:
                 staged_by_node.setdefault(ranks[q.src].node_id, []).append(total)
             else:
                 other_max = max(other_max, total)
@@ -373,7 +382,7 @@ class StepCoster:
             )
             if reduce_after:
                 yield env.timeout(
-                    self.reduce_time_for(kind, t.nbytes, t.dtype_bytes))
+                    self.reduction(kind, t.nbytes, t.dtype_bytes))
 
         procs = [env.process(one(t)) for t in transfers]
         if procs:
@@ -396,10 +405,13 @@ class StepCoster:
                 and not self.corruption_active()
             ):
                 return session.ring_time(self, steps, reduce_after=reduce_after)
-            return sum(
-                self.step_time_analytic(step, reduce_after=reduce_after)
-                for step in steps
-            )
+            # one left-to-right running total, like ring_time's: sum() of
+            # floats is compensated from Python 3.12 on.  An empty
+            # schedule times as the int 0.
+            total = 0
+            for step in steps:
+                total += self.step_time_analytic(step, reduce_after=reduce_after)
+            return total
         env = self.transport.cluster.env
         start = env.now
 

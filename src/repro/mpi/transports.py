@@ -53,6 +53,14 @@ class TransportKind(enum.Enum):
     IB_EAGER = "ib-eager"
     STAGED_INTER = "staged-inter"  # inter-node with GDR disabled
 
+    # members are singletons compared by identity, so hash them by identity
+    # too: the stats dicts and STAGED_KINDS then skip the Python-level
+    # Enum.__hash__.  Identity hashes differ between processes, so no set
+    # of kinds may ever be iterated into an output.
+    __hash__ = object.__hash__
+
+
+INF = float("inf")
 
 #: intra-node messages at or below this always take the SMP eager path
 SMP_EAGER_THRESHOLD = 64 * 1024
@@ -112,18 +120,19 @@ class TransferQuote:
     cache is disabled).  A rendezvous also names the registration caches
     and buffers it touches (``src_cache``/``src_buf`` on the sender's HCA,
     ``dst_cache``/``dst_buf`` for a GDR receiver, both at ``extent``);
-    ``ib`` is the sender's HCA for IB kinds.  ``reduce_s`` caches the
-    reduction time of a transfer that is followed by one.
+    ``ib`` is the sender's HCA for IB kinds.  ``staged`` says whether the
+    kind is one of :data:`STAGED_KINDS`.
     """
 
     __slots__ = (
-        "kind", "src", "dst", "nbytes", "wire", "staging", "protocol",
-        "opens_ipc", "ib", "src_cache", "src_buf", "dst_cache", "dst_buf",
-        "extent", "reduce_s",
+        "kind", "staged", "src", "dst", "nbytes", "wire", "staging",
+        "protocol", "opens_ipc", "ib", "src_cache", "src_buf", "dst_cache",
+        "dst_buf", "extent",
     )
 
     def __init__(self, kind: TransportKind, src: int, dst: int, nbytes: int):
         self.kind = kind
+        self.staged = kind in STAGED_KINDS
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
@@ -137,7 +146,29 @@ class TransferQuote:
         self.dst_cache = None
         self.dst_buf = None
         self.extent = nbytes
-        self.reduce_s = None
+
+
+class PairGeometry:
+    """What never changes about one ordered rank pair of a world.
+
+    Both ranks, whether they share a node, the CUDA IPC verdict, the
+    sender's HCA and the receiver's registration cache, and the
+    fault-free ``(alpha, bottleneck)`` of the GPU-to-GPU route.
+    """
+
+    __slots__ = (
+        "a", "b", "same_node", "ipc", "ib", "dst_cache", "alpha", "bottleneck",
+    )
+
+    def __init__(self, transport: "TransportModel", src: int, dst: int):
+        a, b = self.a, self.b = transport.ranks[src], transport.ranks[dst]
+        self.same_node = a.node_id == b.node_id
+        self.ipc = transport.can_ipc(a, b)
+        self.ib = transport._ib[a.node_id]
+        self.dst_cache = transport._ib[b.node_id].reg_cache
+        self.alpha, self.bottleneck = transport.cluster.path_constants(
+            a.device_ref, b.device_ref
+        )
 
 
 class TransportModel:
@@ -179,6 +210,8 @@ class TransportModel:
             for nid in node_ids
         }
         self._ipc_pairs: set[tuple[int, int]] = set()
+        # ordered (src, dst) -> PairGeometry, filled on the pair's first use
+        self._pairs: dict[tuple[int, int], PairGeometry] = {}
         self.stats = TransportStats()
         # Seconds each rank spends driving pageable staging copies; these
         # copies are synchronous w.r.t. the GPU stream, so the scaling study
@@ -200,13 +233,17 @@ class TransportModel:
         return a.mpi_sees(b.physical_device) and b.mpi_sees(a.physical_device)
 
     def select(self, src: int, dst: int, nbytes: int) -> TransportKind:
-        a, b = self.ranks[src], self.ranks[dst]
+        return self._select(self._pair(src, dst), src, dst, nbytes)
+
+    def _select(
+        self, pair: PairGeometry, src: int, dst: int, nbytes: int
+    ) -> TransportKind:
         if src == dst:
             return TransportKind.SELF
-        if a.node_id == b.node_id:
+        if pair.same_node:
             if nbytes <= SMP_EAGER_THRESHOLD:
                 return TransportKind.SMP_EAGER
-            if nbytes >= CUDA_IPC_THRESHOLD and self.can_ipc(a, b):
+            if nbytes >= CUDA_IPC_THRESHOLD and pair.ipc:
                 return TransportKind.CUDA_IPC
             return TransportKind.HOST_STAGED
         if nbytes <= self.config.eager_threshold:
@@ -216,6 +253,25 @@ class TransportModel:
         return TransportKind.STAGED_INTER
 
     # -- helper geometry -------------------------------------------------------
+    def _pair(self, src: int, dst: int) -> PairGeometry:
+        """The ordered pair's :class:`PairGeometry`, resolved once."""
+        pair = self._pairs.get((src, dst))
+        if pair is None:
+            pair = self._pairs[(src, dst)] = PairGeometry(self, src, dst)
+        return pair
+
+    def _device_wire(self, pair: PairGeometry, nbytes: int) -> float:
+        """``Cluster.path_cost`` of the pair's GPU-to-GPU route: from the
+        stored fault-free constants, or live when an injector is attached
+        (link state then varies with simulated time)."""
+        if self.cluster.fault_injector is not None:
+            return self.cluster.path_cost(
+                pair.a.device_ref, pair.b.device_ref, nbytes
+            )
+        if pair.bottleneck == INF:
+            return 0.0
+        return pair.alpha + nbytes / pair.bottleneck
+
     def _cpu_of(self, rank: RankContext) -> DeviceRef:
         node = self.cluster.nodes[rank.node_id]
         return node.cpu_refs[node.socket_of_gpu(rank.physical_device)]
@@ -252,11 +308,11 @@ class TransportModel:
         quote that does not open one stays valid while the transport's
         configuration, placement and link state do.
         """
-        kind = self.select(src, dst, nbytes)
+        pair = self._pair(src, dst)
+        kind = self._select(pair, src, dst, nbytes)
         q = TransferQuote(kind, src, dst, nbytes)
         if kind is TransportKind.SELF:
             return q
-        a, b = self.ranks[src], self.ranks[dst]
         spec = self.cluster.spec.node
         if kind is TransportKind.SMP_EAGER:
             q.protocol = 2.0e-6  # shared-memory queue post/poll
@@ -265,19 +321,19 @@ class TransportModel:
             q.opens_ipc = (min(src, dst), max(src, dst)) not in self._ipc_pairs
             # first use maps the peer buffer, then IPC rendezvous sync
             q.protocol = (IPC_OPEN_OVERHEAD_S if q.opens_ipc else 0.0) + 3.0e-6
-            path = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+            path = self._device_wire(pair, nbytes)
             q.wire = max(path, nbytes / self.config.cuda_ipc_bandwidth)
         elif kind is TransportKind.HOST_STAGED:
             q.protocol = 2.5e-6
-            q.staging = self._staged_time(a, b, nbytes)
+            q.staging = self._staged_time(pair.a, pair.b, nbytes)
         elif kind is TransportKind.IB_EAGER:
-            q.ib = self._ib[a.node_id]
+            q.ib = pair.ib
             q.protocol = q.ib.eager_overhead(nbytes)
             # small D2H copy into the bounce buffer, then the wire
             q.staging = nbytes / spec.pageable_copy_bandwidth
-            q.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+            q.wire = self._device_wire(pair, nbytes)
         elif kind is TransportKind.GDR_RDMA or kind is TransportKind.STAGED_INTER:
-            ib = q.ib = self._ib[a.node_id]
+            ib = q.ib = pair.ib
             q.protocol = ib.rendezvous_overhead(nbytes)
             q.src_cache = ib.reg_cache
             q.src_buf = src_buffer if src_buffer is not None else -src - 1
@@ -286,13 +342,13 @@ class TransportModel:
             if kind is TransportKind.GDR_RDMA:
                 # receiver's buffer is advertised once per call (CTS
                 # carries the rkey) through its own HCA's cache
-                q.dst_cache = self._ib[b.node_id].reg_cache
+                q.dst_cache = pair.dst_cache
                 q.dst_buf = dst_buffer if dst_buffer is not None else -dst - 1
-                q.wire = self.cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+                q.wire = self._device_wire(pair, nbytes)
             else:
                 q.staging = 2 * nbytes / spec.pageable_copy_bandwidth
                 q.wire = self.cluster.path_cost(
-                    self._cpu_of(a), self._cpu_of(b), nbytes
+                    self._cpu_of(pair.a), self._cpu_of(pair.b), nbytes
                 )
         else:  # pragma: no cover - enum is exhaustive
             raise MpiError(f"unhandled transport {kind}")
@@ -309,7 +365,7 @@ class TransportModel:
             protocol = self.acquire_registrations(q)
         elif q.opens_ipc:
             self._ipc_pairs.add((min(q.src, q.dst), max(q.src, q.dst)))
-        if q.kind in STAGED_KINDS:
+        if q.staged:
             self.charge_staging(q)
         self.record_sends(q, 1)
         return protocol

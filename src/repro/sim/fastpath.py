@@ -210,7 +210,7 @@ class FastPathSession:
                 return None
             total = (q.wire + q.staging) + protocol
             if reduce_after:
-                total += coster.quote_reduce_time(q, sched.dtype_bytes)
+                total += coster.reduction(q.kind, chunk, sched.dtype_bytes)
             quotes.append(q)
             totals.append(total)
         return quotes, totals
@@ -230,8 +230,6 @@ class FastPathSession:
         when the preconditions do not hold yet and step ``s0`` must be
         walked per-transfer.
         """
-        from repro.mpi.transports import STAGED_KINDS
-
         rem = sched.rem
         small = self._ring_row(coster, sched, sched.chunk_small, reduce_after)
         if small is None:
@@ -249,7 +247,7 @@ class FastPathSession:
         p = len(ranks)
         if rem and any(q_small[i].kind is not q_big[i].kind for i in range(p)):
             return None  # chunk classes straddle a transport threshold
-        staged = [i for i in range(p) if q_small[i].kind in STAGED_KINDS]
+        staged = [i for i in range(p) if q_small[i].staged]
         if rem and staged and len({transport.ranks[r].node_id for r in ranks}) < p:
             # staged transfers sharing a node serialize in engine waves,
             # and the rotating big/small chunk classes reshuffle each

@@ -1,10 +1,15 @@
-"""Stored cost-model totals and the serving latency table against the loops.
+"""Priced-once tables against the per-call loops they replace.
 
-``ModelCostModel`` sums its layer totals once at construction and
-``ServingCostModel`` prices each (patch, scale, batch size) once.  Neither
-changes the arithmetic, so both must equal a fresh reference computation
-exactly: the totals a plain loop over the layers in order, the table
-``ThroughputModel.inference_time`` on a freshly built cost model.
+``ModelCostModel`` sums its layer totals once at construction,
+``ServingCostModel`` prices each (patch, scale, batch size) once,
+``TransportModel`` resolves each ordered rank pair's geometry once and
+``StepCoster`` prices each reduction size once.  None of them changes the
+arithmetic, so each must equal a fresh reference computation exactly: the
+totals a plain loop over the layers in order, the latency table
+``ThroughputModel.inference_time`` on a freshly built cost model, every
+quote field what the per-call lookups give (rank dicts, ``can_ipc``, the
+per-node HCA map and ``Cluster.path_cost`` with link state read live),
+and a reduction ``reduce_time_for`` on a fresh coster.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.hardware import LASSEN
+from repro.cuda.runtime import IPC_OPEN_OVERHEAD_S
+from repro.faults import FaultInjector, FaultPlan, LinkFault
+from repro.hardware import LASSEN, Cluster
 from repro.models import (
     EDSR_BASELINE,
     EDSR_PAPER,
@@ -26,9 +33,20 @@ from repro.models.blocks import SUPPORTED_SCALES
 from repro.models.costing import ThroughputModel
 from repro.models.edsr import EDSR_PAPER_TEXT
 from repro.models.segmentation import DEEPLAB_V3, segmentation_cost
+from repro.mpi import Mv2Config, MpiWorld, WorldSpec
+from repro.mpi.collectives import ExecutionMode, StepCoster
+from repro.mpi.process import SingletonDevicePolicy
+from repro.mpi.transports import (
+    CUDA_IPC_THRESHOLD,
+    SMP_EAGER_THRESHOLD,
+    STAGED_KINDS,
+    TransportKind,
+)
 from repro.parallel import ParallelLayout, stage_models
 from repro.serve import DEFAULT_MIX, VIDEO_MIX, BatchingConfig, Request
 from repro.serve.costing import ServingCostModel, serving_model_config
+from repro.sim import Environment
+from repro.utils.units import MIB
 
 EDSR_PRESETS = (EDSR_PAPER, EDSR_BASELINE, EDSR_PAPER_TEXT, EDSR_TINY)
 
@@ -119,3 +137,180 @@ def test_latency_table_equals_inference_time(patch, scale):
         assert serving.batch_latency(batch) == expected
         assert serving.latency(patch, scale, n) == expected
     assert serving.request_latency(cls) == fresh.inference_time(1)
+
+
+# -- transport pair table ----------------------------------------------------
+MPI_CONFIGS = {
+    "mpi": Mv2Config(registration_cache=False),
+    "mpi-reg": Mv2Config(registration_cache=True),
+    "mpi-opt": Mv2Config(registration_cache=True, mv2_visible_devices="all"),
+    "gdr-off": Mv2Config(registration_cache=False, gdr_enabled=False),
+    "gdr-off-reg": Mv2Config(
+        registration_cache=True, gdr_enabled=False, mv2_visible_devices="all"
+    ),
+}
+EAGER = Mv2Config().eager_threshold
+#: every selection threshold from both sides, and a large odd size
+SIZES = (
+    1, SMP_EAGER_THRESHOLD, SMP_EAGER_THRESHOLD + 1, CUDA_IPC_THRESHOLD - 1,
+    CUDA_IPC_THRESHOLD, EAGER, EAGER + 1, 16 * MIB + 28,
+)
+#: link degradation from t=1 s to t=2 s
+WINDOW = FaultPlan(seed=0, faults=(LinkFault(
+    bandwidth_factor=0.5, latency_add_s=2e-6, start=1.0, duration=1.0,
+),))
+QUOTE_FIELDS = (
+    "kind", "staged", "src", "dst", "nbytes", "wire", "staging", "protocol",
+    "opens_ipc", "src_buf", "dst_buf", "extent",
+)
+
+
+def _world(config, num_ranks, plan=None):
+    cluster = Cluster(Environment(), LASSEN, num_nodes=(num_ranks + 3) // 4)
+    spec = WorldSpec(
+        num_ranks=num_ranks, policy=SingletonDevicePolicy(), config=config
+    )
+    faults = FaultInjector(plan) if plan is not None else None
+    return MpiWorld(cluster, spec, faults=faults)
+
+
+def reference_quote(transport, src, dst, nbytes, src_buf, dst_buf) -> dict:
+    """A quote's fields from per-call lookups and ``Cluster.path_cost``."""
+    a, b = transport.ranks[src], transport.ranks[dst]
+    config, cluster = transport.config, transport.cluster
+    pageable = cluster.spec.node.pageable_copy_bandwidth
+    K = TransportKind
+    if src == dst:
+        kind = K.SELF
+    elif a.node_id == b.node_id:
+        if nbytes <= SMP_EAGER_THRESHOLD:
+            kind = K.SMP_EAGER
+        elif nbytes >= CUDA_IPC_THRESHOLD and transport.can_ipc(a, b):
+            kind = K.CUDA_IPC
+        else:
+            kind = K.HOST_STAGED
+    elif nbytes <= config.eager_threshold:
+        kind = K.IB_EAGER
+    else:
+        kind = K.GDR_RDMA if config.gdr_enabled else K.STAGED_INTER
+    q = dict(
+        kind=kind, staged=kind in STAGED_KINDS, src=src, dst=dst,
+        nbytes=nbytes, wire=0.0, staging=0.0, protocol=0.0, opens_ipc=False,
+        ib=None, src_cache=None, src_buf=None, dst_cache=None, dst_buf=None,
+        extent=nbytes,
+    )
+    path = cluster.path_cost(a.device_ref, b.device_ref, nbytes)
+    ib = transport._ib[a.node_id]
+    if kind is K.SMP_EAGER:
+        q.update(protocol=2.0e-6, staging=2 * nbytes / pageable)
+    elif kind is K.CUDA_IPC:
+        opens = (min(src, dst), max(src, dst)) not in transport._ipc_pairs
+        q.update(
+            opens_ipc=opens,
+            protocol=(IPC_OPEN_OVERHEAD_S if opens else 0.0) + 3.0e-6,
+            wire=max(path, nbytes / config.cuda_ipc_bandwidth),
+        )
+    elif kind is K.HOST_STAGED:
+        q.update(protocol=2.5e-6, staging=transport._staged_time(a, b, nbytes))
+    elif kind is K.IB_EAGER:
+        q.update(
+            ib=ib, protocol=ib.eager_overhead(nbytes),
+            staging=nbytes / pageable, wire=path,
+        )
+    elif kind is not K.SELF:
+        q.update(
+            ib=ib, protocol=ib.rendezvous_overhead(nbytes),
+            src_cache=ib.reg_cache, src_buf=src_buf,
+        )
+        if kind is K.GDR_RDMA:
+            q.update(
+                dst_cache=transport._ib[b.node_id].reg_cache, dst_buf=dst_buf,
+                wire=path,
+            )
+        else:
+            q.update(staging=2 * nbytes / pageable, wire=cluster.path_cost(
+                transport._cpu_of(a), transport._cpu_of(b), nbytes
+            ))
+    return q
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def assert_quotes_match(transport) -> list[float]:
+    """Quote every ordered pair at every size twice (the first fills the
+    pair table, the second reads it); returns the device-route wires."""
+    wires = []
+    for src in transport.ranks:
+        for dst in transport.ranks:
+            for nbytes in SIZES:
+                expected = reference_quote(
+                    transport, src, dst, nbytes, 100 + src, 100 + dst
+                )
+                for _ in range(2):
+                    q = transport.quote(
+                        src, dst, nbytes, src_buffer=100 + src,
+                        dst_buffer=100 + dst,
+                    )
+                    case = (src, dst, nbytes)
+                    assert transport.select(src, dst, nbytes) is q.kind, case
+                    for name in QUOTE_FIELDS:
+                        assert _bits(getattr(q, name)) == _bits(
+                            expected[name]
+                        ), (case, name)
+                    for name in ("ib", "src_cache", "dst_cache"):
+                        assert getattr(q, name) is expected[name], (case, name)
+                if q.kind in (TransportKind.IB_EAGER, TransportKind.GDR_RDMA):
+                    wires.append(q.wire)
+    return wires
+
+
+@pytest.mark.parametrize("num_ranks", [8, 16])
+@pytest.mark.parametrize("name", sorted(MPI_CONFIGS))
+def test_pair_table_quotes_equal_per_call_lookups(name, num_ranks):
+    transport = _world(MPI_CONFIGS[name], num_ranks).transport
+    assert_quotes_match(transport)
+    # an opened IPC pair changes only opens_ipc, which is read live
+    for src, dst in ((0, 1), (1, 0), (2, 3)):
+        transport.apply(transport.quote(src, dst, CUDA_IPC_THRESHOLD))
+    assert_quotes_match(transport)
+
+
+@pytest.mark.parametrize("name", sorted(MPI_CONFIGS))
+def test_pair_table_reads_link_state_live(name):
+    world = _world(MPI_CONFIGS[name], 8, plan=WINDOW)
+    env = world.cluster.env
+    healthy = assert_quotes_match(world.transport)
+    assert healthy
+    env.run(until=1.5)
+    degraded = assert_quotes_match(world.transport)
+    assert all(d > h for d, h in zip(degraded, healthy))
+    env.run(until=2.5)
+    assert assert_quotes_match(world.transport) == healthy
+
+
+def test_pair_table_filled_before_an_injector_is_attached():
+    world = _world(MPI_CONFIGS["mpi-opt"], 8)
+    healthy = assert_quotes_match(world.transport)
+    world.cluster.apply_fault_injector(FaultInjector(WINDOW))
+    world.cluster.env.run(until=1.5)
+    degraded = assert_quotes_match(world.transport)
+    assert all(d > h for d, h in zip(degraded, healthy))
+
+
+# -- reduction table ---------------------------------------------------------
+def test_reduction_table_equals_reduce_time_for():
+    transport = _world(MPI_CONFIGS["mpi-opt"], 8).transport
+    coster = StepCoster(transport, ExecutionMode.ANALYTIC)
+    for kind in TransportKind:
+        for dtype_bytes in (2, 4):
+            for nbytes in SIZES:
+                fresh = StepCoster(transport, ExecutionMode.ANALYTIC)
+                expected = fresh.reduce_time_for(kind, nbytes, dtype_bytes)
+                # kinds that share a staged flag share the table's entries
+                for _ in range(2):
+                    got = coster.reduction(kind, nbytes, dtype_bytes)
+                    assert got.hex() == expected.hex(), (
+                        kind, nbytes, dtype_bytes
+                    )

@@ -147,6 +147,25 @@ class TestOtherCollectives:
         assert 0 < t4.time < t16.time
 
 
+class TestRunSteps:
+    """``run_steps`` totals steps with one left-to-right running sum."""
+
+    def test_float_steps_add_left_to_right(self, monkeypatch):
+        coster = make_world(8).coster
+        times = iter([1.0, 2.0**-53, 2.0**-53])
+        monkeypatch.setattr(
+            coster, "step_time_analytic",
+            lambda step, reduce_after=False: next(times),
+        )
+        # sum() compensates from Python 3.12 on and would read 1.0 + 2**-52
+        total = coster.run_steps([[], [], []])
+        assert total.hex() == (1.0).hex()
+
+    def test_empty_schedule_times_as_int_zero(self):
+        total = make_world(8).coster.run_steps([])
+        assert total == 0 and type(total) is int
+
+
 class TestEngineCrossValidation:
     """The analytic engine must track the event engine within tolerance."""
 
