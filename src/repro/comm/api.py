@@ -55,17 +55,39 @@ class Communicator(Protocol):
     def reform(self, ranks: Sequence[int]): ...  # pragma: no cover
 
 
+class _Recorder:
+    """The observer a :class:`RoutedCommunicator` attaches to its backend.
+
+    It holds only the record list and the table digest, never the wrapper:
+    a bound method would close the cycle wrapper → backend → observers →
+    wrapper, and a dropped communicator would then wait for the cyclic
+    collector instead of being freed by reference counting.
+    """
+
+    __slots__ = ("records", "table_digest")
+
+    def __init__(self, records: list[CommRecord], table_digest: str | None):
+        self.records = records
+        self.table_digest = table_digest
+
+    def __call__(self, timing, backend: str) -> None:
+        self.records.append(
+            CommRecord.from_timing(timing, backend, table_digest=self.table_digest)
+        )
+
+
 class RoutedCommunicator:
     """Table-routing, record-emitting wrapper over a backend communicator."""
 
     def __init__(self, inner, *, table: SelectionTable | None = None):
         self.inner = inner
         self.table = table
-        self._table_digest = table.digest() if table is not None else None
         self.records: list[CommRecord] = []
-        # one stable bound-method object: attribute access would mint a new
-        # one each time, defeating the identity check in _rewrap
-        self._recorder = self._record
+        # one recorder per wrapper: _rewrap strips it from a sub-communicator
+        # by identity
+        self._recorder = _Recorder(
+            self.records, table.digest() if table is not None else None
+        )
         inner.add_observer(self._recorder)
 
     # -- identity -----------------------------------------------------------
@@ -92,12 +114,6 @@ class RoutedCommunicator:
     @property
     def op_count(self) -> int:
         return self.inner.op_count
-
-    # -- unified accounting -------------------------------------------------
-    def _record(self, timing, backend: str) -> None:
-        self.records.append(
-            CommRecord.from_timing(timing, backend, table_digest=self._table_digest)
-        )
 
     # -- routed collectives -------------------------------------------------
     def _route(self, nbytes: int, algorithm: str | None) -> str | None:

@@ -4,8 +4,7 @@ The α-β (latency-bandwidth) identities and the step-schedule memoization
 used to be copied between ``mpi/collectives/allreduce.py``,
 ``nccl/communicator.py``, and the Horovod fusion layer; this module is
 their single home.  ``mpi.collectives.allreduce`` re-exports
-``allreduce_lower_bound`` and keeps a module-level alias of the memo's
-backing dict for backward compatibility.
+``allreduce_lower_bound``.
 """
 
 from __future__ import annotations
@@ -76,9 +75,9 @@ class ScheduleMemo:
     immutable after construction (lists of frozen PairTransfers that the
     costers only read), which is what makes sharing them safe.
 
-    Gated on :data:`repro.perf.flags.schedule_memo`; ``entries`` is the
-    long-lived backing dict (aliased by legacy call sites), so eviction
-    and clearing mutate it in place rather than rebinding.
+    Each world's :class:`~repro.mpi.collectives.base.StepCoster` owns one
+    (``coster.schedules``), so a dropped world takes its schedules with
+    it.  Gated on :data:`repro.perf.flags.schedule_memo`.
     """
 
     def __init__(self, max_entries: int = 512):

@@ -32,7 +32,6 @@ from repro.cuda.env import VisibilityMask
 from repro.cuda.ipc import IpcMemHandle
 from repro.cuda.kernels import KernelCostModel
 from repro.cuda.memory import DeviceAllocation
-from repro.cuda.stream import Stream
 from repro.hardware.cluster import Cluster
 from repro.hardware.memory import PoolExhaustedError
 from repro.hardware.node import DeviceRef
@@ -85,7 +84,6 @@ class CudaRuntime:
         self.node_id = node_id
         self.version = version
         self.kernel_model = KernelCostModel(cluster.spec.node.gpu)
-        self._contexts: list["CudaContext"] = []
 
     @property
     def physical_device_count(self) -> int:
@@ -105,9 +103,7 @@ class CudaRuntime:
                     f"mask {mask} references physical device {physical}, node has "
                     f"{self.physical_device_count}"
                 )
-        ctx = CudaContext(self, pid, mask)
-        self._contexts.append(ctx)
-        return ctx
+        return CudaContext(self, pid, mask)
 
     def can_open_ipc(self, opener: "CudaContext", handle: IpcMemHandle) -> bool:
         """May ``opener`` map the buffer named by ``handle``?"""
@@ -138,7 +134,6 @@ class CudaContext:
         self._context_blocks: dict[int, object] = {}
         self._live: set[DeviceAllocation] = set()
         self._opened_handles: set[int] = set()
-        self._streams: dict[int, Stream] = {}
 
     # -- device selection --------------------------------------------------
     def device_count(self) -> int:
@@ -159,14 +154,6 @@ class CudaContext:
     @property
     def current_ref(self) -> DeviceRef:
         return self.runtime.physical_ref(self.current_physical)
-
-    def default_stream(self) -> Stream:
-        phys = self.current_physical
-        if phys not in self._streams:
-            self._streams[phys] = Stream(
-                self.current_ref, name=f"pid{self.pid}:dev{phys}:default"
-            )
-        return self._streams[phys]
 
     # -- context creation (overhead kernels) --------------------------------
     def ensure_context(self, physical: int) -> None:

@@ -131,14 +131,6 @@ class Cluster:
     def same_node(self, a: DeviceRef, b: DeviceRef) -> bool:
         return a.node == b.node
 
-    def same_socket(self, a: DeviceRef, b: DeviceRef) -> bool:
-        if a.node != b.node:
-            return False
-        if a.kind is not DeviceKind.GPU or b.kind is not DeviceKind.GPU:
-            return False
-        node = self.nodes[a.node]
-        return node.socket_of_gpu(a.index) == node.socket_of_gpu(b.index)
-
     def gpu_memory(self, ref: DeviceRef):
         if ref.kind is not DeviceKind.GPU:
             raise HardwareError(f"{ref} is not a GPU")
@@ -194,11 +186,14 @@ class Cluster:
         """Fault-free ``(sum of hop latencies, bottleneck bandwidth)`` of
         the route, ``(0.0, inf)`` for an empty one.
 
-        Memoized: both are immutable once the fabric is built.
+        Memoized: both are immutable once the fabric is built.  The hop
+        list is reduced and dropped, not added to the route memo: callers
+        keep the constants (the transport's rank-pair table does), so most
+        routes are walked once and never again.
         """
         constants = self._path_cache.get((src, dst))
         if constants is None:
-            hops = self.route(src, dst)
+            hops = self._route_cache.get((src, dst)) or self._route_uncached(src, dst)
             if not hops:
                 constants = (0.0, float("inf"))
             else:
@@ -285,18 +280,6 @@ class Cluster:
             nbytes, dtype_bytes,
             reduce_flops=self.nodes[node_id].spec.cpu.reduce_flops,
         )
-
-    def link_utilization_report(self) -> dict[str, int]:
-        """Total bytes carried per link kind (for contention analysis)."""
-        totals: dict[str, int] = {}
-        for node in self.nodes:
-            for link in node.links:
-                totals[link.kind.value] = (
-                    totals.get(link.kind.value, 0) + link.bytes_carried
-                )
-        for link in self._ib_links:
-            totals[link.kind.value] = totals.get(link.kind.value, 0) + link.bytes_carried
-        return totals
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,8 @@ A :class:`Link` owns one :class:`~repro.sim.resources.Resource` per
 direction (full-duplex) or a single shared resource (half-duplex).  A
 transfer claims its directional channel for ``alpha + n/B`` seconds, so two
 simultaneous same-direction transfers serialize — the mechanism behind
-intra-node congestion when four ranks stage through the same CPU.
+intra-node congestion when four ranks stage through the same CPU.  Only
+event-mode transfers claim channels, so a link builds them on first use.
 """
 
 from __future__ import annotations
@@ -50,15 +51,9 @@ class Link:
         self.kind = kind
         self.a = a
         self.b = b
-        name = f"{kind.value}:{a}<->{b}"
-        if spec.duplex:
-            self._res = {
-                (a, b): Resource(env, capacity=channels, name=name + ":fwd"),
-                (b, a): Resource(env, capacity=channels, name=name + ":rev"),
-            }
-        else:
-            shared = Resource(env, capacity=channels, name=name)
-            self._res = {(a, b): shared, (b, a): shared}
+        self._capacity = channels
+        # direction -> Resource, built by the first channel() call
+        self._res: dict[tuple[object, object], Resource] | None = None
         self.bytes_carried = 0
         self.transfer_count = 0
         # optional FaultInjector consulted (at env.now) for degradation
@@ -71,10 +66,20 @@ class Link:
             return self.a
         raise KeyError(f"{endpoint!r} is not an endpoint of {self!r}")
 
-    def connects(self, x: object, y: object) -> bool:
-        return {x, y} == {self.a, self.b}
+    def _build_channels(self) -> dict[tuple[object, object], Resource]:
+        a, b, env, capacity = self.a, self.b, self.env, self._capacity
+        name = f"{self.kind.value}:{a}<->{b}"
+        if self.spec.duplex:
+            return {
+                (a, b): Resource(env, capacity=capacity, name=name + ":fwd"),
+                (b, a): Resource(env, capacity=capacity, name=name + ":rev"),
+            }
+        shared = Resource(env, capacity=capacity, name=name)
+        return {(a, b): shared, (b, a): shared}
 
     def channel(self, src: object, dst: object) -> Resource:
+        if self._res is None:
+            self._res = self._build_channels()
         try:
             return self._res[(src, dst)]
         except KeyError:

@@ -100,12 +100,6 @@ class Node:
             raise HardwareError(f"gpu index {gpu_index} out of range on node {self.node_id}")
         return gpu_index // self.spec.gpus_per_socket
 
-    def links_between(self, a: DeviceRef, b: DeviceRef) -> Link | None:
-        for link in self._adjacency.get(a, ()):
-            if link.connects(a, b):
-                return link
-        return None
-
     def route(self, src: DeviceRef, dst: DeviceRef) -> list[Link]:
         """Shortest intra-node route (BFS over the small device graph).
 

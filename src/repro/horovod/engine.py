@@ -155,11 +155,11 @@ class HorovodEngine:
         self._reset_ring_state()
 
     def _reset_ring_state(self) -> None:
-        from repro.mpi.collectives.allreduce import clear_schedule_cache
-
         self._slot_buffers.clear()
         self._response_cache.clear()
-        clear_schedule_cache()
+        coster = getattr(getattr(self.comm, "world", None), "coster", None)
+        if coster is not None:
+            coster.schedules.clear()
 
     def drop_compression_state(self, rank: int) -> None:
         """Forget a rank's error-feedback residuals.

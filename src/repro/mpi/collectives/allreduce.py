@@ -15,10 +15,7 @@ workload exercises:
 
 from __future__ import annotations
 
-import math
-
 from repro.comm.cost import (  # noqa: F401 - re-exported for legacy callers
-    ScheduleMemo,
     allreduce_lower_bound,
     ring_step_count,
 )
@@ -32,21 +29,6 @@ from repro.mpi.collectives.base import (
     is_power_of_two,
 )
 from repro.utils.units import KIB
-
-# Step-schedule memo, now owned by repro.comm.cost (the dedup home of the
-# α-β/memoization code the backends used to copy).  ``_SCHEDULE_CACHE``
-# stays as an alias of the memo's backing dict: tests and older call sites
-# inspect it directly, and ScheduleMemo mutates it in place.
-SCHEDULE_MEMO = ScheduleMemo(max_entries=512)
-_SCHEDULE_CACHE = SCHEDULE_MEMO.entries
-
-
-def clear_schedule_cache() -> None:
-    SCHEDULE_MEMO.clear()
-
-
-def _memoized(key: tuple, builder):
-    return SCHEDULE_MEMO.get(key, builder)
 
 
 def _bids_key(buffer_ids: dict[int, int] | None) -> tuple | None:
@@ -258,10 +240,11 @@ def allreduce_timing(
         return CollectiveTiming("allreduce", algorithm, nbytes, p, 0.0, coster.mode)
 
     segments: dict[str, float] = {}
+    memoized = coster.schedules.get
     rank_key = tuple(ranks)
     bid_key = _bids_key(buffer_ids)
     if algorithm == "ring":
-        rs, ag = _memoized(
+        rs, ag = memoized(
             ("ring", rank_key, nbytes, bid_key, dtype_bytes),
             lambda: _ring_steps(ranks, nbytes, buffer_ids, dtype_bytes),
         )
@@ -273,7 +256,7 @@ def allreduce_timing(
                 coster, ranks, nbytes, buffer_ids=buffer_ids, algorithm="ring",
                 dtype_bytes=dtype_bytes,
             )
-        steps = _memoized(
+        steps = memoized(
             ("rd", rank_key, nbytes, bid_key, dtype_bytes),
             lambda: _recursive_doubling_steps(ranks, nbytes, buffer_ids, dtype_bytes),
         )
@@ -284,7 +267,7 @@ def allreduce_timing(
                 coster, ranks, nbytes, buffer_ids=buffer_ids, algorithm="ring",
                 dtype_bytes=dtype_bytes,
             )
-        rs, ag = _memoized(
+        rs, ag = memoized(
             ("rsag", rank_key, nbytes, bid_key, dtype_bytes),
             lambda: _halving_doubling_steps(ranks, nbytes, buffer_ids, dtype_bytes),
         )
@@ -297,13 +280,13 @@ def allreduce_timing(
         groups = [sorted(g) for _, g in sorted(by_node.items())]
         group_key = tuple(tuple(g) for g in groups)
         leaders = [g[0] for g in groups]
-        intra_reduce, intra_bcast = _memoized(
+        intra_reduce, intra_bcast = memoized(
             ("hier-intra", group_key, nbytes, bid_key, dtype_bytes),
             lambda: _hierarchical_intra_steps(groups, nbytes, buffer_ids, dtype_bytes),
         )
         segments["intra_reduce"] = coster.run_steps(intra_reduce, reduce_after=True)
         if len(leaders) > 1:
-            rs, ag = _memoized(
+            rs, ag = memoized(
                 ("ring", tuple(leaders), nbytes, bid_key, dtype_bytes),
                 lambda: _ring_steps(leaders, nbytes, buffer_ids, dtype_bytes),
             )
@@ -317,16 +300,3 @@ def allreduce_timing(
     return CollectiveTiming(
         "allreduce", algorithm, nbytes, p, total, coster.mode, segments
     )
-
-
-def expected_message_count(algorithm: str, p: int) -> int:
-    """Messages per rank (used by profiling expectations in tests)."""
-    if p <= 1:
-        return 0
-    if algorithm == "ring":
-        return 2 * (p - 1)
-    if algorithm in ("recursive_doubling",):
-        return int(math.log2(p))
-    if algorithm == "reduce_scatter_allgather":
-        return 2 * int(math.log2(p))
-    raise MpiError(f"no message-count formula for {algorithm!r}")

@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from repro.comm.cost import FLOAT32_BYTES, reduce_time
+from repro.comm.cost import FLOAT32_BYTES, ScheduleMemo, reduce_time
 from repro.cuda.kernels import KernelCostModel
 from repro.errors import MpiError
 from repro.mpi.transports import (
@@ -225,6 +225,8 @@ class StepCoster:
         self.cpu = transport.cluster.spec.node.cpu
         # (staged, nbytes, dtype_bytes) -> reduction seconds
         self._reductions: dict[tuple[bool, int, int], float] = {}
+        # this world's collective step schedules, keyed by rank list
+        self.schedules = ScheduleMemo()
         # Optional repro.sim.fastpath.FastPathSession; when attached (via
         # enable_fastpath), analytic walks reuse memoized transfer quotes
         # and collapse warm ring phases into a closed form.

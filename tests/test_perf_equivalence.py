@@ -22,7 +22,7 @@ from repro.core import MPI_OPT, ScalingStudy, StudyConfig, scenario_by_name
 from repro.hardware import LASSEN, Cluster
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
-from repro.mpi.collectives.allreduce import allreduce_timing, clear_schedule_cache
+from repro.mpi.collectives.allreduce import allreduce_timing
 from repro.perf import ResultCache, flags, run_point_jobs, PointJob
 from repro.sim import Environment
 from repro.utils.units import MIB
@@ -35,15 +35,20 @@ def restore_flags():
     saved = (flags.link_fastpath, flags.schedule_memo)
     yield
     flags.link_fastpath, flags.schedule_memo = saved
-    clear_schedule_cache()
 
 
-def _event_allreduce(num_ranks: int, nbytes: int, algorithm: str) -> float:
+def _event_world(num_ranks: int) -> MpiWorld:
     cluster = Cluster(Environment(), LASSEN, num_nodes=max(1, num_ranks // 4))
     spec = WorldSpec(
         num_ranks=num_ranks, policy=MPI_OPT.policy, config=MPI_OPT.mv2
     )
-    world = MpiWorld(cluster, spec, mode=ExecutionMode.EVENT)
+    return MpiWorld(cluster, spec, mode=ExecutionMode.EVENT)
+
+
+def _event_allreduce(
+    num_ranks: int, nbytes: int, algorithm: str, world: MpiWorld | None = None
+) -> float:
+    world = world or _event_world(num_ranks)
     t = allreduce_timing(
         world.coster, list(range(num_ranks)), nbytes, algorithm=algorithm
     )
@@ -56,10 +61,8 @@ class TestLinkFastPath:
         self, algorithm, restore_flags
     ):
         flags.link_fastpath = True
-        clear_schedule_cache()
         fast = _event_allreduce(8, 16 * MIB, algorithm)
         flags.link_fastpath = False
-        clear_schedule_cache()
         slow = _event_allreduce(8, 16 * MIB, algorithm)
         assert fast == slow, f"{algorithm}: fast {fast} != slow {slow}"
 
@@ -91,14 +94,18 @@ class TestLinkFastPath:
 class TestScheduleMemo:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_timings_identical_with_and_without(self, algorithm, restore_flags):
-        flags.schedule_memo = False
-        clear_schedule_cache()
-        unmemoized = _event_allreduce(8, 8 * MIB, algorithm)
-        flags.schedule_memo = True
-        clear_schedule_cache()
-        first = _event_allreduce(8, 8 * MIB, algorithm)
-        second = _event_allreduce(8, 8 * MIB, algorithm)
-        assert unmemoized == first == second
+        timings = {}
+        for enabled in (False, True):
+            flags.schedule_memo = enabled
+            world = _event_world(8)
+            first = _event_allreduce(8, 8 * MIB, algorithm, world)
+            built = len(world.coster.schedules)
+            second = _event_allreduce(8, 8 * MIB, algorithm, world)
+            # the second call on the same world builds nothing: a memo hit
+            assert len(world.coster.schedules) == built
+            assert (built > 0) == enabled
+            timings[enabled] = (first, second)
+        assert timings[False] == timings[True]
 
 
 class TestSteadyStateExtrapolation:

@@ -31,7 +31,6 @@ from repro.hardware import LASSEN, Cluster
 from repro.horovod import HorovodConfig, HorovodEngine
 from repro.models import EDSR, EDSR_TINY
 from repro.mpi import MpiWorld, Mv2Config, WorldSpec
-from repro.mpi.collectives.allreduce import _SCHEDULE_CACHE
 from repro.mpi.process import SingletonDevicePolicy
 from repro.resilience import (
     CheckpointManager,
@@ -353,9 +352,11 @@ class TestTrainerRecovery:
         plan = FaultPlan(seed=11, faults=[RankFailure(rank=3, time=3.0)])
         trainer, _ = make_trainer(plan, SHRINK_CONTINUE)
         trainer.train(2)
-        assert len(_SCHEDULE_CACHE) > 0
+        schedules = trainer.engine.comm.world.coster.schedules
+        assert len(schedules) > 0
         trainer.engine.shrink_to([0, 1, 2])
-        assert len(_SCHEDULE_CACHE) == 0
+        assert trainer.engine.comm.world.coster.schedules is schedules
+        assert len(schedules) == 0
 
     def test_regrow_resets_topk_residuals(self):
         """A re-admitted rank's top-k error-feedback residuals start from

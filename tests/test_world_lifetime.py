@@ -1,0 +1,211 @@
+"""A dropped world frees itself by reference counting.
+
+Sweeps, the layout planner and chaos campaigns build and drop one
+simulated world per point.  A world that sits on a reference cycle is
+freed only when a full collection scans it, so every stored back-reference
+(a context list on its runtime, a bound-method observer on its own
+communicator) turns each dropped world into collector work.  These tests
+pin the ownership rule from ``docs/architecture.md``:
+
+* a world, dropped, is gone as soon as its last strong reference is, with
+  the cyclic collector off, in every engine mode;
+* the study, fault and planner paths leave no ``repro`` object for the
+  cyclic collector;
+* links build their event-mode channels on first use, with the names and
+  capacities they always had;
+* each world owns its collective-schedule memo.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from repro.comm import build_communicator
+from repro.core import MPI_OPT, NCCL_SCENARIO, ScalingStudy, StudyConfig
+from repro.faults import CorruptionFault, FaultPlan, RankFailure
+from repro.hardware import LASSEN, Cluster, Link, LinkKind
+from repro.hardware import links as links_module
+from repro.mpi import WorldSpec
+from repro.mpi.collectives import ExecutionMode
+from repro.mpi.comm import GpuBuffer
+from repro.parallel.planner import PlannerConfig, plan_hybrid
+from repro.sim import Environment
+from repro.sim.fastpath import enable_fastpath
+from repro.utils.units import KIB, MIB
+
+RANKS = 64
+MODES = ["exact", "fast", "event"]
+
+
+def _world(mode: str, ranks: int = RANKS):
+    """A routed MPI-Opt communicator on a fresh cluster, in one engine mode."""
+    cluster = Cluster(Environment(), LASSEN, num_nodes=ranks // 4)
+    spec = WorldSpec(num_ranks=ranks, policy=MPI_OPT.policy, config=MPI_OPT.mv2)
+    execution = ExecutionMode.EVENT if mode == "event" else ExecutionMode.ANALYTIC
+    world, comm = build_communicator(cluster, "mpi", world_spec=spec, mode=execution)
+    if mode == "fast":
+        assert enable_fastpath(world) is not None
+    return world, comm
+
+
+def _allreduces(comm) -> None:
+    for nbytes in (8 * MIB, 64 * KIB):
+        comm.allreduce([GpuBuffer.virtual(nbytes) for _ in range(comm.size)])
+
+
+def assert_no_cyclic_garbage(run) -> None:
+    """``run()`` leaves no ``repro`` object for the cyclic collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run()
+        gc.collect()
+        found = Counter(
+            type(o).__qualname__
+            for o in gc.garbage
+            if type(o).__module__.startswith("repro")
+        )
+        del result
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not found, dict(found.most_common())
+
+
+class TestFreedByReferenceCounting:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dropped_world_dies_with_its_last_reference(self, mode):
+        gc.disable()
+        try:
+            world, comm = _world(mode)
+            _allreduces(comm)
+            assert len(comm.records) == 2
+            world_ref = weakref.ref(world)
+            cluster_ref = weakref.ref(world.cluster)
+            del world, comm
+            assert world_ref() is None
+            assert cluster_ref() is None
+        finally:
+            gc.enable()
+
+    def test_restricted_communicator_keeps_one_recorder(self):
+        # the rewrap strips the parent's recorder by identity
+        gc.disable()
+        try:
+            world, comm = _world("exact", ranks=8)
+            sub = comm.restrict([0, 1, 2, 3])
+            _allreduces(sub)
+            assert len(sub.records) == 2 and not comm.records
+            world_ref = weakref.ref(world)
+            del world, comm, sub
+            assert world_ref() is None
+        finally:
+            gc.enable()
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize(
+        "scenario,engine_mode",
+        [(MPI_OPT, "exact"), (MPI_OPT, "fast"), (NCCL_SCENARIO, "exact")],
+    )
+    def test_study_point(self, scenario, engine_mode):
+        study = ScalingStudy(scenario, StudyConfig(engine_mode=engine_mode))
+        assert_no_cyclic_garbage(lambda: study.run_point(64))
+
+    def test_faulty_point(self):
+        plan = FaultPlan(
+            seed=11,
+            faults=(
+                CorruptionFault(target="wire", prob=0.02),
+                RankFailure(rank=3, time=2.0),
+            ),
+        )
+        study = ScalingStudy(
+            MPI_OPT, StudyConfig(measure_steps=4), fault_plan=plan
+        )
+        assert_no_cyclic_garbage(lambda: study.run_point(16))
+
+    def test_planner(self):
+        config = PlannerConfig(
+            ranks=64, max_pp=1, microbatches=(8,), measure_steps=1
+        )
+        assert_no_cyclic_garbage(lambda: plan_hybrid(config, jobs=1, use_memo=False))
+
+
+class TestLazyChannels:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Every Resource a link builds, in construction order."""
+        made = []
+        original = links_module.Resource
+
+        def counting(*args, **kwargs):
+            made.append(original(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(links_module, "Resource", counting)
+        return made
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_analytic_run_builds_no_link_resource(self, mode, built):
+        _, comm = _world(mode)
+        _allreduces(comm)
+        assert built == []
+
+    def test_event_run_builds_only_the_channels_it_claims(self, built):
+        world, comm = _world("event", ranks=8)
+        _allreduces(comm)
+        links = [
+            *(link for node in world.cluster.nodes for link in node.links),
+            *world.cluster._ib_links,
+        ]
+        assert 0 < len(built) < 2 * len(links)
+        assert all(r.grant_count > 0 for r in built)
+
+    def test_full_duplex_names_capacity_and_identity(self):
+        cluster = Cluster(Environment(), LASSEN, num_nodes=1)
+        for link in cluster.nodes[0].links:
+            fwd = link.channel(link.a, link.b)
+            rev = link.channel(link.b, link.a)
+            name = f"{link.kind.value}:{link.a}<->{link.b}"
+            assert (fwd.name, rev.name) == (name + ":fwd", name + ":rev")
+            assert fwd.capacity == rev.capacity == 1
+            assert link.channel(link.a, link.b) is fwd
+            assert link.channel(link.b, link.a) is rev
+            with pytest.raises(KeyError):
+                link.channel(link.a, link.a)
+
+    def test_capacity_follows_the_channels_argument(self):
+        spec = LASSEN.node.nvlink_gpu_gpu
+        link = Link(Environment(), spec, LinkKind.NVLINK_P2P, "x", "y", channels=3)
+        assert link.channel("x", "y").capacity == 3
+
+    def test_half_duplex_shares_one_resource(self):
+        spec = replace(LASSEN.node.xbus_cpu_cpu, duplex=False)
+        link = Link(Environment(), spec, LinkKind.XBUS, "x", "y")
+        shared = link.channel("x", "y")
+        assert link.channel("y", "x") is shared
+        assert shared.name == "x-bus:x<->y"
+
+
+class TestScheduleMemoPerWorld:
+    def test_two_worlds_never_share_a_schedule(self):
+        # the same buffers on both worlds, so both memos hold the same keys
+        buffers = [GpuBuffer.virtual(8 * MIB) for _ in range(8)]
+        memos = []
+        for _ in range(2):
+            world, comm = _world("exact", ranks=8)
+            comm.allreduce(buffers)
+            memos.append(world.coster.schedules)
+        first, second = memos
+        assert len(first) > 0
+        assert first.entries.keys() == second.entries.keys()
+        shared = {id(v) for v in first.entries.values()} & {
+            id(v) for v in second.entries.values()
+        }
+        assert not shared
