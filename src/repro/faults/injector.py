@@ -4,7 +4,8 @@ One :class:`FaultInjector` is built from a :class:`~repro.faults.FaultPlan`
 and threaded through the stack:
 
 * :class:`~repro.hardware.links.Link` / ``Cluster.path_cost`` ask
-  :meth:`link_state` for bandwidth/latency degradation;
+  :meth:`link_state` for bandwidth/latency degradation (``path_cost``
+  only while :attr:`degrades_links`: the plan holds a ``LinkFault``);
 * :class:`~repro.mpi.transports.TransportModel.transfer_proc` asks
   :meth:`message_verdict` per transmission attempt (drop / delay);
 * the Horovod coordinator and trainer ask :meth:`failure_time` /
@@ -14,8 +15,12 @@ and threaded through the stack:
 Every injected fault and recovery action is recorded into a
 :class:`~repro.faults.trace.FaultTrace` and mirrored to optional timeline
 and hvprof sinks, so chaos runs are observable post hoc.  All randomness
-derives from the plan seed via :func:`~repro.utils.seeding.derive_seed`;
-two runs with identical (plan, workload) produce byte-identical traces.
+derives from the plan seed via :func:`~repro.utils.seeding.derive_seed`:
+the drop, wire-corruption and checkpoint-corruption verdicts draw with
+:func:`~repro.utils.seeding.seeded_random` (numpy's
+``default_rng(seed).random()``, bit for bit), compute jitter from a numpy
+``Generator``.  Two runs with identical (plan, workload) produce
+byte-identical traces.
 """
 
 from __future__ import annotations
@@ -38,7 +43,12 @@ from repro.faults.plan import (
     SwitchFailure,
 )
 from repro.faults.trace import FaultTrace
-from repro.utils.seeding import derive_seed
+from repro.utils.seeding import (
+    derive_seed,
+    extend_seed,
+    seed_prefix,
+    seeded_random,
+)
 
 
 @dataclass(frozen=True)
@@ -70,10 +80,6 @@ def window_active(start: float, duration: float | None, time: float) -> bool:
     return duration is None or time < start + duration
 
 
-# backwards-compatible alias (pre-dates the public export)
-_window_active = window_active
-
-
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` against the simulation clock.
 
@@ -94,6 +100,9 @@ class FaultInjector:
         self._stragglers = plan.of_type(StragglerFault)
         self._jitters = plan.of_type(JitterFault)
         self._links = plan.of_type(LinkFault)
+        #: link state varies with simulated time only under a LinkFault;
+        #: without one, every route prices at its fault-free constants
+        self.degrades_links = bool(self._links)
         self._messages = plan.of_type(MessageFault)
         self._partitions = plan.of_type(PartitionFault)
         self._switch_failures = plan.of_type(SwitchFailure)
@@ -123,6 +132,9 @@ class FaultInjector:
             self._domains = {e.rank: e.domain for e in lowered if e.domain}
         self._msg_seq = 0
         self._corrupt_seq = 0
+        # (stream, *pair) -> SHA-256 state of "plan.seed/stream/src/dst",
+        # the derive_seed prefix every roll of that key extends
+        self._prefixes: dict[tuple, object] = {}
         # transition keys already recorded (one trace event per onset, not
         # one per query)
         self._noted: set[tuple] = set()
@@ -153,6 +165,14 @@ class FaultInjector:
         self._noted.add(key)
         self.record(kind, time, **fields)
 
+    def _roll(self, key: tuple, seq: int) -> float:
+        """``default_rng(derive_seed(plan.seed, *key, seq)).random()``,
+        hashing the prefix ``plan.seed/*key`` once per key."""
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = self._prefixes[key] = seed_prefix(self.plan.seed, *key)
+        return seeded_random(extend_seed(prefix, seq))
+
     # -- compute (stragglers / jitter) ------------------------------------------
     def compute_factor(self, rank: int, time: float, step: int = 0) -> float:
         """Slowdown multiplier for one rank's compute at (time, step)."""
@@ -160,7 +180,7 @@ class FaultInjector:
         for i, f in enumerate(self._stragglers):
             if f.rank != rank:
                 continue
-            if _window_active(f.start, f.duration, time):
+            if window_active(f.start, f.duration, time):
                 factor *= f.factor
                 self._note(
                     ("straggler", i), "straggler-on", time,
@@ -171,7 +191,7 @@ class FaultInjector:
                     ("straggler-off", i), "straggler-off", time, rank=rank
                 )
         for f in self._jitters:
-            if f.sigma > 0 and _window_active(f.start, f.duration, time):
+            if f.sigma > 0 and window_active(f.start, f.duration, time):
                 z = abs(
                     float(
                         np.random.default_rng(
@@ -195,7 +215,7 @@ class FaultInjector:
         for i, f in enumerate(self._links):
             if f.kind is not None and f.kind != kind_value:
                 continue
-            if not _window_active(f.start, f.duration, time):
+            if not window_active(f.start, f.duration, time):
                 continue
             if f.flap_period_s > 0:
                 phase = (time - f.start) % f.flap_period_s
@@ -271,18 +291,13 @@ class FaultInjector:
                 continue
             if f.dst is not None and f.dst != dst:
                 continue
-            if not _window_active(f.start, f.duration, time):
+            if not window_active(f.start, f.duration, time):
                 continue
             delay += f.delay_s
             if f.drop_prob > 0 and not drop:
                 seq = self._msg_seq
                 self._msg_seq += 1
-                u = float(
-                    np.random.default_rng(
-                        derive_seed(self.plan.seed, "drop", src, dst, seq)
-                    ).random()
-                )
-                drop = u < f.drop_prob
+                drop = self._roll(("drop", src, dst), seq) < f.drop_prob
         if drop:
             self.record("msg-drop", time, src=src, dst=dst)
         elif delay > 0:
@@ -305,12 +320,7 @@ class FaultInjector:
                 continue
             seq = self._corrupt_seq
             self._corrupt_seq += 1
-            u = float(
-                np.random.default_rng(
-                    derive_seed(self.plan.seed, "corrupt", src, dst, seq)
-                ).random()
-            )
-            if u < f.prob:
+            if self._roll(("corrupt", src, dst), seq) < f.prob:
                 self.record("wire-corrupt", time, src=src, dst=dst)
                 return True
         return False
@@ -333,12 +343,7 @@ class FaultInjector:
         for f in self._ckpt_corruptions:
             if not window_active(f.start, f.duration, time):
                 continue
-            u = float(
-                np.random.default_rng(
-                    derive_seed(self.plan.seed, "ckpt-corrupt", save_index)
-                ).random()
-            )
-            if u < f.prob:
+            if self._roll(("ckpt-corrupt",), save_index) < f.prob:
                 self.record(
                     "ckpt-corrupt", time, detail=f"save_index={save_index}"
                 )

@@ -51,6 +51,9 @@ class Cluster:
             Link(env, ib_spec, LinkKind.IB, node.hca_ref, CORE) for node in self.nodes
         ]
         self.fault_injector = None
+        #: link state varies with simulated time: the attached injector's
+        #: plan holds a LinkFault (``FaultInjector.degrades_links``)
+        self.live_links = False
         # Topology is immutable after construction: memoize routes and the
         # (sum-of-alphas, bottleneck-bandwidth) pair per endpoint pair.
         self._route_cache: dict[
@@ -63,6 +66,7 @@ class Cluster:
         active :class:`~repro.faults.LinkFault` windows degrade both the
         event-driven transfers and the analytic ``path_cost``."""
         self.fault_injector = injector
+        self.live_links = injector.degrades_links
         for node in self.nodes:
             for link in node.links:
                 link.fault_injector = injector
@@ -189,24 +193,31 @@ class Cluster:
         Memoized: both are immutable once the fabric is built.  The hop
         list is reduced and dropped, not added to the route memo: callers
         keep the constants (the transport's rank-pair table does), so most
-        routes are walked once and never again.
+        routes are walked once and never again.  Latencies are added left
+        to right, as :meth:`path_cost`'s live walk adds them, so both give
+        the same float (``sum()`` is compensated from Python 3.12 on).
         """
         constants = self._path_cache.get((src, dst))
         if constants is None:
             hops = self._route_cache.get((src, dst)) or self._route_uncached(src, dst)
-            if not hops:
-                constants = (0.0, float("inf"))
-            else:
-                constants = (
-                    sum(link.spec.latency_s for link, _, _ in hops),
-                    min(link.spec.bandwidth for link, _, _ in hops),
-                )
+            alpha = 0.0
+            for link, _, _ in hops:
+                alpha += link.spec.latency_s
+            constants = (
+                alpha,
+                min((link.spec.bandwidth for link, _, _ in hops),
+                    default=float("inf")),
+            )
             self._path_cache[(src, dst)] = constants
         return constants
 
     def path_cost(self, src: DeviceRef, dst: DeviceRef, nbytes: int) -> float:
-        """Uncontended pipelined transfer time along the route."""
-        if self.fault_injector is not None:
+        """Uncontended pipelined transfer time along the route.
+
+        Under a :class:`~repro.faults.LinkFault` the route is walked hop by
+        hop at ``env.now``; otherwise it prices at :meth:`path_constants`.
+        """
+        if self.live_links:
             hops = self.route(src, dst)
             if not hops:
                 return 0.0

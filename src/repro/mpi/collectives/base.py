@@ -7,8 +7,9 @@ import math
 from dataclasses import dataclass, field
 
 from repro.comm.cost import FLOAT32_BYTES, ScheduleMemo, reduce_time
+from repro.comm.integrity import crc_check_time
 from repro.cuda.kernels import KernelCostModel
-from repro.errors import MpiError
+from repro.errors import MpiError, MpiTimeoutError
 from repro.mpi.transports import (
     STAGED_KINDS,
     TransferQuote,
@@ -286,9 +287,6 @@ class StepCoster:
         corrupted past the retry budget raises
         :class:`~repro.errors.MpiTimeoutError`, like a lost message.
         """
-        from repro.comm.integrity import crc_check_time
-        from repro.errors import MpiTimeoutError
-
         faults = self.transport.faults
         if faults is None or src == dst:
             return 0.0

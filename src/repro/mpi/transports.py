@@ -262,9 +262,9 @@ class TransportModel:
 
     def _device_wire(self, pair: PairGeometry, nbytes: int) -> float:
         """``Cluster.path_cost`` of the pair's GPU-to-GPU route: from the
-        stored fault-free constants, or live when an injector is attached
-        (link state then varies with simulated time)."""
-        if self.cluster.fault_injector is not None:
+        stored fault-free constants, or live under a ``LinkFault`` (link
+        state then varies with simulated time)."""
+        if self.cluster.live_links:
             return self.cluster.path_cost(
                 pair.a.device_ref, pair.b.device_ref, nbytes
             )

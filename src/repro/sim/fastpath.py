@@ -18,9 +18,9 @@ pins):
 * A quote never depends on registration-cache state, so a memo entry
   stays valid across cache hits, misses, evictions, poisoning and flushes
   — ``apply`` reads that state live.  Three guards remain: a quote that
-  opens a CUDA IPC pair is never memoized; with a fault injector attached
-  ``path_cost`` varies with simulated time, so the memo is pinned to the
-  ``env.now`` it was filled at; :meth:`FastPathSession.invalidate`
+  opens a CUDA IPC pair is never memoized; with a ``LinkFault`` in the
+  plan ``path_cost`` varies with simulated time, so the memo is pinned to
+  the ``env.now`` it was filled at; :meth:`FastPathSession.invalidate`
   (whenever recovery changes the ring) empties it.
 * Every walked transfer, its quote memoized or fresh, goes through the
   same ``apply``, reduction and corruption-surcharge code, so a run
@@ -94,7 +94,7 @@ class FastPathSession:
         self.replayed_transfers = 0
         self.exact_transfers = 0
         self.invalidations = 0
-        self._time_varying = transport.cluster.fault_injector is not None
+        self._time_varying = transport.cluster.live_links
         self._now: float | None = None
 
     def invalidate(self) -> None:

@@ -9,7 +9,9 @@ totals a plain loop over the layers in order, the latency table
 ``ThroughputModel.inference_time`` on a freshly built cost model, every
 quote field what the per-call lookups give (rank dicts, ``can_ipc``, the
 per-node HCA map and ``Cluster.path_cost`` with link state read live),
-and a reduction ``reduce_time_for`` on a fresh coster.
+and a reduction ``reduce_time_for`` on a fresh coster.  Link state is
+read only under a ``LinkFault``: any other plan prices every route and
+quote at the fault-free constants without consulting it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cuda.runtime import IPC_OPEN_OVERHEAD_S
-from repro.faults import FaultInjector, FaultPlan, LinkFault
+from repro.faults import CorruptionFault, FaultInjector, FaultPlan, LinkFault
 from repro.hardware import LASSEN, Cluster
 from repro.models import (
     EDSR_BASELINE,
@@ -35,6 +37,7 @@ from repro.models.edsr import EDSR_PAPER_TEXT
 from repro.models.segmentation import DEEPLAB_V3, segmentation_cost
 from repro.mpi import Mv2Config, MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode, StepCoster
+from repro.mpi.collectives.base import PairTransfer
 from repro.mpi.process import SingletonDevicePolicy
 from repro.mpi.transports import (
     CUDA_IPC_THRESHOLD,
@@ -45,7 +48,7 @@ from repro.mpi.transports import (
 from repro.parallel import ParallelLayout, stage_models
 from repro.serve import DEFAULT_MIX, VIDEO_MIX, BatchingConfig, Request
 from repro.serve.costing import ServingCostModel, serving_model_config
-from repro.sim import Environment
+from repro.sim import Environment, enable_fastpath
 from repro.utils.units import MIB
 
 EDSR_PRESETS = (EDSR_PAPER, EDSR_BASELINE, EDSR_PAPER_TEXT, EDSR_TINY)
@@ -165,12 +168,12 @@ QUOTE_FIELDS = (
 )
 
 
-def _world(config, num_ranks, plan=None):
+def _world(config, num_ranks, plan=None, *, injector=FaultInjector):
     cluster = Cluster(Environment(), LASSEN, num_nodes=(num_ranks + 3) // 4)
     spec = WorldSpec(
         num_ranks=num_ranks, policy=SingletonDevicePolicy(), config=config
     )
-    faults = FaultInjector(plan) if plan is not None else None
+    faults = injector(plan) if plan is not None else None
     return MpiWorld(cluster, spec, faults=faults)
 
 
@@ -297,6 +300,122 @@ def test_pair_table_filled_before_an_injector_is_attached():
     world.cluster.env.run(until=1.5)
     degraded = assert_quotes_match(world.transport)
     assert all(d > h for d, h in zip(degraded, healthy))
+
+
+# -- live link state only under a LinkFault ----------------------------------
+class CountingInjector(FaultInjector):
+    """A fault injector that counts its ``link_state`` consultations."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.link_state_calls = 0
+
+    def link_state(self, kind, time):
+        self.link_state_calls += 1
+        return super().link_state(kind, time)
+
+
+#: plans without a LinkFault
+NO_LINK_FAULT = {
+    "empty": FaultPlan(seed=0),
+    "corruption": FaultPlan(seed=3, faults=(
+        CorruptionFault(target="wire", prob=0.5),
+        CorruptionFault(target="checkpoint", prob=0.5),
+    )),
+}
+#: IB degraded in the first half of every 1 s period, healthy in the second
+FLAP = FaultPlan(seed=0, faults=(LinkFault(
+    kind="ib", bandwidth_factor=0.5, latency_add_s=2e-6, flap_period_s=1.0,
+),))
+#: the same IB degradation, held for good
+HELD = FaultPlan(seed=0, faults=(LinkFault(
+    kind="ib", bandwidth_factor=0.5, latency_add_s=2e-6,
+),))
+
+
+def _transfers(num_ranks):
+    return [
+        PairTransfer(src, dst, nbytes, 100 + src, 100 + dst)
+        for src in range(num_ranks)
+        for dst in range(num_ranks)
+        for nbytes in SIZES
+    ]
+
+
+def _quote_bits(q) -> tuple:
+    return tuple(_bits(getattr(q, name)) for name in QUOTE_FIELDS)
+
+
+def _fresh_quote(world, t: PairTransfer):
+    return world.transport.quote(
+        t.src, t.dst, t.nbytes, src_buffer=t.src_buffer,
+        dst_buffer=t.dst_buffer,
+    )
+
+
+@pytest.mark.parametrize("plan", sorted(NO_LINK_FAULT))
+@pytest.mark.parametrize("name", sorted(MPI_CONFIGS))
+def test_no_link_fault_prices_at_fault_free_constants(name, plan):
+    config = MPI_CONFIGS[name]
+    world = _world(config, 8, NO_LINK_FAULT[plan], injector=CountingInjector)
+    clean = _world(config, 8)
+    assert not world.cluster.live_links
+    session = enable_fastpath(world)
+    transfers = _transfers(8)
+    refs = [world.cluster.gpu_ref(g) for g in range(8)]
+    clean_refs = [clean.cluster.gpu_ref(g) for g in range(8)]
+    for until in (0.5, 1.5):
+        world.cluster.env.run(until=until)
+        for a, ca in zip(refs, clean_refs):
+            for b, cb in zip(refs, clean_refs):
+                for nbytes in SIZES:
+                    assert world.cluster.path_cost(a, b, nbytes).hex() == (
+                        clean.cluster.path_cost(ca, cb, nbytes).hex()
+                    )
+        exact_before = session.exact_transfers
+        for t in transfers:
+            expected = _quote_bits(_fresh_quote(clean, t))
+            assert _quote_bits(_fresh_quote(world, t)) == expected, t
+            assert _quote_bits(session.quote(t)) == expected, t
+        # the memo is not pinned to env.now: after the clock moves, only
+        # quotes that open an IPC pair (never memoized) are priced afresh
+        opening = sum(_fresh_quote(clean, t).opens_ipc for t in transfers)
+        fresh = session.exact_transfers - exact_before
+        assert fresh == (len(set(transfers)) if until == 0.5 else opening)
+    assert world.transport.faults.link_state_calls == 0
+
+
+def test_flapping_link_prices_live_at_each_half_period():
+    config = MPI_CONFIGS["mpi-opt"]
+    world = _world(config, 8, FLAP)
+    assert world.cluster.live_links
+    session = enable_fastpath(world)
+    clean = _world(config, 8)
+    held = _world(config, 8, HELD)
+    transfers = _transfers(8)
+    inter_node = [t for t in transfers if t.src // 4 != t.dst // 4]
+    a, b = world.cluster.gpu_ref(0), world.cluster.gpu_ref(4)
+    for now, reference in ((0.25, held), (0.75, clean), (1.25, held),
+                           (1.75, clean)):
+        world.cluster.env.run(until=now)
+        assert world.cluster.path_cost(a, b, 16 * MIB).hex() == (
+            reference.cluster.path_cost(
+                reference.cluster.gpu_ref(0), reference.cluster.gpu_ref(4),
+                16 * MIB,
+            ).hex()
+        )
+        # the memo refills at each env.now: a quote memoized in the last
+        # half-period is never served in this one
+        for t in transfers:
+            expected = _quote_bits(_fresh_quote(reference, t))
+            assert _quote_bits(session.quote(t)) == expected, (now, t)
+            assert _quote_bits(session.quote(t)) == expected, (now, t)
+    healthy = [_fresh_quote(clean, t).wire for t in inter_node]
+    degraded = [_fresh_quote(held, t).wire for t in inter_node]
+    assert all(d > h for d, h in zip(degraded, healthy))
+    kinds = [e.kind for e in world.transport.faults.trace]
+    assert kinds.count("link-degraded") == 2
+    assert kinds.count("link-restored") == 2
 
 
 # -- reduction table ---------------------------------------------------------

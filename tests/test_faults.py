@@ -45,11 +45,14 @@ from repro.horovod import (
 )
 from repro.models import EDSR, EDSR_TINY
 from repro.mpi import MpiWorld, Mv2Config, WorldSpec, build_world
+from repro.mpi.collectives.allreduce import allreduce_timing
 from repro.mpi.p2p import P2PFabric
 from repro.mpi.process import SingletonDevicePolicy
 from repro.mpi.transports import TransportModel
-from repro.sim import Environment
+from repro.sim import Environment, enable_fastpath
 from repro.trainer import DistributedTrainer
+from repro.utils.seeding import derive_seed
+from repro.utils.units import KIB, MIB
 
 
 def make_fabric(plan=None, *, retry=None, num_nodes=1, topology=None):
@@ -306,6 +309,32 @@ class TestZeroFaultIdentity:
         r_zero = zero.train(steps=2)
         assert r_zero.simulated_step_times == r_base.simulated_step_times
         assert r_zero.losses == r_base.losses
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    @pytest.mark.parametrize("config", [
+        Mv2Config(registration_cache=True, mv2_visible_devices="all"),
+        Mv2Config(gdr_enabled=False),
+    ], ids=["mpi-opt", "gdr-off"])
+    def test_empty_plan_is_identity_across_nodes(self, config, fast):
+        """8 ranks on 2 nodes: inter-node routes of 6 to 8 hops, where a
+        compensated latency sum and a left-to-right fold can disagree."""
+        def timings(faults):
+            cluster = Cluster(Environment(), LASSEN, num_nodes=2)
+            spec = WorldSpec(num_ranks=8, policy=SingletonDevicePolicy(),
+                             config=config)
+            world = MpiWorld(cluster, spec, faults=faults)
+            if fast:
+                enable_fastpath(world)
+            return [
+                allreduce_timing(
+                    world.coster, list(range(8)), nbytes, algorithm=algorithm
+                ).time.hex()
+                for algorithm in ("ring", "recursive_doubling",
+                                  "reduce_scatter_allgather", "hierarchical")
+                for nbytes in (4 * KIB, 1 * MIB, 64 * MIB + 12)
+            ]
+
+        assert timings(FaultInjector(FaultPlan(seed=42))) == timings(None)
 
 
 class TestDeterminism:
@@ -681,6 +710,133 @@ class TestSeveredPaths:
         expected = [baseline.message_verdict(0, 1, 1.0).drop
                     for _ in range(16)]
         assert rolls == expected
+
+
+def reference_roll(seed: int, *key) -> float:
+    """A verdict stream's draw as a numpy generator makes it."""
+    return float(np.random.default_rng(derive_seed(seed, *key)).random())
+
+
+class TestVerdictStreams:
+    """Every seeded verdict stream against a reference built from numpy:
+    ``default_rng(derive_seed(plan.seed, stream, ...)).random() < prob``,
+    with the stream's own sequence accounting."""
+
+    #: interleaved pairs, two of them sharing a sender with another
+    PAIRS = ((0, 1), (1, 0), (0, 4), (2, 6), (4, 0), (0, 1), (6, 2), (0, 2))
+
+    def test_corruption_stream(self):
+        faults = (
+            CorruptionFault(target="wire", prob=1.0, start=1.0, duration=1.0),
+            CorruptionFault(target="wire", prob=0.5),
+        )
+        inj = FaultInjector(FaultPlan(seed=11, faults=faults))
+        seq = 0
+
+        def expected(src, dst, t):
+            nonlocal seq
+            for f in faults:
+                if not window_active(f.start, f.duration, t):
+                    continue
+                u = reference_roll(11, "corrupt", src, dst, seq)
+                seq += 1
+                if u < f.prob:
+                    return True
+            return False
+
+        verdicts = []
+        for t in (0.0, 0.999, 1.0, 1.5, 2.0, 3.0):  # both window edges
+            for src, dst in self.PAIRS:
+                for _ in range(3):  # retransmit while corrupt
+                    want = expected(src, dst, t)
+                    assert inj.corruption_verdict(src, dst, t) is want, (
+                        src, dst, t,
+                    )
+                    verdicts.append(want)
+                    if not want:
+                        break
+        assert any(verdicts) and not all(verdicts)
+        assert inj.trace.count("wire-corrupt") == sum(verdicts)
+
+    def test_drop_stream_skips_severed_pairs(self):
+        topo = Topology(num_nodes=2, gpus_per_node=4, nodes_per_switch=1)
+        messages = (
+            MessageFault(drop_prob=0.5, start=1.0, duration=1.0),
+            MessageFault(src=0, dst=1, drop_prob=1.0, start=1.5),
+            MessageFault(dst=4, drop_prob=0.5, delay_s=1e-6),
+        )
+        cut = PartitionFault(nodes=(1,), start=2.0, duration=1.0)
+        inj = FaultInjector(
+            FaultPlan(seed=17, faults=messages + (cut,)), topology=topo
+        )
+        seq = 0
+
+        def expected(src, dst, t):
+            nonlocal seq
+            crosses = topo.node_of_rank(src) != topo.node_of_rank(dst)
+            if crosses and window_active(cut.start, cut.duration, t):
+                return None  # severed: no roll consumed
+            drop = False
+            for f in messages:
+                if f.src not in (None, src) or f.dst not in (None, dst):
+                    continue
+                if not window_active(f.start, f.duration, t):
+                    continue
+                if f.drop_prob > 0 and not drop:
+                    u = reference_roll(17, "drop", src, dst, seq)
+                    seq += 1
+                    drop = u < f.drop_prob
+            return drop
+
+        verdicts = []
+        for t in (0.5, 1.0, 1.5, 1.999, 2.0, 2.5, 3.0):
+            for src, dst in self.PAIRS:
+                for _ in range(3):  # retransmit while dropped
+                    want = expected(src, dst, t)
+                    got = inj.message_verdict(src, dst, t)
+                    assert got.severed is (want is None), (src, dst, t)
+                    assert got.drop is (want is not False), (src, dst, t)
+                    verdicts.append(want)
+                    if not got.drop:
+                        break
+        assert {None, True, False} <= set(verdicts)
+
+    def test_checkpoint_stream(self):
+        faults = (
+            CorruptionFault(target="checkpoint", prob=0.5, start=1.0,
+                            duration=2.0),
+            CorruptionFault(target="checkpoint", prob=0.25),
+        )
+        inj = FaultInjector(FaultPlan(seed=13, faults=faults))
+        verdicts = []
+        for t in (0.5, 1.0, 2.999, 3.0):
+            for save_index in (*range(12), 5, 0):
+                u = reference_roll(13, "ckpt-corrupt", save_index)
+                want = any(
+                    u < f.prob
+                    for f in faults
+                    if window_active(f.start, f.duration, t)
+                )
+                assert inj.checkpoint_corrupt(save_index, t) is want, (
+                    save_index, t,
+                )
+                verdicts.append(want)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_verdicts_build_no_numpy_generator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a verdict built a numpy Generator")
+
+        inj = FaultInjector(FaultPlan(seed=1, faults=(
+            CorruptionFault(target="wire", prob=0.5),
+            CorruptionFault(target="checkpoint", prob=0.5),
+            MessageFault(drop_prob=0.5),
+        )))
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        for seq in range(8):
+            inj.corruption_verdict(0, 1, 0.0)
+            inj.message_verdict(0, 1, 0.0)
+            inj.checkpoint_corrupt(seq, 0.0)
 
 
 class TestWireCorruption:

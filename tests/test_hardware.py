@@ -1,5 +1,7 @@
 """Unit tests for hardware models: specs, memory pools, links, nodes, cluster."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, HardwareError
@@ -202,6 +204,31 @@ class TestCluster:
         cluster = Cluster(env, spec, num_nodes=2)
         g0, g4 = cluster.gpu_ref(0), cluster.gpu_ref(4)
         assert cluster.path_bandwidth(g0, g4) == pytest.approx(LASSEN.ib.bandwidth / 2)
+
+    def test_path_constants_fold_latencies_left_to_right(self, cluster):
+        """``path_cost``'s live walk adds hop latencies in route order, so
+        the stored constants must too: ``sum()`` is compensated from
+        Python 3.12 on and rounds some inter-node routes differently."""
+        gpus = [cluster.gpu_ref(g) for g in range(cluster.num_gpus)]
+        rounded_apart = 0
+        for src in gpus:
+            for dst in gpus:
+                hops = cluster.route(src, dst)
+                alpha = 0.0
+                for link, _, _ in hops:
+                    alpha += link.spec.latency_s
+                bottleneck = min(
+                    (link.spec.bandwidth for link, _, _ in hops),
+                    default=float("inf"),
+                )
+                got_alpha, got_bottleneck = cluster.path_constants(src, dst)
+                assert got_alpha.hex() == alpha.hex(), (src, dst)
+                assert got_bottleneck == bottleneck, (src, dst)
+                latencies = [link.spec.latency_s for link, _, _ in hops]
+                rounded_apart += alpha != math.fsum(latencies)
+        # some route's fold differs from the correctly rounded sum, so the
+        # comparison above tells a fold from a compensated sum
+        assert rounded_apart
 
     def test_host_costs_positive(self, cluster):
         assert cluster.host_memcpy_time(0, 64 * MIB) > 0

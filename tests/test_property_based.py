@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,12 @@ from repro.profiling.bins import PAPER_BINS, bin_for
 from repro.data.sampler import DistributedSampler
 from repro.sim import Environment, Resource
 from repro.tensor import Tensor, functional as F
-from repro.utils.seeding import derive_seed
+from repro.utils.seeding import (
+    derive_seed,
+    extend_seed,
+    seed_prefix,
+    seeded_random,
+)
 from repro.utils.units import format_bytes, parse_bytes
 
 # keep hypothesis fast and deterministic in CI
@@ -273,6 +280,51 @@ class TestUnitsAndSeeds:
         assert a == b
         assert a != c
         assert 0 <= a < 2**63
+
+    @given(
+        seed=st.integers(-(2**40), 2**40),
+        keys=st.lists(st.one_of(st.text(max_size=8), st.integers(-9, 10**6)),
+                      max_size=4),
+        index=st.integers(0, 2**40),
+    )
+    @FAST
+    def test_seed_prefix_extends_to_derive_seed(self, seed, keys, index):
+        prefix = seed_prefix(seed, *keys)
+        assert extend_seed(prefix, index) == derive_seed(seed, *keys, index)
+        # the prefix is copied, not consumed
+        assert extend_seed(prefix, index + 1) == derive_seed(
+            seed, *keys, index + 1
+        )
+
+
+def _numpy_random(seed: int) -> float:
+    return float(np.random.default_rng(seed).random())
+
+
+class TestSeededRandom:
+    """``seeded_random`` against numpy, the reference it must equal."""
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_default_rng_random(self, seed):
+        assert seeded_random(seed).hex() == _numpy_random(seed).hex()
+
+    def test_equals_default_rng_random_on_fixed_seeds(self):
+        rng = random.Random(20210517)
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+        one_word = [rng.randrange(2**32) for _ in range(10_000)]
+        two_words = [rng.randrange(2**32, 2**64) for _ in range(10_000)]
+        for seed in edges + one_word + two_words:
+            assert seeded_random(seed).hex() == _numpy_random(seed).hex(), seed
+
+    def test_numpy_integer_seed_is_converted(self):
+        seed = np.uint64(2**64 - 1)
+        assert seeded_random(seed) == _numpy_random(2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_raises(self, seed):
+        with pytest.raises(ValueError):
+            seeded_random(seed)
 
 
 class TestCollectiveBounds:
