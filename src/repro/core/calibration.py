@@ -35,7 +35,7 @@ COMPUTE_JITTER_SIGMA = 0.05
 #: pageable staging copies are synchronous w.r.t. the GPU stream: while a
 #: rank drives its D2H/H2D halves it also waits on the paired process's
 #: half and on DRAM/copy-engine contention, so the compute stall is larger
-#: than the rank's own copy time.  2.2x maps the busiest rank's copy time
+#: than the rank's own copy time.  1.6x maps the busiest rank's copy time
 #: to the full staged-phase stall.
 PAGEABLE_BLOCKING_FACTOR = 1.6
 

@@ -11,7 +11,11 @@ from repro.utils.seeding import derive_seed
 
 
 class SRDataset:
-    """Pairs (lr, hr) images over a chosen split of the synthetic source."""
+    """Pairs (lr, hr) images over a chosen split of the synthetic source.
+
+    The cache keeps the first ``cache_size`` pairs generated and never
+    evicts; any later item is generated again on every access.
+    """
 
     def __init__(
         self,
@@ -51,9 +55,11 @@ class SRDataset:
             return cached
         image_index = self.indices[i]
         hr = self.source.image(image_index)
-        rng = np.random.default_rng(
-            derive_seed(self.source.seed, "degrade", image_index)
-        )
+        rng = None
+        if self.degradation.noise_sigma > 0:  # degrade draws only to add noise
+            rng = np.random.default_rng(
+                derive_seed(self.source.seed, "degrade", image_index)
+            )
         lr = degrade(hr, self.degradation, rng=rng)
         pair = (lr, hr)
         if len(self._cache) < self._cache_size:

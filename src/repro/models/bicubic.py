@@ -8,6 +8,8 @@ downsampling HR target images").
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import DataError
@@ -25,11 +27,13 @@ def _cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
     return out
 
 
-def _resample_axis(image: np.ndarray, out_size: int, axis: int) -> np.ndarray:
-    """Separable cubic resampling along one axis (edge-clamped)."""
-    in_size = image.shape[axis]
-    if in_size == out_size:
-        return image
+@functools.lru_cache(maxsize=64)
+def _taps(in_size: int, out_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-clamped source indices and normalized weights, both (out, 4).
+
+    Depends only on the two sizes, so it is computed once per size pair.
+    The arrays are read-only because every caller shares them.
+    """
     scale = in_size / out_size
     # output sample centres in input coordinates
     centres = (np.arange(out_size) + 0.5) * scale - 0.5
@@ -39,6 +43,17 @@ def _resample_axis(image: np.ndarray, out_size: int, axis: int) -> np.ndarray:
     weights = _cubic_kernel(centres[:, None] - sample_idx)  # (out, 4)
     weights = weights / weights.sum(axis=1, keepdims=True)
     sample_idx = np.clip(sample_idx, 0, in_size - 1)
+    sample_idx.flags.writeable = False
+    weights.flags.writeable = False
+    return sample_idx, weights
+
+
+def _resample_axis(image: np.ndarray, out_size: int, axis: int) -> np.ndarray:
+    """Separable cubic resampling along one axis (edge-clamped)."""
+    in_size = image.shape[axis]
+    if in_size == out_size:
+        return image
+    sample_idx, weights = _taps(in_size, out_size)
     moved = np.moveaxis(image, axis, 0)
     gathered = moved[sample_idx]  # (out, 4, ...)
     result = np.einsum("of,of...->o...", weights.astype(image.dtype), gathered)

@@ -9,7 +9,7 @@ sweep accumulating ``.grad`` arrays.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,14 +68,6 @@ class Tensor:
     @classmethod
     def ones(cls, *shape: int, requires_grad: bool = False) -> "Tensor":
         return cls(np.ones(shape, dtype=np.float32), requires_grad)
-
-    @classmethod
-    def randn(
-        cls, *shape: int, rng: np.random.Generator | None = None,
-        requires_grad: bool = False,
-    ) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return cls(rng.standard_normal(shape).astype(np.float32), requires_grad)
 
     # -- inspection ------------------------------------------------------------
     @property
@@ -179,16 +171,3 @@ def collect_parents(*tensors: Tensor) -> tuple[Tensor, ...]:
 
 def result_requires_grad(*tensors: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in tensors)
-
-
-def iterate_graph(root: Tensor) -> Iterable[Tensor]:
-    """Yield all nodes reachable from ``root`` (debugging helper)."""
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(node._parents)

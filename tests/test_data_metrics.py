@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.data.dataset as dataset_module
 from repro.data import (
     DegradationConfig,
     DistributedSampler,
@@ -16,8 +19,83 @@ from repro.data.synthetic import TEST_SIZE, TRAIN_SIZE, VAL_SIZE
 from repro.errors import DataError
 from repro.metrics import psnr, ssim
 from repro.models.bicubic import bicubic_upscale
+from repro.utils.seeding import derive_seed
 
 RNG = np.random.default_rng(11)
+
+
+def _reference_smooth_noise(rng, h, w, grid):
+    """One octave drawn and interpolated on its own (the per-channel loop
+    ``SyntheticDiv2k.image`` replaces with one draw and stored taps)."""
+    gh, gw = max(2, h // grid), max(2, w // grid)
+    coarse = rng.random((gh, gw), dtype=np.float64)
+    ys = np.linspace(0, gh - 1, h)
+    xs = np.linspace(0, gw - 1, w)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, gh - 1)
+    x1 = np.minimum(x0 + 1, gw - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    top = coarse[y0][:, x0] * (1 - fx) + coarse[y0][:, x1] * fx
+    bottom = coarse[y1][:, x0] * (1 - fx) + coarse[y1][:, x1] * fx
+    return top * (1 - fy) + bottom * fy
+
+
+def _reference_grids(h, w, octaves):
+    """Coarse grid shape of each octave, in draw order."""
+    grids = []
+    for octave in range(octaves):
+        grid = max(4, min(h, w) // (2**octave + 1))
+        grids.append((max(2, h // grid), max(2, w // grid)))
+    return grids
+
+
+def _reference_octave_sums(rng, h, w, octaves):
+    """Each channel's amplitude-weighted octave sum, and the amplitude total."""
+    sums = []
+    for _ in range(3):
+        acc = np.zeros((h, w))
+        amplitude, total = 1.0, 0.0
+        for octave in range(octaves):
+            grid = max(4, min(h, w) // (2**octave + 1))
+            acc += amplitude * _reference_smooth_noise(rng, h, w, grid)
+            total += amplitude
+            amplitude *= 0.55
+        sums.append(acc)
+    return sums, total
+
+
+def _reference_image(src, index):
+    """``src.image(index)`` computed channel by channel, octave by octave."""
+    rng = np.random.default_rng(derive_seed(src.seed, "image", index))
+    h, w = src.height, src.width
+    base_hue = rng.random(3) * 0.6 + 0.2
+    sums, total = _reference_octave_sums(rng, h, w, src.octaves)
+    img = np.stack([base_hue[c] * 0.5 + 0.5 * sums[c] / total for c in range(3)])
+    gy, gx = rng.standard_normal(2) * 0.15
+    yy = np.linspace(-0.5, 0.5, h)[:, None]
+    xx = np.linspace(-0.5, 0.5, w)[None, :]
+    img += gy * yy + gx * xx
+    for _ in range(src.num_shapes):
+        color = rng.random(3).reshape(3, 1, 1)
+        if rng.random() < 0.5:
+            y0, x0 = rng.integers(0, h - 4), rng.integers(0, w - 4)
+            dy = int(rng.integers(3, max(4, h // 3)))
+            dx = int(rng.integers(3, max(4, w // 3)))
+            img[:, y0 : y0 + dy, x0 : x0 + dx] = (
+                0.6 * img[:, y0 : y0 + dy, x0 : x0 + dx] + 0.4 * color
+            )
+        else:
+            cy, cx = rng.integers(0, h), rng.integers(0, w)
+            r = int(rng.integers(2, max(3, min(h, w) // 5)))
+            mask = (yy * h - (cy - h / 2)) ** 2 + (xx * w - (cx - w / 2)) ** 2 <= r * r
+            img[:, mask] = 0.6 * img[:, mask] + 0.4 * color.reshape(3, 1)
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+#: (height, width, seed) of the reference grid; 96x96 is the default size
+REFERENCE_SHAPES = [(32, 32, 7), (24, 24, 7), (48, 64, 2021), (8, 8, 1), (33, 57, 3), (96, 96, 2021)]
 
 
 class TestSyntheticSource:
@@ -54,6 +132,59 @@ class TestSyntheticSource:
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
             SyntheticDiv2k().image(1000)
+
+    @pytest.mark.parametrize("num_shapes", [0, 6])
+    @pytest.mark.parametrize("octaves", [1, 4, 6])
+    @pytest.mark.parametrize("height,width,seed", REFERENCE_SHAPES)
+    def test_image_equals_per_channel_reference(
+        self, height, width, seed, octaves, num_shapes
+    ):
+        src = SyntheticDiv2k(
+            height=height, width=width, seed=seed,
+            octaves=octaves, num_shapes=num_shapes,
+        )
+        for index in (0, 1, 799, 800, 999):
+            img = src.image(index)
+            ref = _reference_image(src, index)
+            assert img.dtype == ref.dtype
+            assert np.array_equal(img, ref), (index, height, width, seed)
+
+    @pytest.mark.parametrize("octaves", [1, 4, 6, 10])
+    @pytest.mark.parametrize("height,width,seed", REFERENCE_SHAPES)
+    def test_value_noise_equals_reference_in_float64(self, height, width, seed, octaves):
+        """The float64 noise field, before the float32 cast rounds away any
+        last-ulp difference.  numpy reduces eight or more contiguous terms
+        pairwise, so 10 octaves would expose an ``np.sum`` over octaves."""
+        src = SyntheticDiv2k(height=height, width=width, seed=seed, octaves=octaves)
+        grids = _reference_grids(height, width, octaves)
+        draws = 3 * sum(gh * gw for gh, gw in grids)
+        coarse = np.random.default_rng(seed).random(draws).reshape(3, -1)
+        sums, _ = _reference_octave_sums(
+            np.random.default_rng(seed), height, width, octaves
+        )
+        assert np.array_equal(src._value_noise(coarse), np.stack(sums))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_one_draw_equals_sequential_octave_draws(self, seed):
+        """PCG64 fills doubles in order: one ``random(3 * G)`` call equals
+        the channel-major, octave-minor ``random((gh, gw))`` calls."""
+        for height, width, _ in REFERENCE_SHAPES:
+            for octaves in (1, 4, 6):
+                grids = _reference_grids(height, width, octaves)
+                total = sum(gh * gw for gh, gw in grids)
+                sequential = np.random.default_rng(seed)
+                expected = [
+                    sequential.random((gh, gw), dtype=np.float64).ravel()
+                    for _ in range(3)
+                    for gh, gw in grids
+                ]
+                one = np.random.default_rng(seed).random(3 * total)
+                assert np.array_equal(one, np.concatenate(expected))
+                # the generators are left in the same state too
+                assert sequential.random() == np.random.default_rng(seed).random(
+                    3 * total + 1
+                )[-1]
 
 
 class TestDegradationAndPatches:
@@ -113,6 +244,33 @@ class TestDatasetSamplerLoader:
         src = SyntheticDiv2k(height=16, width=16)
         ds = SRDataset(src, split="val", cache_size=4)
         assert ds[0] is ds[0]
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_noisy_pairs_equal_per_item_generator(self, split):
+        src = SyntheticDiv2k(height=16, width=16, seed=9)
+        cfg = DegradationConfig(scale=2, blur_sigma=0.8, noise_sigma=0.05)
+        ds = SRDataset(src, split=split, degradation=cfg, cache_size=0)
+        for i in (0, 1, len(ds) - 1):
+            index = ds.indices[i]
+            hr = src.image(index)
+            rng = np.random.default_rng(derive_seed(src.seed, "degrade", index))
+            lr, got_hr = ds[i]
+            np.testing.assert_array_equal(got_hr, hr)
+            np.testing.assert_array_equal(lr, degrade(hr, cfg, rng=rng))
+
+    def test_noiseless_items_derive_no_degrade_seed(self, monkeypatch):
+        keys = []
+
+        def recording(root, *path):
+            keys.append(path)
+            return derive_seed(root, *path)
+
+        monkeypatch.setattr(dataset_module, "derive_seed", recording)
+        src = SyntheticDiv2k(height=16, width=16)
+        ds = SRDataset(src, degradation=DegradationConfig(scale=2, blur_sigma=0.8))
+        for i in range(3):
+            ds[i]
+        assert keys == []
 
     def test_sampler_shards_are_disjoint_and_cover(self):
         n, ranks = 100, 4

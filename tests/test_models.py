@@ -22,12 +22,29 @@ from repro.models import (
     get_model_cost,
     list_model_costs,
 )
-from repro.models.bicubic import bicubic_downscale, bicubic_resize
+from repro.models.bicubic import _cubic_kernel, _taps, bicubic_downscale, bicubic_resize
 from repro.models.costing import ThroughputModel, TrainingMemoryModel
 from repro.tensor import Tensor, functional as F
 from repro.utils.units import GIB, MIB
 
 RNG = np.random.default_rng(3)
+
+
+def _reference_resample_axis(image, out_size, axis):
+    """One axis of ``bicubic_resize`` with its weights computed per call."""
+    in_size = image.shape[axis]
+    if in_size == out_size:
+        return image
+    scale = in_size / out_size
+    centres = (np.arange(out_size) + 0.5) * scale - 0.5
+    left = np.floor(centres).astype(int) - 1
+    sample_idx = left[:, None] + np.arange(4)[None, :]
+    weights = _cubic_kernel(centres[:, None] - sample_idx)
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    sample_idx = np.clip(sample_idx, 0, in_size - 1)
+    gathered = np.moveaxis(image, axis, 0)[sample_idx]
+    result = np.einsum("of,of...->o...", weights.astype(image.dtype), gathered)
+    return np.moveaxis(result, 0, axis)
 
 
 class TestEDSR:
@@ -140,6 +157,40 @@ class TestBicubic:
     def test_non_divisible_downscale_rejected(self):
         with pytest.raises(DataError):
             bicubic_downscale(np.zeros((3, 9, 9), dtype=np.float32), 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "in_hw,out_hw",
+        [
+            ((8, 8), (16, 16)),  # upscale
+            ((32, 32), (16, 16)),  # downscale
+            ((12, 12), (12, 12)),  # in == out
+            ((7, 13), (21, 5)),  # non-square, up one axis and down the other
+            ((32, 24), (16, 12)),  # non-square downscale
+            ((5, 9), (5, 27)),  # one axis unchanged
+        ],
+    )
+    def test_resize_equals_per_call_weights(self, in_hw, out_hw, dtype):
+        for image in (
+            RNG.random((3, *in_hw)).astype(dtype),
+            RNG.random(in_hw).astype(dtype),
+        ):
+            for _ in range(2):  # the second call reads cached taps
+                out = bicubic_resize(image, *out_hw)
+                ref = image if image.ndim == 3 else image[None]
+                ref = _reference_resample_axis(ref, out_hw[0], axis=1)
+                ref = _reference_resample_axis(ref, out_hw[1], axis=2)
+                ref = ref if image.ndim == 3 else ref[0]
+                assert out.dtype == ref.dtype == dtype
+                assert np.array_equal(out, ref)
+
+    def test_cached_taps_are_read_only(self):
+        sample_idx, weights = _taps(32, 16)
+        assert _taps(32, 16)[0] is sample_idx
+        with pytest.raises(ValueError):
+            sample_idx[0, 0] = 5
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.0
 
 
 class TestCostModels:

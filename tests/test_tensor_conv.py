@@ -181,6 +181,27 @@ class TestPoolingAndPad:
         out.sum().backward()
         np.testing.assert_allclose(x.grad, 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    @pytest.mark.parametrize("value", [0.0, 1.5, -2.0])
+    @pytest.mark.parametrize("padding", [1, 2, 3])
+    def test_pad2d_equals_np_pad(self, padding, value, dtype):
+        data = (RNG.standard_normal((2, 3, 4, 6)) * 4).astype(dtype)
+        out = F.pad2d(data, padding, value)
+        x = Tensor(data)  # a float64 array arrives as float32, as in every Tensor
+        p = padding
+        ref = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value)
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out.numpy(), ref)
+
+    @pytest.mark.parametrize("padding", [1, 3])
+    def test_pad2d_backward_crops_the_gradient(self, padding):
+        x = Tensor(RNG.standard_normal((2, 3, 4, 6)).astype(np.float32), requires_grad=True)
+        out = F.pad2d(x, padding, -2.0)
+        grad = RNG.standard_normal(out.shape).astype(np.float32)
+        out.backward(grad)
+        p = padding
+        np.testing.assert_array_equal(x.grad, grad[:, :, p:-p, p:-p])
+
     def test_pad_zero_is_identity(self):
         x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         assert F.pad2d(x, 0) is x
