@@ -16,6 +16,14 @@ Cases:
   failure (``video-failover``) — failover retries re-enqueue priced work;
 * both engine modes (``*-fast``) — the vectorized trace generators feed
   the same event loop.
+
+The summary digest can hide a reordering (the same latency served by
+another replica), so each case also pins the digest of its per-request
+ledger records — outcome, completion instant and serving replica of every
+request — and ``image-jsq`` and ``video-failover`` pin their Chrome trace.
+Those digests were recorded before the serving loop ran as engine
+callbacks instead of generator processes.  They involve no float ``sum()``,
+only clock additions and ``* 1e6``, so they hold on every Python version.
 """
 
 from __future__ import annotations
@@ -80,6 +88,39 @@ GOLDEN = {
 }
 
 
+RECORDS = {
+    "image-rr":
+        "9283db9b4bb4cc6052d1955fec876c48669a4c083956762d42be24a6bec91864",
+    "image-jsq":
+        "5a79b7dc1d5e2776060674d4f4b1bdb606674602c6291eb571f6da3c4e5cc3a3",
+    "image-least-loaded":
+        "8ef1ec45ee604178971b05f90a878f2b4a9e23015098bf6918618f8fd93b86c5",
+    "image-jsq-fast":
+        "5a79b7dc1d5e2776060674d4f4b1bdb606674602c6291eb571f6da3c4e5cc3a3",
+    "video-failover":
+        "e0ae0b7d5ce3e2989097d0deeb57e425f294f41e47a2066323e9868354014914",
+    "video-failover-fast":
+        "e0ae0b7d5ce3e2989097d0deeb57e425f294f41e47a2066323e9868354014914",
+}
+
+TRACED = {
+    "image-jsq": (
+        lambda: simulate_serve(
+            ServeScenario(name="image-jsq", routing="jsq"),
+            duration_s=20.0, seed=5, collect_trace=True,
+        ),
+        "eb5ac7e0275ac5e302493494d8fea12bef792150a392a0ef9b1400e644afb2a9",
+    ),
+    "video-failover": (
+        lambda: simulate_serve(
+            VIDEO, duration_s=24.0, seed=3, fault_plan=FAILURE,
+            collect_trace=True,
+        ),
+        "9f0bf096d25d74ae48af4a043bd27bd3eec148a4855401eb06b8750ac35dda6f",
+    ),
+}
+
+
 def case_digest(name: str) -> str:
     return canonical_digest(CASES[name]().to_payload())
 
@@ -87,3 +128,18 @@ def case_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_serve_report(name):
     assert case_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_request_records(name):
+    assert canonical_digest(CASES[name]().ledger.records) == RECORDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_golden_trace(name):
+    run, trace_digest = TRACED[name]
+    report = run()
+    # tracing observes the run without changing its payload
+    assert canonical_digest(report.to_payload()) == GOLDEN[name]
+    chrome = [event.to_chrome() for event in report.trace]
+    assert canonical_digest(chrome) == trace_digest
