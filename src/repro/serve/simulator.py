@@ -5,12 +5,14 @@ autoscaling, SLO — on the event engine that powers the training
 simulations, against the same calibrated V100 cost model.  The moving
 parts:
 
-* an **arrival process** replays the pre-generated trace into the router;
-* each **replica** runs a server process: dynamic batcher in front, one
-  fused forward launch per batch, per-batch latency from
-  :class:`~repro.serve.costing.ServingCostModel`;
-* the **router** places each request on a routable replica (policy
-  pluggable) or sheds it when every bounded queue is full;
+* **arrivals** replay the pre-generated trace into the router: one entry
+  per distinct arrival instant;
+* each **replica** is a callback state machine around the pure
+  :class:`~repro.serve.batcher.DynamicBatcher` (start, idle, waiting for
+  the dispatch deadline, busy): one fused forward launch per batch,
+  per-batch latency from :class:`~repro.serve.costing.ServingCostModel`;
+* the **router** places each request on a routable replica of the live
+  pool (policy pluggable) or sheds it when every bounded queue is full;
 * the **autoscaler** grows/shrinks the pool against queue depth, paying
   checkpoint-read + weight-broadcast cold start for every new replica;
 * **failures** come from an ordinary :class:`~repro.faults.FaultPlan`
@@ -20,10 +22,22 @@ parts:
   (failover) and, under ``RecoveryPolicy.restart``, a replacement replica
   is spawned.
 
+All five loops (arrivals, replicas, autoscaler, failures, declarations)
+are chains of engine callbacks: each entry runs one step and pushes the
+next.  The order invariant: each loop pushes its entries at fixed points,
+with fixed time expressions (``arrival - now``, ``max(0, deadline - now)``,
+the batch latency, ``poll_interval_s``, ``spec.time - now``,
+``declared_at - now``) and priorities (``URGENT`` for a loop's first
+step, ``NORMAL`` otherwise), so the heap's ``(time, priority, seq)`` order
+— and with it which requests join which batch on which replica — is the
+one ``tests/test_serve_golden.py`` pins request by request.
+
 Everything is deterministic: the trace is seed-derived, the event heap is
 totally ordered, policies break ties by replica id, and the run ends when
 every arrival is resolved — so two runs of the same scenario produce
-byte-identical SLO ledgers.
+byte-identical SLO ledgers.  A finished run drops the entries still
+pending, so it holds no reference cycle and is freed by reference
+counting.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, SimulationError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, RankFailure
 from repro.resilience import RESTART_FROM_CHECKPOINT, RecoveryPolicy
 from repro.serve.autoscaler import AutoscalerConfig
 from repro.serve.batcher import BatchingConfig, DynamicBatcher
@@ -40,7 +54,8 @@ from repro.serve.costing import ServingCostModel
 from repro.serve.router import AdmissionConfig, make_routing_policy
 from repro.serve.slo import SLOConfig, SLOLedger
 from repro.serve.workload import Request, WorkloadConfig, generate_arrivals
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Event
+from repro.sim.engine import NORMAL, URGENT
 
 # replica lifecycle states
 WARMING = "warming"
@@ -151,11 +166,15 @@ class ServeReport:
 
 
 class _Replica:
-    """Mutable per-replica simulation state."""
+    """Mutable per-replica simulation state.
+
+    ``armed``, ``timed`` and ``epoch`` drive the replica's callback state
+    machine: see :class:`_ServeSimulation`.
+    """
 
     __slots__ = (
         "id", "state", "retiring", "declared", "batcher", "in_flight",
-        "wake", "proc", "busy_s", "queued_work_s", "busy_until",
+        "armed", "timed", "epoch", "busy_s", "queued_work_s", "busy_until",
         "warmed_at", "ended_at",
     )
 
@@ -166,8 +185,12 @@ class _Replica:
         self.declared = False
         self.batcher = DynamicBatcher(batching)
         self.in_flight: list[Request] = []
-        self.wake = None
-        self.proc = None
+        #: waiting, and nothing has woken it yet: a wake pushes an entry
+        self.armed = False
+        #: the current wait races a dispatch-deadline timeout
+        self.timed = False
+        #: entries pushed under an older epoch return at once
+        self.epoch = 0
         self.busy_s = 0.0
         self.queued_work_s = 0.0
         self.busy_until = 0.0
@@ -197,7 +220,24 @@ class _Replica:
 
 
 class _ServeSimulation:
-    """One scenario wired onto an :class:`Environment`."""
+    """One scenario wired onto an :class:`Environment`.
+
+    Every loop is a chain of engine callbacks: each entry it pushes runs
+    one step and pushes the next.  A replica moves through:
+
+    * **start** — an ``URGENT`` entry at spawn; a cold start is one timeout;
+    * **idle** — ``armed``: the first enqueue (or a scale-down) pushes one
+      ``NORMAL`` entry at the current instant, which resumes the replica;
+    * **waiting for the dispatch deadline** — ``armed`` and ``timed``: a
+      timeout to the deadline races the wake, and whichever fires first
+      pushes one more entry at the current instant, from which the replica
+      resumes (the *hop*, so that entries due at that instant keep their
+      place before it), and moves the replica's ``epoch``;
+    * **busy** — a timeout of the batch latency completes the batch.
+
+    A failure moves the epoch and disarms the wake, so every entry the
+    dead replica left on the heap returns at once.
+    """
 
     def __init__(
         self,
@@ -226,10 +266,13 @@ class _ServeSimulation:
             engine_mode=engine_mode,
         )
         self.replicas: dict[int, _Replica] = {}
+        #: the replicas neither retiring nor declared dead, in id order
+        self.pool: list[_Replica] = []
         #: session id -> home replica id (affinity routing state)
         self.session_home: dict[int, int] = {}
         self._affinity = scenario.affinity_active
         self._next_rid = 0
+        self._last_scale_at = -math.inf
         self.outstanding = 0
         self.arrivals_done = False
         self.done = self.env.event("serve-done")
@@ -257,13 +300,23 @@ class _ServeSimulation:
             )
         )
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- replicas --------------------------------------------------------------
+    # Each entry a replica pushes carries the epoch it was pushed in, and
+    # its callback runs only while ``rep.epoch`` still matches: a failure,
+    # or the first of a deadline and a wake, moves the epoch on.
+
+    def _instant(self, priority: int = NORMAL) -> Event:
+        """An entry due at the current instant; append its callbacks."""
+        return self.env.event().succeed(priority=priority)
+
     def spawn_replica(self, *, cold_start_s: float = 0.0, reason: str = "initial") -> _Replica:
         rep = _Replica(self._next_rid, self.scenario.batching)
         self._next_rid += 1
         self.replicas[rep.id] = rep
-        rep.proc = self.env.process(
-            self._replica_proc(rep, cold_start_s), name=f"replica-{rep.id}"
+        self.pool.append(rep)
+        epoch = rep.epoch
+        self._instant(URGENT).callbacks.append(
+            lambda _: rep.epoch == epoch and self._start(rep, cold_start_s)
         )
         if cold_start_s > 0:
             self._trace(
@@ -272,64 +325,107 @@ class _ServeSimulation:
             )
         return rep
 
-    def _replica_proc(self, rep: _Replica, cold_start_s: float):
+    def _start(self, rep: _Replica, cold_start_s: float) -> None:
+        if cold_start_s > 0:
+            epoch = rep.epoch
+            self.env.timeout(cold_start_s).callbacks.append(
+                lambda _: rep.epoch == epoch and self._warm(rep)
+            )
+        else:
+            self._warm(rep)
+
+    def _warm(self, rep: _Replica) -> None:
+        rep.state = HEALTHY
+        rep.warmed_at = self.env.now
+        self._serve(rep)
+
+    def _serve(self, rep: _Replica) -> None:
+        """Retire, wait, or dispatch one batch: one pass of the server loop."""
         env = self.env
-        cost = self.cost
-        try:
-            if cold_start_s > 0:
-                yield env.timeout(cold_start_s)
-            rep.state = HEALTHY
-            rep.warmed_at = env.now
-            while True:
-                if rep.retiring and not len(rep.batcher):
-                    break
-                if not len(rep.batcher):
-                    rep.wake = env.event(f"wake:replica-{rep.id}")
-                    yield rep.wake
-                    rep.wake = None
-                    continue
-                if not rep.batcher.ready(env.now):
-                    deadline = rep.batcher.next_deadline()
-                    rep.wake = env.event(f"wake:replica-{rep.id}")
-                    yield env.any_of(
-                        [rep.wake, env.timeout(max(0.0, deadline - env.now))]
-                    )
-                    rep.wake = None
-                    continue
-                batch = rep.batcher.pop_batch(env.now)
-                for req in batch:
-                    rep.queued_work_s = max(
-                        0.0, rep.queued_work_s - cost.request_latency(req.cls)
-                    )
-                rep.in_flight = batch
-                latency = cost.batch_latency(batch)
-                start = env.now
-                rep.busy_until = start + latency
-                yield env.timeout(latency)
-                rep.busy_s += latency
-                self._trace(
-                    f"batch[{len(batch)}]", ph="X", ts=start, dur=latency,
-                    tid=f"replica-{rep.id}",
-                    args={"requests": len(batch)},
-                )
-                done_batch, rep.in_flight = rep.in_flight, []
-                for req in done_batch:
-                    self.ledger.note_completed(req, env.now, replica=rep.id)
-                    self._resolve_one()
-            rep.state = RETIRED
-            rep.ended_at = env.now
-        except Interrupt:
-            # killed by the failure process; orphans are failed over at
-            # declaration time
+        batcher = rep.batcher
+        if not len(batcher):
+            if rep.retiring:
+                rep.state = RETIRED
+                rep.ended_at = env.now
+            else:
+                rep.armed, rep.timed = True, False
             return
+        now = env.now
+        epoch = rep.epoch
+        if not batcher.ready(now):
+            rep.armed, rep.timed = True, True
+            deadline = batcher.next_deadline()
+            env.timeout(max(0.0, deadline - now)).callbacks.append(
+                lambda _: rep.epoch == epoch and self._deadline(rep)
+            )
+            return
+        cost = self.cost
+        batch = batcher.pop_batch(now)
+        for req in batch:
+            rep.queued_work_s = max(
+                0.0, rep.queued_work_s - cost.request_latency(req.cls)
+            )
+        rep.in_flight = batch
+        latency = cost.batch_latency(batch)
+        rep.busy_until = now + latency
+        env.timeout(latency).callbacks.append(
+            lambda _: rep.epoch == epoch and self._complete(rep, now, latency)
+        )
+
+    def _complete(self, rep: _Replica, start: float, latency: float) -> None:
+        batch, rep.in_flight = rep.in_flight, []
+        rep.busy_s += latency
+        self._trace(
+            f"batch[{len(batch)}]", ph="X", ts=start, dur=latency,
+            tid=f"replica-{rep.id}",
+            args={"requests": len(batch)},
+        )
+        now = self.env.now
+        for req in batch:
+            self.ledger.note_completed(req, now, replica=rep.id)
+            self._resolve_one()
+        self._serve(rep)
+
+    def _wake(self, rep: _Replica) -> None:
+        """Resume an ``armed`` replica at this instant (enqueue, scale-down)."""
+        rep.armed = False
+        epoch = rep.epoch
+        self._instant().callbacks.append(
+            lambda _: rep.epoch == epoch and self._woken(rep)
+        )
+
+    def _woken(self, rep: _Replica) -> None:
+        if rep.timed:
+            self._hop(rep)
+        else:
+            self._serve(rep)
+
+    def _deadline(self, rep: _Replica) -> None:
+        rep.armed = False
+        self._hop(rep)
+
+    def _hop(self, rep: _Replica) -> None:
+        """The first of a deadline and a wake fired: resume one entry later.
+
+        The extra entry lets entries already due at this instant (an
+        arrival, a failover retry) run before the replica dispatches, so
+        the requests they enqueue can still join its batch.  The epoch moves, so
+        the pair's loser returns at once.
+        """
+        rep.epoch += 1
+        epoch = rep.epoch
+        self._instant().callbacks.append(
+            lambda _: rep.epoch == epoch and self._serve(rep)
+        )
 
     # -- routing ---------------------------------------------------------------
     def _routable(self) -> list[_Replica]:
+        # a pool member is ``accepting`` unless it is still WARMING
         cap = self.scenario.admission.queue_capacity
         return [
             rep
-            for rep in self.replicas.values()
-            if rep.accepting and len(rep.batcher) < cap
+            for rep in self.pool
+            if rep.state != WARMING and len(rep.batcher) < cap
         ]
 
     def _shed(self, request: Request) -> None:
@@ -342,8 +438,8 @@ class _ServeSimulation:
     def _enqueue(self, target: _Replica, request: Request) -> None:
         target.batcher.enqueue(request, self.env.now)
         target.queued_work_s += self.cost.request_latency(request.cls)
-        if target.wake is not None and not target.wake.triggered:
-            target.wake.succeed()
+        if target.armed:
+            self._wake(target)
 
     def route(self, request: Request) -> None:
         """Place (or shed) one request at the current instant."""
@@ -388,17 +484,32 @@ class _ServeSimulation:
         self.session_home[sid] = target.id
         self._enqueue(target, request)
 
-    # -- processes -------------------------------------------------------------
-    def _arrivals_proc(self):
+    # -- arrivals --------------------------------------------------------------
+    def _await_arrival(self, i: int) -> None:
+        """Admit ``requests[i:]`` up to the clock, then wait for the next."""
         env = self.env
-        for request in self.requests:
-            if request.arrival > env.now:
-                yield env.timeout(request.arrival - env.now)
-            self.outstanding += 1
-            self.ledger.note_arrival(request)
-            self.route(request)
+        requests = self.requests
+        for i in range(i, len(requests)):
+            arrival = requests[i].arrival
+            if arrival > env.now:
+                env.timeout(arrival - env.now).callbacks.append(
+                    lambda _, i=i: self._arrive(i)
+                )
+                return
+            self._admit(requests[i])
         self.arrivals_done = True
         self._maybe_done()
+
+    def _arrive(self, i: int) -> None:
+        # admitted without re-reading the clock: ``now + (arrival - now)``
+        # need not equal ``arrival`` in floating point
+        self._admit(self.requests[i])
+        self._await_arrival(i + 1)
+
+    def _admit(self, request: Request) -> None:
+        self.outstanding += 1
+        self.ledger.note_arrival(request)
+        self.route(request)
 
     def _resolve_one(self) -> None:
         self.outstanding -= 1
@@ -412,37 +523,58 @@ class _ServeSimulation:
         ):
             self.done.succeed()
 
-    def _failure_proc(self):
+    # -- failures --------------------------------------------------------------
+    def _await_failure(self, failures: list[RankFailure], i: int) -> None:
+        """Kill ``failures[i:]`` up to the clock, then wait for the next."""
         env = self.env
-        failures = sorted(
-            self.injector.plan.failures, key=lambda f: (f.time, f.rank)
-        )
-        for spec in failures:
+        for i in range(i, len(failures)):
+            spec = failures[i]
             if spec.time > env.now:
-                yield env.timeout(spec.time - env.now)
-            rep = self.replicas.get(spec.rank)
-            if rep is None or rep.state in (DEAD, RETIRED):
-                continue
-            rep.state = DEAD
-            rep.ended_at = env.now
-            if rep.proc is not None and rep.proc.is_alive:
-                rep.proc.interrupt("rank-failure")
-            self.injector.record(
-                "rank-failure", env.now, rank=rep.id,
-                detail=f"replica-{rep.id}",
-            )
-            self._trace("replica-failed", tid=f"replica-{rep.id}")
-            declared_at = self.recovery.heartbeat.declared_at(spec.time)
-            env.process(
-                self._declare_proc(rep, declared_at),
-                name=f"declare-{rep.id}",
-            )
+                env.timeout(spec.time - env.now).callbacks.append(
+                    lambda _, i=i: self._fail_at(failures, i)
+                )
+                return
+            self._fail(spec)
 
-    def _declare_proc(self, rep: _Replica, declared_at: float):
+    def _fail_at(self, failures: list[RankFailure], i: int) -> None:
+        self._fail(failures[i])
+        self._await_failure(failures, i + 1)
+
+    def _fail(self, spec: RankFailure) -> None:
+        env = self.env
+        rep = self.replicas.get(spec.rank)
+        if rep is None or rep.state in (DEAD, RETIRED):
+            return
+        rep.state = DEAD
+        rep.ended_at = env.now
+        # every entry the replica left on the heap is now stale; its
+        # orphans are failed over at declaration time
+        rep.epoch += 1
+        rep.armed = False
+        self.injector.record(
+            "rank-failure", env.now, rank=rep.id,
+            detail=f"replica-{rep.id}",
+        )
+        self._trace("replica-failed", tid=f"replica-{rep.id}")
+        declared_at = self.recovery.heartbeat.declared_at(spec.time)
+        self._instant(URGENT).callbacks.append(
+            lambda _: self._await_declaration(rep, declared_at)
+        )
+
+    def _await_declaration(self, rep: _Replica, declared_at: float) -> None:
         env = self.env
         if declared_at > env.now:
-            yield env.timeout(declared_at - env.now)
+            env.timeout(declared_at - env.now).callbacks.append(
+                lambda _: self._declare(rep)
+            )
+        else:
+            self._declare(rep)
+
+    def _declare(self, rep: _Replica) -> None:
+        env = self.env
         rep.declared = True
+        if not rep.retiring:  # a retiring replica already left the pool
+            self.pool.remove(rep)
         self.ledger.note_detection()
         if self.injector is not None:
             self.injector.record(
@@ -462,11 +594,7 @@ class _ServeSimulation:
             )
             self.route(request)
         if self.recovery.restart:
-            pool = sum(
-                1
-                for r in self.replicas.values()
-                if r.state in (WARMING, HEALTHY) and not r.retiring
-            )
+            pool = sum(1 for r in self.pool if r.state != DEAD)
             if pool < self.scenario.autoscaler.max_replicas:
                 cold = (
                     self.recovery.restart_overhead_s
@@ -475,63 +603,75 @@ class _ServeSimulation:
                 self.ledger.note_cold_start(cold)
                 self.spawn_replica(cold_start_s=cold, reason="failover")
 
-    def _autoscaler_proc(self):
+    # -- autoscaler ------------------------------------------------------------
+    def _await_poll(self) -> None:
+        env = self.env
+        if env.now < self._hard_deadline:
+            env.timeout(self.scenario.autoscaler.poll_interval_s).callbacks.append(
+                lambda _: self._autoscale()
+            )
+
+    def _autoscale(self) -> None:
+        if self.done.triggered:
+            return
         env = self.env
         cfg = self.scenario.autoscaler
-        last_action = -math.inf
-        while env.now < self._hard_deadline:
-            yield env.timeout(cfg.poll_interval_s)
-            if self.done.triggered:
-                break
-            pool = [
+        pool = [rep for rep in self.pool if rep.state != DEAD]
+        # in-flight requests count as load: a saturated pool whose
+        # batchers happen to be empty must not look idle to scale-down
+        queued = sum(len(rep.batcher) + len(rep.in_flight) for rep in pool)
+        action = cfg.decide(
+            queued=queued,
+            replicas=len(pool),
+            now=env.now,
+            last_action_at=self._last_scale_at,
+        )
+        if action > 0:
+            cold = self.cost.cold_start_s(self.recovery.checkpoint)
+            self.ledger.note_cold_start(cold)
+            self.spawn_replica(cold_start_s=cold, reason="scale-up")
+            self._trace("scale-up", tid="autoscaler",
+                        args={"queued": queued, "pool": len(pool)})
+            self._last_scale_at = env.now
+        elif action < 0:
+            idle = [
                 rep
-                for rep in self.replicas.values()
-                if rep.state in (WARMING, HEALTHY) and not rep.retiring
+                for rep in pool
+                if rep.state == HEALTHY
+                and not len(rep.batcher)
+                and not rep.in_flight
             ]
-            # in-flight requests count as load: a saturated pool whose
-            # batchers happen to be empty must not look idle to scale-down
-            queued = sum(len(rep.batcher) + len(rep.in_flight) for rep in pool)
-            action = cfg.decide(
-                queued=queued,
-                replicas=len(pool),
-                now=env.now,
-                last_action_at=last_action,
-            )
-            if action > 0:
-                cold = self.cost.cold_start_s(self.recovery.checkpoint)
-                self.ledger.note_cold_start(cold)
-                self.spawn_replica(cold_start_s=cold, reason="scale-up")
-                self._trace("scale-up", tid="autoscaler",
-                            args={"queued": queued, "pool": len(pool)})
-                last_action = env.now
-            elif action < 0:
-                idle = [
-                    rep
-                    for rep in pool
-                    if rep.state == HEALTHY
-                    and not len(rep.batcher)
-                    and not rep.in_flight
-                ]
-                if idle:
-                    victim = max(idle, key=lambda r: r.id)
-                    victim.retiring = True
-                    if victim.wake is not None and not victim.wake.triggered:
-                        victim.wake.succeed()
-                    self._trace("scale-down", tid="autoscaler",
-                                args={"replica": victim.id})
-                    last_action = env.now
+            if idle:
+                victim = max(idle, key=lambda r: r.id)
+                victim.retiring = True
+                self.pool.remove(victim)
+                if victim.armed:
+                    self._wake(victim)
+                self._trace("scale-down", tid="autoscaler",
+                            args={"replica": victim.id})
+                self._last_scale_at = env.now
+        self._await_poll()
 
     # -- run -------------------------------------------------------------------
     def run(self) -> ServeReport:
         env = self.env
         for _ in range(self.scenario.initial_replicas):
             self.spawn_replica()
-        env.process(self._arrivals_proc(), name="arrivals")
+        # each loop starts from an URGENT entry at t = 0, in this order
+        self._instant(URGENT).callbacks.append(lambda _: self._await_arrival(0))
         if self.scenario.autoscaler.enabled:
-            env.process(self._autoscaler_proc(), name="autoscaler")
+            self._instant(URGENT).callbacks.append(lambda _: self._await_poll())
         if self.injector is not None and self.injector.plan.failures:
-            env.process(self._failure_proc(), name="failures")
+            failures = sorted(
+                self.injector.plan.failures, key=lambda f: (f.time, f.rank)
+            )
+            self._instant(URGENT).callbacks.append(
+                lambda _: self._await_failure(failures, 0)
+            )
         env.run(until=self.done)
+        # the next poll, deadlines that lost their race, failures after the
+        # end: dropped, so the finished run holds no callback cycle
+        env.discard_pending()
         makespan = max(self.duration_s, env.now)
         for rep in self.replicas.values():
             if rep.warmed_at is None:

@@ -12,10 +12,8 @@ executions all run as processes on one shared clock.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "Resource",
     "ResourceRequest",
     "Store",

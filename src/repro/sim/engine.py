@@ -110,21 +110,23 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(env, name=f"timeout({delay:g})")
-        self.delay = delay
-        self._ok = True
+        if not delay >= 0:  # also rejects NaN, which would break heap order
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        # fields set directly: a serving run builds ~135k timeouts, and
+        # none reads the name that Event.__init__ would format
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._scheduled = False
+        self._processed = False
+        self._defused = False
+        self.delay = delay
         env._schedule(self, NORMAL, delay=delay)
 
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+    @property
+    def name(self) -> str:
+        return f"timeout({self.delay:g})"
 
 
 class Process(Event):
@@ -135,7 +137,7 @@ class Process(Event):
     environment if nobody is waiting).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -144,35 +146,14 @@ class Process(Event):
             )
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Kick-start at the current time via an initialization event.
         init = Event(env, name=f"init:{self.name}")
         init.callbacks.append(self._resume)
         init._ok = True
         env._schedule(init, URGENT)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._ok is None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self!r}")
-        if self._waiting_on is not None:
-            try:
-                self._waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._waiting_on = None
-        kick = Event(self.env, name=f"interrupt:{self.name}")
-        kick.callbacks.append(lambda ev: self._step_throw(Interrupt(cause)))
-        kick._ok = True
-        self.env._schedule(kick, URGENT)
-
     # -- stepping ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._ok:
             self._step_send(event._value)
         else:
@@ -222,14 +203,13 @@ class Process(Event):
             kick.callbacks.append(self._resume)
             self.env._schedule(kick, URGENT)
             return
-        self._waiting_on = target
         target.callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every child event has fired; value is the list of values."""
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -238,18 +218,6 @@ class _Condition(Event):
             if ev.env is not env:
                 raise SimulationError("condition mixes events from different environments")
             ev._defused = True
-
-    def _collect(self) -> list[Any]:
-        return [ev._value for ev in self.events if ev._ok is not None]
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value is the list of values."""
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events)
         self._remaining = 0
         for ev in self.events:
             if ev._processed:
@@ -262,6 +230,9 @@ class AllOf(_Condition):
         if self._remaining == 0 and self._ok is None:
             self.succeed(self._collect())
 
+    def _collect(self) -> list[Any]:
+        return [ev._value for ev in self.events if ev._ok is not None]
+
     def _on_child(self, ev: Event) -> None:
         if self._ok is not None:
             return
@@ -271,34 +242,6 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires; value is that event's value."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events)
-        if not self.events:
-            raise SimulationError("AnyOf requires at least one event")
-        for ev in self.events:
-            if ev._processed:
-                if ev._ok:
-                    self.succeed(ev._value)
-                else:
-                    self.fail(ev._value)
-                return
-        for ev in self.events:
-            ev.callbacks.append(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._ok is not None:
-            return
-        if ev._ok:
-            self.succeed(ev._value)
-        else:
-            self.fail(ev._value)
 
 
 class Environment:
@@ -345,9 +288,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def _on_process_end(self, ev: Event) -> None:
         self._active_processes -= 1
 
@@ -358,6 +298,18 @@ class Environment:
         event._scheduled = True
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+
+    def discard_pending(self) -> int:
+        """Drop every scheduled event unfired; the clock does not move.
+
+        A run that stops at ``run(until=...)`` leaves later entries on the
+        heap (the next poll, timers that lost a race), and their callbacks
+        keep whatever they reference alive.  Dropping them lets a finished
+        simulation be freed by reference counting.  Returns how many went.
+        """
+        dropped = len(self._heap)
+        self._heap.clear()
+        return dropped
 
     # -- execution ---------------------------------------------------------
     def step(self) -> None:
@@ -403,8 +355,10 @@ class Environment:
             return stop_event._value
         if until is not None:
             horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(f"cannot run to the past ({horizon} < {self._now})")
+            if not horizon >= self._now:  # also rejects a NaN horizon
+                raise SimulationError(
+                    f"cannot run until {horizon}: the clock reads {self._now}"
+                )
             while heap and heap[0][0] <= horizon:
                 step()
             self._now = horizon

@@ -11,6 +11,9 @@ pin the ownership rule from ``docs/architecture.md``:
   the cyclic collector off, in every engine mode;
 * the study, fault and planner paths leave no ``repro`` object for the
   cyclic collector;
+* a finished serving run — scaling up and down, or failing over a dead
+  replica under restart or shrink — leaves none either, and its dropped
+  simulation dies with its last reference;
 * links build their event-mode channels on first use, with the names and
   capacities they always had;
 * each world owns its collective-schedule memo.
@@ -34,6 +37,9 @@ from repro.mpi import WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.comm import GpuBuffer
 from repro.parallel.planner import PlannerConfig, plan_hybrid
+from repro.resilience import RESTART_FROM_CHECKPOINT, SHRINK_CONTINUE
+from repro.serve import VIDEO_MIX, BatchingConfig, ServeScenario, WorkloadConfig
+from repro.serve.simulator import RETIRED, _ServeSimulation
 from repro.sim import Environment
 from repro.sim.fastpath import enable_fastpath
 from repro.utils.units import KIB, MIB
@@ -135,6 +141,62 @@ class TestNoCyclicGarbage:
             ranks=64, max_pp=1, microbatches=(8,), measure_steps=1
         )
         assert_no_cyclic_garbage(lambda: plan_hybrid(config, jobs=1, use_memo=False))
+
+
+VIDEO = ServeScenario(
+    name="video",
+    workload=WorkloadConfig(kind="video", rate_rps=2.0, classes=VIDEO_MIX),
+    batching=BatchingConfig(mix_scales=False),
+    session_affinity=True,
+)
+REPLICA_FAILURE = FaultPlan(faults=(RankFailure(rank=0, time=20.0),))
+#: name -> (scenario, fault plan, recovery); each runs 60 s and scales
+#: both ways, so retired replicas and cold starts are in every run
+SERVE_RUNS = {
+    "image-scaling": (
+        ServeScenario(
+            name="image-scaling",
+            workload=WorkloadConfig(kind="diurnal", rate_rps=40.0),
+        ),
+        None,
+        RESTART_FROM_CHECKPOINT,
+    ),
+    "video-failure-restart": (VIDEO, REPLICA_FAILURE, RESTART_FROM_CHECKPOINT),
+    "video-failure-shrink": (VIDEO, REPLICA_FAILURE, SHRINK_CONTINUE),
+}
+
+
+def _serving(name: str) -> _ServeSimulation:
+    scenario, plan, recovery = SERVE_RUNS[name]
+    return _ServeSimulation(
+        scenario, duration_s=60.0, seed=1, fault_plan=plan,
+        recovery=recovery, collect_trace=False,
+    )
+
+
+class TestFinishedServingRun:
+    @pytest.mark.parametrize("name", sorted(SERVE_RUNS))
+    def test_leaves_no_cyclic_garbage(self, name):
+        assert_no_cyclic_garbage(lambda: _serving(name).run())
+
+    @pytest.mark.parametrize("name", sorted(SERVE_RUNS))
+    def test_dropped_simulation_dies_with_its_last_reference(self, name):
+        gc.disable()
+        try:
+            sim = _serving(name)
+            report = sim.run()
+            summary = report.summary
+            assert summary["cold_starts"] > 0
+            assert any(rep.state == RETIRED for rep in sim.replicas.values())
+            assert summary["detections"] == (name != "image-scaling")
+            # pending callbacks would hold the simulation through its env
+            sim_ref = weakref.ref(sim)
+            del sim
+            assert sim_ref() is None
+            # the report keeps its ledger, not the simulation
+            assert report.ledger.records
+        finally:
+            gc.enable()
 
 
 class TestLazyChannels:
