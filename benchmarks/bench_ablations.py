@@ -209,7 +209,7 @@ def test_ablation_response_cache(benchmark, save_report):
 
     def compute():
         from repro.hardware.cluster import build_cluster
-        from repro.horovod.backend import build_backend
+        from repro.comm import build_communicator
         from repro.horovod.engine import HorovodEngine
         from repro.mpi.process import WorldSpec
         from repro.models import get_model_cost
@@ -224,7 +224,7 @@ def test_ablation_response_cache(benchmark, save_report):
             cluster = build_cluster(LASSEN, 128)
             spec = WorldSpec(num_ranks=128, policy=MPI_OPT.policy,
                              config=MPI_OPT.mv2)
-            _, comm = build_backend(cluster, "mpi", world_spec=spec)
+            _, comm = build_communicator(cluster, "mpi", world_spec=spec)
             engine = HorovodEngine(
                 comm,
                 HorovodConfig(cycle_time_s=55e-3, response_cache=cached),

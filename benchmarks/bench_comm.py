@@ -9,7 +9,7 @@ run it directly and diff against a committed baseline::
 Workloads:
 
 * **collective_sweep** — prices allreduces across every backend x size x
-  rank grid point through the routed stack; the *simulated* times for a
+  rank grid point through ``build_communicator``; the *simulated* times for a
   set of anchor points are machine-independent and baseline-checked
   exactly (any drift means the cost model changed — bump the digest salt).
 * **hierarchical_vs_ring** — the acceptance claim: the two-level backend
@@ -20,9 +20,10 @@ Workloads:
   and baseline-checked exactly.  Its digest is reported too, but not
   gated: it folds in the cache salt, which moves with every salt bump
   while the table stays the same.
-* **routed_overhead** — wrapper tax of RoutedCommunicator over the raw
-  backend communicator (collectives/sec ratio); the wall-clock rate is
-  the tolerance-gated regression metric.
+* **routed_overhead** — cost of the registry's communicator, which
+  checks for a selection table on every allreduce, over
+  ``world.communicator()`` (collectives/sec ratio); the wall-clock rate
+  is the tolerance-gated regression metric.
 """
 
 from __future__ import annotations

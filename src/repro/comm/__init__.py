@@ -2,29 +2,31 @@
 
 One collective API over every backend (MPI, NCCL, and the hierarchical
 two-level backend), MVAPICH2-style algorithm-selection tables, a
-sim-driven autotuner, and unified per-op accounting:
+sim-driven autotuner, and unified per-op accounting.  The one
+communicator class is :class:`repro.mpi.comm.Communicator`; a backend is
+a world that prices collectives:
 
 * :mod:`repro.comm.records` — :class:`CommRecord`, the one accounting
-  record every collective emits (hvprof bins and the Chrome trace
-  exporter both consume it);
+  record hvprof's observer makes of every collective (hvprof bins and the
+  Chrome trace exporter both consume it);
 * :mod:`repro.comm.cost` — shared α-β cost identities and the collective
   schedule memo (deduplicated out of the mpi/nccl/horovod layers);
 * :mod:`repro.comm.selection` — (message size × world size) selection
   tables and the process-local active-table registry;
-* :mod:`repro.comm.api` — the :class:`Communicator` protocol and the
-  :class:`RoutedCommunicator` shell the stack talks to;
+* :mod:`repro.comm.api` — :func:`broadcast_weights`, the weight
+  re-broadcast charge elastic re-grow uses;
 * :mod:`repro.comm.hierarchical` — intra-node NVLink reduce-scatter +
   inter-node IB allreduce + intra-node broadcast backend;
-* :mod:`repro.comm.registry` — backend factories behind one
+* :mod:`repro.comm.registry` — the three world factories behind one
   ``build_communicator`` seam (world sizing is strict: no silent
   ``cluster.num_gpus`` fallback);
 * :mod:`repro.comm.tuning` — the autotuner that sweeps candidate
   algorithms per (bytes, ranks) bucket and emits a cached, digest-keyed
   table.
 
-Behavior-preserving by construction: with no active selection table the
-routed communicator passes ``algorithm=None`` and each backend reproduces
-its pre-refactor timings bit-identically (``tests/test_comm_equivalence``).
+With no active selection table the communicator passes
+``algorithm=None`` and each backend applies its own heuristic
+(``tests/test_comm_equivalence``, ``tests/test_comm_golden``).
 
 See ``docs/communication.md`` for the layer diagram and table format.
 """
@@ -50,19 +52,12 @@ from repro.comm.selection import (
     install_table_payloads,
     set_active_table,
 )
-from repro.comm.api import (
-    CollectiveOp,
-    Communicator,
-    RoutedCommunicator,
-    broadcast_weights,
-)
+from repro.comm.api import broadcast_weights
 
 _LAZY = {
     "available_backends": "repro.comm.registry",
     "build_communicator": "repro.comm.registry",
-    "register_backend": "repro.comm.registry",
     "resolve_world_size": "repro.comm.registry",
-    "HierarchicalCommunicator": "repro.comm.hierarchical",
     "HierarchicalWorld": "repro.comm.hierarchical",
     "CANDIDATES": "repro.comm.tuning",
     "TuningConfig": "repro.comm.tuning",
@@ -86,9 +81,6 @@ __all__ = [
     "get_active_table",
     "install_table_payloads",
     "set_active_table",
-    "CollectiveOp",
-    "Communicator",
-    "RoutedCommunicator",
     "broadcast_weights",
     *sorted(_LAZY),
 ]

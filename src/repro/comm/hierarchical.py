@@ -11,37 +11,37 @@ once messages are bandwidth-bound (>= ~1 MB).
 
 Analytic envelope only (like the NCCL backend): per-phase α-β terms using
 the NCCL protocol constants for link efficiencies and step latencies.
-Functional semantics are the shared lock-step helpers, and the
-:class:`~repro.faults.FaultInjector` degrades the NVLink/IB phases exactly
-as it does the other backends' cost envelopes.
+:class:`HierarchicalWorld` only prices collectives; the
+:class:`~repro.mpi.comm.Communicator` it builds does the functional
+arithmetic, and the :class:`~repro.faults.FaultInjector` degrades the
+NVLink/IB phases exactly as it does the other backends' cost envelopes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.errors import CommError
 from repro.hardware.cluster import Cluster
 from repro.hardware.links import LinkKind
 from repro.mpi.collectives.base import CollectiveTiming, ExecutionMode
-from repro.mpi.comm import (
-    CollectiveObserver,
-    GpuBuffer,
-    apply_allreduce,
-    apply_bcast,
-)
-from repro.mpi.datatypes import ReduceOp
+from repro.mpi.comm import Communicator
 from repro.nccl.protocol import DEFAULT_PROTOCOL, NcclProtocol
+from repro.nccl.rings import hop_fault_delay
 
 #: the one algorithm this backend implements
 ALGORITHM = "hier-2level"
 
 
 class HierarchicalWorld:
-    """Two-level backend job state: cluster + protocol envelope + faults."""
+    """Two-level backend job state: cluster + protocol envelope + faults.
+
+    Prices allreduce, allgather, reduce_scatter, bcast and barrier as
+    intra-node NVLink phases around an inter-node IB leader ring.
+    """
 
     backend_name = "hierarchical"
+    error = CommError
 
     def __init__(
         self,
@@ -66,72 +66,27 @@ class HierarchicalWorld:
     def size(self) -> int:
         return self.num_ranks
 
-    def communicator(self) -> "HierarchicalCommunicator":
-        return HierarchicalCommunicator(self, list(range(self.num_ranks)))
-
-
-class HierarchicalCommunicator:
-    """Intra-node reduce-scatter + inter-node allreduce + intra broadcast."""
-
-    def __init__(self, world: HierarchicalWorld, ranks: Sequence[int]):
-        self.world = world
-        self.ranks = list(ranks)
-        self.observers: list[CollectiveObserver] = []
-        self.total_comm_time = 0.0
-        self.op_count = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    def add_observer(self, observer: CollectiveObserver) -> None:
-        self.observers.append(observer)
-
-    # -- elasticity ---------------------------------------------------------
-    def restrict(self, ranks: Sequence[int]) -> "HierarchicalCommunicator":
-        missing = set(ranks) - set(self.ranks)
-        if missing:
-            raise CommError(
-                f"cannot restrict to ranks {sorted(missing)} not in "
-                f"communicator {self.ranks}"
-            )
-        if not ranks:
-            raise CommError("cannot restrict a communicator to zero ranks")
-        sub = HierarchicalCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
-
-    def reform(self, ranks: Sequence[int]) -> "HierarchicalCommunicator":
-        unknown = {r for r in ranks if not 0 <= r < self.world.num_ranks}
-        if unknown:
-            raise CommError(
-                f"cannot form a communicator on ranks {sorted(unknown)} "
-                f"outside the {self.world.num_ranks}-rank world"
-            )
-        if not ranks:
-            raise CommError("cannot form a communicator over zero ranks")
-        sub = HierarchicalCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
+    def communicator(self, *, table=None) -> Communicator:
+        return Communicator(self, range(self.num_ranks), table=table)
 
     # -- topology -----------------------------------------------------------
-    def _node_groups(self) -> list[list[int]]:
-        gpn = self.world.cluster.gpus_per_node
+    def _node_groups(self, comm) -> list[list[int]]:
+        gpn = self.cluster.gpus_per_node
         by_node: dict[int, list[int]] = {}
-        for r in sorted(self.ranks):
+        for r in sorted(comm.ranks):
             by_node.setdefault(r // gpn, []).append(r)
         return [g for _, g in sorted(by_node.items())]
 
     # -- link environment (fault-aware) -------------------------------------
     def _link_env(self, now: float) -> tuple[float, float, float, float]:
         """(nv_bw, nv_alpha, ib_bw, ib_alpha) at simulation time ``now``."""
-        cluster = self.world.cluster
-        proto = self.world.protocol
+        cluster = self.cluster
+        proto = self.protocol
         nv_bw = cluster.spec.node.nvlink_gpu_gpu.bandwidth * proto.nvlink_efficiency
         ib_bw = cluster.spec.ib.bandwidth * proto.ib_efficiency
         nv_alpha = proto.intra_step_latency_s
         ib_alpha = proto.inter_step_latency_s
-        faults = self.world.faults
+        faults = self.faults
         if faults is not None:
             nv_factor, nv_extra = faults.link_state(LinkKind.NVLINK_P2P, now)
             ib_factor, ib_extra = faults.link_state(LinkKind.IB, now)
@@ -144,42 +99,30 @@ class HierarchicalCommunicator:
         return nv_bw, nv_alpha, ib_bw, ib_alpha
 
     def _message_delay(self, groups: list[list[int]], now: float, ib_bw: float, ib_alpha: float) -> float:
-        """Injected drop/delay penalty over the inter-node leader ring."""
-        faults = self.world.faults
+        """Injected drop/delay penalty over the inter-node leader ring; a
+        drop retransmits one chunk at the faulted IB rate."""
+        faults = self.faults
         if faults is None or len(groups) <= 1:
             return 0.0
         leaders = [g[0] for g in groups]
-        delay = 0.0
-        for i, src in enumerate(leaders):
-            dst = leaders[(i + 1) % len(leaders)]
-            verdict = faults.message_verdict(src, dst, now)
-            delay += verdict.delay_s
-            if verdict.severed:
-                from repro.errors import MpiTimeoutError
-                from repro.faults.plan import RetryPolicy
-
-                retry = RetryPolicy()
-                faults.record(
-                    "msg-timeout", now, src=src, dst=dst,
-                    detail="severed leader-ring hop",
-                )
-                raise MpiTimeoutError(
-                    f"leader-ring hop {src}->{dst} path severed "
-                    f"(partition/switch outage); retry budget "
-                    f"({retry.max_retries}) exhausted after "
-                    f"{retry.ladder_time():.6f}s"
-                )
-            if verdict.drop:
-                # one deterministic retransmission of a pipeline chunk
-                delay += ib_alpha + self.world.protocol.chunk_bytes / ib_bw
-        return delay
+        hops = [
+            (src, leaders[(i + 1) % len(leaders)]) for i, src in enumerate(leaders)
+        ]
+        return hop_fault_delay(
+            faults,
+            hops,
+            now,
+            retransmit_s=ib_alpha + self.protocol.chunk_bytes / ib_bw,
+            hop_label=lambda src, dst: f"leader-ring hop {src}->{dst}",
+            detail="severed leader-ring hop",
+        )
 
     # -- timing model -------------------------------------------------------
-    def _allreduce_segments(self, nbytes: int) -> dict[str, float]:
-        groups = self._node_groups()
+    def _allreduce_segments(self, comm, nbytes: int) -> dict[str, float]:
+        groups = self._node_groups(comm)
         g = max(len(grp) for grp in groups)
         nodes = len(groups)
-        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(self.total_comm_time)
+        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(comm.total_comm_time)
         segments: dict[str, float] = {}
         if g > 1:
             intra = (g - 1) * nv_alpha + (g - 1) / g * nbytes / nv_bw
@@ -189,7 +132,7 @@ class HierarchicalCommunicator:
                 2 * (nodes - 1) * ib_alpha
                 + 2 * nbytes * (nodes - 1) / (nodes * ib_bw)
             )
-            inter += self._message_delay(groups, self.total_comm_time, ib_bw, ib_alpha)
+            inter += self._message_delay(groups, comm.total_comm_time, ib_bw, ib_alpha)
             segments["inter_allreduce"] = inter
         if g > 1:
             segments["intra_broadcast"] = (
@@ -197,13 +140,13 @@ class HierarchicalCommunicator:
             )
         return segments
 
-    def _allgather_segments(self, nbytes_per_rank: int) -> dict[str, float]:
+    def _allgather_segments(self, comm, nbytes_per_rank: int) -> dict[str, float]:
         """Two-level allgather: intra gather to the leader, leader-ring
         exchange over IB, then an intra broadcast of the remote portion."""
-        groups = self._node_groups()
+        groups = self._node_groups(comm)
         g = max(len(grp) for grp in groups)
         nodes = len(groups)
-        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(self.total_comm_time)
+        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(comm.total_comm_time)
         segments: dict[str, float] = {}
         if g > 1:
             segments["intra_gather"] = (
@@ -214,7 +157,7 @@ class HierarchicalCommunicator:
                 (nodes - 1) * ib_alpha
                 + (nodes - 1) * g * nbytes_per_rank / ib_bw
             )
-            inter += self._message_delay(groups, self.total_comm_time, ib_bw, ib_alpha)
+            inter += self._message_delay(groups, comm.total_comm_time, ib_bw, ib_alpha)
             segments["inter_allgather"] = inter
             remote = (nodes - 1) * g * nbytes_per_rank
             if g > 1:
@@ -223,7 +166,7 @@ class HierarchicalCommunicator:
                 )
         return segments
 
-    def _reduce_scatter_segments(self, nbytes_per_rank: int) -> dict[str, float]:
+    def _reduce_scatter_segments(self, comm, nbytes_per_rank: int) -> dict[str, float]:
         """Two-level reduce-scatter: the time-reverse of the allgather.
 
         Combine the remote portions node-locally, exchange reduced partials
@@ -232,10 +175,10 @@ class HierarchicalCommunicator:
         links in the opposite direction, so the envelope is symmetric (the
         standard allgather/reduce-scatter duality).
         """
-        groups = self._node_groups()
+        groups = self._node_groups(comm)
         g = max(len(grp) for grp in groups)
         nodes = len(groups)
-        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(self.total_comm_time)
+        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(comm.total_comm_time)
         segments: dict[str, float] = {}
         if nodes > 1:
             remote = (nodes - 1) * g * nbytes_per_rank
@@ -247,7 +190,7 @@ class HierarchicalCommunicator:
                 (nodes - 1) * ib_alpha
                 + (nodes - 1) * g * nbytes_per_rank / ib_bw
             )
-            inter += self._message_delay(groups, self.total_comm_time, ib_bw, ib_alpha)
+            inter += self._message_delay(groups, comm.total_comm_time, ib_bw, ib_alpha)
             segments["inter_reduce_scatter"] = inter
         if g > 1:
             segments["intra_scatter"] = (
@@ -255,16 +198,16 @@ class HierarchicalCommunicator:
             )
         return segments
 
-    def _bcast_segments(self, nbytes: int) -> dict[str, float]:
-        groups = self._node_groups()
+    def _bcast_segments(self, comm, nbytes: int) -> dict[str, float]:
+        groups = self._node_groups(comm)
         g = max(len(grp) for grp in groups)
         nodes = len(groups)
-        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(self.total_comm_time)
+        nv_bw, nv_alpha, ib_bw, ib_alpha = self._link_env(comm.total_comm_time)
         segments: dict[str, float] = {}
         if nodes > 1:
             # pipelined chain to the other node leaders over IB
             inter = (nodes - 1) * ib_alpha + nbytes / ib_bw
-            inter += self._message_delay(groups, self.total_comm_time, ib_bw, ib_alpha)
+            inter += self._message_delay(groups, comm.total_comm_time, ib_bw, ib_alpha)
             segments["inter_broadcast"] = inter
         if g > 1:
             segments["intra_broadcast"] = (
@@ -272,149 +215,46 @@ class HierarchicalCommunicator:
             )
         return segments
 
-    # -- collective API ------------------------------------------------------
-    def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
-        if len(buffers) != self.size:
-            raise CommError(
-                f"collective needs {self.size} buffers, got {len(buffers)}"
-            )
-        sizes = {b.nbytes for b in buffers}
-        if len(sizes) != 1:
-            raise CommError(f"mismatched buffer sizes: {sorted(sizes)}")
-        return sizes.pop()
-
-    def _notify(self, timing: CollectiveTiming) -> None:
-        self.total_comm_time += timing.time
-        self.op_count += 1
-        for observer in self.observers:
-            observer(timing, self.world.backend_name)
-
-    def allreduce(
-        self,
-        buffers: Sequence[GpuBuffer],
-        op: ReduceOp = ReduceOp.SUM,
-        *,
-        average: bool = False,
-        algorithm: str | None = None,
+    # -- pricing ------------------------------------------------------------
+    def _timing(
+        self, op: str, comm, nbytes: int, segments_of
     ) -> CollectiveTiming:
+        segments = (
+            segments_of(comm, nbytes) if comm.size > 1 and nbytes > 0 else {}
+        )
+        return CollectiveTiming(
+            op,
+            ALGORITHM,
+            nbytes,
+            comm.size,
+            sum(segments.values()),
+            ExecutionMode.ANALYTIC,
+            segments,
+        )
+
+    def price_allreduce(self, comm, buffers, nbytes, algorithm):
         if algorithm not in (None, ALGORITHM):
             raise CommError(
                 f"hierarchical backend implements only {ALGORITHM!r}, "
                 f"got {algorithm!r}"
             )
-        nbytes = self._validate(buffers)
-        apply_allreduce(buffers, op, average=average)
-        segments = (
-            self._allreduce_segments(nbytes)
-            if self.size > 1 and nbytes > 0
-            else {}
-        )
-        timing = CollectiveTiming(
-            "allreduce",
-            ALGORITHM,
-            nbytes,
-            self.size,
-            sum(segments.values()),
-            ExecutionMode.ANALYTIC,
-            segments,
-        )
-        self._notify(timing)
-        return timing
+        return self._timing("allreduce", comm, nbytes, self._allreduce_segments)
 
-    def allgather(
-        self, buffers: Sequence[GpuBuffer]
-    ) -> tuple[list | None, CollectiveTiming]:
-        """Gather every rank's data to all ranks (two-level envelope)."""
-        nbytes = self._validate(buffers)
-        datas = [b.data for b in buffers]
-        gathered = None
-        if all(d is not None for d in datas):
-            gathered = [d.copy() for d in datas]
-        segments = (
-            self._allgather_segments(nbytes)
-            if self.size > 1 and nbytes > 0
-            else {}
-        )
-        timing = CollectiveTiming(
-            "allgather",
-            ALGORITHM,
-            nbytes,
-            self.size,
-            sum(segments.values()),
-            ExecutionMode.ANALYTIC,
-            segments,
-        )
-        self._notify(timing)
-        return gathered, timing
+    def price_allgather(self, comm, buffers, nbytes):
+        return self._timing("allgather", comm, nbytes, self._allgather_segments)
 
-    def reduce_scatter(
-        self, buffers: Sequence[GpuBuffer], op: ReduceOp = ReduceOp.SUM
-    ) -> tuple[list | None, CollectiveTiming]:
-        """Reduce every rank's full vector, scatter one shard per rank.
-
-        Each buffer holds the full input vector; the timing covers each
-        rank ending with its ``nbytes / size`` reduced shard (the dual of
-        :meth:`allgather`, and the collective tensor parallelism uses to
-        combine sharded activation gradients).
-        """
-        nbytes = self._validate(buffers)
-        if self.size > 1 and nbytes % self.size:
-            raise CommError(
-                f"reduce_scatter needs nbytes divisible by {self.size} "
-                f"ranks, got {nbytes}"
-            )
-        datas = [b.data for b in buffers]
-        scattered = None
-        if all(d is not None for d in datas) and self.size > 0:
-            import numpy as np
-
-            reduced = op.reduce([d for d in datas])
-            if reduced.size % self.size == 0:
-                scattered = [c.copy() for c in np.split(reduced, self.size)]
-        per_rank = nbytes // self.size if self.size else nbytes
-        segments = (
-            self._reduce_scatter_segments(per_rank)
-            if self.size > 1 and nbytes > 0
-            else {}
+    def price_reduce_scatter(self, comm, buffers, nbytes):
+        return self._timing(
+            "reduce_scatter", comm, nbytes, self._reduce_scatter_segments
         )
-        timing = CollectiveTiming(
-            "reduce_scatter",
-            ALGORITHM,
-            per_rank,
-            self.size,
-            sum(segments.values()),
-            ExecutionMode.ANALYTIC,
-            segments,
-        )
-        self._notify(timing)
-        return scattered, timing
 
-    def bcast(
-        self, buffers: Sequence[GpuBuffer], *, root_index: int = 0
-    ) -> CollectiveTiming:
-        nbytes = self._validate(buffers)
-        apply_bcast(buffers, root_index)
-        segments = (
-            self._bcast_segments(nbytes) if self.size > 1 and nbytes > 0 else {}
-        )
-        timing = CollectiveTiming(
-            "bcast",
-            ALGORITHM,
-            nbytes,
-            self.size,
-            sum(segments.values()),
-            ExecutionMode.ANALYTIC,
-            segments,
-        )
-        self._notify(timing)
-        return timing
+    def price_bcast(self, comm, buffers, nbytes, root_index):
+        return self._timing("bcast", comm, nbytes, self._bcast_segments)
 
-    def barrier(self) -> CollectiveTiming:
-        p = self.size
-        _, _, _, ib_alpha = self._link_env(self.total_comm_time)
+    def price_barrier(self, comm):
+        p = comm.size
+        _, _, _, ib_alpha = self._link_env(comm.total_comm_time)
         time = math.ceil(math.log2(max(p, 2))) * ib_alpha if p > 1 else 0.0
-        timing = CollectiveTiming(
+        return CollectiveTiming(
             "barrier", "hier", 0, p, time, ExecutionMode.ANALYTIC
         )
-        self._notify(timing)
-        return timing

@@ -1,11 +1,11 @@
 """Backend registry: one factory seam for every communication backend.
 
-``build_communicator`` is what the layers above (Horovod's
-``build_backend``, the scaling study, the CLI) call; backends register a
-factory keyed by name.  The returned communicator is always a
-:class:`~repro.comm.api.RoutedCommunicator` so algorithm-selection tables
-and unified accounting apply uniformly, and ``faults`` is threaded into
-*every* backend's cost envelope (the MPI-only asymmetry is gone).
+``build_communicator`` is what the layers above (the step program, the
+hybrid executor, the tuner, the CLI) call.  Each backend is a world
+factory keyed by name; the world builds the one
+:class:`~repro.mpi.comm.Communicator`, so algorithm-selection tables and
+observers apply uniformly, and ``faults`` is threaded into *every*
+backend's cost envelope.
 
 World sizing is strict: a backend that needs a rank count gets it from
 ``num_ranks`` or ``world_spec`` explicitly — there is no silent fallback
@@ -15,24 +15,9 @@ simulate the wrong world when both were omitted).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import ConfigError
-from repro.comm.api import RoutedCommunicator
 from repro.comm.selection import SelectionTable, get_active_table
 from repro.mpi.collectives import ExecutionMode
-
-#: name -> factory(cluster, world_spec, num_ranks, mode, faults) -> (world, comm)
-_FACTORIES: dict[str, Callable] = {}
-
-
-def register_backend(name: str, factory: Callable) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    _FACTORIES[name] = factory
-
-
-def available_backends() -> list[str]:
-    return sorted(_FACTORIES)
 
 
 def resolve_world_size(world_spec, num_ranks, *, backend: str) -> int:
@@ -52,29 +37,33 @@ def _build_mpi(cluster, world_spec, num_ranks, mode, faults):
 
     if world_spec is None:
         raise ConfigError("MPI backend requires a WorldSpec")
-    world = MpiWorld(cluster, world_spec, mode=mode, faults=faults)
-    return world, world.communicator()
+    return MpiWorld(cluster, world_spec, mode=mode, faults=faults)
 
 
 def _build_nccl(cluster, world_spec, num_ranks, mode, faults):
     from repro.nccl.communicator import NcclWorld
 
     ranks = resolve_world_size(world_spec, num_ranks, backend="nccl")
-    world = NcclWorld(cluster, ranks, faults=faults)
-    return world, world.communicator()
+    return NcclWorld(cluster, ranks, faults=faults)
 
 
 def _build_hierarchical(cluster, world_spec, num_ranks, mode, faults):
     from repro.comm.hierarchical import HierarchicalWorld
 
     ranks = resolve_world_size(world_spec, num_ranks, backend="hierarchical")
-    world = HierarchicalWorld(cluster, ranks, faults=faults)
-    return world, world.communicator()
+    return HierarchicalWorld(cluster, ranks, faults=faults)
 
 
-register_backend("mpi", _build_mpi)
-register_backend("nccl", _build_nccl)
-register_backend("hierarchical", _build_hierarchical)
+#: name -> factory(cluster, world_spec, num_ranks, mode, faults) -> world
+_FACTORIES = {
+    "mpi": _build_mpi,
+    "nccl": _build_nccl,
+    "hierarchical": _build_hierarchical,
+}
+
+
+def available_backends() -> list[str]:
+    return sorted(_FACTORIES)
 
 
 def build_communicator(
@@ -87,19 +76,28 @@ def build_communicator(
     faults=None,
     table: SelectionTable | None = None,
 ):
-    """Return ``(world, routed_communicator)`` for the requested backend.
+    """Return ``(world, communicator)`` for the requested backend.
+
+    MPI requires a :class:`~repro.mpi.process.WorldSpec` (visibility
+    policy + MV2 config); NCCL and the hierarchical backend need an
+    explicit rank count (``num_ranks`` or ``world_spec``).  ``faults`` (a
+    :class:`~repro.faults.FaultInjector`) perturbs every backend: the MPI
+    transport sees per-message verdicts, and the NCCL/hierarchical cost
+    envelopes degrade their link classes and charge message-fault
+    penalties through the same injector.
 
     ``table`` overrides the process-wide active selection table for the
     backend (``repro.comm.selection.set_active_table``); with neither, the
-    communicator routes with ``algorithm=None`` and the backend heuristics
-    reproduce pre-refactor timings bit-identically.
+    communicator passes ``algorithm=None`` and each backend applies its
+    own heuristic.  ``world.communicator()`` never consults the active
+    table.
     """
     factory = _FACTORIES.get(backend)
     if factory is None:
         raise ConfigError(
             f"unknown backend {backend!r}; available: {available_backends()}"
         )
-    world, comm = factory(cluster, world_spec, num_ranks, mode, faults)
+    world = factory(cluster, world_spec, num_ranks, mode, faults)
     if table is None:
         table = get_active_table(backend)
-    return world, RoutedCommunicator(comm, table=table)
+    return world, world.communicator(table=table)

@@ -85,7 +85,11 @@ def _geometric_edges(points: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _build_sweep_comm(config: TuningConfig, num_ranks: int):
-    """A raw backend communicator sized for one rank-count sweep column."""
+    """A table-free communicator sized for one rank-count sweep column.
+
+    It never routes through the process's active table: the memo and the
+    cache key ignore active tables, so the sweep must not depend on them.
+    """
     from repro.comm.registry import build_communicator
     from repro.hardware.cluster import build_cluster
 
@@ -99,17 +103,78 @@ def _build_sweep_comm(config: TuningConfig, num_ranks: int):
         world_spec = WorldSpec(
             num_ranks=num_ranks, policy=scenario.policy, config=scenario.mv2
         )
-    _world, comm = build_communicator(
-        cluster,
-        config.backend,
-        world_spec=world_spec,
-        num_ranks=num_ranks,
-        table=None,
+    world, _ = build_communicator(
+        cluster, config.backend, world_spec=world_spec, num_ranks=num_ranks
     )
-    return comm
+    return world.communicator()
 
 
-def _time_algorithm(comm, nbytes: int, algorithm: str) -> float:
+def _sweep(
+    config: TuningConfig,
+    digest: str,
+    backend_key: str,
+    candidates: tuple[str, ...],
+    time_cell,
+    extra: dict,
+    cache,
+) -> SelectionTable:
+    """Time ``candidates`` on every grid cell and emit the argmin table,
+    memoized and cached under ``digest``.
+
+    ``time_cell(comm, nbytes, candidate)`` returns the candidate's
+    simulated time, or ``None`` when it does not apply to the cell.
+    """
+    memo = _TUNE_MEMO.get(digest)
+    if memo is not None:
+        return memo
+    if cache is not None and getattr(cache, "enabled", True):
+        hit = cache.get(digest)
+        if hit is not None:
+            table = SelectionTable.from_payload(hit)
+            _TUNE_MEMO[digest] = table
+            return table
+
+    timings: dict[str, dict[str, float]] = {}
+    grid: list[list[str]] = []
+    for nbytes in config.byte_points:
+        row: list[str] = []
+        for num_ranks in config.rank_counts:
+            comm = _build_sweep_comm(config, num_ranks)
+            best, best_time = None, math.inf
+            cell: dict[str, float] = {}
+            for candidate in candidates:
+                t = time_cell(comm, nbytes, candidate)
+                if t is None:
+                    continue
+                cell[candidate] = t
+                if t < best_time:
+                    best, best_time = candidate, t
+            timings[f"{nbytes}x{num_ranks}"] = cell
+            row.append(best)
+        grid.append(row)
+
+    table = SelectionTable(
+        backend=backend_key,
+        byte_edges=_geometric_edges(config.byte_points),
+        rank_edges=_geometric_edges(config.rank_counts),
+        algorithms=tuple(tuple(row) for row in grid),
+        source="tuned",
+        extra={
+            "byte_points": list(config.byte_points),
+            "rank_counts": list(config.rank_counts),
+            **extra,
+            "timings": timings,
+        },
+    )
+    _TUNE_MEMO[digest] = table
+    if cache is not None and getattr(cache, "enabled", True):
+        cache.put(digest, table.to_payload())
+    return table
+
+
+def _time_algorithm(comm, nbytes: int, algorithm: str) -> float | None:
+    if algorithm in _POW2_ONLY and comm.size & (comm.size - 1):
+        return None
     from repro.mpi.comm import GpuBuffer
 
     buffers = [GpuBuffer.virtual(nbytes) for _ in range(comm.size)]
@@ -122,53 +187,10 @@ def tune_table(config: TuningConfig, *, cache=None) -> SelectionTable:
     ``cache`` is a :class:`~repro.perf.cache.ResultCache`; hits return the
     stored table without simulating.  An in-process memo backs both paths.
     """
-    digest = tuning_digest(config)
-    memo = _TUNE_MEMO.get(digest)
-    if memo is not None:
-        return memo
-    if cache is not None and getattr(cache, "enabled", True):
-        hit = cache.get(digest)
-        if hit is not None:
-            table = SelectionTable.from_payload(hit)
-            _TUNE_MEMO[digest] = table
-            return table
-
-    candidates = CANDIDATES[config.backend]
-    timings: dict[str, dict[str, float]] = {}
-    grid: list[list[str]] = []
-    for nbytes in config.byte_points:
-        row: list[str] = []
-        for num_ranks in config.rank_counts:
-            comm = _build_sweep_comm(config, num_ranks)
-            best_algo, best_time = None, math.inf
-            cell: dict[str, float] = {}
-            for algo in candidates:
-                if algo in _POW2_ONLY and num_ranks & (num_ranks - 1):
-                    continue
-                t = _time_algorithm(comm, nbytes, algo)
-                cell[algo] = t
-                if t < best_time:
-                    best_algo, best_time = algo, t
-            timings[f"{nbytes}x{num_ranks}"] = cell
-            row.append(best_algo)
-        grid.append(row)
-
-    table = SelectionTable(
-        backend=config.backend,
-        byte_edges=_geometric_edges(config.byte_points),
-        rank_edges=_geometric_edges(config.rank_counts),
-        algorithms=tuple(tuple(row) for row in grid),
-        source="tuned",
-        extra={
-            "byte_points": list(config.byte_points),
-            "rank_counts": list(config.rank_counts),
-            "timings": timings,
-        },
+    return _sweep(
+        config, tuning_digest(config), config.backend,
+        CANDIDATES[config.backend], _time_algorithm, {}, cache,
     )
-    _TUNE_MEMO[digest] = table
-    if cache is not None and getattr(cache, "enabled", True):
-        cache.put(digest, table.to_payload())
-    return table
 
 
 def _time_compression(comm, nbytes: int, mode: str, ratio: float) -> float:
@@ -217,59 +239,20 @@ def tune_compression_table(
             "topk_ratio": topk_ratio,
         }
     )
-    memo = _TUNE_MEMO.get(digest)
-    if memo is not None:
-        return memo
-    if cache is not None and getattr(cache, "enabled", True):
-        hit = cache.get(digest)
-        if hit is not None:
-            table = SelectionTable.from_payload(hit)
-            _TUNE_MEMO[digest] = table
-            return table
-
-    candidates = ("none", "fp16", f"topk:{topk_ratio:g}")
-    timings: dict[str, dict[str, float]] = {}
-    grid: list[list[str]] = []
-    for nbytes in config.byte_points:
-        row: list[str] = []
-        for num_ranks in config.rank_counts:
-            comm = _build_sweep_comm(config, num_ranks)
-            best_mode, best_time = None, math.inf
-            cell: dict[str, float] = {}
-            for mode in candidates:
-                t = _time_compression(comm, nbytes, mode, topk_ratio)
-                cell[mode] = t
-                if t < best_time:
-                    best_mode, best_time = mode, t
-            timings[f"{nbytes}x{num_ranks}"] = cell
-            row.append(best_mode)
-        grid.append(row)
-
-    table = SelectionTable(
-        backend=f"{config.backend}+compression",
-        byte_edges=_geometric_edges(config.byte_points),
-        rank_edges=_geometric_edges(config.rank_counts),
-        algorithms=tuple(tuple(row) for row in grid),
-        source="tuned",
-        extra={
-            "byte_points": list(config.byte_points),
-            "rank_counts": list(config.rank_counts),
-            "topk_ratio": topk_ratio,
-            "timings": timings,
-        },
+    return _sweep(
+        config, digest, f"{config.backend}+compression",
+        ("none", "fp16", f"topk:{topk_ratio:g}"),
+        lambda comm, nbytes, mode: _time_compression(comm, nbytes, mode, topk_ratio),
+        {"topk_ratio": topk_ratio}, cache,
     )
-    _TUNE_MEMO[digest] = table
-    if cache is not None and getattr(cache, "enabled", True):
-        cache.put(digest, table.to_payload())
-    return table
 
 
 def default_table(backend: str) -> SelectionTable:
     """The built-in table mirroring each backend's historical heuristic.
 
-    Informational (``repro comm show`` without tuning): the routed
-    communicator does *not* install these by default — it passes
-    ``algorithm=None`` so backends keep their internal heuristics,
+    Informational (``repro comm show`` without tuning): the communicator
+    does *not* install these by default — it passes ``algorithm=None`` so
+    backends keep their internal heuristics,
     including topology terms (node count, power-of-two) a static
     (bytes, ranks) grid cannot express.
     """

@@ -47,10 +47,6 @@ class CompressionConfig:
             )
 
     @property
-    def is_identity(self) -> bool:
-        return self.mode == "none"
-
-    @property
     def is_sparse(self) -> bool:
         return self.mode == "topk"
 

@@ -20,9 +20,9 @@ See ``docs/performance.md`` for the per-program phase table.
 
 from __future__ import annotations
 
+from repro.comm.registry import build_communicator
 from repro.compression import CompressionConfig
 from repro.core.calibration import PAGEABLE_BLOCKING_FACTOR
-from repro.horovod.backend import build_backend
 from repro.horovod.engine import HorovodEngine, StepTiming
 from repro.horovod.fusion import PendingTensor
 from repro.mpi.process import WorldSpec
@@ -89,7 +89,7 @@ def build_engine(
     world_spec = WorldSpec(
         num_ranks=num_ranks, policy=scenario.policy, config=scenario.mv2
     )
-    world, comm = build_backend(
+    world, comm = build_communicator(
         cluster, scenario.backend, world_spec=world_spec,
         num_ranks=num_ranks, faults=faults,
     )

@@ -136,9 +136,6 @@ class CudaContext:
         self._opened_handles: set[int] = set()
 
     # -- device selection --------------------------------------------------
-    def device_count(self) -> int:
-        return self.mask.count
-
     def set_device(self, logical: int) -> None:
         self.mask.to_physical(logical)  # validates
         self._current_logical = logical
@@ -185,9 +182,6 @@ class CudaContext:
                 created += 1
         return created
 
-    def context_device_ordinals(self) -> tuple[int, ...]:
-        return tuple(sorted(self._context_blocks))
-
     # -- memory --------------------------------------------------------------
     def malloc(self, nbytes: int, tag: str = "tensor") -> DeviceAllocation:
         physical = self.current_physical
@@ -211,10 +205,6 @@ class CudaContext:
         pool.free_block(alloc.block)
         alloc.freed = True
         self._live.discard(alloc)
-
-    def free_device_memory(self) -> int:
-        """Bytes still allocatable on the current device."""
-        return self.runtime.node.gpu_memory[self.current_ref].free
 
     # -- IPC -------------------------------------------------------------------
     def get_ipc_handle(self, alloc: DeviceAllocation) -> IpcMemHandle:
@@ -249,9 +239,6 @@ class CudaContext:
         node = self.runtime.node
         cpu = node.cpu_refs[node.socket_of_gpu(gpu.index)]
         return self.runtime.cluster.path_cost(gpu, cpu, nbytes)
-
-    def h2d_time(self, nbytes: int) -> float:
-        return self.d2h_time(nbytes)  # symmetric links
 
     # -- teardown -------------------------------------------------------------
     def destroy(self) -> None:

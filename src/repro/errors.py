@@ -63,10 +63,6 @@ class MpiError(ReproError):
     """Simulated MPI error (mirrors ``MPI_ERR_*``)."""
 
 
-class MessageDroppedError(MpiError):
-    """A message was lost in transit (injected fault, no retry budget)."""
-
-
 class MpiTimeoutError(MpiError):
     """A communication operation exhausted its retry/timeout budget."""
 

@@ -83,9 +83,6 @@ class MemoryPool:
             )
         self._used -= live.nbytes
 
-    def can_alloc(self, nbytes: int) -> bool:
-        return self._used + nbytes <= self.capacity
-
     def used_by_tag(self) -> dict[str, int]:
         totals: dict[str, int] = {}
         for block in self._blocks.values():

@@ -106,11 +106,6 @@ def upsampler_plan(
     return layers, h, w
 
 
-def temporal_state_bytes(config: EDSRConfig, patch: int = 48) -> int:
-    """Per-image bytes of the carried inter-frame hidden state (fp32)."""
-    return config.n_feats * patch * patch * 4
-
-
 class ModelCostModel:
     """Cost structure plus throughput-model coefficients for one model.
 
@@ -383,9 +378,6 @@ class ThroughputModel:
             * self.gpu.kernel_launch_overhead_s
         ) / 3.0
         return flops / effective + launch
-
-    def inferences_per_second(self, batch: int) -> float:
-        return batch / self.inference_time(batch)
 
     def forward_time(self, batch: int) -> float:
         return self.step_time(batch) / 3.0

@@ -3,7 +3,13 @@
 The simulation runs all ranks lock-step in one Python process (bulk-
 synchronous SPMD): a collective call receives *every* rank's buffer at
 once, performs the real numpy reduction (functional mode), and obtains the
-operation's simulated duration from the algorithm engines.
+operation's simulated duration from its world.
+
+:class:`Communicator` is the one communicator of every backend.  A world
+(:class:`MpiWorld`, :class:`~repro.nccl.NcclWorld`,
+:class:`~repro.comm.hierarchical.HierarchicalWorld`) only prices
+collectives: one ``price_<collective>(comm, ...)`` method each, with the
+same signature in every world.
 
 Profilers subscribe as observers — this is the seam ``hvprof`` hooks into.
 """
@@ -15,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.comm.selection import SelectionTable
 from repro.cuda.memory import DeviceAllocation
 from repro.errors import MpiError
 from repro.hardware.cluster import Cluster
@@ -89,7 +96,7 @@ CollectiveObserver = Callable[[CollectiveTiming, str], None]
 def apply_allreduce(
     buffers: Sequence[GpuBuffer], op: ReduceOp, *, average: bool = False
 ) -> None:
-    """Functional-mode allreduce arithmetic (shared by MPI and NCCL backends)."""
+    """Functional-mode allreduce arithmetic."""
     datas = [b.data for b in buffers]
     if all(d is None for d in datas):
         return
@@ -105,7 +112,7 @@ def apply_allreduce(
 
 
 def apply_bcast(buffers: Sequence[GpuBuffer], root_index: int) -> None:
-    """Functional-mode bcast (shared by MPI and NCCL backends)."""
+    """Functional-mode bcast."""
     root_data = buffers[root_index].data
     if root_data is None:
         return
@@ -118,9 +125,16 @@ def apply_bcast(buffers: Sequence[GpuBuffer], root_index: int) -> None:
 
 
 class MpiWorld:
-    """Owns the ranks, transport model, and timing engine for one job."""
+    """Owns the ranks, transport model, and timing engine for one job.
+
+    Prices every collective a :class:`Communicator` runs on it, including
+    the MPI-only ones (reduce, gather, scatter, alltoall).  Every pricing
+    method but the barrier's first opens a new MPI call scope on the
+    transport.
+    """
 
     backend_name = "mpi"
+    error = MpiError
 
     def __init__(
         self,
@@ -145,19 +159,106 @@ class MpiWorld:
     def size(self) -> int:
         return len(self.ranks)
 
-    def communicator(self) -> "Communicator":
-        return Communicator(self, [r.rank for r in self.ranks])
+    def communicator(
+        self, *, table: SelectionTable | None = None
+    ) -> "Communicator":
+        return Communicator(self, [r.rank for r in self.ranks], table=table)
 
     def regcache_stats(self) -> dict[str, float]:
         return self.transport.regcache_stats()
 
+    # -- pricing ----------------------------------------------------------------
+    def price_allreduce(self, comm, buffers, nbytes, algorithm):
+        self.transport.begin_collective()
+        return allreduce_timing(
+            self.coster,
+            comm.ranks,
+            nbytes,
+            buffer_ids=_buffer_ids(comm, buffers),
+            algorithm=algorithm,
+            dtype_bytes=buffers[0].dtype.size,
+        )
+
+    def price_bcast(self, comm, buffers, nbytes, root_index):
+        self.transport.begin_collective()
+        return bcast_timing(
+            self.coster,
+            comm.ranks,
+            nbytes,
+            root=comm.ranks[root_index],
+            buffer_ids=_buffer_ids(comm, buffers),
+        )
+
+    def price_allgather(self, comm, buffers, nbytes):
+        self.transport.begin_collective()
+        return allgather_timing(
+            self.coster,
+            comm.ranks,
+            nbytes,
+            buffer_ids=_buffer_ids(comm, buffers),
+            dtype_bytes=buffers[0].dtype.size,
+        )
+
+    def price_reduce_scatter(self, comm, buffers, nbytes):
+        self.transport.begin_collective()
+        return reduce_scatter_timing(
+            self.coster,
+            comm.ranks,
+            nbytes,
+            buffer_ids=_buffer_ids(comm, buffers),
+            dtype_bytes=buffers[0].dtype.size,
+        )
+
+    def price_barrier(self, comm):
+        return barrier_timing(self.coster, comm.ranks)
+
+    def price_reduce(self, comm, buffers, nbytes, root_index):
+        self.transport.begin_collective()
+        return reduce_timing(
+            self.coster,
+            comm.ranks,
+            nbytes,
+            root=comm.ranks[root_index],
+            buffer_ids=_buffer_ids(comm, buffers),
+        )
+
+    def price_gather(self, comm, buffers, nbytes, root_index):
+        self.transport.begin_collective()
+        return gather_timing(
+            self.coster, comm.ranks, nbytes, root=comm.ranks[root_index]
+        )
+
+    def price_scatter(self, comm, buffers, nbytes, root_index):
+        self.transport.begin_collective()
+        return scatter_timing(
+            self.coster, comm.ranks, nbytes, root=comm.ranks[root_index]
+        )
+
+    def price_alltoall(self, comm, nbytes_per_pair):
+        self.transport.begin_collective()
+        return alltoall_timing(self.coster, comm.ranks, nbytes_per_pair)
+
+
+def _buffer_ids(comm, buffers: Sequence[GpuBuffer]) -> dict[int, int]:
+    return {rank: buf.buffer_id for rank, buf in zip(comm.ranks, buffers)}
+
 
 class Communicator:
-    """MPI communicator over a subset of world ranks (lock-step SPMD API)."""
+    """Lock-step SPMD communicator over a subset of a world's ranks.
 
-    def __init__(self, world: MpiWorld, ranks: Sequence[int]):
+    The one communicator of every backend.  It validates buffers, performs
+    the functional arithmetic, routes an allreduce without an explicit
+    ``algorithm`` through its selection ``table`` (when it has one), and
+    reports each timing to its observers; the world prices the collective.
+    Errors are raised as the world's ``error`` class.
+    """
+
+    def __init__(
+        self, world, ranks: Sequence[int], *, table: SelectionTable | None = None
+    ):
         self.world = world
         self.ranks = list(ranks)
+        self.table = table
         self.observers: list[CollectiveObserver] = []
         self.total_comm_time = 0.0
         self.op_count = 0
@@ -171,15 +272,16 @@ class Communicator:
 
     def restrict(self, ranks: Sequence[int]) -> "Communicator":
         """Sub-communicator on a subset of this communicator's ranks
-        (elastic ring shrink after a rank failure).  Observers carry over."""
+        (elastic ring shrink after a rank failure).  Observers and the
+        table carry over."""
         missing = set(ranks) - set(self.ranks)
         if missing:
-            raise MpiError(
+            raise self.world.error(
                 f"cannot restrict to ranks {sorted(missing)} not in "
                 f"communicator {self.ranks}"
             )
         if not ranks:
-            raise MpiError("cannot restrict a communicator to zero ranks")
+            raise self.world.error("cannot restrict a communicator to zero ranks")
         return self.reform(ranks)
 
     def reform(self, ranks: Sequence[int]) -> "Communicator":
@@ -187,19 +289,19 @@ class Communicator:
 
         Unlike :meth:`restrict`, the new membership need not be contained
         in this communicator's — an elastic re-grow re-admits a rank that
-        was dropped earlier, as long as its process context still exists
-        in the world.  Observers carry over either way.
+        was dropped earlier, as long as it is still in the world.
+        Observers and the table carry over either way.
         """
-        world_ranks = {r.rank for r in self.world.ranks}
-        unknown = set(ranks) - world_ranks
+        size = self.world.size
+        unknown = {r for r in ranks if not 0 <= r < size}
         if unknown:
-            raise MpiError(
+            raise self.world.error(
                 f"cannot form a communicator on ranks {sorted(unknown)} "
-                f"absent from the world {sorted(world_ranks)}"
+                f"outside the {size}-rank world"
             )
         if not ranks:
-            raise MpiError("cannot form a communicator over zero ranks")
-        sub = Communicator(self.world, list(ranks))
+            raise self.world.error("cannot form a communicator over zero ranks")
+        sub = Communicator(self.world, ranks, table=self.table)
         sub.observers = list(self.observers)
         return sub
 
@@ -213,25 +315,22 @@ class Communicator:
     # -- internal ------------------------------------------------------------
     def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
         if len(buffers) != self.size:
-            raise MpiError(
+            raise self.world.error(
                 f"collective needs {self.size} buffers (one per rank), got {len(buffers)}"
             )
         sizes = {b.nbytes for b in buffers}
         if len(sizes) != 1:
-            raise MpiError(f"mismatched buffer sizes across ranks: {sorted(sizes)}")
+            raise self.world.error(
+                f"mismatched buffer sizes across ranks: {sorted(sizes)}"
+            )
         return sizes.pop()
 
-    def _buffer_ids(self, buffers: Sequence[GpuBuffer]) -> dict[int, int]:
-        return {rank: buf.buffer_id for rank, buf in zip(self.ranks, buffers)}
-
-    def _begin(self) -> None:
-        self.world.transport.begin_collective()
-
-    def _notify(self, timing: CollectiveTiming) -> None:
+    def _notify(self, timing: CollectiveTiming) -> CollectiveTiming:
         self.total_comm_time += timing.time
         self.op_count += 1
         for observer in self.observers:
             observer(timing, self.world.backend_name)
+        return timing
 
     # -- collectives --------------------------------------------------------------
     def allreduce(
@@ -244,55 +343,34 @@ class Communicator:
     ) -> CollectiveTiming:
         """Element-wise reduce across ranks; result replaces each buffer's data."""
         nbytes = self._validate(buffers)
-        self._begin()
+        if algorithm is None and self.table is not None:
+            algorithm = self.table.lookup(nbytes, self.size)
         apply_allreduce(buffers, op, average=average)
-        timing = allreduce_timing(
-            self.world.coster,
-            self.ranks,
-            nbytes,
-            buffer_ids=self._buffer_ids(buffers),
-            algorithm=algorithm,
-            dtype_bytes=buffers[0].dtype.size,
+        return self._notify(
+            self.world.price_allreduce(self, buffers, nbytes, algorithm)
         )
-        self._notify(timing)
-        return timing
 
     def bcast(
         self, buffers: Sequence[GpuBuffer], *, root_index: int = 0
     ) -> CollectiveTiming:
         """Copy the root's data to all ranks."""
         nbytes = self._validate(buffers)
-        self._begin()
         apply_bcast(buffers, root_index)
-        timing = bcast_timing(
-            self.world.coster,
-            self.ranks,
-            nbytes,
-            root=self.ranks[root_index],
-            buffer_ids=self._buffer_ids(buffers),
+        return self._notify(
+            self.world.price_bcast(self, buffers, nbytes, root_index)
         )
-        self._notify(timing)
-        return timing
 
     def allgather(
         self, buffers: Sequence[GpuBuffer]
     ) -> tuple[list[np.ndarray] | None, CollectiveTiming]:
         """Gather every rank's data to all ranks."""
         nbytes = self._validate(buffers)
-        self._begin()
         datas = [b.data for b in buffers]
         gathered = None
         if all(d is not None for d in datas):
             gathered = [d.copy() for d in datas]
-        timing = allgather_timing(
-            self.world.coster,
-            self.ranks,
-            nbytes,
-            buffer_ids=self._buffer_ids(buffers),
-            dtype_bytes=buffers[0].dtype.size,
-        )
-        self._notify(timing)
-        return gathered, timing
+        timing = self.world.price_allgather(self, buffers, nbytes)
+        return gathered, self._notify(timing)
 
     def reduce_scatter(
         self, buffers: Sequence[GpuBuffer], op: ReduceOp = ReduceOp.SUM
@@ -305,26 +383,23 @@ class Communicator:
         """
         nbytes = self._validate(buffers)
         if self.size > 1 and nbytes % self.size:
-            raise MpiError(
+            raise self.world.error(
                 f"reduce_scatter needs nbytes divisible by {self.size} "
                 f"ranks, got {nbytes}"
             )
-        self._begin()
         datas = [b.data for b in buffers]
         scattered = None
         if all(d is not None for d in datas):
             reduced = op.reduce([d for d in datas])
-            if self.size and reduced.size % self.size == 0:
+            if reduced.size % self.size == 0:
                 scattered = [c.copy() for c in np.split(reduced, self.size)]
-        timing = reduce_scatter_timing(
-            self.world.coster,
-            self.ranks,
-            nbytes // self.size if self.size else nbytes,
-            buffer_ids=self._buffer_ids(buffers),
-            dtype_bytes=buffers[0].dtype.size,
+        timing = self.world.price_reduce_scatter(
+            self, buffers, nbytes // self.size
         )
-        self._notify(timing)
-        return scattered, timing
+        return scattered, self._notify(timing)
+
+    def barrier(self) -> CollectiveTiming:
+        return self._notify(self.world.price_barrier(self))
 
     def reduce(
         self,
@@ -334,41 +409,25 @@ class Communicator:
         root_index: int = 0,
     ) -> CollectiveTiming:
         nbytes = self._validate(buffers)
-        self._begin()
         datas = [b.data for b in buffers]
         if all(d is not None for d in datas):
             reduced = op.reduce([d for d in datas])
             np.copyto(buffers[root_index].data, reduced)
-        timing = reduce_timing(
-            self.world.coster,
-            self.ranks,
-            nbytes,
-            root=self.ranks[root_index],
-            buffer_ids=self._buffer_ids(buffers),
+        return self._notify(
+            self.world.price_reduce(self, buffers, nbytes, root_index)
         )
-        self._notify(timing)
-        return timing
-
-    def barrier(self) -> CollectiveTiming:
-        timing = barrier_timing(self.world.coster, self.ranks)
-        self._notify(timing)
-        return timing
 
     def gather(
         self, buffers: Sequence[GpuBuffer], *, root_index: int = 0
     ) -> tuple[list[np.ndarray] | None, CollectiveTiming]:
         """Collect every rank's buffer at the root."""
         nbytes = self._validate(buffers)
-        self._begin()
         datas = [b.data for b in buffers]
         gathered = [d.copy() for d in datas] if all(
             d is not None for d in datas
         ) else None
-        timing = gather_timing(
-            self.world.coster, self.ranks, nbytes, root=self.ranks[root_index]
-        )
-        self._notify(timing)
-        return gathered, timing
+        timing = self.world.price_gather(self, buffers, nbytes, root_index)
+        return gathered, self._notify(timing)
 
     def scatter(
         self,
@@ -379,25 +438,19 @@ class Communicator:
     ) -> CollectiveTiming:
         """Distribute the root's per-rank blocks into each rank's buffer."""
         nbytes = self._validate(buffers)
-        self._begin()
         if blocks is not None:
             if len(blocks) != self.size:
-                raise MpiError(
+                raise self.world.error(
                     f"scatter needs {self.size} blocks, got {len(blocks)}"
                 )
             for block, buf in zip(blocks, buffers):
                 if buf.data is not None:
                     np.copyto(buf.data, block)
-        timing = scatter_timing(
-            self.world.coster, self.ranks, nbytes, root=self.ranks[root_index]
+        return self._notify(
+            self.world.price_scatter(self, buffers, nbytes, root_index)
         )
-        self._notify(timing)
-        return timing
 
     def alltoall(self, nbytes_per_pair: int) -> CollectiveTiming:
         """Timing-only alltoall (no DL-training use; completeness of the
         MPI surface for protocol studies)."""
-        self._begin()
-        timing = alltoall_timing(self.world.coster, self.ranks, nbytes_per_pair)
-        self._notify(timing)
-        return timing
+        return self._notify(self.world.price_alltoall(self, nbytes_per_pair))

@@ -10,12 +10,11 @@ default NCCL outscales default MVAPICH2-GDR in Fig. 10.
 
 from repro.nccl.protocol import NcclProtocol
 from repro.nccl.rings import build_ring, ring_bandwidth
-from repro.nccl.communicator import NcclCommunicator, NcclWorld
+from repro.nccl.communicator import NcclWorld
 
 __all__ = [
     "NcclProtocol",
     "build_ring",
     "ring_bandwidth",
-    "NcclCommunicator",
     "NcclWorld",
 ]

@@ -1,43 +1,47 @@
-"""NCCL communicator: ring/tree allreduce timing + functional semantics.
+"""NCCL world: ring/tree cost envelope behind the one communicator.
 
-Presents the same lock-step SPMD interface as
-:class:`repro.mpi.comm.Communicator` so Horovod can swap backends
-(`HOROVOD_GPU_ALLREDUCE=NCCL` vs MPI in the paper's runs).
+:class:`NcclWorld` prices the collectives a
+:class:`~repro.mpi.comm.Communicator` runs on it, so Horovod swaps
+backends under one allreduce call (`HOROVOD_GPU_ALLREDUCE=NCCL` vs MPI in
+the paper's runs).
 
-Fault injection is symmetric with the MPI backend since the ``repro.comm``
-refactor: a :class:`~repro.faults.FaultInjector` handed to
-:class:`NcclWorld` degrades the cost envelope — link faults scale the
-NVLink/IB hop classes (bandwidth and latency), and message faults charge
-their delay (plus one deterministic chunk retransmission per drop) against
-the inter-node hops of the ring.  The injector is consulted at the
-communicator's accumulated comm-stream time, which is the envelope's
-analogue of the MPI transport's per-transfer clock.
+Fault injection is symmetric with the MPI backend: a
+:class:`~repro.faults.FaultInjector` handed to :class:`NcclWorld` degrades
+the cost envelope — link faults scale the NVLink/IB hop classes (bandwidth
+and latency), and message faults charge their delay (plus one
+deterministic chunk retransmission per drop) against the inter-node hops
+of the ring.  The injector is consulted at the communicator's accumulated
+comm-stream time, which is the envelope's analogue of the MPI transport's
+per-transfer clock.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.errors import NcclError
 from repro.hardware.cluster import Cluster
 from repro.hardware.links import LinkKind
 from repro.mpi.collectives.base import CollectiveTiming, ExecutionMode
-from repro.mpi.comm import (
-    CollectiveObserver,
-    GpuBuffer,
-    apply_allreduce,
-    apply_bcast,
-)
-from repro.mpi.datatypes import ReduceOp
+from repro.mpi.comm import Communicator
 from repro.nccl.protocol import DEFAULT_PROTOCOL, NcclProtocol
-from repro.nccl.rings import build_ring, ring_bandwidth, ring_hop_latency
+from repro.nccl.rings import (
+    build_ring,
+    hop_fault_delay,
+    ring_bandwidth,
+    ring_hop_latency,
+)
 
 
 class NcclWorld:
-    """NCCL job state: cluster + protocol; visibility policies do not apply."""
+    """NCCL job state: cluster + protocol; visibility policies do not apply.
+
+    Prices allreduce (ring or double-binary tree), allgather, bcast and
+    barrier with the NCCL cost envelope.
+    """
 
     backend_name = "nccl"
+    error = NcclError
 
     def __init__(
         self,
@@ -62,136 +66,65 @@ class NcclWorld:
     def size(self) -> int:
         return self.num_ranks
 
-    def communicator(self) -> "NcclCommunicator":
-        return NcclCommunicator(self, list(range(self.num_ranks)))
-
-
-class NcclCommunicator:
-    """Ring/tree-based collectives with NCCL cost envelope."""
-
-    def __init__(self, world: NcclWorld, ranks: Sequence[int]):
-        self.world = world
-        self.ranks = list(ranks)
-        self.observers: list[CollectiveObserver] = []
-        self.total_comm_time = 0.0
-        self.op_count = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    def add_observer(self, observer: CollectiveObserver) -> None:
-        self.observers.append(observer)
-
-    def restrict(self, ranks: Sequence[int]) -> "NcclCommunicator":
-        """Sub-communicator on surviving ranks (elastic ring shrink)."""
-        missing = set(ranks) - set(self.ranks)
-        if missing:
-            raise NcclError(
-                f"cannot restrict to ranks {sorted(missing)} not in "
-                f"communicator {self.ranks}"
-            )
-        if not ranks:
-            raise NcclError("cannot restrict a communicator to zero ranks")
-        sub = NcclCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
-
-    def reform(self, ranks: Sequence[int]) -> "NcclCommunicator":
-        """Communicator over any subset of the world's ranks (elastic
-        shrink or re-grow).  Observers carry over."""
-        unknown = {r for r in ranks if not 0 <= r < self.world.num_ranks}
-        if unknown:
-            raise NcclError(
-                f"cannot form a communicator on ranks {sorted(unknown)} "
-                f"outside the {self.world.num_ranks}-rank world"
-            )
-        if not ranks:
-            raise NcclError("cannot form a communicator over zero ranks")
-        sub = NcclCommunicator(self.world, list(ranks))
-        sub.observers = list(self.observers)
-        return sub
+    def communicator(self, *, table=None) -> Communicator:
+        return Communicator(self, range(self.num_ranks), table=table)
 
     # -- timing models ----------------------------------------------------------
-    def _node_count(self) -> int:
-        gpn = self.world.cluster.gpus_per_node
-        return len({r // gpn for r in self.ranks})
+    def _node_count(self, comm) -> int:
+        gpn = self.cluster.gpus_per_node
+        return len({r // gpn for r in comm.ranks})
 
-    def _now(self) -> float:
-        """The envelope's clock: accumulated time on the comm stream."""
-        return self.total_comm_time
-
-    def _link_fault(self, kind: LinkKind) -> tuple[float, float]:
-        faults = self.world.faults
+    def _link_fault(self, kind: LinkKind, now: float) -> tuple[float, float]:
+        faults = self.faults
         if faults is None:
             return 1.0, 0.0
-        return faults.link_state(kind, self._now())
+        return faults.link_state(kind, now)
 
-    def _message_delay(self, nbytes: int) -> float:
-        """Injected message-fault penalty over the ring's inter-node hops.
-
-        Mirrors the MPI transport's per-message verdicts at envelope
-        granularity: each inter-node (src, dst) hop is consulted once per
-        collective; delays accumulate, and a drop costs one deterministic
-        retransmission of a pipeline chunk.  A *severed* hop (partition /
-        switch outage) can never succeed: the sender waits out the whole
-        retry ladder, then the collective raises
-        :class:`~repro.errors.MpiTimeoutError` — surfaced, not a hang.
-        """
-        faults = self.world.faults
-        if faults is None or len(self.ranks) <= 1 or nbytes == 0:
+    def _message_delay(self, comm, nbytes: int) -> float:
+        """Injected message-fault penalty over the ring's inter-node hops;
+        a drop retransmits one chunk at the unfaulted IB bandwidth."""
+        faults = self.faults
+        if faults is None or len(comm.ranks) <= 1 or nbytes == 0:
             return 0.0
-        cluster = self.world.cluster
-        proto = self.world.protocol
-        ring = build_ring(cluster, self.ranks)
+        cluster = self.cluster
+        proto = self.protocol
+        ring = build_ring(cluster, comm.ranks)
         p = len(ring)
-        delay = 0.0
+        hops = []
         for i, rank in enumerate(ring):
             nxt = ring[(i + 1) % p]
-            if cluster.gpu_ref(rank).node == cluster.gpu_ref(nxt).node:
-                continue
-            verdict = faults.message_verdict(rank, nxt, self._now())
-            delay += verdict.delay_s
-            if verdict.severed:
-                from repro.errors import MpiTimeoutError
-                from repro.faults.plan import RetryPolicy
+            if cluster.gpu_ref(rank).node != cluster.gpu_ref(nxt).node:
+                hops.append((rank, nxt))
+        ib_bw = cluster.spec.ib.bandwidth * proto.ib_efficiency
+        return hop_fault_delay(
+            faults,
+            hops,
+            comm.total_comm_time,
+            retransmit_s=proto.inter_step_latency_s + proto.chunk_bytes / ib_bw,
+            hop_label=lambda src, dst: f"ring hop {src}->{dst} ({nbytes}B)",
+            detail=f"{nbytes}B severed ring hop",
+        )
 
-                retry = RetryPolicy()
-                faults.record(
-                    "msg-timeout", self._now(), src=rank, dst=nxt,
-                    detail=f"{nbytes}B severed ring hop",
-                )
-                raise MpiTimeoutError(
-                    f"ring hop {rank}->{nxt} ({nbytes}B) path severed "
-                    f"(partition/switch outage); retry budget "
-                    f"({retry.max_retries}) exhausted after "
-                    f"{retry.ladder_time():.6f}s"
-                )
-            if verdict.drop:
-                ib_bw = cluster.spec.ib.bandwidth * proto.ib_efficiency
-                delay += proto.inter_step_latency_s + proto.chunk_bytes / ib_bw
-        return delay
-
-    def _ring_allreduce_time(self, nbytes: int) -> float:
-        p = len(self.ranks)
-        proto = self.world.protocol
+    def _ring_allreduce_time(self, comm, nbytes: int) -> float:
+        p = len(comm.ranks)
+        proto = self.protocol
         if p <= 1 or nbytes == 0:
             return 0.0
-        faults = self.world.faults
+        faults = self.faults
+        now = comm.total_comm_time
         if nbytes <= proto.ll_threshold:
             _, extra = self._link_fault(
-                LinkKind.IB if self._node_count() > 1 else LinkKind.NVLINK_P2P
+                LinkKind.IB if self._node_count(comm) > 1 else LinkKind.NVLINK_P2P,
+                now,
             )
             return (
                 proto.ll_op_latency_s
                 + math.log2(max(p, 2)) * (proto.intra_step_latency_s + extra)
-                + self._message_delay(nbytes)
+                + self._message_delay(comm, nbytes)
             )
-        bw = ring_bandwidth(
-            self.world.cluster, self.ranks, proto, faults=faults, now=self._now()
-        )
+        bw = ring_bandwidth(self.cluster, comm.ranks, proto, faults=faults, now=now)
         hop = ring_hop_latency(
-            self.world.cluster, self.ranks, proto, faults=faults, now=self._now()
+            self.cluster, comm.ranks, proto, faults=faults, now=now
         )
         steps = 2 * (p - 1)
         # chunk pipelining: latency per pipeline stage + bandwidth term
@@ -199,19 +132,20 @@ class NcclCommunicator:
         return (
             steps * (hop + fill)
             + 2 * nbytes * (p - 1) / (p * bw)
-            + self._message_delay(nbytes)
+            + self._message_delay(comm, nbytes)
         )
 
-    def _tree_allreduce_time(self, nbytes: int) -> float:
+    def _tree_allreduce_time(self, comm, nbytes: int) -> float:
         """Double-binary-tree estimate: depth in nodes, full bandwidth."""
-        p = len(self.ranks)
-        proto = self.world.protocol
-        nodes = self._node_count()
+        p = len(comm.ranks)
+        proto = self.protocol
+        nodes = self._node_count(comm)
         if p <= 1 or nbytes == 0:
             return 0.0
-        cluster = self.world.cluster
-        ib_factor, ib_extra = self._link_fault(LinkKind.IB)
-        nv_factor, nv_extra = self._link_fault(LinkKind.NVLINK_P2P)
+        cluster = self.cluster
+        now = comm.total_comm_time
+        ib_factor, ib_extra = self._link_fault(LinkKind.IB, now)
+        nv_factor, nv_extra = self._link_fault(LinkKind.NVLINK_P2P, now)
         ib_bw = cluster.spec.ib.bandwidth * proto.ib_efficiency * max(ib_factor, 1e-12)
         nv_bw = (
             cluster.spec.node.nvlink_gpu_gpu.bandwidth
@@ -229,47 +163,46 @@ class NcclCommunicator:
             latency
             + 2 * nbytes / bw
             + 2 * depth * (proto.chunk_bytes / bw)
-            + self._message_delay(nbytes)
+            + self._message_delay(comm, nbytes)
         )
 
     def _allreduce_time(
-        self, nbytes: int, algorithm: str | None = None
+        self, comm, nbytes: int, algorithm: str | None = None
     ) -> tuple[float, str]:
         """Auto-select ring vs tree, or honor an explicit override (the
         seam the ``repro.comm`` selection tables route through)."""
         if algorithm in ("ring", "nccl-ring"):
-            return self._ring_allreduce_time(nbytes), "nccl-ring"
+            return self._ring_allreduce_time(comm, nbytes), "nccl-ring"
         if algorithm in ("tree", "nccl-tree"):
-            return self._tree_allreduce_time(nbytes), "nccl-tree"
+            return self._tree_allreduce_time(comm, nbytes), "nccl-tree"
         if algorithm is not None:
             raise NcclError(
                 f"unknown NCCL allreduce algorithm {algorithm!r}; "
                 f"use 'nccl-ring' or 'nccl-tree'"
             )
-        ring = self._ring_allreduce_time(nbytes)
-        if self._node_count() >= self.world.protocol.tree_node_threshold:
-            tree = self._tree_allreduce_time(nbytes)
+        ring = self._ring_allreduce_time(comm, nbytes)
+        if self._node_count(comm) >= self.protocol.tree_node_threshold:
+            tree = self._tree_allreduce_time(comm, nbytes)
             if tree < ring:
                 return tree, "nccl-tree"
         return ring, "nccl-ring"
 
-    def _allgather_time(self, nbytes_per_rank: int) -> float:
+    def _allgather_time(self, comm, nbytes_per_rank: int) -> float:
         """Ring allgather: each rank's block circulates p-1 hops.
 
         Same envelope family as the ring allreduce, with a single
         bandwidth sweep (``n(p-1)/B`` per rank) and no reduction term —
         sparse gradient payloads use this path.
         """
-        p = len(self.ranks)
-        proto = self.world.protocol
+        p = len(comm.ranks)
+        proto = self.protocol
         if p <= 1 or nbytes_per_rank == 0:
             return 0.0
-        faults = self.world.faults
-        bw = ring_bandwidth(
-            self.world.cluster, self.ranks, proto, faults=faults, now=self._now()
-        )
+        faults = self.faults
+        now = comm.total_comm_time
+        bw = ring_bandwidth(self.cluster, comm.ranks, proto, faults=faults, now=now)
         hop = ring_hop_latency(
-            self.world.cluster, self.ranks, proto, faults=faults, now=self._now()
+            self.cluster, comm.ranks, proto, faults=faults, now=now
         )
         steps = p - 1
         fill = (
@@ -280,106 +213,51 @@ class NcclCommunicator:
         return (
             steps * (hop + fill)
             + nbytes_per_rank * (p - 1) / bw
-            + self._message_delay(nbytes_per_rank)
+            + self._message_delay(comm, nbytes_per_rank)
         )
 
-    def _bcast_time(self, nbytes: int) -> float:
-        p = len(self.ranks)
-        proto = self.world.protocol
+    def _bcast_time(self, comm, nbytes: int) -> float:
+        p = len(comm.ranks)
+        proto = self.protocol
         if p <= 1 or nbytes == 0:
             return 0.0
-        faults = self.world.faults
-        bw = ring_bandwidth(
-            self.world.cluster, self.ranks, proto, faults=faults, now=self._now()
-        )
+        faults = self.faults
+        now = comm.total_comm_time
+        bw = ring_bandwidth(self.cluster, comm.ranks, proto, faults=faults, now=now)
         hop = ring_hop_latency(
-            self.world.cluster, self.ranks, proto, faults=faults, now=self._now()
+            self.cluster, comm.ranks, proto, faults=faults, now=now
         )
         # pipelined ring broadcast: n/B + (p-1) pipeline stages
         return (
             nbytes / bw
             + (p - 1) * (hop + proto.chunk_bytes / bw)
-            + self._message_delay(nbytes)
+            + self._message_delay(comm, nbytes)
         )
 
-    # -- collective API ------------------------------------------------------------
-    def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
-        if len(buffers) != self.size:
-            raise NcclError(
-                f"collective needs {self.size} buffers, got {len(buffers)}"
-            )
-        sizes = {b.nbytes for b in buffers}
-        if len(sizes) != 1:
-            raise NcclError(f"mismatched buffer sizes: {sorted(sizes)}")
-        return sizes.pop()
+    # -- pricing ----------------------------------------------------------------
+    def price_allreduce(self, comm, buffers, nbytes, algorithm):
+        time, algo = self._allreduce_time(comm, nbytes, algorithm)
+        return _timing("allreduce", algo, comm, nbytes, time)
 
-    def _notify(self, timing: CollectiveTiming) -> None:
-        self.total_comm_time += timing.time
-        self.op_count += 1
-        for observer in self.observers:
-            observer(timing, self.world.backend_name)
+    def price_allgather(self, comm, buffers, nbytes):
+        time = self._allgather_time(comm, nbytes)
+        return _timing("allgather", "nccl-ring", comm, nbytes, time)
 
-    def allreduce(
-        self,
-        buffers: Sequence[GpuBuffer],
-        op: ReduceOp = ReduceOp.SUM,
-        *,
-        average: bool = False,
-        algorithm: str | None = None,
-    ) -> CollectiveTiming:
-        nbytes = self._validate(buffers)
-        apply_allreduce(buffers, op, average=average)
-        time, algo = self._allreduce_time(nbytes, algorithm)
-        timing = CollectiveTiming(
-            "allreduce", algo, nbytes, self.size, time, ExecutionMode.ANALYTIC
-        )
-        self._notify(timing)
-        return timing
+    def price_bcast(self, comm, buffers, nbytes, root_index):
+        time = self._bcast_time(comm, nbytes)
+        return _timing("bcast", "nccl-ring", comm, nbytes, time)
 
-    def allgather(self, buffers: Sequence[GpuBuffer]):
-        """Gather every rank's data to all ranks (ring envelope)."""
-        nbytes = self._validate(buffers)
-        datas = [b.data for b in buffers]
-        gathered = None
-        if all(d is not None for d in datas):
-            gathered = [d.copy() for d in datas]
-        timing = CollectiveTiming(
-            "allgather",
-            "nccl-ring",
-            nbytes,
-            self.size,
-            self._allgather_time(nbytes),
-            ExecutionMode.ANALYTIC,
-        )
-        self._notify(timing)
-        return gathered, timing
-
-    def bcast(
-        self, buffers: Sequence[GpuBuffer], *, root_index: int = 0
-    ) -> CollectiveTiming:
-        nbytes = self._validate(buffers)
-        apply_bcast(buffers, root_index)
-        timing = CollectiveTiming(
-            "bcast",
-            "nccl-ring",
-            nbytes,
-            self.size,
-            self._bcast_time(nbytes),
-            ExecutionMode.ANALYTIC,
-        )
-        self._notify(timing)
-        return timing
-
-    def barrier(self) -> CollectiveTiming:
-        p = len(self.ranks)
-        proto = self.world.protocol
+    def price_barrier(self, comm):
+        p = len(comm.ranks)
         time = (
-            math.ceil(math.log2(max(p, 2))) * proto.inter_step_latency_s
+            math.ceil(math.log2(max(p, 2))) * self.protocol.inter_step_latency_s
             if p > 1
             else 0.0
         )
-        timing = CollectiveTiming(
-            "barrier", "nccl", 0, p, time, ExecutionMode.ANALYTIC
-        )
-        self._notify(timing)
-        return timing
+        return _timing("barrier", "nccl", comm, 0, time)
+
+
+def _timing(op: str, algorithm: str, comm, nbytes: int, time: float):
+    return CollectiveTiming(
+        op, algorithm, nbytes, comm.size, time, ExecutionMode.ANALYTIC
+    )

@@ -8,7 +8,8 @@ topology-aware ring).
 
 from __future__ import annotations
 
-from repro.errors import NcclError
+from repro.errors import MpiTimeoutError, NcclError
+from repro.faults.plan import RetryPolicy
 from repro.hardware.cluster import Cluster
 from repro.hardware.links import LinkKind
 
@@ -105,3 +106,35 @@ def ring_hop_latency(
         _, extra = _hop_fault(faults, inter, now)
         worst = max(worst, lat + extra)
     return worst
+
+
+def hop_fault_delay(
+    faults, hops, now: float, *, retransmit_s: float, hop_label, detail: str
+) -> float:
+    """Injected message-fault penalty over an envelope's ``(src, dst)`` hops.
+
+    Mirrors the MPI transport's per-message verdicts at envelope
+    granularity: each hop is consulted once per collective, in order;
+    delays accumulate, and a drop costs ``retransmit_s`` (one deterministic
+    retransmission of a pipeline chunk).  A *severed* hop (partition /
+    switch outage) can never succeed: the sender waits out the whole retry
+    ladder, then the collective raises
+    :class:`~repro.errors.MpiTimeoutError` naming ``hop_label(src, dst)``
+    — surfaced, not a hang.
+    """
+    delay = 0.0
+    for src, dst in hops:
+        verdict = faults.message_verdict(src, dst, now)
+        delay += verdict.delay_s
+        if verdict.severed:
+            retry = RetryPolicy()
+            faults.record("msg-timeout", now, src=src, dst=dst, detail=detail)
+            raise MpiTimeoutError(
+                f"{hop_label(src, dst)} path severed "
+                f"(partition/switch outage); retry budget "
+                f"({retry.max_retries}) exhausted after "
+                f"{retry.ladder_time():.6f}s"
+            )
+        if verdict.drop:
+            delay += retransmit_s
+    return delay

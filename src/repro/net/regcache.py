@@ -204,6 +204,3 @@ class RegistrationCache:
             "hit_rate": self.hit_rate,
             "entries": len(self._entries),
         }
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.evictions = 0

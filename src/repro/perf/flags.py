@@ -32,10 +32,3 @@ link_fastpath: bool = _env_on("REPRO_PERF_LINK_FASTPATH")
 
 #: reuse collective step schedules across calls with identical keys
 schedule_memo: bool = _env_on("REPRO_PERF_SCHEDULE_MEMO")
-
-
-def reset_from_env() -> None:
-    """Re-read both toggles from the environment (test helper)."""
-    global link_fastpath, schedule_memo
-    link_fastpath = _env_on("REPRO_PERF_LINK_FASTPATH")
-    schedule_memo = _env_on("REPRO_PERF_SCHEDULE_MEMO")

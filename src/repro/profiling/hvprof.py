@@ -39,8 +39,8 @@ class BinStats:
 class Hvprof:
     """Observer-based communication profiler.
 
-    Attach with ``comm.add_observer(hvprof.observer)`` (works for both the
-    MPI and NCCL communicators — backend-agnostic by construction, like the
+    Attach with ``comm.add_observer(hvprof.observer)`` (every backend runs
+    the one communicator class — backend-agnostic by construction, like the
     original tool).
     """
 

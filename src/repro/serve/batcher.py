@@ -68,9 +68,6 @@ class DynamicBatcher:
             )
         self._queue.append((request, now))
 
-    def oldest_enqueued_at(self) -> float | None:
-        return self._queue[0][1] if self._queue else None
-
     def next_deadline(self) -> float | None:
         """Latest instant the head-of-line batch may dispatch (or None)."""
         if not self._queue:

@@ -45,7 +45,3 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def peek_all(self) -> list[Any]:
-        """Non-destructive snapshot of queued items (for debugging/tests)."""
-        return list(self._items)

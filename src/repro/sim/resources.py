@@ -43,10 +43,6 @@ class Resource:
         self.peak_queue_len = 0
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queue_len(self) -> int:
         return len(self._queue)
 
@@ -93,11 +89,6 @@ class Resource:
     def acquire(self):
         """Process helper: ``yield from resource.acquire()``."""
         yield self.request()
-
-    def mean_wait_time(self) -> float:
-        if self.grant_count == 0:
-            return 0.0
-        return self.total_wait_time / self.grant_count
 
     def __repr__(self) -> str:
         return (

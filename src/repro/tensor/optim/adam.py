@@ -52,11 +52,6 @@ class Adam(Optimizer):
         v_hat = v / (1 - self.beta2**t)
         param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    @property
-    def state_bytes_per_param(self) -> int:
-        """Adam keeps two fp32 moments per parameter (memory model input)."""
-        return 8
-
     # -- state round-trip -------------------------------------------------------
     def _per_param_state(self) -> dict[str, list[np.ndarray]]:
         m, v, t = [], [], []

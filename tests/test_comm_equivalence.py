@@ -1,10 +1,10 @@
-"""Bit-identity of the unified comm stack with the raw backends.
+"""Bit-identity of the registry's communicators with the worlds' own.
 
-The repro.comm refactor is behavior-preserving: with no selection table
-installed, a RoutedCommunicator must reproduce the raw backend
-communicators' timings *exactly* (==, not approx) — same algorithms, same
-collective times, same engine step timings — from single-node worlds up
-to the paper's 128-node (512-GPU) scale.
+With no selection table installed, a communicator from
+``build_communicator`` must reproduce ``world.communicator()``'s timings
+*exactly* (==, not approx) — same algorithms, same collective times, same
+engine step timings — from single-node worlds up to the paper's 128-node
+(512-GPU) scale.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.core import MPI_OPT
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
 from repro.horovod import HorovodConfig, HorovodEngine
-from repro.horovod.backend import build_backend
 from repro.horovod.fusion import PendingTensor
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.comm import GpuBuffer
@@ -118,26 +117,11 @@ class TestEngineStepIdentity:
                [(m.nbytes, m.start, m.finish, m.algorithm)
                 for m in a.messages]
 
-    def test_build_backend_is_the_registry(self):
-        """The horovod entry point and the registry hand back the same
-        routed stack (one seam, not two)."""
-        cluster = build_cluster(LASSEN, 8)
-        _w, via_horovod = build_backend(
-            cluster, "mpi", world_spec=make_spec(8)
-        )
-        _w, via_registry = build_communicator(
-            cluster, "mpi", world_spec=make_spec(8)
-        )
-        a = via_horovod.allreduce(virtual(1 * MIB, 8))
-        b = via_registry.allreduce(virtual(1 * MIB, 8))
-        assert a.time == b.time
-        assert type(via_horovod) is type(via_registry)
-
 
 class TestStudyIdentity:
     def test_scaling_point_unchanged_by_refactor_seam(self):
-        """A study point driven through build_backend (the refactored path)
-        equals one driven through a hand-built raw engine."""
+        """A study point driven through build_communicator is the same
+        on every run."""
         from repro.core import ScalingStudy, StudyConfig
 
         config = StudyConfig(measure_steps=2)

@@ -102,15 +102,15 @@ class TestEventModeIntegration:
         fast = StudyConfig(measure_steps=1, warmup_steps=0)
         analytic = ScalingStudy(MPI_OPT, fast).run_point(8)
         # event mode through the same study machinery
-        from repro.horovod.backend import build_backend
+        from repro.comm import build_communicator
         from repro.hardware.cluster import build_cluster
         from repro.horovod.engine import HorovodEngine as HE
         from repro.core.program import gradient_stream
 
         cluster = build_cluster(LASSEN, 8)
         spec = WorldSpec(num_ranks=8, policy=MPI_OPT.policy, config=MPI_OPT.mv2)
-        world, comm = build_backend(cluster, "mpi", world_spec=spec,
-                                    mode=ExecutionMode.EVENT)
+        world, comm = build_communicator(cluster, "mpi", world_spec=spec,
+                                         mode=ExecutionMode.EVENT)
         study = ScalingStudy(MPI_OPT, fast)
         engine = HE(comm, fast.horovod)
         stream = gradient_stream(

@@ -12,12 +12,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.comm import build_communicator
 from repro.core.scenarios import scenario_by_name
 from repro.core.study import ScalingStudy, StudyConfig
 from repro.errors import ConfigError, MpiError
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
-from repro.horovod.backend import build_backend
 from repro.models import get_model_cost
 from repro.mpi.comm import GpuBuffer
 from repro.parallel import (
@@ -149,7 +149,7 @@ class TestPartitioning:
 
 class TestReduceScatter:
     def test_hierarchical_mirrors_allgather(self):
-        _, comm = build_backend(
+        _, comm = build_communicator(
             build_cluster(LASSEN, 8), "hierarchical", num_ranks=8)
         _, ag = comm.allgather([GpuBuffer.virtual(MIB) for _ in range(8)])
         _, rs = comm.reduce_scatter(
@@ -159,7 +159,7 @@ class TestReduceScatter:
         assert rs.time > 0
 
     def test_hierarchical_functional(self):
-        _, comm = build_backend(
+        _, comm = build_communicator(
             build_cluster(LASSEN, 4), "hierarchical", num_ranks=4)
         arrays = [
             np.full(8, float(r + 1), dtype=np.float32) for r in range(4)
@@ -173,7 +173,7 @@ class TestReduceScatter:
     def test_hierarchical_divisibility_validated(self):
         from repro.errors import CommError
 
-        _, comm = build_backend(
+        _, comm = build_communicator(
             build_cluster(LASSEN, 4), "hierarchical", num_ranks=4)
         with pytest.raises(CommError):
             comm.reduce_scatter([GpuBuffer.virtual(6) for _ in range(4)])

@@ -37,6 +37,7 @@ from repro.mpi import WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.comm import GpuBuffer
 from repro.parallel.planner import PlannerConfig, plan_hybrid
+from repro.profiling import Hvprof
 from repro.resilience import RESTART_FROM_CHECKPOINT, SHRINK_CONTINUE
 from repro.serve import VIDEO_MIX, BatchingConfig, ServeScenario, WorkloadConfig
 from repro.serve.simulator import RETIRED, _ServeSimulation
@@ -49,7 +50,7 @@ MODES = ["exact", "fast", "event"]
 
 
 def _world(mode: str, ranks: int = RANKS):
-    """A routed MPI-Opt communicator on a fresh cluster, in one engine mode."""
+    """An MPI-Opt communicator on a fresh cluster, in one engine mode."""
     cluster = Cluster(Environment(), LASSEN, num_nodes=ranks // 4)
     spec = WorldSpec(num_ranks=ranks, policy=MPI_OPT.policy, config=MPI_OPT.mv2)
     execution = ExecutionMode.EVENT if mode == "event" else ExecutionMode.ANALYTIC
@@ -90,7 +91,7 @@ class TestFreedByReferenceCounting:
         try:
             world, comm = _world(mode)
             _allreduces(comm)
-            assert len(comm.records) == 2
+            assert comm.op_count == 2
             world_ref = weakref.ref(world)
             cluster_ref = weakref.ref(world.cluster)
             del world, comm
@@ -100,13 +101,15 @@ class TestFreedByReferenceCounting:
             gc.enable()
 
     def test_restricted_communicator_keeps_one_recorder(self):
-        # the rewrap strips the parent's recorder by identity
+        # restrict copies the observer list: one record per collective
         gc.disable()
         try:
             world, comm = _world("exact", ranks=8)
+            hv = Hvprof()
+            comm.add_observer(hv.observer)
             sub = comm.restrict([0, 1, 2, 3])
             _allreduces(sub)
-            assert len(sub.records) == 2 and not comm.records
+            assert len(hv.records) == 2 and comm.op_count == 0
             world_ref = weakref.ref(world)
             del world, comm, sub
             assert world_ref() is None
