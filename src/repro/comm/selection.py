@@ -8,9 +8,10 @@ algorithm names bucketed by byte and rank thresholds, either built in
 (mirroring the heuristics the backends already apply) or produced by the
 sim-driven autotuner in :mod:`repro.comm.tuning`.
 
-Tables are *opt-in*: with no active table the routed communicator passes
-``algorithm=None`` and every backend falls back to its historical
-heuristic, which is what keeps the refactor bit-identical by default.
+Tables are *opt-in*: with no table the communicator passes
+``algorithm=None`` and every backend falls back to its own heuristic.
+``build_communicator`` hands its communicator the backend's active table;
+``world.communicator()`` never does.
 """
 
 from __future__ import annotations

@@ -173,10 +173,10 @@ def _sweep(
 
 
 def _time_algorithm(comm, nbytes: int, algorithm: str) -> float | None:
-    if algorithm in _POW2_ONLY and comm.size & (comm.size - 1):
-        return None
     from repro.mpi.comm import GpuBuffer
 
+    if algorithm in _POW2_ONLY and comm.size & (comm.size - 1):
+        return None
     buffers = [GpuBuffer.virtual(nbytes) for _ in range(comm.size)]
     return comm.allreduce(buffers, algorithm=algorithm).time
 

@@ -37,12 +37,13 @@ from repro.comm.selection import (
 )
 from repro.core import MPI_OPT
 from repro.errors import CommError, ConfigError, NcclError
-from repro.faults import FaultInjector, FaultPlan, LinkFault
+from repro.faults import FaultInjector, FaultPlan, LinkFault, MessageFault
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
 from repro.mpi import WorldSpec
 from repro.mpi.comm import Communicator, GpuBuffer
 from repro.nccl import NcclWorld
+from repro.nccl.protocol import DEFAULT_PROTOCOL
 from repro.profiling import Hvprof
 from repro.utils.units import KIB, MIB
 
@@ -383,6 +384,38 @@ class TestNcclFaults:
         assert ring.time != tree.time
         with pytest.raises(NcclError):
             comm.allreduce(virtual(1 * MIB, 16), algorithm="rdb")
+
+
+class TestDropRetransmit:
+    """A certain drop on one inter-node hop costs one chunk retransmit:
+    NCCL prices it at the unfaulted IB bandwidth, the hierarchical
+    backend at its faulted IB alpha and bandwidth."""
+
+    IB = LinkFault(kind="ib", bandwidth_factor=0.5, latency_add_s=20e-6)
+
+    def drop_cost(self, backend, src, dst):
+        def allreduce_time(*faults):
+            plan = FaultPlan(faults=(self.IB, *faults))
+            comm = routed(backend, 8, faults=FaultInjector(plan))
+            return comm.allreduce(virtual(1 * MIB, 8)).time
+
+        drop = MessageFault(src=src, dst=dst, drop_prob=1.0)
+        return allreduce_time(drop) - allreduce_time()
+
+    def test_nccl_retransmits_at_unfaulted_bandwidth(self):
+        proto = DEFAULT_PROTOCOL
+        ib_bw = LASSEN.ib.bandwidth * proto.ib_efficiency
+        assert self.drop_cost("nccl", 3, 4) == pytest.approx(
+            proto.inter_step_latency_s + proto.chunk_bytes / ib_bw
+        )
+
+    def test_hierarchical_retransmits_at_faulted_ib(self):
+        proto = DEFAULT_PROTOCOL
+        ib_bw = LASSEN.ib.bandwidth * proto.ib_efficiency * 0.5
+        ib_alpha = proto.inter_step_latency_s + 20e-6
+        assert self.drop_cost("hierarchical", 0, 4) == pytest.approx(
+            ib_alpha + proto.chunk_bytes / ib_bw
+        )
 
 
 # -- autotuner crossover properties (satellite: tuned-table invariants) --------
