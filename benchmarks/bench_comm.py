@@ -228,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads["tuner"] = time_tuner(args.quick)
     print("[bench_comm]   cold {cold_s:.2f}s  warm {warm_s:.4f}s  "
           "digest {table_digest}".format(**workloads["tuner"]))
-    print("[bench_comm] routed-wrapper overhead ...")
+    print("[bench_comm] routed overhead (registry vs world communicator) ...")
     workloads["routed_overhead"] = time_routed_overhead(args.quick)
     print("[bench_comm]   {overhead_factor:.2f}x raw, "
           "{routed_ops_per_sec:.0f} ops/s".format(**workloads["routed_overhead"]))
