@@ -71,9 +71,10 @@ class ScheduleMemo:
     A schedule is pure data determined by (algorithm, rank list, message
     size, buffer ids[, node grouping]), and Horovod issues the same
     allreduce shape every training step — so plans are built once and
-    reused instead of being reconstructed per call.  Schedules are
-    immutable after construction (lists of frozen PairTransfers that the
-    costers only read), which is what makes sharing them safe.
+    reused instead of being reconstructed per call.  Nothing changes a
+    schedule after it is built (the costers only read its steps and
+    their ``PairTransfer`` records), which is what makes sharing them
+    safe.
 
     Each world's :class:`~repro.mpi.collectives.base.StepCoster` owns one
     (``coster.schedules``), so a dropped world takes its schedules with

@@ -54,12 +54,13 @@ class Cluster:
         #: link state varies with simulated time: the attached injector's
         #: plan holds a LinkFault (``FaultInjector.degrades_links``)
         self.live_links = False
-        # Topology is immutable after construction: memoize routes and the
-        # (sum-of-alphas, bottleneck-bandwidth) pair per endpoint pair.
+        # Topology is immutable after construction: memoize routes per
+        # endpoint pair and the (sum-of-alphas, bottleneck-bandwidth) pair
+        # per route class (see path_constants).
         self._route_cache: dict[
             tuple[DeviceRef, DeviceRef], list[tuple[Link, object, object]]
         ] = {}
-        self._path_cache: dict[tuple[DeviceRef, DeviceRef], tuple[float, float]] = {}
+        self._path_cache: dict[tuple, tuple[float, float]] = {}
 
     def apply_fault_injector(self, injector) -> None:
         """Register a :class:`~repro.faults.FaultInjector` on every link so
@@ -190,14 +191,19 @@ class Cluster:
         """Fault-free ``(sum of hop latencies, bottleneck bandwidth)`` of
         the route, ``(0.0, inf)`` for an empty one.
 
-        Memoized: both are immutable once the fabric is built.  The hop
-        list is reduced and dropped, not added to the route memo: callers
-        keep the constants (the transport's rank-pair table does), so most
-        routes are walked once and never again.  Latencies are added left
-        to right, as :meth:`path_cost`'s live walk adds them, so both give
-        the same float (``sum()`` is compensated from Python 3.12 on).
+        Memoized per route class ``(src.kind, src.index, dst.kind,
+        dst.index, same node)``, not per endpoint pair.  This rests on the
+        fabric being uniform: every node is built from the one
+        ``spec.node`` and every uplink from the one IB spec, so two routes
+        of a class cross links of the same specs in the same order.  A
+        4096-rank world then walks a few dozen routes instead of one per
+        rank pair.  The hop list is reduced and dropped, not added to the
+        route memo.  Latencies are added left to right, as
+        :meth:`path_cost`'s live walk adds them, so both give the same
+        float (``sum()`` is compensated from Python 3.12 on).
         """
-        constants = self._path_cache.get((src, dst))
+        key = (src.kind, src.index, dst.kind, dst.index, src.node == dst.node)
+        constants = self._path_cache.get(key)
         if constants is None:
             hops = self._route_cache.get((src, dst)) or self._route_uncached(src, dst)
             alpha = 0.0
@@ -208,7 +214,7 @@ class Cluster:
                 min((link.spec.bandwidth for link, _, _ in hops),
                     default=float("inf")),
             )
-            self._path_cache[(src, dst)] = constants
+            self._path_cache[key] = constants
         return constants
 
     def path_cost(self, src: DeviceRef, dst: DeviceRef, nbytes: int) -> float:

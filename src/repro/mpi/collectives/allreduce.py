@@ -169,20 +169,17 @@ def _binomial_reduce_steps(
 
 
 def _binomial_bcast_steps(
-    group: list[int],
-    nbytes: int,
-    buffer_ids: dict[int, int] | None,
-    dtype_bytes: int = FLOAT32_BYTES,
+    reduce_steps: list[list[PairTransfer]],
 ) -> list[list[PairTransfer]]:
-    """Binomial-tree broadcast from group[0] (reverse of the reduce)."""
+    """Binomial-tree broadcast from group[0]: the reduce's steps in
+    reverse, every transfer turned round."""
     return [
         [
             PairTransfer(t.dst, t.src, t.nbytes, t.dst_buffer, t.src_buffer,
                          dtype_bytes=t.dtype_bytes)
             for t in step
         ]
-        for step in reversed(
-            _binomial_reduce_steps(group, nbytes, buffer_ids, dtype_bytes))
+        for step in reversed(reduce_steps)
     ]
 
 
@@ -195,15 +192,13 @@ def _hierarchical_intra_steps(
     """Merged intra-node (reduce, bcast) schedules for all node groups.
 
     Intra-node phases run concurrently across nodes, so per-node binomial
-    schedules merge step-by-step.  Each group's schedule is built once and
-    indexed per depth (the depth loop used to rebuild it quadratically).
+    schedules merge step-by-step.  Each group's reduce is built once, its
+    broadcast is derived from it, and both are indexed per depth.
     """
     reduce_per_group = [
         _binomial_reduce_steps(g, nbytes, buffer_ids, dtype_bytes) for g in groups
     ]
-    bcast_per_group = [
-        _binomial_bcast_steps(g, nbytes, buffer_ids, dtype_bytes) for g in groups
-    ]
+    bcast_per_group = [_binomial_bcast_steps(steps) for steps in reduce_per_group]
 
     def merge(per_group: list[list[list[PairTransfer]]]) -> list[list[PairTransfer]]:
         merged_steps = []

@@ -44,9 +44,15 @@ class CollectiveTiming:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PairTransfer:
     """One point-to-point transfer inside an algorithm step.
+
+    A slotted record, equal and hashed by value.  Not frozen: a frozen
+    dataclass builds through ``object.__setattr__`` at about four times
+    the cost, and a 4096-rank world builds tens of thousands.  Schedules
+    share their transfers (:class:`~repro.comm.cost.ScheduleMemo`), so
+    nothing may assign to one after it is built.
 
     ``buffer_extent`` is the full size of the communication buffer this
     transfer's chunk belongs to: IB registration pins the whole buffer
@@ -74,7 +80,7 @@ class RingSchedule:
     materializing the full ``p * (p-1)`` transfer grid dominates
     schedule-build time at high rank counts.  This sequence behaves like
     the list-of-steps it replaces — iteration and indexing materialize
-    step lists on demand from a pool of shared frozen transfers — while
+    step lists on demand from a pool of shared transfers — while
     exposing the compact descriptor the analytic fast path consumes
     directly (``repro.sim.fastpath`` computes ring makespans from the
     descriptor without ever materializing the grid).

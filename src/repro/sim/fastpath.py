@@ -260,15 +260,7 @@ class FastPathSession:
         if rem:
             # at most one staged transfer per node: each step's makespan
             # is the plain max of its transfers' totals
-            idx = np.arange(p)
-            s_arr = np.arange(s0, p - 1)
-            is_big = ((idx[None, :] - s_arr[:, None]) % p) < rem
-            makespans = np.where(
-                is_big,
-                np.array(t_big, dtype=np.float64)[None, :],
-                np.array(t_small, dtype=np.float64)[None, :],
-            ).max(axis=1).tolist()
-            cnt_big = is_big.sum(axis=0).tolist()
+            makespans, cnt_big = ring_tail_makespans(t_big, t_small, rem, s0)
         else:
             # uniform ring: every collapsed step prices identically
             makespans = [coster.makespan(q_small, t_small)] * n_rem
@@ -300,6 +292,50 @@ class FastPathSession:
                 )
         self.replayed_transfers += n_rem * p
         return total
+
+
+def _window_max(doubled: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
+    """``max(doubled[j : j + width])`` for each ``j`` in ``starts``.
+
+    A sparse table: after ``k`` rounds ``table[j]`` is the max of the
+    ``2**k`` values from ``j``, and each window is the max of two
+    overlapping spans.  ``starts + width`` must not pass ``len(doubled)``.
+    """
+    table = doubled
+    span = 1
+    while 2 * span <= width:
+        table = np.maximum(table[:-span], table[span:])
+        span *= 2
+    return np.maximum(table[starts], table[starts + (width - span)])
+
+
+def ring_tail_makespans(
+    t_big: list[float], t_small: list[float], rem: int, s0: int
+) -> tuple[list[float], list[int]]:
+    """Makespans of chunked-ring steps ``s0 .. p-2`` and each pair's
+    big-chunk step count, for ``0 < rem < p``.
+
+    Step ``s`` sends a big chunk on the pairs ``[s, s+rem)`` and a small
+    one on ``[s+rem, s+p)`` (indices mod ``p``), so its makespan is the
+    larger of two cyclic sliding-window maxima: of ``t_big`` over the
+    first window and of ``t_small`` over the second.  ``max`` only
+    selects a value, so this is exactly the max over the step's totals,
+    in O(p log p) instead of a ``(p-1-s0) x p`` matrix.  The per-pair
+    counts come from a difference array over the same windows.
+    """
+    p = len(t_big)
+    starts = np.arange(s0, p - 1)
+    big = np.array(t_big + t_big, dtype=np.float64)
+    small = np.array(t_small + t_small, dtype=np.float64)
+    makespans = np.maximum(
+        _window_max(big, rem, starts),
+        _window_max(small, p - rem, (starts + rem) % p),
+    )
+    diff = np.zeros(2 * p + 1, dtype=np.int64)
+    diff[starts] += 1
+    diff[starts + rem] -= 1
+    covered = np.cumsum(diff[: 2 * p])
+    return makespans.tolist(), (covered[:p] + covered[p:]).tolist()
 
 
 def enable_fastpath(world) -> FastPathSession | None:

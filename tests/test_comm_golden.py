@@ -165,11 +165,16 @@ def timing_line(timing) -> str:
 
 class Script:
     """Runs operations, writes one line per result or error, and keeps
-    each communicator's timings to check its ``total_comm_time``."""
+    each communicator's timings to check its ``total_comm_time``.
+
+    Timings are keyed by the communicator itself, which keeps it alive
+    for the life of the script: keyed by ``id()``, a communicator built
+    after another was freed could reuse its id and inherit its timings.
+    """
 
     def __init__(self):
         self.lines: list[str] = []
-        self.issued: dict[int, list[float]] = {}
+        self.issued: dict[object, list[float]] = {}
 
     def op(self, label: str, comm, fn):
         try:
@@ -179,7 +184,7 @@ class Script:
             self.lines.append(f"{label} !{type(exc).__name__}{text}")
             return None
         timing = result[1] if isinstance(result, tuple) else result
-        self.issued.setdefault(id(comm), []).append(timing.time)
+        self.issued.setdefault(comm, []).append(timing.time)
         self.lines.append(f"{label} {timing_line(timing)}")
         if isinstance(result, tuple):
             self.lines.append(f"{label} data={_arrays(result[0])}")
@@ -197,7 +202,7 @@ class Script:
 
     def close(self, label: str, comm) -> None:
         total = 0.0
-        for t in self.issued.get(id(comm), []):
+        for t in self.issued.get(comm, []):
             total += t
         assert comm.total_comm_time == total
         self.lines.append(f"{label} ops={comm.op_count} size={comm.size}")

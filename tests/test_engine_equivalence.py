@@ -45,9 +45,15 @@ def assert_points_identical(exact, fast):
     assert point_payload(exact) == point_payload(fast)
 
 
+#: every scenario at 4 and 16 GPUs; MPI and MPI-Opt also at 128 and 256,
+#: whose 32- and 64-leader rings collapse with ``rem != 0`` chunks
+POINTS = [(n, s.name) for n in (4, 16) for s in SCENARIOS] + [
+    (n, name) for n in (128, 256) for name in ("MPI", "MPI-Opt")
+]
+
+
 class TestTrainEquivalence:
-    @pytest.mark.parametrize("scenario", [s.name for s in SCENARIOS])
-    @pytest.mark.parametrize("num_gpus", [4, 16])
+    @pytest.mark.parametrize("num_gpus, scenario", POINTS)
     def test_point_bit_identity(self, scenario, num_gpus):
         exact = run_point(scenario, num_gpus, "exact")
         fast = run_point(scenario, num_gpus, "fast")

@@ -208,24 +208,52 @@ class TestCluster:
     def test_path_constants_fold_latencies_left_to_right(self, cluster):
         """``path_cost``'s live walk adds hop latencies in route order, so
         the stored constants must too: ``sum()`` is compensated from
-        Python 3.12 on and rounds some inter-node routes differently."""
-        gpus = [cluster.gpu_ref(g) for g in range(cluster.num_gpus)]
+        Python 3.12 on and rounds some inter-node routes differently.
+
+        The constants are memoized per route class, which is sound only
+        on a uniform fabric, so every GPU, CPU and HCA endpoint pair of
+        each cluster below is checked against a walk of its own route:
+        a node or uplink built from another spec would fail here."""
+        from dataclasses import replace
+
+        from repro.parallel.executor import dp_cluster_spec
+        from repro.parallel.layout import ParallelLayout
+
+        tapered = replace(LASSEN, name="tapered", oversubscription=2.0)
+        specs = [
+            tapered,
+            # dp-group views of tp=2 (2 GPUs a node) and tp=4 (1 GPU)
+            dp_cluster_spec(LASSEN, ParallelLayout(dp=6, tp=2)),
+            dp_cluster_spec(LASSEN, ParallelLayout(dp=3, tp=4)),
+        ]
+        assert [s.node.gpus_per_node for s in specs] == [4, 2, 1]
+        clusters = [
+            cluster,
+            Cluster(Environment(), LASSEN, num_nodes=3),
+            *(Cluster(Environment(), spec, num_nodes=3) for spec in specs),
+        ]
         rounded_apart = 0
-        for src in gpus:
-            for dst in gpus:
-                hops = cluster.route(src, dst)
-                alpha = 0.0
-                for link, _, _ in hops:
-                    alpha += link.spec.latency_s
-                bottleneck = min(
-                    (link.spec.bandwidth for link, _, _ in hops),
-                    default=float("inf"),
-                )
-                got_alpha, got_bottleneck = cluster.path_constants(src, dst)
-                assert got_alpha.hex() == alpha.hex(), (src, dst)
-                assert got_bottleneck == bottleneck, (src, dst)
-                latencies = [link.spec.latency_s for link, _, _ in hops]
-                rounded_apart += alpha != math.fsum(latencies)
+        for c in clusters:
+            ends = [
+                ref
+                for node in c.nodes
+                for ref in (*node.gpu_refs, *node.cpu_refs, node.hca_ref)
+            ]
+            for src in ends:
+                for dst in ends:
+                    hops = c.route(src, dst)
+                    alpha = 0.0
+                    for link, _, _ in hops:
+                        alpha += link.spec.latency_s
+                    bottleneck = min(
+                        (link.spec.bandwidth for link, _, _ in hops),
+                        default=float("inf"),
+                    )
+                    got_alpha, got_bottleneck = c.path_constants(src, dst)
+                    assert got_alpha.hex() == alpha.hex(), (c, src, dst)
+                    assert got_bottleneck == bottleneck, (c, src, dst)
+                    latencies = [link.spec.latency_s for link, _, _ in hops]
+                    rounded_apart += alpha != math.fsum(latencies)
         # some route's fold differs from the correctly rounded sum, so the
         # comparison above tells a fold from a compensated sum
         assert rounded_apart
