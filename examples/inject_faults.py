@@ -3,8 +3,9 @@
 
 Runs the paper's 8-GPU distributed EDSR recipe under a ``FaultPlan`` —
 a transient straggler, a flapping InfiniBand link, and (optionally) a rank
-failure absorbed by the shrink policy — and demonstrates the two
-reproducibility guarantees the fault subsystem makes:
+failure the heartbeat watchdog declares dead, after which the survivors
+shrink the ring and continue — and demonstrates the two reproducibility
+guarantees the fault subsystem makes:
 
 1. the *same* plan + seed produces byte-identical fault traces and
    bit-identical throughput across runs;
@@ -63,8 +64,6 @@ def run_training(args, plan: FaultPlan | None):
         lr_patch=8,
         base_lr=5e-4,
         faults=injector,
-        resilience=args.policy,
-        detect_timeout_s=0.05,
     )
     result = trainer.train(steps=args.steps)
     return result, injector, hvprof
@@ -77,8 +76,6 @@ def main() -> None:
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--scenario", type=str, default="MPI-Opt")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--policy", type=str, default="shrink",
-                        choices=["shrink", "abort"])
     parser.add_argument("--fail-rank", type=int, default=-1,
                         help="rank to kill mid-run (-1 disables)")
     args = parser.parse_args()
@@ -95,7 +92,7 @@ def main() -> None:
     plan = FaultPlan(seed=args.seed, faults=tuple(faults))
 
     print(f"fault plan (seed {args.seed}): {len(plan.faults)} faults, "
-          f"policy={args.policy}")
+          "policy=shrink-continue")
 
     baseline, _, _ = run_training(args, None)
     base_ips = baseline.simulated_images_per_second

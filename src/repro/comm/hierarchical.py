@@ -28,6 +28,7 @@ from repro.mpi.collectives.base import CollectiveTiming, ExecutionMode
 from repro.mpi.comm import Communicator
 from repro.nccl.protocol import DEFAULT_PROTOCOL, NcclProtocol
 from repro.nccl.rings import hop_fault_delay
+from repro.utils.folds import fold_sum
 
 #: the one algorithm this backend implements
 ALGORITHM = "hier-2level"
@@ -227,7 +228,7 @@ class HierarchicalWorld:
             ALGORITHM,
             nbytes,
             comm.size,
-            sum(segments.values()),
+            fold_sum(segments.values()),
             ExecutionMode.ANALYTIC,
             segments,
         )

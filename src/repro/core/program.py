@@ -12,8 +12,9 @@ of P such steps, each one phase of the period.  A
 any phase against one Horovod engine (:meth:`StepProgram.price` is the one
 place the pageable-staging blocking charge is taken), and owns the clean
 executor: warm-up, steady-state detection, early stop and extrapolation
-(:meth:`StepProgram.run`).  The elastic-recovery loop keeps its own
-orchestration and calls the same pricer and detector step by step.
+(:meth:`StepProgram.run`).  Under a fault plan the
+:class:`~repro.resilience.RecoveryLadder` walks the steps instead, and
+the study's priced job calls the same pricer and detector step by step.
 
 See ``docs/performance.md`` for the per-program phase table.
 """

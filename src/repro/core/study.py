@@ -26,7 +26,7 @@ from repro.comm.api import broadcast_weights
 from repro.compression import CompressionConfig
 from repro.core.program import StepProgram, build_engine
 from repro.core.scenarios import IMAGE_SPEC, Scenario, ScenarioSpec
-from repro.errors import ConfigError
+from repro.errors import CheckpointError, ConfigError
 from repro.hardware.cluster import build_cluster
 from repro.hardware.specs import ClusterSpec, LASSEN
 from repro.horovod.coordinator import straggler_factor
@@ -35,6 +35,7 @@ from repro.models.costing import ModelCostModel, ThroughputModel, TrainingMemory
 from repro.models.registry import get_model_cost, get_scenario_cost
 from repro.parallel.layout import ParallelLayout
 from repro.profiling.hvprof import Hvprof
+from repro.utils.folds import fold_sum
 
 
 @dataclass(frozen=True)
@@ -421,7 +422,7 @@ class ScalingStudy:
             world=world, engine=engine, hvprof=hvprof,
         )
         step_times, simulated = program.run(cfg.warmup_steps, cfg.measure_steps)
-        mean_step = sum(step_times) / len(step_times)
+        mean_step = fold_sum(step_times) / len(step_times)
         return ScalingPoint(
             scenario=self.scenario.name,
             num_gpus=num_gpus,
@@ -446,19 +447,16 @@ class ScalingStudy:
     ) -> ScalingPoint:
         """One point under the study's fault plan and recovery policy.
 
-        Mirrors the functional trainer's orchestration on the performance
-        model: a heartbeat supervisor detects dead ranks, the recovery
-        policy decides between restart-from-checkpoint (steps since the
-        last snapshot are discarded as lost work and re-simulated on the
-        shrunk ring) and shrink-and-continue; chronic stragglers can be
-        blacklisted, and ranks whose outage window ends can be regrown.
-        All overheads land in the point's ``resilience`` ledger.
+        A :class:`~repro.resilience.RecoveryLadder` walks the point's
+        steps with a :class:`_PricedJob`: the watchdog declares dead
+        ranks, the policy decides between restart-from-checkpoint (steps
+        since the last snapshot are discarded as lost work and re-priced
+        on the shrunk ring) and shrink-and-continue, chronic stragglers
+        can be blacklisted, and ranks whose outage window ends can be
+        regrown.  All overheads land in the point's ``resilience`` ledger.
         """
-        from repro.errors import RankFailedError
         from repro.faults.injector import FaultInjector
-        from repro.resilience.accounting import RecoveryAccounting
-        from repro.resilience.policy import RESTART_FROM_CHECKPOINT
-        from repro.resilience.supervisor import HeartbeatSupervisor
+        from repro.resilience.ladder import RecoveryLadder
 
         cfg = self.config
         batch = self.batch_for(num_gpus)
@@ -477,191 +475,22 @@ class ScalingStudy:
             update=self._update_time(), schedule=self.cost.gradient_schedule(),
             world=world, engine=engine, hvprof=hvprof,
         )
-        detector = program.detector
-        policy = self.recovery or RESTART_FROM_CHECKPOINT
-        supervisor = HeartbeatSupervisor(
-            range(num_gpus), injector, policy.heartbeat
-        )
-        acct = RecoveryAccounting()
-        ckpt_nbytes = self._checkpoint_nbytes()
-        live = list(range(num_gpus))
-        # (step_time, world_size) per completed step; truncated on restart
-        records: list[tuple[float, int]] = []
-        # (step, corrupt) per retained snapshot, oldest first — restart
-        # walks newest -> oldest past corrupt files (checksum verification)
-        snapshots: list[tuple[int, bool]] = []
-        saves = 0
-        clock = 0.0
-        total_steps = cfg.warmup_steps + cfg.measure_steps
-        extrapolated = 0
-
-        def world_changed() -> None:
-            # Steady-state extrapolation under faults: the detector re-arms
-            # on every world perturbation (failure, blacklist, regrow,
-            # straggler slowdown) so the recovery transient never poisons
-            # the converged value; between perturbations, converged steps
-            # replay the steady value without walking the engine.
-            if session is not None:
-                session.invalidate()
-            if detector is not None:
-                detector.rearm()
-
-        if policy.restart:
-            cost = policy.checkpoint.write_cost(ckpt_nbytes)
-            clock += cost
-            acct.note_checkpoint(cost)
-            snapshots.append((0, injector.checkpoint_corrupt(saves, clock)))
-            saves += 1
-        while len(records) < total_steps:
-            # Whole failure domains are declared atomically: every rank a
-            # node/switch/partition fault took down shares one detection
-            # window, and each successive group's stall is charged off the
-            # *updated* clock — overlapping windows never double-charge.
-            groups = supervisor.poll_domains(clock)
-            dead = []
-            for group in groups:
-                members = [d for d in group.detections if d.rank in live]
-                if not members:
-                    continue
-                stall = max(0.0, group.declared_at - clock)
-                clock += stall
-                acct.note_detection(stall)
-                for d in members:
-                    live.remove(d.rank)
-                dead.extend(members)
-            if not live:
-                raise RankFailedError(
-                    f"all {num_gpus} ranks failed under plan "
-                    f"seed={self.fault_plan.seed}"
-                )
-            if dead:
-                engine.shrink_to(sorted(live))
-                world_changed()
-                if policy.restart:
-                    # checksum-verified recovery: walk newest -> oldest,
-                    # charging a read per attempt, past corrupt snapshots
-                    restore_step = None
-                    read = 0.0
-                    for snap_step, corrupt in reversed(snapshots):
-                        read += policy.checkpoint.read_cost(ckpt_nbytes)
-                        if not corrupt:
-                            restore_step = snap_step
-                            break
-                        injector.record(
-                            "ckpt-corrupt-skipped", clock,
-                            detail=f"step={snap_step}",
-                        )
-                    if restore_step is None:
-                        from repro.errors import CheckpointError
-
-                        raise CheckpointError(
-                            f"no valid checkpoint survives under plan "
-                            f"seed={self.fault_plan.seed}: all "
-                            f"{len(snapshots)} retained snapshot(s) corrupt "
-                            f"(keep_last={policy.checkpoint.keep_last})"
-                        )
-                    lost_steps = len(records) - restore_step
-                    if lost_steps > 0:
-                        lost = sum(t for t, _ in records[restore_step:])
-                        acct.productive_s -= lost
-                        acct.note_lost_work(lost, steps=lost_steps)
-                        del records[restore_step:]
-                    acct.note_restart(read + policy.restart_overhead_s)
-                    clock += read + policy.restart_overhead_s
-                    injector.record(
-                        "restart", clock,
-                        detail=f"from step {restore_step} "
-                               f"world={len(live)} verified",
-                    )
-            if policy.blacklist_after > 0:
-                for rank in supervisor.over_limit(policy.blacklist_after):
-                    if rank in live and len(live) > 1:
-                        live.remove(rank)
-                        supervisor.drop(rank)
-                        engine.shrink_to(sorted(live))
-                        world_changed()
-                        acct.note_blacklist(rank)
-                        injector.record(
-                            "rank-blacklisted", clock, rank=rank,
-                            detail=f"offenses>={policy.blacklist_after}",
-                        )
-            if policy.regrow:
-                for rank in supervisor.recovered(clock):
-                    live.append(rank)
-                    live.sort()
-                    supervisor.readmit(rank)
-                    engine.reform_to(list(live))
-                    world_changed()
-                    # the regrown replica's weights ride the re-formed
-                    # ring: one comm-layer broadcast of the checkpoint
-                    # payload, charged with the restart overhead
-                    rebcast = broadcast_weights(engine.comm, ckpt_nbytes)
-                    rebcast_s = rebcast.time if rebcast is not None else 0.0
-                    acct.note_regrow(
-                        rank, policy.restart_overhead_s + rebcast_s
-                    )
-                    clock += policy.restart_overhead_s + rebcast_s
-                    injector.record(
-                        "rank-regrown", clock, rank=rank,
-                        detail=f"world={len(live)}",
-                    )
-            step_index = len(records)
-            fault_factor = 1.0
-            for rank in live:
-                f = injector.compute_factor(rank, clock, step_index)
-                supervisor.note_compute(rank, f, clock)
-                fault_factor = max(fault_factor, f)
-            if (
-                fault_factor > 1.0 or injector.wire_corruption_active(clock)
-            ) and detector is not None:
-                # a straggler slowdown perturbs the step time without any
-                # membership change — the converged value is stale.  An
-                # active wire-corruption window likewise forces real steps:
-                # extrapolation sends no messages, so corruption (and its
-                # CRC retransmit cost) would silently vanish.
-                detector.rearm()
-            backward_eff = (
-                backward
-                * straggler_factor(len(live), sigma=cfg.jitter_sigma)
-                * fault_factor
-            )
-            # Draw before extrapolating: the jitter RNG must consume the
-            # same draws as a full run so a re-armed resumption stays
-            # aligned with exact simulation.
-            stream = program.draw(step_index, backward_eff)
-            if detector is not None and detector.converged():
-                step = detector.phase_value(step_index)
-                extrapolated += 1
-            else:
-                step = program.price(step_index, backward_eff, stream)
-                if detector is not None and step_index >= cfg.warmup_steps:
-                    detector.observe(step, step_index)
-            records.append((step, len(live)))
-            clock += step
-            acct.note_productive(step)
-            if policy.restart and policy.checkpoint.due(len(records)):
-                cost = policy.checkpoint.write_cost(ckpt_nbytes)
-                clock += cost
-                acct.note_checkpoint(cost)
-                snapshots.append(
-                    (len(records), injector.checkpoint_corrupt(saves, clock))
-                )
-                saves += 1
-                # retention rotation mirrors CheckpointManager.keep_last
-                del snapshots[: -policy.checkpoint.keep_last]
+        job = _PricedJob(self, program, session, injector)
+        ladder = RecoveryLadder(job.policy, injector, range(num_gpus))
+        records = ladder.run(job, cfg.warmup_steps + cfg.measure_steps)
         measured = records[cfg.warmup_steps:]
-        mean_step = sum(t for t, _ in measured) / len(measured)
+        measured_s = fold_sum(t for t, _ in measured)
         trace_kinds: dict[str, int] = {}
         for event in injector.trace:
             trace_kinds[event.kind] = trace_kinds.get(event.kind, 0) + 1
         resilience = {
-            **acct.to_payload(),
+            **ladder.acct.to_payload(),
             # the independently-accumulated simulation clock: the chaos
             # invariant `productive + overheads == wall clock` checks the
             # ledger against this, not against its own sum
-            "wall_clock_s": clock,
+            "wall_clock_s": ladder.clock,
             "world_sizes": [w for _, w in records],
-            "final_world_size": len(live),
+            "final_world_size": len(ladder.live),
             "trace_digest": injector.trace.digest(),
             "trace_events": len(injector.trace),
             "trace_kinds": {k: trace_kinds[k] for k in sorted(trace_kinds)},
@@ -669,16 +498,13 @@ class ScalingStudy:
         return ScalingPoint(
             scenario=self.scenario.name,
             num_gpus=num_gpus,
-            images_per_second=(
-                sum(w * batch for _, w in measured)
-                / sum(t for t, _ in measured)
-            ),
-            step_time=mean_step,
+            images_per_second=sum(w * batch for _, w in measured) / measured_s,
+            step_time=measured_s / len(measured),
             forward_time=forward,
             backward_time=backward,
             update_time=program.update,
-            simulated_steps=len(records) - extrapolated,
-            extrapolated_steps=extrapolated,
+            simulated_steps=len(records) - job.extrapolated,
+            extrapolated_steps=job.extrapolated,
             resilience=resilience,
             **program.comm_fields(self.scenario.backend),
         )
@@ -726,6 +552,113 @@ class ScalingStudy:
             return scenario_by_name(self.scenario.name) == self.scenario
         except ConfigError:
             return False
+
+
+class _PricedJob:
+    """The performance study's hooks for the recovery ladder.
+
+    Steps are :class:`StepProgram` phases priced on the simulated engine.
+    Snapshots are priced, not written; each is rolled for corruption when
+    its write completes, and a restart walks them newest to oldest,
+    charging one read per snapshot tried.  Every ring change empties the
+    fast-path memo and re-arms the steady-state detector, so a recovery
+    transient never poisons the converged value; between changes,
+    converged steps replay the steady value without walking the engine.
+    """
+
+    def __init__(self, study: ScalingStudy, program: StepProgram, session,
+                 injector):
+        from repro.resilience.policy import RESTART_FROM_CHECKPOINT
+
+        self.program = program
+        self.engine = program.engine
+        self.session = session
+        self.injector = injector
+        self.policy = study.recovery or RESTART_FROM_CHECKPOINT
+        self.seed = study.fault_plan.seed
+        self.sigma = study.config.jitter_sigma
+        self.warmup = study.config.warmup_steps
+        self.nbytes = study._checkpoint_nbytes()
+        # (step, corrupt) per retained snapshot, oldest first
+        self.snapshots: list[tuple[int, bool]] = []
+        self.saves = 0
+        self.extrapolated = 0
+
+    def _ring_changed(self) -> None:
+        if self.session is not None:
+            self.session.invalidate()
+        if self.program.detector is not None:
+            self.program.detector.rearm()
+
+    def shrink(self, live: list[int]) -> None:
+        self.engine.shrink_to(sorted(live))
+        self._ring_changed()
+
+    def regrow(self, rank: int, live: list[int]) -> float:
+        self.engine.reform_to(list(live))
+        self._ring_changed()
+        # one comm-layer broadcast of the checkpoint payload
+        rebcast = broadcast_weights(self.engine.comm, self.nbytes)
+        return rebcast.time if rebcast is not None else 0.0
+
+    def step(self, index: int, factor: float, live: list[int],
+             clock: float) -> float:
+        program = self.program
+        detector = program.detector
+        if detector is not None and (
+            factor > 1.0 or self.injector.wire_corruption_active(clock)
+        ):
+            # a straggler slowdown perturbs the step time without any
+            # membership change, so the converged value is stale.  An
+            # active wire-corruption window likewise forces real steps:
+            # extrapolation sends no messages, so corruption (and its CRC
+            # retransmit cost) would silently vanish.
+            detector.rearm()
+        backward = (
+            program.backward
+            * straggler_factor(len(live), sigma=self.sigma)
+            * factor
+        )
+        # Draw before extrapolating: the jitter RNG must consume the same
+        # draws as a full run so a re-armed resumption stays aligned with
+        # exact simulation.
+        stream = program.draw(index, backward)
+        if detector is not None and detector.converged():
+            self.extrapolated += 1
+            return detector.phase_value(index)
+        seconds = program.price(index, backward, stream)
+        if detector is not None and index >= self.warmup:
+            detector.observe(seconds, index)
+        return seconds
+
+    def checkpoint(self, step: int, clock: float) -> float:
+        cost = self.policy.checkpoint.write_cost(self.nbytes)
+        corrupt = self.injector.checkpoint_corrupt(self.saves, clock + cost)
+        self.snapshots.append((step, corrupt))
+        self.saves += 1
+        # retention rotation mirrors CheckpointManager.keep_last
+        del self.snapshots[: -self.policy.checkpoint.keep_last]
+        return cost
+
+    def restore(self, clock: float) -> tuple[int, float]:
+        # checksum-verified recovery: walk newest -> oldest, charging a
+        # read per attempt, past corrupt snapshots
+        read = 0.0
+        for step, corrupt in reversed(self.snapshots):
+            read += self.policy.checkpoint.read_cost(self.nbytes)
+            if not corrupt:
+                return step, read
+            self.injector.record(
+                "ckpt-corrupt-skipped", clock, detail=f"step={step}"
+            )
+        raise CheckpointError(
+            f"no valid checkpoint survives under plan seed={self.seed}: "
+            f"all {len(self.snapshots)} retained snapshot(s) corrupt "
+            f"(keep_last={self.policy.checkpoint.keep_last})"
+        )
+
+    def rewind(self, step: int) -> None:
+        """Nothing to drop: the ladder's records are the point's steps."""
 
 
 # -- cache (de)serialization ---------------------------------------------------

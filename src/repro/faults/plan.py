@@ -154,8 +154,8 @@ class RankFailure:
     the node returns to service that many seconds later, and an elastic
     recovery policy (:class:`~repro.resilience.RecoveryPolicy` with
     ``regrow=True``) may re-admit the rank once the window ends.  How a
-    failure is absorbed — shrink, abort, restart-from-checkpoint, regrow —
-    is always the consumer's policy, never the plan's.
+    failure is absorbed — shrink, restart-from-checkpoint, regrow — is
+    always the consumer's policy, never the plan's.
     """
 
     rank: int

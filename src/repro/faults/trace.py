@@ -19,7 +19,7 @@ class FaultEvent:
     """One injected fault or recovery action."""
 
     time: float
-    kind: str  # e.g. "msg-drop", "msg-retry", "ring-shrink", "link-degraded"
+    kind: str  # e.g. "msg-drop", "msg-retry", "rank-dead", "link-degraded"
     rank: int | None = None
     src: int | None = None
     dst: int | None = None

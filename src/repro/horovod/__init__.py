@@ -17,11 +17,7 @@ exactly as in the paper's Fig. 3 stack.  Implements:
 
 from repro.horovod.env import HorovodConfig
 from repro.horovod.fusion import FusionMessage, PendingTensor, TensorFusion
-from repro.horovod.coordinator import (
-    CoordinatorModel,
-    FaultTolerantCoordinator,
-    ResiliencePolicy,
-)
+from repro.horovod.coordinator import CoordinatorModel
 from repro.horovod.engine import HorovodEngine, StepTiming
 from repro.horovod.optimizer import DistributedOptimizer, broadcast_parameters
 from repro.horovod.timeline import Timeline, TimelineEvent
@@ -32,8 +28,6 @@ __all__ = [
     "FusionMessage",
     "TensorFusion",
     "CoordinatorModel",
-    "FaultTolerantCoordinator",
-    "ResiliencePolicy",
     "HorovodEngine",
     "StepTiming",
     "DistributedOptimizer",

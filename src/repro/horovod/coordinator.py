@@ -9,12 +9,10 @@ that erode efficiency in Figs. 10/13 even with a perfect allreduce.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.errors import ConfigError, RankFailedError
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -52,93 +50,6 @@ class CoordinatorModel:
             return 0.0
         tree_depth = math.ceil(math.log2(num_ranks))
         return 2 * tree_depth * self.hop_latency_s
-
-
-class ResiliencePolicy(enum.Enum):
-    """What the coordinator does when a rank stops responding."""
-
-    SHRINK = "shrink"  # drop the rank, rebuild the ring, keep training
-    ABORT = "abort"  # raise a typed error within the detection timeout
-
-
-class FaultTolerantCoordinator:
-    """Membership tracking on top of :class:`CoordinatorModel`.
-
-    The rank-0 coordinator notices a missing worker when its ready-bitmap
-    fails to arrive for ``detect_timeout_s`` of simulated time.  Under
-    ``SHRINK`` the dead rank is removed and negotiation continues on the
-    survivors (elastic-Horovod-style ring shrink); under ``ABORT`` the job
-    raises :class:`~repro.errors.RankFailedError` at detection time.
-    """
-
-    def __init__(
-        self,
-        ranks: Iterable[int],
-        *,
-        policy: ResiliencePolicy | str = ResiliencePolicy.SHRINK,
-        detect_timeout_s: float = 0.5,
-        injector=None,
-        model: CoordinatorModel | None = None,
-    ):
-        self.active_ranks = list(ranks)
-        if not self.active_ranks:
-            raise ConfigError("coordinator needs at least one rank")
-        self.policy = ResiliencePolicy(policy)
-        if detect_timeout_s < 0:
-            raise ConfigError(
-                f"detect_timeout_s must be >= 0, got {detect_timeout_s}"
-            )
-        self.detect_timeout_s = detect_timeout_s
-        self.injector = injector
-        self.model = model or CoordinatorModel()
-        self.shrink_count = 0
-
-    def cycle_overhead(self, num_tensors: int) -> float:
-        return self.model.cycle_overhead(len(self.active_ranks), num_tensors)
-
-    def poll(self, now: float) -> list[int]:
-        """Detect ranks whose failure time has passed; apply the policy.
-
-        Returns the ranks removed (SHRINK).  Raises
-        :class:`~repro.errors.RankFailedError` under ABORT, or if no rank
-        survives.  Detection itself costs ``detect_timeout_s`` of wall
-        time, which the caller charges to the current step.
-        """
-        if self.injector is None:
-            return []
-        dead = [
-            r
-            for r in self.active_ranks
-            if (t := self.injector.failure_time(r)) is not None and t <= now
-        ]
-        if not dead:
-            return []
-        detected_at = now + self.detect_timeout_s
-        for rank in dead:
-            self.injector.record(
-                "rank-failed", self.injector.failure_time(rank), rank=rank
-            )
-        if self.policy is ResiliencePolicy.ABORT:
-            self.injector.record(
-                "abort", detected_at, rank=dead[0],
-                detail=f"policy=abort dead={dead}",
-            )
-            raise RankFailedError(
-                f"rank(s) {dead} failed; abort policy triggered at "
-                f"t={detected_at:.4f}s (detect timeout {self.detect_timeout_s}s)"
-            )
-        for rank in dead:
-            self.active_ranks.remove(rank)
-            self.shrink_count += 1
-            self.injector.record(
-                "ring-shrink", detected_at, rank=rank,
-                detail=f"survivors={len(self.active_ranks)}",
-            )
-        if not self.active_ranks:
-            raise RankFailedError(
-                f"all ranks failed by t={now:.4f}s; nothing left to shrink to"
-            )
-        return dead
 
 
 def straggler_factor(num_ranks: int, *, sigma: float = 0.03) -> float:

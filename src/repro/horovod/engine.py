@@ -31,6 +31,7 @@ from repro.horovod.fusion import FusionMessage, PendingTensor, TensorFusion
 from repro.horovod.timeline import Timeline
 from repro.mpi.comm import GpuBuffer
 from repro.mpi.datatypes import Datatype
+from repro.utils.folds import fold_sum
 
 
 @dataclass
@@ -65,7 +66,7 @@ class StepTiming:
 
     @property
     def total_comm_time(self) -> float:
-        return sum(m.duration for m in self.messages)
+        return fold_sum(m.duration for m in self.messages)
 
 
 class HorovodEngine:

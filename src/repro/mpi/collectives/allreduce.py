@@ -28,6 +28,7 @@ from repro.mpi.collectives.base import (
     StepCoster,
     is_power_of_two,
 )
+from repro.utils.folds import fold_sum
 from repro.utils.units import KIB
 
 
@@ -291,7 +292,7 @@ def allreduce_timing(
     else:  # pragma: no cover - selection guards this
         raise MpiError(f"unknown allreduce algorithm {algorithm!r}")
 
-    total = sum(segments.values())
+    total = fold_sum(segments.values())
     return CollectiveTiming(
         "allreduce", algorithm, nbytes, p, total, coster.mode, segments
     )

@@ -9,6 +9,7 @@ relevant message range.
 from __future__ import annotations
 
 from repro.mpi.collectives.base import CollectiveTiming, PairTransfer, StepCoster
+from repro.utils.folds import fold_sum
 
 
 def _binomial_order(group: list[int]) -> list[list[PairTransfer]]:
@@ -86,7 +87,7 @@ def bcast_timing(
             if merged:
                 intra_steps.append(merged)
         segments["intra_tree"] = coster.run_steps(intra_steps)
-    total = sum(segments.values())
+    total = fold_sum(segments.values())
     return CollectiveTiming(
         "bcast", "binomial", nbytes, p, total, coster.mode, segments
     )

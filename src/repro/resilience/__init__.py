@@ -1,9 +1,7 @@
 """Elastic recovery: faults become survivable, costed events.
 
-PR 1's :mod:`repro.faults` can kill ranks, flap links, and slow compute —
-but the only responses were shrink-and-hope or abort, and checkpoints
-dropped optimizer state.  This package closes the loop, modeled on
-elastic Horovod's recovery flow:
+:mod:`repro.faults` kills ranks, flaps links and slows compute; this
+package absorbs those faults, modeled on elastic Horovod's recovery flow:
 
 * :class:`CheckpointPolicy` / :class:`CheckpointManager` — periodic
   atomic snapshots of model **and** optimizer/LR-schedule state, with
@@ -18,11 +16,14 @@ elastic Horovod's recovery flow:
   outage window ends (:mod:`repro.resilience.policy`);
 * :class:`RecoveryAccounting` — time-to-solution decomposition:
   productive time, checkpoint overhead, detection latency, lost work,
-  recovery cost (:mod:`repro.resilience.accounting`).
+  recovery cost (:mod:`repro.resilience.accounting`);
+* :class:`RecoveryLadder` — the one escalation order (declare, shrink,
+  restart, blacklist, regrow, step, checkpoint) over the pieces above,
+  with the clock and the ledger (:mod:`repro.resilience.ladder`).
 
-Consumed by :class:`~repro.trainer.DistributedTrainer` (functional runs)
-and :class:`~repro.core.ScalingStudy` (paper-scale performance runs);
-exposed via ``python -m repro resilience``.
+:class:`~repro.trainer.DistributedTrainer` (functional runs) and
+:class:`~repro.core.ScalingStudy` (paper-scale performance runs) each walk
+the ladder with their own job; exposed via ``python -m repro resilience``.
 """
 
 from repro.resilience.accounting import RecoveryAccounting
@@ -31,6 +32,7 @@ from repro.resilience.checkpoint import (
     CheckpointPolicy,
     file_checksum,
 )
+from repro.resilience.ladder import RecoveryLadder
 from repro.resilience.policy import (
     RESTART_FROM_CHECKPOINT,
     SHRINK_CONTINUE,
@@ -53,6 +55,7 @@ __all__ = [
     "DomainDetection",
     "RecoveryPolicy",
     "RecoveryAccounting",
+    "RecoveryLadder",
     "SHRINK_CONTINUE",
     "RESTART_FROM_CHECKPOINT",
 ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError, SimulationError
 from repro.serve.workload import Request
+from repro.utils.folds import fold_sum
 
 #: reported tail quantiles (label -> fraction)
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
@@ -164,8 +165,8 @@ class SLOLedger:
         retried_requests = sum(
             1 for rec in self.records.values() if rec["retries"] > 0
         )
-        busy = sum(self._busy_s.values())
-        alive = sum(self._alive_s.values())
+        busy = fold_sum(self._busy_s.values())
+        alive = fold_sum(self._alive_s.values())
         payload = {
             "arrived": len(self.records),
             "completed": counts["completed"],
@@ -186,7 +187,7 @@ class SLOLedger:
             "latency_ms": {
                 label: nearest_rank(lats, q) * 1e3 for label, q in QUANTILES
             },
-            "mean_latency_ms": (sum(lats) / len(lats)) * 1e3 if lats else 0.0,
+            "mean_latency_ms": (fold_sum(lats) / len(lats)) * 1e3 if lats else 0.0,
             "by_class": self._by_class(),
         }
         video = self._video_summary()
@@ -260,7 +261,7 @@ class SLOLedger:
                 "p99": nearest_rank(frame_lats, 0.99) * 1e3,
             },
             "mean_frame_latency_ms": (
-                (sum(frame_lats) / len(frame_lats)) * 1e3 if frame_lats else 0.0
+                (fold_sum(frame_lats) / len(frame_lats)) * 1e3 if frame_lats else 0.0
             ),
         }
 

@@ -21,11 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.comm.api import broadcast_weights
 from repro.data.dataset import SRDataset
 from repro.data.loader import PatchLoader
 from repro.data.sampler import DistributedSampler
 from repro.errors import CheckpointError, ConfigError
-from repro.horovod.coordinator import FaultTolerantCoordinator, ResiliencePolicy
 from repro.horovod.engine import HorovodEngine
 from repro.horovod.optimizer import (
     DistributedOptimizer,
@@ -34,12 +34,13 @@ from repro.horovod.optimizer import (
 )
 from repro.resilience.accounting import RecoveryAccounting
 from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.policy import RecoveryPolicy
-from repro.resilience.supervisor import HeartbeatSupervisor
+from repro.resilience.ladder import RecoveryLadder
+from repro.resilience.policy import SHRINK_CONTINUE, RecoveryPolicy
 from repro.tensor import Tensor, functional as F
 from repro.tensor.nn.module import Module
 from repro.tensor.optim.adam import Adam
 from repro.trainer.checkpoint import load_checkpoint
+from repro.utils.folds import fold_sum
 
 
 @dataclass
@@ -50,8 +51,8 @@ class DistributedTrainResult:
     total_images: int = 0
     # world size at each step (shrinks when a rank failure is absorbed)
     world_sizes: list[int] = field(default_factory=list)
-    # recovery cost ledger (None unless the trainer ran with a RecoveryPolicy)
-    resilience: RecoveryAccounting | None = None
+    # recovery cost ledger (all productive time for a fault-free run)
+    resilience: RecoveryAccounting = field(default_factory=RecoveryAccounting)
 
     @property
     def final_loss(self) -> float:
@@ -59,14 +60,21 @@ class DistributedTrainResult:
 
     @property
     def simulated_images_per_second(self) -> float:
-        total_time = sum(self.simulated_step_times)
+        total_time = fold_sum(self.simulated_step_times)
         if total_time <= 0:
             return 0.0
         return self.total_images / total_time
 
 
 class DistributedTrainer:
-    """Trains replicated models across simulated ranks."""
+    """Trains replicated models across simulated ranks.
+
+    Every run walks a :class:`~repro.resilience.RecoveryLadder` under
+    ``recovery`` (shrink-and-continue when no policy is given), so the
+    ``faults`` an injector raises are detected, absorbed and itemized the
+    same way as in the performance study.  A policy that restarts writes
+    checkpoints under a fresh temporary directory.
+    """
 
     def __init__(
         self,
@@ -80,10 +88,7 @@ class DistributedTrainer:
         scale_lr: bool = True,
         seed: int = 0,
         faults=None,
-        resilience: ResiliencePolicy | str = ResiliencePolicy.SHRINK,
-        detect_timeout_s: float = 0.05,
         recovery: RecoveryPolicy | None = None,
-        checkpoints: CheckpointManager | None = None,
         local_sgd_h: int = 1,
         layout=None,
     ):
@@ -112,27 +117,13 @@ class DistributedTrainer:
         if num_ranks < 1:
             raise ConfigError("world must have at least one rank")
         self.faults = faults
-        self.coordinator = FaultTolerantCoordinator(
-            range(num_ranks),
-            policy=resilience,
-            detect_timeout_s=detect_timeout_s,
-            injector=faults,
-        )
-        # elastic recovery orchestration (supersedes the coordinator path
-        # when a RecoveryPolicy is supplied)
-        self.recovery = recovery
-        self.checkpoints = checkpoints
-        self.supervisor = None
-        if recovery is not None:
-            self.supervisor = HeartbeatSupervisor(
-                range(num_ranks), faults, recovery.heartbeat
+        self.recovery = recovery or SHRINK_CONTINUE
+        self.checkpoints = None
+        if self.recovery.restart:
+            self.checkpoints = CheckpointManager(
+                tempfile.mkdtemp(prefix="repro-ckpt-"), self.recovery.checkpoint
             )
-            if recovery.restart and self.checkpoints is None:
-                self.checkpoints = CheckpointManager(
-                    tempfile.mkdtemp(prefix="repro-ckpt-"), recovery.checkpoint
-                )
         self._model_factory = model_factory
-        self._clock = 0.0  # monotonic simulated time (survives replay rewinds)
         self.models = [model_factory(rank) for rank in range(num_ranks)]
         # charge each rank's HBM for its Horovod fusion buffer (§II-D step 2)
         engine.allocate_fusion_buffers()
@@ -165,227 +156,18 @@ class DistributedTrainer:
         if steps < 1:
             raise ConfigError("steps must be >= 1")
         loss_fn = {"l1": F.l1_loss, "mse": F.mse_loss}[loss]
-        if self.recovery is not None:
-            return self._train_resilient(steps, loss_fn)
-        result = DistributedTrainResult()
-        rank_batches = [list(loader.batches(steps)) for loader in self.loaders]
-        for step in range(steps):
-            now = sum(result.simulated_step_times)
-            step_overhead = 0.0
-            if self.faults is not None:
-                # membership check: absorb failures per the resilience
-                # policy (SHRINK drops replicas, ABORT raises)
-                removed = self.coordinator.poll(now)
-                for rank in removed:
-                    self.dist_opt.drop_rank(rank)
-                if removed:
-                    step_overhead += self.coordinator.detect_timeout_s
-            self.dist_opt.zero_grad()
-            losses = []
-            for rank, model in zip(self.dist_opt.ranks, self.dist_opt.models):
-                lr_batch, hr_batch = rank_batches[rank][step]
-                out = model(Tensor(lr_batch))
-                step_loss = loss_fn(out, Tensor(hr_batch))
-                step_loss.backward()
-                losses.append(step_loss.item())
-            backward = self.nominal_backward_s
-            if self.faults is not None:
-                # synchronous data parallelism waits for the slowest rank
-                backward *= max(
-                    self.faults.compute_factor(rank, now, step)
-                    for rank in self.dist_opt.ranks
-                )
-            if self.local_sgd_h > 1:
-                # local-SGD inner step: no gradient exchange; the sync
-                # collective lands only on every H-th step boundary
-                self.dist_opt.step_local()
-                step_time = step_overhead + backward / 2 + backward
-                if (step + 1) % self.local_sgd_h == 0:
-                    sync = self.dist_opt.sync_parameters()
-                    step_time += sync.comm_finish
-            else:
-                timing = self.dist_opt.step(backward_time=backward)
-                step_time = (
-                    step_overhead
-                    + backward / 2  # nominal forward
-                    + max(backward, timing.comm_finish)
-                )
-            result.losses.append(float(np.mean(losses)))
-            result.simulated_step_times.append(step_time)
-            result.steps += 1
-            result.world_sizes.append(len(self.dist_opt.ranks))
-            result.total_images += self.batch_per_rank * len(self.dist_opt.ranks)
-        return result
-
-    # -- elastic recovery path ---------------------------------------------------
-    def _save_checkpoint(
-        self, acct: RecoveryAccounting, steps_completed: int
-    ) -> None:
-        """Snapshot rank 0's replica (all replicas are in sync) and charge
-        the simulated write to the critical path."""
-        _, cost = self.checkpoints.save(
-            self.dist_opt.models[0],
-            steps_completed=steps_completed,
-            optimizer=self.dist_opt.optimizers[0],
+        job = _ReplicaJob(self, steps, loss_fn)
+        ladder = RecoveryLadder(self.recovery, self.faults, self.dist_opt.ranks)
+        records = ladder.run(job, steps)
+        world_sizes = [w for _, w in records]
+        return DistributedTrainResult(
+            losses=job.losses,
+            simulated_step_times=[t for t, _ in records],
+            steps=len(records),
+            total_images=self.batch_per_rank * sum(world_sizes),
+            world_sizes=world_sizes,
+            resilience=ladder.acct,
         )
-        self._clock += cost
-        acct.note_checkpoint(cost)
-
-    def _restart_from_checkpoint(
-        self, result: DistributedTrainResult, acct: RecoveryAccounting, step: int
-    ) -> int:
-        """Restore survivors from the newest valid checkpoint and rewind.
-
-        Truncates everything recorded past the checkpoint (that work is
-        replayed on the shrunk world), moves its time from the productive
-        bucket to lost work, and charges read-back + re-initialization to
-        recovery.  Returns the step index to resume from.
-        """
-        policy = self.recovery
-        entry = self.checkpoints.latest_valid()
-        if entry is None:
-            raise CheckpointError(
-                f"no valid checkpoint to restart from in "
-                f"{self.checkpoints.directory!r}"
-            )
-        ckpt_steps, path = entry
-        for model, opt in zip(self.dist_opt.models, self.dist_opt.optimizers):
-            load_checkpoint(model, path, optimizer=opt)
-        read_cost = self.checkpoints.policy.read_cost(os.path.getsize(path))
-        lost_steps = len(result.simulated_step_times) - ckpt_steps
-        if lost_steps > 0:
-            lost = sum(result.simulated_step_times[ckpt_steps:])
-            acct.productive_s -= lost
-            acct.note_lost_work(lost, steps=lost_steps)
-            del result.losses[ckpt_steps:]
-            del result.simulated_step_times[ckpt_steps:]
-            del result.world_sizes[ckpt_steps:]
-            step = ckpt_steps
-        acct.note_restart(read_cost + policy.restart_overhead_s)
-        self._clock += read_cost + policy.restart_overhead_s
-        if self.faults is not None:
-            self.faults.record(
-                "restart", self._clock,
-                detail=f"from step {ckpt_steps} "
-                       f"world={len(self.dist_opt.ranks)}",
-            )
-        return step
-
-    def _regrow_rank(self, rank: int, acct: RecoveryAccounting) -> None:
-        """Re-admit a recovered rank: fresh replica cloned from a survivor,
-        ring re-formed at the larger world.  The weight re-broadcast to the
-        rejoining rank is priced through the communication layer (the same
-        collective route every other broadcast takes), so its cost shows up
-        in the unified per-op records and scales with the model."""
-        from repro.comm.api import broadcast_weights
-
-        state = self.dist_opt.models[0].state_dict()
-        model = self._model_factory(rank)
-        model.load_state_dict(state)
-        optimizer = Adam(model.parameters(), lr=self._lr)
-        optimizer.load_state_dict(self.dist_opt.optimizers[0].state_dict())
-        self.dist_opt.add_rank(rank, model, optimizer)
-        self.supervisor.readmit(rank)
-        nbytes = sum(int(v.size) * int(v.itemsize) for v in state.values())
-        rebcast = broadcast_weights(self.engine.comm, nbytes)
-        rebcast_s = rebcast.time if rebcast is not None else 0.0
-        acct.note_regrow(rank, self.recovery.restart_overhead_s + rebcast_s)
-        self._clock += self.recovery.restart_overhead_s + rebcast_s
-        if self.faults is not None:
-            self.faults.record(
-                "rank-regrown", self._clock, rank=rank,
-                detail=f"world={len(self.dist_opt.ranks)}",
-            )
-
-    def _train_resilient(self, steps: int, loss_fn) -> DistributedTrainResult:
-        """Orchestrated loop: watchdog detection, checkpoint/restart replay,
-        straggler blacklisting, elastic regrow — all costs itemized."""
-        policy = self.recovery
-        acct = RecoveryAccounting()
-        result = DistributedTrainResult(resilience=acct)
-        # batches are keyed by *original* rank so replay and regrow see the
-        # exact data the rank would have consumed
-        rank_batches = [list(loader.batches(steps)) for loader in self.loaders]
-        if self.checkpoints is not None:
-            self._save_checkpoint(acct, steps_completed=0)
-        step = 0
-        while step < steps:
-            # Whole failure domains are declared atomically: the ranks a
-            # node/switch/partition fault took down share one detection
-            # window, charged once off the updated clock — N members of a
-            # domain never stack N overlapping watchdog stalls.
-            groups = self.supervisor.poll_domains(self._clock)
-            dead = []
-            for group in groups:
-                members = [
-                    d for d in group.detections
-                    if d.rank in self.dist_opt.ranks
-                ]
-                if not members:
-                    continue
-                # survivors stall in the hung collective until the watchdog
-                # declares the domain dead
-                stall = max(0.0, group.declared_at - self._clock)
-                self._clock += stall
-                acct.note_detection(stall)
-                for d in members:
-                    self.dist_opt.drop_rank(d.rank)
-                dead.extend(members)
-            if dead and policy.restart and self.checkpoints is not None:
-                step = self._restart_from_checkpoint(result, acct, step)
-            if policy.blacklist_after > 0:
-                for rank in self.supervisor.over_limit(policy.blacklist_after):
-                    if rank in self.dist_opt.ranks and len(self.dist_opt.ranks) > 1:
-                        self.dist_opt.drop_rank(rank)
-                        self.supervisor.drop(rank)
-                        acct.note_blacklist(rank)
-                        if self.faults is not None:
-                            self.faults.record(
-                                "rank-blacklisted", self._clock, rank=rank,
-                                detail=f"offenses>={policy.blacklist_after}",
-                            )
-            if policy.regrow:
-                for rank in self.supervisor.recovered(self._clock):
-                    self._regrow_rank(rank, acct)
-            self.dist_opt.zero_grad()
-            losses = []
-            for rank, model in zip(self.dist_opt.ranks, self.dist_opt.models):
-                lr_batch, hr_batch = rank_batches[rank][step]
-                out = model(Tensor(lr_batch))
-                step_loss = loss_fn(out, Tensor(hr_batch))
-                step_loss.backward()
-                losses.append(step_loss.item())
-            backward = self.nominal_backward_s
-            if self.faults is not None:
-                worst = 1.0
-                for rank in self.dist_opt.ranks:
-                    factor = self.faults.compute_factor(rank, self._clock, step)
-                    self.supervisor.note_compute(rank, factor, self._clock)
-                    worst = max(worst, factor)
-                # synchronous data parallelism waits for the slowest rank
-                backward *= worst
-            if self.local_sgd_h > 1:
-                # cadence keys on the *replayed* step index, so a
-                # checkpoint-restart rewind re-syncs at the same boundaries
-                self.dist_opt.step_local()
-                step_time = backward / 2 + backward
-                if (step + 1) % self.local_sgd_h == 0:
-                    sync = self.dist_opt.sync_parameters()
-                    step_time += sync.comm_finish
-            else:
-                timing = self.dist_opt.step(backward_time=backward)
-                step_time = backward / 2 + max(backward, timing.comm_finish)
-            result.losses.append(float(np.mean(losses)))
-            result.simulated_step_times.append(step_time)
-            result.world_sizes.append(len(self.dist_opt.ranks))
-            self._clock += step_time
-            acct.note_productive(step_time)
-            step += 1
-            if self.checkpoints is not None and self.checkpoints.policy.due(step):
-                self._save_checkpoint(acct, steps_completed=step)
-        result.steps = len(result.losses)
-        result.total_images = self.batch_per_rank * sum(result.world_sizes)
-        return result
 
     def replicas_in_sync(self) -> bool:
         """Check the data-parallel invariant: all (surviving) replicas
@@ -397,3 +179,101 @@ class DistributedTrainer:
                 if not np.array_equal(value, reference[name]):
                     return False
         return True
+
+
+class _ReplicaJob:
+    """The functional trainer's hooks for the recovery ladder.
+
+    One numpy replica per live rank; checkpoints are real files under the
+    trainer's :class:`~repro.resilience.CheckpointManager`, verified by
+    checksum on restore.
+    """
+
+    def __init__(self, trainer: DistributedTrainer, steps: int, loss_fn):
+        self.trainer = trainer
+        self.loss_fn = loss_fn
+        # batches are keyed by *original* rank so replay and regrow see
+        # the exact data the rank would have consumed
+        self.rank_batches = [
+            list(loader.batches(steps)) for loader in trainer.loaders
+        ]
+        self.losses: list[float] = []
+
+    def shrink(self, live: list[int]) -> None:
+        dist_opt = self.trainer.dist_opt
+        for rank in [r for r in dist_opt.ranks if r not in live]:
+            dist_opt.drop_rank(rank)
+
+    def regrow(self, rank: int, live: list[int]) -> float:
+        """Clone a survivor's model and optimizer onto a fresh replica.
+
+        The weight re-broadcast to the rejoining rank is priced through
+        the communication layer, so its cost scales with the model.
+        """
+        trainer = self.trainer
+        dist_opt = trainer.dist_opt
+        state = dist_opt.models[0].state_dict()
+        model = trainer._model_factory(rank)
+        model.load_state_dict(state)
+        optimizer = Adam(model.parameters(), lr=trainer._lr)
+        optimizer.load_state_dict(dist_opt.optimizers[0].state_dict())
+        dist_opt.add_rank(rank, model, optimizer)
+        nbytes = sum(int(v.size) * int(v.itemsize) for v in state.values())
+        rebcast = broadcast_weights(trainer.engine.comm, nbytes)
+        return rebcast.time if rebcast is not None else 0.0
+
+    def step(self, index: int, factor: float, live: list[int],
+             clock: float) -> float:
+        trainer = self.trainer
+        dist_opt = trainer.dist_opt
+        dist_opt.zero_grad()
+        losses = []
+        for rank, model in zip(dist_opt.ranks, dist_opt.models):
+            lr_batch, hr_batch = self.rank_batches[rank][index]
+            out = model(Tensor(lr_batch))
+            step_loss = self.loss_fn(out, Tensor(hr_batch))
+            step_loss.backward()
+            losses.append(step_loss.item())
+        self.losses.append(float(np.mean(losses)))
+        backward = trainer.nominal_backward_s * factor
+        if trainer.local_sgd_h > 1:
+            # local-SGD inner step: no gradient exchange; the sync lands on
+            # every H-th step, keyed on the *replayed* index so a restart
+            # re-syncs at the same boundaries
+            dist_opt.step_local()
+            seconds = backward / 2 + backward
+            if (index + 1) % trainer.local_sgd_h == 0:
+                seconds += dist_opt.sync_parameters().comm_finish
+            return seconds
+        # nominal forward of backward / 2; the allreduce overlaps backward
+        timing = dist_opt.step(backward_time=backward)
+        return backward / 2 + max(backward, timing.comm_finish)
+
+    def checkpoint(self, step: int, clock: float) -> float:
+        """Snapshot rank 0's replica (all replicas are in sync)."""
+        dist_opt = self.trainer.dist_opt
+        _, cost = self.trainer.checkpoints.save(
+            dist_opt.models[0],
+            steps_completed=step,
+            optimizer=dist_opt.optimizers[0],
+        )
+        return cost
+
+    def restore(self, clock: float) -> tuple[int, float]:
+        """Load the newest checkpoint that passes verification into every
+        survivor."""
+        checkpoints = self.trainer.checkpoints
+        entry = checkpoints.latest_valid()
+        if entry is None:
+            raise CheckpointError(
+                f"no valid checkpoint to restart from in "
+                f"{checkpoints.directory!r}"
+            )
+        step, path = entry
+        dist_opt = self.trainer.dist_opt
+        for model, opt in zip(dist_opt.models, dist_opt.optimizers):
+            load_checkpoint(model, path, optimizer=opt)
+        return step, checkpoints.policy.read_cost(os.path.getsize(path))
+
+    def rewind(self, step: int) -> None:
+        del self.losses[step:]

@@ -31,7 +31,8 @@ Error classes are pinned; message text only for ``MpiTimeoutError``.
 
 ``sum()`` of floats is compensated from Python 3.12 on, so a timing with
 segments pins each segment's ``float.hex`` and the test asserts that its
-``time`` is ``sum(segments.values())`` instead of hashing ``time``.  Values
+``time`` is the left-to-right total of its segments (``fold_sum``, the
+fold the collectives use) instead of hashing ``time``.  Values
 that accumulate such times (the NCCL and hierarchical clocks behind the
 fault-trace timestamps, Horovod message starts and finishes) are pinned to
 12 significant digits, and ``total_comm_time`` is checked in the test
@@ -66,6 +67,7 @@ from repro.mpi.comm import GpuBuffer
 from repro.mpi.datatypes import ReduceOp
 from repro.profiling import Hvprof
 from repro.sim.fastpath import enable_fastpath
+from repro.utils.folds import fold_sum
 from repro.utils.units import KIB, MIB
 
 BACKENDS = ("mpi", "nccl", "hierarchical")
@@ -153,7 +155,7 @@ def _hex(value) -> str:
 def timing_line(timing) -> str:
     """One timing as text: segments as ``float.hex``, else the time."""
     if timing.segments:
-        assert timing.time == sum(timing.segments.values())
+        assert timing.time == fold_sum(timing.segments.values())
         body = " ".join(f"{k}={_hex(v)}" for k, v in timing.segments.items())
     else:
         body = f"t={_hex(timing.time)}"

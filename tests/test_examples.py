@@ -94,7 +94,7 @@ def test_inject_faults(monkeypatch, capsys):
     assert "runs identical: True" in out
     assert "drift 0.0" in out
     assert "world size over time" in out
-    assert "ring-shrink" in out
+    assert "rank-dead" in out
 
 
 def test_serve_traffic(monkeypatch, capsys):

@@ -2,7 +2,7 @@
 
 Exercises every injector point: compute stragglers/jitter, link
 degradation and flapping, message drop/delay with retry + backoff,
-and rank failure under both resilience policies — plus the two core
+and rank failure absorbed by the recovery ladder — plus the two core
 guarantees (zero-fault identity, seed-reproducibility).
 """
 
@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import MPI_OPT, ScalingStudy, StudyConfig
 from repro.data import DegradationConfig, SRDataset, SyntheticDiv2k
 from repro.errors import (
     ConfigError,
@@ -37,12 +38,7 @@ from repro.faults import (
     window_active,
 )
 from repro.hardware import LASSEN, Cluster
-from repro.horovod import (
-    FaultTolerantCoordinator,
-    HorovodConfig,
-    HorovodEngine,
-    ResiliencePolicy,
-)
+from repro.horovod import HorovodConfig, HorovodEngine
 from repro.models import EDSR, EDSR_TINY
 from repro.mpi import MpiWorld, Mv2Config, WorldSpec, build_world
 from repro.mpi.collectives.allreduce import allreduce_timing
@@ -71,8 +67,9 @@ def make_fabric(plan=None, *, retry=None, num_nodes=1, topology=None):
     return env, P2PFabric(transport), injector
 
 
-def make_trainer(plan, *, ranks=4, steps_policy="shrink", detect=0.05):
-    """Small distributed EDSR trainer with an optional fault plan."""
+def make_trainer(plan, *, ranks=4):
+    """Small distributed EDSR trainer with an optional fault plan (no
+    recovery policy: the survivors shrink and continue)."""
     cluster = Cluster(Environment(), LASSEN, num_nodes=max(1, (ranks + 3) // 4))
     config = Mv2Config(mv2_visible_devices="all", registration_cache=True)
     spec = WorldSpec(num_ranks=ranks, policy=SingletonDevicePolicy(),
@@ -89,8 +86,6 @@ def make_trainer(plan, *, ranks=4, steps_policy="shrink", detect=0.05):
         batch_per_rank=1,
         lr_patch=8,
         faults=injector,
-        resilience=steps_policy,
-        detect_timeout_s=detect,
     )
     return trainer, injector
 
@@ -261,35 +256,20 @@ class TestRankFailure:
         assert result.world_sizes[-1] == 3
         assert trainer.active_ranks == [0, 2, 3]
         assert trainer.replicas_in_sync()
-        assert inj.trace.count("ring-shrink") == 1
-
-    def test_abort_policy_raises_typed_error(self):
-        plan = FaultPlan(faults=(RankFailure(rank=1, time=0.5),))
-        trainer, inj = make_trainer(plan, steps_policy="abort", detect=0.05)
-        with pytest.raises(RankFailedError):
-            trainer.train(steps=4)
-        # detection is stamped within the configured timeout of the poll
-        abort = [e for e in inj.trace if e.kind == "abort"]
-        failed = [e for e in inj.trace if e.kind == "rank-failed"]
-        assert abort and failed
-        assert abort[0].time >= failed[0].time
-
-    def test_coordinator_abort_within_timeout(self):
-        inj = FaultInjector(FaultPlan(faults=(RankFailure(rank=0, time=1.0),)))
-        coord = FaultTolerantCoordinator(
-            range(2), policy=ResiliencePolicy.ABORT, detect_timeout_s=0.2,
-            injector=inj)
-        with pytest.raises(RankFailedError):
-            coord.poll(1.0)
-        abort = [e for e in inj.trace if e.kind == "abort"]
-        assert abort[0].time == pytest.approx(1.2)
+        assert inj.trace.count("rank-dead") == 1
 
     def test_all_ranks_dead_raises(self):
-        inj = FaultInjector(FaultPlan(faults=(
-            RankFailure(rank=0, time=0.0), RankFailure(rank=1, time=0.0))))
-        coord = FaultTolerantCoordinator(range(2), injector=inj)
-        with pytest.raises(RankFailedError):
-            coord.poll(0.0)
+        """Both recovery-ladder jobs refuse to shrink to an empty world,
+        with the same typed error."""
+        plan = FaultPlan(seed=4, faults=tuple(
+            RankFailure(rank=r, time=0.0) for r in range(4)))
+        trainer, _ = make_trainer(plan)
+        with pytest.raises(RankFailedError, match="all 4 ranks failed"):
+            trainer.train(steps=2)
+        study = ScalingStudy(MPI_OPT, StudyConfig(measure_steps=2),
+                             fault_plan=plan)
+        with pytest.raises(RankFailedError, match="all 4 ranks failed"):
+            study.run_point(4)
 
 
 class TestZeroFaultIdentity:

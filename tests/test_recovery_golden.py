@@ -26,7 +26,10 @@ Cases:
 * ``node-regrow-topk``: 8 ranks on 2 nodes, the second node fails and
   comes back, gradients compressed with ``topk:0.25``;
 * ``local-sgd-h2-restart``: local SGD with a sync every second step,
-  restarted from a checkpoint.
+  restarted from a checkpoint;
+* ``no-policy``: the ``shrink-continue`` plan with no recovery policy,
+  which means shrink-and-continue, so both digests agree.  Recorded after
+  the ladder replaced the trainer's flat-timeout coordinator path.
 """
 
 from __future__ import annotations
@@ -121,6 +124,10 @@ CASES = {
         plan=FaultPlan(seed=11, faults=(RankFailure(rank=3, time=3.0),)),
         recovery=_restart(5),
     ),
+    "no-policy": Case(
+        steps=10,
+        plan=FaultPlan(seed=5, faults=(RankFailure(rank=2, time=2.0),)),
+    ),
 }
 
 GOLDEN = {
@@ -132,6 +139,8 @@ GOLDEN = {
         "243ce61c62fbe1848214b58f97524316f0f5ce41598460fd30c46038fb85cd4f",
     "local-sgd-h2-restart":
         "1ac139c37d3b651cb8ac1cda27608f61d2d70f376c676a4e07ab1d226b6b7570",
+    "no-policy":
+        "ca408bdf78ff7cf9a3ffde249ca9ea213e007c2825f8c840d9f19326d72bc31d",
     "node-regrow-topk":
         "940e53485cb12844d5fc6fd36fb07d34081cce1df2cca6b28fa76fbecc109182",
     "restart-every-step":

@@ -26,7 +26,13 @@ from repro.core.scenarios import scenario_by_name
 from repro.core.study import ScalingStudy, StudyConfig
 from repro.data import DegradationConfig, SRDataset, SyntheticDiv2k
 from repro.errors import CheckpointError
-from repro.faults import FaultInjector, FaultPlan, RankFailure, StragglerFault
+from repro.faults import (
+    CorruptionFault,
+    FaultInjector,
+    FaultPlan,
+    RankFailure,
+    StragglerFault,
+)
 from repro.hardware import LASSEN, Cluster
 from repro.horovod import HorovodConfig, HorovodEngine
 from repro.models import EDSR, EDSR_TINY
@@ -69,7 +75,7 @@ def take_steps(model, optimizer, n, seed=100):
     return losses
 
 
-def make_trainer(plan, recovery, *, ranks=4, checkpoints=None, seed_base=50):
+def make_trainer(plan, recovery, *, ranks=4, seed_base=50):
     cluster = Cluster(Environment(), LASSEN, num_nodes=max(1, (ranks + 3) // 4))
     config = Mv2Config(mv2_visible_devices="all", registration_cache=True)
     spec = WorldSpec(num_ranks=ranks, policy=SingletonDevicePolicy(),
@@ -89,7 +95,6 @@ def make_trainer(plan, recovery, *, ranks=4, checkpoints=None, seed_base=50):
         lr_patch=8,
         faults=injector,
         recovery=recovery,
-        checkpoints=checkpoints,
     )
     return trainer, injector
 
@@ -478,6 +483,21 @@ class TestStudyRecovery:
         g_restart = restart.run_point(8).resilience["goodput"]
         g_shrink = shrink.run_point(8).resilience["goodput"]
         assert g_shrink > g_restart
+
+    def test_snapshot_corruption_rolled_when_its_write_completes(self):
+        """A snapshot is rolled for corruption at the clock after its write
+        cost: a corruption window opening mid-write catches the step-0
+        snapshot, so the only restart target is corrupt."""
+        policy = RecoveryPolicy(restart=True,
+                                checkpoint=CheckpointPolicy(interval_steps=50))
+        study = self._study(policy)
+        write = policy.checkpoint.write_cost(study._checkpoint_nbytes())
+        study.fault_plan = FaultPlan(seed=21, faults=[
+            RankFailure(rank=3, time=2.0),
+            CorruptionFault(target="checkpoint", prob=1.0, start=write / 2),
+        ])
+        with pytest.raises(CheckpointError, match="all 1 retained"):
+            study.run_point(8)
 
     def test_clean_study_unchanged(self):
         point = ScalingStudy(
