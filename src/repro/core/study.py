@@ -575,7 +575,6 @@ class _PricedJob:
         self.session = session
         self.injector = injector
         self.policy = study.recovery or RESTART_FROM_CHECKPOINT
-        self.seed = study.fault_plan.seed
         self.sigma = study.config.jitter_sigma
         self.warmup = study.config.warmup_steps
         self.nbytes = study._checkpoint_nbytes()
@@ -652,7 +651,8 @@ class _PricedJob:
                 "ckpt-corrupt-skipped", clock, detail=f"step={step}"
             )
         raise CheckpointError(
-            f"no valid checkpoint survives under plan seed={self.seed}: "
+            f"no valid checkpoint survives under plan "
+            f"seed={self.injector.plan.seed}: "
             f"all {len(self.snapshots)} retained snapshot(s) corrupt "
             f"(keep_last={self.policy.checkpoint.keep_last})"
         )

@@ -53,8 +53,8 @@ class RecoveryPolicy:
             )
 
 
-#: shrink-and-continue without checkpoint replay — PR 1's old SHRINK
-#: behaviour, expressed in the new policy vocabulary
+#: shrink-and-continue without checkpoint replay; what a trainer given a
+#: fault injector and no policy runs
 SHRINK_CONTINUE = RecoveryPolicy(restart=False)
 
 #: the default elastic policy: checkpoint/restart on a shrunk world
