@@ -10,13 +10,12 @@ every version.
 from __future__ import annotations
 
 
-def fold_sum(values, start=0):
-    """``start + v0 + v1 + ...``, added left to right.
+def fold_sum(values):
+    """``0 + v0 + v1 + ...``, added left to right.
 
-    Like ``sum()``, an empty ``values`` returns ``start`` unchanged (the
-    int 0 by default).
+    Like ``sum()``, an empty ``values`` returns the int 0.
     """
-    total = start
+    total = 0
     for value in values:
         total = total + value
     return total
