@@ -56,7 +56,7 @@ class Cluster:
         self.live_links = False
         # Topology is immutable after construction: memoize routes per
         # endpoint pair and the (sum-of-alphas, bottleneck-bandwidth) pair
-        # per route class (see path_constants).
+        # per route class (see route_class).
         self._route_cache: dict[
             tuple[DeviceRef, DeviceRef], list[tuple[Link, object, object]]
         ] = {}
@@ -185,24 +185,33 @@ class Cluster:
             here = there
         return hops
 
+    @staticmethod
+    def route_class(src: DeviceRef, dst: DeviceRef) -> tuple:
+        """``(src.kind, src.index, dst.kind, dst.index, same node)``: what
+        a route's links depend on, given a uniform fabric.
+
+        Every node is built from the one ``spec.node`` and every uplink
+        from the one IB spec, so two routes of a class cross links of the
+        same specs in the same order, and a GPU's index fixes its socket
+        and so the CPU it stages through.  :meth:`path_constants` and the
+        transport's price table are keyed by it.
+        """
+        return (src.kind, src.index, dst.kind, dst.index, src.node == dst.node)
+
     def path_constants(
         self, src: DeviceRef, dst: DeviceRef
     ) -> tuple[float, float]:
         """Fault-free ``(sum of hop latencies, bottleneck bandwidth)`` of
         the route, ``(0.0, inf)`` for an empty one.
 
-        Memoized per route class ``(src.kind, src.index, dst.kind,
-        dst.index, same node)``, not per endpoint pair.  This rests on the
-        fabric being uniform: every node is built from the one
-        ``spec.node`` and every uplink from the one IB spec, so two routes
-        of a class cross links of the same specs in the same order.  A
-        4096-rank world then walks a few dozen routes instead of one per
-        rank pair.  The hop list is reduced and dropped, not added to the
+        Memoized per :meth:`route_class`, not per endpoint pair, so a
+        4096-rank world walks a few dozen routes instead of one per rank
+        pair.  The hop list is reduced and dropped, not added to the
         route memo.  Latencies are added left to right, as
         :meth:`path_cost`'s live walk adds them, so both give the same
         float (``sum()`` is compensated from Python 3.12 on).
         """
-        key = (src.kind, src.index, dst.kind, dst.index, src.node == dst.node)
+        key = self.route_class(src, dst)
         constants = self._path_cache.get(key)
         if constants is None:
             hops = self._route_cache.get((src, dst)) or self._route_uncached(src, dst)

@@ -121,7 +121,8 @@ class TransferQuote:
     and buffers it touches (``src_cache``/``src_buf`` on the sender's HCA,
     ``dst_cache``/``dst_buf`` for a GDR receiver, both at ``extent``);
     ``ib`` is the sender's HCA for IB kinds.  ``staged`` says whether the
-    kind is one of :data:`STAGED_KINDS`.
+    kind is one of :data:`STAGED_KINDS`.  Every slot is set once, from
+    the constructor's arguments in slot order.
     """
 
     __slots__ = (
@@ -130,34 +131,45 @@ class TransferQuote:
         "dst_buf", "extent",
     )
 
-    def __init__(self, kind: TransportKind, src: int, dst: int, nbytes: int):
+    def __init__(
+        self, kind: TransportKind, staged: bool, src: int, dst: int,
+        nbytes: int, wire: float, staging: float, protocol: float,
+        opens_ipc: bool, ib: IbTransferModel | None,
+        src_cache: RegistrationCache | None, src_buf: int | None,
+        dst_cache: RegistrationCache | None, dst_buf: int | None,
+        extent: int,
+    ):
         self.kind = kind
-        self.staged = kind in STAGED_KINDS
+        self.staged = staged
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
-        self.wire = 0.0
-        self.staging = 0.0
-        self.protocol = 0.0
-        self.opens_ipc = False
-        self.ib = None
-        self.src_cache = None
-        self.src_buf = None
-        self.dst_cache = None
-        self.dst_buf = None
-        self.extent = nbytes
+        self.wire = wire
+        self.staging = staging
+        self.protocol = protocol
+        self.opens_ipc = opens_ipc
+        self.ib = ib
+        self.src_cache = src_cache
+        self.src_buf = src_buf
+        self.dst_cache = dst_cache
+        self.dst_buf = dst_buf
+        self.extent = extent
 
 
 class PairGeometry:
     """What never changes about one ordered rank pair of a world.
 
     Both ranks, whether they share a node, the CUDA IPC verdict, the
-    sender's HCA and the receiver's registration cache, and the
-    fault-free ``(alpha, bottleneck)`` of the GPU-to-GPU route.
+    sender's HCA and the receiver's registration cache, the fault-free
+    ``(alpha, bottleneck)`` of the GPU-to-GPU route, and ``prices``: the
+    price-table entries of the pair's class, keyed by ``nbytes`` and
+    shared with every pair of that class (see
+    :meth:`TransportModel._price`).
     """
 
     __slots__ = (
         "a", "b", "same_node", "ipc", "ib", "dst_cache", "alpha", "bottleneck",
+        "prices",
     )
 
     def __init__(self, transport: "TransportModel", src: int, dst: int):
@@ -166,9 +178,15 @@ class PairGeometry:
         self.ipc = transport.can_ipc(a, b)
         self.ib = transport._ib[a.node_id]
         self.dst_cache = transport._ib[b.node_id].reg_cache
-        self.alpha, self.bottleneck = transport.cluster.path_constants(
+        cluster = transport.cluster
+        self.alpha, self.bottleneck = cluster.path_constants(
             a.device_ref, b.device_ref
         )
+        shape = (
+            cluster.route_class(a.device_ref, b.device_ref), self.ipc,
+            src == dst,
+        )
+        self.prices = transport._prices.setdefault(shape, {})
 
 
 class TransportModel:
@@ -212,6 +230,9 @@ class TransportModel:
         self._ipc_pairs: set[tuple[int, int]] = set()
         # ordered (src, dst) -> PairGeometry, filled on the pair's first use
         self._pairs: dict[tuple[int, int], PairGeometry] = {}
+        # (route class, IPC verdict, src == dst) -> {nbytes: (kind, staged,
+        # wire, staging, protocol)}: the price table quote reads
+        self._prices: dict[tuple, dict[int, tuple]] = {}
         self.stats = TransportStats()
         # Seconds each rank spends driving pageable staging copies; these
         # copies are synchronous w.r.t. the GPU stream, so the scaling study
@@ -301,58 +322,106 @@ class TransportModel:
         dst_buffer: int | None = None,
         buffer_extent: int | None = None,
     ) -> TransferQuote:
-        """Price one message from what no send changes; mutates nothing.
+        """Price one message from what no send changes.
 
+        ``quote`` changes no protocol state: opening an IPC pair,
+        acquiring registrations and counting sends are :meth:`apply`'s.
         Registration-cache state never enters a quote.  Only
         ``opens_ipc`` reads protocol state, and pairs never close, so a
         quote that does not open one stays valid while the transport's
         configuration, placement and link state do.
+
+        What the transfer's shape fixes comes from the world's price
+        table (see :meth:`_price`); the sender's HCA, the caches, buffers
+        and extent a rendezvous touches, and ``opens_ipc`` are the
+        transfer's own.  Under a ``LinkFault`` (``cluster.live_links``,
+        read at every quote) link state varies with simulated time, so
+        the quote is priced afresh and the table left alone.
         """
-        pair = self._pair(src, dst)
-        kind = self._select(pair, src, dst, nbytes)
-        q = TransferQuote(kind, src, dst, nbytes)
-        if kind is TransportKind.SELF:
-            return q
-        spec = self.cluster.spec.node
-        if kind is TransportKind.SMP_EAGER:
-            q.protocol = 2.0e-6  # shared-memory queue post/poll
-            q.staging = 2 * nbytes / spec.pageable_copy_bandwidth
-        elif kind is TransportKind.CUDA_IPC:
-            q.opens_ipc = (min(src, dst), max(src, dst)) not in self._ipc_pairs
-            # first use maps the peer buffer, then IPC rendezvous sync
-            q.protocol = (IPC_OPEN_OVERHEAD_S if q.opens_ipc else 0.0) + 3.0e-6
-            path = self._device_wire(pair, nbytes)
-            q.wire = max(path, nbytes / self.config.cuda_ipc_bandwidth)
-        elif kind is TransportKind.HOST_STAGED:
-            q.protocol = 2.5e-6
-            q.staging = self._staged_time(pair.a, pair.b, nbytes)
-        elif kind is TransportKind.IB_EAGER:
-            q.ib = pair.ib
-            q.protocol = q.ib.eager_overhead(nbytes)
-            # small D2H copy into the bounce buffer, then the wire
-            q.staging = nbytes / spec.pageable_copy_bandwidth
-            q.wire = self._device_wire(pair, nbytes)
-        elif kind is TransportKind.GDR_RDMA or kind is TransportKind.STAGED_INTER:
-            ib = q.ib = pair.ib
-            q.protocol = ib.rendezvous_overhead(nbytes)
-            q.src_cache = ib.reg_cache
-            q.src_buf = src_buffer if src_buffer is not None else -src - 1
+        pair = self._pairs.get((src, dst)) or self._pair(src, dst)
+        if self.cluster.live_links:
+            entry = self._price(pair, src, dst, nbytes)
+        else:
+            entry = pair.prices.get(nbytes)
+            if entry is None:
+                entry = pair.prices[nbytes] = self._price(pair, src, dst, nbytes)
+        kind, staged, wire, staging, protocol = entry
+        opens_ipc = False
+        ib = src_cache = src_buf = dst_cache = dst_buf = None
+        extent = nbytes
+        if kind is TransportKind.GDR_RDMA or kind is TransportKind.STAGED_INTER:
+            ib = pair.ib
+            src_cache = ib.reg_cache
+            src_buf = src_buffer if src_buffer is not None else -src - 1
             if buffer_extent is not None:
-                q.extent = buffer_extent
+                extent = buffer_extent
             if kind is TransportKind.GDR_RDMA:
                 # receiver's buffer is advertised once per call (CTS
                 # carries the rkey) through its own HCA's cache
-                q.dst_cache = pair.dst_cache
-                q.dst_buf = dst_buffer if dst_buffer is not None else -dst - 1
-                q.wire = self._device_wire(pair, nbytes)
-            else:
-                q.staging = 2 * nbytes / spec.pageable_copy_bandwidth
-                q.wire = self.cluster.path_cost(
-                    self._cpu_of(pair.a), self._cpu_of(pair.b), nbytes
-                )
+                dst_cache = pair.dst_cache
+                dst_buf = dst_buffer if dst_buffer is not None else -dst - 1
+        elif kind is TransportKind.IB_EAGER:
+            ib = pair.ib
+        elif kind is TransportKind.CUDA_IPC:
+            opens_ipc = (min(src, dst), max(src, dst)) not in self._ipc_pairs
+            if opens_ipc:
+                # first use maps the peer buffer, then IPC rendezvous sync
+                protocol = IPC_OPEN_OVERHEAD_S + 3.0e-6
+        return TransferQuote(
+            kind, staged, src, dst, nbytes, wire, staging, protocol, opens_ipc,
+            ib, src_cache, src_buf, dst_cache, dst_buf, extent,
+        )
+
+    def _price(
+        self, pair: PairGeometry, src: int, dst: int, nbytes: int
+    ) -> tuple[TransportKind, bool, float, float, float]:
+        """``(kind, staged, wire, staging, protocol)`` of ``nbytes`` over
+        ``pair``, priced from scratch.
+
+        :meth:`quote` stores it per shape: the pair's
+        :meth:`~repro.hardware.cluster.Cluster.route_class`, its CUDA IPC
+        verdict, whether ``src == dst``, and ``nbytes``.  The route class
+        fixes the wire because the fabric is uniform, and the protocol
+        term because the HCAs are too: every :class:`IbTransferModel` of
+        a world has the default
+        :class:`~repro.net.infiniband.IbProtocolCosts` and a
+        :class:`RegistrationCache` built from the one :class:`Mv2Config`.
+        An IPC price holds the protocol of an open pair; ``quote`` adds
+        ``IPC_OPEN_OVERHEAD_S`` while its own pair is not yet open,
+        whichever pair filled the entry.
+        """
+        kind = self._select(pair, src, dst, nbytes)
+        if kind is TransportKind.SELF:
+            return kind, False, 0.0, 0.0, 0.0
+        spec = self.cluster.spec.node
+        wire = staging = 0.0
+        if kind is TransportKind.SMP_EAGER:
+            protocol = 2.0e-6  # shared-memory queue post/poll
+            staging = 2 * nbytes / spec.pageable_copy_bandwidth
+        elif kind is TransportKind.CUDA_IPC:
+            protocol = 3.0e-6  # IPC rendezvous sync on an open pair
+            path = self._device_wire(pair, nbytes)
+            wire = max(path, nbytes / self.config.cuda_ipc_bandwidth)
+        elif kind is TransportKind.HOST_STAGED:
+            protocol = 2.5e-6
+            staging = self._staged_time(pair.a, pair.b, nbytes)
+        elif kind is TransportKind.IB_EAGER:
+            protocol = pair.ib.eager_overhead(nbytes)
+            # small D2H copy into the bounce buffer, then the wire
+            staging = nbytes / spec.pageable_copy_bandwidth
+            wire = self._device_wire(pair, nbytes)
+        elif kind is TransportKind.GDR_RDMA:
+            protocol = pair.ib.rendezvous_overhead(nbytes)
+            wire = self._device_wire(pair, nbytes)
+        elif kind is TransportKind.STAGED_INTER:
+            protocol = pair.ib.rendezvous_overhead(nbytes)
+            staging = 2 * nbytes / spec.pageable_copy_bandwidth
+            wire = self.cluster.path_cost(
+                self._cpu_of(pair.a), self._cpu_of(pair.b), nbytes
+            )
         else:  # pragma: no cover - enum is exhaustive
             raise MpiError(f"unhandled transport {kind}")
-        return q
+        return kind, kind in STAGED_KINDS, wire, staging, protocol
 
     def apply(self, q: TransferQuote) -> float:
         """Send a quoted transfer: perform its side effects (registration

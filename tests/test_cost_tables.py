@@ -3,15 +3,16 @@
 ``ModelCostModel`` sums its layer totals once at construction,
 ``ServingCostModel`` prices each (patch, scale, batch size) once,
 ``TransportModel`` resolves each ordered rank pair's geometry once and
-``StepCoster`` prices each reduction size once.  None of them changes the
-arithmetic, so each must equal a fresh reference computation exactly: the
-totals a plain loop over the layers in order, the latency table
-``ThroughputModel.inference_time`` on a freshly built cost model, every
-quote field what the per-call lookups give (rank dicts, ``can_ipc``, the
-per-node HCA map and ``Cluster.path_cost`` with link state read live),
-and a reduction ``reduce_time_for`` on a fresh coster.  Link state is
-read only under a ``LinkFault``: any other plan prices every route and
-quote at the fault-free constants without consulting it.
+prices each transfer shape once, and ``StepCoster`` prices each reduction
+size once.  None of them changes the arithmetic, so each must equal a
+fresh reference computation exactly: the totals a plain loop over the
+layers in order, the latency table ``ThroughputModel.inference_time`` on
+a freshly built cost model, every quote field what the per-call lookups
+give (rank dicts, ``can_ipc``, the per-node HCA map and
+``Cluster.path_cost`` with link state read live), and a reduction
+``reduce_time_for`` on a fresh coster.  Link state is read only under a
+``LinkFault``: any other plan prices every route and quote at the
+fault-free constants without consulting it.
 """
 
 from __future__ import annotations
@@ -269,14 +270,53 @@ def assert_quotes_match(transport) -> list[float]:
     return wires
 
 
+def price_entries(transport) -> int:
+    return sum(len(row) for row in transport._prices.values())
+
+
+def distinct_shapes(transport) -> int:
+    """Shapes of every ordered pair at every size: both GPU indices,
+    same node or not, the IPC verdict, ``src == dst`` and the size."""
+    shapes = set()
+    for src, a in transport.ranks.items():
+        for dst, b in transport.ranks.items():
+            pair = (
+                a.physical_device, b.physical_device, a.node_id == b.node_id,
+                transport.can_ipc(a, b), src == dst,
+            )
+            shapes.update((pair, nbytes) for nbytes in SIZES)
+    return len(shapes)
+
+
 @pytest.mark.parametrize("num_ranks", [8, 16])
 @pytest.mark.parametrize("name", sorted(MPI_CONFIGS))
 def test_pair_table_quotes_equal_per_call_lookups(name, num_ranks):
     transport = _world(MPI_CONFIGS[name], num_ranks).transport
     assert_quotes_match(transport)
+    # one price per transfer shape, shared by every pair of that shape
+    assert price_entries(transport) == distinct_shapes(transport)
+    assert price_entries(transport) < len(transport._pairs) * len(SIZES)
     # an opened IPC pair changes only opens_ipc, which is read live
     for src, dst in ((0, 1), (1, 0), (2, 3)):
         transport.apply(transport.quote(src, dst, CUDA_IPC_THRESHOLD))
+    assert_quotes_match(transport)
+
+
+def test_ipc_price_filled_by_an_open_pair_still_opens_the_next():
+    transport = _world(MPI_CONFIGS["mpi-opt"], 8).transport
+    transport.apply(transport.quote(0, 1, 16 * MIB + 28))
+    assert transport._ipc_pairs == {(0, 1)}
+    # the open pair is the first to quote this size: it fills the entry
+    first = transport.quote(0, 1, CUDA_IPC_THRESHOLD)
+    assert first.kind is TransportKind.CUDA_IPC and not first.opens_ipc
+    assert first.protocol == 3.0e-6
+    # 4 -> 5 has the route class and IPC verdict of 0 -> 1
+    pairs = transport._pairs
+    q = transport.quote(4, 5, CUDA_IPC_THRESHOLD)
+    assert pairs[(4, 5)].prices is pairs[(0, 1)].prices
+    assert q.opens_ipc
+    assert q.protocol.hex() == (IPC_OPEN_OVERHEAD_S + 3.0e-6).hex()
+    # every other field too, for every pair, opened or not
     assert_quotes_match(transport)
 
 
@@ -286,6 +326,8 @@ def test_pair_table_reads_link_state_live(name):
     env = world.cluster.env
     healthy = assert_quotes_match(world.transport)
     assert healthy
+    # link state varies with simulated time: nothing enters the price table
+    assert price_entries(world.transport) == 0
     env.run(until=1.5)
     degraded = assert_quotes_match(world.transport)
     assert all(d > h for d, h in zip(degraded, healthy))
