@@ -15,7 +15,9 @@ Both the *numerics* (replica synchrony, convergence) and the *timing*
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -73,7 +75,8 @@ class DistributedTrainer:
     ``recovery`` (shrink-and-continue when no policy is given), so the
     ``faults`` an injector raises are detected, absorbed and itemized the
     same way as in the performance study.  A policy that restarts writes
-    checkpoints under a fresh temporary directory.
+    checkpoints under a fresh temporary directory, removed with its
+    checkpoints when the trainer is freed (or at interpreter exit).
     """
 
     def __init__(
@@ -120,8 +123,11 @@ class DistributedTrainer:
         self.recovery = recovery or SHRINK_CONTINUE
         self.checkpoints = None
         if self.recovery.restart:
+            directory = tempfile.mkdtemp(prefix="repro-ckpt-")
+            # the finalizer holds the path, not the trainer: no cycle
+            weakref.finalize(self, shutil.rmtree, directory, True)
             self.checkpoints = CheckpointManager(
-                tempfile.mkdtemp(prefix="repro-ckpt-"), self.recovery.checkpoint
+                directory, self.recovery.checkpoint
             )
         self._model_factory = model_factory
         self.models = [model_factory(rank) for rank in range(num_ranks)]

@@ -1,6 +1,9 @@
 """Tests for training loops: single-process, distributed, checkpointing."""
 
+import gc
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from repro.horovod import HorovodConfig, HorovodEngine
 from repro.models import EDSR, EDSR_TINY, bicubic_upscale
 from repro.metrics import psnr
 from repro.mpi import MpiWorld, WorldSpec
+from repro.resilience import RESTART_FROM_CHECKPOINT
 from repro.sim import Environment
 from repro.tensor.optim import Adam
 from repro.trainer import (
@@ -153,6 +157,35 @@ class TestDistributedTraining:
             base_lr=1e-4, scale_lr=True,
         )
         assert trainer.dist_opt.optimizers[0].lr == pytest.approx(4e-4)
+
+    def test_restart_checkpoints_leave_with_the_trainer(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def checkpoint_dirs():
+            return [p for p in tmp_path.iterdir()
+                    if p.name.startswith("repro-ckpt-")]
+
+        gc.disable()
+        try:
+            trainer = DistributedTrainer(
+                lambda rank: EDSR(EDSR_TINY, rng=np.random.default_rng(rank)),
+                self._engine(2), tiny_dataset, batch_per_rank=1, lr_patch=8,
+                recovery=RESTART_FROM_CHECKPOINT,
+            )
+            trainer.train(steps=2)
+            (directory,) = checkpoint_dirs()
+            assert any(directory.iterdir())
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                del trainer
+            # freed by reference counting, with its checkpoints
+            assert checkpoint_dirs() == []
+        finally:
+            gc.enable()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestCheckpointing:
