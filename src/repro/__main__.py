@@ -49,8 +49,8 @@ def _add_engine_mode(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--fast", dest="engine_mode", action="store_const", const="fast",
-        help="memoized-quote fast path (bit-identical to --exact; "
-             "see docs/engine_fastpath.md)",
+        help="exact walk plus a closed form for warm ring phases "
+             "(bit-identical to --exact; see docs/engine_fastpath.md)",
     )
     group.add_argument(
         "--exact", dest="engine_mode", action="store_const", const="exact",

@@ -84,8 +84,8 @@ def build_engine(
 ):
     """Backend world + Horovod engine for one data-parallel group.
 
-    Returns ``(world, engine, session)``; ``session`` is the fastpath
-    replay session in fast engine mode, else None.
+    Returns ``(world, engine)``; in fast engine mode the world's coster
+    carries a fast-path session.
     """
     world_spec = WorldSpec(
         num_ranks=num_ranks, policy=scenario.policy, config=scenario.mv2
@@ -94,17 +94,16 @@ def build_engine(
         cluster, scenario.backend, world_spec=world_spec,
         num_ranks=num_ranks, faults=faults,
     )
-    session = None
     if cfg.engine_mode == "fast":
         from repro.sim.fastpath import enable_fastpath
 
-        session = enable_fastpath(world)
+        enable_fastpath(world)
     if hvprof is not None:
         comm.add_observer(hvprof.observer)
     engine = HorovodEngine(
         comm, cfg.horovod, compression=CompressionConfig.parse(cfg.compression)
     )
-    return world, engine, session
+    return world, engine
 
 
 class StepProgram:

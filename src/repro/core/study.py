@@ -67,9 +67,9 @@ class StudyConfig:
     steady_detect: bool = True
     steady_window: int = 3
     steady_rel_tol: float = 1e-9
-    # Engine execution mode: "exact" quotes every transfer of every
-    # collective schedule afresh; "fast" attaches the repro.sim.fastpath
-    # session, which memoizes each distinct transfer's quote and reuses it
+    # Engine execution mode: "exact" walks every step of every collective
+    # schedule; "fast" attaches the repro.sim.fastpath session, which walks
+    # the same way but prices warm ring phases in a closed form,
     # bit-identically (equivalence pinned by
     # tests/test_engine_equivalence.py).
     engine_mode: str = "exact"
@@ -411,7 +411,7 @@ class ScalingStudy:
                 comm_wall_time=0.0,
                 workload=workload_payload,
             )
-        world, engine, _ = build_engine(
+        world, engine = build_engine(
             build_cluster(cfg.cluster, num_gpus), num_gpus, self.scenario,
             cfg, hvprof=hvprof,
         )
@@ -466,7 +466,7 @@ class ScalingStudy:
         backward = self.throughput.backward_time(batch)
         cluster = build_cluster(cfg.cluster, num_gpus)
         injector = FaultInjector(self.fault_plan, topology=cluster.topology())
-        world, engine, session = build_engine(
+        world, engine = build_engine(
             cluster, num_gpus, self.scenario, cfg, hvprof=hvprof,
             faults=injector,
         )
@@ -475,7 +475,7 @@ class ScalingStudy:
             update=self._update_time(), schedule=self.cost.gradient_schedule(),
             world=world, engine=engine, hvprof=hvprof,
         )
-        job = _PricedJob(self, program, session, injector)
+        job = _PricedJob(self, program, injector)
         ladder = RecoveryLadder(job.policy, injector, range(num_gpus))
         records = ladder.run(job, cfg.warmup_steps + cfg.measure_steps)
         measured = records[cfg.warmup_steps:]
@@ -560,19 +560,17 @@ class _PricedJob:
     Steps are :class:`StepProgram` phases priced on the simulated engine.
     Snapshots are priced, not written; each is rolled for corruption when
     its write completes, and a restart walks them newest to oldest,
-    charging one read per snapshot tried.  Every ring change empties the
-    fast-path memo and re-arms the steady-state detector, so a recovery
-    transient never poisons the converged value; between changes,
-    converged steps replay the steady value without walking the engine.
+    charging one read per snapshot tried.  Every ring change re-arms the
+    steady-state detector, so a recovery transient never poisons the
+    converged value; between changes, converged steps replay the steady
+    value without walking the engine.
     """
 
-    def __init__(self, study: ScalingStudy, program: StepProgram, session,
-                 injector):
+    def __init__(self, study: ScalingStudy, program: StepProgram, injector):
         from repro.resilience.policy import RESTART_FROM_CHECKPOINT
 
         self.program = program
         self.engine = program.engine
-        self.session = session
         self.injector = injector
         self.policy = study.recovery or RESTART_FROM_CHECKPOINT
         self.sigma = study.config.jitter_sigma
@@ -584,8 +582,6 @@ class _PricedJob:
         self.extrapolated = 0
 
     def _ring_changed(self) -> None:
-        if self.session is not None:
-            self.session.invalidate()
         if self.program.detector is not None:
             self.program.detector.rearm()
 

@@ -313,8 +313,8 @@ class HorovodEngine:
             for i in range(self.num_ranks):
                 tensor.data[i][...] = average.reshape(tensor.data[i].shape)
         # sparse payloads reuse a stable per-tensor wire buffer each step,
-        # so the registration cache (and the fastpath ring memo) still key
-        # on a fixed identity despite the fresh (index, value) content
+        # so the registration cache still keys on a fixed identity despite
+        # the fresh (index, value) content
         buffers = []
         for rank in range(self.num_ranks):
             key = (f"sparse:{tensor.name}", rank)

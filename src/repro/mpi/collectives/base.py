@@ -235,8 +235,8 @@ class StepCoster:
         # this world's collective step schedules, keyed by rank list
         self.schedules = ScheduleMemo()
         # Optional repro.sim.fastpath.FastPathSession; when attached (via
-        # enable_fastpath), analytic walks reuse memoized transfer quotes
-        # and collapse warm ring phases into a closed form.
+        # enable_fastpath), analytic walks collapse warm ring phases into
+        # a closed form.
         self.fastpath = None
 
     # -- reduction compute costs ------------------------------------------------
@@ -321,27 +321,25 @@ class StepCoster:
     ) -> float:
         """Makespan of concurrent transfers under the contention model.
 
-        The one analytic step walk: each transfer is quoted (memoized by an
-        attached fast-path session, fresh otherwise) and applied, then
-        charged its reduction and, under wire corruption, its CRC
-        retransmits priced from the plain time it was just charged.
+        The one analytic step walk, in both engine modes: each transfer is
+        quoted and applied, then charged its reduction and, under wire
+        corruption, its CRC retransmits priced from the plain time it was
+        just charged.
         """
         if not transfers:
             return 0.0
         transport = self.transport
-        session = self.fastpath
+        if self.fastpath is not None:
+            self.fastpath.exact_transfers += len(transfers)
         corrupting = self.corruption_active()
         quotes = []
         totals = []
         for t in transfers:
-            if session is not None:
-                q = session.quote(t)
-            else:
-                q = transport.quote(
-                    t.src, t.dst, t.nbytes,
-                    src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
-                    buffer_extent=t.buffer_extent,
-                )
+            q = transport.quote(
+                t.src, t.dst, t.nbytes,
+                src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
+                buffer_extent=t.buffer_extent,
+            )
             plain = (q.wire + q.staging) + transport.apply(q)
             total = plain
             if reduce_after:

@@ -326,10 +326,9 @@ class TransportModel:
 
         ``quote`` changes no protocol state: opening an IPC pair,
         acquiring registrations and counting sends are :meth:`apply`'s.
-        Registration-cache state never enters a quote.  Only
-        ``opens_ipc`` reads protocol state, and pairs never close, so a
-        quote that does not open one stays valid while the transport's
-        configuration, placement and link state do.
+        Registration-cache state never enters a quote; only
+        ``opens_ipc`` reads protocol state.  Both engine modes quote
+        every walked transfer here, and no quote outlives its step.
 
         What the transfer's shape fixes comes from the world's price
         table (see :meth:`_price`); the sender's HCA, the caches, buffers

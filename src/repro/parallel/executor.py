@@ -242,7 +242,7 @@ def run_hybrid(study, num_gpus: int, layout: ParallelLayout, *, hvprof=None):
 
     world = engine = None
     if layout.dp > 1:
-        world, engine, _ = build_engine(
+        world, engine = build_engine(
             build_cluster(dp_cluster_spec(cfg.cluster, layout), layout.dp),
             layout.dp, scenario, cfg, hvprof=hvprof,
         )

@@ -22,7 +22,6 @@ from repro.sim.fastpath import (
     FastPathSession,
     coerce_engine_mode,
     enable_fastpath,
-    fastpath_stats,
 )
 from repro.sim.resources import Resource, ResourceRequest
 from repro.sim.queues import Store
@@ -40,5 +39,4 @@ __all__ = [
     "FastPathSession",
     "coerce_engine_mode",
     "enable_fastpath",
-    "fastpath_stats",
 ]

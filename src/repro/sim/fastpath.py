@@ -1,4 +1,4 @@
-"""Memoized transfer quotes and a ring closed form for the analytic engine.
+"""A ring closed form for the analytic engine.
 
 The scaling studies spend nearly all of their wall clock re-walking
 collective step schedules: a 512-rank hierarchical allreduce costs the
@@ -9,22 +9,16 @@ two (``repro.mpi.transports``): ``TransportModel.quote`` prices what no
 send changes (transport selection, path cost, staging, the fixed protocol
 term) and ``TransportModel.apply`` performs the send's side effects and
 returns its state-dependent protocol seconds.  Both engine modes walk
-steps through ``StepCoster.step_time_analytic``; exact mode quotes every
-transfer afresh, fast mode takes the quote from this session's memo.
+steps through ``StepCoster.step_time_analytic``, which quotes every
+transfer; fast mode differs only in collapsing warm ring phases.
 
 Correctness contract (the bit-identity guarantee the equivalence suite
 pins):
 
-* A quote never depends on registration-cache state, so a memo entry
-  stays valid across cache hits, misses, evictions, poisoning and flushes
-  — ``apply`` reads that state live.  Three guards remain: a quote that
-  opens a CUDA IPC pair is never memoized; with a ``LinkFault`` in the
-  plan ``path_cost`` varies with simulated time, so the memo is pinned to
-  the ``env.now`` it was filled at; :meth:`FastPathSession.invalidate`
-  (whenever recovery changes the ring) empties it.
-* Every walked transfer, its quote memoized or fresh, goes through the
-  same ``apply``, reduction and corruption-surcharge code, so a run
-  leaves the same protocol state and the same floats in either mode.
+* Every walked transfer, in either mode, takes its quote from
+  ``TransportModel.quote`` and goes through the same ``apply``,
+  reduction and corruption-surcharge code, so a run leaves the same
+  protocol state and the same floats in either mode.
 * Ring phases collapse into a closed form only once every remaining
   transfer is steady (``TransportModel.steady_protocol``: its next
   ``apply`` opens no IPC pair and changes no registration); the closed
@@ -44,16 +38,16 @@ import numpy as np
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mpi.collectives.base import PairTransfer, StepCoster
-    from repro.mpi.transports import TransferQuote, TransportModel
+    from repro.mpi.collectives.base import StepCoster
+    from repro.mpi.transports import TransportModel
 
 
 class EngineMode(enum.Enum):
     """How the analytic engine executes collective schedules."""
 
-    #: quote every transfer of every schedule step afresh
+    #: walk every step of every collective schedule
     EXACT = "exact"
-    #: quote each distinct transfer once, collapse warm rings (bit-identical)
+    #: the exact walk, with warm ring phases collapsed (bit-identical)
     FAST = "fast"
 
 
@@ -72,83 +66,32 @@ def coerce_engine_mode(mode: "EngineMode | str | None") -> EngineMode:
 
 
 class FastPathSession:
-    """Per-world memo of transfer quotes, plus run statistics.
+    """The ring closed form of one world's analytic coster, plus run
+    statistics.
 
     One session is attached to a
     :class:`~repro.mpi.collectives.base.StepCoster` (``coster.fastpath``);
-    its step walk takes quotes from :meth:`quote`, and ``run_steps``
-    hands ring schedules of at least ``RING_MIN_RANKS`` ranks to
-    :meth:`ring_time`.
+    ``run_steps`` hands ring schedules of at least ``RING_MIN_RANKS``
+    ranks to :meth:`ring_time`, and every other step walks exactly as
+    without a session.
     """
 
-    #: memo safety valve — never-recurring keys (fresh per-step buffer ids
-    #: of unfused tensors) would otherwise grow the table without bound
-    MAX_ENTRIES = 1 << 18
     #: below this ring size the per-transfer walk is already cheap and the
     #: closed form's staged-contention preconditions rarely hold
     RING_MIN_RANKS = 8
 
     def __init__(self, transport: "TransportModel"):
         self.transport = transport
-        self.memo: dict[tuple, "TransferQuote"] = {}
+        #: transfers of collapsed ring steps
         self.replayed_transfers = 0
+        #: transfers walked through ``step_time_analytic``
         self.exact_transfers = 0
-        self.invalidations = 0
-        self._time_varying = transport.cluster.live_links
-        self._now: float | None = None
-
-    def invalidate(self) -> None:
-        """Empty the memo (the ring changed: failure, blacklist, regrow)."""
-        self.memo.clear()
-        self.invalidations += 1
 
     def stats(self) -> dict[str, int]:
         return {
             "replayed_transfers": self.replayed_transfers,
             "exact_transfers": self.exact_transfers,
-            "memo_entries": len(self.memo),
-            "invalidations": self.invalidations,
         }
-
-    # -- quotes ------------------------------------------------------------
-    def quote(self, t: "PairTransfer") -> "TransferQuote":
-        """The memoized quote of one schedule transfer."""
-        key = (
-            t.src,
-            t.dst,
-            t.nbytes,
-            t.src_buffer,
-            t.dst_buffer,
-            t.buffer_extent,
-            t.dtype_bytes,
-        )
-        q = self._memoized(key)
-        if q is None:
-            self.exact_transfers += 1
-            return self._fresh(key)
-        self.replayed_transfers += 1
-        return q
-
-    def _memoized(self, key: tuple) -> "TransferQuote | None":
-        if self._time_varying:
-            now = self.transport.cluster.env.now
-            if now != self._now:
-                self.memo.clear()
-                self._now = now
-        return self.memo.get(key)
-
-    def _fresh(self, key: tuple) -> "TransferQuote":
-        src, dst, nbytes, src_buffer, dst_buffer, extent, _ = key
-        q = self.transport.quote(
-            src, dst, nbytes, src_buffer=src_buffer, dst_buffer=dst_buffer,
-            buffer_extent=extent,
-        )
-        if not q.opens_ipc:
-            memo = self.memo
-            if len(memo) >= self.MAX_ENTRIES:
-                memo.clear()
-            memo[key] = q
-        return q
 
     # -- ring closed form --------------------------------------------------
     def collapsible(self, steps) -> bool:
@@ -195,16 +138,12 @@ class FastPathSession:
         for i in range(p):
             src = ranks[i]
             dst = ranks[(i + 1) % p]
-            key = (
-                src,
-                dst,
-                chunk,
-                bids.get(src) if bids else None,
-                bids.get(dst) if bids else None,
-                sched.extent,
-                sched.dtype_bytes,
+            q = transport.quote(
+                src, dst, chunk,
+                src_buffer=bids.get(src) if bids else None,
+                dst_buffer=bids.get(dst) if bids else None,
+                buffer_extent=sched.extent,
             )
-            q = self._memoized(key) or self._fresh(key)
             protocol = transport.steady_protocol(q)
             if protocol is None:
                 return None
@@ -345,7 +284,7 @@ def enable_fastpath(world) -> FastPathSession | None:
     returned as-is), or ``None`` when the backend exposes no
     :class:`~repro.mpi.collectives.base.StepCoster` (closed-form backends
     cost collectives without schedule walks and need no fast path) or the
-    coster runs in event mode (quotes are memoized only for analytic walks).
+    coster runs in event mode (only analytic walks collapse rings).
     """
     from repro.mpi.collectives.base import ExecutionMode
 
@@ -361,17 +300,3 @@ def enable_fastpath(world) -> FastPathSession | None:
     session = FastPathSession(transport)
     coster.fastpath = session
     return session
-
-
-def fastpath_stats(world) -> dict[str, int] | None:
-    """The fast-path statistics of a world's attached session, if any.
-
-    ``None`` when no session is attached — a closed-form backend, event
-    mode, or an exact-mode run.  Diagnostics only: the counters depend on
-    memo warmth, so reports that must be byte-identical across cold/warm
-    runs (scaling points, planner output) never embed them.
-    """
-    session = getattr(getattr(world, "coster", None), "fastpath", None)
-    if session is None:
-        return None
-    return session.stats()

@@ -49,7 +49,7 @@ from repro.mpi.transports import (
 from repro.parallel import ParallelLayout, stage_models
 from repro.serve import DEFAULT_MIX, VIDEO_MIX, BatchingConfig, Request
 from repro.serve.costing import ServingCostModel, serving_model_config
-from repro.sim import Environment, enable_fastpath
+from repro.sim import Environment
 from repro.utils.units import MIB
 
 EDSR_PRESETS = (EDSR_PAPER, EDSR_BASELINE, EDSR_PAPER_TEXT, EDSR_TINY)
@@ -388,7 +388,7 @@ def _quote_bits(q) -> tuple:
     return tuple(_bits(getattr(q, name)) for name in QUOTE_FIELDS)
 
 
-def _fresh_quote(world, t: PairTransfer):
+def _quote(world, t: PairTransfer):
     return world.transport.quote(
         t.src, t.dst, t.nbytes, src_buffer=t.src_buffer,
         dst_buffer=t.dst_buffer,
@@ -402,7 +402,6 @@ def test_no_link_fault_prices_at_fault_free_constants(name, plan):
     world = _world(config, 8, NO_LINK_FAULT[plan], injector=CountingInjector)
     clean = _world(config, 8)
     assert not world.cluster.live_links
-    session = enable_fastpath(world)
     transfers = _transfers(8)
     refs = [world.cluster.gpu_ref(g) for g in range(8)]
     clean_refs = [clean.cluster.gpu_ref(g) for g in range(8)]
@@ -414,16 +413,9 @@ def test_no_link_fault_prices_at_fault_free_constants(name, plan):
                     assert world.cluster.path_cost(a, b, nbytes).hex() == (
                         clean.cluster.path_cost(ca, cb, nbytes).hex()
                     )
-        exact_before = session.exact_transfers
         for t in transfers:
-            expected = _quote_bits(_fresh_quote(clean, t))
-            assert _quote_bits(_fresh_quote(world, t)) == expected, t
-            assert _quote_bits(session.quote(t)) == expected, t
-        # the memo is not pinned to env.now: after the clock moves, only
-        # quotes that open an IPC pair (never memoized) are priced afresh
-        opening = sum(_fresh_quote(clean, t).opens_ipc for t in transfers)
-        fresh = session.exact_transfers - exact_before
-        assert fresh == (len(set(transfers)) if until == 0.5 else opening)
+            expected = _quote_bits(_quote(clean, t))
+            assert _quote_bits(_quote(world, t)) == expected, t
     assert world.transport.faults.link_state_calls == 0
 
 
@@ -431,7 +423,6 @@ def test_flapping_link_prices_live_at_each_half_period():
     config = MPI_CONFIGS["mpi-opt"]
     world = _world(config, 8, FLAP)
     assert world.cluster.live_links
-    session = enable_fastpath(world)
     clean = _world(config, 8)
     held = _world(config, 8, HELD)
     transfers = _transfers(8)
@@ -446,14 +437,11 @@ def test_flapping_link_prices_live_at_each_half_period():
                 16 * MIB,
             ).hex()
         )
-        # the memo refills at each env.now: a quote memoized in the last
-        # half-period is never served in this one
         for t in transfers:
-            expected = _quote_bits(_fresh_quote(reference, t))
-            assert _quote_bits(session.quote(t)) == expected, (now, t)
-            assert _quote_bits(session.quote(t)) == expected, (now, t)
-    healthy = [_fresh_quote(clean, t).wire for t in inter_node]
-    degraded = [_fresh_quote(held, t).wire for t in inter_node]
+            expected = _quote_bits(_quote(reference, t))
+            assert _quote_bits(_quote(world, t)) == expected, (now, t)
+    healthy = [_quote(clean, t).wire for t in inter_node]
+    degraded = [_quote(held, t).wire for t in inter_node]
     assert all(d > h for d, h in zip(degraded, healthy))
     kinds = [e.kind for e in world.transport.faults.trace]
     assert kinds.count("link-degraded") == 2

@@ -340,24 +340,6 @@ class TestTrainerLayout:
         assert trainer.layout.is_pure_dp
 
 
-class TestFastpathStats:
-    def test_stats_surface(self):
-        from repro.sim import enable_fastpath, fastpath_stats
-        from repro.mpi.collectives.allreduce import allreduce_timing
-        from tests.test_mpi_collectives import make_world
-
-        world = make_world(4)
-        assert fastpath_stats(world) is None  # nothing attached yet
-        session = enable_fastpath(world)
-        assert session is not None
-        for _ in range(3):
-            allreduce_timing(world.coster, list(range(4)), 4 * MIB,
-                             algorithm="ring")
-        stats = fastpath_stats(world)
-        assert stats == session.stats()
-        assert stats["replayed_transfers"] > 0
-
-
 class TestPlanner:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="ranks"):

@@ -1,9 +1,8 @@
 """The contract between ``TransportModel.quote`` and ``TransportModel.apply``.
 
 Both engine modes cost a transfer as ``(wire + staging) + apply(q)``;
-fast mode reuses a memoized ``q`` and the ring closed form prices warm
-steps from ``steady_protocol(q)`` without applying them.  That is sound
-only if
+in fast mode the ring closed form prices warm steps from
+``steady_protocol(q)`` without applying them.  That is sound only if
 
 * ``quote`` reads protocol state and never changes it,
 * ``cost`` is exactly ``apply(quote(...))``, and

@@ -146,27 +146,23 @@ def run_case(config, num_ranks, mode, plan=None, gap_s=0.0, stride=1) -> str:
     )
     faults = FaultInjector(plan) if plan is not None else None
     world = MpiWorld(cluster, spec, faults=faults)
-    session = None
     if mode == "fast":
         from repro.sim.fastpath import enable_fastpath
 
-        session = enable_fastpath(world)
-        assert session is not None
+        assert enable_fastpath(world) is not None
     comm = world.communicator().reform(range(0, world_ranks, stride))
     ranks = comm.ranks
     transport = world.transport
     lines: list[str] = []
     for call in range(3):
         if call == 2:
-            # one poisoned registration per node, a node-0 flush, and an
-            # explicit memo invalidation before the last call
+            # one poisoned registration per node and a node-0 flush
+            # before the last call
             for _, ib in sorted(transport._ib.items()):
                 entries = ib.reg_cache._entries
                 if entries:
                     ib.reg_cache.poison(next(iter(entries)))
             transport.drop_registrations(0)
-            if session is not None:
-                session.invalidate()
         timings = []
         for algorithm in ALGORITHMS:
             for s, nbytes in enumerate(SIZES):

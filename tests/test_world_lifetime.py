@@ -16,7 +16,8 @@ pin the ownership rule from ``docs/architecture.md``:
   simulation dies with its last reference;
 * links build their event-mode channels on first use, with the names and
   capacities they always had;
-* each world owns its collective-schedule memo.
+* each world owns its collective-schedule memo;
+* no transfer quote outlives its step, in any engine mode.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.hardware import links as links_module
 from repro.mpi import WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.comm import GpuBuffer
+from repro.mpi.transports import TransferQuote
 from repro.parallel.planner import PlannerConfig, plan_hybrid
 from repro.profiling import Hvprof
 from repro.resilience import RESTART_FROM_CHECKPOINT, SHRINK_CONTINUE
@@ -274,3 +276,21 @@ class TestScheduleMemoPerWorld:
             id(v) for v in second.entries.values()
         }
         assert not shared
+
+
+class TestNoQuoteOutlivesItsStep:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_live_world_holds_no_quote(self, mode):
+        # 16 ranks: the ring collapses in fast mode and the hierarchical
+        # allreduce walks a cross-node leader ring
+        world, comm = _world(mode, ranks=16)
+        for algorithm in ("ring", "hierarchical"):
+            comm.allreduce(
+                [GpuBuffer.virtual(8 * MIB) for _ in range(comm.size)],
+                algorithm=algorithm,
+            )
+        gc.collect()
+        quotes = sum(isinstance(o, TransferQuote) for o in gc.get_objects())
+        # the world is alive and has sent: its quotes were all dropped
+        assert sum(world.transport.stats.transfers.values()) > 0
+        assert quotes == 0
