@@ -50,7 +50,7 @@ from repro.horovod import HorovodConfig, HorovodEngine
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.collectives.allreduce import allreduce_timing
-from repro.perf import ResultCache, run_scenario_sweeps
+from repro.perf import ResultCache
 from repro.profiling import Hvprof, improvement_summary
 from repro.sim import Environment
 
@@ -66,6 +66,15 @@ def _bench_config(**overrides) -> StudyConfig:
     defaults = dict(measure_steps=8, jitter_sigma=0.0)
     defaults.update(overrides)
     return StudyConfig(**defaults)
+
+
+def _cached_sweep(scenarios, gpu_counts, config, jobs: int, cache) -> dict:
+    return {
+        name: ScalingStudy(scenario_by_name(name), config).run(
+            gpu_counts, jobs=jobs, cache=cache
+        )
+        for name in scenarios
+    }
 
 
 def time_fig10_sweep(quick: bool, jobs: int) -> dict:
@@ -84,14 +93,10 @@ def time_fig10_sweep(quick: bool, jobs: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
         t0 = perf_counter()
-        cold = run_scenario_sweeps(
-            scenarios, gpu_counts, fast_cfg, workers=jobs, cache=cache
-        )
+        cold = _cached_sweep(scenarios, gpu_counts, fast_cfg, jobs, cache)
         cold_s = perf_counter() - t0
         t0 = perf_counter()
-        warm = run_scenario_sweeps(
-            scenarios, gpu_counts, fast_cfg, workers=jobs, cache=cache
-        )
+        warm = _cached_sweep(scenarios, gpu_counts, fast_cfg, jobs, cache)
         warm_s = perf_counter() - t0
         cache_stats = cache.stats()
 

@@ -74,20 +74,16 @@ def time_study_scenarios(quick: bool) -> dict:
         for name, spec in specs.items():
             config = _study_config(spec, steps)
             t0 = perf_counter()
-            exact = ScalingStudy(MPI_OPT, config).run_point(
-                NUM_GPUS, cache=cache
-            )
-            fast = ScalingStudy(
+            [exact] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], cache=cache)
+            [fast] = ScalingStudy(
                 MPI_OPT, replace(config, engine_mode="fast")
-            ).run_point(NUM_GPUS, cache=cache)
+            ).run([NUM_GPUS], cache=cache)
             cold_s = perf_counter() - t0
             assert point_payload(exact) == point_payload(fast), (
                 f"{name}: fast engine diverged from exact"
             )
             t0 = perf_counter()
-            warm = ScalingStudy(MPI_OPT, config).run_point(
-                NUM_GPUS, cache=cache
-            )
+            [warm] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], cache=cache)
             warm_s = perf_counter() - t0
             assert point_payload(warm) == point_payload(exact), (
                 f"{name}: warm cache diverged from cold"

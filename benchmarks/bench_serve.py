@@ -36,12 +36,11 @@ sys.path.insert(
 )
 
 from repro.faults import FaultPlan, RankFailure
-from repro.perf import ResultCache
+from repro.perf import ResultCache, run_jobs
 from repro.serve import (
     POLICY_NAMES,
     ServeJob,
     ServeScenario,
-    run_serve_jobs,
     simulate_serve,
 )
 
@@ -65,10 +64,10 @@ def time_policy_sweep(quick: bool, workers: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
         t0 = perf_counter()
-        cold = run_serve_jobs(jobs, workers=workers, cache=cache)
+        cold = run_jobs(jobs, workers=workers, cache=cache)
         cold_s = perf_counter() - t0
         t0 = perf_counter()
-        warm = run_serve_jobs(jobs, workers=workers, cache=cache)
+        warm = run_jobs(jobs, workers=workers, cache=cache)
         warm_s = perf_counter() - t0
         stats = cache.stats()
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.perf import ResultCache, default_cache_dir, profiled_call
+from repro.perf import ResultCache, default_cache_dir, profiled_call, run_jobs
 
 from repro.core import (
     MPI_DEFAULT,
@@ -253,7 +253,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ServeScenario,
         SLOConfig,
         WorkloadConfig,
-        run_serve_jobs,
         simulate_serve,
     )
 
@@ -320,7 +319,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          engine_mode=args.engine_mode)
                 for p in policies[1:]
             ]
-            reports += run_serve_jobs(
+            reports += run_jobs(
                 jobs, workers=args.jobs, cache=_make_cache(args)
             )
     else:
@@ -331,7 +330,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             for p in policies
         ]
         cache = _make_cache(args)
-        reports = run_serve_jobs(jobs, workers=args.jobs, cache=cache)
+        reports = run_jobs(jobs, workers=args.jobs, cache=cache)
         if cache.enabled:
             stats = cache.stats()
             print(

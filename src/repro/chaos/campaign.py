@@ -2,9 +2,10 @@
 
 A campaign is the cross product of named chaos scenarios
 (:mod:`repro.chaos.scenarios`), recovery policies, and seeds.  Every
-training cell runs **twice** — once per engine mode — through the cached
-parallel sweep machinery (:func:`repro.perf.parallel.run_point_jobs`),
-serving cells through :func:`repro.serve.sweep.run_serve_jobs`; cells are
+cell runs **twice** — once per engine mode.  Training cells run as
+:class:`~repro.perf.parallel.PointJob` jobs and serving cells as
+:class:`~repro.serve.sweep.ServeJob` jobs, all through one call of the
+sweep runner (:func:`repro.perf.parallel.run_jobs`); cells are
 independent, so a campaign parallelizes exactly like a scaling sweep and
 re-runs hit the content-addressed result cache.
 
@@ -157,37 +158,35 @@ class CampaignReport:
         return out
 
 
-def _train_rows(config: CampaignConfig, cells, *, jobs: int, cache):
-    """Run training cells (both engine modes) through the point sweep."""
+def _train_jobs(config: CampaignConfig, cells, topology) -> list:
+    """Both engine modes' point jobs of every training cell, in order."""
     from dataclasses import replace
 
-    from repro.core.study import StudyConfig, point_payload
-    from repro.hardware.specs import LASSEN
-    from repro.perf.parallel import PointJob, active_table_payloads, run_point_jobs
+    from repro.core.scenarios import scenario_by_name as study_scenario
+    from repro.core.study import StudyConfig
+    from repro.perf.parallel import PointJob
 
-    topology = Topology.from_spec(
-        LASSEN, config.num_gpus // LASSEN.node.gpus_per_node
-    )
     # zero jitter: steady-state extrapolation keeps cells cheap, and the
     # fast/exact identity check compares exactly reproducible payloads
     base = StudyConfig(measure_steps=config.measure_steps, jitter_sigma=0.0)
-    tables = active_table_payloads()
-    point_jobs = []
-    for scenario_name, policy_name, seed in cells:
-        plan = build_plan(scenario_name, seed, topology)
-        policy = _policy_for(policy_name)
-        for mode in ("exact", "fast"):
-            point_jobs.append(
-                PointJob(
-                    config.train_scenario,
-                    config.num_gpus,
-                    replace(base, engine_mode=mode),
-                    fault_plan=plan,
-                    recovery=policy,
-                    comm_tables=tables,
-                )
-            )
-    points = run_point_jobs(point_jobs, workers=jobs, cache=cache)
+    scenario = study_scenario(config.train_scenario)
+    return [
+        PointJob(
+            scenario,
+            config.num_gpus,
+            replace(base, engine_mode=mode),
+            fault_plan=build_plan(scenario_name, seed, topology),
+            recovery=_policy_for(policy_name),
+        )
+        for scenario_name, policy_name, seed in cells
+        for mode in ("exact", "fast")
+    ]
+
+
+def _train_rows(cells, points, topology) -> list[dict]:
+    """Judge each training cell from its exact and fast points."""
+    from repro.core.study import point_payload
+
     rows = []
     for i, (scenario_name, policy_name, seed) in enumerate(cells):
         exact = point_payload(points[2 * i])
@@ -223,27 +222,26 @@ def _serve_scenario(chaos_name: str):
     return ServeScenario(name=f"chaos-{chaos_name}")
 
 
-def _serve_rows(config: CampaignConfig, cells, *, jobs: int, cache):
-    """Run serving cells (both engine modes) through the serve sweep."""
-    from repro.serve.sweep import ServeJob, run_serve_jobs
+def _serve_jobs(config: CampaignConfig, cells) -> list:
+    """Both engine modes' serving jobs of every serving cell, in order."""
+    from repro.serve.sweep import ServeJob
 
-    serve_jobs = []
-    for scenario_name, policy_name, seed in cells:
-        plan = build_plan(scenario_name, seed, None)
-        policy = _policy_for(policy_name)
-        scenario = _serve_scenario(scenario_name)
-        for mode in ("exact", "fast"):
-            serve_jobs.append(
-                ServeJob(
-                    scenario,
-                    duration_s=config.serve_duration_s,
-                    seed=seed,
-                    fault_plan=plan,
-                    recovery=policy,
-                    engine_mode=mode,
-                )
-            )
-    reports = run_serve_jobs(serve_jobs, workers=jobs, cache=cache)
+    return [
+        ServeJob(
+            _serve_scenario(scenario_name),
+            duration_s=config.serve_duration_s,
+            seed=seed,
+            fault_plan=build_plan(scenario_name, seed, None),
+            recovery=_policy_for(policy_name),
+            engine_mode=mode,
+        )
+        for scenario_name, policy_name, seed in cells
+        for mode in ("exact", "fast")
+    ]
+
+
+def _serve_rows(cells, reports) -> list[dict]:
+    """Judge each serving cell from its exact and fast reports."""
     rows = []
     for i, (scenario_name, policy_name, seed) in enumerate(cells):
         exact = reports[2 * i].to_payload()
@@ -286,7 +284,9 @@ def run_campaign(
     """
     from dataclasses import asdict
 
+    from repro.hardware.specs import LASSEN
     from repro.perf.digest import canonical_digest
+    from repro.perf.parallel import run_jobs
 
     train_cells = [
         c for c in config.cells() if SCENARIOS[c[0]].kind == "train"
@@ -294,8 +294,18 @@ def run_campaign(
     serve_cells = [
         c for c in config.cells() if SCENARIOS[c[0]].kind == "serve"
     ]
-    rows = _train_rows(config, train_cells, jobs=jobs, cache=cache)
-    rows += _serve_rows(config, serve_cells, jobs=jobs, cache=cache)
+    topology = Topology.from_spec(
+        LASSEN, config.num_gpus // LASSEN.node.gpus_per_node
+    )
+    results = run_jobs(
+        _train_jobs(config, train_cells, topology)
+        + _serve_jobs(config, serve_cells),
+        workers=jobs,
+        cache=cache,
+    )
+    split = 2 * len(train_cells)
+    rows = _train_rows(train_cells, results[:split], topology)
+    rows += _serve_rows(serve_cells, results[split:])
     order = {cell: i for i, cell in enumerate(config.cells())}
     rows.sort(key=lambda r: order[(r["scenario"], r["policy"], r["seed"])])
     report = CampaignReport(config=asdict(config), rows=rows)

@@ -127,7 +127,7 @@ def _sweep(
     memo = _TUNE_MEMO.get(digest)
     if memo is not None:
         return memo
-    if cache is not None and getattr(cache, "enabled", True):
+    if cache is not None:
         hit = cache.get(digest)
         if hit is not None:
             table = SelectionTable.from_payload(hit)
@@ -167,7 +167,7 @@ def _sweep(
         },
     )
     _TUNE_MEMO[digest] = table
-    if cache is not None and getattr(cache, "enabled", True):
+    if cache is not None:
         cache.put(digest, table.to_payload())
     return table
 

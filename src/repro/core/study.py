@@ -343,30 +343,11 @@ class ScalingStudy:
 
     # -- one scale point ---------------------------------------------------------
     def run_point(
-        self, num_gpus: int, *, hvprof: Hvprof | None = None, cache=None
-    ) -> ScalingPoint:
-        """Run one point, through the result cache when one is given.
-
-        Profiled runs (``hvprof``) bypass the cache: observers must see the
-        live event stream, and op counts depend on the number of simulated
-        steps, which steady-state extrapolation would shorten.
-        """
-        use_cache = (
-            cache is not None and getattr(cache, "enabled", True) and hvprof is None
-        )
-        if use_cache:
-            digest = self.point_digest(num_gpus)
-            hit = cache.get(digest)
-            if hit is not None:
-                return point_from_payload(hit)
-        point = self._run_point(num_gpus, hvprof=hvprof)
-        if use_cache:
-            cache.put(digest, point_payload(point))
-        return point
-
-    def _run_point(
         self, num_gpus: int, *, hvprof: Hvprof | None = None
     ) -> ScalingPoint:
+        """Run one point.  Cached and parallel sweeps go through
+        :meth:`run`; a profiled point (``hvprof``) always runs live, since
+        observers must see the event stream."""
         if not self.config.layout.is_pure_dp:
             if self.fault_plan is not None:
                 raise ConfigError(
@@ -513,45 +494,28 @@ class ScalingStudy:
     def run(
         self, gpu_counts: list[int], *, jobs: int = 1, cache=None
     ) -> list[ScalingPoint]:
-        """Run the sweep; ``jobs > 1`` fans points out over worker processes.
-
-        The parallel path requires a registered scenario (workers rebuild
-        the study from its name); a custom scenario object falls back to
-        the serial path.  Results are merged in ``gpu_counts`` order either
-        way — worker completion order never changes the output.
+        """Run the sweep through :func:`~repro.perf.parallel.run_jobs`:
+        cache hits are served, and ``jobs > 1`` fans the rest out over
+        worker processes.  Results are merged in ``gpu_counts`` order
+        either way — worker completion order never changes the output.
         """
-        base = self.single_gpu_rate()
-        if jobs != 1 and self._parallel_safe():
-            from repro.perf.parallel import (
-                PointJob,
-                active_table_payloads,
-                run_point_jobs,
-            )
+        from repro.perf.parallel import PointJob, run_jobs
 
-            tables = active_table_payloads()
-            point_jobs = [
+        base = self.single_gpu_rate()
+        points = run_jobs(
+            [
                 PointJob(
-                    self.scenario.name, g, self.config,
+                    self.scenario, g, self.config,
                     fault_plan=self.fault_plan, recovery=self.recovery,
-                    comm_tables=tables,
                 )
                 for g in gpu_counts
-            ]
-            points = run_point_jobs(point_jobs, workers=jobs, cache=cache)
-        else:
-            points = [self.run_point(g, cache=cache) for g in gpu_counts]
+            ],
+            workers=jobs,
+            cache=cache,
+        )
         for point in points:
             point.efficiency = point.images_per_second / (point.num_gpus * base)
         return points
-
-    def _parallel_safe(self) -> bool:
-        """True iff workers can reconstruct this exact study by name."""
-        from repro.core.scenarios import scenario_by_name
-
-        try:
-            return scenario_by_name(self.scenario.name) == self.scenario
-        except ConfigError:
-            return False
 
 
 class _PricedJob:

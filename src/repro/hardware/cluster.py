@@ -63,16 +63,11 @@ class Cluster:
         self._path_cache: dict[tuple, tuple[float, float]] = {}
 
     def apply_fault_injector(self, injector) -> None:
-        """Register a :class:`~repro.faults.FaultInjector` on every link so
-        active :class:`~repro.faults.LinkFault` windows degrade both the
-        event-driven transfers and the analytic ``path_cost``."""
+        """Attach a :class:`~repro.faults.FaultInjector`: active
+        :class:`~repro.faults.LinkFault` windows degrade :meth:`path_cost`,
+        which prices event-driven transfers and quotes alike."""
         self.fault_injector = injector
         self.live_links = injector.degrades_links
-        for node in self.nodes:
-            for link in node.links:
-                link.fault_injector = injector
-        for link in self._ib_links:
-            link.fault_injector = injector
 
     # -- device addressing -------------------------------------------------
     @property
@@ -256,15 +251,20 @@ class Cluster:
         return min(link.spec.bandwidth for link, _, _ in hops)
 
     def transfer(self, src: DeviceRef, dst: DeviceRef, nbytes: int) -> Generator:
-        """Simulation process: move ``nbytes`` src -> dst, holding all hops.
+        """Simulation process: move ``nbytes`` src -> dst, holding every hop
+        for the route's :meth:`path_cost`."""
+        hops = self.route(src, dst)
+        if hops:
+            yield from self.hold_route(hops, self.path_cost(src, dst, nbytes))
+
+    def hold_route(
+        self, hops: list[tuple[Link, object, object]], duration: float
+    ) -> Generator:
+        """Hold every hop's directional channel for ``duration`` seconds.
 
         Channels are acquired in route order (consistent ordering avoids
         deadlock among concurrent transfers).
         """
-        hops = self.route(src, dst)
-        if not hops:
-            return
-        duration = self.path_cost(src, dst, nbytes)
         channels = [link.channel(frm, to) for link, frm, to in hops]
         if perf_flags.link_fastpath and try_acquire_all(channels):
             # Uncontended fast path: the whole route was free, so per-hop
@@ -273,9 +273,6 @@ class Cluster:
             # held, so concurrent flows queue exactly as on the slow path.
             try:
                 yield self.env.timeout(duration)
-                for link, _, _ in hops:
-                    link.bytes_carried += nbytes
-                    link.transfer_count += 1
             finally:
                 for channel in reversed(channels):
                     channel.release()
@@ -286,9 +283,6 @@ class Cluster:
                 yield channel.request()
                 held.append(channel)
             yield self.env.timeout(duration)
-            for link, _, _ in hops:
-                link.bytes_carried += nbytes
-                link.transfer_count += 1
         finally:
             for channel in reversed(held):
                 channel.release()

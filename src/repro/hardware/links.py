@@ -1,17 +1,18 @@
 """Contended link instances on top of :class:`~repro.hardware.specs.LinkSpec`.
 
 A :class:`Link` owns one :class:`~repro.sim.resources.Resource` per
-direction (full-duplex) or a single shared resource (half-duplex).  A
-transfer claims its directional channel for ``alpha + n/B`` seconds, so two
-simultaneous same-direction transfers serialize — the mechanism behind
-intra-node congestion when four ranks stage through the same CPU.  Only
-event-mode transfers claim channels, so a link builds them on first use.
+direction (full-duplex) or a single shared resource (half-duplex).  An
+event-mode transfer holds its directional channel on every hop of its
+route for the transfer's duration
+(:meth:`~repro.hardware.cluster.Cluster.hold_route`), so two simultaneous
+same-direction transfers serialize — the mechanism behind intra-node
+congestion when four ranks stage through the same CPU.  Only event-mode
+transfers claim channels, so a link builds them on first use.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Generator
 
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
@@ -54,10 +55,6 @@ class Link:
         self._capacity = channels
         # direction -> Resource, built by the first channel() call
         self._res: dict[tuple[object, object], Resource] | None = None
-        self.bytes_carried = 0
-        self.transfer_count = 0
-        # optional FaultInjector consulted (at env.now) for degradation
-        self.fault_injector = None
 
     def other(self, endpoint: object) -> object:
         if endpoint == self.a:
@@ -84,35 +81,6 @@ class Link:
             return self._res[(src, dst)]
         except KeyError:
             raise KeyError(f"no direction {src!r}->{dst!r} on {self!r}") from None
-
-    def transfer_time(self, nbytes: int) -> float:
-        """Uncontended message cost (degraded if a link fault is active)."""
-        if self.fault_injector is not None:
-            bw_factor, extra = self.fault_injector.link_state(
-                self.kind, self.env.now
-            )
-            if bw_factor != 1.0 or extra != 0.0:
-                return (
-                    self.spec.latency_s
-                    + extra
-                    + nbytes / (self.spec.bandwidth * bw_factor)
-                )
-        return self.spec.transfer_time(nbytes)
-
-    def transfer(self, src: object, dst: object, nbytes: int) -> Generator:
-        """Simulation process moving ``nbytes`` from ``src`` to ``dst``.
-
-        Claims the directional channel for the whole duration; contention
-        shows up as queueing delay before the alpha-beta cost.
-        """
-        res = self.channel(src, dst)
-        yield res.request()
-        try:
-            yield self.env.timeout(self.transfer_time(nbytes))
-            self.bytes_carried += nbytes
-            self.transfer_count += 1
-        finally:
-            res.release()
 
     def __repr__(self) -> str:
         return f"<Link {self.kind.value} {self.a!r}<->{self.b!r} {self.spec.name}>"

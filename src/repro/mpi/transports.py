@@ -39,8 +39,7 @@ from repro.mpi.env import Mv2Config
 from repro.mpi.process import RankContext
 from repro.net.infiniband import IbTransferModel
 from repro.net.regcache import RegistrationCache
-from repro.perf import flags as perf_flags
-from repro.sim.resources import Resource, try_acquire_all
+from repro.sim.resources import Resource
 from repro.utils.units import MIB
 
 
@@ -59,8 +58,6 @@ class TransportKind(enum.Enum):
     # of kinds may ever be iterated into an output.
     __hash__ = object.__hash__
 
-
-INF = float("inf")
 
 #: intra-node messages at or below this always take the SMP eager path
 SMP_EAGER_THRESHOLD = 64 * 1024
@@ -160,17 +157,13 @@ class PairGeometry:
     """What never changes about one ordered rank pair of a world.
 
     Both ranks, whether they share a node, the CUDA IPC verdict, the
-    sender's HCA and the receiver's registration cache, the fault-free
-    ``(alpha, bottleneck)`` of the GPU-to-GPU route, and ``prices``: the
-    price-table entries of the pair's class, keyed by ``nbytes`` and
+    sender's HCA and the receiver's registration cache, and ``prices``:
+    the price-table entries of the pair's class, keyed by ``nbytes`` and
     shared with every pair of that class (see
     :meth:`TransportModel._price`).
     """
 
-    __slots__ = (
-        "a", "b", "same_node", "ipc", "ib", "dst_cache", "alpha", "bottleneck",
-        "prices",
-    )
+    __slots__ = ("a", "b", "same_node", "ipc", "ib", "dst_cache", "prices")
 
     def __init__(self, transport: "TransportModel", src: int, dst: int):
         a, b = self.a, self.b = transport.ranks[src], transport.ranks[dst]
@@ -178,13 +171,9 @@ class PairGeometry:
         self.ipc = transport.can_ipc(a, b)
         self.ib = transport._ib[a.node_id]
         self.dst_cache = transport._ib[b.node_id].reg_cache
-        cluster = transport.cluster
-        self.alpha, self.bottleneck = cluster.path_constants(
-            a.device_ref, b.device_ref
-        )
         shape = (
-            cluster.route_class(a.device_ref, b.device_ref), self.ipc,
-            src == dst,
+            transport.cluster.route_class(a.device_ref, b.device_ref),
+            self.ipc, src == dst,
         )
         self.prices = transport._prices.setdefault(shape, {})
 
@@ -280,18 +269,6 @@ class TransportModel:
         if pair is None:
             pair = self._pairs[(src, dst)] = PairGeometry(self, src, dst)
         return pair
-
-    def _device_wire(self, pair: PairGeometry, nbytes: int) -> float:
-        """``Cluster.path_cost`` of the pair's GPU-to-GPU route: from the
-        stored fault-free constants, or live under a ``LinkFault`` (link
-        state then varies with simulated time)."""
-        if self.cluster.live_links:
-            return self.cluster.path_cost(
-                pair.a.device_ref, pair.b.device_ref, nbytes
-            )
-        if pair.bottleneck == INF:
-            return 0.0
-        return pair.alpha + nbytes / pair.bottleneck
 
     def _cpu_of(self, rank: RankContext) -> DeviceRef:
         node = self.cluster.nodes[rank.node_id]
@@ -393,14 +370,17 @@ class TransportModel:
         if kind is TransportKind.SELF:
             return kind, False, 0.0, 0.0, 0.0
         spec = self.cluster.spec.node
+        route = pair.a.device_ref, pair.b.device_ref
         wire = staging = 0.0
         if kind is TransportKind.SMP_EAGER:
             protocol = 2.0e-6  # shared-memory queue post/poll
             staging = 2 * nbytes / spec.pageable_copy_bandwidth
         elif kind is TransportKind.CUDA_IPC:
             protocol = 3.0e-6  # IPC rendezvous sync on an open pair
-            path = self._device_wire(pair, nbytes)
-            wire = max(path, nbytes / self.config.cuda_ipc_bandwidth)
+            wire = max(
+                self.cluster.path_cost(*route, nbytes),
+                nbytes / self.config.cuda_ipc_bandwidth,
+            )
         elif kind is TransportKind.HOST_STAGED:
             protocol = 2.5e-6
             staging = self._staged_time(pair.a, pair.b, nbytes)
@@ -408,10 +388,10 @@ class TransportModel:
             protocol = pair.ib.eager_overhead(nbytes)
             # small D2H copy into the bounce buffer, then the wire
             staging = nbytes / spec.pageable_copy_bandwidth
-            wire = self._device_wire(pair, nbytes)
+            wire = self.cluster.path_cost(*route, nbytes)
         elif kind is TransportKind.GDR_RDMA:
             protocol = pair.ib.rendezvous_overhead(nbytes)
-            wire = self._device_wire(pair, nbytes)
+            wire = self.cluster.path_cost(*route, nbytes)
         elif kind is TransportKind.STAGED_INTER:
             protocol = pair.ib.rendezvous_overhead(nbytes)
             staging = 2 * nbytes / spec.pageable_copy_bandwidth
@@ -585,59 +565,26 @@ class TransportModel:
         env = self.cluster.env
         if breakdown.protocol:
             yield env.timeout(breakdown.protocol)
-        if kind in (TransportKind.HOST_STAGED, TransportKind.SMP_EAGER):
+        if kind in STAGED_KINDS:
             staging = self._staging[a.node_id]
             yield staging.request()
             try:
                 yield env.timeout(breakdown.staging)
             finally:
                 staging.release()
-            return kind
-        if kind is TransportKind.STAGED_INTER:
-            staging = self._staging[a.node_id]
-            yield staging.request()
-            try:
-                yield env.timeout(breakdown.staging)
-            finally:
-                staging.release()
-            yield env.process(
-                self.cluster.transfer(self._cpu_of(a), self._cpu_of(b), nbytes)
-            )
+            if kind is TransportKind.STAGED_INTER:
+                yield env.process(
+                    self.cluster.transfer(self._cpu_of(a), self._cpu_of(b), nbytes)
+                )
             return kind
         if breakdown.staging:
             yield env.timeout(breakdown.staging)
         if kind in (TransportKind.CUDA_IPC, TransportKind.GDR_RDMA, TransportKind.IB_EAGER):
             # claim every hop of the route for the (possibly protocol-capped)
             # wire duration so contention is simulated
-            hops = self.cluster.route(a.device_ref, b.device_ref)
-            channels = [link.channel(frm, to) for link, frm, to in hops]
-            if perf_flags.link_fastpath and try_acquire_all(channels):
-                # Uncontended-link fast path: no other flow shares any hop
-                # right now, so the per-hop request/grant events collapse
-                # into one timed event.  The channels stay held for the
-                # wire duration, so any flow arriving meanwhile queues
-                # exactly as it would on the slow path below.
-                try:
-                    yield env.timeout(breakdown.wire)
-                    for link, _, _ in hops:
-                        link.bytes_carried += nbytes
-                        link.transfer_count += 1
-                finally:
-                    for channel in reversed(channels):
-                        channel.release()
-                return kind
-            held = []
-            try:
-                for channel in channels:
-                    yield channel.request()
-                    held.append(channel)
-                yield env.timeout(breakdown.wire)
-                for link, _, _ in hops:
-                    link.bytes_carried += nbytes
-                    link.transfer_count += 1
-            finally:
-                for channel in reversed(held):
-                    channel.release()
+            yield from self.cluster.hold_route(
+                self.cluster.route(a.device_ref, b.device_ref), breakdown.wire
+            )
         return kind
 
     def drop_registrations(self, node_id: int | None = None) -> float:

@@ -47,6 +47,7 @@ from repro.parallel.partition import (
     split_stage_bounds,
     stage_models,
 )
+from repro.utils.folds import fold_sum
 
 
 def dp_cluster_spec(spec: ClusterSpec, layout: ParallelLayout) -> ClusterSpec:
@@ -252,7 +253,7 @@ def run_hybrid(study, num_gpus: int, layout: ParallelLayout, *, hvprof=None):
         engine=engine, extra=sync_step, hvprof=hvprof,
     )
     step_times, simulated = program.run(cfg.warmup_steps, cfg.measure_steps)
-    mean_step = sum(step_times) / len(step_times)
+    mean_step = fold_sum(step_times) / len(step_times)
     tp_time = M * max(f + b for f, b in zip(tp_fwd, tp_bwd)) + sync_step
     pp_time = slots * 2.0 * hop
     comm = program.comm_fields(scenario.backend)

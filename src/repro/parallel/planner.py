@@ -3,10 +3,11 @@
 Enumerates every valid layout point — tp over the node's divisors that
 divide the model width, pp over contiguous stage splits, microbatch counts
 that cut the replica batch evenly, optional fusion-threshold and tuned
-selection-table variants — prices each through the ordinary cached
-scaling-point machinery (:func:`repro.perf.parallel.run_point_jobs`, so a
-warm result cache short-circuits and ``jobs > 1`` fans out over worker
-processes), and emits a ranked recommendation.
+selection-table variants — prices each as a scaling point through the
+sweep runner (:func:`repro.perf.parallel.run_jobs`, so a warm result
+cache short-circuits and ``jobs > 1`` fans out over worker processes, each
+routing through the parent's active selection tables), and emits a ranked
+recommendation.
 
 The search loop follows the PR 5 selection-table autotuner: the planner
 configuration content-digests to a cache key, an in-process memo
@@ -192,9 +193,9 @@ def plan_hybrid(
     """Search the layout space and return the ranked plan report.
 
     ``jobs > 1`` fans candidate pricing out over worker processes through
-    :func:`~repro.perf.parallel.run_point_jobs`; the result is
-    byte-identical either way (deterministic candidate order, parent-side
-    cache, stable ranking keys).
+    :func:`~repro.perf.parallel.run_jobs`; the result is byte-identical
+    either way (deterministic candidate order, parent-side cache, stable
+    ranking keys).
     """
     import json
 
@@ -206,16 +207,12 @@ def plan_hybrid(
     from repro.core.scenarios import scenario_by_name
     from repro.core.study import ScalingStudy
     from repro.errors import ConfigError as _ConfigError
-    from repro.perf.parallel import (
-        PointJob,
-        active_table_payloads,
-        run_point_jobs,
-    )
+    from repro.perf.parallel import PointJob, run_jobs
 
     digest = plan_digest(config)
     if use_memo and digest in _PLAN_MEMO:
         return json.loads(json.dumps(_PLAN_MEMO[digest]))
-    if cache is not None and getattr(cache, "enabled", True):
+    if cache is not None:
         hit = cache.get(digest)
         if hit is not None:
             if use_memo:
@@ -265,19 +262,16 @@ def plan_hybrid(
     steps_to_train = math.ceil(NOMINAL_TRAIN_IMAGES / global_batch)
 
     def price_batch(table_name: str) -> None:
-        # workers re-install the parent's active selection tables; the
-        # point digest covers their digests, so default/tuned rows never
-        # collide in the cache
-        payloads = active_table_payloads()
+        # the point digest covers the active tables' digests, so
+        # default/tuned rows never collide in the cache
         point_jobs = [
             PointJob(
-                config.scenario, config.ranks,
+                scenario, config.ranks,
                 _study_config(config, spec, layout, fusion_mib),
-                comm_tables=payloads,
             )
             for layout, fusion_mib in candidates
         ]
-        points = run_point_jobs(point_jobs, workers=jobs, cache=cache)
+        points = run_jobs(point_jobs, workers=jobs, cache=cache)
         for (layout, fusion_mib), point in zip(candidates, points):
             par = point.parallelism or {}
             rows.append(
@@ -344,6 +338,6 @@ def plan_hybrid(
     report = json.loads(json.dumps(report))
     if use_memo:
         _PLAN_MEMO[digest] = report
-    if cache is not None and getattr(cache, "enabled", True):
+    if cache is not None:
         cache.put(digest, report)
     return json.loads(json.dumps(report))

@@ -14,8 +14,9 @@ This package exploits both:
   invalidation;
 * :mod:`repro.perf.steady` — steady-state detection over per-step times
   so converged runs extrapolate instead of simulating every step;
-* :mod:`repro.perf.parallel` — dispatches independent sweep points across
-  worker processes with a deterministic merge;
+* :mod:`repro.perf.parallel` — the one sweep runner: serves cache hits
+  and runs the rest inline or across worker processes, merged in input
+  order;
 * :mod:`repro.perf.flags` — runtime toggles for the sim-engine fast paths
   (uncontended-link collapse, collective-schedule memoization), used by
   the equivalence tests to compare fast vs. slow paths;
@@ -28,7 +29,7 @@ validity conditions of each fast path.
 from repro.perf import flags
 from repro.perf.cache import ResultCache, default_cache_dir
 from repro.perf.digest import CACHE_VERSION_SALT, canonical_digest, env_knobs
-from repro.perf.parallel import PointJob, run_point_jobs, run_scenario_sweeps
+from repro.perf.parallel import PointJob, run_jobs
 from repro.perf.profile import profiled_call
 from repro.perf.steady import PeriodicSteadyState
 
@@ -40,8 +41,7 @@ __all__ = [
     "canonical_digest",
     "env_knobs",
     "PointJob",
-    "run_point_jobs",
-    "run_scenario_sweeps",
+    "run_jobs",
     "profiled_call",
     "PeriodicSteadyState",
 ]

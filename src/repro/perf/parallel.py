@@ -1,16 +1,23 @@
-"""Parallel sweep runner: independent points across worker processes.
+"""The sweep runner: independent jobs, inline or across worker processes.
 
-A scaling sweep is a bag of independent (scenario, gpu_count) simulations;
-this module fans them out over a :class:`~concurrent.futures.
-ProcessPoolExecutor` and merges results deterministically (submission
-order — worker completion order never leaks into the output).
+A sweep is a bag of independent jobs: scaling points
+(:class:`PointJob`) or serving runs
+(:class:`~repro.serve.sweep.ServeJob`).  A job provides ``digest()``
+(its content address), ``run()`` and a payload round trip
+(``to_payload`` / ``from_payload``).  :func:`run_jobs` serves what the
+result cache holds, runs the rest inline or over one
+:class:`~concurrent.futures.ProcessPoolExecutor`, and merges results in
+input order: worker completion order never leaks into the output.
 
 The result cache is consulted and populated in the *parent* process only:
 workers stay cache-blind, so there are no cross-process file races and a
-warm cache short-circuits before any worker spawns.
+warm cache short-circuits before any worker starts.  The pool's
+initializer installs the parent's active selection tables in every
+worker, so workers route collectives as the parent would (and the
+digests, computed in the parent, cover those tables).
 
-Imports of :mod:`repro.core` are deferred into the functions — the study
-module imports this one for ``ScalingStudy.run(jobs=...)``.
+Imports of :mod:`repro.core` are deferred into the functions:
+:mod:`repro.core` imports this package while it loads.
 """
 
 from __future__ import annotations
@@ -23,144 +30,104 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.study import ScalingPoint, StudyConfig
+    from repro.core.scenarios import Scenario
+    from repro.core.study import ScalingPoint, ScalingStudy, StudyConfig
     from repro.perf.cache import ResultCache
 
 
 @dataclass(frozen=True)
 class PointJob:
-    """One sweep point, addressed by scenario *name* (cheap to pickle).
+    """One sweep point: a :class:`~repro.core.scenarios.Scenario` (any
+    frozen scenario, registered or not) at ``num_gpus``.
 
     ``fault_plan`` / ``recovery`` (both frozen dataclasses) ride along so
-    chaos sweeps parallelize identically to clean ones — workers rebuild
-    the exact resilient study, and the digest covers both fields.
-    ``comm_tables`` carries the parent's active algorithm-selection
-    tables (as :meth:`~repro.comm.selection.SelectionTable.to_payload`
-    dicts) so workers route collectives through the same tuned tables —
-    and the point digest covers their digests.
+    chaos sweeps parallelize identically to clean ones; the digest covers
+    both fields.
     """
 
-    scenario: str
+    scenario: "Scenario"
     num_gpus: int
     config: "StudyConfig"
     fault_plan: object | None = None
     recovery: object | None = None
-    comm_tables: tuple | None = None
+
+    def _study(self) -> "ScalingStudy":
+        from repro.core.study import ScalingStudy
+
+        return ScalingStudy(
+            self.scenario, self.config,
+            fault_plan=self.fault_plan, recovery=self.recovery,
+        )
+
+    def digest(self) -> str:
+        return self._study().point_digest(self.num_gpus)
+
+    def run(self) -> "ScalingPoint":
+        return self._study().run_point(self.num_gpus)
+
+    @staticmethod
+    def to_payload(point: "ScalingPoint") -> dict:
+        from repro.core.study import point_payload
+
+        return point_payload(point)
+
+    @staticmethod
+    def from_payload(payload: dict) -> "ScalingPoint":
+        from repro.core.study import point_from_payload
+
+        return point_from_payload(payload)
 
 
-def _build_study(job: PointJob) -> "ScalingStudy":
-    from repro.core.scenarios import scenario_by_name
-    from repro.core.study import ScalingStudy
-
-    return ScalingStudy(
-        scenario_by_name(job.scenario),
-        job.config,
-        fault_plan=job.fault_plan,
-        recovery=job.recovery,
-    )
-
-
-def _execute(job: PointJob) -> "ScalingPoint":
+def _run(job):
     """Worker entry point (module level so it pickles under spawn)."""
-    if job.comm_tables:
-        from repro.comm.selection import install_table_payloads
-
-        install_table_payloads(job.comm_tables)
-    return _build_study(job).run_point(job.num_gpus)
+    return job.run()
 
 
-def active_table_payloads() -> tuple | None:
-    """The parent's active selection tables as picklable payload dicts."""
-    from repro.comm.selection import active_tables
-
-    tables = active_tables()
-    if not tables:
-        return None
-    return tuple(tables[k].to_payload() for k in sorted(tables))
-
-
-def default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
-def run_point_jobs(
-    jobs: Sequence[PointJob],
+def run_jobs(
+    jobs: Sequence,
     *,
     workers: int | None = None,
     cache: "ResultCache | None" = None,
-) -> list["ScalingPoint"]:
+) -> list:
     """Run every job; returns results in input order.
 
-    ``workers=1`` (or a single job) runs inline — same code path the
-    equivalence tests compare against, no pool overhead.
+    Digests are computed only when ``cache`` is enabled.  The jobs the
+    cache misses run inline when ``workers == 1`` or there is one of them
+    (the code path the equivalence tests compare against, no pool
+    overhead), else over one pool of ``workers`` processes (default: one
+    per CPU).  Cached results equal freshly computed ones.
     """
-    workers = default_jobs() if workers is None else workers
+    from repro.comm.selection import active_tables, install_table_payloads
+
+    workers = max(1, os.cpu_count() or 1) if workers is None else workers
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
-    results: dict[int, "ScalingPoint"] = {}
-    pending: list[tuple[int, PointJob]] = []
+    use_cache = cache is not None and cache.enabled
+    results: list = [None] * len(jobs)
     digests: dict[int, str] = {}
+    pending: list[int] = []
     for i, job in enumerate(jobs):
-        if cache is not None and cache.enabled:
-            digest = _build_study(job).point_digest(job.num_gpus)
-            digests[i] = digest
-            hit = cache.get(digest)
+        if use_cache:
+            digests[i] = job.digest()
+            hit = cache.get(digests[i])
             if hit is not None:
-                from repro.core.study import point_from_payload
-
-                results[i] = point_from_payload(hit)
+                results[i] = job.from_payload(hit)
                 continue
-        pending.append((i, job))
+        pending.append(i)
 
-    if pending:
-        if workers == 1 or len(pending) == 1:
-            computed = [_execute(job) for _, job in pending]
-        else:
-            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                computed = list(pool.map(_execute, [job for _, job in pending]))
-        for (i, _job), point in zip(pending, computed):
-            results[i] = point
-            if cache is not None and cache.enabled:
-                from repro.core.study import point_payload
-
-                cache.put(digests[i], point_payload(point))
-
-    return [results[i] for i in range(len(jobs))]
-
-
-def run_scenario_sweeps(
-    scenario_names: Sequence[str],
-    gpu_counts: Sequence[int],
-    config: "StudyConfig",
-    *,
-    workers: int | None = None,
-    cache: "ResultCache | None" = None,
-) -> dict[str, list["ScalingPoint"]]:
-    """Full cross product (scenario x gpu_count) through one worker pool.
-
-    Efficiency is attached per scenario exactly as
-    :meth:`~repro.core.study.ScalingStudy.run` does, so figure-level
-    assertions hold on the merged output.
-    """
-    from repro.core.scenarios import scenario_by_name
-    from repro.core.study import ScalingStudy
-
-    tables = active_table_payloads()
-    jobs = [
-        PointJob(name, gpus, config, comm_tables=tables)
-        for name in scenario_names
-        for gpus in gpu_counts
-    ]
-    flat = run_point_jobs(jobs, workers=workers, cache=cache)
-    out: dict[str, list["ScalingPoint"]] = {}
-    i = 0
-    for name in scenario_names:
-        study = ScalingStudy(scenario_by_name(name), config)
-        base = study.single_gpu_rate()
-        points = flat[i : i + len(gpu_counts)]
-        i += len(gpu_counts)
-        for point in points:
-            point.efficiency = point.images_per_second / (point.num_gpus * base)
-        out[name] = points
-    return out
+    if workers == 1 or len(pending) <= 1:
+        computed = [jobs[i].run() for i in pending]
+    else:
+        tables = active_tables()
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(pending)),
+            initializer=install_table_payloads,
+            initargs=([tables[k].to_payload() for k in sorted(tables)],),
+        ) as pool:
+            computed = list(pool.map(_run, [jobs[i] for i in pending]))
+    for i, result in zip(pending, computed):
+        results[i] = result
+        if use_cache:
+            cache.put(digests[i], jobs[i].to_payload(result))
+    return results

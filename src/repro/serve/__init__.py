@@ -20,8 +20,8 @@ V100 cost model the training simulations run on:
 * :mod:`repro.serve.simulator` — the event-driven run loop, including
   replica failure -> watchdog declaration -> failover retry via
   :class:`~repro.faults.FaultPlan` / :class:`~repro.resilience.RecoveryPolicy`;
-* :mod:`repro.serve.sweep` — cache-backed parallel policy sweeps
-  (``repro serve --jobs N``);
+* :mod:`repro.serve.sweep` — :class:`ServeJob`, one serving run as a
+  job of the cache-backed sweep runner (``repro serve --jobs N``);
 * :mod:`repro.serve.functional` — a real EDSR checkpoint served through
   the actual tensor stack, bit-identical to offline inference, anchoring
   the simulated numbers to a real model.
@@ -44,7 +44,7 @@ from repro.serve.router import (
 )
 from repro.serve.simulator import ServeReport, ServeScenario, simulate_serve
 from repro.serve.slo import QUANTILES, SLOConfig, SLOLedger, nearest_rank
-from repro.serve.sweep import ServeJob, run_serve_jobs, serve_digest
+from repro.serve.sweep import ServeJob
 from repro.serve.workload import (
     DEFAULT_MIX,
     VIDEO_MIX,
@@ -77,8 +77,6 @@ __all__ = [
     "QUANTILES",
     "nearest_rank",
     "ServeJob",
-    "run_serve_jobs",
-    "serve_digest",
     "Request",
     "RequestClass",
     "WorkloadConfig",

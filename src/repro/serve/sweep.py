@@ -1,9 +1,9 @@
-"""Policy sweeps: independent serving runs across worker processes.
+"""Policy sweeps: independent serving runs as jobs of the sweep runner.
 
-Mirrors :mod:`repro.perf.parallel` for the serving tier: a sweep is a bag
-of independent :class:`ServeJob`\\ s (scenario x duration x seed x fault
-plan), fanned out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and merged in submission order, with the content-addressed result cache
+A sweep is a bag of independent :class:`ServeJob`\\ s (scenario x
+duration x seed x fault plan), run by
+:func:`repro.perf.parallel.run_jobs`: inline or over a process pool,
+merged in submission order, with the content-addressed result cache
 consulted and populated in the parent process only.
 
 The digest preimage is keyed ``"serve-point"`` (vs the training sweeps'
@@ -16,13 +16,8 @@ knob changed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.errors import ConfigError
-from repro.perf.cache import ResultCache
 from repro.perf.digest import canonical_digest, env_knobs
 from repro.serve.simulator import ServeReport, ServeScenario, simulate_serve
 
@@ -41,80 +36,43 @@ class ServeJob:
     #: still say which engine produced it so a regression is attributable
     engine_mode: str = "exact"
 
+    def digest(self) -> str:
+        """Content address of the report this job would produce."""
+        from repro.comm.selection import active_table_digests
 
-def serve_digest(job: ServeJob) -> str:
-    """Content address of the report this job would produce."""
-    from repro.comm.selection import active_table_digests
+        return canonical_digest(
+            {
+                "kind": "serve-point",
+                "scenario": self.scenario,
+                "duration_s": self.duration_s,
+                "seed": self.seed,
+                "env": env_knobs(),
+                "fault_plan": self.fault_plan,
+                "recovery": self.recovery,
+                "comm_tables": active_table_digests(),
+                "engine_mode": self.engine_mode,
+            }
+        )
 
-    return canonical_digest(
-        {
-            "kind": "serve-point",
-            "scenario": job.scenario,
-            "duration_s": job.duration_s,
-            "seed": job.seed,
-            "env": env_knobs(),
-            "fault_plan": job.fault_plan,
-            "recovery": job.recovery,
-            "comm_tables": active_table_digests(),
-            "engine_mode": job.engine_mode,
-        }
-    )
+    def run(self) -> ServeReport:
+        report = simulate_serve(
+            self.scenario,
+            duration_s=self.duration_s,
+            seed=self.seed,
+            fault_plan=self.fault_plan,
+            recovery=self.recovery,
+            engine_mode=self.engine_mode,
+        )
+        # strip live objects: sweep results are summaries, identical whether
+        # they came from a worker pickle, an inline run, or the cache
+        report.ledger = None
+        report.trace = None
+        return report
 
+    @staticmethod
+    def to_payload(report: ServeReport) -> dict:
+        return report.to_payload()
 
-def _execute(job: ServeJob) -> ServeReport:
-    """Worker entry point (module level so it pickles under spawn)."""
-    report = simulate_serve(
-        job.scenario,
-        duration_s=job.duration_s,
-        seed=job.seed,
-        fault_plan=job.fault_plan,
-        recovery=job.recovery,
-        engine_mode=job.engine_mode,
-    )
-    # strip live objects: sweep results are summaries, identical whether
-    # they came from a worker pickle, an inline run, or the cache
-    report.ledger = None
-    report.trace = None
-    return report
-
-
-def run_serve_jobs(
-    jobs: Sequence[ServeJob],
-    *,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-) -> list[ServeReport]:
-    """Run every job; results come back in input order regardless of
-    worker completion order, and cached reports are byte-identical to
-    freshly simulated ones."""
-    workers = max(1, os.cpu_count() or 1) if workers is None else workers
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-    results: dict[int, ServeReport] = {}
-    digests: dict[int, str] = {}
-    pending: list[tuple[int, ServeJob]] = []
-    for i, job in enumerate(jobs):
-        if cache is not None and cache.enabled:
-            digest = serve_digest(job)
-            digests[i] = digest
-            hit = cache.get(digest)
-            if hit is not None:
-                results[i] = ServeReport.from_payload(hit)
-                continue
-        pending.append((i, job))
-
-    if pending:
-        if workers == 1 or len(pending) == 1:
-            computed = [_execute(job) for _, job in pending]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            ) as pool:
-                computed = list(pool.map(_execute, [j for _, j in pending]))
-        for (i, _job), report in zip(pending, computed):
-            results[i] = report
-            if cache is not None and cache.enabled:
-                cache.put(digests[i], report.to_payload())
-
-    return [results[i] for i in range(len(jobs))]
+    @staticmethod
+    def from_payload(payload: dict) -> ServeReport:
+        return ServeReport.from_payload(payload)

@@ -524,9 +524,9 @@ class TestDigestIntegration:
 
     def test_serve_digest_changes_with_active_table(self):
         from repro.serve.simulator import ServeScenario
-        from repro.serve.sweep import ServeJob, serve_digest
+        from repro.serve.sweep import ServeJob
 
         job = ServeJob(ServeScenario(), duration_s=5.0, seed=7)
-        base = serve_digest(job)
+        base = job.digest()
         set_active_table(default_table("nccl"))
-        assert serve_digest(job) != base
+        assert job.digest() != base

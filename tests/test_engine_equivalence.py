@@ -234,11 +234,11 @@ class TestServeEquivalence:
 
     def test_serve_digest_separates_modes(self):
         from repro.serve import ServeScenario
-        from repro.serve.sweep import ServeJob, serve_digest
+        from repro.serve.sweep import ServeJob
 
         scn = ServeScenario()
-        assert (serve_digest(ServeJob(scn))
-                != serve_digest(ServeJob(scn, engine_mode="fast")))
+        assert (ServeJob(scn).digest()
+                != ServeJob(scn, engine_mode="fast").digest())
 
 
 class TestFastPathEngages:

@@ -166,17 +166,20 @@ class TestStudyCacheIntegration:
     def test_cached_point_identical_to_fresh(self, tmp_path):
         study = ScalingStudy(scenario_by_name("MPI-Opt"), StudyConfig())
         cache = ResultCache(str(tmp_path))
-        fresh = study.run_point(8, cache=cache)
-        cached = study.run_point(8, cache=cache)
-        assert dataclasses.asdict(cached) == dataclasses.asdict(fresh)
+        fresh = study.run([8], cache=cache)
+        cached = study.run([8], cache=cache)
+        assert dataclasses.asdict(cached[0]) == dataclasses.asdict(fresh[0])
         assert cache.hits == 1
 
     def test_cache_payload_is_byte_identical_json(self, tmp_path):
         study = ScalingStudy(scenario_by_name("MPI"), StudyConfig())
         cache = ResultCache(str(tmp_path))
-        point = study.run_point(8, cache=cache)
+        [point] = study.run([8], cache=cache)
         digest = study.point_digest(8)
         raw = cache.get(digest)
+        # the cache holds the point as run_point returns it: the sweep
+        # attaches efficiency afterwards
+        point = dataclasses.replace(point, efficiency=None)
         assert point_from_payload(raw) == point
         # a JSON round trip of the payload is byte-identical (floats repr)
         assert json.loads(json.dumps(raw)) == point_payload(point)
@@ -184,19 +187,8 @@ class TestStudyCacheIntegration:
     def test_no_cache_means_no_files(self, tmp_path):
         study = ScalingStudy(scenario_by_name("MPI"), StudyConfig())
         cache = ResultCache(str(tmp_path), enabled=False)
-        study.run_point(8, cache=cache)
+        study.run([8], cache=cache)
         assert list(tmp_path.iterdir()) == []
-
-    def test_hvprof_runs_bypass_cache(self, tmp_path):
-        from repro.profiling import Hvprof
-
-        study = ScalingStudy(scenario_by_name("MPI"), StudyConfig())
-        cache = ResultCache(str(tmp_path))
-        study.run_point(4, hvprof=Hvprof(), cache=cache)
-        assert cache.entry_count() == 0
-        hv = Hvprof()
-        study.run_point(4, hvprof=hv, cache=cache)
-        assert hv.op_count("allreduce") > 0  # profiled live, not replayed
 
 
 class TestSteadyStateDetector:

@@ -8,22 +8,38 @@ off:
 * collective-schedule memoization: identical timings;
 * steady-state extrapolation: matches full simulation within ulp-level
   tolerance (zero jitter), never fires under the default jitter;
-* parallel sweep: identical to the serial sweep, in order;
+* parallel sweep: identical to the serial sweep, in order, for any
+  scenario, and spawned workers route through the parent's active tables;
 * result cache: cached point identical to the freshly simulated one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import pytest
 
-from repro.core import MPI_OPT, ScalingStudy, StudyConfig, scenario_by_name
+from repro.comm.selection import (
+    SelectionTable,
+    clear_active_tables,
+    set_active_table,
+)
+from repro.core import (
+    MPI_DEFAULT,
+    MPI_OPT,
+    ScalingStudy,
+    StudyConfig,
+    scenario_by_name,
+)
 from repro.hardware import LASSEN, Cluster
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.collectives.allreduce import allreduce_timing
-from repro.perf import ResultCache, flags, run_point_jobs, PointJob
+from repro.perf import PointJob, ResultCache, flags, run_jobs
+from repro.perf import parallel as perf_parallel
 from repro.sim import Environment
 from repro.utils.units import MIB
 
@@ -162,24 +178,57 @@ class TestParallelSweep:
         for s, p in zip(serial, parallel):
             assert dataclasses.asdict(s) == dataclasses.asdict(p)
 
-    def test_run_point_jobs_preserves_input_order(self):
+    def test_run_jobs_preserves_input_order(self):
         config = StudyConfig()
         jobs = [
-            PointJob("MPI-Opt", 8, config),
-            PointJob("MPI", 4, config),
-            PointJob("MPI-Opt", 4, config),
+            PointJob(MPI_OPT, 8, config),
+            PointJob(MPI_DEFAULT, 4, config),
+            PointJob(MPI_OPT, 4, config),
         ]
-        points = run_point_jobs(jobs, workers=2)
+        points = run_jobs(jobs, workers=2)
         assert [(p.scenario, p.num_gpus) for p in points] == [
             ("MPI-Opt", 8), ("MPI", 4), ("MPI-Opt", 4)
         ]
 
-    def test_custom_scenario_falls_back_to_serial(self):
+    def test_custom_scenario_runs_in_pool(self):
+        # workers receive the Scenario object itself, registered or not
         scenario = dataclasses.replace(scenario_by_name("MPI"), name="custom")
         study = ScalingStudy(scenario, StudyConfig())
-        assert not study._parallel_safe()
-        points = study.run([4], jobs=4)  # must not try to pickle by name
-        assert points[0].scenario == "custom"
+        serial = study.run([4, 8], jobs=1)
+        parallel = study.run([4, 8], jobs=2)
+        assert [p.scenario for p in parallel] == ["custom", "custom"]
+        for s, p in zip(serial, parallel):
+            assert dataclasses.asdict(s) == dataclasses.asdict(p)
+
+    def test_spawned_workers_route_through_the_active_table(
+        self, monkeypatch
+    ):
+        # spawn-started workers inherit no module state from the parent:
+        # only the pool's initializer can give them the active table
+        monkeypatch.setattr(
+            perf_parallel, "ProcessPoolExecutor",
+            functools.partial(
+                ProcessPoolExecutor, mp_context=get_context("spawn")
+            ),
+        )
+        study = ScalingStudy(MPI_OPT, StudyConfig())
+        untabled = study.run([4, 8])
+        set_active_table(
+            SelectionTable(
+                backend="mpi", byte_edges=(), rank_edges=(),
+                algorithms=(("ring",),), source="tuned",
+            )
+        )
+        try:
+            inline = study.run([4, 8], jobs=1)
+            spawned = study.run([4, 8], jobs=2)
+        finally:
+            clear_active_tables()
+        assert [p.step_time for p in inline] != [
+            p.step_time for p in untabled
+        ]
+        for i, s in zip(inline, spawned):
+            assert dataclasses.asdict(i) == dataclasses.asdict(s)
 
 
 class TestCacheEquivalence:
@@ -196,8 +245,8 @@ class TestCacheEquivalence:
     def test_knob_change_misses_cache(self, tmp_path, monkeypatch):
         scenario = scenario_by_name("MPI")
         cache = ResultCache(str(tmp_path))
-        ScalingStudy(scenario, StudyConfig()).run_point(4, cache=cache)
+        ScalingStudy(scenario, StudyConfig()).run([4], cache=cache)
         assert cache.entry_count() == 1
         monkeypatch.setenv("HOROVOD_SOME_KNOB", "on")
-        ScalingStudy(scenario, StudyConfig()).run_point(4, cache=cache)
+        ScalingStudy(scenario, StudyConfig()).run([4], cache=cache)
         assert cache.entry_count() == 2  # distinct digest, no false hit

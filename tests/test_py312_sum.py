@@ -6,8 +6,8 @@ left-to-right fold Python 3.11 computes.  Every total that feeds a pinned
 number must therefore be a fold written out (``total += x``).  These tests
 replace ``builtins.sum`` with :func:`neumaier_sum`, an emulation of 3.12's
 algorithm, and rerun golden cases whose payloads are made of such totals:
-the step-program digests, transport states and serving reports must not
-move.
+the step-program digests, transport states, serving reports and a hybrid
+point must not move.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import math
 
 import pytest
 
+from repro.core import MPI_OPT, ScalingStudy, StudyConfig
+from repro.core.study import point_payload
+from repro.parallel import ParallelLayout
 from tests import test_serve_golden as serve_golden
 from tests import test_step_program as step_golden
 from tests import test_transport_golden as transport_golden
@@ -106,3 +109,14 @@ def test_transport_golden(case, mode, py312_sum):
 @pytest.mark.parametrize("name", ["image-jsq", "video-failover"])
 def test_serve_golden(name, py312_sum):
     assert serve_golden.case_digest(name) == serve_golden.GOLDEN[name]
+
+
+def test_hybrid_point(monkeypatch):
+    # three measured steps: the step-program goldens measure two, and a
+    # two-item total is the same under both algorithms
+    study = ScalingStudy(
+        MPI_OPT, StudyConfig(layout=ParallelLayout(tp=2), measure_steps=3)
+    )
+    plain = point_payload(study.run_point(16))
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert point_payload(study.run_point(16)) == plain

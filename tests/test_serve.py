@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultPlan, RankFailure
-from repro.perf import ResultCache
+from repro.perf import ResultCache, run_jobs
 from repro.perf.digest import CACHE_VERSION_SALT
 from repro.profiling import chrome_trace, write_chrome_trace
 from repro.serve import (
@@ -37,8 +37,6 @@ from repro.serve import (
     generate_arrivals,
     make_routing_policy,
     nearest_rank,
-    run_serve_jobs,
-    serve_digest,
     simulate_serve,
 )
 
@@ -389,16 +387,16 @@ class TestSweep:
         ]
 
     def test_jobs1_vs_jobs2_identical(self):
-        serial = run_serve_jobs(self._jobs(), workers=1)
-        parallel = run_serve_jobs(self._jobs(), workers=2)
+        serial = run_jobs(self._jobs(), workers=1)
+        parallel = run_jobs(self._jobs(), workers=2)
         assert [r.to_payload() for r in serial] == [
             r.to_payload() for r in parallel
         ]
 
     def test_cache_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        cold = run_serve_jobs(self._jobs(), workers=1, cache=cache)
-        warm = run_serve_jobs(self._jobs(), workers=1, cache=cache)
+        cold = run_jobs(self._jobs(), workers=1, cache=cache)
+        warm = run_jobs(self._jobs(), workers=1, cache=cache)
         assert [r.to_payload() for r in cold] == [
             r.to_payload() for r in warm
         ]
@@ -407,9 +405,9 @@ class TestSweep:
 
     def test_digest_sensitivity(self):
         base = ServeJob(ServeScenario(), duration_s=5.0, seed=7)
-        assert serve_digest(base) == serve_digest(
-            ServeJob(ServeScenario(), duration_s=5.0, seed=7)
-        )
+        assert base.digest() == ServeJob(
+            ServeScenario(), duration_s=5.0, seed=7
+        ).digest()
         variants = [
             ServeJob(ServeScenario(routing="rr"), duration_s=5.0, seed=7),
             ServeJob(ServeScenario(), duration_s=6.0, seed=7),
@@ -423,9 +421,9 @@ class TestSweep:
                 fault_plan=FaultPlan(faults=(RankFailure(rank=0, time=1.0),)),
             ),
         ]
-        digests = {serve_digest(v) for v in variants}
+        digests = {v.digest() for v in variants}
         assert len(digests) == len(variants)
-        assert serve_digest(base) not in digests
+        assert base.digest() not in digests
 
     def test_serve_digest_never_aliases_training(self):
         # serving preimages are keyed "serve-point"; the training sweeps
