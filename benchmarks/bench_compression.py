@@ -9,7 +9,7 @@ run it directly and diff against a committed baseline::
 
 Workloads:
 
-* **wire_reduction** — fast-mode scaling points per compression mode;
+* **wire_reduction** — scaling points per compression mode;
   reports simulated bytes-on-wire per training step and throughput.  The
   acceptance claim is asserted inline: fp16 reduces bytes-on-wire by
   >= 1.7x at 512 ranks (it is exactly 2.0x by construction — the assert
@@ -54,9 +54,7 @@ FP16_MAX_PSNR_DELTA_DB = 0.05   # acceptance ceiling vs fp32
 
 
 def run_scaling_point(num_gpus: int, **cfg) -> dict:
-    study = ScalingStudy(
-        scenario_by_name("MPI-Opt"), StudyConfig(engine_mode="fast", **cfg)
-    )
+    study = ScalingStudy(scenario_by_name("MPI-Opt"), StudyConfig(**cfg))
     t0 = perf_counter()
     point = study.run_point(num_gpus)
     return {

@@ -9,16 +9,19 @@ run it directly and diff against a committed baseline::
 Workloads:
 
 * **scaling_study** — runs the default scaling study (MPI-Opt, default
-  ``StudyConfig``) point by point in exact mode and in fast mode,
-  asserting full-dataclass bit-identity at every world size and
-  recording the wall-clock speedup.  The acceptance gate: the largest
-  world must run at least ``--min-speedup`` (default 5x) faster under
-  the trace/replay engine.  The *simulated* images/s anchors are
+  ``StudyConfig``) point by point on the walk oracle
+  (``repro.sim.fastpath.walk_oracle``, reported as ``exact``) and on the
+  default engine with its ring closed form (``fast``), asserting
+  full-dataclass bit-identity at every world size and recording the
+  wall-clock speedup.  The acceptance gate: the largest world must run
+  at least ``--min-speedup`` (default 5x) faster on the default engine.
+  The *simulated* images/s anchors are
   machine-independent and baseline-checked exactly — any drift means
   the cost model changed (regenerate the baseline and bump the digest
   salt).
 * **serve_trace** — generates the homogeneous-Poisson arrival trace with
-  the scalar loop and the vectorized fast path, asserting the traces are
+  the walk oracle's scalar loop and the default vectorized generator,
+  asserting the traces are
   identical and reporting the generation speedup (informational: trace
   generation is not the serving bottleneck).
 """
@@ -37,15 +40,16 @@ sys.path.insert(
 )
 
 from repro.core import ScalingStudy, StudyConfig, scenario_by_name
+from repro.sim.fastpath import walk_oracle
 
 
 def run_point(num_gpus: int, mode: str):
-    study = ScalingStudy(
-        scenario_by_name("MPI-Opt"), StudyConfig(engine_mode=mode)
-    )
-    t0 = perf_counter()
-    point = study.run_point(num_gpus)
-    return point, perf_counter() - t0
+    """One point on the walk oracle (``"exact"``) or the default engine."""
+    study = ScalingStudy(scenario_by_name("MPI-Opt"), StudyConfig())
+    with walk_oracle(mode == "exact"):
+        t0 = perf_counter()
+        point = study.run_point(num_gpus)
+        return point, perf_counter() - t0
 
 
 def time_scaling_study(quick: bool) -> dict:
@@ -57,7 +61,7 @@ def time_scaling_study(quick: bool) -> dict:
         exact, exact_s = run_point(num_gpus, "exact")
         fast, fast_s = run_point(num_gpus, "fast")
         assert dataclasses.asdict(exact) == dataclasses.asdict(fast), (
-            f"fast engine diverged from exact at {num_gpus} GPUs"
+            f"default engine diverged from the walk oracle at {num_gpus} GPUs"
         )
         anchors[str(num_gpus)] = fast.images_per_second
         speedups[str(num_gpus)] = exact_s / fast_s if fast_s > 0 else float("inf")
@@ -79,11 +83,12 @@ def time_serve_trace(quick: bool) -> dict:
 
     duration_s = 120.0 if quick else 600.0
     cfg = WorkloadConfig(kind="poisson", rate_rps=200.0)
+    with walk_oracle():
+        t0 = perf_counter()
+        exact = generate_arrivals(cfg, duration_s, 7)
+        exact_s = perf_counter() - t0
     t0 = perf_counter()
-    exact = generate_arrivals(cfg, duration_s, 7)
-    exact_s = perf_counter() - t0
-    t0 = perf_counter()
-    fast = generate_arrivals(cfg, duration_s, 7, engine_mode="fast")
+    fast = generate_arrivals(cfg, duration_s, 7)
     fast_s = perf_counter() - t0
     assert exact == fast, "vectorized Poisson trace diverged from scalar loop"
     return {
@@ -118,8 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check-baseline", default=None, metavar="PATH",
                         help="fail on simulated-throughput drift")
     parser.add_argument("--min-speedup", type=float, default=5.0,
-                        help="required fast-engine speedup at the largest "
-                             "world size")
+                        help="required speedup of the default engine over "
+                             "the walk oracle at the largest world size")
     args = parser.parse_args(argv)
 
     workloads = {}
@@ -156,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     speedup = report["largest_world_speedup"]
     if speedup < args.min_speedup:
         failures.append(
-            f"fast engine speedup at the largest world is {speedup:.1f}x, "
+            f"default-engine speedup at the largest world is {speedup:.1f}x, "
             f"below the {args.min_speedup:.1f}x acceptance floor"
         )
     if args.check_baseline:

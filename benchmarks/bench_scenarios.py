@@ -10,15 +10,17 @@ run it and diff against a committed baseline::
 Workloads:
 
 * **study_scenarios** — the multiscale8 (x2/x4/x8 heads) and video
-  (8-frame BPTT) study points at 16 ranks, run on both engine modes cold
-  then warm through the result cache; asserts fast == exact and
-  warm == cold byte-identically.  The regression gate is the simulated
+  (8-frame BPTT) study points at 16 ranks, run on the walk oracle
+  (``repro.sim.fastpath.walk_oracle``, uncached) and on the default
+  engine cold then warm through the result cache; asserts fast == exact
+  and warm == cold byte-identically.  The regression gate is the simulated
   ``images_per_second`` / ``step_time`` per spec: fully deterministic, so
   any drift means the scenario pricing or the periodic step structure
   changed — intentional changes must update the baseline (and the cache
   salt).
 * **video_serve** — the session-affine video serving cell with a
-  mid-stream replica failure on both engine modes; asserts frame
+  mid-stream replica failure on the walk oracle and the default engine;
+  asserts frame
   conservation per session, failure detection, at least one session
   re-home, and fast/exact identity.  Gated on the jitter-buffer SLO
   metrics (late-frame ratio, rebuffers, p99 frame latency) and goodput.
@@ -37,8 +39,6 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from dataclasses import replace
-
 from repro.core import (
     MPI_OPT,
     MULTISCALE8_SPEC,
@@ -56,6 +56,7 @@ from repro.serve import (
     WorkloadConfig,
     simulate_serve,
 )
+from repro.sim.fastpath import walk_oracle
 
 SEED = 7
 NUM_GPUS = 16
@@ -74,13 +75,14 @@ def time_study_scenarios(quick: bool) -> dict:
         for name, spec in specs.items():
             config = _study_config(spec, steps)
             t0 = perf_counter()
-            [exact] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], cache=cache)
-            [fast] = ScalingStudy(
-                MPI_OPT, replace(config, engine_mode="fast")
-            ).run([NUM_GPUS], cache=cache)
+            # uncached: the oracle enters no digest, so a cached walk would
+            # serve the default engine's run
+            with walk_oracle():
+                [exact] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS])
+            [fast] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], cache=cache)
             cold_s = perf_counter() - t0
             assert point_payload(exact) == point_payload(fast), (
-                f"{name}: fast engine diverged from exact"
+                f"{name}: default engine diverged from the walk oracle"
             )
             t0 = perf_counter()
             [warm] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], cache=cache)
@@ -117,16 +119,17 @@ def time_video_serve(quick: bool) -> dict:
         faults=(RankFailure(rank=0, time=duration_s / 3, down_s=25.0),)
     )
     t0 = perf_counter()
-    exact = simulate_serve(
-        _video_scenario(), duration_s=duration_s, seed=SEED, fault_plan=plan
-    )
+    with walk_oracle():
+        exact = simulate_serve(
+            _video_scenario(), duration_s=duration_s, seed=SEED,
+            fault_plan=plan,
+        )
     fast = simulate_serve(
-        _video_scenario(), duration_s=duration_s, seed=SEED, fault_plan=plan,
-        engine_mode="fast",
+        _video_scenario(), duration_s=duration_s, seed=SEED, fault_plan=plan
     )
     wall_s = perf_counter() - t0
     assert exact.to_payload() == fast.to_payload(), (
-        "video serve: fast engine diverged from exact"
+        "video serve: default engine diverged from the walk oracle"
     )
     s = exact.summary
     v = s["video"]

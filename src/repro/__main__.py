@@ -44,21 +44,6 @@ def _make_cache(args: argparse.Namespace) -> ResultCache:
     return ResultCache(args.cache_dir, enabled=not args.no_cache)
 
 
-def _add_engine_mode(parser: argparse.ArgumentParser) -> None:
-    """``--fast`` / ``--exact`` engine-mode switch (default exact)."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--fast", dest="engine_mode", action="store_const", const="fast",
-        help="exact walk plus a closed form for warm ring phases "
-             "(bit-identical to --exact; see docs/engine_fastpath.md)",
-    )
-    group.add_argument(
-        "--exact", dest="engine_mode", action="store_const", const="exact",
-        help="walk every collective schedule through the full cost model",
-    )
-    parser.set_defaults(engine_mode="exact")
-
-
 def cmd_scale(args: argparse.Namespace) -> int:
     from repro.core.scenarios import scenario_spec_by_name
     from repro.parallel import ParallelLayout
@@ -75,7 +60,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
     )
     study = ScalingStudy(scenario, StudyConfig(measure_steps=measure_steps,
                                                model=args.model,
-                                               engine_mode=args.engine_mode,
                                                compression=args.compression,
                                                local_sgd_h=args.local_sgd,
                                                layout=layout,
@@ -200,8 +184,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     )
     study = ScalingStudy(
         scenario,
-        StudyConfig(measure_steps=args.steps, model=args.model,
-                    engine_mode=args.engine_mode),
+        StudyConfig(measure_steps=args.steps, model=args.model),
         fault_plan=plan,
         recovery=policy,
     )
@@ -307,7 +290,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             fault_plan=plan,
             collect_trace=True,
-            engine_mode=args.engine_mode,
         )
         n = write_chrome_trace(args.trace, report.trace)
         reports = [report]
@@ -315,8 +297,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if len(policies) > 1:
             jobs = [
                 ServeJob(scenario_for(p), duration_s=args.duration,
-                         seed=args.seed, fault_plan=plan,
-                         engine_mode=args.engine_mode)
+                         seed=args.seed, fault_plan=plan)
                 for p in policies[1:]
             ]
             reports += run_jobs(
@@ -325,8 +306,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         jobs = [
             ServeJob(scenario_for(p), duration_s=args.duration,
-                     seed=args.seed, fault_plan=plan,
-                     engine_mode=args.engine_mode)
+                     seed=args.seed, fault_plan=plan)
             for p in policies
         ]
         cache = _make_cache(args)
@@ -413,7 +393,6 @@ def cmd_hybrid(args: argparse.Namespace) -> int:
         scenario=args.scenario,
         model=args.model,
         batch_per_gpu=args.batch,
-        engine_mode=args.engine_mode,
         max_tp=args.max_tp,
         max_pp=args.max_pp,
         microbatches=tuple(int(m) for m in args.microbatches.split(",")),
@@ -432,7 +411,7 @@ def cmd_hybrid(args: argparse.Namespace) -> int:
          "images/s", "bubble", "train (s)"],
         title=(
             f"Hybrid plan — {args.ranks} ranks, {args.scenario} "
-            f"({args.model}, {config.engine_mode})"
+            f"({args.model})"
         ),
     )
     for rank, row in enumerate(report["points"][: args.top], start=1):
@@ -601,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["1f1b", "gpipe"],
                        help="pipeline schedule (differ only in live-"
                             "activation memory)")
-    _add_engine_mode(scale)
     scale.set_defaults(func=cmd_scale)
 
     profile = sub.add_parser("profile", help="hvprof default vs MPI-Opt")
@@ -652,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--cache-dir", default=None)
     res.add_argument("--report", default=None,
                      help="write the JSON recovery report to this path")
-    _add_engine_mode(res)
     res.set_defaults(func=cmd_resilience)
 
     serve = sub.add_parser(
@@ -698,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(chrome://tracing / Perfetto)")
     serve.add_argument("--report", default=None,
                        help="write the JSON serving report to this path")
-    _add_engine_mode(serve)
     serve.set_defaults(func=cmd_serve)
 
     chaos = sub.add_parser(
@@ -793,11 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid.add_argument("--cache-dir", default=None)
     hybrid.add_argument("--report", default=None, metavar="PATH",
                         help="write the full JSON plan report to this path")
-    _add_engine_mode(hybrid)
-    # planning sweeps dozens of multi-thousand-rank points; the fast engine
-    # is bit-identical to exact (pinned by the equivalence suite), so it is
-    # the default here — --exact opts into the full schedule walk
-    hybrid.set_defaults(engine_mode="fast")
     hybrid.set_defaults(func=cmd_hybrid)
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")

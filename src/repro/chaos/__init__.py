@@ -4,10 +4,10 @@ PR 1-5 gave every layer deterministic fault hooks; PR 8 composes them
 into *campaigns*: the cross product of named fault scenarios (whole-node
 death, leaf-switch outage, network partition, wire/checkpoint
 corruption, serving failover), recovery policies, and seeds, where every
-cell runs under both engine modes and is judged against machine-checked
-invariants — ledger conservation, CRC-paired corruption, checksummed
-checkpoint recovery, topological blast radii, and fast/exact
-bit-identity.
+cell runs on the default engine and on the walk oracle and is judged
+against machine-checked invariants — ledger conservation, CRC-paired
+corruption, checksummed checkpoint recovery, topological blast radii, and
+fast/exact bit-identity.
 
 * :mod:`repro.chaos.scenarios` — the named, seeded fault families;
 * :mod:`repro.chaos.invariants` — the per-cell predicates;

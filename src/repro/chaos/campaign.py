@@ -2,7 +2,9 @@
 
 A campaign is the cross product of named chaos scenarios
 (:mod:`repro.chaos.scenarios`), recovery policies, and seeds.  Every
-cell runs **twice** — once per engine mode.  Training cells run as
+cell runs **twice**: once on the walk oracle
+(:func:`repro.sim.fastpath.walk_oracle`, the row's ``exact`` side) and
+once on the default engine (its ``fast`` side).  Training cells run as
 :class:`~repro.perf.parallel.PointJob` jobs and serving cells as
 :class:`~repro.serve.sweep.ServeJob` jobs, all through one call of the
 sweep runner (:func:`repro.perf.parallel.run_jobs`); cells are
@@ -87,6 +89,36 @@ class CampaignConfig:
         ]
 
 
+@dataclass(frozen=True)
+class _WalkJob:
+    """A sweep job run on the walk oracle, in whichever process runs it.
+
+    Its cache key folds the wrapped job's digest with a ``walk-oracle``
+    tag, so the walk pass is never served the default pass's entry.
+    """
+
+    job: object
+
+    def digest(self) -> str:
+        from repro.perf.digest import canonical_digest
+
+        return canonical_digest(
+            {"kind": "walk-oracle", "job": self.job.digest()}
+        )
+
+    def run(self):
+        from repro.sim.fastpath import walk_oracle
+
+        with walk_oracle():
+            return self.job.run()
+
+    def to_payload(self, result):
+        return self.job.to_payload(result)
+
+    def from_payload(self, payload):
+        return self.job.from_payload(payload)
+
+
 @dataclass
 class CampaignReport:
     """Every cell's payloads and verdicts plus the campaign digest."""
@@ -158,10 +190,13 @@ class CampaignReport:
         return out
 
 
-def _train_jobs(config: CampaignConfig, cells, topology) -> list:
-    """Both engine modes' point jobs of every training cell, in order."""
-    from dataclasses import replace
+def _both_passes(jobs) -> list:
+    """Each job on the walk oracle, then on the default engine."""
+    return [run for job in jobs for run in (_WalkJob(job), job)]
 
+
+def _train_jobs(config: CampaignConfig, cells, topology) -> list:
+    """Both passes' point jobs of every training cell, in order."""
     from repro.core.scenarios import scenario_by_name as study_scenario
     from repro.core.study import StudyConfig
     from repro.perf.parallel import PointJob
@@ -170,17 +205,16 @@ def _train_jobs(config: CampaignConfig, cells, topology) -> list:
     # fast/exact identity check compares exactly reproducible payloads
     base = StudyConfig(measure_steps=config.measure_steps, jitter_sigma=0.0)
     scenario = study_scenario(config.train_scenario)
-    return [
+    return _both_passes(
         PointJob(
             scenario,
             config.num_gpus,
-            replace(base, engine_mode=mode),
+            base,
             fault_plan=build_plan(scenario_name, seed, topology),
             recovery=_policy_for(policy_name),
         )
         for scenario_name, policy_name, seed in cells
-        for mode in ("exact", "fast")
-    ]
+    )
 
 
 def _train_rows(cells, points, topology) -> list[dict]:
@@ -223,21 +257,19 @@ def _serve_scenario(chaos_name: str):
 
 
 def _serve_jobs(config: CampaignConfig, cells) -> list:
-    """Both engine modes' serving jobs of every serving cell, in order."""
+    """Both passes' serving jobs of every serving cell, in order."""
     from repro.serve.sweep import ServeJob
 
-    return [
+    return _both_passes(
         ServeJob(
             _serve_scenario(scenario_name),
             duration_s=config.serve_duration_s,
             seed=seed,
             fault_plan=build_plan(scenario_name, seed, None),
             recovery=_policy_for(policy_name),
-            engine_mode=mode,
         )
         for scenario_name, policy_name, seed in cells
-        for mode in ("exact", "fast")
-    ]
+    )
 
 
 def _serve_rows(cells, reports) -> list[dict]:

@@ -12,8 +12,9 @@ Training cells check:
   (productive + checkpoint + detection + lost work + recovery) sum to the
   independently accumulated simulation clock; nothing is double-charged
   or silently dropped.
-* **fast-exact-identity** — the fast engine produced a
-  bit-identical point to the exact engine under this fault plan.
+* **fast-exact-identity** — the default engine (the row's ``fast``
+  side) produced a point bit-identical to the walk oracle's (its
+  ``exact`` side) under this fault plan.
 * **corruption-detected** — every wire corruption event was caught by a
   CRC check (no flipped payload reached the optimizer state).
 * **checkpoint-recovery** — restarts never restored a corrupt snapshot:
@@ -119,7 +120,7 @@ def blast_radius(resilience: dict, expected: int) -> InvariantResult:
 
 
 def fast_exact_identity(fast: dict, exact: dict) -> InvariantResult:
-    """Fast engine payload bit-identical to the exact engine's."""
+    """Default-engine payload bit-identical to the walk oracle's."""
     if fast == exact:
         return InvariantResult("fast-exact-identity", True, "bit-identical")
     return InvariantResult(
@@ -170,10 +171,11 @@ def failure_detected(summary: dict) -> InvariantResult:
 def check_train_cell(
     exact_payload: dict, fast_payload: dict, expected_survivors: int | None
 ) -> list[InvariantResult]:
-    """All invariants for one training cell (payloads from both engines).
+    """All invariants for one training cell (payloads from both passes).
 
-    Structural checks run on the *exact* payload; the identity invariant
-    then extends every one of them to the fast engine.
+    Structural checks run on the *exact* (walk oracle) payload; the
+    identity invariant then extends every one of them to the default
+    engine.
     """
     resilience = exact_payload["resilience"]
     kinds = resilience["trace_kinds"]

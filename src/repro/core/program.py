@@ -84,8 +84,7 @@ def build_engine(
 ):
     """Backend world + Horovod engine for one data-parallel group.
 
-    Returns ``(world, engine)``; in fast engine mode the world's coster
-    carries a fast-path session.
+    Returns ``(world, engine)``.
     """
     world_spec = WorldSpec(
         num_ranks=num_ranks, policy=scenario.policy, config=scenario.mv2
@@ -94,10 +93,6 @@ def build_engine(
         cluster, scenario.backend, world_spec=world_spec,
         num_ranks=num_ranks, faults=faults,
     )
-    if cfg.engine_mode == "fast":
-        from repro.sim.fastpath import enable_fastpath
-
-        enable_fastpath(world)
     if hvprof is not None:
         comm.add_observer(hvprof.observer)
     engine = HorovodEngine(

@@ -67,12 +67,6 @@ class StudyConfig:
     steady_detect: bool = True
     steady_window: int = 3
     steady_rel_tol: float = 1e-9
-    # Engine execution mode: "exact" walks every step of every collective
-    # schedule; "fast" attaches the repro.sim.fastpath session, which walks
-    # the same way but prices warm ring phases in a closed form,
-    # bit-identically (equivalence pinned by
-    # tests/test_engine_equivalence.py).
-    engine_mode: str = "exact"
     # Gradient compression spec ("none", "fp16", "bf16", "topk:<ratio>")
     # applied at the Horovod engine's wire boundary; see docs/compression.md.
     compression: str = "none"
@@ -106,10 +100,6 @@ class StudyConfig:
             raise ConfigError("steady_window must be >= 2")
         if self.steady_rel_tol < 0:
             raise ConfigError("steady_rel_tol must be >= 0")
-        if self.engine_mode not in ("exact", "fast"):
-            raise ConfigError(
-                f"engine_mode must be 'exact' or 'fast', got {self.engine_mode!r}"
-            )
         if self.local_sgd_h < 1:
             raise ConfigError(
                 f"local_sgd_h must be >= 1, got {self.local_sgd_h}"
@@ -307,26 +297,19 @@ class ScalingStudy:
         return self.memory.max_batch(available)
 
     # -- result cache addressing ----------------------------------------------
-    def point_digest(
-        self, num_gpus: int, *, fault_plan=None, recovery=None
-    ) -> str:
+    def point_digest(self, num_gpus: int) -> str:
         """Content address of the point this study would produce.
 
         Folds in everything that determines the result: scenario (policy,
         MV2 config, backend), the full :class:`StudyConfig`, world size and
         per-GPU batch, the ``MV2_*``/``HOROVOD_*``/``REPRO_SIM_*`` environment
-        knobs, the fault plan and recovery policy (the study's own unless
-        overridden), the digests of any active ``repro.comm`` selection
-        tables (so tuned-table runs never alias untuned cached results),
-        and the cache version salt.
+        knobs, the study's fault plan and recovery policy, the digests of
+        any active ``repro.comm`` selection tables (so tuned-table runs
+        never alias untuned cached results), and the cache version salt.
         """
         from repro.comm.selection import active_table_digests
         from repro.perf.digest import canonical_digest, env_knobs
 
-        if fault_plan is None:
-            fault_plan = self.fault_plan
-        if recovery is None:
-            recovery = self.recovery
         return canonical_digest(
             {
                 "kind": "scaling-point",
@@ -335,8 +318,8 @@ class ScalingStudy:
                 "num_gpus": num_gpus,
                 "batch_per_gpu": self.batch_for(num_gpus),
                 "env": env_knobs(),
-                "fault_plan": fault_plan,
-                "recovery": recovery,
+                "fault_plan": self.fault_plan,
+                "recovery": self.recovery,
                 "comm_tables": active_table_digests(),
             }
         )

@@ -234,9 +234,9 @@ class StepCoster:
         self._reductions: dict[tuple[bool, int, int], float] = {}
         # this world's collective step schedules, keyed by rank list
         self.schedules = ScheduleMemo()
-        # Optional repro.sim.fastpath.FastPathSession; when attached (via
-        # enable_fastpath), analytic walks collapse warm ring phases into
-        # a closed form.
+        # the repro.sim.fastpath.FastPathSession that MpiWorld attaches
+        # to an analytic coster (None under the walk oracle): analytic
+        # walks collapse warm ring phases into a closed form
         self.fastpath = None
 
     # -- reduction compute costs ------------------------------------------------
@@ -288,8 +288,9 @@ class StepCoster:
         Mirrors the event path's ladder: each corrupt delivery is caught
         by the receiver's CRC pass and retransmitted, charging the CRC
         scan plus a full re-send of the plain transfer.  Every attempt
-        consumes exactly one roll of the injector's corruption stream, so
-        the exact and fast engines stay bit-identical.  A transfer
+        consumes exactly one roll of the injector's corruption stream, and
+        no ring step collapses under a live window, so the closed form
+        and the walk oracle stay bit-identical.  A transfer
         corrupted past the retry budget raises
         :class:`~repro.errors.MpiTimeoutError`, like a lost message.
         """
@@ -321,10 +322,10 @@ class StepCoster:
     ) -> float:
         """Makespan of concurrent transfers under the contention model.
 
-        The one analytic step walk, in both engine modes: each transfer is
-        quoted and applied, then charged its reduction and, under wire
-        corruption, its CRC retransmits priced from the plain time it was
-        just charged.
+        The one analytic step walk, with or without the ring closed form:
+        each transfer is quoted and applied, then charged its reduction
+        and, under wire corruption, its CRC retransmits priced from the
+        plain time it was just charged.
         """
         if not transfers:
             return 0.0

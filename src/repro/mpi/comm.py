@@ -130,7 +130,8 @@ class MpiWorld:
     Prices every collective a :class:`Communicator` runs on it, including
     the MPI-only ones (reduce, gather, scatter, alltoall).  Every pricing
     method but the barrier's first opens a new MPI call scope on the
-    transport.
+    transport.  An analytic world is built with the ring closed form
+    attached (:func:`repro.sim.fastpath.enable_fastpath`).
     """
 
     backend_name = "mpi"
@@ -154,6 +155,10 @@ class MpiWorld:
         self.coster = StepCoster(self.transport, mode)
         self.mode = mode
         self.faults = faults
+        # imported here, so a wrapped enable_fastpath sees every session
+        from repro.sim.fastpath import enable_fastpath
+
+        enable_fastpath(self)
 
     @property
     def size(self) -> int:

@@ -59,6 +59,15 @@ class TransportKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# the members ``quote`` and ``apply`` test, as module globals: reading one
+# costs a fraction of an Enum class-attribute read
+_SELF = TransportKind.SELF
+_CUDA_IPC = TransportKind.CUDA_IPC
+_GDR_RDMA = TransportKind.GDR_RDMA
+_IB_EAGER = TransportKind.IB_EAGER
+_STAGED_INTER = TransportKind.STAGED_INTER
+
+
 #: intra-node messages at or below this always take the SMP eager path
 SMP_EAGER_THRESHOLD = 64 * 1024
 
@@ -304,8 +313,8 @@ class TransportModel:
         ``quote`` changes no protocol state: opening an IPC pair,
         acquiring registrations and counting sends are :meth:`apply`'s.
         Registration-cache state never enters a quote; only
-        ``opens_ipc`` reads protocol state.  Both engine modes quote
-        every walked transfer here, and no quote outlives its step.
+        ``opens_ipc`` reads protocol state.  Every walked transfer and
+        every ring row is quoted here, and no quote outlives its step.
 
         What the transfer's shape fixes comes from the world's price
         table (see :meth:`_price`); the sender's HCA, the caches, buffers
@@ -325,20 +334,20 @@ class TransportModel:
         opens_ipc = False
         ib = src_cache = src_buf = dst_cache = dst_buf = None
         extent = nbytes
-        if kind is TransportKind.GDR_RDMA or kind is TransportKind.STAGED_INTER:
+        if kind is _GDR_RDMA or kind is _STAGED_INTER:
             ib = pair.ib
             src_cache = ib.reg_cache
             src_buf = src_buffer if src_buffer is not None else -src - 1
             if buffer_extent is not None:
                 extent = buffer_extent
-            if kind is TransportKind.GDR_RDMA:
+            if kind is _GDR_RDMA:
                 # receiver's buffer is advertised once per call (CTS
                 # carries the rkey) through its own HCA's cache
                 dst_cache = pair.dst_cache
                 dst_buf = dst_buffer if dst_buffer is not None else -dst - 1
-        elif kind is TransportKind.IB_EAGER:
+        elif kind is _IB_EAGER:
             ib = pair.ib
-        elif kind is TransportKind.CUDA_IPC:
+        elif kind is _CUDA_IPC:
             opens_ipc = (min(src, dst), max(src, dst)) not in self._ipc_pairs
             if opens_ipc:
                 # first use maps the peer buffer, then IPC rendezvous sync
@@ -406,7 +415,7 @@ class TransportModel:
         """Send a quoted transfer: perform its side effects (registration
         acquires, IPC pair open, eager/rendezvous counters, staging
         charges, transport stats) and return its protocol seconds."""
-        if q.kind is TransportKind.SELF:
+        if q.kind is _SELF:
             return 0.0
         protocol = q.protocol
         if q.src_cache is not None:

@@ -21,9 +21,9 @@ partitioned compute:
   derived cluster spec with ``gpus_per_node / (tp * pp)`` ranks per node.
   The allreduce overlaps the whole backward phase, PipeDream-flush style.
 
-Every tp/pp term is a closed-form analytic envelope, so fast and exact
-engine modes agree bit-identically on them; the dp engine's fast/exact
-equivalence is pinned by the existing fast-engine harness.  At
+Every tp/pp term is a closed-form analytic envelope, so the ring closed
+form and the walk oracle agree bit-identically on them; the dp engine's
+equivalence is pinned by the engine equivalence suite.  At
 ``tp = pp = 1, M = 1`` the step expression degenerates exactly to the
 data-parallel formula (such layouts route through the original path).
 """
@@ -121,7 +121,7 @@ def _tp_comm(
     backward: the mirrored reduce-scatter of the activation gradients;
     sync: one per-step gradient allreduce for the replicated
     (non-shardable) layers.  All three are closed-form hierarchical
-    envelopes — identical in fast and exact engine modes.
+    envelopes — identical with and without the ring closed form.
     """
     tp = layout.tp
     if tp == 1:

@@ -41,7 +41,6 @@ class PlannerConfig:
     model: str = "edsr-paper"
     batch_per_gpu: int = TRAIN_BATCH_PER_GPU
     cluster: ClusterSpec = LASSEN
-    engine_mode: str = "fast"
     #: largest tensor-parallel degree to consider (0 = the node width)
     max_tp: int = 0
     #: largest pipeline depth to consider
@@ -59,11 +58,6 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.ranks < 2:
             raise ConfigError(f"ranks must be >= 2, got {self.ranks}")
-        if self.engine_mode not in ("exact", "fast"):
-            raise ConfigError(
-                f"engine_mode must be 'exact' or 'fast', got "
-                f"{self.engine_mode!r}"
-            )
         if self.max_tp < 0:
             raise ConfigError(f"max_tp must be >= 0, got {self.max_tp}")
         if self.max_pp < 1:
@@ -169,7 +163,6 @@ def _study_config(config: PlannerConfig, spec, layout, fusion_mib):
         batch_per_gpu=config.batch_per_gpu,
         cluster=spec,
         horovod=horovod,
-        engine_mode=config.engine_mode,
         warmup_steps=config.warmup_steps,
         measure_steps=config.measure_steps,
         layout=layout,

@@ -248,7 +248,6 @@ class _ServeSimulation:
         fault_plan: FaultPlan | None,
         recovery: RecoveryPolicy,
         collect_trace: bool,
-        engine_mode: str = "exact",
     ):
         self.scenario = scenario
         self.duration_s = float(duration_s)
@@ -262,8 +261,7 @@ class _ServeSimulation:
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
         self.requests = generate_arrivals(
-            scenario.workload, self.duration_s, self.seed,
-            engine_mode=engine_mode,
+            scenario.workload, self.duration_s, self.seed
         )
         self.replicas: dict[int, _Replica] = {}
         #: the replicas neither retiring nor declared dead, in id order
@@ -706,17 +704,8 @@ def simulate_serve(
     fault_plan: FaultPlan | None = None,
     recovery: RecoveryPolicy | None = None,
     collect_trace: bool = False,
-    engine_mode: str = "exact",
 ) -> ServeReport:
-    """Run one serving scenario to completion and return its report.
-
-    ``engine_mode="fast"`` enables the vectorized trace generators; the
-    event-driven serving loop itself is identical in both modes, and the
-    equivalence suite pins the two reports bit-identical.
-    """
-    from repro.sim.fastpath import coerce_engine_mode
-
-    mode = coerce_engine_mode(engine_mode)
+    """Run one serving scenario to completion and return its report."""
     sim = _ServeSimulation(
         scenario,
         duration_s=duration_s,
@@ -724,6 +713,5 @@ def simulate_serve(
         fault_plan=fault_plan,
         recovery=recovery or RESTART_FROM_CHECKPOINT,
         collect_trace=collect_trace,
-        engine_mode=mode.value,
     )
     return sim.run()

@@ -31,10 +31,6 @@ class ServeJob:
     seed: int = 0
     fault_plan: object | None = None
     recovery: object | None = None
-    #: "exact" | "fast" — folded into the digest: fast mode is proven
-    #: bit-identical by the equivalence suite, but a cached result must
-    #: still say which engine produced it so a regression is attributable
-    engine_mode: str = "exact"
 
     def digest(self) -> str:
         """Content address of the report this job would produce."""
@@ -50,7 +46,6 @@ class ServeJob:
                 "fault_plan": self.fault_plan,
                 "recovery": self.recovery,
                 "comm_tables": active_table_digests(),
-                "engine_mode": self.engine_mode,
             }
         )
 
@@ -61,7 +56,6 @@ class ServeJob:
             seed=self.seed,
             fault_plan=self.fault_plan,
             recovery=self.recovery,
-            engine_mode=self.engine_mode,
         )
         # strip live objects: sweep results are summaries, identical whether
         # they came from a worker pickle, an inline run, or the cache

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.models.blocks import SUPPORTED_SCALES
+from repro.sim import fastpath
 from repro.utils.seeding import derive_seed
 
 
@@ -160,7 +161,8 @@ class Request:
 def _poisson_times_fast(
     cfg: WorkloadConfig, duration_s: float, seed: int
 ) -> list[float]:
-    """Vectorized homogeneous-Poisson trace, bit-identical to the scalar loop.
+    """Vectorized homogeneous-Poisson trace, bit-identical to the scalar
+    loop that the walk oracle (``repro.sim.fastpath.walk_oracle``) runs.
 
     ``np.cumsum`` accumulates left-to-right with the same float association
     as ``t += gap``, and a batched ``rng.exponential(scale, size=n)``
@@ -184,13 +186,9 @@ def _poisson_times_fast(
 
 
 def _arrival_times(
-    cfg: WorkloadConfig,
-    duration_s: float,
-    seed: int,
-    *,
-    engine_mode: str = "exact",
+    cfg: WorkloadConfig, duration_s: float, seed: int
 ) -> list[float]:
-    if cfg.kind in ("poisson", "video") and engine_mode == "fast":
+    if cfg.kind in ("poisson", "video") and not fastpath.WALK_ORACLE:
         return _poisson_times_fast(cfg, duration_s, seed)
     rng = np.random.default_rng(derive_seed(seed, "serve-arrivals", cfg.kind))
     times: list[float] = []
@@ -233,17 +231,13 @@ def _arrival_times(
 
 
 def generate_arrivals(
-    cfg: WorkloadConfig,
-    duration_s: float,
-    seed: int,
-    *,
-    engine_mode: str = "exact",
+    cfg: WorkloadConfig, duration_s: float, seed: int
 ) -> tuple[Request, ...]:
     """The full deterministic arrival trace for one serving run.
 
-    ``engine_mode="fast"`` vectorizes the homogeneous-Poisson generator
-    (bit-identical trace; see :func:`_poisson_times_fast`) — the
-    inhomogeneous processes interleave thinning draws and stay scalar.
+    The homogeneous-Poisson generator is vectorized (see
+    :func:`_poisson_times_fast`); the inhomogeneous processes interleave
+    thinning draws and stay scalar.
 
     When any class in the mix streams (``frames > 1``), every arrival is
     a *session start*: session ``s`` with class ``c`` expands into
@@ -254,7 +248,7 @@ def generate_arrivals(
     """
     if duration_s <= 0:
         raise ConfigError(f"duration_s must be > 0, got {duration_s}")
-    times = _arrival_times(cfg, duration_s, seed, engine_mode=engine_mode)
+    times = _arrival_times(cfg, duration_s, seed)
     weights = np.asarray([c.weight for c in cfg.classes], dtype=float)
     probs = weights / weights.sum()
     rng = np.random.default_rng(derive_seed(seed, "serve-classes", cfg.kind))

@@ -17,12 +17,6 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.fastpath import (
-    EngineMode,
-    FastPathSession,
-    coerce_engine_mode,
-    enable_fastpath,
-)
 from repro.sim.resources import Resource, ResourceRequest
 from repro.sim.queues import Store
 
@@ -35,8 +29,4 @@ __all__ = [
     "Resource",
     "ResourceRequest",
     "Store",
-    "EngineMode",
-    "FastPathSession",
-    "coerce_engine_mode",
-    "enable_fastpath",
 ]

@@ -8,17 +8,18 @@ second cost model in step with the first*.  Transfer costing is split in
 two (``repro.mpi.transports``): ``TransportModel.quote`` prices what no
 send changes (transport selection, path cost, staging, the fixed protocol
 term) and ``TransportModel.apply`` performs the send's side effects and
-returns its state-dependent protocol seconds.  Both engine modes walk
-steps through ``StepCoster.step_time_analytic``, which quotes every
-transfer; fast mode differs only in collapsing warm ring phases.
+returns its state-dependent protocol seconds.  Every step is walked
+through ``StepCoster.step_time_analytic``, which quotes every transfer;
+the session attached to every analytic world only collapses warm ring
+phases.
 
 Correctness contract (the bit-identity guarantee the equivalence suite
-pins):
+pins against the walk oracle, :func:`walk_oracle`):
 
-* Every walked transfer, in either mode, takes its quote from
+* Every walked transfer, with or without a session, takes its quote from
   ``TransportModel.quote`` and goes through the same ``apply``,
   reduction and corruption-surcharge code, so a run leaves the same
-  protocol state and the same floats in either mode.
+  protocol state and the same floats either way.
 * Ring phases collapse into a closed form only once every remaining
   transfer is steady (``TransportModel.steady_protocol``: its next
   ``apply`` opens no IPC pair and changes no registration); the closed
@@ -30,39 +31,37 @@ what is provably unchanged.
 
 from __future__ import annotations
 
-import enum
+import contextlib
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.collectives.base import StepCoster
     from repro.mpi.transports import TransportModel
 
 
-class EngineMode(enum.Enum):
-    """How the analytic engine executes collective schedules."""
+#: The walk oracle: while True, worlds are built without a session, so
+#: every ring step is walked per transfer, and serving draws its Poisson
+#: arrivals one at a time.  Both settings give the same numbers; the
+#: equivalence suite, the goldens, ``bench_engine`` and the chaos
+#: campaign's identity pass compare them.  Set it only through
+#: :func:`walk_oracle`.  It is no config field, flag or environment
+#: variable, and it enters no digest.
+WALK_ORACLE = False
 
-    #: walk every step of every collective schedule
-    EXACT = "exact"
-    #: the exact walk, with warm ring phases collapsed (bit-identical)
-    FAST = "fast"
 
-
-def coerce_engine_mode(mode: "EngineMode | str | None") -> EngineMode:
-    """Accept the enum, its string value, or ``None`` (= exact)."""
-    if mode is None:
-        return EngineMode.EXACT
-    if isinstance(mode, EngineMode):
-        return mode
+@contextlib.contextmanager
+def walk_oracle(on: bool = True):
+    """Run the block on the walk oracle (:data:`WALK_ORACLE`), or with
+    ``on=False`` on the default engine."""
+    global WALK_ORACLE
+    saved = WALK_ORACLE
+    WALK_ORACLE = on
     try:
-        return EngineMode(str(mode))
-    except ValueError:
-        raise ConfigError(
-            f"engine mode must be 'exact' or 'fast', got {mode!r}"
-        ) from None
+        yield
+    finally:
+        WALK_ORACLE = saved
 
 
 class FastPathSession:
@@ -278,25 +277,18 @@ def ring_tail_makespans(
 
 
 def enable_fastpath(world) -> FastPathSession | None:
-    """Attach a fast-path session to a backend world's analytic coster.
+    """Attach the ring closed form to an MPI world's analytic coster.
 
-    Returns the session (idempotent — an already-attached session is
-    returned as-is), or ``None`` when the backend exposes no
-    :class:`~repro.mpi.collectives.base.StepCoster` (closed-form backends
-    cost collectives without schedule walks and need no fast path) or the
-    coster runs in event mode (only analytic walks collapse rings).
+    :class:`~repro.mpi.comm.MpiWorld` calls this as it is built.  Returns
+    the session (idempotent: an attached session is returned as is), or
+    ``None`` in event mode (only analytic walks collapse rings) and under
+    the walk oracle.
     """
     from repro.mpi.collectives.base import ExecutionMode
 
-    coster = getattr(world, "coster", None)
-    transport = getattr(world, "transport", None)
-    if coster is None or transport is None:
+    coster = world.coster
+    if coster.mode is not ExecutionMode.ANALYTIC or WALK_ORACLE:
         return None
-    if coster.mode is not ExecutionMode.ANALYTIC:
-        return None
-    existing = getattr(coster, "fastpath", None)
-    if existing is not None:
-        return existing
-    session = FastPathSession(transport)
-    coster.fastpath = session
-    return session
+    if coster.fastpath is None:
+        coster.fastpath = FastPathSession(world.transport)
+    return coster.fastpath

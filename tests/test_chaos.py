@@ -7,9 +7,10 @@ The campaign's contract is checked from three angles:
 * the invariant predicates themselves (pure functions over payloads)
   accept conserving ledgers and reject cooked ones;
 * an end-to-end campaign is green, its digest is identical across
-  ``jobs=1`` / ``jobs=2`` / a warm-cache re-run, and the fast engine is
-  bit-identical to the exact engine for partition and switch-failure
-  cells at 16 ranks — the acceptance bar of the chaos PR.
+  ``jobs=1`` / ``jobs=2`` / a warm-cache re-run, and the default engine is
+  bit-identical to the walk oracle for partition and switch-failure
+  cells at 16 ranks, and for every training cell at 32 ranks, where the
+  default engine collapses rings.
 """
 
 import json
@@ -183,8 +184,8 @@ class TestCampaignRun:
         assert report.digest and report.to_payload()["ok"]
 
     def test_fast_exact_identity_at_16_ranks(self):
-        """The acceptance bar: partition and switch-failure cells replay
-        bit-identically on the fast engine at 16 ranks."""
+        """Partition and switch-failure cells are bit-identical on the
+        default engine and the walk oracle at 16 ranks."""
         report = run_campaign(small_campaign())
         for row in report.rows:
             assert row["fast"] == row["exact"], row["scenario"]
@@ -193,6 +194,32 @@ class TestCampaignRun:
         worlds = {row["exact"]["resilience"]["world_sizes"][0]
                   for row in report.rows}
         assert worlds == {16}
+
+    def test_identity_checks_the_closed_form_at_32_gpus(self, monkeypatch):
+        """At 16 ranks no ring collapses, so the identity invariant
+        compares two walks; at 32 the default pass collapses rings and
+        the invariant compares the closed form with the walk oracle."""
+        import repro.sim.fastpath as fastpath
+
+        built = []  # (walk oracle on, session) per world built
+        enable = fastpath.enable_fastpath
+
+        def watched(world):
+            session = enable(world)
+            built.append((fastpath.WALK_ORACLE, session))
+            return session
+
+        monkeypatch.setattr(fastpath, "enable_fastpath", watched)
+        report = run_campaign(
+            CampaignConfig(scenarios=TRAIN_SCENARIOS, seeds=1, num_gpus=32)
+        )
+        invariants = [inv for row in report.rows for inv in row["invariants"]]
+        assert len(invariants) == 50
+        assert report.ok, report.failures()
+        default = [s for walk, s in built if not walk]
+        walked = [s for walk, s in built if walk]
+        assert sum(s.replayed_transfers for s in default) == 21_120
+        assert walked and all(s is None for s in walked)
 
     def test_digest_identical_across_jobs_and_cache(self, tmp_path):
         config = small_campaign()

@@ -25,7 +25,8 @@ Cases:
   explicit selection table and through the process's active table, kept
   by restrict and reform, and ignored by ``world.communicator()``;
 * ``horovod-<backend>-<mode>``: three Horovod steps with a shrink and a
-  reform in the exact, fast and event engine modes.
+  reform on the walk oracle (``exact``), the default analytic engine
+  (``fast``) and the event engine.
 
 Error classes are pinned; message text only for ``MpiTimeoutError``.
 
@@ -66,7 +67,7 @@ from repro.mpi.collectives import ExecutionMode
 from repro.mpi.comm import GpuBuffer
 from repro.mpi.datatypes import ReduceOp
 from repro.profiling import Hvprof
-from repro.sim.fastpath import enable_fastpath
+from repro.sim.fastpath import walk_oracle
 from repro.utils.folds import fold_sum
 from repro.utils.units import KIB, MIB
 
@@ -438,9 +439,8 @@ def _gradients() -> list[PendingTensor]:
 def run_horovod_case(backend: str, mode: str) -> str:
     n = 8
     execution = ExecutionMode.EVENT if mode == "event" else ExecutionMode.ANALYTIC
-    world, comm = _build(backend, n, mode=execution)
-    if mode == "fast":
-        enable_fastpath(world)
+    with walk_oracle(mode == "exact"):
+        world, comm = _build(backend, n, mode=execution)
     seen = []
     comm.add_observer(lambda timing, name: seen.append(timing))
     engine = HorovodEngine(comm, HorovodConfig(cycle_time_s=1e-3))

@@ -86,8 +86,7 @@ def make_engine(ranks=2, compression="none"):
 
 
 def run_point(num_gpus, **cfg):
-    study = ScalingStudy(scenario_by_name("MPI-Opt"),
-                         StudyConfig(engine_mode="fast", **cfg))
+    study = ScalingStudy(scenario_by_name("MPI-Opt"), StudyConfig(**cfg))
     return study.run_point(num_gpus)
 
 

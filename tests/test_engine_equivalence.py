@@ -1,10 +1,13 @@
-"""Bit-identity of the fast engine against the exact engine.
+"""Bit-identity of the default engine against the walk oracle.
 
-The ``repro.sim.fastpath`` trace/replay session and the vectorized serve
-arrival generator both promise *bit-identical* results — not "close", not
-"within tolerance": every float in a fast-mode report must equal the
-exact-mode float exactly, because cached results, digests, and the paper's
-reproduction tables must not depend on which engine produced them.
+Every analytic world carries the ``repro.sim.fastpath`` ring closed form,
+and serving draws its Poisson arrivals vectorized.  Under
+:func:`~repro.sim.fastpath.walk_oracle` worlds walk every ring step per
+transfer and arrivals are drawn one at a time.  The two must agree
+*bit for bit* — not "close", not "within tolerance": cached results,
+digests, and the paper's reproduction tables must not depend on which
+one produced them.  Here ``"fast"`` names the default engine and
+``"exact"`` the walk oracle.
 
 These tests pin that contract end to end:
 
@@ -13,8 +16,9 @@ These tests pin that contract end to end:
 * serving reports under rr and jsq routing,
 * the homogeneous-Poisson arrival trace itself,
 
-plus sanity checks that fast mode actually replays (the speedup is real,
-not a silent fallback to exact) and that digests keep the modes apart.
+plus sanity checks that the default engine actually collapses rings (the
+speedup is real, not a silent walk), that the oracle attaches no session,
+and that the oracle enters no digest.
 """
 
 import dataclasses
@@ -23,19 +27,23 @@ import pytest
 
 from repro.core.scenarios import SCENARIOS, scenario_by_name
 from repro.core.study import ScalingStudy, StudyConfig, point_payload
-from repro.errors import ConfigError
 from repro.faults import CorruptionFault, FaultPlan, RankFailure
 from repro.resilience import CheckpointPolicy, RecoveryPolicy
+from repro.sim.fastpath import walk_oracle
 
 
 def run_point(scenario, num_gpus, mode, *, fault_plan=None, recovery=None,
               **cfg):
+    """One point on the default engine (``"fast"``) or the walk oracle."""
     study = ScalingStudy(
         scenario_by_name(scenario),
-        StudyConfig(engine_mode=mode, **cfg),
+        StudyConfig(**cfg),
         fault_plan=fault_plan,
         recovery=recovery,
     )
+    if mode == "exact":
+        with walk_oracle():
+            return study.run_point(num_gpus)
     return study.run_point(num_gpus)
 
 
@@ -65,10 +73,6 @@ class TestTrainEquivalence:
         exact = run_point(scenario, 512, "exact")
         fast = run_point(scenario, 512, "fast")
         assert_points_identical(exact, fast)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            StudyConfig(engine_mode="turbo")
 
 
 class TestFaultyEquivalence:
@@ -213,53 +217,52 @@ class TestServeEquivalence:
         from repro.serve import ServeScenario
         from repro.serve.simulator import simulate_serve
 
-        def run(mode):
+        def run():
             report = simulate_serve(
-                ServeScenario(routing=policy),
-                duration_s=20.0, seed=3, engine_mode=mode)
+                ServeScenario(routing=policy), duration_s=20.0, seed=3)
             report.ledger = None
             report.trace = None
             return report
 
-        assert run("exact").to_payload() == run("fast").to_payload()
+        with walk_oracle():
+            exact = run()
+        assert exact.to_payload() == run().to_payload()
 
     def test_poisson_trace_bit_identity(self):
         from repro.serve.workload import WorkloadConfig, generate_arrivals
 
         cfg = WorkloadConfig(kind="poisson", rate_rps=40.0)
         for duration, seed in ((30.0, 7), (1e-9, 3), (0.5, 0)):
-            exact = generate_arrivals(cfg, duration, seed)
-            fast = generate_arrivals(cfg, duration, seed, engine_mode="fast")
+            with walk_oracle():
+                exact = generate_arrivals(cfg, duration, seed)
+            fast = generate_arrivals(cfg, duration, seed)
             assert exact == fast
-
-    def test_serve_digest_separates_modes(self):
-        from repro.serve import ServeScenario
-        from repro.serve.sweep import ServeJob
-
-        scn = ServeScenario()
-        assert (ServeJob(scn).digest()
-                != ServeJob(scn, engine_mode="fast").digest())
 
 
 class TestFastPathEngages:
-    def test_study_digest_separates_modes(self):
-        digests = {
-            ScalingStudy(scenario_by_name("MPI-Opt"),
-                         StudyConfig(engine_mode=m)).point_digest(16)
-            for m in ("exact", "fast")
-        }
-        assert len(digests) == 2
+    def test_walk_oracle_enters_no_digest(self):
+        from repro.serve import ServeScenario
+        from repro.serve.sweep import ServeJob
+
+        study = ScalingStudy(scenario_by_name("MPI-Opt"), StudyConfig())
+        job = ServeJob(ServeScenario())
+        with walk_oracle():
+            walked = study.point_digest(16), job.digest()
+        assert walked == (study.point_digest(16), job.digest())
 
     def test_fast_mode_replays_transfers(self):
-        """The speedup is real: a fast-mode world replays (or ring-replays)
-        most transfers instead of re-walking the cost model."""
+        """The speedup is real: every analytic world is built with a
+        session that collapses most ring transfers instead of re-walking
+        the cost model; under the walk oracle it is built with none."""
         from repro.sim.fastpath import enable_fastpath
         from tests.test_mpi_collectives import make_world
         from repro.mpi.collectives.allreduce import allreduce_timing
         from repro.utils.units import MIB
 
+        with walk_oracle():
+            assert make_world(8).coster.fastpath is None
         world = make_world(8)
-        session = enable_fastpath(world)
+        session = world.coster.fastpath
         assert session is not None
         assert enable_fastpath(world) is session  # idempotent
         for _ in range(4):

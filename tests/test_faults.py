@@ -45,7 +45,8 @@ from repro.mpi.collectives.allreduce import allreduce_timing
 from repro.mpi.p2p import P2PFabric
 from repro.mpi.process import SingletonDevicePolicy
 from repro.mpi.transports import TransportModel
-from repro.sim import Environment, enable_fastpath
+from repro.sim import Environment
+from repro.sim.fastpath import walk_oracle
 from repro.trainer import DistributedTrainer
 from repro.utils.seeding import derive_seed
 from repro.utils.units import KIB, MIB
@@ -302,9 +303,8 @@ class TestZeroFaultIdentity:
             cluster = Cluster(Environment(), LASSEN, num_nodes=2)
             spec = WorldSpec(num_ranks=8, policy=SingletonDevicePolicy(),
                              config=config)
-            world = MpiWorld(cluster, spec, faults=faults)
-            if fast:
-                enable_fastpath(world)
+            with walk_oracle(not fast):
+                world = MpiWorld(cluster, spec, faults=faults)
             return [
                 allreduce_timing(
                     world.coster, list(range(8)), nbytes, algorithm=algorithm

@@ -34,6 +34,7 @@ from repro.parallel.planner import (
     enumerate_layouts,
     plan_hybrid,
 )
+from repro.sim.fastpath import walk_oracle
 from repro.utils.units import MIB
 
 
@@ -344,8 +345,6 @@ class TestPlanner:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="ranks"):
             PlannerConfig(ranks=1)
-        with pytest.raises(ConfigError, match="engine_mode"):
-            PlannerConfig(ranks=16, engine_mode="turbo")
         with pytest.raises(ConfigError, match="schedule"):
             PlannerConfig(ranks=16, schedules=("zigzag",))
         with pytest.raises(ConfigError, match="microbatches"):
@@ -403,18 +402,14 @@ class TestPlanner:
         _PLAN_MEMO.clear()
 
     def test_fast_and_exact_plans_agree(self):
-        # the two engines must produce identical layout economics; only
-        # the digest (which records the mode) may differ
+        # the walk oracle must produce identical layout economics, and it
+        # enters no digest: the whole report is the default engine's
         config = PlannerConfig(ranks=8, max_pp=2, microbatches=(4,))
         _PLAN_MEMO.clear()
         fast = plan_hybrid(config, use_memo=False)
-        exact = plan_hybrid(
-            PlannerConfig(ranks=8, max_pp=2, microbatches=(4,),
-                          engine_mode="exact"),
-            use_memo=False,
+        with walk_oracle():
+            exact = plan_hybrid(config, use_memo=False)
+        assert json.dumps(fast, sort_keys=True) == json.dumps(
+            exact, sort_keys=True
         )
-        assert fast["digest"] != exact["digest"]
-        fast_rows = json.dumps(fast["points"], sort_keys=True)
-        exact_rows = json.dumps(exact["points"], sort_keys=True)
-        assert fast_rows == exact_rows
         _PLAN_MEMO.clear()

@@ -113,12 +113,16 @@ class TestPointDigest:
         assert mpi.point_digest(16) != tiny.point_digest(16)
 
     def test_fault_plan_sensitive(self):
-        study = ScalingStudy(scenario_by_name("MPI"), StudyConfig())
-        clean = study.point_digest(16)
+        def digest(plan):
+            return ScalingStudy(
+                scenario_by_name("MPI"), StudyConfig(), fault_plan=plan
+            ).point_digest(16)
+
+        clean = digest(None)
         plan = FaultPlan(seed=3, faults=(StragglerFault(rank=0, factor=2.0),))
-        assert study.point_digest(16, fault_plan=plan) != clean
+        assert digest(plan) != clean
         # empty plan is still a distinct configuration from "no plan"
-        assert study.point_digest(16, fault_plan=FaultPlan(seed=3)) != clean
+        assert digest(FaultPlan(seed=3)) != clean
 
 
 class TestResultCache:

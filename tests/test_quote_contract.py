@@ -1,7 +1,7 @@
 """The contract between ``TransportModel.quote`` and ``TransportModel.apply``.
 
-Both engine modes cost a transfer as ``(wire + staging) + apply(q)``;
-in fast mode the ring closed form prices warm steps from
+The walk costs a transfer as ``(wire + staging) + apply(q)``; on
+every analytic world the ring closed form prices warm steps from
 ``steady_protocol(q)`` without applying them.  That is sound only if
 
 * ``quote`` reads protocol state and never changes it,

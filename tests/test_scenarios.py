@@ -45,6 +45,7 @@ from repro.serve import (
     generate_arrivals,
     simulate_serve,
 )
+from repro.sim.fastpath import walk_oracle
 from repro.tensor.optim import Adam
 from repro.trainer import synthetic_video, train_video_sr
 
@@ -218,10 +219,10 @@ class TestStudyScenarios:
 
     @pytest.mark.parametrize("spec", [MULTISCALE_SPEC, VIDEO_SPEC])
     def test_fast_exact_identity(self, spec):
-        exact = ScalingStudy(MPI_OPT, study_config(spec)).run_point(4)
-        fast = ScalingStudy(
-            MPI_OPT, study_config(spec, engine_mode="fast")
-        ).run_point(4)
+        study = ScalingStudy(MPI_OPT, study_config(spec))
+        with walk_oracle():
+            exact = study.run_point(4)
+        fast = study.run_point(4)
         assert point_payload(exact) == point_payload(fast)
         assert point_payload(exact)["workload"] == spec.to_payload()
 
@@ -402,12 +403,12 @@ class TestVideoServing:
         plan = FaultPlan(
             seed=0, faults=(RankFailure(rank=0, time=20.0, down_s=25.0),)
         )
-        exact = simulate_serve(
-            video_scenario(), duration_s=40.0, seed=1, fault_plan=plan
-        )
+        with walk_oracle():
+            exact = simulate_serve(
+                video_scenario(), duration_s=40.0, seed=1, fault_plan=plan
+            )
         fast = simulate_serve(
-            video_scenario(), duration_s=40.0, seed=1, fault_plan=plan,
-            engine_mode="fast",
+            video_scenario(), duration_s=40.0, seed=1, fault_plan=plan
         )
         assert exact.to_payload() == fast.to_payload()
 

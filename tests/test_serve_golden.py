@@ -14,8 +14,10 @@ Cases:
   ``image-least-loaded``) — mixed-shape, padding-aware batches;
 * ``VIDEO_MIX`` with session affinity, scale-pure batches and a replica-0
   failure (``video-failover``) — failover retries re-enqueue priced work;
-* both engine modes (``*-fast``) — the vectorized trace generators feed
-  the same event loop.
+* the walk oracle and the default engine — the unsuffixed cases draw
+  their arrivals one at a time (:func:`~repro.sim.fastpath.walk_oracle`),
+  the ``*-fast`` cases and the traced runs use the vectorized generator,
+  and both feed the same event loop.
 
 The summary digest can hide a reordering (the same latency served by
 another replica), so each case also pins the digest of its per-request
@@ -39,6 +41,7 @@ from repro.serve import (
     WorkloadConfig,
     simulate_serve,
 )
+from repro.sim.fastpath import walk_oracle
 
 VIDEO = ServeScenario(
     name="video-failover",
@@ -49,27 +52,28 @@ VIDEO = ServeScenario(
 FAILURE = FaultPlan(faults=(RankFailure(rank=0, time=8.0, down_s=6.0),))
 
 
-def _image(routing, engine_mode="exact"):
-    return simulate_serve(
-        ServeScenario(name=f"image-{routing}", routing=routing),
-        duration_s=20.0, seed=5, engine_mode=engine_mode,
-    )
+def _image(routing, walk=True):
+    with walk_oracle(walk):
+        return simulate_serve(
+            ServeScenario(name=f"image-{routing}", routing=routing),
+            duration_s=20.0, seed=5,
+        )
 
 
-def _video(engine_mode="exact"):
-    return simulate_serve(
-        VIDEO, duration_s=24.0, seed=3, fault_plan=FAILURE,
-        engine_mode=engine_mode,
-    )
+def _video(walk=True):
+    with walk_oracle(walk):
+        return simulate_serve(
+            VIDEO, duration_s=24.0, seed=3, fault_plan=FAILURE
+        )
 
 
 CASES = {
     "image-rr": lambda: _image("rr"),
     "image-jsq": lambda: _image("jsq"),
     "image-least-loaded": lambda: _image("least-loaded"),
-    "image-jsq-fast": lambda: _image("jsq", "fast"),
+    "image-jsq-fast": lambda: _image("jsq", walk=False),
     "video-failover": lambda: _video(),
-    "video-failover-fast": lambda: _video("fast"),
+    "video-failover-fast": lambda: _video(walk=False),
 }
 
 GOLDEN = {

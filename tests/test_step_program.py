@@ -16,8 +16,8 @@ Hazards and the cases that pin them:
 * the faulty H=1 loop draws a gradient stream on every step, extrapolated
   ones included: ``faulty_jitter_rearm``;
 * the P=1 extrapolation value is the converged window's ``steady_value``
-  (exact tail value, else the window mean): ``dp_steady_exact``,
-  ``dp_steady_fast``, ``dp_wide_tol``, ``hybrid_sweep``;
+  (exact tail value, else the window mean): ``dp_steady_exact`` (on the
+  walk oracle), ``dp_steady_fast``, ``dp_wide_tol``, ``hybrid_sweep``;
 * no detector state leaks between the points of one sweep:
   ``hybrid_sweep``.
 """
@@ -33,6 +33,7 @@ from repro.parallel import ParallelLayout
 from repro.perf.digest import CACHE_VERSION_SALT, canonical_digest
 from repro.profiling import Hvprof
 from repro.resilience import CheckpointPolicy, RecoveryPolicy
+from repro.sim.fastpath import walk_oracle
 
 HYBRID = ParallelLayout(tp=2, pp=2, microbatches=4)
 RESTART = RecoveryPolicy(
@@ -48,6 +49,12 @@ def _point(scenario, num_gpus, *, fault_plan=None, recovery=None, **cfg):
         recovery=recovery,
     )
     return [study.run_point(num_gpus)]
+
+
+def _walked(case):
+    """``case()`` on the walk oracle."""
+    with walk_oracle():
+        return case()
 
 
 def _sweep(scenario, gpu_counts, **cfg):
@@ -79,11 +86,11 @@ def _failure(seed=11, **kw):
 
 CASES = {
     "dp_jitter": lambda: _point("MPI-Opt", 8),
-    "dp_steady_exact": lambda: _point(
+    "dp_steady_exact": lambda: _walked(lambda: _point(
         "MPI", 8, jitter_sigma=0.0, measure_steps=8
-    ),
+    )),
     "dp_steady_fast": lambda: _point(
-        "MPI", 8, jitter_sigma=0.0, measure_steps=8, engine_mode="fast"
+        "MPI", 8, jitter_sigma=0.0, measure_steps=8
     ),
     "dp_wide_tol": lambda: _point(
         "MPI", 8, measure_steps=8, steady_rel_tol=0.5

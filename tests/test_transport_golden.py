@@ -1,4 +1,4 @@
-"""Golden transport protocol state for both analytic engine modes.
+"""Golden transport protocol state of the walk oracle and the default engine.
 
 Each case builds one small MPI world (8 or 16 ranks), runs the same
 collective sequence three times and hashes every timing (as
@@ -8,10 +8,11 @@ open CUDA IPC pairs, and per HCA the eager/rendezvous counters, the
 registration cache's hits, misses, evictions and invalidations, its LRU
 key order with extents, and its transaction and poisoned sets.
 
-The digests were recorded with the exact engine.  Both modes must
-reproduce them, so a drift that the exact and fast engines share cannot
-pass, and neither can a fast-mode shortcut that leaves different state
-behind.
+The digests were recorded with the exact engine.  The walk oracle
+(``exact``, :func:`~repro.sim.fastpath.walk_oracle`) and the default
+engine with its ring closed form (``fast``) must both reproduce them, so
+a drift that the two share cannot pass, and neither can a closed-form
+shortcut that leaves different state behind.
 
 Hazards and the cases that pin them:
 
@@ -46,6 +47,7 @@ from repro.mpi.comm import GpuBuffer
 from repro.mpi.process import SingletonDevicePolicy
 from repro.mpi.transports import TransportKind
 from repro.sim import Environment
+from repro.sim.fastpath import walk_oracle
 from repro.utils.units import KIB, MIB
 
 MPI = Mv2Config(registration_cache=False)
@@ -145,11 +147,9 @@ def run_case(config, num_ranks, mode, plan=None, gap_s=0.0, stride=1) -> str:
         num_ranks=world_ranks, policy=SingletonDevicePolicy(), config=config
     )
     faults = FaultInjector(plan) if plan is not None else None
-    world = MpiWorld(cluster, spec, faults=faults)
-    if mode == "fast":
-        from repro.sim.fastpath import enable_fastpath
-
-        assert enable_fastpath(world) is not None
+    with walk_oracle(mode == "exact"):
+        world = MpiWorld(cluster, spec, faults=faults)
+    assert (world.coster.fastpath is not None) == (mode == "fast")
     comm = world.communicator().reform(range(0, world_ranks, stride))
     ranks = comm.ranks
     transport = world.transport

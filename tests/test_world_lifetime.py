@@ -8,7 +8,8 @@ communicator) turns each dropped world into collector work.  These tests
 pin the ownership rule from ``docs/architecture.md``:
 
 * a world, dropped, is gone as soon as its last strong reference is, with
-  the cyclic collector off, in every engine mode;
+  the cyclic collector off, on the default engine (``fast``), the walk
+  oracle (``exact``) and the event engine;
 * the study, fault and planner paths leave no ``repro`` object for the
   cyclic collector;
 * a finished serving run — scaling up and down, or failing over a dead
@@ -17,7 +18,7 @@ pin the ownership rule from ``docs/architecture.md``:
 * links build their event-mode channels on first use, with the names and
   capacities they always had;
 * each world owns its collective-schedule memo;
-* no transfer quote outlives its step, in any engine mode.
+* no transfer quote outlives its step, on any of the three.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.resilience import RESTART_FROM_CHECKPOINT, SHRINK_CONTINUE
 from repro.serve import VIDEO_MIX, BatchingConfig, ServeScenario, WorkloadConfig
 from repro.serve.simulator import RETIRED, _ServeSimulation
 from repro.sim import Environment
-from repro.sim.fastpath import enable_fastpath
+from repro.sim.fastpath import walk_oracle
 from repro.utils.units import KIB, MIB
 
 RANKS = 64
@@ -52,13 +53,15 @@ MODES = ["exact", "fast", "event"]
 
 
 def _world(mode: str, ranks: int = RANKS):
-    """An MPI-Opt communicator on a fresh cluster, in one engine mode."""
+    """An MPI-Opt communicator on a fresh cluster, on one of ``MODES``."""
     cluster = Cluster(Environment(), LASSEN, num_nodes=ranks // 4)
     spec = WorldSpec(num_ranks=ranks, policy=MPI_OPT.policy, config=MPI_OPT.mv2)
     execution = ExecutionMode.EVENT if mode == "event" else ExecutionMode.ANALYTIC
-    world, comm = build_communicator(cluster, "mpi", world_spec=spec, mode=execution)
-    if mode == "fast":
-        assert enable_fastpath(world) is not None
+    with walk_oracle(mode == "exact"):
+        world, comm = build_communicator(
+            cluster, "mpi", world_spec=spec, mode=execution
+        )
+    assert (world.coster.fastpath is not None) == (mode == "fast")
     return world, comm
 
 
@@ -121,12 +124,13 @@ class TestFreedByReferenceCounting:
 
 class TestNoCyclicGarbage:
     @pytest.mark.parametrize(
-        "scenario,engine_mode",
+        "scenario,mode",
         [(MPI_OPT, "exact"), (MPI_OPT, "fast"), (NCCL_SCENARIO, "exact")],
     )
-    def test_study_point(self, scenario, engine_mode):
-        study = ScalingStudy(scenario, StudyConfig(engine_mode=engine_mode))
-        assert_no_cyclic_garbage(lambda: study.run_point(64))
+    def test_study_point(self, scenario, mode):
+        study = ScalingStudy(scenario, StudyConfig())
+        with walk_oracle(mode == "exact"):
+            assert_no_cyclic_garbage(lambda: study.run_point(64))
 
     def test_faulty_point(self):
         plan = FaultPlan(
@@ -281,7 +285,7 @@ class TestScheduleMemoPerWorld:
 class TestNoQuoteOutlivesItsStep:
     @pytest.mark.parametrize("mode", MODES)
     def test_live_world_holds_no_quote(self, mode):
-        # 16 ranks: the ring collapses in fast mode and the hierarchical
+        # 16 ranks: the ring collapses on ``fast`` and the hierarchical
         # allreduce walks a cross-node leader ring
         world, comm = _world(mode, ranks=16)
         for algorithm in ("ring", "hierarchical"):
