@@ -238,17 +238,32 @@ class TestServeEquivalence:
             fast = generate_arrivals(cfg, duration, seed)
             assert exact == fast
 
-
-class TestFastPathEngages:
-    def test_walk_oracle_enters_no_digest(self):
+    def test_serve_digest_separates_modes(self):
+        """The serve digest separates routing modes, which change the
+        report, and not the walk oracle, which changes nothing."""
         from repro.serve import ServeScenario
         from repro.serve.sweep import ServeJob
 
-        study = ScalingStudy(scenario_by_name("MPI-Opt"), StudyConfig())
-        job = ServeJob(ServeScenario())
+        jobs = [ServeJob(ServeScenario(routing=policy))
+                for policy in ("rr", "jsq")]
+        digests = [job.digest() for job in jobs]
+        assert len(set(digests)) == 2
         with walk_oracle():
-            walked = study.point_digest(16), job.digest()
-        assert walked == (study.point_digest(16), job.digest())
+            walked = [job.digest() for job in jobs]
+        assert walked == digests
+
+
+class TestFastPathEngages:
+    def test_study_digest_separates_modes(self):
+        """The point digest separates communication modes, which change
+        the numbers, and not the walk oracle, which changes none."""
+        studies = [ScalingStudy(scenario_by_name(name), StudyConfig())
+                   for name in ("MPI", "MPI-Opt")]
+        digests = [study.point_digest(16) for study in studies]
+        assert len(set(digests)) == 2
+        with walk_oracle():
+            walked = [study.point_digest(16) for study in studies]
+        assert walked == digests
 
     def test_fast_mode_replays_transfers(self):
         """The speedup is real: every analytic world is built with a
