@@ -24,6 +24,7 @@ from repro.compression import (
     sparsify_with_feedback,
     top_k_count,
 )
+from repro.cuda.memory import DeviceAllocation
 from repro.errors import HorovodError
 from repro.horovod.coordinator import CoordinatorModel
 from repro.horovod.env import HorovodConfig
@@ -93,9 +94,12 @@ class HorovodEngine:
         # feedback across elastic shrink/regrow, but a *re-admitted* rank
         # must start from zero (see drop_compression_state).
         self._topk_residuals: dict[tuple, np.ndarray] = {}
-        # Stable fusion-buffer identities per (slot, rank): the reuse that
-        # makes the registration cache effective (paper §III-D).
-        self._slot_buffers: dict[tuple[int, int], int] = {}
+        # Stable fusion-buffer identities per slot, one per rank: the reuse
+        # that makes the registration cache effective (paper §III-D).
+        self._slot_buffers: dict[object, list[int]] = {}
+        # the buffers of virtual fused messages, reused per (slot, wire
+        # nbytes, dtype): they hold only the ring's size and slot ids
+        self._virtual_buffers: dict[tuple, list[GpuBuffer]] = {}
         self._fusion_allocations: list = []
         # response cache: signatures of previously-negotiated drain sets
         self._response_cache: set[frozenset] = set()
@@ -157,6 +161,7 @@ class HorovodEngine:
 
     def _reset_ring_state(self) -> None:
         self._slot_buffers.clear()
+        self._virtual_buffers.clear()
         self._response_cache.clear()
         coster = getattr(getattr(self.comm, "world", None), "coster", None)
         if coster is not None:
@@ -188,43 +193,49 @@ class HorovodEngine:
         With no overrides this builds the uncompressed fp32 wire image.  A
         compressor swaps in its own ``wire_nbytes``/``dtype``/``datas``
         while keeping the same buffer identities, so the registration cache
-        sees one stable fusion buffer regardless of wire format.
+        sees one stable fusion buffer regardless of wire format.  A fused
+        message without data gets the same list back for the same slot,
+        wire size and dtype until the ring changes; callers only read it.
         """
-        if datas is None:
-            functional = all(t.data is not None for t in message.tensors)
-            if functional:
-                datas = TensorFusion.pack(message, self.num_ranks)
+        if datas is None and all(t.data is not None for t in message.tensors):
+            datas = TensorFusion.pack(message, self.num_ranks)
         nbytes = message.nbytes if wire_nbytes is None else wire_nbytes
-        buffers = []
-        for rank in range(self.num_ranks):
-            data = datas[rank] if datas is not None else None
-            if message.fused:
-                key = (message.buffer_slot, rank)
-                if key in self._slot_buffers:
-                    buffer_id = self._slot_buffers[key]
-                else:
-                    probe = GpuBuffer.virtual(0)
-                    buffer_id = probe.buffer_id
-                    self._slot_buffers[key] = buffer_id
-                buf = GpuBuffer(
-                    nbytes=nbytes,
-                    dtype=dtype,
-                    data=data,
-                    name=f"fusion-slot{message.buffer_slot}",
-                    buffer_id=buffer_id,
-                )
-            else:
-                # unfused tensors live in freshly-allocated gradient memory
-                # every step: no stable identity, no registration reuse
-                tensor = message.tensors[0]
-                buf = GpuBuffer(
-                    nbytes=nbytes,
-                    dtype=dtype,
-                    data=data,
-                    name=tensor.name,
-                )
-            buffers.append(buf)
+        if datas is None:
+            datas = [None] * self.num_ranks
+        if not message.fused:
+            # unfused tensors live in freshly-allocated gradient memory
+            # every step: no stable identity, no registration reuse
+            name = message.tensors[0].name
+            return [
+                GpuBuffer(nbytes=nbytes, dtype=dtype, data=data, name=name)
+                for data in datas
+            ]
+        slot = message.buffer_slot
+        key = (slot, nbytes, dtype)
+        virtual = all(data is None for data in datas)
+        if virtual and key in self._virtual_buffers:
+            return self._virtual_buffers[key]
+        name = f"fusion-slot{slot}"
+        buffers = [
+            GpuBuffer(
+                nbytes=nbytes, dtype=dtype, data=data, name=name,
+                buffer_id=buffer_id,
+            )
+            for buffer_id, data in zip(self._slot_ids(slot), datas)
+        ]
+        if virtual:
+            self._virtual_buffers[key] = buffers
         return buffers
+
+    def _slot_ids(self, slot) -> list[int]:
+        """The stable buffer ids of ``slot``, one per rank, minted in rank
+        order on the slot's first use."""
+        ids = self._slot_buffers.get(slot)
+        if ids is None:
+            ids = self._slot_buffers[slot] = [
+                next(DeviceAllocation._ids) for _ in range(self.num_ranks)
+            ]
+        return ids
 
     # -- submission paths --------------------------------------------------------
     def _submit_dense(self, message: FusionMessage, start: float) -> MessageRecord:
@@ -315,23 +326,14 @@ class HorovodEngine:
         # sparse payloads reuse a stable per-tensor wire buffer each step,
         # so the registration cache still keys on a fixed identity despite
         # the fresh (index, value) content
-        buffers = []
-        for rank in range(self.num_ranks):
-            key = (f"sparse:{tensor.name}", rank)
-            if key in self._slot_buffers:
-                buffer_id = self._slot_buffers[key]
-            else:
-                probe = GpuBuffer.virtual(0)
-                buffer_id = probe.buffer_id
-                self._slot_buffers[key] = buffer_id
-            buffers.append(
-                GpuBuffer(
-                    nbytes=wire,
-                    dtype=Datatype.UINT8,
-                    name=f"sparse:{tensor.name}",
-                    buffer_id=buffer_id,
-                )
+        name = f"sparse:{tensor.name}"
+        buffers = [
+            GpuBuffer(
+                nbytes=wire, dtype=Datatype.UINT8, name=name,
+                buffer_id=buffer_id,
             )
+            for buffer_id in self._slot_ids(name)
+        ]
         _, timing = self.comm.allgather(buffers)
         finish = start + timing.time
         return MessageRecord(

@@ -23,6 +23,7 @@ from repro.comm.cost import FLOAT32_BYTES
 from repro.errors import MpiError
 from repro.mpi.collectives.base import (
     CollectiveTiming,
+    GroupSchedule,
     PairTransfer,
     RingSchedule,
     StepCoster,
@@ -141,78 +142,26 @@ def _halving_doubling_steps(
     return rs_steps, ag_steps
 
 
-def _binomial_reduce_steps(
-    group: list[int],
-    nbytes: int,
-    buffer_ids: dict[int, int] | None,
-    dtype_bytes: int = FLOAT32_BYTES,
-) -> list[list[PairTransfer]]:
-    """Binomial-tree reduce onto group[0]."""
-    def bid(rank: int) -> int | None:
-        return buffer_ids.get(rank) if buffer_ids else None
-
-    g = len(group)
-    steps = []
+def _binomial_reduce_tree(g: int) -> list[list[tuple[int, int]]]:
+    """Binomial-tree reduce onto index 0 of a ``g``-rank group: each
+    depth's local ``(src, dst)`` pairs."""
+    depths = []
     distance = 1
     while distance < g:
-        transfers = []
-        for i in range(0, g, 2 * distance):
-            j = i + distance
-            if j < g:
-                transfers.append(
-                    PairTransfer(group[j], group[i], nbytes,
-                                 bid(group[j]), bid(group[i]),
-                                 dtype_bytes=dtype_bytes)
-                )
-        steps.append(transfers)
+        depths.append(
+            [(i + distance, i) for i in range(0, g - distance, 2 * distance)]
+        )
         distance *= 2
-    return steps
+    return depths
 
 
-def _binomial_bcast_steps(
-    reduce_steps: list[list[PairTransfer]],
-) -> list[list[PairTransfer]]:
-    """Binomial-tree broadcast from group[0]: the reduce's steps in
-    reverse, every transfer turned round."""
+def _binomial_bcast_tree(g: int) -> list[list[tuple[int, int]]]:
+    """Binomial-tree broadcast from index 0: the reduce's depths in
+    reverse, every pair turned round."""
     return [
-        [
-            PairTransfer(t.dst, t.src, t.nbytes, t.dst_buffer, t.src_buffer,
-                         dtype_bytes=t.dtype_bytes)
-            for t in step
-        ]
-        for step in reversed(reduce_steps)
+        [(dst, src) for src, dst in depth]
+        for depth in reversed(_binomial_reduce_tree(g))
     ]
-
-
-def _hierarchical_intra_steps(
-    groups: list[list[int]],
-    nbytes: int,
-    buffer_ids: dict[int, int] | None,
-    dtype_bytes: int = FLOAT32_BYTES,
-) -> tuple[list[list[PairTransfer]], list[list[PairTransfer]]]:
-    """Merged intra-node (reduce, bcast) schedules for all node groups.
-
-    Intra-node phases run concurrently across nodes, so per-node binomial
-    schedules merge step-by-step.  Each group's reduce is built once, its
-    broadcast is derived from it, and both are indexed per depth.
-    """
-    reduce_per_group = [
-        _binomial_reduce_steps(g, nbytes, buffer_ids, dtype_bytes) for g in groups
-    ]
-    bcast_per_group = [_binomial_bcast_steps(steps) for steps in reduce_per_group]
-
-    def merge(per_group: list[list[list[PairTransfer]]]) -> list[list[PairTransfer]]:
-        merged_steps = []
-        for depth in range(max((len(s) for s in per_group), default=0)):
-            merged: list[PairTransfer] = []
-            for steps in per_group:
-                if depth < len(steps):
-                    merged.extend(steps[depth])
-            if merged:
-                merged_steps.append(merged)
-        return merged_steps
-
-    return merge(reduce_per_group), merge(bcast_per_group)
 
 
 def allreduce_timing(
@@ -276,9 +225,13 @@ def allreduce_timing(
         groups = [sorted(g) for _, g in sorted(by_node.items())]
         group_key = tuple(tuple(g) for g in groups)
         leaders = [g[0] for g in groups]
+        # intra-node phases run concurrently across nodes
         intra_reduce, intra_bcast = memoized(
             ("hier-intra", group_key, nbytes, bid_key, dtype_bytes),
-            lambda: _hierarchical_intra_steps(groups, nbytes, buffer_ids, dtype_bytes),
+            lambda: tuple(
+                GroupSchedule(groups, tree, nbytes, buffer_ids, dtype_bytes)
+                for tree in (_binomial_reduce_tree, _binomial_bcast_tree)
+            ),
         )
         segments["intra_reduce"] = coster.run_steps(intra_reduce, reduce_after=True)
         if len(leaders) > 1:

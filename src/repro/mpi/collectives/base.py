@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.comm.cost import FLOAT32_BYTES, ScheduleMemo, reduce_time
@@ -217,6 +218,74 @@ class RingSchedule:
         return self._materialize()[index]
 
 
+class GroupSchedule:
+    """Lazily materialized tree phases of node groups, run concurrently.
+
+    Each group holds one node's ranks, and no two groups share a node.  A
+    group of ``g`` ranks runs ``tree(g)``: for each depth, the local
+    ``(src, dst)`` index pairs of its tree, none empty.  ``depths`` keeps
+    them per group size.  Step ``d`` merges every group's depth-``d``
+    transfers, group by group in ``groups`` order, so the groups' trees
+    run side by side across nodes.  Iteration and :meth:`step`
+    materialize steps on demand; the node-group closed form
+    (``repro.sim.fastpath``) reads the groups and local pairs directly
+    and materializes only the groups it prices and the steps it walks.
+    """
+
+    is_group_schedule = True
+
+    __slots__ = (
+        "groups", "depths", "nbytes", "buffer_ids", "dtype_bytes", "_steps",
+    )
+
+    def __init__(
+        self,
+        groups: list[list[int]],
+        tree: Callable[[int], list[list[tuple[int, int]]]],
+        nbytes: int,
+        buffer_ids: dict[int, int] | None,
+        dtype_bytes: int = FLOAT32_BYTES,
+    ):
+        self.groups = groups
+        self.depths = {g: tree(g) for g in {len(group) for group in groups}}
+        self.nbytes = nbytes
+        self.buffer_ids = buffer_ids
+        self.dtype_bytes = dtype_bytes
+        self._steps: list[list[PairTransfer]] | None = None
+
+    def __len__(self) -> int:
+        return max(map(len, self.depths.values()), default=0)
+
+    def transfers(self, group: list[int], d: int) -> list[PairTransfer]:
+        """One group's depth-``d`` transfers."""
+        bids = self.buffer_ids
+        return [
+            PairTransfer(
+                group[i], group[j], self.nbytes,
+                bids.get(group[i]) if bids else None,
+                bids.get(group[j]) if bids else None,
+                dtype_bytes=self.dtype_bytes,
+            )
+            for i, j in self.depths[len(group)][d]
+        ]
+
+    def step(self, d: int) -> list[PairTransfer]:
+        """Materialize step ``d``: every group's depth-``d`` transfers."""
+        merged: list[PairTransfer] = []
+        for group in self.groups:
+            if d < len(self.depths[len(group)]):
+                merged.extend(self.transfers(group, d))
+        return merged
+
+    def _materialize(self) -> list[list[PairTransfer]]:
+        if self._steps is None:
+            self._steps = [self.step(d) for d in range(len(self))]
+        return self._steps
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+
 class StepCoster:
     """Times one BSP step (a set of concurrent transfers) in either mode.
 
@@ -236,7 +305,7 @@ class StepCoster:
         self.schedules = ScheduleMemo()
         # the repro.sim.fastpath.FastPathSession that MpiWorld attaches
         # to an analytic coster (None under the walk oracle): analytic
-        # walks collapse warm ring phases into a closed form
+        # walks collapse warm ring phases and same-shaped node groups
         self.fastpath = None
 
     # -- reduction compute costs ------------------------------------------------
@@ -322,16 +391,24 @@ class StepCoster:
     ) -> float:
         """Makespan of concurrent transfers under the contention model.
 
-        The one analytic step walk, with or without the ring closed form:
-        each transfer is quoted and applied, then charged its reduction
-        and, under wire corruption, its CRC retransmits priced from the
-        plain time it was just charged.
+        The one analytic step walk, with or without a session: each
+        transfer is quoted and applied, then charged its reduction and,
+        under wire corruption, its CRC retransmits priced from the plain
+        time it was just charged (:meth:`price`).
         """
         if not transfers:
             return 0.0
-        transport = self.transport
         if self.fastpath is not None:
             self.fastpath.exact_transfers += len(transfers)
+        return self.makespan(*self.price(transfers, reduce_after=reduce_after))
+
+    def price(
+        self, transfers: list[PairTransfer], *, reduce_after: bool = False
+    ) -> tuple[list[TransferQuote], list[float]]:
+        """Quote and apply each transfer in order: its quote and its total
+        seconds, reduction and CRC retransmits included.  The node-group
+        closed form prices its representative groups here."""
+        transport = self.transport
         corrupting = self.corruption_active()
         quotes = []
         totals = []
@@ -349,7 +426,7 @@ class StepCoster:
                 total += self.corruption_surcharge(t.src, t.dst, t.nbytes, plain)
             quotes.append(q)
             totals.append(total)
-        return self.makespan(quotes, totals)
+        return quotes, totals
 
     def makespan(self, quotes: list[TransferQuote], totals: list[float]) -> float:
         """Makespan of one step's transfers given each one's total time.
@@ -403,13 +480,12 @@ class StepCoster:
         if self.mode is ExecutionMode.ANALYTIC:
             session = self.fastpath
             # under a live wire-corruption window every transfer must roll
-            # the corruption stream, so no ring step is collapsed
-            if (
-                session is not None
-                and session.collapsible(steps)
-                and not self.corruption_active()
-            ):
-                return session.ring_time(self, steps, reduce_after=reduce_after)
+            # the corruption stream, so no step is collapsed
+            if session is not None and not self.corruption_active():
+                if session.collapsible(steps):
+                    return session.ring_time(self, steps, reduce_after=reduce_after)
+                if getattr(steps, "is_group_schedule", False):
+                    return session.group_time(self, steps, reduce_after=reduce_after)
             # one left-to-right running total, like ring_time's: sum() of
             # floats is compensated from Python 3.12 on.  An empty
             # schedule times as the int 0.

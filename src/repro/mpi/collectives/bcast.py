@@ -8,22 +8,19 @@ relevant message range.
 
 from __future__ import annotations
 
-from repro.mpi.collectives.base import CollectiveTiming, PairTransfer, StepCoster
+from repro.mpi.collectives.base import CollectiveTiming, GroupSchedule, StepCoster
 from repro.utils.folds import fold_sum
 
 
-def _binomial_order(group: list[int]) -> list[list[PairTransfer]]:
-    """Root = group[0]; standard binomial dissemination."""
-    g = len(group)
-    steps: list[list[PairTransfer]] = []
-    have = 1  # first `have` entries already hold the data
+def _binomial_tree(g: int) -> list[list[tuple[int, int]]]:
+    """Binomial dissemination from index 0: each depth's local
+    ``(src, dst)`` pairs."""
+    depths = []
+    have = 1  # the first `have` indices already hold the data
     while have < g:
-        transfers = []
-        for i in range(min(have, g - have)):
-            transfers.append(PairTransfer(group[i], group[have + i], 0))
-        steps.append(transfers)
+        depths.append([(i, have + i) for i in range(min(have, g - have))])
         have *= 2
-    return steps
+    return depths
 
 
 def bcast_timing(
@@ -41,22 +38,15 @@ def bcast_timing(
     root = ranks[0] if root is None else root
     ordered = [root] + [r for r in ranks if r != root]
 
-    def bid(rank: int) -> int | None:
-        return buffer_ids.get(rank) if buffer_ids else None
+    def tree(groups: list[list[int]]) -> GroupSchedule:
+        return GroupSchedule(groups, _binomial_tree, nbytes, buffer_ids)
 
     transport = coster.transport
     node_of = {r: transport.ranks[r].node_id for r in ranks}
     nodes = sorted(set(node_of.values()))
     segments: dict[str, float] = {}
     if len(nodes) == 1:
-        steps = [
-            [
-                PairTransfer(t.src, t.dst, nbytes, bid(t.src), bid(t.dst))
-                for t in step
-            ]
-            for step in _binomial_order(ordered)
-        ]
-        segments["tree"] = coster.run_steps(steps)
+        segments["tree"] = coster.run_steps(tree([ordered]))
     else:
         # Hierarchical: binomial among node leaders, then within each node.
         by_node: dict[int, list[int]] = {}
@@ -66,27 +56,9 @@ def bcast_timing(
         leader_list = [group[0] for _, group in sorted(
             by_node.items(), key=lambda kv: (kv[0] != node_of[root], kv[0])
         )]
-        inter = [
-            [PairTransfer(t.src, t.dst, nbytes, bid(t.src), bid(t.dst)) for t in step]
-            for step in _binomial_order(leader_list)
-        ]
-        segments["inter_tree"] = coster.run_steps(inter)
-        intra_steps: list[list[PairTransfer]] = []
-        per_node_schedules = [
-            _binomial_order(group) for group in by_node.values() if len(group) > 1
-        ]
-        depth = max((len(s) for s in per_node_schedules), default=0)
-        for d in range(depth):
-            merged = []
-            for schedule in per_node_schedules:
-                if d < len(schedule):
-                    merged.extend(
-                        PairTransfer(t.src, t.dst, nbytes, bid(t.src), bid(t.dst))
-                        for t in schedule[d]
-                    )
-            if merged:
-                intra_steps.append(merged)
-        segments["intra_tree"] = coster.run_steps(intra_steps)
+        # the leaders span nodes: materialized, so every step is walked
+        segments["inter_tree"] = coster.run_steps(list(tree([leader_list])))
+        segments["intra_tree"] = coster.run_steps(tree(list(by_node.values())))
     total = fold_sum(segments.values())
     return CollectiveTiming(
         "bcast", "binomial", nbytes, p, total, coster.mode, segments

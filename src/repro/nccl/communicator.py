@@ -61,6 +61,8 @@ class NcclWorld:
         self.protocol = protocol
         self.num_ranks = num_ranks
         self.faults = faults
+        # (ranks, protocol) -> (ring bandwidth, hop latency), see _ring
+        self._rings: dict[tuple, tuple[float, float]] = {}
 
     @property
     def size(self) -> int:
@@ -79,6 +81,36 @@ class NcclWorld:
         if faults is None:
             return 1.0, 0.0
         return faults.link_state(kind, now)
+
+    def _ring(self, comm) -> tuple[float, float]:
+        """``(ring_bandwidth, ring_hop_latency)`` over ``comm``'s ranks at
+        its accumulated comm time, on one channel.
+
+        Without a live link fault neither reads the clock, so both are
+        memoized per ranks and protocol.
+        """
+        faults = self.faults
+        now = comm.total_comm_time
+
+        def ring() -> tuple[float, float]:
+            return (
+                ring_bandwidth(
+                    self.cluster, comm.ranks, self.protocol,
+                    faults=faults, now=now,
+                ),
+                ring_hop_latency(
+                    self.cluster, comm.ranks, self.protocol,
+                    faults=faults, now=now,
+                ),
+            )
+
+        if faults is not None and faults.degrades_links:
+            return ring()
+        key = (tuple(comm.ranks), self.protocol)
+        cached = self._rings.get(key)
+        if cached is None:
+            cached = self._rings[key] = ring()
+        return cached
 
     def _message_delay(self, comm, nbytes: int) -> float:
         """Injected message-fault penalty over the ring's inter-node hops;
@@ -110,7 +142,6 @@ class NcclWorld:
         proto = self.protocol
         if p <= 1 or nbytes == 0:
             return 0.0
-        faults = self.faults
         now = comm.total_comm_time
         if nbytes <= proto.ll_threshold:
             _, extra = self._link_fault(
@@ -122,10 +153,7 @@ class NcclWorld:
                 + math.log2(max(p, 2)) * (proto.intra_step_latency_s + extra)
                 + self._message_delay(comm, nbytes)
             )
-        bw = ring_bandwidth(self.cluster, comm.ranks, proto, faults=faults, now=now)
-        hop = ring_hop_latency(
-            self.cluster, comm.ranks, proto, faults=faults, now=now
-        )
+        bw, hop = self._ring(comm)
         steps = 2 * (p - 1)
         # chunk pipelining: latency per pipeline stage + bandwidth term
         fill = min(nbytes / p, proto.chunk_bytes) / bw if bw != float("inf") else 0.0
@@ -198,12 +226,7 @@ class NcclWorld:
         proto = self.protocol
         if p <= 1 or nbytes_per_rank == 0:
             return 0.0
-        faults = self.faults
-        now = comm.total_comm_time
-        bw = ring_bandwidth(self.cluster, comm.ranks, proto, faults=faults, now=now)
-        hop = ring_hop_latency(
-            self.cluster, comm.ranks, proto, faults=faults, now=now
-        )
+        bw, hop = self._ring(comm)
         steps = p - 1
         fill = (
             min(nbytes_per_rank, proto.chunk_bytes) / bw
@@ -221,12 +244,7 @@ class NcclWorld:
         proto = self.protocol
         if p <= 1 or nbytes == 0:
             return 0.0
-        faults = self.faults
-        now = comm.total_comm_time
-        bw = ring_bandwidth(self.cluster, comm.ranks, proto, faults=faults, now=now)
-        hop = ring_hop_latency(
-            self.cluster, comm.ranks, proto, faults=faults, now=now
-        )
+        bw, hop = self._ring(comm)
         # pipelined ring broadcast: n/B + (p-1) pipeline stages
         return (
             nbytes / bw

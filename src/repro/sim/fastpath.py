@@ -1,4 +1,4 @@
-"""A ring closed form for the analytic engine.
+"""Ring and node-group closed forms for the analytic engine.
 
 The scaling studies spend nearly all of their wall clock re-walking
 collective step schedules: a 512-rank hierarchical allreduce costs the
@@ -10,8 +10,9 @@ send changes (transport selection, path cost, staging, the fixed protocol
 term) and ``TransportModel.apply`` performs the send's side effects and
 returns its state-dependent protocol seconds.  Every step is walked
 through ``StepCoster.step_time_analytic``, which quotes every transfer;
-the session attached to every analytic world only collapses warm ring
-phases.
+the session attached to every analytic world collapses warm ring phases
+and prices the intra-node steps of node groups that share a shape from
+one representative group per shape.
 
 Correctness contract (the bit-identity guarantee the equivalence suite
 pins against the walk oracle, :func:`walk_oracle`):
@@ -24,6 +25,11 @@ pins against the walk oracle, :func:`walk_oracle`):
   transfer is steady (``TransportModel.steady_protocol``: its next
   ``apply`` opens no IPC pair and changes no registration); the closed
   form then applies the collapsed steps' side effects in aggregate.
+* A node-group step is priced from representatives only when every
+  other group matches its shape's representative pair for pair (price
+  row and CUDA IPC open state); the representatives are quoted and
+  applied as the walk would, and the other groups' sends are applied in
+  aggregate.
 
 ``repro.sim.fastpath`` never approximates; it only skips recomputing
 what is provably unchanged.
@@ -42,10 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 #: The walk oracle: while True, worlds are built without a session, so
-#: every ring step is walked per transfer, and serving draws its Poisson
-#: arrivals one at a time.  Both settings give the same numbers; the
-#: equivalence suite, the goldens, ``bench_engine`` and the chaos
-#: campaign's identity pass compare them.  Set it only through
+#: every ring and node-group step is walked per transfer, and serving
+#: draws its Poisson arrivals one at a time.  Both settings give the same
+#: numbers; the equivalence suite, the goldens, ``bench_engine`` and the
+#: chaos campaign's identity pass compare them.  Set it only through
 #: :func:`walk_oracle`.  It is no config field, flag or environment
 #: variable, and it enters no digest.
 WALK_ORACLE = False
@@ -65,14 +71,17 @@ def walk_oracle(on: bool = True):
 
 
 class FastPathSession:
-    """The ring closed form of one world's analytic coster, plus run
-    statistics.
+    """The ring and node-group closed forms of one world's analytic
+    coster, plus run statistics.
 
     One session is attached to a
     :class:`~repro.mpi.collectives.base.StepCoster` (``coster.fastpath``);
-    ``run_steps`` hands ring schedules of at least ``RING_MIN_RANKS``
-    ranks to :meth:`ring_time`, and every other step walks exactly as
-    without a session.
+    outside a live wire-corruption window ``run_steps`` hands ring
+    schedules of at least ``RING_MIN_RANKS`` ranks to :meth:`ring_time`
+    and node-group schedules
+    (:class:`~repro.mpi.collectives.base.GroupSchedule`) to
+    :meth:`group_time`, and every other step walks exactly as without a
+    session.
     """
 
     #: below this ring size the per-transfer walk is already cheap and the
@@ -82,13 +91,22 @@ class FastPathSession:
     def __init__(self, transport: "TransportModel"):
         self.transport = transport
         #: transfers of collapsed ring steps
-        self.replayed_transfers = 0
+        self.ring_transfers = 0
+        #: transfers of node-group steps priced from representative groups
+        self.group_transfers = 0
         #: transfers walked through ``step_time_analytic``
         self.exact_transfers = 0
+
+    @property
+    def replayed_transfers(self) -> int:
+        """Transfers priced without a walk: ring plus node-group steps."""
+        return self.ring_transfers + self.group_transfers
 
     def stats(self) -> dict[str, int]:
         return {
             "replayed_transfers": self.replayed_transfers,
+            "ring_transfers": self.ring_transfers,
+            "group_transfers": self.group_transfers,
             "exact_transfers": self.exact_transfers,
         }
 
@@ -228,8 +246,120 @@ class FastPathSession:
                 transport.charge_staging(
                     q_big[i] if (i - s) % p < rem else q_small[i]
                 )
-        self.replayed_transfers += n_rem * p
+        self.ring_transfers += n_rem * p
         return total
+
+    # -- node-group closed form --------------------------------------------
+    def group_time(
+        self, coster: "StepCoster", sched, *, reduce_after: bool = False
+    ) -> float:
+        """Time a node-group schedule, pricing one representative group
+        per shape wherever a step allows it and walking any other step.
+
+        Sums steps in walk order from the int 0, like the exact walk.
+        Under a ``LinkFault`` (``cluster.live_links``) a quote is priced
+        afresh each time, so every step is walked.
+        """
+        live = self.transport.cluster.live_links
+        total = 0
+        for d in range(len(sched)):
+            makespan = None if live else self._group_step(
+                coster, sched, d, reduce_after
+            )
+            if makespan is None:
+                makespan = coster.step_time_analytic(
+                    sched.step(d), reduce_after=reduce_after
+                )
+            total += makespan
+        return total
+
+    def _group_step(
+        self, coster: "StepCoster", sched, d: int, reduce_after: bool
+    ) -> float | None:
+        """Makespan of node-group step ``d`` from one representative group
+        per size, or ``None``, with nothing applied, when a group differs
+        from its representative or no group is spared.
+
+        The first group of each size in the step is its representative.
+        Every other group must match it pair for pair: the same price-table
+        row (``PairGeometry.prices``) and, for a CUDA IPC capable pair,
+        the same open state, so each of its transfers costs what the
+        representative's does.  Each node serializes only its own staged
+        transfers and ``max`` only selects a value, so the step's makespan
+        over the representatives is the walk's.  The representatives are
+        quoted and applied as the walk would; the other groups' sends are
+        applied in aggregate, group by group in walk order: the IPC pairs
+        they open, each rank's staging ``+=`` and the transport stats.  A
+        node group's transfers stay on its node, so they touch no HCA.
+        """
+        transport = self.transport
+        pairs = transport._pairs
+        opened = transport._ipc_pairs
+        depths = sched.depths
+        # group size -> its representative's (price row id, IPC open) per pair
+        shapes: dict[int, list] = {}
+        priced = spared = 0
+        for group in sched.groups:
+            local = depths[len(group)]
+            if d >= len(local):
+                continue
+            shape = []
+            for i, j in local[d]:
+                src, dst = group[i], group[j]
+                pair = pairs.get((src, dst)) or transport._pair(src, dst)
+                shape.append(id(pair.prices))
+                shape.append(
+                    pair.ipc and (min(src, dst), max(src, dst)) in opened
+                )
+            rep = shapes.setdefault(len(group), shape)
+            if rep is shape:
+                priced += len(local[d])
+            elif shape == rep:
+                spared += len(local[d])
+            else:
+                return None
+        if not spared:
+            return None
+
+        quotes: list = []
+        totals: list[float] = []
+        # group size -> its representative's quotes, and the pairs whose
+        # send opens an IPC pair or charges staging
+        rep_quotes: dict[int, list] = {}
+        effects: dict[int, list] = {}
+        sends = dict.fromkeys(shapes, 0)  # group size -> groups spared
+        staged_seconds = transport.staged_seconds
+        for group in sched.groups:
+            size = len(group)
+            local = depths[size]
+            if d >= len(local):
+                continue
+            todo = effects.get(size)
+            if todo is None:
+                rq, rt = coster.price(
+                    sched.transfers(group, d), reduce_after=reduce_after
+                )
+                quotes += rq
+                totals += rt
+                rep_quotes[size] = rq
+                effects[size] = [
+                    (i, j, q) for (i, j), q in zip(local[d], rq)
+                    if q.opens_ipc or q.staged
+                ]
+                continue
+            sends[size] += 1
+            for i, j, q in todo:
+                src, dst = group[i], group[j]
+                if q.opens_ipc:
+                    opened.add((min(src, dst), max(src, dst)))
+                if q.staged:
+                    staged_seconds[src] += q.staging / 2
+                    staged_seconds[dst] += q.staging / 2
+        for size, count in sends.items():
+            for q in rep_quotes[size]:
+                transport.record_sends(q, count)
+        self.group_transfers += priced + spared
+        return coster.makespan(quotes, totals)
 
 
 def _window_max(doubled: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:

@@ -164,6 +164,22 @@ class TestCampaignConfig:
         ]
 
 
+def watch_sessions(monkeypatch) -> list:
+    """Record ``(walk oracle on, session)`` for every world built."""
+    import repro.sim.fastpath as fastpath
+
+    built = []
+    enable = fastpath.enable_fastpath
+
+    def watched(world):
+        session = enable(world)
+        built.append((fastpath.WALK_ORACLE, session))
+        return session
+
+    monkeypatch.setattr(fastpath, "enable_fastpath", watched)
+    return built
+
+
 def small_campaign(**overrides):
     """Two training scenarios, one policy, one seed: 4 engine runs."""
     defaults = dict(
@@ -183,9 +199,12 @@ class TestCampaignRun:
             == config.cells()
         assert report.digest and report.to_payload()["ok"]
 
-    def test_fast_exact_identity_at_16_ranks(self):
+    def test_fast_exact_identity_at_16_ranks(self, monkeypatch):
         """Partition and switch-failure cells are bit-identical on the
-        default engine and the walk oracle at 16 ranks."""
+        default engine and the walk oracle at 16 ranks, where no ring
+        collapses but the default pass prices the intra-node phases of
+        its hierarchical allreduces from one group per shape."""
+        built = watch_sessions(monkeypatch)
         report = run_campaign(small_campaign())
         for row in report.rows:
             assert row["fast"] == row["exact"], row["scenario"]
@@ -194,22 +213,15 @@ class TestCampaignRun:
         worlds = {row["exact"]["resilience"]["world_sizes"][0]
                   for row in report.rows}
         assert worlds == {16}
+        default = [s for walk, s in built if not walk]
+        assert sum(s.ring_transfers for s in default) == 0
+        assert sum(s.group_transfers for s in default) == 1_728
 
     def test_identity_checks_the_closed_form_at_32_gpus(self, monkeypatch):
-        """At 16 ranks no ring collapses, so the identity invariant
-        compares two walks; at 32 the default pass collapses rings and
-        the invariant compares the closed form with the walk oracle."""
-        import repro.sim.fastpath as fastpath
-
-        built = []  # (walk oracle on, session) per world built
-        enable = fastpath.enable_fastpath
-
-        def watched(world):
-            session = enable(world)
-            built.append((fastpath.WALK_ORACLE, session))
-            return session
-
-        monkeypatch.setattr(fastpath, "enable_fastpath", watched)
+        """At 32 GPUs the default pass collapses rings and node groups,
+        and the identity invariant compares both closed forms with the
+        walk oracle."""
+        built = watch_sessions(monkeypatch)
         report = run_campaign(
             CampaignConfig(scenarios=TRAIN_SCENARIOS, seeds=1, num_gpus=32)
         )
@@ -218,7 +230,9 @@ class TestCampaignRun:
         assert report.ok, report.failures()
         default = [s for walk, s in built if not walk]
         walked = [s for walk, s in built if walk]
-        assert sum(s.replayed_transfers for s in default) == 21_120
+        assert sum(s.ring_transfers for s in default) == 21_120
+        assert sum(s.group_transfers for s in default) == 16_128
+        assert sum(s.replayed_transfers for s in default) == 37_248
         assert walked and all(s is None for s in walked)
 
     def test_digest_identical_across_jobs_and_cache(self, tmp_path):

@@ -1,0 +1,313 @@
+"""The node-group closed form against the per-group schedules and the walk.
+
+``GroupSchedule`` replaces the merged per-group step lists the
+hierarchical allreduce and the hierarchical bcast used to build.  The
+builders below are those lists, kept as the reference: the schedule must
+materialize the same steps, transfer for transfer.
+
+The default engine prices a node-group step from one representative
+group per shape (``FastPathSession.group_time``).  It must leave every
+timing and every piece of protocol state bit-identical to the walk oracle
+(``walk_oracle``), and it must walk, collapsing no group, wherever its
+preconditions fail: a partially opened CUDA IPC state, a live
+wire-corruption window and a ``LinkFault``.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults import CorruptionFault, FaultPlan, LinkFault
+from repro.faults.injector import FaultInjector
+from repro.hardware import LASSEN, Cluster
+from repro.mpi import Mv2Config, MpiWorld, WorldSpec
+from repro.mpi.collectives.allreduce import (
+    _binomial_bcast_tree,
+    _binomial_reduce_tree,
+)
+from repro.mpi.collectives.base import GroupSchedule, PairTransfer
+from repro.mpi.collectives.bcast import _binomial_tree
+from repro.mpi.comm import GpuBuffer
+from repro.mpi.process import SingletonDevicePolicy
+from repro.mpi.transports import TransportKind
+from repro.sim import Environment
+from repro.sim.fastpath import walk_oracle
+from repro.utils.units import KIB, MIB
+
+MPI = Mv2Config(registration_cache=False)
+MPI_OPT = Mv2Config(registration_cache=True, mv2_visible_devices="all")
+CORRUPT = FaultPlan(seed=0, faults=(CorruptionFault(target="wire", prob=0.02),))
+FLAP = FaultPlan(
+    seed=0,
+    faults=(
+        LinkFault(bandwidth_factor=0.5, latency_add_s=2e-6, flap_period_s=1.0),
+    ),
+)
+
+
+# -- the reference: the merged per-group step lists ---------------------------
+def reference_hierarchical(groups, nbytes, buffer_ids, dtype_bytes):
+    """The allreduce's merged intra-node (reduce, bcast) step lists."""
+    def bid(rank):
+        return buffer_ids.get(rank) if buffer_ids else None
+
+    def reduce_steps(group):
+        g = len(group)
+        steps = []
+        distance = 1
+        while distance < g:
+            transfers = []
+            for i in range(0, g, 2 * distance):
+                j = i + distance
+                if j < g:
+                    transfers.append(
+                        PairTransfer(group[j], group[i], nbytes,
+                                     bid(group[j]), bid(group[i]),
+                                     dtype_bytes=dtype_bytes)
+                    )
+            steps.append(transfers)
+            distance *= 2
+        return steps
+
+    def bcast_steps(steps):
+        return [
+            [
+                PairTransfer(t.dst, t.src, t.nbytes, t.dst_buffer, t.src_buffer,
+                             dtype_bytes=t.dtype_bytes)
+                for t in step
+            ]
+            for step in reversed(steps)
+        ]
+
+    def merge(per_group):
+        merged_steps = []
+        for depth in range(max((len(s) for s in per_group), default=0)):
+            merged = []
+            for steps in per_group:
+                if depth < len(steps):
+                    merged.extend(steps[depth])
+            if merged:
+                merged_steps.append(merged)
+        return merged_steps
+
+    reduce_per_group = [reduce_steps(g) for g in groups]
+    return (merge(reduce_per_group),
+            merge([bcast_steps(s) for s in reduce_per_group]))
+
+
+def reference_bcast(groups, nbytes, buffer_ids):
+    """The bcast's merged intra-node binomial dissemination steps."""
+    def bid(rank):
+        return buffer_ids.get(rank) if buffer_ids else None
+
+    def order(group):
+        g = len(group)
+        steps = []
+        have = 1
+        while have < g:
+            steps.append([PairTransfer(group[i], group[have + i], 0)
+                          for i in range(min(have, g - have))])
+            have *= 2
+        return steps
+
+    per_node = [order(group) for group in groups if len(group) > 1]
+    intra = []
+    for d in range(max((len(s) for s in per_node), default=0)):
+        merged = []
+        for schedule in per_node:
+            if d < len(schedule):
+                merged.extend(
+                    PairTransfer(t.src, t.dst, nbytes, bid(t.src), bid(t.dst))
+                    for t in schedule[d]
+                )
+        if merged:
+            intra.append(merged)
+    return intra
+
+
+def check_materializes(groups, nbytes, buffer_ids, dtype_bytes):
+    want_reduce, want_bcast = reference_hierarchical(
+        groups, nbytes, buffer_ids, dtype_bytes)
+    cases = [
+        (GroupSchedule(groups, _binomial_reduce_tree, nbytes, buffer_ids,
+                       dtype_bytes), want_reduce),
+        (GroupSchedule(groups, _binomial_bcast_tree, nbytes, buffer_ids,
+                       dtype_bytes), want_bcast),
+        (GroupSchedule(groups, _binomial_tree, nbytes, buffer_ids),
+         reference_bcast(groups, nbytes, buffer_ids)),
+    ]
+    for sched, want in cases:
+        assert len(sched) == len(want)
+        assert [sched.step(d) for d in range(len(sched))] == want
+        assert list(sched) == want
+
+
+def node_groups(sizes, start=0):
+    groups = []
+    for size in sizes:
+        groups.append(list(range(start, start + size)))
+        start += size
+    return groups
+
+
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_materializes_the_merged_steps_exhaustively(with_ids):
+    """Group sizes 1-8 on 1-4 nodes, uniform and with a ragged last node."""
+    for g in range(1, 9):
+        for nodes in range(1, 5):
+            layouts = [[g] * nodes]
+            layouts += [[g] * (nodes - 1) + [r] for r in range(1, g)]
+            for sizes in layouts:
+                groups = node_groups(sizes)
+                ids = ({r: 100 + r for g_ in groups for r in g_}
+                       if with_ids else None)
+                check_materializes(groups, 4 * MIB + 4, ids, 4)
+
+
+@st.composite
+def group_layouts(draw):
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    groups = node_groups(sizes, start=draw(st.integers(0, 64)))
+    # bcast groups start at the root, not at the lowest rank
+    groups = [draw(st.permutations(group)) for group in groups]
+    ranks = [r for group in groups for r in group]
+    ids = None
+    if draw(st.booleans()):
+        with_id = draw(st.lists(st.booleans(), min_size=len(ranks),
+                                max_size=len(ranks)))
+        ids = {r: 7 * r + 1 for r, keep in zip(ranks, with_id) if keep}
+    nbytes = draw(st.integers(1, 1 << 30))
+    dtype_bytes = draw(st.sampled_from([2, 4]))
+    return groups, nbytes, ids, dtype_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_layouts())
+def test_materializes_the_merged_steps(case):
+    check_materializes(*case)
+
+
+# -- the closed form against the walk oracle -----------------------------------
+def make_world(config, nodes, plan=None):
+    spec = WorldSpec(num_ranks=4 * nodes, policy=SingletonDevicePolicy(),
+                     config=config)
+    faults = FaultInjector(plan) if plan is not None else None
+    return MpiWorld(Cluster(Environment(), LASSEN, num_nodes=nodes), spec,
+                    faults=faults)
+
+
+def buffers(ranks, nbytes, base):
+    return [GpuBuffer(nbytes=nbytes, buffer_id=base + r) for r in ranks]
+
+
+def protocol_state(world) -> list[str]:
+    """Timing-free state: stats, staging seconds, IPC pairs, regcache."""
+    transport = world.transport
+    out = [
+        f"{kind.value} {transport.stats.bytes_moved[kind]} "
+        f"{transport.stats.transfers[kind]}"
+        for kind in TransportKind
+    ]
+    out.append(" ".join(f"{r}:{s.hex()}"
+                        for r, s in sorted(transport.staged_seconds.items())))
+    out.append(repr(sorted(transport._ipc_pairs)))
+    out.append(repr(world.regcache_stats()))
+    return out
+
+
+def fmt(x) -> str:
+    return x.hex() if isinstance(x, float) else repr(x)
+
+
+def timing_line(timing) -> str:
+    segments = " ".join(f"{k}={fmt(v)}"
+                        for k, v in sorted(timing.segments.items()))
+    return f"{timing.op} {fmt(timing.time)} {segments}"
+
+
+def run_sequence(world, calls=2) -> list[str]:
+    """Hierarchical allreduces at eager, staged and IPC sizes, a bcast,
+    and both trees run directly with ``reduce_after`` on and off."""
+    comm = world.communicator()
+    ranks = comm.ranks
+    coster = world.coster
+    by_node = {}
+    for r in ranks:
+        by_node.setdefault(world.transport.ranks[r].node_id, []).append(r)
+    groups = list(by_node.values())
+    lines = []
+    for call in range(calls):
+        for s, nbytes in enumerate((400, 256 * KIB, 16 * MIB + 28, 64 * MIB)):
+            lines.append(timing_line(comm.allreduce(
+                buffers(ranks, nbytes, 1000 * (s + 1)),
+                algorithm="hierarchical")))
+        lines.append(timing_line(
+            comm.bcast(buffers(ranks, 4 * MIB + 4, 9000), root_index=1)))
+        for tree in (_binomial_reduce_tree, _binomial_bcast_tree):
+            for reduce_after in (False, True):
+                sched = GroupSchedule(groups, tree, 8 * MIB, None)
+                world.transport.begin_collective()
+                lines.append(fmt(coster.run_steps(
+                    sched, reduce_after=reduce_after)))
+        lines.extend(protocol_state(world))
+    return lines
+
+
+def oracle(config, nodes, plan=None, sequence=run_sequence) -> list[str]:
+    with walk_oracle():
+        world = make_world(config, nodes, plan)
+    assert world.coster.fastpath is None
+    return sequence(world)
+
+
+@pytest.mark.parametrize("nodes", [4, 16, 64])
+@pytest.mark.parametrize("config", [MPI, MPI_OPT], ids=["mpi", "mpi-opt"])
+def test_closed_form_matches_the_walk(config, nodes):
+    world = make_world(config, nodes)
+    assert run_sequence(world) == oracle(config, nodes)
+    session = world.coster.fastpath
+    assert session.group_transfers > 0
+    # the session accounts for every transfer sent, walked or not
+    assert session.replayed_transfers + session.exact_transfers == \
+        sum(world.transport.stats.transfers.values())
+
+
+def test_closed_form_walks_a_partially_opened_ipc_state():
+    """An allreduce over the first two nodes opens their IPC pairs, so
+    the groups of a world-wide intra-node reduce disagree and each of its
+    steps is walked; once that walk has opened every pair, groups
+    collapse again."""
+    def sequence(world):
+        comm = world.communicator()
+        lines = [timing_line(comm.reform(range(8)).allreduce(
+            buffers(range(8), 64 * MIB, 1000), algorithm="hierarchical"))]
+        session = world.coster.fastpath
+        grouped = session.group_transfers if session else 0
+        groups = [comm.ranks[n:n + 4] for n in range(0, len(comm.ranks), 4)]
+        world.transport.begin_collective()
+        lines.append(fmt(world.coster.run_steps(
+            GroupSchedule(groups, _binomial_reduce_tree, 64 * MIB, None),
+            reduce_after=True)))
+        if session is not None:
+            assert session.group_transfers == grouped
+        lines.append(timing_line(comm.allreduce(
+            buffers(comm.ranks, 64 * MIB, 1000), algorithm="hierarchical")))
+        if session is not None:
+            assert session.group_transfers > grouped
+        return lines + protocol_state(world)
+
+    world = make_world(MPI_OPT, 8)
+    assert sequence(world) == oracle(MPI_OPT, 8, sequence=sequence)
+    assert len(world.transport._ipc_pairs) == 8 * 3
+
+
+@pytest.mark.parametrize("plan", [CORRUPT, FLAP], ids=["corrupt", "link-fault"])
+@pytest.mark.parametrize("config", [MPI, MPI_OPT], ids=["mpi", "mpi-opt"])
+def test_faulty_worlds_walk_every_group(config, plan):
+    """A live wire-corruption window and a ``LinkFault`` each walk every
+    node-group step and collapse no group."""
+    world = make_world(config, 4, plan)
+    assert run_sequence(world) == oracle(config, 4, plan)
+    assert world.coster.fastpath.group_transfers == 0
