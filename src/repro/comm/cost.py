@@ -1,6 +1,6 @@
-"""Shared α-β cost arithmetic and the collective schedule memo.
+"""Shared α-β cost arithmetic and the collective plan memo.
 
-The α-β (latency-bandwidth) identities and the step-schedule memoization
+The α-β (latency-bandwidth) identities and the collective plan memo
 used to be copied between ``mpi/collectives/allreduce.py``,
 ``nccl/communicator.py``, and the Horovod fusion layer; this module is
 their single home.  ``mpi.collectives.allreduce`` re-exports
@@ -10,8 +10,6 @@ their single home.  ``mpi.collectives.allreduce`` re-exports
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
-
-from repro.perf import flags as perf_flags
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.specs import ClusterSpec
@@ -66,19 +64,19 @@ def weight_broadcast_time(spec: "ClusterSpec", nbytes: int, *, replicas: int = 1
 
 
 class ScheduleMemo:
-    """FIFO memo of immutable collective step-schedules.
+    """FIFO memo of immutable collective plans: the plan memo.
 
-    A schedule is pure data determined by (algorithm, rank list, message
-    size, buffer ids[, node grouping]), and Horovod issues the same
-    allreduce shape every training step — so plans are built once and
-    reused instead of being reconstructed per call.  Nothing changes a
-    schedule after it is built (the costers only read its steps and
-    their ``PairTransfer`` records), which is what makes sharing them
-    safe.
+    A plan (:class:`~repro.mpi.collectives.base.CollectivePlan`: an
+    algorithm and its phases' step schedules) is pure data determined by
+    its call's key, and Horovod issues the same allreduce shape every
+    training step, so plans are built once and reused instead of being
+    reconstructed per call.  Nothing changes a plan after it is built
+    (the costers only read its steps and their ``PairTransfer`` records),
+    which is what makes sharing them safe.
+    :func:`~repro.mpi.collectives.base.plan_timing` is its one reader.
 
     Each world's :class:`~repro.mpi.collectives.base.StepCoster` owns one
-    (``coster.schedules``), so a dropped world takes its schedules with
-    it.  Gated on :data:`repro.perf.flags.schedule_memo`.
+    (``coster.schedules``), so a dropped world takes its plans with it.
     """
 
     def __init__(self, max_entries: int = 512):
@@ -86,8 +84,6 @@ class ScheduleMemo:
         self.entries: dict[tuple, object] = {}
 
     def get(self, key: tuple, builder: Callable[[], object]) -> object:
-        if not perf_flags.schedule_memo:
-            return builder()
         hit = self.entries.get(key)
         if hit is None:
             if len(self.entries) >= self.max_entries:

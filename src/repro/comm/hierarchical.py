@@ -72,11 +72,8 @@ class HierarchicalWorld:
 
     # -- topology -----------------------------------------------------------
     def _node_groups(self, comm) -> list[list[int]]:
-        gpn = self.cluster.gpus_per_node
-        by_node: dict[int, list[int]] = {}
-        for r in sorted(comm.ranks):
-            by_node.setdefault(r // gpn, []).append(r)
-        return [g for _, g in sorted(by_node.items())]
+        """``comm``'s ranks by node, in node order, each group sorted."""
+        return self.cluster.node_groups(sorted(comm.ranks))
 
     # -- link environment (fault-aware) -------------------------------------
     def _link_env(self, now: float) -> tuple[float, float, float, float]:

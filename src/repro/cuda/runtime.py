@@ -233,13 +233,6 @@ class CudaContext:
         """Uncontended duration of a cudaMemcpy between two device refs."""
         return self.runtime.cluster.path_cost(src, dst, nbytes)
 
-    def d2h_time(self, nbytes: int) -> float:
-        """Device-to-host copy time for the current device."""
-        gpu = self.current_ref
-        node = self.runtime.node
-        cpu = node.cpu_refs[node.socket_of_gpu(gpu.index)]
-        return self.runtime.cluster.path_cost(gpu, cpu, nbytes)
-
     # -- teardown -------------------------------------------------------------
     def destroy(self) -> None:
         """Release all live allocations and contexts (process exit)."""

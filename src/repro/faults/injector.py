@@ -369,7 +369,3 @@ class FaultInjector:
         (``"node:2"``, ``"switch:1"``, ``"partition:0"``) or ``""`` for
         an independent failure / no failure at all."""
         return self._domains.get(rank, "")
-
-    @property
-    def any_faults(self) -> bool:
-        return bool(self.plan.faults)

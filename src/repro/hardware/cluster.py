@@ -14,11 +14,10 @@ channel held for the duration so congestion propagates.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Generator
+from typing import Generator, Iterable
 
 from repro.comm.cost import FLOAT32_BYTES, reduce_time
 from repro.errors import HardwareError
-from repro.perf import flags as perf_flags
 from repro.sim.engine import Environment
 from repro.sim.resources import try_acquire_all
 from repro.hardware.links import Link, LinkKind
@@ -91,6 +90,17 @@ class Cluster:
 
     def node_of(self, ref: DeviceRef) -> Node:
         return self.nodes[ref.node]
+
+    def node_groups(self, ranks: Iterable[int]) -> list[list[int]]:
+        """``ranks`` grouped by node, nodes in order of first appearance,
+        each group in the ranks' order.  Rank ``r`` runs on node
+        ``r // gpus_per_node`` (node-major, as ``build_world`` lays ranks
+        out), so sorted ranks give the groups in node order, each sorted."""
+        gpn = self.gpus_per_node
+        by_node: dict[int, list[int]] = {}
+        for r in ranks:
+            by_node.setdefault(r // gpn, []).append(r)
+        return list(by_node.values())
 
     # -- failure-domain addressing ------------------------------------------
     @property
@@ -266,7 +276,7 @@ class Cluster:
         deadlock among concurrent transfers).
         """
         channels = [link.channel(frm, to) for link, frm, to in hops]
-        if perf_flags.link_fastpath and try_acquire_all(channels):
+        if try_acquire_all(channels):
             # Uncontended fast path: the whole route was free, so per-hop
             # request/grant events would all fire immediately — collapse
             # them into the single timed event.  Channels are genuinely
@@ -288,10 +298,6 @@ class Cluster:
                 channel.release()
 
     # -- host-side costs -----------------------------------------------------
-    def host_memcpy_time(self, node_id: int, nbytes: int) -> float:
-        """Cost of one CPU memcpy (staging copy) of ``nbytes`` on a node."""
-        return nbytes / self.nodes[node_id].spec.cpu.memcpy_bandwidth
-
     def host_reduce_time(
         self, node_id: int, nbytes: int, dtype_bytes: int = FLOAT32_BYTES
     ) -> float:

@@ -130,11 +130,6 @@ class HorovodEngine:
             total += alloc.nbytes
         return total
 
-    def release_fusion_buffers(self) -> None:
-        for ctx, alloc in self._fusion_allocations:
-            ctx.free(alloc)
-        self._fusion_allocations.clear()
-
     @property
     def num_ranks(self) -> int:
         return self.comm.size

@@ -1,10 +1,12 @@
 """Collective algorithm implementations (timing engines).
 
-Each algorithm provides an *analytic* estimator (closed-form alpha-beta with
-staging-contention correction) and an *event-driven* executor (BSP-style:
-every algorithm step spawns its transfer processes on the shared event
-engine and waits for all of them, so link and staging-engine contention are
-simulated, not estimated).  Tests cross-validate the two engines.
+Each collective builds a plan (``base.CollectivePlan``: its algorithm and
+ordered step-schedule phases), and ``base.plan_timing`` prices every plan,
+either *analytically* (closed-form alpha-beta with staging-contention
+correction) or *event-driven* (BSP-style: every algorithm step spawns its
+transfer processes on the shared event engine and waits for all of them, so
+link and staging-engine contention are simulated, not estimated).  Tests
+cross-validate the two engines.
 """
 
 from repro.mpi.collectives.base import CollectiveTiming, ExecutionMode, StepCoster

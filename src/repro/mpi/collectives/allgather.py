@@ -8,7 +8,38 @@ and by the top-k sparse gradient exchange (each rank contributes its own
 from __future__ import annotations
 
 from repro.comm.cost import FLOAT32_BYTES
-from repro.mpi.collectives.base import CollectiveTiming, RingSchedule, StepCoster
+from repro.mpi.collectives.base import (
+    CollectivePlan,
+    CollectiveTiming,
+    RingSchedule,
+    StepCoster,
+    plan_timing,
+)
+
+
+def _ring_timing(
+    coster: StepCoster,
+    op: str,
+    ranks: list[int],
+    nbytes_per_rank: int,
+    buffer_ids: dict[int, int] | None,
+    dtype_bytes: int,
+) -> CollectiveTiming:
+    """One uniform ring without per-step reductions: each of p-1 steps
+    moves every rank's ``nbytes_per_rank`` block one hop, at 0 bytes too."""
+
+    def build() -> CollectivePlan:
+        if len(ranks) <= 1:
+            return CollectivePlan("ring")
+        ring = RingSchedule.uniform(
+            ranks, nbytes_per_rank, buffer_ids, dtype_bytes
+        )
+        return CollectivePlan("ring", (("ring", ring, False),))
+
+    return plan_timing(
+        coster, op, ranks, nbytes_per_rank, build,
+        buffer_ids=buffer_ids, dtype_bytes=dtype_bytes,
+    )
 
 
 def allgather_timing(
@@ -20,13 +51,6 @@ def allgather_timing(
     dtype_bytes: int = FLOAT32_BYTES,
 ) -> CollectiveTiming:
     """Each rank contributes ``nbytes_per_rank``; all end with everything."""
-    p = len(ranks)
-    if p <= 1:
-        return CollectiveTiming("allgather", "ring", nbytes_per_rank, p, 0.0, coster.mode)
-
-    steps = RingSchedule.uniform(ranks, nbytes_per_rank, buffer_ids, dtype_bytes)
-    total = coster.run_steps(steps)
-    return CollectiveTiming(
-        "allgather", "ring", nbytes_per_rank, p, total, coster.mode,
-        {"ring": total},
+    return _ring_timing(
+        coster, "allgather", ranks, nbytes_per_rank, buffer_ids, dtype_bytes
     )

@@ -15,26 +15,22 @@ workload exercises:
 
 from __future__ import annotations
 
-from repro.comm.cost import (  # noqa: F401 - re-exported for legacy callers
-    allreduce_lower_bound,
-    ring_step_count,
-)
-from repro.comm.cost import FLOAT32_BYTES
+# allreduce_lower_bound is re-exported for legacy callers
+from repro.comm.cost import FLOAT32_BYTES, allreduce_lower_bound  # noqa: F401
 from repro.errors import MpiError
+from repro.hardware.cluster import Cluster
 from repro.mpi.collectives.base import (
+    CollectivePlan,
     CollectiveTiming,
     GroupSchedule,
     PairTransfer,
     RingSchedule,
     StepCoster,
     is_power_of_two,
+    pair_transfers,
+    plan_timing,
 )
-from repro.utils.folds import fold_sum
 from repro.utils.units import KIB
-
-
-def _bids_key(buffer_ids: dict[int, int] | None) -> tuple | None:
-    return tuple(sorted(buffer_ids.items())) if buffer_ids else None
 
 
 def select_allreduce_algorithm(
@@ -56,90 +52,41 @@ def select_allreduce_algorithm(
     return "ring"
 
 
-def _ring_steps(
+def _ring_phases(
     ranks: list[int],
     nbytes: int,
     buffer_ids: dict[int, int] | None,
-    dtype_bytes: int = FLOAT32_BYTES,
-) -> tuple[RingSchedule, RingSchedule]:
-    """Chunked-ring schedules: (reduce-scatter steps, allgather steps).
+    dtype_bytes: int,
+    prefix: str = "",
+) -> tuple[tuple[str, RingSchedule, bool], ...]:
+    """Chunked-ring phases: reduce-scatter, then allgather.
 
-    Both phases walk the identical transfer grid (only ``reduce_after``
-    differs at run time), so they share one lazily-materialized
+    Both walk the identical transfer grid (only ``reduce_after`` differs
+    at run time), so they share one lazily-materialized
     :class:`RingSchedule`.
     """
-    sched = RingSchedule.chunked(ranks, nbytes, buffer_ids, dtype_bytes)
-    return sched, sched
+    ring = RingSchedule.chunked(ranks, nbytes, buffer_ids, dtype_bytes)
+    return (
+        (prefix + "reduce_scatter", ring, True),
+        (prefix + "allgather", ring, False),
+    )
 
 
-def _recursive_doubling_steps(
+def _exchange_steps(
     ranks: list[int],
-    nbytes: int,
+    sizes: list[tuple[int, int]],
     buffer_ids: dict[int, int] | None,
-    dtype_bytes: int = FLOAT32_BYTES,
+    dtype_bytes: int,
 ) -> list[list[PairTransfer]]:
-    p = len(ranks)
-    if not is_power_of_two(p):
-        raise MpiError(f"recursive doubling requires power-of-two ranks, got {p}")
-
-    def bid(rank: int) -> int | None:
-        return buffer_ids.get(rank) if buffer_ids else None
-
-    steps = []
-    distance = 1
-    while distance < p:
-        transfers = []
-        for i, rank in enumerate(ranks):
-            peer = ranks[i ^ distance]
-            transfers.append(
-                PairTransfer(rank, peer, nbytes, bid(rank), bid(peer),
-                             dtype_bytes=dtype_bytes)
-            )
-        steps.append(transfers)
-        distance *= 2
-    return steps
-
-
-def _halving_doubling_steps(
-    ranks: list[int],
-    nbytes: int,
-    buffer_ids: dict[int, int] | None,
-    dtype_bytes: int = FLOAT32_BYTES,
-) -> tuple[list[list[PairTransfer]], list[list[PairTransfer]]]:
-    """Rabenseifner: recursive-halving reduce-scatter + recursive-doubling
-    allgather."""
-    p = len(ranks)
-    if not is_power_of_two(p):
-        raise MpiError(f"reduce_scatter_allgather requires power-of-two ranks, got {p}")
-
-    def bid(rank: int) -> int | None:
-        return buffer_ids.get(rank) if buffer_ids else None
-
-    rs_steps = []
-    distance = p // 2
-    size = nbytes // 2
-    while distance >= 1:
-        transfers = []
-        for i, rank in enumerate(ranks):
-            peer = ranks[i ^ distance]
-            transfers.append(PairTransfer(rank, peer, max(size, 1), bid(rank), bid(peer),
-                                          dtype_bytes=dtype_bytes))
-        rs_steps.append(transfers)
-        distance //= 2
-        size //= 2
-    ag_steps = []
-    distance = 1
-    size = nbytes // p
-    while distance < p:
-        transfers = []
-        for i, rank in enumerate(ranks):
-            peer = ranks[i ^ distance]
-            transfers.append(PairTransfer(rank, peer, max(size, 1), bid(rank), bid(peer),
-                                          dtype_bytes=dtype_bytes))
-        ag_steps.append(transfers)
-        distance *= 2
-        size *= 2
-    return rs_steps, ag_steps
+    """One step per ``(distance, nbytes)``: every rank sends ``nbytes`` to
+    the partner at index ``i XOR distance`` (power-of-two rank lists)."""
+    return [
+        pair_transfers(
+            [(rank, ranks[i ^ d]) for i, rank in enumerate(ranks)],
+            n, buffer_ids, dtype_bytes,
+        )
+        for d, n in sizes
+    ]
 
 
 def _binomial_reduce_tree(g: int) -> list[list[tuple[int, int]]]:
@@ -164,6 +111,68 @@ def _binomial_bcast_tree(g: int) -> list[list[tuple[int, int]]]:
     ]
 
 
+def _allreduce_plan(
+    cluster: Cluster,
+    ranks: list[int],
+    nbytes: int,
+    buffer_ids: dict[int, int] | None,
+    override: str | None,
+    dtype_bytes: int,
+) -> CollectivePlan:
+    p = len(ranks)
+    groups = cluster.node_groups(sorted(ranks))
+    algorithm = select_allreduce_algorithm(
+        p, nbytes, nodes=len(groups), override=override
+    )
+    if p <= 1 or nbytes == 0:
+        return CollectivePlan(algorithm)
+    if algorithm in ("recursive_doubling", "reduce_scatter_allgather") and \
+            not is_power_of_two(p):
+        algorithm = "ring"
+    if algorithm == "ring":
+        return CollectivePlan(
+            algorithm, _ring_phases(ranks, nbytes, buffer_ids, dtype_bytes)
+        )
+    distances = [1 << k for k in range(p.bit_length() - 1)]
+    if algorithm == "recursive_doubling":
+        steps = _exchange_steps(
+            ranks, [(d, nbytes) for d in distances], buffer_ids, dtype_bytes
+        )
+        return CollectivePlan(algorithm, (("exchange", steps, True),))
+    if algorithm == "reduce_scatter_allgather":
+        # Rabenseifner: recursive-halving reduce-scatter, then
+        # recursive-doubling allgather
+        rs = _exchange_steps(
+            ranks, [(d, max(nbytes // (p // d), 1)) for d in distances[::-1]],
+            buffer_ids, dtype_bytes,
+        )
+        ag = _exchange_steps(
+            ranks, [(d, max(nbytes // p * d, 1)) for d in distances],
+            buffer_ids, dtype_bytes,
+        )
+        return CollectivePlan(
+            algorithm, (("reduce_scatter", rs, True), ("allgather", ag, False))
+        )
+    if algorithm == "hierarchical":
+        # intra-node phases run concurrently across nodes, around a ring
+        # among the node leaders (each node's lowest rank)
+        leaders = [g[0] for g in groups]
+        intra_reduce, intra_bcast = (
+            GroupSchedule(groups, tree, nbytes, buffer_ids, dtype_bytes)
+            for tree in (_binomial_reduce_tree, _binomial_bcast_tree)
+        )
+        inter = (
+            _ring_phases(leaders, nbytes, buffer_ids, dtype_bytes, "inter_")
+            if len(leaders) > 1 else ()
+        )
+        return CollectivePlan(algorithm, (
+            ("intra_reduce", intra_reduce, True),
+            *inter,
+            ("intra_bcast", intra_bcast, False),
+        ))
+    raise MpiError(f"unknown allreduce algorithm {algorithm!r}")
+
+
 def allreduce_timing(
     coster: StepCoster,
     ranks: list[int],
@@ -173,79 +182,18 @@ def allreduce_timing(
     algorithm: str | None = None,
     dtype_bytes: int = FLOAT32_BYTES,
 ) -> CollectiveTiming:
-    """Time one allreduce over ``ranks`` in the coster's execution mode."""
-    p = len(ranks)
+    """Time one allreduce over ``ranks`` in the coster's execution mode.
+
+    A zero-byte call reports the algorithm it selected; recursive
+    doubling and reduce-scatter-allgather fall back to ``ring`` on a
+    world whose size is not a power of two.
+    """
     transport = coster.transport
-    node_of = {r: transport.ranks[r].node_id for r in ranks}
-    nodes = len(set(node_of.values()))
-    algorithm = select_allreduce_algorithm(
-        p, nbytes, nodes=nodes, override=algorithm or transport.config.allreduce_algorithm
-    )
-    if p <= 1 or nbytes == 0:
-        return CollectiveTiming("allreduce", algorithm, nbytes, p, 0.0, coster.mode)
-
-    segments: dict[str, float] = {}
-    memoized = coster.schedules.get
-    rank_key = tuple(ranks)
-    bid_key = _bids_key(buffer_ids)
-    if algorithm == "ring":
-        rs, ag = memoized(
-            ("ring", rank_key, nbytes, bid_key, dtype_bytes),
-            lambda: _ring_steps(ranks, nbytes, buffer_ids, dtype_bytes),
-        )
-        segments["reduce_scatter"] = coster.run_steps(rs, reduce_after=True)
-        segments["allgather"] = coster.run_steps(ag, reduce_after=False)
-    elif algorithm == "recursive_doubling":
-        if not is_power_of_two(p):
-            return allreduce_timing(
-                coster, ranks, nbytes, buffer_ids=buffer_ids, algorithm="ring",
-                dtype_bytes=dtype_bytes,
-            )
-        steps = memoized(
-            ("rd", rank_key, nbytes, bid_key, dtype_bytes),
-            lambda: _recursive_doubling_steps(ranks, nbytes, buffer_ids, dtype_bytes),
-        )
-        segments["exchange"] = coster.run_steps(steps, reduce_after=True)
-    elif algorithm == "reduce_scatter_allgather":
-        if not is_power_of_two(p):
-            return allreduce_timing(
-                coster, ranks, nbytes, buffer_ids=buffer_ids, algorithm="ring",
-                dtype_bytes=dtype_bytes,
-            )
-        rs, ag = memoized(
-            ("rsag", rank_key, nbytes, bid_key, dtype_bytes),
-            lambda: _halving_doubling_steps(ranks, nbytes, buffer_ids, dtype_bytes),
-        )
-        segments["reduce_scatter"] = coster.run_steps(rs, reduce_after=True)
-        segments["allgather"] = coster.run_steps(ag, reduce_after=False)
-    elif algorithm == "hierarchical":
-        by_node: dict[int, list[int]] = {}
-        for r in ranks:
-            by_node.setdefault(node_of[r], []).append(r)
-        groups = [sorted(g) for _, g in sorted(by_node.items())]
-        group_key = tuple(tuple(g) for g in groups)
-        leaders = [g[0] for g in groups]
-        # intra-node phases run concurrently across nodes
-        intra_reduce, intra_bcast = memoized(
-            ("hier-intra", group_key, nbytes, bid_key, dtype_bytes),
-            lambda: tuple(
-                GroupSchedule(groups, tree, nbytes, buffer_ids, dtype_bytes)
-                for tree in (_binomial_reduce_tree, _binomial_bcast_tree)
-            ),
-        )
-        segments["intra_reduce"] = coster.run_steps(intra_reduce, reduce_after=True)
-        if len(leaders) > 1:
-            rs, ag = memoized(
-                ("ring", tuple(leaders), nbytes, bid_key, dtype_bytes),
-                lambda: _ring_steps(leaders, nbytes, buffer_ids, dtype_bytes),
-            )
-            segments["inter_reduce_scatter"] = coster.run_steps(rs, reduce_after=True)
-            segments["inter_allgather"] = coster.run_steps(ag, reduce_after=False)
-        segments["intra_bcast"] = coster.run_steps(intra_bcast, reduce_after=False)
-    else:  # pragma: no cover - selection guards this
-        raise MpiError(f"unknown allreduce algorithm {algorithm!r}")
-
-    total = fold_sum(segments.values())
-    return CollectiveTiming(
-        "allreduce", algorithm, nbytes, p, total, coster.mode, segments
+    override = algorithm or transport.config.allreduce_algorithm
+    return plan_timing(
+        coster, "allreduce", ranks, nbytes,
+        lambda: _allreduce_plan(
+            transport.cluster, ranks, nbytes, buffer_ids, override, dtype_bytes
+        ),
+        variant=override, buffer_ids=buffer_ids, dtype_bytes=dtype_bytes,
     )

@@ -4,26 +4,32 @@ from __future__ import annotations
 
 import math
 
-from repro.mpi.collectives.base import CollectiveTiming, PairTransfer, StepCoster
+from repro.mpi.collectives.base import (
+    CollectivePlan,
+    CollectiveTiming,
+    StepCoster,
+    pair_transfers,
+    plan_timing,
+)
 
 #: control messages are a few bytes on the wire
 _CONTROL_BYTES = 8
 
 
 def barrier_timing(coster: StepCoster, ranks: list[int]) -> CollectiveTiming:
-    p = len(ranks)
-    if p <= 1:
-        return CollectiveTiming("barrier", "dissemination", 0, p, 0.0, coster.mode)
-    rounds = math.ceil(math.log2(p))
-    steps: list[list[PairTransfer]] = []
-    for k in range(rounds):
-        distance = 2**k
-        transfers = [
-            PairTransfer(rank, ranks[(i + distance) % p], _CONTROL_BYTES)
-            for i, rank in enumerate(ranks)
+    """Time a dissemination barrier (8-byte control messages)."""
+
+    def build() -> CollectivePlan:
+        p = len(ranks)
+        if p <= 1:
+            return CollectivePlan("dissemination")
+        steps = [
+            pair_transfers(
+                [(rank, ranks[(i + 2**k) % p]) for i, rank in enumerate(ranks)],
+                _CONTROL_BYTES,
+            )
+            for k in range(math.ceil(math.log2(p)))
         ]
-        steps.append(transfers)
-    total = coster.run_steps(steps)
-    return CollectiveTiming(
-        "barrier", "dissemination", 0, p, total, coster.mode, {"rounds": total}
-    )
+        return CollectivePlan("dissemination", (("rounds", steps, False),))
+
+    return plan_timing(coster, "barrier", ranks, 0, build)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.comm.cost import FLOAT32_BYTES, ScheduleMemo, reduce_time
 from repro.comm.integrity import crc_check_time
@@ -17,6 +18,7 @@ from repro.mpi.transports import (
     TransportKind,
     TransportModel,
 )
+from repro.utils.folds import fold_sum
 
 
 class ExecutionMode(enum.Enum):
@@ -51,9 +53,9 @@ class PairTransfer:
 
     A slotted record, equal and hashed by value.  Not frozen: a frozen
     dataclass builds through ``object.__setattr__`` at about four times
-    the cost, and a 4096-rank world builds tens of thousands.  Schedules
-    share their transfers (:class:`~repro.comm.cost.ScheduleMemo`), so
-    nothing may assign to one after it is built.
+    the cost, and a 4096-rank world builds tens of thousands.  Memoized
+    plans share their transfers (:func:`plan_timing`), so nothing may
+    assign to one after it is built.
 
     ``buffer_extent`` is the full size of the communication buffer this
     transfer's chunk belongs to: IB registration pins the whole buffer
@@ -71,6 +73,23 @@ class PairTransfer:
     dst_buffer: int | None = None
     buffer_extent: int | None = None
     dtype_bytes: int = FLOAT32_BYTES
+
+
+def pair_transfers(
+    pairs: Iterable[tuple[int, int]],
+    nbytes: int,
+    buffer_ids: dict[int, int] | None = None,
+    dtype_bytes: int = FLOAT32_BYTES,
+    extent: int | None = None,
+) -> list[PairTransfer]:
+    """One step's transfers over ``(src, dst)`` rank pairs, each carrying
+    its two ranks' buffer ids (``None`` for a rank without one)."""
+    ids = buffer_ids or {}
+    return [
+        PairTransfer(src, dst, nbytes, ids.get(src), ids.get(dst), extent,
+                     dtype_bytes)
+        for src, dst in pairs
+    ]
 
 
 class RingSchedule:
@@ -170,28 +189,17 @@ class RingSchedule:
     def __len__(self) -> int:
         return max(len(self.ranks) - 1, 0)
 
-    def _bid(self, rank: int) -> int | None:
-        return self.buffer_ids.get(rank) if self.buffer_ids else None
-
     def pools(self) -> tuple[list[PairTransfer], list[PairTransfer]]:
         """The distinct transfers: (small-chunk pool, big-chunk pool)."""
         if self._small is None:
             ranks = self.ranks
-            p = len(ranks)
+            pairs = list(zip(ranks, ranks[1:] + ranks[:1]))
 
             def build(nbytes: int) -> list[PairTransfer]:
-                return [
-                    PairTransfer(
-                        src=rank,
-                        dst=ranks[(i + 1) % p],
-                        nbytes=nbytes,
-                        src_buffer=self._bid(rank),
-                        dst_buffer=self._bid(ranks[(i + 1) % p]),
-                        buffer_extent=self.extent,
-                        dtype_bytes=self.dtype_bytes,
-                    )
-                    for i, rank in enumerate(ranks)
-                ]
+                return pair_transfers(
+                    pairs, nbytes, self.buffer_ids, self.dtype_bytes,
+                    self.extent,
+                )
 
             self._small = build(self.chunk_small)
             self._big = self._small if self.rem == 0 else build(self.chunk_big)
@@ -258,16 +266,10 @@ class GroupSchedule:
 
     def transfers(self, group: list[int], d: int) -> list[PairTransfer]:
         """One group's depth-``d`` transfers."""
-        bids = self.buffer_ids
-        return [
-            PairTransfer(
-                group[i], group[j], self.nbytes,
-                bids.get(group[i]) if bids else None,
-                bids.get(group[j]) if bids else None,
-                dtype_bytes=self.dtype_bytes,
-            )
-            for i, j in self.depths[len(group)][d]
-        ]
+        return pair_transfers(
+            [(group[i], group[j]) for i, j in self.depths[len(group)][d]],
+            self.nbytes, self.buffer_ids, self.dtype_bytes,
+        )
 
     def step(self, d: int) -> list[PairTransfer]:
         """Materialize step ``d``: every group's depth-``d`` transfers."""
@@ -301,7 +303,7 @@ class StepCoster:
         self.cpu = transport.cluster.spec.node.cpu
         # (staged, nbytes, dtype_bytes) -> reduction seconds
         self._reductions: dict[tuple[bool, int, int], float] = {}
-        # this world's collective step schedules, keyed by rank list
+        # this world's collective plans, one per call key (plan_timing)
         self.schedules = ScheduleMemo()
         # the repro.sim.fastpath.FastPathSession that MpiWorld attaches
         # to an analytic coster (None under the walk oracle): analytic
@@ -503,6 +505,57 @@ class StepCoster:
         proc = env.process(driver())
         env.run(until=proc)
         return env.now - start
+
+
+class CollectivePlan(NamedTuple):
+    """One collective call's algorithm and ordered phases, each a
+    ``(segment, schedule, reduce_after)`` triple.  Pure data, shared by
+    every call with the same key; a plan without phases times as 0.0."""
+
+    algorithm: str
+    phases: tuple[tuple[str, object, bool], ...] = ()
+
+
+def plan_timing(
+    coster: StepCoster,
+    op: str,
+    ranks: list[int],
+    nbytes: int,
+    build: Callable[[], CollectivePlan],
+    *,
+    variant: object = None,
+    buffer_ids: dict[int, int] | None = None,
+    dtype_bytes: int = FLOAT32_BYTES,
+) -> CollectiveTiming:
+    """Time one collective call by its plan: every collective prices here.
+
+    The plan comes from the world's memo (``coster.schedules``) under one
+    key per call, built in O(p) without a sort: ``op``, ``variant`` (the
+    algorithm override, or the root), the ranks, ``nbytes``, the buffer
+    ids in rank order and ``dtype_bytes``.  ``build`` makes it on a miss
+    and reads nothing else but the world.  The phases run in order; the
+    time is the left-to-right total of their segments.
+    """
+    key = (
+        op, variant, tuple(ranks), nbytes,
+        tuple(map(buffer_ids.get, ranks)) if buffer_ids else None,
+        dtype_bytes,
+    )
+    plan = coster.schedules.get(key, build)
+    segments = {
+        segment: coster.run_steps(schedule, reduce_after=reduce_after)
+        for segment, schedule, reduce_after in plan.phases
+    }
+    time = fold_sum(segments.values()) if segments else 0.0
+    return CollectiveTiming(
+        op, plan.algorithm, nbytes, len(ranks), time, coster.mode, segments
+    )
+
+
+def root_first(ranks: list[int], root: int | None) -> list[int]:
+    """``ranks`` with ``root`` (default: the first rank) moved to the front."""
+    root = ranks[0] if root is None else root
+    return [root] + [r for r in ranks if r != root]
 
 
 def chunk_sizes(nbytes: int, parts: int) -> list[int]:

@@ -8,8 +8,15 @@ relevant message range.
 
 from __future__ import annotations
 
-from repro.mpi.collectives.base import CollectiveTiming, GroupSchedule, StepCoster
-from repro.utils.folds import fold_sum
+from repro.hardware.cluster import Cluster
+from repro.mpi.collectives.base import (
+    CollectivePlan,
+    CollectiveTiming,
+    GroupSchedule,
+    StepCoster,
+    plan_timing,
+    root_first,
+)
 
 
 def _binomial_tree(g: int) -> list[list[tuple[int, int]]]:
@@ -23,6 +30,36 @@ def _binomial_tree(g: int) -> list[list[tuple[int, int]]]:
     return depths
 
 
+def _bcast_plan(
+    cluster: Cluster,
+    ranks: list[int],
+    nbytes: int,
+    root: int | None,
+    buffer_ids: dict[int, int] | None,
+) -> CollectivePlan:
+    if len(ranks) <= 1 or nbytes == 0:
+        return CollectivePlan("binomial")
+    ordered = root_first(ranks, root)
+
+    def tree(groups: list[list[int]]) -> GroupSchedule:
+        return GroupSchedule(groups, _binomial_tree, nbytes, buffer_ids)
+
+    # each group starts at its node's first rank in root-first order, so
+    # the root leads its own node
+    groups = cluster.node_groups(ordered)
+    if len(groups) == 1:
+        return CollectivePlan("binomial", (("tree", tree(groups), False),))
+    # Hierarchical: binomial among node leaders, root's node first and the
+    # rest in node order (rank order, as ranks are node-major), then within
+    # each node.  The leaders span nodes: materialized, so every step is
+    # walked.
+    leaders = [ordered[0]] + sorted(group[0] for group in groups[1:])
+    return CollectivePlan("binomial", (
+        ("inter_tree", list(tree([leaders])), False),
+        ("intra_tree", tree(groups), False),
+    ))
+
+
 def bcast_timing(
     coster: StepCoster,
     ranks: list[int],
@@ -32,34 +69,9 @@ def bcast_timing(
     buffer_ids: dict[int, int] | None = None,
 ) -> CollectiveTiming:
     """Time a broadcast of ``nbytes`` from ``root`` (default: first rank)."""
-    p = len(ranks)
-    if p <= 1 or nbytes == 0:
-        return CollectiveTiming("bcast", "binomial", nbytes, p, 0.0, coster.mode)
-    root = ranks[0] if root is None else root
-    ordered = [root] + [r for r in ranks if r != root]
-
-    def tree(groups: list[list[int]]) -> GroupSchedule:
-        return GroupSchedule(groups, _binomial_tree, nbytes, buffer_ids)
-
-    transport = coster.transport
-    node_of = {r: transport.ranks[r].node_id for r in ranks}
-    nodes = sorted(set(node_of.values()))
-    segments: dict[str, float] = {}
-    if len(nodes) == 1:
-        segments["tree"] = coster.run_steps(tree([ordered]))
-    else:
-        # Hierarchical: binomial among node leaders, then within each node.
-        by_node: dict[int, list[int]] = {}
-        for r in ordered:
-            by_node.setdefault(node_of[r], []).append(r)
-        # leader of root's node is the root itself (ordered puts it first)
-        leader_list = [group[0] for _, group in sorted(
-            by_node.items(), key=lambda kv: (kv[0] != node_of[root], kv[0])
-        )]
-        # the leaders span nodes: materialized, so every step is walked
-        segments["inter_tree"] = coster.run_steps(list(tree([leader_list])))
-        segments["intra_tree"] = coster.run_steps(tree(list(by_node.values())))
-    total = fold_sum(segments.values())
-    return CollectiveTiming(
-        "bcast", "binomial", nbytes, p, total, coster.mode, segments
+    cluster = coster.transport.cluster
+    return plan_timing(
+        coster, "bcast", ranks, nbytes,
+        lambda: _bcast_plan(cluster, ranks, nbytes, root, buffer_ids),
+        variant=root, buffer_ids=buffer_ids,
     )

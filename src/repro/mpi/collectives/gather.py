@@ -6,7 +6,41 @@ for completeness of the MPI surface.
 
 from __future__ import annotations
 
-from repro.mpi.collectives.base import CollectiveTiming, PairTransfer, StepCoster
+from repro.mpi.collectives.base import (
+    CollectivePlan,
+    CollectiveTiming,
+    StepCoster,
+    pair_transfers,
+    plan_timing,
+    root_first,
+)
+
+
+def _linear(
+    coster: StepCoster,
+    op: str,
+    segment: str,
+    ranks: list[int],
+    nbytes_per_rank: int,
+    root: int | None,
+) -> CollectiveTiming:
+    """One step between the root and every other rank: into the root
+    (``ingest``) or out of it (``egress``)."""
+
+    def build() -> CollectivePlan:
+        if len(ranks) <= 1 or nbytes_per_rank == 0:
+            return CollectivePlan("linear")
+        first, *others = root_first(ranks, root)
+        pairs = (
+            [(r, first) for r in others] if segment == "ingest"
+            else [(first, r) for r in others]
+        )
+        step = pair_transfers(pairs, nbytes_per_rank)
+        return CollectivePlan("linear", ((segment, [step], False),))
+
+    return plan_timing(
+        coster, op, ranks, nbytes_per_rank, build, variant=root
+    )
 
 
 def gather_timing(
@@ -23,19 +57,7 @@ def gather_timing(
     different nodes only at its own NIC/links, which the step engine
     captures by scheduling all sends in one step.
     """
-    p = len(ranks)
-    if p <= 1 or nbytes_per_rank == 0:
-        return CollectiveTiming("gather", "linear", nbytes_per_rank, p, 0.0,
-                                coster.mode)
-    root = ranks[0] if root is None else root
-    transfers = [
-        PairTransfer(r, root, nbytes_per_rank) for r in ranks if r != root
-    ]
-    total = coster.run_steps([transfers])
-    return CollectiveTiming(
-        "gather", "linear", nbytes_per_rank, p, total, coster.mode,
-        {"ingest": total},
-    )
+    return _linear(coster, "gather", "ingest", ranks, nbytes_per_rank, root)
 
 
 def scatter_timing(
@@ -46,19 +68,7 @@ def scatter_timing(
     root: int | None = None,
 ) -> CollectiveTiming:
     """Root sends a distinct block to every other rank (linear scatter)."""
-    p = len(ranks)
-    if p <= 1 or nbytes_per_rank == 0:
-        return CollectiveTiming("scatter", "linear", nbytes_per_rank, p, 0.0,
-                                coster.mode)
-    root = ranks[0] if root is None else root
-    transfers = [
-        PairTransfer(root, r, nbytes_per_rank) for r in ranks if r != root
-    ]
-    total = coster.run_steps([transfers])
-    return CollectiveTiming(
-        "scatter", "linear", nbytes_per_rank, p, total, coster.mode,
-        {"egress": total},
-    )
+    return _linear(coster, "scatter", "egress", ranks, nbytes_per_rank, root)
 
 
 def alltoall_timing(
@@ -67,20 +77,19 @@ def alltoall_timing(
     nbytes_per_pair: int,
 ) -> CollectiveTiming:
     """Pairwise-exchange alltoall: p-1 rounds, round k pairs rank i with
-    rank i XOR k (power-of-two worlds) or (i + k) mod p otherwise."""
-    p = len(ranks)
-    if p <= 1 or nbytes_per_pair == 0:
-        return CollectiveTiming("alltoall", "pairwise", nbytes_per_pair, p, 0.0,
-                                coster.mode)
-    steps: list[list[PairTransfer]] = []
-    for k in range(1, p):
-        transfers = []
-        for i, rank in enumerate(ranks):
-            peer = ranks[(i + k) % p]
-            transfers.append(PairTransfer(rank, peer, nbytes_per_pair))
-        steps.append(transfers)
-    total = coster.run_steps(steps)
-    return CollectiveTiming(
-        "alltoall", "pairwise", nbytes_per_pair, p, total, coster.mode,
-        {"rounds": total},
-    )
+    rank (i + k) mod p."""
+
+    def build() -> CollectivePlan:
+        p = len(ranks)
+        if p <= 1 or nbytes_per_pair == 0:
+            return CollectivePlan("pairwise")
+        steps = [
+            pair_transfers(
+                [(rank, ranks[(i + k) % p]) for i, rank in enumerate(ranks)],
+                nbytes_per_pair,
+            )
+            for k in range(1, p)
+        ]
+        return CollectivePlan("pairwise", (("rounds", steps, False),))
+
+    return plan_timing(coster, "alltoall", ranks, nbytes_per_pair, build)

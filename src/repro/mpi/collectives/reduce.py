@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-from repro.mpi.collectives.base import CollectiveTiming, PairTransfer, StepCoster
+from repro.mpi.collectives.allreduce import _binomial_reduce_tree
+from repro.mpi.collectives.base import (
+    CollectivePlan,
+    CollectiveTiming,
+    GroupSchedule,
+    StepCoster,
+    plan_timing,
+    root_first,
+)
 
 
 def reduce_timing(
@@ -13,32 +21,21 @@ def reduce_timing(
     root: int | None = None,
     buffer_ids: dict[int, int] | None = None,
 ) -> CollectiveTiming:
-    p = len(ranks)
-    if p <= 1 or nbytes == 0:
-        return CollectiveTiming("reduce", "binomial", nbytes, p, 0.0, coster.mode)
-    root = ranks[0] if root is None else root
-    ordered = [root] + [r for r in ranks if r != root]
+    """Time a binomial-tree reduce of ``nbytes`` onto ``root`` (default:
+    first rank)."""
 
-    def bid(rank: int) -> int | None:
-        return buffer_ids.get(rank) if buffer_ids else None
+    def build() -> CollectivePlan:
+        if len(ranks) <= 1 or nbytes == 0:
+            return CollectivePlan("binomial")
+        # one tree over every rank, widest distance first, materialized
+        # so each step is walked
+        steps = list(GroupSchedule(
+            [root_first(ranks, root)], lambda g: _binomial_reduce_tree(g)[::-1],
+            nbytes, buffer_ids,
+        ))
+        return CollectivePlan("binomial", (("tree", steps, True),))
 
-    steps: list[list[PairTransfer]] = []
-    distance = 1
-    g = len(ordered)
-    while distance < g:
-        transfers = []
-        for i in range(0, g, 2 * distance):
-            j = i + distance
-            if j < g:
-                transfers.append(
-                    PairTransfer(
-                        ordered[j], ordered[i], nbytes, bid(ordered[j]), bid(ordered[i])
-                    )
-                )
-        steps.append(transfers)
-        distance *= 2
-    # Senders-to-receivers order must be reversed: leaves send first.
-    total = coster.run_steps(list(reversed(steps)), reduce_after=True)
-    return CollectiveTiming(
-        "reduce", "binomial", nbytes, p, total, coster.mode, {"tree": total}
+    return plan_timing(
+        coster, "reduce", ranks, nbytes, build,
+        variant=root, buffer_ids=buffer_ids,
     )

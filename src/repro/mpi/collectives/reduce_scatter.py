@@ -10,7 +10,8 @@ activation allgather).
 from __future__ import annotations
 
 from repro.comm.cost import FLOAT32_BYTES
-from repro.mpi.collectives.base import CollectiveTiming, RingSchedule, StepCoster
+from repro.mpi.collectives.allgather import _ring_timing
+from repro.mpi.collectives.base import CollectiveTiming, StepCoster
 
 
 def reduce_scatter_timing(
@@ -21,16 +22,11 @@ def reduce_scatter_timing(
     buffer_ids: dict[int, int] | None = None,
     dtype_bytes: int = FLOAT32_BYTES,
 ) -> CollectiveTiming:
-    """Each rank starts with the full vector, ends with its reduced shard."""
-    p = len(ranks)
-    if p <= 1:
-        return CollectiveTiming(
-            "reduce_scatter", "ring", nbytes_per_rank, p, 0.0, coster.mode
-        )
+    """Each rank starts with the full vector, ends with its reduced shard.
 
-    steps = RingSchedule.uniform(ranks, nbytes_per_rank, buffer_ids, dtype_bytes)
-    total = coster.run_steps(steps)
-    return CollectiveTiming(
-        "reduce_scatter", "ring", nbytes_per_rank, p, total, coster.mode,
-        {"ring": total},
+    Timed as the allgather's ring, without per-step reductions, as it
+    always has been."""
+    return _ring_timing(
+        coster, "reduce_scatter", ranks, nbytes_per_rank, buffer_ids,
+        dtype_bytes,
     )

@@ -148,10 +148,7 @@ def hierarchical_allreduce_spmd(
     if p == 1:
         result.finish_times[ranks[0]] = env.now
         return result
-    by_node: dict[int, list[int]] = {}
-    for r in sorted(ranks):
-        by_node.setdefault(fabric.transport.ranks[r].node_id, []).append(r)
-    groups = [g for _, g in sorted(by_node.items())]
+    groups = fabric.transport.cluster.node_groups(sorted(ranks))
     leaders = [g[0] for g in groups]
     work: dict[int, np.ndarray] = (
         {r: np.array(data[r], copy=True) for r in ranks} if data else {}

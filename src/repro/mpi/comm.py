@@ -310,13 +310,6 @@ class Communicator:
         sub.observers = list(self.observers)
         return sub
 
-    def split_by_node(self) -> list["Communicator"]:
-        """One sub-communicator per node (like MPI_Comm_split_type)."""
-        by_node: dict[int, list[int]] = {}
-        for r in self.ranks:
-            by_node.setdefault(self.world.transport.ranks[r].node_id, []).append(r)
-        return [Communicator(self.world, g) for _, g in sorted(by_node.items())]
-
     # -- internal ------------------------------------------------------------
     def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
         if len(buffers) != self.size:

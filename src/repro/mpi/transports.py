@@ -421,9 +421,9 @@ class TransportModel:
         if q.src_cache is not None:
             protocol = self.acquire_registrations(q)
         elif q.opens_ipc:
-            self._ipc_pairs.add((min(q.src, q.dst), max(q.src, q.dst)))
+            self.open_ipc(q.src, q.dst)
         if q.staged:
-            self.charge_staging(q)
+            self.charge_staging(q.src, q.dst, q.staging)
         self.record_sends(q, 1)
         return protocol
 
@@ -470,11 +470,15 @@ class TransportModel:
         elif q.ib is not None:
             q.ib.eager_sends += count
 
-    def charge_staging(self, q: TransferQuote) -> None:
-        """Attribute a staged transfer's copy time to its two endpoints
-        (sender drives the D2H half, receiver the H2D half)."""
-        self.staged_seconds[q.src] += q.staging / 2
-        self.staged_seconds[q.dst] += q.staging / 2
+    def open_ipc(self, src: int, dst: int) -> None:
+        """Open the CUDA IPC mapping between two ranks (either order)."""
+        self._ipc_pairs.add((min(src, dst), max(src, dst)))
+
+    def charge_staging(self, src: int, dst: int, staging: float) -> None:
+        """Attribute a staged transfer's ``staging`` seconds to its two
+        endpoints (sender drives the D2H half, receiver the H2D half)."""
+        self.staged_seconds[src] += staging / 2
+        self.staged_seconds[dst] += staging / 2
 
     def cost(
         self,

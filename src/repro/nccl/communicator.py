@@ -73,8 +73,7 @@ class NcclWorld:
 
     # -- timing models ----------------------------------------------------------
     def _node_count(self, comm) -> int:
-        gpn = self.cluster.gpus_per_node
-        return len({r // gpn for r in comm.ranks})
+        return len(self.cluster.node_groups(comm.ranks))
 
     def _link_fault(self, kind: LinkKind, now: float) -> tuple[float, float]:
         faults = self.faults

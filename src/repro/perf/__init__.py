@@ -1,5 +1,5 @@
-"""Performance layer: result caching, steady-state extrapolation, parallel
-sweeps, and runtime fast-path toggles.
+"""Performance layer: result caching, steady-state extrapolation and
+parallel sweeps.
 
 The scaling sweeps behind Figs. 10-13 are embarrassingly parallel and
 heavily repetitive — training steps are identical in performance mode, and
@@ -17,16 +17,12 @@ This package exploits both:
 * :mod:`repro.perf.parallel` — the one sweep runner: serves cache hits
   and runs the rest inline or across worker processes, merged in input
   order;
-* :mod:`repro.perf.flags` — runtime toggles for the sim-engine fast paths
-  (uncontended-link collapse, collective-schedule memoization), used by
-  the equivalence tests to compare fast vs. slow paths;
 * :mod:`repro.perf.profile` — first-class cProfile wrapping for the CLI.
 
 See ``docs/performance.md`` for the caching/extrapolation model and the
 validity conditions of each fast path.
 """
 
-from repro.perf import flags
 from repro.perf.cache import ResultCache, default_cache_dir
 from repro.perf.digest import CACHE_VERSION_SALT, canonical_digest, env_knobs
 from repro.perf.parallel import PointJob, run_jobs
@@ -34,7 +30,6 @@ from repro.perf.profile import profiled_call
 from repro.perf.steady import PeriodicSteadyState
 
 __all__ = [
-    "flags",
     "ResultCache",
     "default_cache_dir",
     "CACHE_VERSION_SALT",

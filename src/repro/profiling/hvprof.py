@@ -121,21 +121,6 @@ class Hvprof:
         )
         return table.render()
 
-    def algorithm_report(self, op: str = "allreduce") -> str:
-        """Which collective algorithms executed and their time share."""
-        table = TextTable(
-            ["Algorithm", "Count", "Total Time", "Share"],
-            title=f"hvprof: {op} by algorithm",
-        )
-        total = self.total_time(op)
-        for algorithm, stats in sorted(self.by_algorithm(op).items()):
-            share = stats.total_time / total if total else 0.0
-            table.add_row(
-                algorithm, stats.count, format_time(stats.total_time),
-                f"{share:.1%}",
-            )
-        return table.render()
-
     def fault_report(self) -> str:
         """Count of injected faults / recovery actions by kind."""
         table = TextTable(

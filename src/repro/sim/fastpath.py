@@ -204,7 +204,7 @@ class FastPathSession:
         if rem and any(q_small[i].kind is not q_big[i].kind for i in range(p)):
             return None  # chunk classes straddle a transport threshold
         staged = [i for i in range(p) if q_small[i].staged]
-        if rem and staged and len({transport.ranks[r].node_id for r in ranks}) < p:
+        if rem and staged and len(transport.cluster.node_groups(ranks)) < p:
             # staged transfers sharing a node serialize in engine waves,
             # and the rotating big/small chunk classes reshuffle each
             # step's wave membership — only the uniform ring (allgather:
@@ -243,9 +243,8 @@ class FastPathSession:
         # bit-identity contract)
         for s in range(s0, p - 1):
             for i in staged:
-                transport.charge_staging(
-                    q_big[i] if (i - s) % p < rem else q_small[i]
-                )
+                q = q_big[i] if (i - s) % p < rem else q_small[i]
+                transport.charge_staging(q.src, q.dst, q.staging)
         self.ring_transfers += n_rem * p
         return total
 
@@ -288,8 +287,9 @@ class FastPathSession:
         transfers and ``max`` only selects a value, so the step's makespan
         over the representatives is the walk's.  The representatives are
         quoted and applied as the walk would; the other groups' sends are
-        applied in aggregate, group by group in walk order: the IPC pairs
-        they open, each rank's staging ``+=`` and the transport stats.  A
+        applied in aggregate, group by group in walk order, through the
+        transport: the IPC pairs they open (``open_ipc``), each rank's
+        staging ``+=`` (``charge_staging``) and the transport stats.  A
         node group's transfers stay on its node, so they touch no HCA.
         """
         transport = self.transport
@@ -328,7 +328,6 @@ class FastPathSession:
         rep_quotes: dict[int, list] = {}
         effects: dict[int, list] = {}
         sends = dict.fromkeys(shapes, 0)  # group size -> groups spared
-        staged_seconds = transport.staged_seconds
         for group in sched.groups:
             size = len(group)
             local = depths[size]
@@ -351,10 +350,9 @@ class FastPathSession:
             for i, j, q in todo:
                 src, dst = group[i], group[j]
                 if q.opens_ipc:
-                    opened.add((min(src, dst), max(src, dst)))
+                    transport.open_ipc(src, dst)
                 if q.staged:
-                    staged_seconds[src] += q.staging / 2
-                    staged_seconds[dst] += q.staging / 2
+                    transport.charge_staging(src, dst, q.staging)
         for size, count in sends.items():
             for q in rep_quotes[size]:
                 transport.record_sends(q, count)

@@ -125,7 +125,7 @@ class TestCost:
             pytest.approx(3 * LASSEN.ib.transfer_time(nbytes))
         assert weight_broadcast_time(LASSEN, 0) == 0.0
 
-    def test_schedule_memo_gating_and_eviction(self):
+    def test_schedule_memo_reuse_and_eviction(self):
         memo = ScheduleMemo(max_entries=2)
         built = []
 

@@ -198,18 +198,16 @@ class TestIpc:
 
 
 class TestCopiesAndKernels:
-    def test_d2h_and_peer_copy_times(self, runtime):
+    def test_peer_copy_times(self, runtime):
         ctx = runtime.create_context(pid=1, mask=VisibilityMask.all_devices(4))
         ctx.set_device(0)
-        d2h = ctx.d2h_time(64 * MIB)
         peer_same_socket = ctx.memcpy_time(
             runtime.physical_ref(0), runtime.physical_ref(1), 64 * MIB
         )
         peer_cross_socket = ctx.memcpy_time(
             runtime.physical_ref(0), runtime.physical_ref(2), 64 * MIB
         )
-        assert d2h > 0
-        assert peer_same_socket < peer_cross_socket
+        assert 0 < peer_same_socket < peer_cross_socket
 
     def test_kernel_roofline(self):
         model = KernelCostModel(V100_16GB)

@@ -280,7 +280,6 @@ class TestZeroFaultIdentity:
         assert inj.link_state("ib", 1.0) == (1.0, 0.0)
         verdict = inj.message_verdict(0, 1, 1.0)
         assert not verdict.drop and verdict.delay_s == 0.0
-        assert not inj.any_faults
         assert len(inj.trace) == 0
 
     def test_empty_plan_reproduces_baseline_exactly(self):

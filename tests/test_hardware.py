@@ -259,8 +259,15 @@ class TestCluster:
         assert rounded_apart
 
     def test_host_costs_positive(self, cluster):
-        assert cluster.host_memcpy_time(0, 64 * MIB) > 0
         assert cluster.host_reduce_time(0, 64 * MIB) > 0
+
+    def test_node_groups(self, cluster):
+        assert cluster.node_groups(range(8)) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        # nodes in order of first appearance, ranks in their given order
+        assert cluster.node_groups([6, 1, 4, 0, 7]) == [[6, 4, 7], [1, 0]]
+        assert cluster.node_groups(sorted([6, 1, 4, 0, 7])) == \
+            [[0, 1], [4, 6, 7]]
+        assert cluster.node_groups([]) == []
 
 
 class TestHardwareVariants:

@@ -311,12 +311,6 @@ class TestFusionBufferMemory:
             )
         # idempotent
         assert engine.allocate_fusion_buffers() == 0
-        engine.release_fusion_buffers()
-        for g in range(4):
-            pool = cluster.gpu_memory(cluster.gpu_ref(g))
-            assert not any(
-                tag.startswith("fusion-buffer") for tag in pool.used_by_tag()
-            )
 
     def test_zero_threshold_is_noop(self):
         comm = make_comm(4)

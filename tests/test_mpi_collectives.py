@@ -279,12 +279,6 @@ class TestCommunicatorSemantics:
         comm.barrier()
         assert seen == [("allreduce", "mpi"), ("barrier", "mpi")]
 
-    def test_split_by_node(self):
-        world = make_world(8)
-        comm = world.communicator()
-        subs = comm.split_by_node()
-        assert [sub.ranks for sub in subs] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
 
 class TestDatatypes:
     def test_from_numpy_roundtrip(self):

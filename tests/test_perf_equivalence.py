@@ -1,11 +1,13 @@
 """Fast-path == slow-path equivalence tests.
 
 Every optimization in the perf layer claims result preservation; this file
-enforces each claim by running the same workload with the fast path on and
-off:
+enforces each claim by running the same workload with the fast path taken
+and bypassed:
 
-* uncontended-link collapse: identical event-mode timings;
-* collective-schedule memoization: identical timings;
+* uncontended-link collapse: identical event-mode timings with every
+  transfer forced onto the per-hop path;
+* the collective plan memo: identical timings with the memo cleared
+  before every call;
 * steady-state extrapolation: matches full simulation within ulp-level
   tolerance (zero jitter), never fires under the default jitter;
 * parallel sweep: identical to the serial sweep, in order, for any
@@ -15,6 +17,7 @@ off:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +25,7 @@ from multiprocessing import get_context
 
 import pytest
 
+import repro.hardware.cluster as cluster_module
 from repro.comm.selection import (
     SelectionTable,
     clear_active_tables,
@@ -38,19 +42,12 @@ from repro.hardware import LASSEN, Cluster
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.collectives.allreduce import allreduce_timing
-from repro.perf import PointJob, ResultCache, flags, run_jobs
+from repro.perf import PointJob, ResultCache, run_jobs
 from repro.perf import parallel as perf_parallel
 from repro.sim import Environment
 from repro.utils.units import MIB
 
 ALGORITHMS = ["ring", "reduce_scatter_allgather", "hierarchical"]
-
-
-@pytest.fixture()
-def restore_flags():
-    saved = (flags.link_fastpath, flags.schedule_memo)
-    yield
-    flags.link_fastpath, flags.schedule_memo = saved
 
 
 def _event_world(num_ranks: int) -> MpiWorld:
@@ -71,56 +68,73 @@ def _event_allreduce(
     return t.time
 
 
+@contextlib.contextmanager
+def _per_hop(monkeypatch):
+    """Force every event-mode transfer onto the per-hop request/hold/release
+    path: the uncontended-route collapse never finds its route free."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cluster_module, "try_acquire_all", lambda channels: False)
+        yield
+
+
+def _contended_flows() -> tuple[float, ...]:
+    """Finish times of two concurrent 64 MiB flows over one route."""
+    env = Environment()
+    cluster = Cluster(env, LASSEN, num_nodes=2)
+    src = cluster.gpu_ref(0)
+    dst = cluster.gpu_ref(4)
+    done = []
+
+    def flow(nbytes=64 * MIB):
+        yield from cluster.transfer(src, dst, nbytes)
+        done.append(env.now)
+
+    env.process(flow())
+    env.process(flow())
+    env.run()
+    return tuple(done)
+
+
 class TestLinkFastPath:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_event_timings_identical_with_and_without(
-        self, algorithm, restore_flags
+        self, algorithm, monkeypatch
     ):
-        flags.link_fastpath = True
         fast = _event_allreduce(8, 16 * MIB, algorithm)
-        flags.link_fastpath = False
-        slow = _event_allreduce(8, 16 * MIB, algorithm)
+        with _per_hop(monkeypatch):
+            slow = _event_allreduce(8, 16 * MIB, algorithm)
         assert fast == slow, f"{algorithm}: fast {fast} != slow {slow}"
 
-    def test_contended_links_still_queue(self, restore_flags):
+    def test_contended_links_still_queue(self, monkeypatch):
         """Two concurrent transfers over the same route must serialize on
         the bottleneck whether or not the fast path is active."""
-        times = {}
-        for enabled in (True, False):
-            flags.link_fastpath = enabled
-            env = Environment()
-            cluster = Cluster(env, LASSEN, num_nodes=2)
-            src = cluster.gpu_ref(0)
-            dst = cluster.gpu_ref(4)
-            done = []
-
-            def flow(nbytes=64 * MIB):
-                yield from cluster.transfer(src, dst, nbytes)
-                done.append(env.now)
-
-            env.process(flow())
-            env.process(flow())
-            env.run()
-            times[enabled] = tuple(done)
-        assert times[True] == times[False]
+        fast = _contended_flows()
+        with _per_hop(monkeypatch):
+            slow = _contended_flows()
+        assert fast == slow
         # the second flow finishes strictly after the first (serialized)
-        assert times[True][1] > times[True][0]
+        assert fast[1] > fast[0]
 
 
 class TestScheduleMemo:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_timings_identical_with_and_without(self, algorithm, restore_flags):
+    def test_timings_identical_with_and_without(self, algorithm):
+        """The unmemoized path clears the world's plan memo before each
+        call; the memoized path keeps it."""
         timings = {}
-        for enabled in (False, True):
-            flags.schedule_memo = enabled
+        for memoized in (False, True):
             world = _event_world(8)
-            first = _event_allreduce(8, 8 * MIB, algorithm, world)
-            built = len(world.coster.schedules)
-            second = _event_allreduce(8, 8 * MIB, algorithm, world)
-            # the second call on the same world builds nothing: a memo hit
-            assert len(world.coster.schedules) == built
-            assert (built > 0) == enabled
-            timings[enabled] = (first, second)
+            memo = world.coster.schedules
+            times, plans = [], []
+            for _ in range(2):
+                if not memoized:
+                    memo.clear()
+                times.append(_event_allreduce(8, 8 * MIB, algorithm, world))
+                plans.extend(memo.entries.values())
+            assert len(plans) == 2
+            # a memo hit hands the second call the first call's plan
+            assert (plans[0] is plans[1]) == memoized
+            timings[memoized] = times
         assert timings[False] == timings[True]
 
 

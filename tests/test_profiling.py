@@ -139,11 +139,6 @@ class TestEnhancedReports:
         assert stats["hierarchical"].count == 2
         assert stats["hierarchical"].total_time == pytest.approx(0.040)
 
-    def test_algorithm_report_renders_shares(self):
-        report = self._loaded().algorithm_report()
-        assert "hierarchical" in report
-        assert "80.0%" in report
-
     def test_effective_bandwidth(self):
         hv = Hvprof()
         hv.observer(fake_timing(50_000_000, 0.010), "mpi")
