@@ -6,6 +6,8 @@ for completeness of the MPI surface.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.mpi.collectives.base import (
     CollectivePlan,
     CollectiveTiming,
@@ -23,19 +25,16 @@ def _linear(
     ranks: list[int],
     nbytes_per_rank: int,
     root: int | None,
+    pair: Callable[[int, int], tuple[int, int]],
 ) -> CollectiveTiming:
-    """One step between the root and every other rank: into the root
-    (``ingest``) or out of it (``egress``)."""
+    """One step between the root and every other rank ``r``, each
+    transfer's ``(src, dst)`` being ``pair(root, r)``."""
 
     def build() -> CollectivePlan:
         if len(ranks) <= 1 or nbytes_per_rank == 0:
             return CollectivePlan("linear")
         first, *others = root_first(ranks, root)
-        pairs = (
-            [(r, first) for r in others] if segment == "ingest"
-            else [(first, r) for r in others]
-        )
-        step = pair_transfers(pairs, nbytes_per_rank)
+        step = pair_transfers([pair(first, r) for r in others], nbytes_per_rank)
         return CollectivePlan("linear", ((segment, [step], False),))
 
     return plan_timing(
@@ -57,7 +56,10 @@ def gather_timing(
     different nodes only at its own NIC/links, which the step engine
     captures by scheduling all sends in one step.
     """
-    return _linear(coster, "gather", "ingest", ranks, nbytes_per_rank, root)
+    return _linear(
+        coster, "gather", "ingest", ranks, nbytes_per_rank, root,
+        lambda root, r: (r, root),
+    )
 
 
 def scatter_timing(
@@ -68,7 +70,10 @@ def scatter_timing(
     root: int | None = None,
 ) -> CollectiveTiming:
     """Root sends a distinct block to every other rank (linear scatter)."""
-    return _linear(coster, "scatter", "egress", ranks, nbytes_per_rank, root)
+    return _linear(
+        coster, "scatter", "egress", ranks, nbytes_per_rank, root,
+        lambda root, r: (root, r),
+    )
 
 
 def alltoall_timing(

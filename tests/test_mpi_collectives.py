@@ -147,6 +147,34 @@ class TestOtherCollectives:
         assert 0 < t4.time < t16.time
 
 
+class TestPlanMemo:
+    """Each call is keyed once; a hit reuses the plan without building or
+    grouping ranks again."""
+
+    def test_a_repeated_call_reuses_its_plan(self, monkeypatch):
+        world = make_world(16)
+        grouped = []
+        node_groups = Cluster.node_groups
+        monkeypatch.setattr(
+            Cluster, "node_groups",
+            lambda self, ranks: grouped.append(1) or node_groups(self, ranks),
+        )
+        ranks = list(range(16))
+        ids = {r: 100 + r for r in ranks}
+        for _ in range(2):
+            allreduce_timing(world.coster, ranks, 16 * MIB, buffer_ids=ids)
+            bcast_timing(world.coster, ranks, 16 * MIB, root=5, buffer_ids=ids)
+        assert len(world.coster.schedules) == 2
+        assert len(grouped) == 2
+        # a new buffer id, dtype or root is a new key
+        allreduce_timing(world.coster, ranks, 16 * MIB,
+                         buffer_ids={**ids, 3: 7})
+        allreduce_timing(world.coster, ranks, 16 * MIB, buffer_ids=ids,
+                         dtype_bytes=2)
+        bcast_timing(world.coster, ranks, 16 * MIB, root=6, buffer_ids=ids)
+        assert len(world.coster.schedules) == 5
+
+
 class TestRunSteps:
     """``run_steps`` totals steps with one left-to-right running sum."""
 
