@@ -28,7 +28,7 @@ def visibility_table(ranks: list[RankContext]) -> str:
         title="Device visibility (paper Fig. 7)",
     )
     for r in ranks:
-        table.add_row(r.rank, r.physical_device, str(r.app_ctx.mask), str(r.mpi_mask))
+        table.add_row(r.rank, r.physical_device, str(r.app_mask), str(r.mpi_mask))
     return table.render()
 
 

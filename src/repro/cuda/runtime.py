@@ -70,6 +70,17 @@ class CudaVersion:
 DEFAULT_CUDA_VERSION = CudaVersion(10, 2)
 
 
+def check_mask(mask: VisibilityMask, device_count: int) -> None:
+    """Raise unless every device ``mask`` names exists on a node of
+    ``device_count`` GPUs."""
+    for physical in mask.physical:
+        if physical >= device_count:
+            raise CudaInvalidDeviceError(
+                f"mask {mask} references physical device {physical}, node has "
+                f"{device_count}"
+            )
+
+
 class CudaRuntime:
     """Node-level runtime: owns physical devices and the IPC legality rule."""
 
@@ -97,12 +108,7 @@ class CudaRuntime:
         return self.node.gpu_refs[physical]
 
     def create_context(self, pid: int, mask: VisibilityMask) -> "CudaContext":
-        for physical in mask.physical:
-            if physical >= self.physical_device_count:
-                raise CudaInvalidDeviceError(
-                    f"mask {mask} references physical device {physical}, node has "
-                    f"{self.physical_device_count}"
-                )
+        check_mask(mask, self.physical_device_count)
         return CudaContext(self, pid, mask)
 
     def can_open_ipc(self, opener: "CudaContext", handle: IpcMemHandle) -> bool:

@@ -9,14 +9,19 @@ tapered networks.
 Transfers are *pipelined* (wormhole) across multi-hop routes: total time is
 ``sum(alpha_i) + nbytes / min(bandwidth_i)``, with every hop's directional
 channel held for the duration so congestion propagates.
+
+Every node is built from the one ``spec.node`` template, so a cluster
+builds a :class:`~repro.hardware.node.Node` and its IB uplink only when
+something indexes them; device addresses come from index arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
-from typing import Generator, Iterable
+from typing import Callable, Generator, Iterable, TypeVar
+from weakref import ReferenceType
 
-from repro.comm.cost import FLOAT32_BYTES, reduce_time
 from repro.errors import HardwareError
 from repro.sim.engine import Environment
 from repro.sim.resources import try_acquire_all
@@ -26,6 +31,31 @@ from repro.hardware.specs import ClusterSpec
 
 #: sentinel endpoint for the non-blocking switch core
 CORE = "ib-core"
+
+T = TypeVar("T")
+
+
+class BuiltOnIndex(Sequence[T]):
+    """A fixed-length sequence whose item ``i`` is ``build(i)``, made the
+    first time ``i`` is indexed and kept.  Iterating builds every item."""
+
+    __slots__ = ("_items", "_build")
+
+    def __init__(self, length: int, build: Callable[[int], T]):
+        self._items: list[T | None] = [None] * length
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int) -> T:
+        item = self._items[i]
+        if item is None:
+            item = self._items[i] = self._build(i)
+        return item
+
+    def is_built(self, i: int) -> bool:
+        return self._items[i] is not None
 
 
 class Cluster:
@@ -40,15 +70,25 @@ class Cluster:
             )
         self.env = env
         self.spec = spec
-        self.nodes = [Node(env, i, spec.node) for i in range(num_nodes)]
+        self.num_nodes = num_nodes
+        #: per-world CUDA state placed on nodes when their memory is first
+        #: read (see :meth:`defer_cuda_state`), in registration order
+        self._cuda_states: list[ReferenceType] = []
+        node_spec, states = spec.node, self._cuda_states
+        self.nodes: BuiltOnIndex[Node] = BuiltOnIndex(
+            num_nodes, lambda i: Node(env, i, node_spec, states)
+        )
         ib_spec = spec.ib
         if spec.oversubscription != 1.0:
             ib_spec = replace(
                 ib_spec, bandwidth=ib_spec.bandwidth / spec.oversubscription
             )
-        self._ib_links = [
-            Link(env, ib_spec, LinkKind.IB, node.hca_ref, CORE) for node in self.nodes
-        ]
+        self._ib_links: BuiltOnIndex[Link] = BuiltOnIndex(
+            num_nodes,
+            lambda i: Link(
+                env, ib_spec, LinkKind.IB, DeviceRef(i, DeviceKind.HCA, 0), CORE
+            ),
+        )
         self.fault_injector = None
         #: link state varies with simulated time: the attached injector's
         #: plan holds a LinkFault (``FaultInjector.degrades_links``)
@@ -68,11 +108,29 @@ class Cluster:
         self.fault_injector = injector
         self.live_links = injector.degrades_links
 
-    # -- device addressing -------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
+    def defer_cuda_state(self, state: ReferenceType) -> None:
+        """Register a weak reference to a world's per-node CUDA state, an
+        object with ``place(node_id)`` and ``pending_on(node_id)``.
 
+        A node calls ``place`` on every registered state before anything
+        reads its memory, so a read sees every context block the world's
+        ranks put there.  The cluster never keeps a world alive.
+        """
+        self._cuda_states.append(state)
+
+    def is_fresh(self, node_id: int, ignoring=None) -> bool:
+        """Whether node ``node_id``'s memory is as the template builds it:
+        the node is not built, and no live world but ``ignoring`` has CUDA
+        state pending on it."""
+        if self.nodes.is_built(node_id):
+            return False
+        return not any(
+            state is not None and state is not ignoring
+            and state.pending_on(node_id)
+            for state in (ref() for ref in self._cuda_states)
+        )
+
+    # -- device addressing -------------------------------------------------
     @property
     def gpus_per_node(self) -> int:
         return self.spec.node.gpus_per_node
@@ -86,10 +144,13 @@ class Cluster:
         if not 0 <= global_gpu < self.num_gpus:
             raise HardwareError(f"gpu index {global_gpu} out of range (n={self.num_gpus})")
         node, local = divmod(global_gpu, self.gpus_per_node)
-        return self.nodes[node].gpu_refs[local]
+        return DeviceRef(node, DeviceKind.GPU, local)
 
-    def node_of(self, ref: DeviceRef) -> Node:
-        return self.nodes[ref.node]
+    def staging_cpu(self, gpu: DeviceRef) -> DeviceRef:
+        """The CPU socket a GPU's host staging runs through: its own."""
+        return DeviceRef(
+            gpu.node, DeviceKind.CPU, gpu.index // self.spec.node.gpus_per_socket
+        )
 
     def node_groups(self, ranks: Iterable[int]) -> list[list[int]]:
         """``ranks`` grouped by node, nodes in order of first appearance,
@@ -255,10 +316,9 @@ class Cluster:
         return alpha + nbytes / bottleneck
 
     def path_bandwidth(self, src: DeviceRef, dst: DeviceRef) -> float:
-        hops = self.route(src, dst)
-        if not hops:
-            return float("inf")
-        return min(link.spec.bandwidth for link, _, _ in hops)
+        """Fault-free bottleneck bandwidth of the route, ``inf`` for an
+        empty one (per :meth:`route_class`, like :meth:`path_constants`)."""
+        return self.path_constants(src, dst)[1]
 
     def transfer(self, src: DeviceRef, dst: DeviceRef, nbytes: int) -> Generator:
         """Simulation process: move ``nbytes`` src -> dst, holding every hop
@@ -296,16 +356,6 @@ class Cluster:
         finally:
             for channel in reversed(held):
                 channel.release()
-
-    # -- host-side costs -----------------------------------------------------
-    def host_reduce_time(
-        self, node_id: int, nbytes: int, dtype_bytes: int = FLOAT32_BYTES
-    ) -> float:
-        """Cost of an elementwise sum of two ``nbytes`` buffers on the CPU."""
-        return reduce_time(
-            nbytes, dtype_bytes,
-            reduce_flops=self.nodes[node_id].spec.cpu.reduce_flops,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -6,13 +6,19 @@ The Lassen wiring (Fig. 8 of the paper) is reproduced structurally:
 * GPUs on the same socket are NVLink peers and NVLink-attached to the CPU;
 * the two sockets are joined by X-Bus;
 * each CPU socket reaches the InfiniBand HCA over PCIe (socket 0 holds it).
+
+A node's memory pools may hold CUDA context blocks of worlds whose ranks
+have not been touched yet: before anything reads them, the node places the
+CUDA state every world registered on its cluster
+(:meth:`~repro.hardware.cluster.Cluster.defer_cuda_state`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+from weakref import ReferenceType
 
 from repro.errors import HardwareError
 from repro.sim.engine import Environment
@@ -44,7 +50,13 @@ class DeviceRef:
 class Node:
     """One compute node: devices, memory pools, and intra-node links."""
 
-    def __init__(self, env: Environment, node_id: int, spec: NodeSpec):
+    def __init__(
+        self,
+        env: Environment,
+        node_id: int,
+        spec: NodeSpec,
+        cuda_states: Sequence[ReferenceType] = (),
+    ):
         self.env = env
         self.node_id = node_id
         self.spec = spec
@@ -55,10 +67,16 @@ class Node:
             DeviceRef(node_id, DeviceKind.CPU, s) for s in range(spec.sockets)
         ]
         self.hca_ref = DeviceRef(node_id, DeviceKind.HCA, 0)
-        self.gpu_memory = {
+        self._gpu_memory = {
             ref: MemoryPool(f"{ref}:hbm", spec.gpu.memory_bytes) for ref in self.gpu_refs
         }
-        self.host_memory = MemoryPool(f"n{node_id}:dram", spec.cpu.memory_bytes * spec.sockets)
+        self._host_memory = MemoryPool(
+            f"n{node_id}:dram", spec.cpu.memory_bytes * spec.sockets
+        )
+        # the cluster's registered world CUDA states, and how many of them
+        # have been placed on this node
+        self._cuda_states = cuda_states
+        self._placed = 0
         self._links: list[Link] = []
         self._adjacency: dict[DeviceRef, list[Link]] = {
             ref: [] for ref in (*self.gpu_refs, *self.cpu_refs, self.hca_ref)
@@ -67,6 +85,32 @@ class Node:
         # memoize them (route() dominates large analytic sweeps otherwise)
         self._route_cache: dict[tuple[DeviceRef, DeviceRef], list[Link]] = {}
         self._wire()
+
+    # -- memory -------------------------------------------------------------
+    @property
+    def gpu_memory(self) -> dict[DeviceRef, MemoryPool]:
+        """HBM pool per GPU, holding every registered world's contexts."""
+        if self._placed < len(self._cuda_states):
+            self._place_cuda_states()
+        return self._gpu_memory
+
+    @property
+    def host_memory(self) -> MemoryPool:
+        if self._placed < len(self._cuda_states):
+            self._place_cuda_states()
+        return self._host_memory
+
+    def _place_cuda_states(self) -> None:
+        """Place the worlds' CUDA state registered since the last read, in
+        registration order.  A read from inside a placement (a context
+        allocating its block) returns the pools as they stand."""
+        states = self._cuda_states
+        while self._placed < len(states):
+            start, self._placed = self._placed, len(states)
+            for ref in states[start:self._placed]:
+                state = ref()
+                if state is not None:
+                    state.place(self.node_id)
 
     # -- wiring -----------------------------------------------------------
     def _add_link(self, spec, kind: LinkKind, a: DeviceRef, b: DeviceRef) -> None:

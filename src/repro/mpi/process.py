@@ -8,15 +8,28 @@ Lassen node).  Each rank has
 * an *MPI-layer* device mask — normally inherited from the application, but
   overridable with the paper's proposed ``MV2_VISIBLE_DEVICES`` when the
   runtime supports cross-visibility IPC (CUDA >= 10.1).
+
+Every node is built from one template, so a world checks the policy's
+masks once per local rank and shares each mask among the ranks of that
+local rank; the CUDA runtimes and contexts are built per node on first
+touch (:class:`WorldCuda`).
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol
 
 from repro.cuda.env import VisibilityMask
-from repro.cuda.runtime import CudaContext, CudaRuntime, CudaVersion, DEFAULT_CUDA_VERSION
+from repro.cuda.runtime import (
+    DEFAULT_CUDA_VERSION,
+    CudaContext,
+    CudaRuntime,
+    CudaVersion,
+    check_mask,
+)
 from repro.errors import ConfigError
 from repro.hardware.cluster import Cluster
 from repro.hardware.node import DeviceRef
@@ -50,15 +63,27 @@ class AllDevicesPolicy:
 
 @dataclass
 class RankContext:
-    """Everything the communication layers need to know about one rank."""
+    """Everything the communication layers need to know about one rank.
+
+    ``app_ctx`` and ``runtime`` are read through the world's
+    :class:`WorldCuda`, which builds the rank's node state on first read.
+    """
 
     rank: int
     node_id: int
     local_rank: int
     device_ref: DeviceRef
-    app_ctx: CudaContext
+    app_mask: VisibilityMask
     mpi_mask: VisibilityMask
-    runtime: CudaRuntime
+    cuda: "WorldCuda"
+
+    @property
+    def app_ctx(self) -> CudaContext:
+        return self.cuda.node_state(self.node_id)[1][self.local_rank]
+
+    @property
+    def runtime(self) -> CudaRuntime:
+        return self.cuda.node_state(self.node_id)[0]
 
     @property
     def physical_device(self) -> int:
@@ -70,7 +95,7 @@ class RankContext:
     def __repr__(self) -> str:
         return (
             f"<Rank {self.rank} node={self.node_id} gpu={self.physical_device} "
-            f"app_mask={self.app_ctx.mask} mpi_mask={self.mpi_mask}>"
+            f"app_mask={self.app_mask} mpi_mask={self.mpi_mask}>"
         )
 
 
@@ -110,8 +135,86 @@ def _resolve_mpi_mask(
     return VisibilityMask.parse(text)
 
 
+class WorldCuda:
+    """One world's CUDA state on each node it spans, from one template.
+
+    A node's :class:`~repro.cuda.runtime.CudaRuntime`, its ranks' contexts
+    (pid ``rank + 1``, current device the rank's own GPU) and their
+    Fig. 6a context blocks are built together, in rank order, by
+    :meth:`place`: the first time one of the node's ranks reads
+    ``app_ctx`` or ``runtime``, or anything reads the node's memory.  The
+    cluster holds this object only weakly and it refers to no rank, so
+    ranks, world and cluster form no reference cycle.
+    """
+
+    __slots__ = ("cluster", "spec", "app_masks", "_nodes", "__weakref__")
+
+    def __init__(
+        self, cluster: Cluster, spec: "WorldSpec", app_masks: list[VisibilityMask]
+    ):
+        self.cluster = cluster
+        self.spec = spec
+        #: the app mask of each local rank, shared by every node
+        self.app_masks = app_masks
+        nodes = -(-spec.num_ranks // cluster.gpus_per_node)
+        # node id -> (runtime, contexts by local rank), once placed
+        self._nodes: list[tuple[CudaRuntime, list[CudaContext]] | None] = [
+            None
+        ] * nodes
+
+    def pending_on(self, node_id: int) -> bool:
+        return node_id < len(self._nodes) and self._nodes[node_id] is None
+
+    def node_state(self, node_id: int) -> tuple[CudaRuntime, list[CudaContext]]:
+        state = self._nodes[node_id]
+        if state is None:
+            # reading the node's memory places every world's pending state
+            # on it, in registration order, this one's included
+            self.cluster.nodes[node_id].gpu_memory
+            state = self._nodes[node_id]
+        return state
+
+    def place(self, node_id: int) -> None:
+        """Build the node's runtime and contexts, allocating their blocks."""
+        if not self.pending_on(node_id):
+            return
+        spec = self.spec
+        first = node_id * self.cluster.gpus_per_node
+        runtime = CudaRuntime(self.cluster, node_id, version=spec.cuda_version)
+        contexts = []
+        for local_rank, mask in enumerate(self.app_masks[: spec.num_ranks - first]):
+            ctx = runtime.create_context(pid=first + local_rank + 1, mask=mask)
+            # select the logical ordinal that maps to this rank's physical GPU
+            ctx.set_device(mask.physical.index(local_rank))
+            if spec.touch_all_visible:
+                ctx.touch_all_visible()
+            else:
+                ctx.ensure_context(local_rank)
+            contexts.append(ctx)
+        self._nodes[node_id] = (runtime, contexts)
+
+    def fits_fresh_node(self) -> bool:
+        """Whether the first node's context blocks fit a fresh node's GPUs
+        (the first node holds the most ranks)."""
+        gpu = self.cluster.spec.node.gpu
+        per_gpu: Counter[int] = Counter()
+        for local_rank, mask in enumerate(self.app_masks):
+            per_gpu.update(
+                mask.physical if self.spec.touch_all_visible else (local_rank,)
+            )
+        most = max(per_gpu.values())
+        return most * gpu.context_overhead_bytes <= gpu.memory_bytes
+
+
 def build_world(cluster: Cluster, spec: WorldSpec) -> list[RankContext]:
-    """Create one rank per GPU in MPI rank order (node-major)."""
+    """Create one rank per GPU in MPI rank order (node-major).
+
+    Each node's CUDA state is placed on first touch (:class:`WorldCuda`),
+    except where a fresh node cannot stand for it: a node already built or
+    holding another live world's pending state, or every node when the
+    contexts overflow a fresh GPU.  Those are placed here, so a bad mask
+    or a full GPU raises from the build, as its first failing rank.
+    """
     gpn = cluster.gpus_per_node
     if spec.num_ranks < 1:
         raise ConfigError(f"num_ranks must be >= 1, got {spec.num_ranks}")
@@ -119,37 +222,34 @@ def build_world(cluster: Cluster, spec: WorldSpec) -> list[RankContext]:
         raise ConfigError(
             f"{spec.num_ranks} ranks > {cluster.num_gpus} GPUs in cluster"
         )
-    runtimes: dict[int, CudaRuntime] = {}
-    ranks: list[RankContext] = []
-    for rank in range(spec.num_ranks):
-        node_id, local_rank = divmod(rank, gpn)
-        runtime = runtimes.get(node_id)
-        if runtime is None:
-            runtime = CudaRuntime(cluster, node_id, version=spec.cuda_version)
-            runtimes[node_id] = runtime
+    app_masks: list[VisibilityMask] = []
+    mpi_masks: list[VisibilityMask] = []
+    for local_rank in range(min(gpn, spec.num_ranks)):
         app_mask = spec.policy.app_mask(local_rank, gpn)
         if not app_mask.sees(local_rank):
             raise ConfigError(
                 f"policy mask {app_mask} for local rank {local_rank} hides its own GPU"
             )
-        ctx = runtime.create_context(pid=rank + 1, mask=app_mask)
-        # select the logical ordinal that maps to this rank's physical GPU
-        logical = app_mask.physical.index(local_rank)
-        ctx.set_device(logical)
-        if spec.touch_all_visible:
-            ctx.touch_all_visible()
-        else:
-            ctx.ensure_context(local_rank)
-        mpi_mask = _resolve_mpi_mask(app_mask, spec.config, spec.cuda_version, gpn)
-        ranks.append(
-            RankContext(
-                rank=rank,
-                node_id=node_id,
-                local_rank=local_rank,
-                device_ref=cluster.gpu_ref(rank),
-                app_ctx=ctx,
-                mpi_mask=mpi_mask,
-                runtime=runtime,
-            )
+        check_mask(app_mask, gpn)
+        app_masks.append(app_mask)
+        mpi_masks.append(
+            _resolve_mpi_mask(app_mask, spec.config, spec.cuda_version, gpn)
         )
-    return ranks
+    cuda = WorldCuda(cluster, spec, app_masks)
+    cluster.defer_cuda_state(weakref.ref(cuda))
+    fits = cuda.fits_fresh_node()
+    for node_id in range(-(-spec.num_ranks // gpn)):
+        if not fits or not cluster.is_fresh(node_id, ignoring=cuda):
+            cuda.node_state(node_id)
+    return [
+        RankContext(
+            rank=rank,
+            node_id=rank // gpn,
+            local_rank=rank % gpn,
+            device_ref=cluster.gpu_ref(rank),
+            app_mask=app_masks[rank % gpn],
+            mpi_mask=mpi_masks[rank % gpn],
+            cuda=cuda,
+        )
+        for rank in range(spec.num_ranks)
+    ]

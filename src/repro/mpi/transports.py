@@ -34,7 +34,6 @@ from repro.cuda.runtime import IPC_OPEN_OVERHEAD_S
 from repro.errors import MpiError, MpiTimeoutError
 from repro.faults.plan import RetryPolicy
 from repro.hardware.cluster import Cluster
-from repro.hardware.node import DeviceRef
 from repro.mpi.env import Mv2Config
 from repro.mpi.process import RankContext
 from repro.net.infiniband import IbTransferModel
@@ -279,10 +278,6 @@ class TransportModel:
             pair = self._pairs[(src, dst)] = PairGeometry(self, src, dst)
         return pair
 
-    def _cpu_of(self, rank: RankContext) -> DeviceRef:
-        node = self.cluster.nodes[rank.node_id]
-        return node.cpu_refs[node.socket_of_gpu(rank.physical_device)]
-
     def _staged_time(self, a: RankContext, b: RankContext, nbytes: int) -> float:
         """Chunk-pipelined D2H + H2D staging through pageable host memory."""
         spec = self.cluster.spec.node
@@ -404,9 +399,8 @@ class TransportModel:
         elif kind is TransportKind.STAGED_INTER:
             protocol = pair.ib.rendezvous_overhead(nbytes)
             staging = 2 * nbytes / spec.pageable_copy_bandwidth
-            wire = self.cluster.path_cost(
-                self._cpu_of(pair.a), self._cpu_of(pair.b), nbytes
-            )
+            cpu = self.cluster.staging_cpu
+            wire = self.cluster.path_cost(cpu(route[0]), cpu(route[1]), nbytes)
         else:  # pragma: no cover - enum is exhaustive
             raise MpiError(f"unhandled transport {kind}")
         return kind, kind in STAGED_KINDS, wire, staging, protocol
@@ -586,9 +580,10 @@ class TransportModel:
             finally:
                 staging.release()
             if kind is TransportKind.STAGED_INTER:
-                yield env.process(
-                    self.cluster.transfer(self._cpu_of(a), self._cpu_of(b), nbytes)
-                )
+                cpu = self.cluster.staging_cpu
+                yield env.process(self.cluster.transfer(
+                    cpu(a.device_ref), cpu(b.device_ref), nbytes
+                ))
             return kind
         if breakdown.staging:
             yield env.timeout(breakdown.staging)

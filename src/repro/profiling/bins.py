@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.utils.units import KIB, MIB
+from repro.utils.units import KIB, MIB, format_bytes
 
 
 @dataclass(frozen=True)
@@ -39,3 +40,18 @@ def bin_for(nbytes: int, bins: tuple[SizeBin, ...] = PAPER_BINS) -> SizeBin | No
         if b.contains(nbytes):
             return b
     return None
+
+
+def overflow_bin(bins: tuple[SizeBin, ...] = PAPER_BINS) -> SizeBin:
+    """The bin above the last of ``bins``, which must tile ``[0, top)`` in
+    order: with it, every size has a bin.  Table I has no such row, so a
+    report shows it only when it holds an op."""
+    low = 0
+    for b in bins:
+        if b.low != low:
+            raise ConfigError(
+                f"bins must tile [0, top) in order; {b.label!r} starts at "
+                f"{b.low}, not {low}"
+            )
+        low = b.high
+    return SizeBin(f"> {format_bytes(low - 1)}", low, sys.maxsize)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.comm.records import CommRecord
 from repro.mpi.collectives.base import CollectiveTiming
-from repro.profiling.bins import PAPER_BINS, SizeBin, bin_for
+from repro.profiling.bins import PAPER_BINS, SizeBin, bin_for, overflow_bin
 from repro.utils.tables import TextTable
 from repro.utils.units import format_bytes, format_time
 
@@ -46,6 +46,8 @@ class Hvprof:
 
     def __init__(self, bins: tuple[SizeBin, ...] = PAPER_BINS):
         self.bins = bins
+        #: holds the ops above the last bin (see :meth:`by_bin`)
+        self.overflow = overflow_bin(bins)
         self.records: list[OpRecord] = []
         self.fault_records: list[FaultRecord] = []
 
@@ -68,11 +70,13 @@ class Hvprof:
         return [r for r in self.records if op is None or r.op == op]
 
     def by_bin(self, op: str | None = "allreduce") -> dict[SizeBin, BinStats]:
+        """Stats per bin, every bin of ``self.bins`` in order, then
+        ``self.overflow`` if an op is larger than the last bin: the bins
+        hold every op that :meth:`op_count` and :meth:`total_time` count."""
         stats = {b: BinStats() for b in self.bins}
         for record in self.filtered(op):
-            b = bin_for(record.nbytes, self.bins)
-            if b is not None:
-                stats[b].add(record)
+            b = bin_for(record.nbytes, self.bins) or self.overflow
+            stats.setdefault(b, BinStats()).add(record)
         return stats
 
     def total_time(self, op: str | None = "allreduce") -> float:

@@ -2,8 +2,25 @@
 
 from __future__ import annotations
 
-from repro.profiling.hvprof import Hvprof
+from repro.profiling.bins import SizeBin
+from repro.profiling.hvprof import BinStats, Hvprof
 from repro.utils.tables import TextTable
+
+
+def _bin_rows(
+    default: Hvprof, optimized: Hvprof, op: str
+) -> list[tuple[SizeBin, BinStats, BinStats]]:
+    """``(bin, default stats, optimized stats)`` per Table I bin, then the
+    overflow bin when either profile holds an op in it."""
+    default_bins = default.by_bin(op)
+    optimized_bins = optimized.by_bin(op)
+    bins = list(default.bins)
+    if default.overflow in default_bins or default.overflow in optimized_bins:
+        bins.append(default.overflow)
+    return [
+        (b, default_bins.get(b, BinStats()), optimized_bins.get(b, BinStats()))
+        for b in bins
+    ]
 
 
 def improvement_summary(
@@ -11,11 +28,8 @@ def improvement_summary(
 ) -> dict[str, float]:
     """Per-bin and total percentage improvement of optimized over default."""
     out: dict[str, float] = {}
-    default_bins = default.by_bin(op)
-    optimized_bins = optimized.by_bin(op)
-    for size_bin in default.bins:
-        d = default_bins[size_bin].total_time
-        o = optimized_bins[size_bin].total_time
+    for size_bin, d_stats, o_stats in _bin_rows(default, optimized, op):
+        d, o = d_stats.total_time, o_stats.total_time
         out[size_bin.label] = 100.0 * (d - o) / d if d > 0 else 0.0
     d_total = default.total_time(op)
     o_total = optimized.total_time(op)
@@ -35,14 +49,12 @@ def comparison_table(
         ["Message Size (Bytes)", "Default (ms)", "Optimized (ms)", "Improvement (%)"],
         title=title,
     )
-    default_bins = default.by_bin(op)
-    optimized_bins = optimized.by_bin(op)
     summary = improvement_summary(default, optimized, op)
-    for size_bin in default.bins:
+    for size_bin, d_stats, o_stats in _bin_rows(default, optimized, op):
         table.add_row(
             size_bin.label,
-            default_bins[size_bin].total_time * 1e3,
-            optimized_bins[size_bin].total_time * 1e3,
+            d_stats.total_time * 1e3,
+            o_stats.total_time * 1e3,
             summary[size_bin.label],
         )
     table.add_row(

@@ -258,9 +258,6 @@ class TestCluster:
         # comparison above tells a fold from a compensated sum
         assert rounded_apart
 
-    def test_host_costs_positive(self, cluster):
-        assert cluster.host_reduce_time(0, 64 * MIB) > 0
-
     def test_node_groups(self, cluster):
         assert cluster.node_groups(range(8)) == [[0, 1, 2, 3], [4, 5, 6, 7]]
         # nodes in order of first appearance, ranks in their given order

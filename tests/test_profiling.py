@@ -68,6 +68,32 @@ class TestHvprof:
         assert "16 MB - 32 MB" in report
         assert "Total" in report
 
+    def test_bins_hold_every_op(self):
+        # a 100 MiB op is above Table I's last bin: the overflow bin keeps
+        # it, so the bins add up to op_count and total_time
+        hv = Hvprof()
+        hv.observer(fake_timing(8 * MIB, 0.010), "mpi")
+        hv.observer(fake_timing(100 * MIB, 0.100), "mpi")
+        stats = hv.by_bin()
+        assert list(stats) == [*PAPER_BINS, hv.overflow]
+        assert stats[hv.overflow].count == 1
+        assert sum(s.count for s in stats.values()) == hv.op_count() == 2
+        assert sum(s.total_time for s in stats.values()) == \
+            pytest.approx(hv.total_time()) == pytest.approx(0.110)
+        assert hv.overflow.label in hv.report()
+
+    def test_overflow_row_only_when_it_holds_an_op(self):
+        hv = Hvprof()
+        hv.observer(fake_timing(64 * MIB, 0.010), "mpi")
+        assert list(hv.by_bin()) == list(PAPER_BINS)
+        assert hv.overflow.label == "> 64.00 MiB"
+        assert hv.overflow.label not in hv.report()
+        assert hv.overflow.label not in comparison_table(hv, hv)
+
+    def test_overflow_needs_tiling_bins(self):
+        with pytest.raises(ConfigError, match="tile"):
+            Hvprof(bins=(SizeBin("a", 0, 10), SizeBin("b", 20, 30)))
+
     def test_clear(self):
         hv = Hvprof()
         hv.observer(fake_timing(1 * MIB, 0.01), "mpi")
@@ -98,6 +124,15 @@ class TestComparison:
         table = comparison_table(default, optimized)
         assert "Table I" in table
         assert "50.000" in table or "50.0" in table
+
+    def test_overflow_row_compares_ops_above_the_last_bin(self):
+        default, optimized = self._profiles()
+        default.observer(fake_timing(100 * MIB, 0.100), "mpi")
+        optimized.observer(fake_timing(100 * MIB, 0.080), "mpi")
+        summary = improvement_summary(default, optimized)
+        assert summary[default.overflow.label] == pytest.approx(20.0)
+        assert summary["Total"] == pytest.approx(100 * 45 / 154, rel=1e-3)
+        assert default.overflow.label in comparison_table(default, optimized)
 
     def test_empty_bins_report_zero_improvement(self):
         summary = improvement_summary(Hvprof(), Hvprof())

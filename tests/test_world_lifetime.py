@@ -18,7 +18,10 @@ pin the ownership rule from ``docs/architecture.md``:
 * links build their event-mode channels on first use, with the names and
   capacities they always had;
 * each world owns its collective-schedule memo;
-* no transfer quote outlives its step, on any of the three.
+* no transfer quote outlives its step, on any of the three;
+* a world's nodes come from one template: a fresh 4096-rank world holds
+  few objects, and an analytic allreduce builds only the nodes its
+  route-class representatives cross, and no CUDA state.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ import pytest
 from repro.comm import build_communicator
 from repro.core import MPI_OPT, NCCL_SCENARIO, ScalingStudy, StudyConfig
 from repro.faults import CorruptionFault, FaultPlan, RankFailure
-from repro.hardware import LASSEN, Cluster, Link, LinkKind
+from repro.cuda import CudaContext, CudaRuntime
+from repro.hardware import LASSEN, Cluster, Link, LinkKind, MemoryPool, Node
 from repro.hardware import links as links_module
-from repro.mpi import WorldSpec
+from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.comm import GpuBuffer
 from repro.mpi.transports import TransferQuote
@@ -150,6 +154,52 @@ class TestNoCyclicGarbage:
             ranks=64, max_pp=1, microbatches=(8,), measure_steps=1
         )
         assert_no_cyclic_garbage(lambda: plan_hybrid(config, jobs=1, use_memo=False))
+
+
+def _type_counts() -> Counter:
+    gc.collect()
+    return Counter(type(o) for o in gc.get_objects())
+
+
+def _fresh_4096_world() -> MpiWorld:
+    cluster = Cluster(Environment(), LASSEN.with_nodes(1024), num_nodes=1024)
+    spec = WorldSpec(num_ranks=4096, policy=MPI_OPT.policy, config=MPI_OPT.mv2)
+    return MpiWorld(cluster, spec)
+
+
+class TestOneNodeTemplate:
+    def test_fresh_4096_rank_world_holds_few_objects(self):
+        _world("fast", ranks=8)  # imports and one-time set-up
+        gc.collect()
+        before = len(gc.get_objects())
+        world = _fresh_4096_world()
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        assert world.size == 4096
+        assert held < 25_000, held
+
+    def test_allreduce_builds_only_representative_nodes(self, monkeypatch):
+        crossed = set()
+        uncached = Cluster._route_uncached
+
+        def recording(self, src, dst):
+            crossed.update((src.node, dst.node))
+            return uncached(self, src, dst)
+
+        monkeypatch.setattr(Cluster, "_route_uncached", recording)
+        before = _type_counts()
+        world = _fresh_4096_world()
+        comm = world.communicator()
+        comm.allreduce([GpuBuffer.virtual(8 * MIB) for _ in range(comm.size)])
+        built = _type_counts() - before
+        cluster = world.cluster
+        assert crossed and len(crossed) < 8
+        assert sorted(crossed) == [
+            i for i in range(cluster.num_nodes) if cluster.nodes.is_built(i)
+        ]
+        assert built[Node] == len(crossed)
+        assert built[MemoryPool] == 5 * len(crossed)
+        assert built[CudaRuntime] == built[CudaContext] == 0
 
 
 VIDEO = ServeScenario(
