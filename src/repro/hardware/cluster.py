@@ -110,25 +110,13 @@ class Cluster:
 
     def defer_cuda_state(self, state: ReferenceType) -> None:
         """Register a weak reference to a world's per-node CUDA state, an
-        object with ``place(node_id)`` and ``pending_on(node_id)``.
+        object with ``place(node_id)``.
 
         A node calls ``place`` on every registered state before anything
         reads its memory, so a read sees every context block the world's
         ranks put there.  The cluster never keeps a world alive.
         """
         self._cuda_states.append(state)
-
-    def is_fresh(self, node_id: int, ignoring=None) -> bool:
-        """Whether node ``node_id``'s memory is as the template builds it:
-        the node is not built, and no live world but ``ignoring`` has CUDA
-        state pending on it."""
-        if self.nodes.is_built(node_id):
-            return False
-        return not any(
-            state is not None and state is not ignoring
-            and state.pending_on(node_id)
-            for state in (ref() for ref in self._cuda_states)
-        )
 
     # -- device addressing -------------------------------------------------
     @property

@@ -18,7 +18,6 @@ touch (:class:`WorldCuda`).
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -162,9 +161,6 @@ class WorldCuda:
             None
         ] * nodes
 
-    def pending_on(self, node_id: int) -> bool:
-        return node_id < len(self._nodes) and self._nodes[node_id] is None
-
     def node_state(self, node_id: int) -> tuple[CudaRuntime, list[CudaContext]]:
         state = self._nodes[node_id]
         if state is None:
@@ -176,7 +172,7 @@ class WorldCuda:
 
     def place(self, node_id: int) -> None:
         """Build the node's runtime and contexts, allocating their blocks."""
-        if not self.pending_on(node_id):
+        if node_id >= len(self._nodes) or self._nodes[node_id] is not None:
             return
         spec = self.spec
         first = node_id * self.cluster.gpus_per_node
@@ -193,27 +189,16 @@ class WorldCuda:
             contexts.append(ctx)
         self._nodes[node_id] = (runtime, contexts)
 
-    def fits_fresh_node(self) -> bool:
-        """Whether the first node's context blocks fit a fresh node's GPUs
-        (the first node holds the most ranks)."""
-        gpu = self.cluster.spec.node.gpu
-        per_gpu: Counter[int] = Counter()
-        for local_rank, mask in enumerate(self.app_masks):
-            per_gpu.update(
-                mask.physical if self.spec.touch_all_visible else (local_rank,)
-            )
-        most = max(per_gpu.values())
-        return most * gpu.context_overhead_bytes <= gpu.memory_bytes
-
 
 def build_world(cluster: Cluster, spec: WorldSpec) -> list[RankContext]:
     """Create one rank per GPU in MPI rank order (node-major).
 
     Each node's CUDA state is placed on first touch (:class:`WorldCuda`),
-    except where a fresh node cannot stand for it: a node already built or
-    holding another live world's pending state, or every node when the
-    contexts overflow a fresh GPU.  Those are placed here, so a bad mask
-    or a full GPU raises from the build, as its first failing rank.
+    except on node 0 and the nodes already built, which are placed here.
+    Node 0 holds the most ranks, and a node not yet built holds only what
+    pending worlds place, which node 0 holds too (every world starts
+    there), so a bad mask or a full GPU raises from the build, at its
+    first failing rank, never at a later first touch.
     """
     gpn = cluster.gpus_per_node
     if spec.num_ranks < 1:
@@ -237,9 +222,8 @@ def build_world(cluster: Cluster, spec: WorldSpec) -> list[RankContext]:
         )
     cuda = WorldCuda(cluster, spec, app_masks)
     cluster.defer_cuda_state(weakref.ref(cuda))
-    fits = cuda.fits_fresh_node()
     for node_id in range(-(-spec.num_ranks // gpn)):
-        if not fits or not cluster.is_fresh(node_id, ignoring=cuda):
+        if node_id == 0 or cluster.nodes.is_built(node_id):
             cuda.node_state(node_id)
     return [
         RankContext(
