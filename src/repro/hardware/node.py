@@ -90,14 +90,12 @@ class Node:
     @property
     def gpu_memory(self) -> dict[DeviceRef, MemoryPool]:
         """HBM pool per GPU, holding every registered world's contexts."""
-        if self._placed < len(self._cuda_states):
-            self._place_cuda_states()
+        self._place_cuda_states()
         return self._gpu_memory
 
     @property
     def host_memory(self) -> MemoryPool:
-        if self._placed < len(self._cuda_states):
-            self._place_cuda_states()
+        self._place_cuda_states()
         return self._host_memory
 
     def _place_cuda_states(self) -> None:

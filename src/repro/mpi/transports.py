@@ -34,6 +34,7 @@ from repro.cuda.runtime import IPC_OPEN_OVERHEAD_S
 from repro.errors import MpiError, MpiTimeoutError
 from repro.faults.plan import RetryPolicy
 from repro.hardware.cluster import Cluster
+from repro.hardware.node import DeviceRef
 from repro.mpi.env import Mv2Config
 from repro.mpi.process import RankContext
 from repro.net.infiniband import IbTransferModel
@@ -278,6 +279,9 @@ class TransportModel:
             pair = self._pairs[(src, dst)] = PairGeometry(self, src, dst)
         return pair
 
+    def _cpu_of(self, rank: RankContext) -> DeviceRef:
+        return self.cluster.staging_cpu(rank.device_ref)
+
     def _staged_time(self, a: RankContext, b: RankContext, nbytes: int) -> float:
         """Chunk-pipelined D2H + H2D staging through pageable host memory."""
         spec = self.cluster.spec.node
@@ -399,8 +403,9 @@ class TransportModel:
         elif kind is TransportKind.STAGED_INTER:
             protocol = pair.ib.rendezvous_overhead(nbytes)
             staging = 2 * nbytes / spec.pageable_copy_bandwidth
-            cpu = self.cluster.staging_cpu
-            wire = self.cluster.path_cost(cpu(route[0]), cpu(route[1]), nbytes)
+            wire = self.cluster.path_cost(
+                self._cpu_of(pair.a), self._cpu_of(pair.b), nbytes
+            )
         else:  # pragma: no cover - enum is exhaustive
             raise MpiError(f"unhandled transport {kind}")
         return kind, kind in STAGED_KINDS, wire, staging, protocol
@@ -580,10 +585,9 @@ class TransportModel:
             finally:
                 staging.release()
             if kind is TransportKind.STAGED_INTER:
-                cpu = self.cluster.staging_cpu
-                yield env.process(self.cluster.transfer(
-                    cpu(a.device_ref), cpu(b.device_ref), nbytes
-                ))
+                yield env.process(
+                    self.cluster.transfer(self._cpu_of(a), self._cpu_of(b), nbytes)
+                )
             return kind
         if breakdown.staging:
             yield env.timeout(breakdown.staging)
