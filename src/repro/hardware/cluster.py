@@ -17,10 +17,10 @@ something indexes them; device addresses come from index arithmetic.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import replace
 from typing import Callable, Generator, Iterable, TypeVar
-from weakref import ReferenceType
 
 from repro.errors import HardwareError
 from repro.sim.engine import Environment
@@ -73,7 +73,7 @@ class Cluster:
         self.num_nodes = num_nodes
         #: per-world CUDA state placed on nodes when their memory is first
         #: read (see :meth:`defer_cuda_state`), in registration order
-        self._cuda_states: list[ReferenceType] = []
+        self._cuda_states: list[weakref.ReferenceType] = []
         node_spec, states = spec.node, self._cuda_states
         self.nodes: BuiltOnIndex[Node] = BuiltOnIndex(
             num_nodes, lambda i: Node(env, i, node_spec, states)
@@ -108,15 +108,16 @@ class Cluster:
         self.fault_injector = injector
         self.live_links = injector.degrades_links
 
-    def defer_cuda_state(self, state: ReferenceType) -> None:
-        """Register a weak reference to a world's per-node CUDA state, an
-        object with ``place(node_id)``.
+    def defer_cuda_state(self, state) -> None:
+        """Register a world's per-node CUDA state, an object with
+        ``place(node_id)``.
 
         A node calls ``place`` on every registered state before anything
         reads its memory, so a read sees every context block the world's
-        ranks put there.  The cluster never keeps a world alive.
+        ranks put there.  The cluster holds the state by weak reference,
+        so it never keeps a world alive.
         """
-        self._cuda_states.append(state)
+        self._cuda_states.append(weakref.ref(state))
 
     # -- device addressing -------------------------------------------------
     @property

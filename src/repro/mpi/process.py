@@ -17,7 +17,6 @@ touch (:class:`WorldCuda`).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -221,7 +220,7 @@ def build_world(cluster: Cluster, spec: WorldSpec) -> list[RankContext]:
             _resolve_mpi_mask(app_mask, spec.config, spec.cuda_version, gpn)
         )
     cuda = WorldCuda(cluster, spec, app_masks)
-    cluster.defer_cuda_state(weakref.ref(cuda))
+    cluster.defer_cuda_state(cuda)
     for node_id in range(-(-spec.num_ranks // gpn)):
         if node_id == 0 or cluster.nodes.is_built(node_id):
             cuda.node_state(node_id)
