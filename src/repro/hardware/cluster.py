@@ -51,7 +51,7 @@ class BuiltOnIndex(Sequence[T]):
     def __getitem__(self, i: int) -> T:
         item = self._items[i]
         if item is None:
-            item = self._items[i] = self._build(i)
+            item = self._items[i] = self._build(i % len(self._items))
         return item
 
     def is_built(self, i: int) -> bool:

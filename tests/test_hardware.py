@@ -258,6 +258,15 @@ class TestCluster:
         # comparison above tells a fold from a compensated sum
         assert rounded_apart
 
+    def test_nodes_built_on_first_index(self, cluster):
+        assert not cluster.nodes.is_built(1)
+        last = cluster.nodes[-1]
+        assert last.node_id == cluster.num_nodes - 1 == 1
+        assert cluster.nodes[1] is last and cluster.nodes.is_built(1)
+        assert [n.node_id for n in cluster.nodes] == [0, 1]
+        with pytest.raises(IndexError):
+            cluster.nodes[2]
+
     def test_node_groups(self, cluster):
         assert cluster.node_groups(range(8)) == [[0, 1, 2, 3], [4, 5, 6, 7]]
         # nodes in order of first appearance, ranks in their given order
