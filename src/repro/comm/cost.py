@@ -67,12 +67,15 @@ class ScheduleMemo:
     """FIFO memo of immutable collective plans: the plan memo.
 
     A plan (:class:`~repro.mpi.collectives.base.CollectivePlan`: an
-    algorithm and its phases' step schedules) is pure data determined by
-    its call's key, and Horovod issues the same allreduce shape every
-    training step, so plans are built once and reused instead of being
-    reconstructed per call.  Nothing changes a plan after it is built
-    (the costers only read its steps and their ``PairTransfer`` records),
-    which is what makes sharing them safe.
+    algorithm and its phases' step schedules) is pure shape, determined
+    by its key ``(op, variant, tuple(ranks), nbytes)``.  A call's buffer
+    ids and element width are bound to it only as it is priced
+    (:class:`~repro.mpi.collectives.base.CallBinding`), and Horovod
+    issues the same allreduce shape every training step, so plans are
+    built once and reused instead of being reconstructed per call.
+    Nothing changes a plan after it is built (the costers only read its
+    steps and their ``PairTransfer`` records), which is what makes
+    sharing them safe.
     :func:`~repro.mpi.collectives.base.plan_timing` is its one reader.
 
     Each world's :class:`~repro.mpi.collectives.base.StepCoster` owns one

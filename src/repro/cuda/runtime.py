@@ -154,10 +154,6 @@ class CudaContext:
             )
         return self.mask.to_physical(self._current_logical)
 
-    @property
-    def current_ref(self) -> DeviceRef:
-        return self.runtime.physical_ref(self.current_physical)
-
     # -- context creation (overhead kernels) --------------------------------
     def ensure_context(self, physical: int) -> None:
         """Create the CUDA context on a device, consuming HBM (Fig. 6a)."""

@@ -153,30 +153,6 @@ class Cluster:
         return list(by_node.values())
 
     # -- failure-domain addressing ------------------------------------------
-    @property
-    def num_switches(self) -> int:
-        """Leaf (TOR) switches serving this cluster's nodes."""
-        per = self.spec.nodes_per_switch
-        return (self.num_nodes + per - 1) // per
-
-    def switch_of_node(self, node: int) -> int:
-        """Which leaf switch a node's IB uplink lands on."""
-        if not 0 <= node < self.num_nodes:
-            raise HardwareError(
-                f"node {node} out of range (n={self.num_nodes})"
-            )
-        return node // self.spec.nodes_per_switch
-
-    def nodes_behind_switch(self, switch: int) -> list[int]:
-        """Node ids whose only fabric path runs through ``switch``."""
-        if not 0 <= switch < self.num_switches:
-            raise HardwareError(
-                f"switch {switch} out of range (n={self.num_switches})"
-            )
-        lo = switch * self.spec.nodes_per_switch
-        hi = min(lo + self.spec.nodes_per_switch, self.num_nodes)
-        return list(range(lo, hi))
-
     def topology(self):
         """The fault layer's :class:`~repro.faults.domains.Topology` view
         of this cluster (rank → node → leaf-switch addressing)."""

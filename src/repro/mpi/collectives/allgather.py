@@ -31,9 +31,7 @@ def _ring_timing(
     def build() -> CollectivePlan:
         if len(ranks) <= 1:
             return CollectivePlan("ring")
-        ring = RingSchedule.uniform(
-            ranks, nbytes_per_rank, buffer_ids, dtype_bytes
-        )
+        ring = RingSchedule.uniform(ranks, nbytes_per_rank)
         return CollectivePlan("ring", (("ring", ring, False),))
 
     return plan_timing(

@@ -53,11 +53,7 @@ def select_allreduce_algorithm(
 
 
 def _ring_phases(
-    ranks: list[int],
-    nbytes: int,
-    buffer_ids: dict[int, int] | None,
-    dtype_bytes: int,
-    prefix: str = "",
+    ranks: list[int], nbytes: int, prefix: str = ""
 ) -> tuple[tuple[str, RingSchedule, bool], ...]:
     """Chunked-ring phases: reduce-scatter, then allgather.
 
@@ -65,7 +61,7 @@ def _ring_phases(
     at run time), so they share one lazily-materialized
     :class:`RingSchedule`.
     """
-    ring = RingSchedule.chunked(ranks, nbytes, buffer_ids, dtype_bytes)
+    ring = RingSchedule.chunked(ranks, nbytes)
     return (
         (prefix + "reduce_scatter", ring, True),
         (prefix + "allgather", ring, False),
@@ -73,18 +69,12 @@ def _ring_phases(
 
 
 def _exchange_steps(
-    ranks: list[int],
-    sizes: list[tuple[int, int]],
-    buffer_ids: dict[int, int] | None,
-    dtype_bytes: int,
+    ranks: list[int], sizes: list[tuple[int, int]]
 ) -> list[list[PairTransfer]]:
     """One step per ``(distance, nbytes)``: every rank sends ``nbytes`` to
     the partner at index ``i XOR distance`` (power-of-two rank lists)."""
     return [
-        pair_transfers(
-            [(rank, ranks[i ^ d]) for i, rank in enumerate(ranks)],
-            n, buffer_ids, dtype_bytes,
-        )
+        pair_transfers([(rank, ranks[i ^ d]) for i, rank in enumerate(ranks)], n)
         for d, n in sizes
     ]
 
@@ -112,12 +102,7 @@ def _binomial_bcast_tree(g: int) -> list[list[tuple[int, int]]]:
 
 
 def _allreduce_plan(
-    cluster: Cluster,
-    ranks: list[int],
-    nbytes: int,
-    buffer_ids: dict[int, int] | None,
-    override: str | None,
-    dtype_bytes: int,
+    cluster: Cluster, ranks: list[int], nbytes: int, override: str | None
 ) -> CollectivePlan:
     p = len(ranks)
     groups = cluster.node_groups(sorted(ranks))
@@ -130,25 +115,19 @@ def _allreduce_plan(
             not is_power_of_two(p):
         algorithm = "ring"
     if algorithm == "ring":
-        return CollectivePlan(
-            algorithm, _ring_phases(ranks, nbytes, buffer_ids, dtype_bytes)
-        )
+        return CollectivePlan(algorithm, _ring_phases(ranks, nbytes))
     distances = [1 << k for k in range(p.bit_length() - 1)]
     if algorithm == "recursive_doubling":
-        steps = _exchange_steps(
-            ranks, [(d, nbytes) for d in distances], buffer_ids, dtype_bytes
-        )
+        steps = _exchange_steps(ranks, [(d, nbytes) for d in distances])
         return CollectivePlan(algorithm, (("exchange", steps, True),))
     if algorithm == "reduce_scatter_allgather":
         # Rabenseifner: recursive-halving reduce-scatter, then
         # recursive-doubling allgather
         rs = _exchange_steps(
-            ranks, [(d, max(nbytes // (p // d), 1)) for d in distances[::-1]],
-            buffer_ids, dtype_bytes,
+            ranks, [(d, max(nbytes // (p // d), 1)) for d in distances[::-1]]
         )
         ag = _exchange_steps(
-            ranks, [(d, max(nbytes // p * d, 1)) for d in distances],
-            buffer_ids, dtype_bytes,
+            ranks, [(d, max(nbytes // p * d, 1)) for d in distances]
         )
         return CollectivePlan(
             algorithm, (("reduce_scatter", rs, True), ("allgather", ag, False))
@@ -158,13 +137,10 @@ def _allreduce_plan(
         # among the node leaders (each node's lowest rank)
         leaders = [g[0] for g in groups]
         intra_reduce, intra_bcast = (
-            GroupSchedule(groups, tree, nbytes, buffer_ids, dtype_bytes)
+            GroupSchedule(groups, tree, nbytes)
             for tree in (_binomial_reduce_tree, _binomial_bcast_tree)
         )
-        inter = (
-            _ring_phases(leaders, nbytes, buffer_ids, dtype_bytes, "inter_")
-            if len(leaders) > 1 else ()
-        )
+        inter = _ring_phases(leaders, nbytes, "inter_") if len(leaders) > 1 else ()
         return CollectivePlan(algorithm, (
             ("intra_reduce", intra_reduce, True),
             *inter,
@@ -192,8 +168,6 @@ def allreduce_timing(
     override = algorithm or transport.config.allreduce_algorithm
     return plan_timing(
         coster, "allreduce", ranks, nbytes,
-        lambda: _allreduce_plan(
-            transport.cluster, ranks, nbytes, buffer_ids, override, dtype_bytes
-        ),
+        lambda: _allreduce_plan(transport.cluster, ranks, nbytes, override),
         variant=override, buffer_ids=buffer_ids, dtype_bytes=dtype_bytes,
     )

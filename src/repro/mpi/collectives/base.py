@@ -49,7 +49,7 @@ class CollectiveTiming:
 
 @dataclass(slots=True, unsafe_hash=True)
 class PairTransfer:
-    """One point-to-point transfer inside an algorithm step.
+    """One point-to-point transfer inside an algorithm step: pure shape.
 
     A slotted record, equal and hashed by value.  Not frozen: a frozen
     dataclass builds through ``object.__setattr__`` at about four times
@@ -59,37 +59,39 @@ class PairTransfer:
 
     ``buffer_extent`` is the full size of the communication buffer this
     transfer's chunk belongs to: IB registration pins the whole buffer
-    once per MPI call, not each chunk.
-
-    ``dtype_bytes`` is the wire element width; reduction kernels process
-    ``nbytes / dtype_bytes`` elements, so compressed (2-byte) payloads
-    reduce twice as many elements per byte as fp32.
+    once per MPI call, not each chunk.  Which buffers the transfer moves
+    and at what element width are the call's (:class:`CallBinding`).
     """
 
     src: int
     dst: int
     nbytes: int
-    src_buffer: int | None = None
-    dst_buffer: int | None = None
     buffer_extent: int | None = None
+
+
+class CallBinding(NamedTuple):
+    """What one call binds to its shared plan when it is priced.
+
+    ``buffer_ids`` maps each rank to its buffer id (``{}`` when the call
+    has none; the transport gives a rank it does not name a per-rank
+    id).  ``dtype_bytes``
+    is the wire element width: reduction kernels process ``nbytes /
+    dtype_bytes`` elements, so compressed (2-byte) payloads reduce twice
+    as many elements per byte as fp32.  Only the quotes' buffer arguments
+    and :meth:`StepCoster.reduction` read it.
+    """
+
+    buffer_ids: dict[int, int]
     dtype_bytes: int = FLOAT32_BYTES
 
 
 def pair_transfers(
     pairs: Iterable[tuple[int, int]],
     nbytes: int,
-    buffer_ids: dict[int, int] | None = None,
-    dtype_bytes: int = FLOAT32_BYTES,
     extent: int | None = None,
 ) -> list[PairTransfer]:
-    """One step's transfers over ``(src, dst)`` rank pairs, each carrying
-    its two ranks' buffer ids (``None`` for a rank without one)."""
-    ids = buffer_ids or {}
-    return [
-        PairTransfer(src, dst, nbytes, ids.get(src), ids.get(dst), extent,
-                     dtype_bytes)
-        for src, dst in pairs
-    ]
+    """One step's transfers over ``(src, dst)`` rank pairs."""
+    return [PairTransfer(src, dst, nbytes, extent) for src, dst in pairs]
 
 
 class RingSchedule:
@@ -118,8 +120,6 @@ class RingSchedule:
         "chunk_big",
         "rem",
         "extent",
-        "buffer_ids",
-        "dtype_bytes",
         "_small",
         "_big",
         "_steps",
@@ -133,57 +133,31 @@ class RingSchedule:
         chunk_big: int,
         rem: int,
         extent: int | None,
-        buffer_ids: dict[int, int] | None,
-        dtype_bytes: int = FLOAT32_BYTES,
     ):
         self.ranks = list(ranks)
         self.chunk_small = int(chunk_small)
         self.chunk_big = int(chunk_big)
         self.rem = int(rem)
         self.extent = extent
-        self.buffer_ids = buffer_ids
-        self.dtype_bytes = int(dtype_bytes)
         self._small: list[PairTransfer] | None = None
         self._big: list[PairTransfer] | None = None
         self._steps: list[list[PairTransfer]] | None = None
 
     @classmethod
-    def chunked(
-        cls,
-        ranks: list[int],
-        nbytes: int,
-        buffer_ids: dict[int, int] | None,
-        dtype_bytes: int = FLOAT32_BYTES,
-    ) -> "RingSchedule":
+    def chunked(cls, ranks: list[int], nbytes: int) -> "RingSchedule":
         """Chunked allreduce ring: ``nbytes`` split near-equally over p."""
         base, rem = divmod(int(nbytes), max(len(ranks), 1))
         return cls(
-            ranks,
-            chunk_small=base,
-            chunk_big=base + 1,
-            rem=rem,
+            ranks, chunk_small=base, chunk_big=base + 1, rem=rem,
             extent=int(nbytes),
-            buffer_ids=buffer_ids,
-            dtype_bytes=dtype_bytes,
         )
 
     @classmethod
-    def uniform(
-        cls,
-        ranks: list[int],
-        nbytes: int,
-        buffer_ids: dict[int, int] | None,
-        dtype_bytes: int = FLOAT32_BYTES,
-    ) -> "RingSchedule":
+    def uniform(cls, ranks: list[int], nbytes: int) -> "RingSchedule":
         """Allgather ring: every transfer carries the same ``nbytes``."""
         return cls(
-            ranks,
-            chunk_small=int(nbytes),
-            chunk_big=int(nbytes),
-            rem=0,
+            ranks, chunk_small=int(nbytes), chunk_big=int(nbytes), rem=0,
             extent=None,
-            buffer_ids=buffer_ids,
-            dtype_bytes=dtype_bytes,
         )
 
     def __len__(self) -> int:
@@ -195,14 +169,10 @@ class RingSchedule:
             ranks = self.ranks
             pairs = list(zip(ranks, ranks[1:] + ranks[:1]))
 
-            def build(nbytes: int) -> list[PairTransfer]:
-                return pair_transfers(
-                    pairs, nbytes, self.buffer_ids, self.dtype_bytes,
-                    self.extent,
-                )
-
-            self._small = build(self.chunk_small)
-            self._big = self._small if self.rem == 0 else build(self.chunk_big)
+            self._small = pair_transfers(pairs, self.chunk_small, self.extent)
+            self._big = self._small if self.rem == 0 else pair_transfers(
+                pairs, self.chunk_big, self.extent
+            )
         return self._small, self._big
 
     def step(self, s: int) -> list[PairTransfer]:
@@ -242,23 +212,17 @@ class GroupSchedule:
 
     is_group_schedule = True
 
-    __slots__ = (
-        "groups", "depths", "nbytes", "buffer_ids", "dtype_bytes", "_steps",
-    )
+    __slots__ = ("groups", "depths", "nbytes", "_steps")
 
     def __init__(
         self,
         groups: list[list[int]],
         tree: Callable[[int], list[list[tuple[int, int]]]],
         nbytes: int,
-        buffer_ids: dict[int, int] | None,
-        dtype_bytes: int = FLOAT32_BYTES,
     ):
         self.groups = groups
         self.depths = {g: tree(g) for g in {len(group) for group in groups}}
         self.nbytes = nbytes
-        self.buffer_ids = buffer_ids
-        self.dtype_bytes = dtype_bytes
         self._steps: list[list[PairTransfer]] | None = None
 
     def __len__(self) -> int:
@@ -268,7 +232,7 @@ class GroupSchedule:
         """One group's depth-``d`` transfers."""
         return pair_transfers(
             [(group[i], group[j]) for i, j in self.depths[len(group)][d]],
-            self.nbytes, self.buffer_ids, self.dtype_bytes,
+            self.nbytes,
         )
 
     def step(self, d: int) -> list[PairTransfer]:
@@ -389,7 +353,11 @@ class StepCoster:
 
     # -- step timing ---------------------------------------------------------------
     def step_time_analytic(
-        self, transfers: list[PairTransfer], *, reduce_after: bool = False
+        self,
+        transfers: list[PairTransfer],
+        binding: CallBinding = CallBinding({}),
+        *,
+        reduce_after: bool = False,
     ) -> float:
         """Makespan of concurrent transfers under the contention model.
 
@@ -402,30 +370,38 @@ class StepCoster:
             return 0.0
         if self.fastpath is not None:
             self.fastpath.exact_transfers += len(transfers)
-        return self.makespan(*self.price(transfers, reduce_after=reduce_after))
+        return self.makespan(
+            *self.price(transfers, binding, reduce_after=reduce_after)
+        )
 
     def price(
-        self, transfers: list[PairTransfer], *, reduce_after: bool = False
+        self,
+        transfers: list[PairTransfer],
+        binding: CallBinding,
+        *,
+        reduce_after: bool = False,
     ) -> tuple[list[TransferQuote], list[float]]:
         """Quote and apply each transfer in order: its quote and its total
         seconds, reduction and CRC retransmits included.  The node-group
         closed form prices its representative groups here."""
         transport = self.transport
         corrupting = self.corruption_active()
+        ids, dtype_bytes = binding
         quotes = []
         totals = []
         for t in transfers:
+            src, dst = t.src, t.dst
             q = transport.quote(
-                t.src, t.dst, t.nbytes,
-                src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
+                src, dst, t.nbytes,
+                src_buffer=ids.get(src), dst_buffer=ids.get(dst),
                 buffer_extent=t.buffer_extent,
             )
             plain = (q.wire + q.staging) + transport.apply(q)
             total = plain
             if reduce_after:
-                total += self.reduction(q.kind, q.nbytes, t.dtype_bytes)
+                total += self.reduction(q.kind, q.nbytes, dtype_bytes)
             if corrupting:
-                total += self.corruption_surcharge(t.src, t.dst, t.nbytes, plain)
+                total += self.corruption_surcharge(src, dst, t.nbytes, plain)
             quotes.append(q)
             totals.append(total)
         return quotes, totals
@@ -452,21 +428,27 @@ class StepCoster:
             staged_max = max(staged_max, waves * max(times))
         return max(other_max, staged_max)
 
-    def step_proc(self, transfers: list[PairTransfer], *, reduce_after: bool = False):
+    def step_proc(
+        self,
+        transfers: list[PairTransfer],
+        binding: CallBinding,
+        *,
+        reduce_after: bool = False,
+    ):
         """Event-mode process executing one BSP step."""
         env = self.transport.cluster.env
+        ids, dtype_bytes = binding
 
         def one(t: PairTransfer):
             kind = yield env.process(
                 self.transport.transfer_proc(
                     t.src, t.dst, t.nbytes,
-                    src_buffer=t.src_buffer, dst_buffer=t.dst_buffer,
+                    src_buffer=ids.get(t.src), dst_buffer=ids.get(t.dst),
                     buffer_extent=t.buffer_extent,
                 )
             )
             if reduce_after:
-                yield env.timeout(
-                    self.reduction(kind, t.nbytes, t.dtype_bytes))
+                yield env.timeout(self.reduction(kind, t.nbytes, dtype_bytes))
 
         procs = [env.process(one(t)) for t in transfers]
         if procs:
@@ -475,32 +457,42 @@ class StepCoster:
     def run_steps(
         self,
         steps: list[list[PairTransfer]],
+        binding: CallBinding = CallBinding({}),
         *,
         reduce_after: bool = False,
     ) -> float:
-        """Time a full step schedule in the configured mode."""
+        """Time a full step schedule in the configured mode, bound to one
+        call (by default one without buffer ids, at fp32)."""
         if self.mode is ExecutionMode.ANALYTIC:
             session = self.fastpath
             # under a live wire-corruption window every transfer must roll
             # the corruption stream, so no step is collapsed
             if session is not None and not self.corruption_active():
                 if session.collapsible(steps):
-                    return session.ring_time(self, steps, reduce_after=reduce_after)
+                    return session.ring_time(
+                        self, steps, binding, reduce_after=reduce_after
+                    )
                 if getattr(steps, "is_group_schedule", False):
-                    return session.group_time(self, steps, reduce_after=reduce_after)
+                    return session.group_time(
+                        self, steps, binding, reduce_after=reduce_after
+                    )
             # one left-to-right running total, like ring_time's: sum() of
             # floats is compensated from Python 3.12 on.  An empty
             # schedule times as the int 0.
             total = 0
             for step in steps:
-                total += self.step_time_analytic(step, reduce_after=reduce_after)
+                total += self.step_time_analytic(
+                    step, binding, reduce_after=reduce_after
+                )
             return total
         env = self.transport.cluster.env
         start = env.now
 
         def driver():
             for step in steps:
-                yield env.process(self.step_proc(step, reduce_after=reduce_after))
+                yield env.process(
+                    self.step_proc(step, binding, reduce_after=reduce_after)
+                )
 
         proc = env.process(driver())
         env.run(until=proc)
@@ -508,9 +500,10 @@ class StepCoster:
 
 
 class CollectivePlan(NamedTuple):
-    """One collective call's algorithm and ordered phases, each a
-    ``(segment, schedule, reduce_after)`` triple.  Pure data, shared by
-    every call with the same key; a plan without phases times as 0.0."""
+    """One collective shape's algorithm and ordered phases, each a
+    ``(segment, schedule, reduce_after)`` triple.  Pure shape, shared by
+    every call with the same key whatever its buffers and element width;
+    a plan without phases times as 0.0."""
 
     algorithm: str
     phases: tuple[tuple[str, object, bool], ...] = ()
@@ -529,21 +522,19 @@ def plan_timing(
 ) -> CollectiveTiming:
     """Time one collective call by its plan: every collective prices here.
 
-    The plan comes from the world's memo (``coster.schedules``) under one
-    key per call, built in O(p) without a sort: ``op``, ``variant`` (the
-    algorithm override, or the root), the ranks, ``nbytes``, the buffer
-    ids in rank order and ``dtype_bytes``.  ``build`` makes it on a miss
-    and reads nothing else but the world.  The phases run in order; the
-    time is the left-to-right total of their segments.
+    The plan comes from the world's memo (``coster.schedules``) under its
+    shape's key, ``(op, variant, tuple(ranks), nbytes)``, where
+    ``variant`` is the algorithm override or the root.  ``build`` makes
+    it on a miss and reads nothing else but the world.  The call's
+    buffers and element width are bound to the plan as it is priced
+    (:class:`CallBinding`), so calls that differ only in them share one
+    plan.  The phases run in order; the time is the left-to-right total
+    of their segments.
     """
-    key = (
-        op, variant, tuple(ranks), nbytes,
-        tuple(map(buffer_ids.get, ranks)) if buffer_ids else None,
-        dtype_bytes,
-    )
-    plan = coster.schedules.get(key, build)
+    plan = coster.schedules.get((op, variant, tuple(ranks), nbytes), build)
+    binding = CallBinding(buffer_ids or {}, dtype_bytes)
     segments = {
-        segment: coster.run_steps(schedule, reduce_after=reduce_after)
+        segment: coster.run_steps(schedule, binding, reduce_after=reduce_after)
         for segment, schedule, reduce_after in plan.phases
     }
     time = fold_sum(segments.values()) if segments else 0.0

@@ -31,18 +31,14 @@ def _binomial_tree(g: int) -> list[list[tuple[int, int]]]:
 
 
 def _bcast_plan(
-    cluster: Cluster,
-    ranks: list[int],
-    nbytes: int,
-    root: int | None,
-    buffer_ids: dict[int, int] | None,
+    cluster: Cluster, ranks: list[int], nbytes: int, root: int | None
 ) -> CollectivePlan:
     if len(ranks) <= 1 or nbytes == 0:
         return CollectivePlan("binomial")
     ordered = root_first(ranks, root)
 
     def tree(groups: list[list[int]]) -> GroupSchedule:
-        return GroupSchedule(groups, _binomial_tree, nbytes, buffer_ids)
+        return GroupSchedule(groups, _binomial_tree, nbytes)
 
     # each group starts at its node's first rank in root-first order, so
     # the root leads its own node
@@ -72,6 +68,6 @@ def bcast_timing(
     cluster = coster.transport.cluster
     return plan_timing(
         coster, "bcast", ranks, nbytes,
-        lambda: _bcast_plan(cluster, ranks, nbytes, root, buffer_ids),
+        lambda: _bcast_plan(cluster, ranks, nbytes, root),
         variant=root, buffer_ids=buffer_ids,
     )

@@ -31,7 +31,7 @@ def reduce_timing(
         # so each step is walked
         steps = list(GroupSchedule(
             [root_first(ranks, root)], lambda g: _binomial_reduce_tree(g)[::-1],
-            nbytes, buffer_ids,
+            nbytes,
         ))
         return CollectivePlan("binomial", (("tree", steps, True),))
 

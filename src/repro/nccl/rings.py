@@ -43,31 +43,22 @@ def ring_bandwidth(
     ranks: list[int],
     protocol,
     *,
-    channels: int = 1,
     faults=None,
     now: float = 0.0,
 ) -> float:
-    """Steady-state per-rank ring bandwidth (bytes/s).
+    """Steady-state per-rank ring bandwidth (bytes/s) of one channel.
 
     The ring's throughput is bounded by its slowest hop: NVLink hops within
     a node, one IB hop in and out of each node when the ring spans nodes.
-
-    ``channels`` models NCCL's parallel rings: intra-node hops aggregate
-    additional NVLink bricks (up to 3 on Lassen), while the inter-node hop
-    shares the single HCA and gains nothing — which is why multi-channel
-    NCCL helps single-node jobs but not IB-bound multi-node rings.
 
     ``faults``/``now`` thread the :class:`~repro.faults.FaultInjector`
     into the envelope: active link faults scale the affected hop class'
     bandwidth before the slowest-hop reduction.
     """
-    if channels < 1:
-        raise NcclError(f"channels must be >= 1, got {channels}")
     ring = build_ring(cluster, ranks)
     p = len(ring)
     if p == 1:
         return float("inf")
-    nvlink_channels = min(channels, 3)  # NVLink2 bricks per GPU pair class
     slowest = float("inf")
     for i, rank in enumerate(ring):
         nxt = ring[(i + 1) % p]
@@ -77,7 +68,7 @@ def ring_bandwidth(
         if inter:
             hop = raw * protocol.ib_efficiency
         else:
-            hop = raw * protocol.nvlink_efficiency * nvlink_channels
+            hop = raw * protocol.nvlink_efficiency
         factor, _ = _hop_fault(faults, inter, now)
         if factor > 0:
             hop *= factor

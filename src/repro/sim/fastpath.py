@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mpi.collectives.base import StepCoster
+    from repro.mpi.collectives.base import CallBinding, StepCoster
     from repro.mpi.transports import TransportModel
 
 
@@ -119,7 +119,12 @@ class FastPathSession:
         )
 
     def ring_time(
-        self, coster: "StepCoster", sched, *, reduce_after: bool = False
+        self,
+        coster: "StepCoster",
+        sched,
+        binding: "CallBinding",
+        *,
+        reduce_after: bool = False,
     ) -> float:
         """Walk a ring phase, collapsing its tail into the closed form.
 
@@ -133,23 +138,28 @@ class FastPathSession:
         """
         total = 0.0
         for s in range(len(sched)):
-            done = self._ring_tail(coster, sched, s, reduce_after, total)
+            done = self._ring_tail(coster, sched, s, binding, reduce_after, total)
             if done is not None:
                 return done
             total += coster.step_time_analytic(
-                sched.step(s), reduce_after=reduce_after
+                sched.step(s), binding, reduce_after=reduce_after
             )
         return total
 
     def _ring_row(
-        self, coster: "StepCoster", sched, chunk: int, reduce_after: bool
+        self,
+        coster: "StepCoster",
+        sched,
+        chunk: int,
+        binding: "CallBinding",
+        reduce_after: bool,
     ) -> tuple[list, list[float]] | None:
         """Quotes and steady totals of every ring pair at one chunk size,
         or None while some pair's next apply would change protocol state."""
         transport = self.transport
         ranks = sched.ranks
         p = len(ranks)
-        bids = sched.buffer_ids
+        ids, dtype_bytes = binding
         quotes = []
         totals = []
         for i in range(p):
@@ -157,8 +167,7 @@ class FastPathSession:
             dst = ranks[(i + 1) % p]
             q = transport.quote(
                 src, dst, chunk,
-                src_buffer=bids.get(src) if bids else None,
-                dst_buffer=bids.get(dst) if bids else None,
+                src_buffer=ids.get(src), dst_buffer=ids.get(dst),
                 buffer_extent=sched.extent,
             )
             protocol = transport.steady_protocol(q)
@@ -166,7 +175,7 @@ class FastPathSession:
                 return None
             total = (q.wire + q.staging) + protocol
             if reduce_after:
-                total += coster.reduction(q.kind, chunk, sched.dtype_bytes)
+                total += coster.reduction(q.kind, chunk, dtype_bytes)
             quotes.append(q)
             totals.append(total)
         return quotes, totals
@@ -176,6 +185,7 @@ class FastPathSession:
         coster: "StepCoster",
         sched,
         s0: int,
+        binding: "CallBinding",
         reduce_after: bool,
         total: float,
     ) -> float | None:
@@ -187,11 +197,13 @@ class FastPathSession:
         walked per-transfer.
         """
         rem = sched.rem
-        small = self._ring_row(coster, sched, sched.chunk_small, reduce_after)
+        small = self._ring_row(
+            coster, sched, sched.chunk_small, binding, reduce_after
+        )
         if small is None:
             return None
         big = (
-            self._ring_row(coster, sched, sched.chunk_big, reduce_after)
+            self._ring_row(coster, sched, sched.chunk_big, binding, reduce_after)
             if rem else small
         )
         if big is None:
@@ -250,7 +262,12 @@ class FastPathSession:
 
     # -- node-group closed form --------------------------------------------
     def group_time(
-        self, coster: "StepCoster", sched, *, reduce_after: bool = False
+        self,
+        coster: "StepCoster",
+        sched,
+        binding: "CallBinding",
+        *,
+        reduce_after: bool = False,
     ) -> float:
         """Time a node-group schedule, pricing one representative group
         per shape wherever a step allows it and walking any other step.
@@ -263,17 +280,22 @@ class FastPathSession:
         total = 0
         for d in range(len(sched)):
             makespan = None if live else self._group_step(
-                coster, sched, d, reduce_after
+                coster, sched, d, binding, reduce_after
             )
             if makespan is None:
                 makespan = coster.step_time_analytic(
-                    sched.step(d), reduce_after=reduce_after
+                    sched.step(d), binding, reduce_after=reduce_after
                 )
             total += makespan
         return total
 
     def _group_step(
-        self, coster: "StepCoster", sched, d: int, reduce_after: bool
+        self,
+        coster: "StepCoster",
+        sched,
+        d: int,
+        binding: "CallBinding",
+        reduce_after: bool,
     ) -> float | None:
         """Makespan of node-group step ``d`` from one representative group
         per size, or ``None``, with nothing applied, when a group differs
@@ -336,7 +358,8 @@ class FastPathSession:
             todo = effects.get(size)
             if todo is None:
                 rq, rt = coster.price(
-                    sched.transfers(group, d), reduce_after=reduce_after
+                    sched.transfers(group, d), binding,
+                    reduce_after=reduce_after,
                 )
                 quotes += rq
                 totals += rt

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigError, NcclError
-from repro.hardware import LASSEN, Cluster
+from repro.errors import ConfigError
 from repro.horovod.env import HorovodConfig
 from repro.mpi.env import Mv2Config
-from repro.nccl.protocol import DEFAULT_PROTOCOL
-from repro.nccl.rings import ring_bandwidth
-from repro.sim import Environment
 from repro.utils.units import KIB, MIB
 
 
@@ -75,31 +71,3 @@ class TestHorovodEnvParsing:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
             HorovodConfig(fusion_threshold=-1)
-
-
-class TestNcclChannels:
-    def _cluster(self, nodes=1):
-        return Cluster(Environment(), LASSEN, num_nodes=nodes)
-
-    def test_channels_scale_intra_node_bandwidth(self):
-        cluster = self._cluster()
-        one = ring_bandwidth(cluster, [0, 1, 2, 3], DEFAULT_PROTOCOL, channels=1)
-        two = ring_bandwidth(cluster, [0, 1, 2, 3], DEFAULT_PROTOCOL, channels=2)
-        assert two == pytest.approx(2 * one)
-
-    def test_channels_capped_at_brick_count(self):
-        cluster = self._cluster()
-        three = ring_bandwidth(cluster, [0, 1, 2, 3], DEFAULT_PROTOCOL, channels=3)
-        eight = ring_bandwidth(cluster, [0, 1, 2, 3], DEFAULT_PROTOCOL, channels=8)
-        assert eight == pytest.approx(three)
-
-    def test_channels_do_not_help_ib_bound_rings(self):
-        cluster = self._cluster(nodes=2)
-        one = ring_bandwidth(cluster, list(range(8)), DEFAULT_PROTOCOL, channels=1)
-        four = ring_bandwidth(cluster, list(range(8)), DEFAULT_PROTOCOL, channels=4)
-        assert four == pytest.approx(one)  # single HCA per node
-
-    def test_invalid_channels_rejected(self):
-        cluster = self._cluster()
-        with pytest.raises(NcclError):
-            ring_bandwidth(cluster, [0, 1], DEFAULT_PROTOCOL, channels=0)

@@ -377,7 +377,7 @@ HELD = FaultPlan(seed=0, faults=(LinkFault(
 
 def _transfers(num_ranks):
     return [
-        PairTransfer(src, dst, nbytes, 100 + src, 100 + dst)
+        PairTransfer(src, dst, nbytes)
         for src in range(num_ranks)
         for dst in range(num_ranks)
         for nbytes in SIZES
@@ -390,8 +390,8 @@ def _quote_bits(q) -> tuple:
 
 def _quote(world, t: PairTransfer):
     return world.transport.quote(
-        t.src, t.dst, t.nbytes, src_buffer=t.src_buffer,
-        dst_buffer=t.dst_buffer,
+        t.src, t.dst, t.nbytes, src_buffer=100 + t.src,
+        dst_buffer=100 + t.dst,
     )
 
 

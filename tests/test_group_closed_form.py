@@ -48,11 +48,8 @@ FLAP = FaultPlan(
 
 
 # -- the reference: the merged per-group step lists ---------------------------
-def reference_hierarchical(groups, nbytes, buffer_ids, dtype_bytes):
+def reference_hierarchical(groups, nbytes):
     """The allreduce's merged intra-node (reduce, bcast) step lists."""
-    def bid(rank):
-        return buffer_ids.get(rank) if buffer_ids else None
-
     def reduce_steps(group):
         g = len(group)
         steps = []
@@ -62,22 +59,14 @@ def reference_hierarchical(groups, nbytes, buffer_ids, dtype_bytes):
             for i in range(0, g, 2 * distance):
                 j = i + distance
                 if j < g:
-                    transfers.append(
-                        PairTransfer(group[j], group[i], nbytes,
-                                     bid(group[j]), bid(group[i]),
-                                     dtype_bytes=dtype_bytes)
-                    )
+                    transfers.append(PairTransfer(group[j], group[i], nbytes))
             steps.append(transfers)
             distance *= 2
         return steps
 
     def bcast_steps(steps):
         return [
-            [
-                PairTransfer(t.dst, t.src, t.nbytes, t.dst_buffer, t.src_buffer,
-                             dtype_bytes=t.dtype_bytes)
-                for t in step
-            ]
+            [PairTransfer(t.dst, t.src, t.nbytes) for t in step]
             for step in reversed(steps)
         ]
 
@@ -97,11 +86,8 @@ def reference_hierarchical(groups, nbytes, buffer_ids, dtype_bytes):
             merge([bcast_steps(s) for s in reduce_per_group]))
 
 
-def reference_bcast(groups, nbytes, buffer_ids):
+def reference_bcast(groups, nbytes):
     """The bcast's merged intra-node binomial dissemination steps."""
-    def bid(rank):
-        return buffer_ids.get(rank) if buffer_ids else None
-
     def order(group):
         g = len(group)
         steps = []
@@ -119,24 +105,20 @@ def reference_bcast(groups, nbytes, buffer_ids):
         for schedule in per_node:
             if d < len(schedule):
                 merged.extend(
-                    PairTransfer(t.src, t.dst, nbytes, bid(t.src), bid(t.dst))
-                    for t in schedule[d]
+                    PairTransfer(t.src, t.dst, nbytes) for t in schedule[d]
                 )
         if merged:
             intra.append(merged)
     return intra
 
 
-def check_materializes(groups, nbytes, buffer_ids, dtype_bytes):
-    want_reduce, want_bcast = reference_hierarchical(
-        groups, nbytes, buffer_ids, dtype_bytes)
+def check_materializes(groups, nbytes):
+    want_reduce, want_bcast = reference_hierarchical(groups, nbytes)
     cases = [
-        (GroupSchedule(groups, _binomial_reduce_tree, nbytes, buffer_ids,
-                       dtype_bytes), want_reduce),
-        (GroupSchedule(groups, _binomial_bcast_tree, nbytes, buffer_ids,
-                       dtype_bytes), want_bcast),
-        (GroupSchedule(groups, _binomial_tree, nbytes, buffer_ids),
-         reference_bcast(groups, nbytes, buffer_ids)),
+        (GroupSchedule(groups, _binomial_reduce_tree, nbytes), want_reduce),
+        (GroupSchedule(groups, _binomial_bcast_tree, nbytes), want_bcast),
+        (GroupSchedule(groups, _binomial_tree, nbytes),
+         reference_bcast(groups, nbytes)),
     ]
     for sched, want in cases:
         assert len(sched) == len(want)
@@ -152,18 +134,17 @@ def node_groups(sizes, start=0):
     return groups
 
 
-@pytest.mark.parametrize("with_ids", [False, True])
-def test_materializes_the_merged_steps_exhaustively(with_ids):
-    """Group sizes 1-8 on 1-4 nodes, uniform and with a ragged last node."""
+@pytest.mark.parametrize("ragged", [False, True])
+def test_materializes_the_merged_steps_exhaustively(ragged):
+    """Group sizes 1-8 on 1-4 nodes, uniform or with a ragged last node."""
     for g in range(1, 9):
         for nodes in range(1, 5):
-            layouts = [[g] * nodes]
-            layouts += [[g] * (nodes - 1) + [r] for r in range(1, g)]
+            layouts = (
+                [[g] * (nodes - 1) + [r] for r in range(1, g)] if ragged
+                else [[g] * nodes]
+            )
             for sizes in layouts:
-                groups = node_groups(sizes)
-                ids = ({r: 100 + r for g_ in groups for r in g_}
-                       if with_ids else None)
-                check_materializes(groups, 4 * MIB + 4, ids, 4)
+                check_materializes(node_groups(sizes), 4 * MIB + 4)
 
 
 @st.composite
@@ -172,15 +153,7 @@ def group_layouts(draw):
     groups = node_groups(sizes, start=draw(st.integers(0, 64)))
     # bcast groups start at the root, not at the lowest rank
     groups = [draw(st.permutations(group)) for group in groups]
-    ranks = [r for group in groups for r in group]
-    ids = None
-    if draw(st.booleans()):
-        with_id = draw(st.lists(st.booleans(), min_size=len(ranks),
-                                max_size=len(ranks)))
-        ids = {r: 7 * r + 1 for r, keep in zip(ranks, with_id) if keep}
-    nbytes = draw(st.integers(1, 1 << 30))
-    dtype_bytes = draw(st.sampled_from([2, 4]))
-    return groups, nbytes, ids, dtype_bytes
+    return groups, draw(st.integers(1, 1 << 30))
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,7 +220,7 @@ def run_sequence(world, calls=2) -> list[str]:
             comm.bcast(buffers(ranks, 4 * MIB + 4, 9000), root_index=1)))
         for tree in (_binomial_reduce_tree, _binomial_bcast_tree):
             for reduce_after in (False, True):
-                sched = GroupSchedule(groups, tree, 8 * MIB, None)
+                sched = GroupSchedule(groups, tree, 8 * MIB)
                 world.transport.begin_collective()
                 lines.append(fmt(coster.run_steps(
                     sched, reduce_after=reduce_after)))
@@ -288,7 +261,7 @@ def test_closed_form_walks_a_partially_opened_ipc_state():
         groups = [comm.ranks[n:n + 4] for n in range(0, len(comm.ranks), 4)]
         world.transport.begin_collective()
         lines.append(fmt(world.coster.run_steps(
-            GroupSchedule(groups, _binomial_reduce_tree, 64 * MIB, None),
+            GroupSchedule(groups, _binomial_reduce_tree, 64 * MIB),
             reduce_after=True)))
         if session is not None:
             assert session.group_transfers == grouped

@@ -182,6 +182,28 @@ class TestEngine:
         engine.run_step(virtual_stream([1 * MIB, 1 * MIB]))
         assert dict(engine._slot_buffers) == ids_first
 
+    def test_later_functional_steps_add_no_plan(self):
+        """Unfused tensors get fresh buffers every step, and a fused slot
+        keeps its ids: every later step binds to the first step's plans."""
+        comm = make_comm(16)
+        engine = HorovodEngine(comm, HorovodConfig(fusion_threshold=1 * KIB))
+        schedules = comm.world.coster.schedules
+
+        def step():
+            engine.run_step([
+                PendingTensor(name, 4 * n, data=[
+                    np.full(n, float(r), dtype=np.float32) for r in range(16)
+                ])
+                for name, n in (("big", 512), ("a", 64), ("b", 64))
+            ])
+
+        step()
+        built = dict(schedules.entries)
+        assert built
+        for _ in range(3):
+            step()
+        assert schedules.entries == built
+
     def test_timeline_records_messages(self):
         comm = make_comm(4)
         timeline = Timeline()

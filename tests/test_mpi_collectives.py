@@ -148,8 +148,8 @@ class TestOtherCollectives:
 
 
 class TestPlanMemo:
-    """Each call is keyed once; a hit reuses the plan without building or
-    grouping ranks again."""
+    """Each call is keyed once by its shape; a hit reuses the plan without
+    building or grouping ranks again."""
 
     def test_a_repeated_call_reuses_its_plan(self, monkeypatch):
         world = make_world(16)
@@ -166,13 +166,20 @@ class TestPlanMemo:
             bcast_timing(world.coster, ranks, 16 * MIB, root=5, buffer_ids=ids)
         assert len(world.coster.schedules) == 2
         assert len(grouped) == 2
-        # a new buffer id, dtype or root is a new key
+        # a new buffer id or dtype binds to the same plan
         allreduce_timing(world.coster, ranks, 16 * MIB,
                          buffer_ids={**ids, 3: 7})
         allreduce_timing(world.coster, ranks, 16 * MIB, buffer_ids=ids,
                          dtype_bytes=2)
+        allreduce_timing(world.coster, ranks, 16 * MIB)
+        bcast_timing(world.coster, ranks, 16 * MIB, root=5)
+        assert len(world.coster.schedules) == 2
+        assert len(grouped) == 2
+        # a new root or algorithm is a new key
         bcast_timing(world.coster, ranks, 16 * MIB, root=6, buffer_ids=ids)
-        assert len(world.coster.schedules) == 5
+        allreduce_timing(world.coster, ranks, 16 * MIB, buffer_ids=ids,
+                         algorithm="ring")
+        assert len(world.coster.schedules) == 4
 
 
 class TestRunSteps:
@@ -183,7 +190,7 @@ class TestRunSteps:
         times = iter([1.0, 2.0**-53, 2.0**-53])
         monkeypatch.setattr(
             coster, "step_time_analytic",
-            lambda step, reduce_after=False: next(times),
+            lambda step, binding, reduce_after=False: next(times),
         )
         # sum() compensates from Python 3.12 on and would read 1.0 + 2**-52
         total = coster.run_steps([[], [], []])

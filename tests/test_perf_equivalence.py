@@ -6,8 +6,8 @@ and bypassed:
 
 * uncontended-link collapse: identical event-mode timings with every
   transfer forced onto the per-hop path;
-* the collective plan memo: identical timings with the memo cleared
-  before every call;
+* the collective plan memo: identical timings and protocol state with
+  the memo cleared before every call, one plan for every binding;
 * steady-state extrapolation: matches full simulation within ulp-level
   tolerance (zero jitter), never fires under the default jitter;
 * parallel sweep: identical to the serial sweep, in order, for any
@@ -42,6 +42,7 @@ from repro.hardware import LASSEN, Cluster
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
 from repro.mpi.collectives.allreduce import allreduce_timing
+from repro.mpi.transports import TransportKind
 from repro.perf import PointJob, ResultCache, run_jobs
 from repro.perf import parallel as perf_parallel
 from repro.sim import Environment
@@ -50,18 +51,20 @@ from repro.utils.units import MIB
 ALGORITHMS = ["ring", "reduce_scatter_allgather", "hierarchical"]
 
 
-def _event_world(num_ranks: int) -> MpiWorld:
+def _world(
+    num_ranks: int, mode: ExecutionMode = ExecutionMode.EVENT
+) -> MpiWorld:
     cluster = Cluster(Environment(), LASSEN, num_nodes=max(1, num_ranks // 4))
     spec = WorldSpec(
         num_ranks=num_ranks, policy=MPI_OPT.policy, config=MPI_OPT.mv2
     )
-    return MpiWorld(cluster, spec, mode=ExecutionMode.EVENT)
+    return MpiWorld(cluster, spec, mode=mode)
 
 
 def _event_allreduce(
     num_ranks: int, nbytes: int, algorithm: str, world: MpiWorld | None = None
 ) -> float:
-    world = world or _event_world(num_ranks)
+    world = world or _world(num_ranks)
     t = allreduce_timing(
         world.coster, list(range(num_ranks)), nbytes, algorithm=algorithm
     )
@@ -123,7 +126,7 @@ class TestScheduleMemo:
         call; the memoized path keeps it."""
         timings = {}
         for memoized in (False, True):
-            world = _event_world(8)
+            world = _world(8)
             memo = world.coster.schedules
             times, plans = [], []
             for _ in range(2):
@@ -136,6 +139,68 @@ class TestScheduleMemo:
             assert (plans[0] is plans[1]) == memoized
             timings[memoized] = times
         assert timings[False] == timings[True]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "mode, num_ranks",
+        [(ExecutionMode.ANALYTIC, 16), (ExecutionMode.EVENT, 8)],
+        ids=["analytic", "event"],
+    )
+    def test_one_plan_serves_every_binding(self, mode, num_ranks, algorithm):
+        """One allreduce shape called with fresh buffer ids, a fixed id
+        list, no ids, and ``dtype_bytes`` 4 then 2: the kept memo hands
+        every call the same plan and leaves the timings and protocol
+        state of a memo cleared before every call."""
+        ranks = list(range(num_ranks))
+        fixed = {r: 500 + r for r in ranks}
+        bindings = [
+            ({r: 1000 + r for r in ranks}, 4),
+            ({r: 2000 + r for r in ranks}, 4),
+            (fixed, 4),
+            (fixed, 4),
+            (None, 4),
+            (fixed, 4),
+            (fixed, 2),
+        ]
+        runs = {}
+        for memoized in (False, True):
+            world = _world(num_ranks, mode)
+            transport = world.transport
+            memo = world.coster.schedules
+            plans = []
+            get = memo.get
+            memo.get = lambda key, build: plans.append(get(key, build)) or plans[-1]
+            lines = []
+            for ids, dtype_bytes in bindings:
+                if not memoized:
+                    memo.clear()
+                transport.begin_collective()
+                t = allreduce_timing(
+                    world.coster, ranks, 8 * MIB + 4, buffer_ids=ids,
+                    algorithm=algorithm, dtype_bytes=dtype_bytes,
+                )
+                lines.append((t.algorithm, t.time.hex(), sorted(
+                    (k, v.hex()) for k, v in t.segments.items()
+                )))
+            lines += [
+                [transport.stats.bytes_moved[k] for k in TransportKind],
+                [transport.stats.transfers[k] for k in TransportKind],
+                [(r, s.hex()) for r, s in sorted(transport.staged_seconds.items())],
+                sorted(transport._ipc_pairs),
+                [
+                    (node, ib.reg_cache.hits, ib.reg_cache.misses,
+                     list(ib.reg_cache._entries.items()))
+                    for node, ib in sorted(transport._ib.items())
+                ],
+            ]
+            assert len(plans) == len(bindings)
+            if memoized:
+                assert all(plan is plans[0] for plan in plans)
+            else:
+                assert len(set(map(id, plans))) == len(plans)
+            runs[memoized] = lines
+        assert runs[False] == runs[True]
+        assert any(hits for _, hits, _, _ in runs[True][-1])
 
 
 class TestSteadyStateExtrapolation:
