@@ -1,8 +1,7 @@
 """Chaos-campaign regression harness: runs a reduced invariant-checked
 campaign and writes ``BENCH_chaos.json``.
 
-Standalone like ``bench_serve.py`` (no benchmark plugin needed) so CI can
-run it and diff against a committed baseline::
+The command line is the harness's (``benchmarks/harness.py``); CI runs::
 
     python benchmarks/bench_chaos.py --quick --out BENCH_chaos.json \
         --check-baseline benchmarks/baselines/BENCH_chaos_baseline.json
@@ -23,22 +22,18 @@ Workloads:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import tempfile
-from time import perf_counter
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+# harness before repro: it puts ``src`` on ``sys.path``
+from harness import drift, exact, main, rows, timed
 
 from repro.chaos import CampaignConfig, run_campaign
 from repro.perf import ResultCache
 
 SCENARIOS = ("switch-failure", "partition", "node-failure")
 POLICIES = ("restart", "shrink")
+#: the campaign's metrics are deterministic: this is float-noise margin
+DRIFT = drift(1e-6)
 
 
 def _config(quick: bool) -> CampaignConfig:
@@ -55,12 +50,8 @@ def time_campaign(quick: bool, workers: int) -> dict:
     config = _config(quick)
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
-        t0 = perf_counter()
-        cold = run_campaign(config, jobs=workers, cache=cache)
-        cold_s = perf_counter() - t0
-        t0 = perf_counter()
-        warm = run_campaign(config, jobs=workers, cache=cache)
-        warm_s = perf_counter() - t0
+        cold, cold_s = timed(run_campaign, config, jobs=workers, cache=cache)
+        warm, warm_s = timed(run_campaign, config, jobs=workers, cache=cache)
         stats = cache.stats()
 
     assert cold.ok, f"red invariants: {cold.failures()}"
@@ -99,91 +90,39 @@ def time_cell_rate(campaign: dict) -> dict:
     }
 
 
-def check_baseline(report: dict, baseline_path: str, tolerance: float) -> list[str]:
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    campaign = report["workloads"]["campaign"]
-    failures = []
-    base_campaign = baseline.get("campaign", {})
-    want_checked = base_campaign.get("invariants_checked")
-    if want_checked is not None and campaign["invariants_checked"] != want_checked:
-        failures.append(
-            f"invariants_checked changed: {campaign['invariants_checked']} "
-            f"vs baseline {want_checked} — an invariant was added or "
-            f"silently dropped"
-        )
-    for key, base in base_campaign.get("cells", {}).items():
-        got = campaign["cells"].get(key)
-        if got is None:
-            failures.append(f"cell {key} missing from the campaign")
-            continue
-        for metric in ("final_world_size", "restarts"):
-            if got[metric] != base[metric]:
-                failures.append(
-                    f"{key}.{metric} changed: {got[metric]} vs baseline "
-                    f"{base[metric]}"
-                )
-        want, have = base["goodput"], got["goodput"]
-        if abs(have - want) > tolerance * max(abs(want), 1e-12):
-            failures.append(
-                f"{key}.goodput drifted: {have:.6g} vs baseline {want:.6g} "
-                f"(tolerance {tolerance:.0%}) — fault/recovery timing "
-                f"semantics changed; update the baseline and bump "
-                f"CACHE_VERSION_SALT if intentional"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced seeds/steps for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_chaos.json")
-    parser.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
-    parser.add_argument("--check-baseline", default=None, metavar="PATH",
-                        help="fail if simulated campaign metrics drift")
-    parser.add_argument("--tolerance", type=float, default=1e-6,
-                        help="allowed relative drift (simulated metrics are "
-                             "deterministic, so this is float-noise margin)")
-    args = parser.parse_args(argv)
-
-    workloads = {}
-    print(f"[bench_chaos] campaign ({'quick' if args.quick else 'full'}) ...")
-    workloads["campaign"] = time_campaign(args.quick, args.jobs)
+def measure(args) -> dict:
+    print("[bench_chaos] campaign ...")
+    campaign = time_campaign(args.quick, args.jobs)
     print(
         "[bench_chaos]   {n} cell(s), {inv} invariant(s) green, "
         "cold {cold_s:.2f}s  warm {warm_s:.3f}s".format(
-            n=len(workloads["campaign"]["cells"]),
-            inv=workloads["campaign"]["invariants_checked"],
-            **workloads["campaign"],
+            n=len(campaign["cells"]), inv=campaign["invariants_checked"],
+            **campaign,
         )
     )
-    workloads["cell_rate"] = time_cell_rate(workloads["campaign"])
-    print(
-        "[bench_chaos]   {seconds_per_cell:.2f}s per cell".format(
-            **workloads["cell_rate"]
-        )
-    )
-
-    report = {
-        "quick": args.quick,
+    cell_rate = time_cell_rate(campaign)
+    print("[bench_chaos]   {seconds_per_cell:.2f}s per cell".format(**cell_rate))
+    return {
         "jobs": args.jobs,
-        "workloads": workloads,
+        "workloads": {"campaign": campaign, "cell_rate": cell_rate},
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench_chaos] wrote {args.out}")
 
-    if args.check_baseline:
-        failures = check_baseline(report, args.check_baseline, args.tolerance)
-        for failure in failures:
-            print(f"[bench_chaos] FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"[bench_chaos] baseline check passed ({args.check_baseline})")
-    return 0
+
+def check(report: dict, baseline: dict) -> list[str]:
+    campaign = report["workloads"]["campaign"]
+    base = baseline.get("campaign", {})
+    failures = []
+    if "invariants_checked" in base:
+        failures += exact(
+            "invariants_checked", campaign["invariants_checked"],
+            base["invariants_checked"],
+            why="an invariant was added or silently dropped",
+        )
+    return failures + rows(
+        campaign["cells"], base.get("cells", {}), "cell",
+        {"final_world_size": exact, "restarts": exact, "goodput": DRIFT},
+    )
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main("chaos", __doc__, measure, check, jobs=True))

@@ -1,7 +1,6 @@
 """Compression-suite regression harness: writes ``BENCH_compression.json``.
 
-Standalone (no pytest-benchmark plugin) like ``bench_comm.py`` so CI can
-run it directly and diff against a committed baseline::
+The command line is the harness's (``benchmarks/harness.py``); CI runs::
 
     python benchmarks/bench_compression.py --quick \
         --out BENCH_compression.json \
@@ -25,17 +24,10 @@ Workloads:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from time import perf_counter
-
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
-
 import numpy as np
+
+# harness before repro: it puts ``src`` on ``sys.path``
+from harness import anchors, drift, main, timed
 
 from repro.compression import CompressionConfig
 from repro.core.scenarios import scenario_by_name
@@ -51,17 +43,18 @@ from repro.trainer import DistributedTrainer, evaluate_sr
 
 FP16_MIN_WIRE_REDUCTION = 1.7   # acceptance floor at 512 ranks
 FP16_MAX_PSNR_DELTA_DB = 0.05   # acceptance ceiling vs fp32
+#: PSNR may move this many dB: BLAS reductions vary across machines
+PSNR_DRIFT = drift(absolute=0.2)
 
 
 def run_scaling_point(num_gpus: int, **cfg) -> dict:
     study = ScalingStudy(scenario_by_name("MPI-Opt"), StudyConfig(**cfg))
-    t0 = perf_counter()
-    point = study.run_point(num_gpus)
+    point, wall_s = timed(study.run_point, num_gpus)
     return {
         "bytes_per_step": sum(point.message_sizes),
         "messages_per_step": len(point.message_sizes),
         "images_per_second": point.images_per_second,
-        "wall_s": perf_counter() - t0,
+        "wall_s": wall_s,
     }
 
 
@@ -124,9 +117,7 @@ def run_functional(compression: str, local_sgd_h: int, steps: int) -> dict:
         engine, dataset, batch_per_rank=1, lr_patch=8,
         local_sgd_h=local_sgd_h,
     )
-    t0 = perf_counter()
-    result = trainer.train(steps)
-    wall_s = perf_counter() - t0
+    result, wall_s = timed(trainer.train, steps)
     metrics = evaluate_sr(trainer.models[0], dataset, max_images=4)
     return {
         "psnr": metrics["psnr"],
@@ -157,86 +148,39 @@ def time_psnr(quick: bool) -> dict:
     }
 
 
-def check_baseline(report: dict, baseline_path: str, tolerance: float) -> list[str]:
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    failures = []
-    if baseline.get("quick") != report["quick"]:
-        # grid sizes differ; nothing is comparable like-for-like
-        return failures
-    # simulated byte counts and throughputs are machine-independent: exact
-    base_anchors = baseline.get("anchors", {})
-    anchors = report["anchors"]
-    for key, base in base_anchors.items():
-        got = anchors.get(key)
-        if got is not None and got != base:
-            failures.append(
-                f"anchor {key} drifted: {got!r} != baseline {base!r} "
-                f"(cost model changed — regenerate baseline + bump salt)"
-            )
-    # PSNR is tolerance-gated: BLAS reductions vary across machines
-    base_psnr = baseline.get("psnr", {})
-    psnr = report["workloads"]["psnr"]["psnr"]
-    for label, base in base_psnr.items():
-        got = psnr.get(label)
-        if got is not None and abs(got - base) > tolerance:
-            failures.append(
-                f"PSNR({label}) drifted: {got:.4f} vs baseline {base:.4f} "
-                f"(> {tolerance} dB tolerance)"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced grid for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_compression.json")
-    parser.add_argument("--check-baseline", default=None, metavar="PATH",
-                        help="fail on simulated-byte drift or PSNR drift")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed PSNR drift vs baseline (dB)")
-    args = parser.parse_args(argv)
-
-    workloads = {}
-    print(f"[bench_compression] wire reduction "
-          f"({'quick' if args.quick else 'full'}) ...")
-    workloads["wire_reduction"] = time_wire_reduction(args.quick)
-    for key, ratio in sorted(
-            workloads["wire_reduction"]["wire_reduction_vs_dense"].items()):
+def measure(args) -> dict:
+    print("[bench_compression] wire reduction ...")
+    wire = time_wire_reduction(args.quick)
+    for key, ratio in sorted(wire["wire_reduction_vs_dense"].items()):
         print(f"[bench_compression]   {key}: {ratio:.2f}x fewer bytes")
     print("[bench_compression] functional PSNR ...")
-    workloads["psnr"] = time_psnr(args.quick)
-    for label, run in workloads["psnr"]["runs"].items():
+    psnr = time_psnr(args.quick)
+    for label, run in psnr["runs"].items():
         print(f"[bench_compression]   {label}: psnr={run['psnr']:.4f} dB  "
               f"sim={run['simulated_images_per_second']:.1f} img/s  "
               f"wall={run['wall_s']:.1f}s")
-    print("[bench_compression]   fp16 delta "
-          f"{workloads['psnr']['fp16_psnr_delta_db']:.4f} dB "
-          f"(<= {FP16_MAX_PSNR_DELTA_DB})")
-
-    report = {
-        "quick": args.quick,
-        "workloads": workloads,
-        "anchors": workloads["wire_reduction"]["anchors"],
-        "fp16_reduction": workloads["wire_reduction"]["fp16_reduction"],
-        "psnr": workloads["psnr"]["psnr"],
+    print(f"[bench_compression]   fp16 delta {psnr['fp16_psnr_delta_db']:.4f} "
+          f"dB (<= {FP16_MAX_PSNR_DELTA_DB})")
+    return {
+        "workloads": {"wire_reduction": wire, "psnr": psnr},
+        "anchors": wire["anchors"],
+        "fp16_reduction": wire["fp16_reduction"],
+        "psnr": psnr["psnr"],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench_compression] wrote {args.out}")
 
-    if args.check_baseline:
-        failures = check_baseline(report, args.check_baseline, args.tolerance)
-        for failure in failures:
-            print(f"[bench_compression] FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"[bench_compression] baseline check passed "
-              f"({args.check_baseline})")
-    return 0
+
+def check(report: dict, baseline: dict) -> list[str]:
+    if baseline.get("quick") != report["quick"]:
+        # grid sizes differ; nothing is comparable like-for-like
+        return []
+    # simulated byte counts and throughputs are machine-independent: exact
+    failures = anchors(report["anchors"], baseline.get("anchors", {}))
+    psnr = report["workloads"]["psnr"]["psnr"]
+    for label, base in baseline.get("psnr", {}).items():
+        if label in psnr:
+            failures += PSNR_DRIFT(f"PSNR({label})", psnr[label], base)
+    return failures
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main("compression", __doc__, measure, check))

@@ -1,7 +1,6 @@
 """Hybrid-parallelism regression harness: writes ``BENCH_parallelism.json``.
 
-Standalone (no pytest-benchmark plugin) like ``bench_comm.py`` so CI can
-run it directly and diff against a committed baseline::
+The command line is the harness's (``benchmarks/harness.py``); CI runs::
 
     python benchmarks/bench_parallelism.py --quick \
         --out BENCH_parallelism.json \
@@ -27,15 +26,8 @@ against the baseline.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from time import perf_counter
-
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+# harness before repro: it puts ``src`` on ``sys.path``
+from harness import anchors, main, timed
 
 from repro.parallel.planner import PlannerConfig, plan_hybrid
 
@@ -49,8 +41,7 @@ def layout_key(row: dict) -> str:
 
 
 def run_plan(config: PlannerConfig, jobs: int) -> dict:
-    t0 = perf_counter()
-    report = plan_hybrid(config, jobs=jobs)
+    report, wall_s = timed(plan_hybrid, config, jobs=jobs)
     return {
         "ranks": config.ranks,
         "candidates": report["candidates"],
@@ -62,7 +53,7 @@ def run_plan(config: PlannerConfig, jobs: int) -> dict:
         "step_times": {
             layout_key(r): r["step_time"] for r in report["points"]
         },
-        "wall_s": perf_counter() - t0,
+        "wall_s": wall_s,
     }
 
 
@@ -94,80 +85,35 @@ def time_small_scale(jobs: int) -> dict:
     return plan
 
 
-def check_baseline(report: dict, baseline_path: str) -> list[str]:
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    failures = []
-    if baseline.get("quick") != report["quick"]:
-        # grid sizes differ; nothing is comparable like-for-like
-        return failures
-    for key, base in baseline.get("anchors", {}).items():
-        got = report["anchors"].get(key)
-        if got is not None and got != base:
-            failures.append(
-                f"anchor {key} drifted: {got!r} != baseline {base!r} "
-                f"(cost model changed — regenerate baseline + bump salt)"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="trim the 8192-rank search to the pp=1 column")
-    parser.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1),
-                        help="worker processes for candidate pricing")
-    parser.add_argument("--out", default="BENCH_parallelism.json")
-    parser.add_argument("--check-baseline", default=None, metavar="PATH",
-                        help="fail on simulated step-time drift")
-    args = parser.parse_args(argv)
-
-    workloads = {}
-    print(f"[bench_parallelism] 8192-rank crossover "
-          f"({'quick' if args.quick else 'full'}) ...")
-    workloads["crossover"] = time_crossover(args.quick, args.jobs)
-    c = workloads["crossover"]
+def measure(args) -> dict:
+    print("[bench_parallelism] 8192-rank crossover ...")
+    c = time_crossover(args.quick, args.jobs)
     print(f"[bench_parallelism]   best {c['best']}: "
           f"{c['best_step_time'] * 1e3:.2f} ms vs pure dp "
           f"{c['pure_dp_step_time'] * 1e3:.2f} ms "
           f"({c['hybrid_speedup']:.3f}x, wall {c['wall_s']:.1f}s)")
     print("[bench_parallelism] 512-rank control ...")
-    workloads["small_scale"] = time_small_scale(args.jobs)
-    s = workloads["small_scale"]
+    s = time_small_scale(args.jobs)
     print(f"[bench_parallelism]   best {s['best']}: "
           f"{s['best_step_time'] * 1e3:.2f} ms over {s['candidates']} "
           f"candidate(s) (wall {s['wall_s']:.1f}s)")
-
-    anchors = {
-        f"x8192:{key}": value
-        for key, value in sorted(workloads["crossover"]["step_times"].items())
+    return {
+        "workloads": {"crossover": c, "small_scale": s},
+        "anchors": {
+            f"x{plan['ranks']}:{key}": value
+            for plan in (c, s)
+            for key, value in plan["step_times"].items()
+        },
+        "hybrid_speedup": c["hybrid_speedup"],
     }
-    anchors.update(
-        (f"x512:{key}", value)
-        for key, value in sorted(
-            workloads["small_scale"]["step_times"].items())
-    )
-    report = {
-        "quick": args.quick,
-        "workloads": workloads,
-        "anchors": anchors,
-        "hybrid_speedup": workloads["crossover"]["hybrid_speedup"],
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench_parallelism] wrote {args.out}")
 
-    if args.check_baseline:
-        failures = check_baseline(report, args.check_baseline)
-        for failure in failures:
-            print(f"[bench_parallelism] FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"[bench_parallelism] baseline check passed "
-              f"({args.check_baseline})")
-    return 0
+
+def check(report: dict, baseline: dict) -> list[str]:
+    if baseline.get("quick") != report["quick"]:
+        # grid sizes differ; nothing is comparable like-for-like
+        return []
+    return anchors(report["anchors"], baseline.get("anchors", {}))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main("parallelism", __doc__, measure, check, jobs=True))

@@ -2,8 +2,8 @@
 ``BENCH_perf.json``.
 
 Unlike the ``bench_fig*`` files (pytest-benchmark suites reproducing the
-paper's figures), this is a standalone script so CI can run it without a
-benchmark plugin and diff the result against a committed baseline::
+paper's figures), this runs standalone, with no benchmark plugin.  The
+command line is the harness's (``benchmarks/harness.py``); CI runs::
 
     python benchmarks/bench_perf.py --quick --out BENCH_perf.json \
         --check-baseline benchmarks/baselines/BENCH_perf_baseline.json
@@ -24,24 +24,19 @@ Workloads:
   ``EVENT_RUNS`` times in fresh worlds; the median ``simulated
   events/sec`` is the regression metric compared against the baseline
   (wall-clock is too machine-dependent to gate on, and one quick run
-  lasts about 0.05 s, short enough for host noise to decide it).
+  lasts about 0.05 s, short enough for host noise to decide it).  The
+  median may fall ``EVENTS_FLOOR`` (30%) below the baseline's.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import statistics
-import sys
 import tempfile
-from time import perf_counter
-
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
 
 import numpy as np
+
+# harness before repro: it puts ``src`` on ``sys.path``
+from harness import floor, main, ratio, timed
 
 from repro.core import MPI_DEFAULT, MPI_OPT, ScalingStudy, StudyConfig
 from repro.core.scenarios import scenario_by_name
@@ -58,6 +53,8 @@ MIB = 1024 * 1024
 #: event-engine runs per report, each in a fresh world; the gate reads
 #: their median rate
 EVENT_RUNS = 5
+#: allowed fall of the median events/sec below its baseline
+EVENTS_FLOOR = floor(0.30)
 
 
 def _bench_config(**overrides) -> StudyConfig:
@@ -68,10 +65,10 @@ def _bench_config(**overrides) -> StudyConfig:
     return StudyConfig(**defaults)
 
 
-def _cached_sweep(scenarios, gpu_counts, config, jobs: int, cache) -> dict:
+def _sweep(scenarios, gpu_counts, config, **run_kwargs) -> dict:
     return {
         name: ScalingStudy(scenario_by_name(name), config).run(
-            gpu_counts, jobs=jobs, cache=cache
+            gpu_counts, **run_kwargs
         )
         for name in scenarios
     }
@@ -83,21 +80,15 @@ def time_fig10_sweep(quick: bool, jobs: int) -> dict:
     serial_cfg = _bench_config(steady_detect=False)
     fast_cfg = _bench_config()
 
-    t0 = perf_counter()
-    serial = {
-        name: ScalingStudy(scenario_by_name(name), serial_cfg).run(gpu_counts)
-        for name in scenarios
-    }
-    serial_s = perf_counter() - t0
-
+    serial, serial_s = timed(_sweep, scenarios, gpu_counts, serial_cfg)
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
-        t0 = perf_counter()
-        cold = _cached_sweep(scenarios, gpu_counts, fast_cfg, jobs, cache)
-        cold_s = perf_counter() - t0
-        t0 = perf_counter()
-        warm = _cached_sweep(scenarios, gpu_counts, fast_cfg, jobs, cache)
-        warm_s = perf_counter() - t0
+        cold, cold_s = timed(
+            _sweep, scenarios, gpu_counts, fast_cfg, jobs=jobs, cache=cache
+        )
+        warm, warm_s = timed(
+            _sweep, scenarios, gpu_counts, fast_cfg, jobs=jobs, cache=cache
+        )
         cache_stats = cache.stats()
 
     # fast-path correctness: warm is byte-identical to cold (same digests),
@@ -119,7 +110,7 @@ def time_fig10_sweep(quick: bool, jobs: int) -> dict:
         f"at {top} GPUs"
     )
 
-    speedup_warm = serial_s / warm_s if warm_s > 0 else float("inf")
+    speedup_warm = ratio(serial_s, warm_s)
     assert speedup_warm >= 3.0, (
         f"warm fast path only {speedup_warm:.1f}x over serial (need >=3x)"
     )
@@ -129,7 +120,7 @@ def time_fig10_sweep(quick: bool, jobs: int) -> dict:
         "serial_s": serial_s,
         "cold_s": cold_s,
         "warm_s": warm_s,
-        "speedup_cold": serial_s / cold_s if cold_s > 0 else float("inf"),
+        "speedup_cold": ratio(serial_s, cold_s),
         "speedup_warm": speedup_warm,
         "mpi_efficiency_top": mpi_eff,
         "mpi_opt_efficiency_top": opt_eff,
@@ -140,13 +131,15 @@ def time_fig10_sweep(quick: bool, jobs: int) -> dict:
 def time_fig14_profile(quick: bool) -> dict:
     steps = 20 if quick else 100
     config = StudyConfig(measure_steps=steps)
-    profiles = {}
-    t0 = perf_counter()
-    for scenario in (MPI_DEFAULT, MPI_OPT):
-        hv = Hvprof()
-        ScalingStudy(scenario, config).run_point(4, hvprof=hv)
-        profiles[scenario.name] = hv
-    wall_s = perf_counter() - t0
+
+    def profile() -> dict[str, Hvprof]:
+        profiles = {}
+        for scenario in (MPI_DEFAULT, MPI_OPT):
+            hv = profiles[scenario.name] = Hvprof()
+            ScalingStudy(scenario, config).run_point(4, hvprof=hv)
+        return profiles
+
+    profiles, wall_s = timed(profile)
 
     # Table I bin structure: large bins improve ~50%, total lands 30-62%
     summary = improvement_summary(profiles["MPI"], profiles["MPI-Opt"])
@@ -183,13 +176,14 @@ def time_functional_step(quick: bool) -> dict:
     src = SyntheticDiv2k(height=32, width=32, seed=3)
     dataset = SRDataset(src, split="train", degradation=DegradationConfig(scale=2))
 
-    t0 = perf_counter()
-    trainer = DistributedTrainer(
-        lambda rank: EDSR(EDSR_TINY, rng=np.random.default_rng(50 + rank)),
-        engine, dataset, batch_per_rank=1, lr_patch=8, seed=4,
-    )
-    result = trainer.train(steps=steps)
-    wall_s = perf_counter() - t0
+    def train():
+        trainer = DistributedTrainer(
+            lambda rank: EDSR(EDSR_TINY, rng=np.random.default_rng(50 + rank)),
+            engine, dataset, batch_per_rank=1, lr_patch=8, seed=4,
+        )
+        return trainer.train(steps=steps)
+
+    result, wall_s = timed(train)
     assert len(result.losses) == steps
     return {"ranks": num_ranks, "steps": steps, "wall_s": wall_s}
 
@@ -204,12 +198,17 @@ def _event_run(iterations: int) -> tuple[int, float, float]:
     )
     world = MpiWorld(cluster, spec, mode=ExecutionMode.EVENT)
     ranks = list(range(num_ranks))
-    t0 = perf_counter()
-    sim_time = 0.0
-    for _ in range(iterations):
-        t = allreduce_timing(world.coster, ranks, 16 * MIB, algorithm="hierarchical")
-        sim_time += t.time
-    wall_s = perf_counter() - t0
+
+    def run() -> float:
+        sim_time = 0.0
+        for _ in range(iterations):
+            t = allreduce_timing(
+                world.coster, ranks, 16 * MIB, algorithm="hierarchical"
+            )
+            sim_time += t.time
+        return sim_time
+
+    sim_time, wall_s = timed(run)
     return cluster.env.events_processed, wall_s, sim_time
 
 
@@ -222,7 +221,7 @@ def time_event_engine(quick: bool) -> dict:
     # the simulation is deterministic: only the wall clock may differ
     assert all(r[0] == events and r[2] == sim_time for r in runs), runs
     walls = [wall_s for _, wall_s, _ in runs]
-    rates = [events / wall_s if wall_s > 0 else float("inf") for wall_s in walls]
+    rates = [ratio(events, wall_s) for wall_s in walls]
     return {
         "iterations": iterations,
         "wall_s": walls,
@@ -233,75 +232,40 @@ def time_event_engine(quick: bool) -> dict:
     }
 
 
-def check_baseline(report: dict, baseline_path: str, tolerance: float) -> list[str]:
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    failures = []
-    base_rate = baseline.get("events_per_sec")
-    rate = report["events_per_sec"]
-    if base_rate and rate < base_rate * (1.0 - tolerance):
-        failures.append(
-            f"median events/sec regressed: {rate:.0f} < {base_rate:.0f} "
-            f"- {tolerance:.0%} tolerance"
-        )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced sweep for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_perf.json")
-    parser.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
-    parser.add_argument("--check-baseline", default=None, metavar="PATH",
-                        help="fail if median events/sec regresses vs this baseline")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed median events/sec regression fraction")
-    args = parser.parse_args(argv)
-
-    workloads = {}
-    print(f"[bench_perf] fig10 sweep ({'quick' if args.quick else 'full'}) ...")
-    workloads["fig10_sweep"] = time_fig10_sweep(args.quick, args.jobs)
-    print(
-        "[bench_perf]   serial {serial_s:.2f}s  cold {cold_s:.2f}s  "
-        "warm {warm_s:.3f}s  ({speedup_warm:.0f}x warm)".format(
-            **workloads["fig10_sweep"]
-        )
-    )
+def measure(args) -> dict:
+    print("[bench_perf] fig10 sweep ...")
+    sweep = time_fig10_sweep(args.quick, args.jobs)
+    print("[bench_perf]   serial {serial_s:.2f}s  cold {cold_s:.2f}s  "
+          "warm {warm_s:.3f}s  ({speedup_warm:.0f}x warm)".format(**sweep))
     print("[bench_perf] fig14 hvprof profile ...")
-    workloads["fig14_profile"] = time_fig14_profile(args.quick)
-    print("[bench_perf]   {wall_s:.2f}s, Table I total {total_improvement_pct:.1f}%".format(
-        **workloads["fig14_profile"]))
+    profile = time_fig14_profile(args.quick)
+    print("[bench_perf]   {wall_s:.2f}s, Table I total "
+          "{total_improvement_pct:.1f}%".format(**profile))
     print("[bench_perf] functional 16-rank step ...")
-    workloads["functional_16rank"] = time_functional_step(args.quick)
-    print("[bench_perf]   {wall_s:.2f}s".format(**workloads["functional_16rank"]))
+    functional = time_functional_step(args.quick)
+    print("[bench_perf]   {wall_s:.2f}s".format(**functional))
     print(f"[bench_perf] event engine ({EVENT_RUNS} runs) ...")
-    event = workloads["event_engine"] = time_event_engine(args.quick)
+    event = time_event_engine(args.quick)
     print("[bench_perf]   {} events per run, {} events/s, median {:.0f}/s".format(
         event["events"], " / ".join(f"{r:.0f}" for r in event["rates"]),
         event["events_per_sec"]))
-
-    report = {
-        "quick": args.quick,
+    return {
         "jobs": args.jobs,
-        "workloads": workloads,
-        "events_per_sec": workloads["event_engine"]["events_per_sec"],
-        "sweep_speedup_warm": workloads["fig10_sweep"]["speedup_warm"],
+        "workloads": {
+            "fig10_sweep": sweep,
+            "fig14_profile": profile,
+            "functional_16rank": functional,
+            "event_engine": event,
+        },
+        "events_per_sec": event["events_per_sec"],
+        "sweep_speedup_warm": sweep["speedup_warm"],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench_perf] wrote {args.out}")
 
-    if args.check_baseline:
-        failures = check_baseline(report, args.check_baseline, args.tolerance)
-        for failure in failures:
-            print(f"[bench_perf] FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"[bench_perf] baseline check passed ({args.check_baseline})")
-    return 0
+
+def check(report: dict, baseline: dict) -> list[str]:
+    return EVENTS_FLOOR("median events/sec", report["events_per_sec"],
+                        baseline.get("events_per_sec"))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main("perf", __doc__, measure, check, jobs=True))

@@ -1,8 +1,7 @@
 """Scenario-layer regression harness: multi-scale and video workloads end
 to end (study points and serving sessions), writing ``BENCH_scenarios.json``.
 
-Standalone like ``bench_perf.py`` (no benchmark plugin needed) so CI can
-run it and diff against a committed baseline::
+The command line is the harness's (``benchmarks/harness.py``); CI runs::
 
     python benchmarks/bench_scenarios.py --quick --out BENCH_scenarios.json \
         --check-baseline benchmarks/baselines/BENCH_scenarios_baseline.json
@@ -28,16 +27,10 @@ Workloads:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import tempfile
-from time import perf_counter
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+# harness before repro: it puts ``src`` on ``sys.path``
+from harness import drift, main, rows, timed
 
 from repro.core import (
     MPI_OPT,
@@ -66,6 +59,20 @@ def _study_config(spec, steps: int) -> StudyConfig:
     return StudyConfig(measure_steps=steps, warmup_steps=1, workload=spec)
 
 
+def _point(config: StudyConfig, **run_kwargs):
+    [point] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], **run_kwargs)
+    return point
+
+
+def _cold(config: StudyConfig, cache: ResultCache):
+    """The point on the walk oracle, then cold on the default engine."""
+    # uncached: the oracle enters no digest, so a cached walk would
+    # serve the default engine's run
+    with walk_oracle():
+        exact = _point(config)
+    return exact, _point(config, cache=cache)
+
+
 def time_study_scenarios(quick: bool) -> dict:
     steps = 16 if quick else 48
     specs = {"multiscale8": MULTISCALE8_SPEC, "video": VIDEO_SPEC}
@@ -74,19 +81,11 @@ def time_study_scenarios(quick: bool) -> dict:
         cache = ResultCache(tmp)
         for name, spec in specs.items():
             config = _study_config(spec, steps)
-            t0 = perf_counter()
-            # uncached: the oracle enters no digest, so a cached walk would
-            # serve the default engine's run
-            with walk_oracle():
-                [exact] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS])
-            [fast] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], cache=cache)
-            cold_s = perf_counter() - t0
+            (exact, fast), cold_s = timed(_cold, config, cache)
             assert point_payload(exact) == point_payload(fast), (
                 f"{name}: default engine diverged from the walk oracle"
             )
-            t0 = perf_counter()
-            [warm] = ScalingStudy(MPI_OPT, config).run([NUM_GPUS], cache=cache)
-            warm_s = perf_counter() - t0
+            warm, warm_s = timed(_point, config, cache=cache)
             assert point_payload(warm) == point_payload(exact), (
                 f"{name}: warm cache diverged from cold"
             )
@@ -118,16 +117,19 @@ def time_video_serve(quick: bool) -> dict:
     plan = FaultPlan(
         faults=(RankFailure(rank=0, time=duration_s / 3, down_s=25.0),)
     )
-    t0 = perf_counter()
-    with walk_oracle():
-        exact = simulate_serve(
+
+    def serve():
+        return simulate_serve(
             _video_scenario(), duration_s=duration_s, seed=SEED,
             fault_plan=plan,
         )
-    fast = simulate_serve(
-        _video_scenario(), duration_s=duration_s, seed=SEED, fault_plan=plan
-    )
-    wall_s = perf_counter() - t0
+
+    def both():
+        with walk_oracle():
+            exact = serve()
+        return exact, serve()
+
+    (exact, fast), wall_s = timed(both)
     assert exact.to_payload() == fast.to_payload(), (
         "video serve: default engine diverged from the walk oracle"
     )
@@ -152,105 +154,52 @@ def time_video_serve(quick: bool) -> dict:
     }
 
 
-#: the deterministic metrics the baseline gates on, per workload
-GATED = {
-    "study_scenarios": ("images_per_second", "step_time"),
-    "video_serve": (
-        "frames_completed", "late_frame_ratio", "rebuffers",
-        "frame_p99_ms", "goodput_rps",
-    ),
-}
+#: the deterministic metrics the baseline gates on, per workload; the
+#: bound is float-noise margin
+STUDY_GATES = dict.fromkeys(("images_per_second", "step_time"), drift(1e-6))
+VIDEO_GATES = dict.fromkeys(
+    ("frames_completed", "late_frame_ratio", "rebuffers", "frame_p99_ms",
+     "goodput_rps"),
+    drift(1e-6),
+)
 
 
-def _drift(name: str, want: float, have: float, tolerance: float) -> str | None:
-    if abs(have - want) > tolerance * max(abs(want), 1e-12):
-        return (
-            f"{name} drifted: {have:.6g} vs baseline {want:.6g} "
-            f"(tolerance {tolerance:.0%}) — scenario semantics changed; "
-            f"update the baseline and bump CACHE_VERSION_SALT if intentional"
-        )
-    return None
-
-
-def check_baseline(report: dict, baseline_path: str, tolerance: float) -> list[str]:
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    failures = []
-    base_specs = baseline["workloads"]["study_scenarios"]["specs"]
-    got_specs = report["workloads"]["study_scenarios"]["specs"]
-    for spec, base in base_specs.items():
-        got = got_specs.get(spec)
-        if got is None:
-            failures.append(f"spec {spec} missing from the study sweep")
-            continue
-        for metric in GATED["study_scenarios"]:
-            bad = _drift(f"{spec}.{metric}", base[metric], got[metric], tolerance)
-            if bad:
-                failures.append(bad)
-    base_serve = baseline["workloads"]["video_serve"]
-    got_serve = report["workloads"]["video_serve"]
-    for metric in GATED["video_serve"]:
-        bad = _drift(
-            f"video_serve.{metric}", base_serve[metric], got_serve[metric],
-            tolerance,
-        )
-        if bad:
-            failures.append(bad)
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced durations for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_scenarios.json")
-    parser.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
-    parser.add_argument("--check-baseline", default=None, metavar="PATH",
-                        help="fail if simulated scenario metrics drift")
-    parser.add_argument("--tolerance", type=float, default=1e-6,
-                        help="allowed relative drift (simulated metrics are "
-                             "deterministic, so this is float-noise margin)")
-    args = parser.parse_args(argv)
-
-    workloads = {}
-    print(
-        f"[bench_scenarios] study points "
-        f"({'quick' if args.quick else 'full'}) ..."
-    )
-    workloads["study_scenarios"] = time_study_scenarios(args.quick)
-    for spec, row in workloads["study_scenarios"]["specs"].items():
+def measure(args) -> dict:
+    print("[bench_scenarios] study points ...")
+    study = time_study_scenarios(args.quick)
+    for spec, row in study["specs"].items():
         print(
             f"[bench_scenarios]   {spec}: {row['images_per_second']:.1f} "
             f"img/s  cold {row['cold_s']:.2f}s  warm {row['warm_s']:.3f}s"
         )
     print("[bench_scenarios] video serve ...")
-    workloads["video_serve"] = time_video_serve(args.quick)
+    video = time_video_serve(args.quick)
     print(
         "[bench_scenarios]   {sessions} session(s), {rehomes} re-home(s), "
         "{frames_completed} frames, late ratio {late_frame_ratio:.3f} "
-        "in {wall_s:.2f}s".format(**workloads["video_serve"])
+        "in {wall_s:.2f}s".format(**video)
     )
-
-    report = {
-        "quick": args.quick,
-        "jobs": args.jobs,
+    return {
         "seed": SEED,
-        "workloads": workloads,
+        "workloads": {"study_scenarios": study, "video_serve": video},
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench_scenarios] wrote {args.out}")
 
-    if args.check_baseline:
-        failures = check_baseline(report, args.check_baseline, args.tolerance)
-        for failure in failures:
-            print(f"[bench_scenarios] FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"[bench_scenarios] baseline check passed ({args.check_baseline})")
-    return 0
+
+def check(report: dict, baseline: dict) -> list[str]:
+    if not baseline:
+        return []
+    got, base = report["workloads"], baseline["workloads"]
+    failures = rows(
+        got["study_scenarios"]["specs"], base["study_scenarios"]["specs"],
+        "spec", STUDY_GATES,
+    )
+    for metric, gate in VIDEO_GATES.items():
+        failures += gate(
+            f"video_serve.{metric}", got["video_serve"][metric],
+            base["video_serve"][metric],
+        )
+    return failures
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main("scenarios", __doc__, measure, check))

@@ -1,8 +1,7 @@
 """Serving-tier regression harness: times the canonical serving sweep and
 writes ``BENCH_serve.json``.
 
-Standalone like ``bench_perf.py`` (no benchmark plugin needed) so CI can
-run it and diff against a committed baseline::
+The command line is the harness's (``benchmarks/harness.py``); CI runs::
 
     python benchmarks/bench_serve.py --quick --out BENCH_serve.json \
         --check-baseline benchmarks/baselines/BENCH_serve_baseline.json
@@ -24,16 +23,10 @@ Workloads:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import tempfile
-from time import perf_counter
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+# harness before repro: it puts ``src`` on ``sys.path``
+from harness import drift, main, ratio, rows, timed
 
 from repro.faults import FaultPlan, RankFailure
 from repro.perf import ResultCache, run_jobs
@@ -45,6 +38,9 @@ from repro.serve import (
 )
 
 SEED = 7
+#: the per-policy metrics the baseline gates on; they are deterministic,
+#: so the bound is float-noise margin
+POLICY_GATES = dict.fromkeys(("p99_ms", "goodput_rps"), drift(1e-6))
 
 
 def _jobs(duration_s: float) -> list[ServeJob]:
@@ -63,12 +59,8 @@ def time_policy_sweep(quick: bool, workers: int) -> dict:
     jobs = _jobs(duration_s)
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
-        t0 = perf_counter()
-        cold = run_jobs(jobs, workers=workers, cache=cache)
-        cold_s = perf_counter() - t0
-        t0 = perf_counter()
-        warm = run_jobs(jobs, workers=workers, cache=cache)
-        warm_s = perf_counter() - t0
+        cold, cold_s = timed(run_jobs, jobs, workers=workers, cache=cache)
+        warm, warm_s = timed(run_jobs, jobs, workers=workers, cache=cache)
         stats = cache.stats()
 
     for a, b in zip(cold, warm):
@@ -97,14 +89,13 @@ def time_policy_sweep(quick: bool, workers: int) -> dict:
 def time_failover(quick: bool) -> dict:
     duration_s = 20.0 if quick else 60.0
     plan = FaultPlan(faults=(RankFailure(rank=0, time=duration_s / 4),))
-    t0 = perf_counter()
-    report = simulate_serve(
+    report, wall_s = timed(
+        simulate_serve,
         ServeScenario(name="bench-failover"),
         duration_s=duration_s,
         seed=SEED,
         fault_plan=plan,
     )
-    wall_s = perf_counter() - t0
     s = report.summary
     assert s["arrived"] == s["completed"] + s["shed"], "requests dropped"
     assert s["detections"] == 1, "failure never detected"
@@ -120,95 +111,46 @@ def time_failover(quick: bool) -> dict:
 def time_engine_rate(quick: bool) -> dict:
     """Wall-clock rate of the serving event loop (informational)."""
     duration_s = 30.0 if quick else 120.0
-    t0 = perf_counter()
-    report = simulate_serve(
-        ServeScenario(name="bench-rate"), duration_s=duration_s, seed=SEED
+    report, wall_s = timed(
+        simulate_serve,
+        ServeScenario(name="bench-rate"), duration_s=duration_s, seed=SEED,
     )
-    wall_s = perf_counter() - t0
     arrived = report.summary["arrived"]
     return {
         "duration_s": duration_s,
         "wall_s": wall_s,
         "requests": arrived,
-        "requests_per_wall_sec": arrived / wall_s if wall_s > 0 else float("inf"),
+        "requests_per_wall_sec": ratio(arrived, wall_s),
     }
 
 
-def check_baseline(report: dict, baseline_path: str, tolerance: float) -> list[str]:
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    failures = []
-    for policy, base in baseline.get("policies", {}).items():
-        got = report["workloads"]["policy_sweep"]["policies"].get(policy)
-        if got is None:
-            failures.append(f"policy {policy} missing from the sweep")
-            continue
-        for metric in ("p99_ms", "goodput_rps"):
-            want, have = base[metric], got[metric]
-            if abs(have - want) > tolerance * max(abs(want), 1e-12):
-                failures.append(
-                    f"{policy}.{metric} drifted: {have:.6g} vs baseline "
-                    f"{want:.6g} (tolerance {tolerance:.0%}) — serving "
-                    f"timing semantics changed; update the baseline and "
-                    f"bump CACHE_VERSION_SALT if intentional"
-                )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced durations for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_serve.json")
-    parser.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
-    parser.add_argument("--check-baseline", default=None, metavar="PATH",
-                        help="fail if simulated serving metrics drift")
-    parser.add_argument("--tolerance", type=float, default=1e-6,
-                        help="allowed relative drift (simulated metrics are "
-                             "deterministic, so this is float-noise margin)")
-    args = parser.parse_args(argv)
-
-    workloads = {}
-    print(f"[bench_serve] policy sweep ({'quick' if args.quick else 'full'}) ...")
-    workloads["policy_sweep"] = time_policy_sweep(args.quick, args.jobs)
-    print(
-        "[bench_serve]   cold {cold_s:.2f}s  warm {warm_s:.3f}s".format(
-            **workloads["policy_sweep"]
-        )
-    )
+def measure(args) -> dict:
+    print("[bench_serve] policy sweep ...")
+    sweep = time_policy_sweep(args.quick, args.jobs)
+    print("[bench_serve]   cold {cold_s:.2f}s  warm {warm_s:.3f}s".format(**sweep))
     print("[bench_serve] failover ...")
-    workloads["failover"] = time_failover(args.quick)
-    print(
-        "[bench_serve]   {wall_s:.2f}s, {retried_requests} retried, "
-        "{cold_starts} cold start(s)".format(**workloads["failover"])
-    )
+    failover = time_failover(args.quick)
+    print("[bench_serve]   {wall_s:.2f}s, {retried_requests} retried, "
+          "{cold_starts} cold start(s)".format(**failover))
     print("[bench_serve] engine rate ...")
-    workloads["engine_rate"] = time_engine_rate(args.quick)
-    print(
-        "[bench_serve]   {requests} requests in {wall_s:.2f}s = "
-        "{requests_per_wall_sec:.0f}/s".format(**workloads["engine_rate"])
-    )
-
-    report = {
-        "quick": args.quick,
+    rate = time_engine_rate(args.quick)
+    print("[bench_serve]   {requests} requests in {wall_s:.2f}s = "
+          "{requests_per_wall_sec:.0f}/s".format(**rate))
+    return {
         "jobs": args.jobs,
         "seed": SEED,
-        "workloads": workloads,
+        "workloads": {
+            "policy_sweep": sweep, "failover": failover, "engine_rate": rate,
+        },
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench_serve] wrote {args.out}")
 
-    if args.check_baseline:
-        failures = check_baseline(report, args.check_baseline, args.tolerance)
-        for failure in failures:
-            print(f"[bench_serve] FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"[bench_serve] baseline check passed ({args.check_baseline})")
-    return 0
+
+def check(report: dict, baseline: dict) -> list[str]:
+    return rows(
+        report["workloads"]["policy_sweep"]["policies"],
+        baseline.get("policies", {}), "policy", POLICY_GATES,
+    )
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main("serve", __doc__, measure, check, jobs=True))

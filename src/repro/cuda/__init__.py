@@ -6,9 +6,10 @@ Models exactly the runtime semantics the paper's optimization exploits:
   ordinals per process (:mod:`repro.cuda.env`);
 * per-device contexts whose creation consumes real HBM — the "overhead
   kernels" of the paper's Fig. 6a (:mod:`repro.cuda.runtime`);
-* CUDA IPC handles with the version-dependent visibility rule: before CUDA
-  10.1 an IPC mapping required both devices in the process's visible set,
-  from 10.1 onwards it does not (:mod:`repro.cuda.ipc`);
+* the CUDA version behind the IPC visibility rule: before CUDA 10.1 an
+  IPC mapping required both devices in the process's visible set, from
+  10.1 onwards it does not (:class:`CudaVersion`; MPI's transport applies
+  the rule);
 * ``cudaMemcpy`` costed on the simulated NVLink/X-Bus topology and kernel
   launches costed by a roofline model (:mod:`repro.cuda.kernels`).
 """
@@ -16,8 +17,6 @@ Models exactly the runtime semantics the paper's optimization exploits:
 from repro.cuda.env import VisibilityMask
 from repro.cuda.runtime import CudaContext, CudaRuntime, CudaVersion
 from repro.cuda.memory import DeviceAllocation
-from repro.cuda.ipc import IpcMemHandle
-from repro.cuda.stream import Stream
 from repro.cuda.kernels import KernelCostModel, KernelLaunch
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "CudaContext",
     "CudaVersion",
     "DeviceAllocation",
-    "IpcMemHandle",
-    "Stream",
     "KernelCostModel",
     "KernelLaunch",
 ]

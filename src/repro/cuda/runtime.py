@@ -1,6 +1,7 @@
 """Simulated CUDA runtime and per-process contexts.
 
-The two behaviours from the paper's §III-C live here:
+The paper's §III-C rests on two behaviours.  The first lives here; the
+second has its version gate here and is applied by MPI:
 
 * **Overhead kernels (Fig. 6a).**  Creating a context on a device consumes
   ``GpuSpec.context_overhead_bytes`` of HBM.  Undisciplined Python libraries
@@ -9,11 +10,13 @@ The two behaviours from the paper's §III-C live here:
   every device in the process's mask.  With 4 processes per node each seeing
   4 GPUs, every GPU carries 4 contexts instead of 1.
 
-* **IPC visibility rule (Fig. 6b / §III-C).**  Before CUDA 10.1, a process
-  could only open an IPC handle for a device *in its own visible set*; i.e.
-  ``CUDA_VISIBLE_DEVICES=local_rank`` made IPC between distinct GPUs
-  impossible and forced MPI to stage through host memory.  From 10.1 the
-  restriction is lifted: :meth:`CudaRuntime.can_open_ipc` implements both.
+* **The CUDA >= 10.1 IPC rule (Fig. 6b / §III-C).**  Before CUDA 10.1, a
+  process could only open an IPC handle for a device *in its own visible
+  set*, so ``CUDA_VISIBLE_DEVICES=local_rank`` forced MPI to stage through
+  host memory.  :attr:`CudaVersion.supports_cross_visibility_ipc` names the
+  version gate; ``repro.mpi.process._resolve_mpi_mask`` applies it to
+  ``MV2_VISIBLE_DEVICES`` and ``repro.mpi.transports.TransportModel.can_ipc``
+  gives each rank pair's verdict.
 """
 
 from __future__ import annotations
@@ -22,21 +25,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import (
-    CudaError,
-    CudaInvalidDeviceError,
-    CudaIpcError,
-    CudaOutOfMemoryError,
-)
+from repro.errors import CudaError, CudaInvalidDeviceError, CudaOutOfMemoryError
 from repro.cuda.env import VisibilityMask
-from repro.cuda.ipc import IpcMemHandle
 from repro.cuda.kernels import KernelCostModel
 from repro.cuda.memory import DeviceAllocation
 from repro.hardware.cluster import Cluster
 from repro.hardware.memory import PoolExhaustedError
 from repro.hardware.node import DeviceRef
 
-#: one-time cost of cuIpcOpenMemHandle (cached per buffer by transports)
+#: one-time cost of cuIpcOpenMemHandle; MPI's transport charges it once
+#: per rank pair, on the pair's first IPC transfer
 IPC_OPEN_OVERHEAD_S = 35e-6
 
 
@@ -82,7 +80,7 @@ def check_mask(mask: VisibilityMask, device_count: int) -> None:
 
 
 class CudaRuntime:
-    """Node-level runtime: owns physical devices and the IPC legality rule."""
+    """Node-level runtime: owns a node's physical devices."""
 
     def __init__(
         self,
@@ -111,17 +109,6 @@ class CudaRuntime:
         check_mask(mask, self.physical_device_count)
         return CudaContext(self, pid, mask)
 
-    def can_open_ipc(self, opener: "CudaContext", handle: IpcMemHandle) -> bool:
-        """May ``opener`` map the buffer named by ``handle``?"""
-        if handle.device.node != self.node_id:
-            return False  # IPC is intra-node only
-        if handle.owner_pid == opener.pid:
-            return False  # IPC is for *inter*-process sharing
-        if self.version.supports_cross_visibility_ipc:
-            return True
-        # Legacy rule: the target device must be visible to the opener.
-        return opener.mask.sees(handle.device.index)
-
     def __repr__(self) -> str:
         return f"<CudaRuntime node={self.node_id} CUDA {self.version}>"
 
@@ -139,7 +126,6 @@ class CudaContext:
         # physical ordinal -> HBM block for this process's context
         self._context_blocks: dict[int, object] = {}
         self._live: set[DeviceAllocation] = set()
-        self._opened_handles: set[int] = set()
 
     # -- device selection --------------------------------------------------
     def set_device(self, logical: int) -> None:
@@ -207,28 +193,6 @@ class CudaContext:
         pool.free_block(alloc.block)
         alloc.freed = True
         self._live.discard(alloc)
-
-    # -- IPC -------------------------------------------------------------------
-    def get_ipc_handle(self, alloc: DeviceAllocation) -> IpcMemHandle:
-        if alloc.owner_pid != self.pid:
-            raise CudaIpcError(
-                f"pid {self.pid} cannot export buffer owned by pid {alloc.owner_pid}"
-            )
-        if alloc.freed:
-            raise CudaIpcError("cannot export a freed buffer")
-        return IpcMemHandle.for_allocation(alloc)
-
-    def open_ipc_handle(self, handle: IpcMemHandle) -> IpcMemHandle:
-        if not self.runtime.can_open_ipc(self, handle):
-            raise CudaIpcError(
-                f"pid {self.pid} (mask={self.mask}, CUDA {self.runtime.version}) "
-                f"cannot open IPC handle on {handle.device}"
-            )
-        self._opened_handles.add(handle.allocation_id)
-        return handle
-
-    def has_open_handle(self, handle: IpcMemHandle) -> bool:
-        return handle.allocation_id in self._opened_handles
 
     # -- copies ------------------------------------------------------------------
     def memcpy_time(self, src: DeviceRef, dst: DeviceRef, nbytes: int) -> float:

@@ -39,10 +39,6 @@ class CudaInvalidDeviceError(CudaError):
     """Device ordinal is invalid or not visible to the calling context."""
 
 
-class CudaIpcError(CudaError):
-    """CUDA IPC handle could not be created or opened."""
-
-
 class FaultError(ReproError):
     """Base class for errors surfaced by the fault-injection subsystem."""
 

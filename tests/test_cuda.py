@@ -1,16 +1,11 @@
-"""Unit tests for the simulated CUDA runtime: masks, contexts, memory, IPC."""
+"""Unit tests for the simulated CUDA runtime: masks, contexts, memory,
+copies and kernels."""
 
 import pytest
 
 from repro.cuda import CudaRuntime, CudaVersion, VisibilityMask
 from repro.cuda.kernels import KernelCostModel, KernelLaunch
-from repro.cuda.stream import Stream
-from repro.errors import (
-    ConfigError,
-    CudaInvalidDeviceError,
-    CudaIpcError,
-    CudaOutOfMemoryError,
-)
+from repro.errors import ConfigError, CudaInvalidDeviceError, CudaOutOfMemoryError
 from repro.hardware import LASSEN, Cluster, V100_16GB
 from repro.sim import Environment
 from repro.utils.units import GIB, MIB
@@ -136,67 +131,6 @@ class TestContextsAndMemory:
             runtime.create_context(pid=1, mask=VisibilityMask.parse("0,4"))
 
 
-class TestIpc:
-    def _two_ranks(self, runtime, mask_a, mask_b):
-        a = runtime.create_context(pid=1, mask=mask_a)
-        b = runtime.create_context(pid=2, mask=mask_b)
-        return a, b
-
-    def test_ipc_allowed_with_full_visibility_any_version(self, cluster):
-        runtime = CudaRuntime(cluster, 0, version=CudaVersion(10, 0))
-        a, b = self._two_ranks(
-            runtime, VisibilityMask.all_devices(4), VisibilityMask.all_devices(4)
-        )
-        a.set_device(0)
-        handle = a.get_ipc_handle(a.malloc(64 * MIB))
-        b.set_device(1)
-        assert runtime.can_open_ipc(b, handle)
-        b.open_ipc_handle(handle)
-        assert b.has_open_handle(handle)
-
-    def test_legacy_runtime_blocks_ipc_under_singleton_mask(self, cluster):
-        """Pre-10.1 + CUDA_VISIBLE_DEVICES=local_rank: the paper's broken path."""
-        runtime = CudaRuntime(cluster, 0, version=CudaVersion(10, 0))
-        a, b = self._two_ranks(
-            runtime, VisibilityMask.single(0), VisibilityMask.single(1)
-        )
-        handle = a.get_ipc_handle(a.malloc(64 * MIB))
-        assert not runtime.can_open_ipc(b, handle)
-        with pytest.raises(CudaIpcError):
-            b.open_ipc_handle(handle)
-
-    def test_modern_runtime_allows_ipc_under_singleton_mask(self, cluster):
-        """CUDA >= 10.1 lifts the restriction (paper's §III-C key fact)."""
-        runtime = CudaRuntime(cluster, 0, version=CudaVersion(10, 2))
-        a, b = self._two_ranks(
-            runtime, VisibilityMask.single(0), VisibilityMask.single(1)
-        )
-        handle = a.get_ipc_handle(a.malloc(64 * MIB))
-        assert runtime.can_open_ipc(b, handle)
-
-    def test_ipc_never_crosses_nodes(self):
-        env = Environment()
-        cluster = Cluster(env, LASSEN, num_nodes=2)
-        rt0 = CudaRuntime(cluster, 0)
-        rt1 = CudaRuntime(cluster, 1)
-        a = rt0.create_context(pid=1, mask=VisibilityMask.single(0))
-        b = rt1.create_context(pid=2, mask=VisibilityMask.single(0))
-        handle = a.get_ipc_handle(a.malloc(1 * MIB))
-        assert not rt1.can_open_ipc(b, handle)
-
-    def test_ipc_not_for_own_process(self, runtime):
-        ctx = runtime.create_context(pid=1, mask=VisibilityMask.all_devices(4))
-        handle = ctx.get_ipc_handle(ctx.malloc(1 * MIB))
-        assert not runtime.can_open_ipc(ctx, handle)
-
-    def test_cannot_export_foreign_buffer(self, runtime):
-        a = runtime.create_context(pid=1, mask=VisibilityMask.single(0))
-        b = runtime.create_context(pid=2, mask=VisibilityMask.single(1))
-        alloc = a.malloc(1 * MIB)
-        with pytest.raises(CudaIpcError):
-            b.get_ipc_handle(alloc)
-
-
 class TestCopiesAndKernels:
     def test_peer_copy_times(self, runtime):
         ctx = runtime.create_context(pid=1, mask=VisibilityMask.all_devices(4))
@@ -233,14 +167,6 @@ class TestCopiesAndKernels:
     def test_device_reduce_time_positive(self):
         model = KernelCostModel(V100_16GB)
         assert model.device_reduce_time(64 * MIB) > 0
-
-    def test_stream_serializes_work(self):
-        stream = Stream(device=None)
-        end1 = stream.enqueue(now=0.0, duration=2.0)
-        end2 = stream.enqueue(now=1.0, duration=3.0)
-        assert end1 == 2.0
-        assert end2 == 5.0
-        assert stream.synchronize(now=0.0) == 5.0
 
     def test_bad_kernel_launch_rejected(self):
         with pytest.raises(ConfigError):

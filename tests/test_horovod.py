@@ -137,6 +137,15 @@ class TestCoordinator:
         assert c.cycle_overhead(512, 100) > c.cycle_overhead(4, 100)
         assert c.cycle_overhead(64, 300) > c.cycle_overhead(64, 10)
 
+    def test_cached_cycle_is_a_ceil_log2_tree_round_trip(self):
+        """A response-cache hit costs one bitmask allreduce: ceil(log2 p)
+        hops each way.  Powers of two pin the ceiling, where
+        floor(log2 p) + 1 would add a hop."""
+        c = CoordinatorModel()
+        depths = {1: 0, 2: 1, 3: 2, 4: 2, 8: 3, 512: 9}
+        for ranks, depth in depths.items():
+            assert c.cached_cycle_overhead(ranks) == 2 * depth * c.hop_latency_s
+
     def test_straggler_factor_monotone(self):
         assert straggler_factor(1) == 1.0
         assert 1.0 < straggler_factor(4) < straggler_factor(512) < 1.25

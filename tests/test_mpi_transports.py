@@ -66,9 +66,13 @@ class TestSelection:
         assert tm.select(0, 1, 64 * MIB) is TransportKind.HOST_STAGED
 
     def test_all_devices_policy_gets_ipc_without_override(self):
-        """Legacy workaround (Fig 6a): full visibility => IPC works."""
-        _, tm = make_world(1, policy=AllDevicesPolicy())
-        assert tm.select(0, 1, 64 * MIB) is TransportKind.CUDA_IPC
+        """Legacy workaround (Fig 6a): full visibility => IPC works, before
+        CUDA 10.1 too."""
+        for version in (CudaVersion(10, 2), CudaVersion(10, 0)):
+            _, tm = make_world(
+                1, policy=AllDevicesPolicy(), cuda_version=version
+            )
+            assert tm.select(0, 1, 64 * MIB) is TransportKind.CUDA_IPC
 
     def test_medium_intra_node_stays_staged_even_with_ipc(self):
         """IPC only engages above its threshold (Table I: no gain <16MB)."""
