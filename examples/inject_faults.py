@@ -33,7 +33,7 @@ from repro.hardware import LASSEN, Cluster
 from repro.horovod import HorovodConfig, HorovodEngine
 from repro.models import EDSR, EDSR_TINY
 from repro.mpi import MpiWorld, WorldSpec
-from repro.profiling import Hvprof
+from repro.profiling import fault_report
 from repro.sim import Environment
 
 
@@ -46,11 +46,9 @@ def run_training(args, plan: FaultPlan | None):
     cluster = Cluster(Environment(), LASSEN, num_nodes=nodes)
     spec = WorldSpec(num_ranks=args.ranks, policy=scenario.policy,
                      config=scenario.mv2)
-    hvprof = Hvprof()
-    injector = FaultInjector(plan, hvprof=hvprof) if plan is not None else None
+    injector = FaultInjector(plan) if plan is not None else None
     world = MpiWorld(cluster, spec, faults=injector)
     comm = world.communicator()
-    comm.add_observer(hvprof.observer)
     engine = HorovodEngine(comm, HorovodConfig(cycle_time_s=2e-3))
 
     source = SyntheticDiv2k(height=32, width=32, seed=11)
@@ -66,7 +64,7 @@ def run_training(args, plan: FaultPlan | None):
         faults=injector,
     )
     result = trainer.train(steps=args.steps)
-    return result, injector, hvprof
+    return result, injector
 
 
 def main() -> None:
@@ -94,19 +92,19 @@ def main() -> None:
     print(f"fault plan (seed {args.seed}): {len(plan.faults)} faults, "
           "policy=shrink-continue")
 
-    baseline, _, _ = run_training(args, None)
+    baseline, _ = run_training(args, None)
     base_ips = baseline.simulated_images_per_second
     print(f"baseline (no injector):      {base_ips:10.2f} img/s")
 
-    zero, _, _ = run_training(args, FaultPlan(seed=args.seed))
+    zero, _ = run_training(args, FaultPlan(seed=args.seed))
     zero_ips = zero.simulated_images_per_second
     drift = abs(zero_ips - base_ips) / base_ips
     print(f"zero-fault plan:             {zero_ips:10.2f} img/s "
           f"(drift {drift:.5%})")
     assert drift < 1e-3, "zero-fault plan must reproduce the baseline"
 
-    first, inj1, prof = run_training(args, plan)
-    second, inj2, _ = run_training(args, plan)
+    first, inj1 = run_training(args, plan)
+    second, inj2 = run_training(args, plan)
     ips1 = first.simulated_images_per_second
     ips2 = second.simulated_images_per_second
     print(f"faulty run 1:                {ips1:10.2f} img/s")
@@ -118,7 +116,7 @@ def main() -> None:
     assert identical, "same seed + same plan must be bit-identical"
     print(f"world size over time: {first.world_sizes}")
     print(f"slowdown vs baseline: {base_ips / ips1:.2f}x")
-    print(prof.fault_report())
+    print(fault_report(inj1.trace))
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ on-disk result cache unless ``--no-cache`` is given.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.perf import ResultCache, default_cache_dir, profiled_call, run_jobs
@@ -42,6 +43,24 @@ from repro.utils.units import format_bytes
 
 def _make_cache(args: argparse.Namespace) -> ResultCache:
     return ResultCache(args.cache_dir, enabled=not args.no_cache)
+
+
+def _print_cache_stats(cache: ResultCache) -> None:
+    """One line of the cache's hits and misses, when it is enabled."""
+    if cache.enabled:
+        stats = cache.stats()
+        print(
+            f"result cache: {stats['hits']} hit(s), {stats['misses']} "
+            f"miss(es) ({cache.directory})"
+        )
+
+
+def _write_json(path: str, payload, what: str) -> None:
+    """Write ``payload`` as indented, key-sorted JSON and say so."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{what} written to {path}")
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
@@ -80,12 +99,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
             f"{p.step_time * 1e3:.1f}",
         )
     print(table.render())
-    if cache.enabled:
-        stats = cache.stats()
-        print(
-            f"result cache: {stats['hits']} hit(s), {stats['misses']} miss(es) "
-            f"({cache.directory})"
-        )
+    _print_cache_stats(cache)
     return 0
 
 
@@ -164,8 +178,6 @@ def _parse_failures(specs: list[str]):
 
 def cmd_resilience(args: argparse.Namespace) -> int:
     """Run one scaling point under a fault plan and itemize the recovery."""
-    import json
-
     from repro.faults import FaultPlan
     from repro.resilience import (
         CheckpointPolicy,
@@ -215,16 +227,12 @@ def cmd_resilience(args: argparse.Namespace) -> int:
             "policy": mode,
             "points": [point_payload(p) for p in points],
         }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"recovery report written to {args.report}")
+        _write_json(args.report, report, "recovery report")
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Simulate inference serving under one or all routing policies."""
-    import json
-
     from repro.faults import FaultPlan
     from repro.serve import (
         POLICY_NAMES,
@@ -311,12 +319,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ]
         cache = _make_cache(args)
         reports = run_jobs(jobs, workers=args.jobs, cache=cache)
-        if cache.enabled:
-            stats = cache.stats()
-            print(
-                f"result cache: {stats['hits']} hit(s), "
-                f"{stats['misses']} miss(es) ({cache.directory})"
-            )
+        _print_cache_stats(cache)
 
     for report in reports:
         print(
@@ -332,16 +335,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "duration_s": args.duration,
             "reports": [r.to_payload() for r in reports],
         }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"serving report written to {args.report}")
+        _write_json(args.report, payload, "serving report")
     return 0
 
 
 def cmd_comm(args: argparse.Namespace) -> int:
     """``comm tune`` / ``comm show`` — the selection-table workflow."""
-    import json
-
     from repro.comm import (
         TuningConfig,
         available_backends,
@@ -366,10 +365,7 @@ def cmd_comm(args: argparse.Namespace) -> int:
         print(table.render())
         print(f"table digest: {table.digest()}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(table.to_payload(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"table written to {args.out}")
+            _write_json(args.out, table.to_payload(), "table")
     else:  # show
         if args.table:
             with open(args.table, encoding="utf-8") as fh:
@@ -384,8 +380,6 @@ def cmd_comm(args: argparse.Namespace) -> int:
 
 def cmd_hybrid(args: argparse.Namespace) -> int:
     """``hybrid plan`` — rank (dp, tp, pp) layouts for a target world."""
-    import json
-
     from repro.parallel.planner import PlannerConfig, plan_hybrid
 
     config = PlannerConfig(
@@ -439,17 +433,9 @@ def cmd_hybrid(args: argparse.Namespace) -> int:
             f"{report['hybrid_speedup']:.3f}x on simulated time-to-train"
         )
     print(f"plan digest: {report['digest']}")
-    if cache.enabled:
-        stats = cache.stats()
-        print(
-            f"result cache: {stats['hits']} hit(s), {stats['misses']} "
-            f"miss(es) ({cache.directory})"
-        )
+    _print_cache_stats(cache)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"plan report written to {args.report}")
+        _write_json(args.report, report, "plan report")
     return 0
 
 
@@ -466,8 +452,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the invariant-checked chaos campaign."""
-    import json
-
     from repro.chaos import (
         POLICY_NAMES,
         SCENARIOS as CHAOS_SCENARIOS,
@@ -502,18 +486,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     for line in report.lines():
         print(line)
-    if cache.enabled:
-        stats = cache.stats()
-        print(
-            f"result cache: {stats['hits']} hit(s), "
-            f"{stats['misses']} miss(es) ({cache.directory})"
-        )
+    _print_cache_stats(cache)
     print(f"campaign digest: {report.digest}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"campaign report written to {args.report}")
+        _write_json(args.report, report.to_payload(), "campaign report")
     failures = report.failures()
     if failures:
         for f in failures:
@@ -527,6 +503,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     checked = sum(len(row["invariants"]) for row in report.rows)
     print(f"all {checked} invariant check(s) green")
     return 0
+
+
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the on-disk result cache")
+    parser.add_argument("--cache-dir", default=None,
+                        help=f"result cache directory (default {default_cache_dir()})")
+
+
+def _add_jobs_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--jobs", type=int, default=1,
+                        help=f"worker processes for {what}")
+
+
+def _add_report_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--report", default=None, metavar="PATH",
+                        help=f"write the JSON {what} report to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,12 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(the paper's), multi-scale heads (x2/x4[/x8] "
                             "in one run), or recurrent video sequences; "
                             "see docs/scenarios.md")
-    scale.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent sweep points")
-    scale.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache")
-    scale.add_argument("--cache-dir", default=None,
-                       help=f"result cache directory (default {default_cache_dir()})")
+    _add_jobs_flag(scale, "independent sweep points")
+    _add_cache_flags(scale)
     scale.add_argument("--compression", default="none",
                        metavar="MODE",
                        help="gradient compression: none, fp16, bf16, or "
@@ -625,11 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evict a rank after this many straggler offenses")
     res.add_argument("--ckpt-interval", type=int, default=2,
                      help="checkpoint every N steps")
-    res.add_argument("--jobs", type=int, default=1)
-    res.add_argument("--no-cache", action="store_true")
-    res.add_argument("--cache-dir", default=None)
-    res.add_argument("--report", default=None,
-                     help="write the JSON recovery report to this path")
+    _add_jobs_flag(res, "independent world sizes")
+    _add_cache_flags(res)
+    _add_report_flag(res, "recovery")
     res.set_defaults(func=cmd_resilience)
 
     serve = sub.add_parser(
@@ -666,15 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="REPLICA@TIME[@DOWN]",
                        help="kill a replica mid-run (repeatable); failover "
                             "retries its orphaned requests")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for --policy all sweeps")
-    serve.add_argument("--no-cache", action="store_true")
-    serve.add_argument("--cache-dir", default=None)
+    _add_jobs_flag(serve, "--policy all sweeps")
+    _add_cache_flags(serve)
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Chrome trace_event JSON timeline "
                             "(chrome://tracing / Perfetto)")
-    serve.add_argument("--report", default=None,
-                       help="write the JSON serving report to this path")
+    _add_report_flag(serve, "serving")
     serve.set_defaults(func=cmd_serve)
 
     chaos = sub.add_parser(
@@ -698,12 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured training steps per cell")
     chaos.add_argument("--duration", type=float, default=60.0,
                        help="serving cell duration (simulated seconds)")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent cells")
-    chaos.add_argument("--no-cache", action="store_true")
-    chaos.add_argument("--cache-dir", default=None)
-    chaos.add_argument("--report", default=None, metavar="PATH",
-                       help="write the JSON campaign report to this path")
+    _add_jobs_flag(chaos, "independent cells")
+    _add_cache_flags(chaos)
+    _add_report_flag(chaos, "campaign")
     chaos.set_defaults(func=cmd_chaos)
 
     comm = sub.add_parser(
@@ -728,8 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "of collective algorithms")
     comm.add_argument("--topk-ratio", type=float, default=0.01,
                       help="top-k density for the compression sweep")
-    comm.add_argument("--no-cache", action="store_true")
-    comm.add_argument("--cache-dir", default=None)
+    _add_cache_flags(comm)
     comm.set_defaults(func=cmd_comm)
 
     hybrid = sub.add_parser(
@@ -763,12 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "selection table (comm tune)")
     hybrid.add_argument("--top", type=int, default=10,
                         help="ranked layouts to print")
-    hybrid.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for candidate pricing")
-    hybrid.add_argument("--no-cache", action="store_true")
-    hybrid.add_argument("--cache-dir", default=None)
-    hybrid.add_argument("--report", default=None, metavar="PATH",
-                        help="write the full JSON plan report to this path")
+    _add_jobs_flag(hybrid, "candidate pricing")
+    _add_cache_flags(hybrid)
+    _add_report_flag(hybrid, "plan")
     hybrid.set_defaults(func=cmd_hybrid)
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")

@@ -25,7 +25,6 @@ class DeviceAllocation:
     nbytes: int
     tag: str
     block: MemoryBlock
-    owner_pid: int
     buffer_id: int = field(default_factory=lambda: next(DeviceAllocation._ids))
     freed: bool = False
 

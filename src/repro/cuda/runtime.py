@@ -82,16 +82,10 @@ def check_mask(mask: VisibilityMask, device_count: int) -> None:
 class CudaRuntime:
     """Node-level runtime: owns a node's physical devices."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        node_id: int,
-        version: CudaVersion = DEFAULT_CUDA_VERSION,
-    ):
+    def __init__(self, cluster: Cluster, node_id: int):
         self.cluster = cluster
         self.node = cluster.nodes[node_id]
         self.node_id = node_id
-        self.version = version
         self.kernel_model = KernelCostModel(cluster.spec.node.gpu)
 
     @property
@@ -110,7 +104,7 @@ class CudaRuntime:
         return CudaContext(self, pid, mask)
 
     def __repr__(self) -> str:
-        return f"<CudaRuntime node={self.node_id} CUDA {self.version}>"
+        return f"<CudaRuntime node={self.node_id}>"
 
 
 class CudaContext:
@@ -180,9 +174,7 @@ class CudaContext:
             block = pool.alloc(nbytes, tag=f"{tag}:pid{self.pid}")
         except PoolExhaustedError as exc:
             raise CudaOutOfMemoryError(str(exc)) from exc
-        alloc = DeviceAllocation(
-            device=ref, nbytes=nbytes, tag=tag, block=block, owner_pid=self.pid
-        )
+        alloc = DeviceAllocation(device=ref, nbytes=nbytes, tag=tag, block=block)
         self._live.add(alloc)
         return alloc
 

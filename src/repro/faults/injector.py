@@ -12,9 +12,11 @@ and threaded through the stack:
   :meth:`failed_ranks` for membership, and :meth:`compute_factor` for
   straggler/jitter slowdown.
 
-Every injected fault and recovery action is recorded into a
-:class:`~repro.faults.trace.FaultTrace` and mirrored to optional timeline
-and hvprof sinks, so chaos runs are observable post hoc.  All randomness
+Every injected fault and recovery action is recorded into one
+:class:`~repro.faults.trace.FaultTrace` (:attr:`FaultInjector.trace`), so
+chaos runs are observable post hoc: ``repro.profiling`` renders it as a
+report (``fault_report``) and as Chrome trace instants
+(``fault_trace_events``).  All randomness
 derives from the plan seed via :func:`~repro.utils.seeding.derive_seed`:
 the drop, wire-corruption and checkpoint-corruption verdicts draw with
 :func:`~repro.utils.seeding.seeded_random` (numpy's
@@ -89,14 +91,10 @@ class FaultInjector:
     per-rank faults only work without one.
     """
 
-    def __init__(
-        self, plan: FaultPlan, *, topology=None, timeline=None, hvprof=None
-    ):
+    def __init__(self, plan: FaultPlan, *, topology=None):
         self.plan = plan
         self.topology = topology
         self.trace = FaultTrace()
-        self.timeline = timeline
-        self.hvprof = hvprof
         self._stragglers = plan.of_type(StragglerFault)
         self._jitters = plan.of_type(JitterFault)
         self._links = plan.of_type(LinkFault)
@@ -150,14 +148,8 @@ class FaultInjector:
         dst: int | None = None,
         detail: str = "",
     ) -> None:
-        """Append to the trace and mirror to the observability sinks."""
+        """Append one event to :attr:`trace`, the run's one fault log."""
         self.trace.record(kind, time, rank=rank, src=src, dst=dst, detail=detail)
-        if self.timeline is not None:
-            self.timeline.record(
-                f"fault:{kind}", start=time, duration=0.0, detail=detail
-            )
-        if self.hvprof is not None:
-            self.hvprof.record_fault(kind, time, detail=detail)
 
     def _note(self, key: tuple, kind: str, time: float, **fields) -> None:
         if key in self._noted:

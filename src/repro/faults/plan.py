@@ -120,7 +120,9 @@ class MessageFault:
     """Dropped and/or delayed point-to-point messages.
 
     Applies to the event-driven transport path (``transfer_proc`` /
-    :class:`~repro.mpi.p2p.P2PFabric`).  ``src``/``dst`` of ``None``
+    :class:`~repro.mpi.p2p.P2PFabric`) and to NCCL's and the hierarchical
+    backend's ring hops; the default analytic MPI engine never consults
+    it, so MPI study points ignore it.  ``src``/``dst`` of ``None``
     match any rank.  Drops are decided per attempt from the plan seed, so
     retransmissions re-roll deterministically.
     """

@@ -10,9 +10,11 @@ exactly as in the paper's Fig. 3 stack.  Implements:
   (:mod:`repro.horovod.coordinator`);
 * :class:`~repro.horovod.optimizer.DistributedOptimizer` and
   ``broadcast_parameters`` — the two integration points §III-A adds to
-  EDSR's training loop;
-* a timeline recorder for post-hoc analysis
-  (:mod:`repro.horovod.timeline`).
+  EDSR's training loop.
+
+Each step's submitted messages are its timeline
+(:attr:`StepTiming.messages`); :func:`repro.profiling.horovod_trace_events`
+renders them as Chrome trace events.
 """
 
 from repro.horovod.env import HorovodConfig
@@ -20,7 +22,6 @@ from repro.horovod.fusion import FusionMessage, PendingTensor, TensorFusion
 from repro.horovod.coordinator import CoordinatorModel
 from repro.horovod.engine import HorovodEngine, StepTiming
 from repro.horovod.optimizer import DistributedOptimizer, broadcast_parameters
-from repro.horovod.timeline import Timeline, TimelineEvent
 
 __all__ = [
     "HorovodConfig",
@@ -32,6 +33,4 @@ __all__ = [
     "StepTiming",
     "DistributedOptimizer",
     "broadcast_parameters",
-    "Timeline",
-    "TimelineEvent",
 ]

@@ -29,7 +29,6 @@ from repro.errors import HorovodError
 from repro.horovod.coordinator import CoordinatorModel
 from repro.horovod.env import HorovodConfig
 from repro.horovod.fusion import FusionMessage, PendingTensor, TensorFusion
-from repro.horovod.timeline import Timeline
 from repro.mpi.comm import GpuBuffer
 from repro.mpi.datatypes import Datatype
 from repro.utils.folds import fold_sum
@@ -79,14 +78,12 @@ class HorovodEngine:
         config: HorovodConfig | None = None,
         *,
         coordinator: CoordinatorModel | None = None,
-        timeline: Timeline | None = None,
         compression: CompressionConfig | None = None,
     ):
         self.comm = comm
         self.config = config or HorovodConfig()
         self.fusion = TensorFusion(self.config)
         self.coordinator = coordinator or CoordinatorModel()
-        self.timeline = timeline
         self.compression = compression or CompressionConfig()
         self.compressor = build_compressor(self.compression)
         # top-k error-feedback residuals, keyed (world rank id, tensor name).
@@ -426,14 +423,6 @@ class HorovodEngine:
                     record = self._submit_dense(message, start)
                 exec_free = record.finish
                 records.append(record)
-                if self.timeline is not None:
-                    self.timeline.record(
-                        "allgather" if sparse_active else "allreduce",
-                        start=start,
-                        duration=record.duration,
-                        nbytes=record.nbytes,
-                        detail=",".join(message.names[:4]),
-                    )
         comm_finish = records[-1].finish if records else 0.0
         return StepTiming(
             backward_time=backward_time,

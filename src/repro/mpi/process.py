@@ -175,7 +175,7 @@ class WorldCuda:
             return
         spec = self.spec
         first = node_id * self.cluster.gpus_per_node
-        runtime = CudaRuntime(self.cluster, node_id, version=spec.cuda_version)
+        runtime = CudaRuntime(self.cluster, node_id)
         contexts = []
         for local_rank, mask in enumerate(self.app_masks[: spec.num_ranks - first]):
             ctx = runtime.create_context(pid=first + local_rank + 1, mask=mask)

@@ -10,19 +10,6 @@ from repro.profiling.bins import PAPER_BINS, SizeBin, bin_for, overflow_bin
 from repro.utils.tables import TextTable
 from repro.utils.units import format_bytes, format_time
 
-#: hvprof's per-op record is the unified communication accounting record;
-#: the old name survives as an alias for existing imports
-OpRecord = CommRecord
-
-
-@dataclass
-class FaultRecord:
-    """One injected fault / recovery action (from ``repro.faults``)."""
-
-    kind: str
-    time: float
-    detail: str = ""
-
 
 @dataclass
 class BinStats:
@@ -30,7 +17,7 @@ class BinStats:
     total_time: float = 0.0
     total_bytes: int = 0
 
-    def add(self, record: OpRecord) -> None:
+    def add(self, record: CommRecord) -> None:
         self.count += 1
         self.total_time += record.time
         self.total_bytes += record.nbytes
@@ -48,25 +35,17 @@ class Hvprof:
         self.bins = bins
         #: holds the ops above the last bin (see :meth:`by_bin`)
         self.overflow = overflow_bin(bins)
-        self.records: list[OpRecord] = []
-        self.fault_records: list[FaultRecord] = []
+        self.records: list[CommRecord] = []
 
     # -- collection ------------------------------------------------------------
     def observer(self, timing: CollectiveTiming, backend: str) -> None:
         self.records.append(CommRecord.from_timing(timing, backend))
 
-    def record_fault(self, kind: str, time: float, detail: str = "") -> None:
-        """Sink for :class:`~repro.faults.FaultInjector` (pass the profiler
-        as its ``hvprof=`` argument); makes injected runs observable in the
-        same report stream as the collectives they perturb."""
-        self.fault_records.append(FaultRecord(kind=kind, time=time, detail=detail))
-
     def clear(self) -> None:
         self.records.clear()
-        self.fault_records.clear()
 
     # -- aggregation ------------------------------------------------------------
-    def filtered(self, op: str | None = None) -> list[OpRecord]:
+    def filtered(self, op: str | None = None) -> list[CommRecord]:
         return [r for r in self.records if op is None or r.op == op]
 
     def by_bin(self, op: str | None = "allreduce") -> dict[SizeBin, BinStats]:
@@ -123,24 +102,6 @@ class Hvprof:
             format_bytes(self.total_bytes(op)),
             f"{self.effective_bandwidth(op) / 1e9:.2f} GB/s",
         )
-        return table.render()
-
-    def fault_report(self) -> str:
-        """Count of injected faults / recovery actions by kind."""
-        table = TextTable(
-            ["Fault Kind", "Count", "First", "Last"],
-            title="hvprof: injected faults",
-        )
-        by_kind: dict[str, list[FaultRecord]] = {}
-        for record in self.fault_records:
-            by_kind.setdefault(record.kind, []).append(record)
-        for kind, records in sorted(by_kind.items()):
-            table.add_row(
-                kind,
-                len(records),
-                format_time(records[0].time),
-                format_time(records[-1].time),
-            )
         return table.render()
 
     def to_json(self) -> list[dict]:

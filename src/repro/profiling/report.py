@@ -1,10 +1,13 @@
-"""Default-vs-optimized comparison reports (Table I's format)."""
+"""Default-vs-optimized comparison reports (Table I's format) and the
+injected-fault summary of a run's fault trace."""
 
 from __future__ import annotations
 
+from repro.faults.trace import FaultTrace
 from repro.profiling.bins import SizeBin
 from repro.profiling.hvprof import BinStats, Hvprof
 from repro.utils.tables import TextTable
+from repro.utils.units import format_time
 
 
 def _bin_rows(
@@ -63,4 +66,22 @@ def comparison_table(
         optimized.total_time(op) * 1e3,
         summary["Total"],
     )
+    return table.render()
+
+
+def fault_report(trace: FaultTrace) -> str:
+    """Per-kind count, first and last time of a run's fault trace.
+
+    ``trace`` is the run's one fault log,
+    :attr:`repro.faults.FaultInjector.trace`; kinds are sorted by name.
+    """
+    table = TextTable(
+        ["Fault Kind", "Count", "First", "Last"],
+        title="hvprof: injected faults",
+    )
+    times: dict[str, list[float]] = {}
+    for event in trace:
+        times.setdefault(event.kind, []).append(event.time)
+    for kind, seen in sorted(times.items()):
+        table.add_row(kind, len(seen), format_time(seen[0]), format_time(seen[-1]))
     return table.render()

@@ -1,4 +1,4 @@
-"""Chrome ``trace_event`` JSON export for serving and hvprof timelines.
+"""Chrome ``trace_event`` JSON export: the one Chrome-trace writer.
 
 Writes the `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
@@ -6,24 +6,38 @@ consumed by ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_:
 a JSON object with a ``traceEvents`` array of complete (``ph: "X"``) and
 instant (``ph: "i"``) events, timestamps in microseconds.
 
-Two producers feed it:
+Every producer renders its own record as :class:`TraceEvent`\\ s, and
+:func:`chrome_trace` / :func:`write_chrome_trace` serialize any mix:
 
 * the serving simulator (``repro serve --trace PATH``) emits real
   timeline spans — batches per replica lane, cold starts, failovers,
   autoscaler decisions — with true simulation timestamps;
-* :class:`~repro.profiling.Hvprof` records (unified
-  :class:`~repro.comm.records.CommRecord`\\ s from any backend's
-  communicator) carry durations but no start times (the profiler
-  aggregates, it does not trace), so :func:`hvprof_trace_events`
-  synthesizes a *concatenated* timeline: ops are laid end-to-end per
+* :func:`hvprof_trace_events` lays out an :class:`~repro.profiling.Hvprof`'s
+  records (unified :class:`~repro.comm.records.CommRecord`\\ s from any
+  backend's communicator).  They carry durations but no start times (the
+  profiler aggregates, it does not trace), so ops are laid end-to-end per
   backend lane in record order.  Lane offsets are synthetic; durations
-  and ordering are real.
+  and ordering are real;
+* :func:`fault_trace_events` turns a run's fault trace
+  (:attr:`~repro.faults.FaultInjector.trace`) into instants at their true
+  timestamps, on a ``faults`` lane beside hvprof's;
+* :func:`horovod_trace_events` draws one Horovod step's submitted messages
+  (:attr:`~repro.horovod.StepTiming.messages`) at their true start times,
+  what ``HOROVOD_TIMELINE`` records for a step.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.trace import FaultTrace
+    from repro.horovod.engine import StepTiming
+
+#: the process hvprof's collectives and the fault instants share
+HVPROF_PID = "hvprof"
 
 
 @dataclass(frozen=True)
@@ -78,12 +92,11 @@ def write_chrome_trace(path: str, events: list[TraceEvent]) -> int:
     return len(payload["traceEvents"])
 
 
-def hvprof_trace_events(hvprof, *, pid: str = "hvprof") -> list[TraceEvent]:
+def hvprof_trace_events(hvprof) -> list[TraceEvent]:
     """Synthesized per-backend timeline of an :class:`Hvprof`'s records.
 
     Each backend gets its own lane; ops are concatenated in record order
-    (hvprof does not retain start times).  Injected-fault records become
-    instant events on a ``faults`` lane at their true timestamps.
+    (hvprof does not retain start times).
     """
     events: list[TraceEvent] = []
     offsets: dict[str, float] = {}
@@ -96,23 +109,52 @@ def hvprof_trace_events(hvprof, *, pid: str = "hvprof") -> list[TraceEvent]:
                 ph="X",
                 ts_us=start * 1e6,
                 dur_us=record.time * 1e6,
-                pid=pid,
+                pid=HVPROF_PID,
                 tid=lane,
                 cat="collective",
                 args={"nbytes": record.nbytes},
             )
         )
         offsets[lane] = start + record.time
-    for fault in hvprof.fault_records:
-        events.append(
-            TraceEvent(
-                name=fault.kind,
-                ph="i",
-                ts_us=fault.time * 1e6,
-                pid=pid,
-                tid="faults",
-                cat="fault",
-                args={"detail": fault.detail} if fault.detail else None,
-            )
-        )
     return events
+
+
+def fault_trace_events(trace: FaultTrace) -> list[TraceEvent]:
+    """A fault trace's events as Chrome instants on hvprof's ``faults`` lane.
+
+    Each instant sits at its event's simulated time; add them to
+    :func:`hvprof_trace_events` to see faults beside the collectives they
+    perturb.
+    """
+    return [
+        TraceEvent(
+            name=event.kind,
+            ph="i",
+            ts_us=event.time * 1e6,
+            pid=HVPROF_PID,
+            tid="faults",
+            cat="fault",
+            args={"detail": event.detail} if event.detail else None,
+        )
+        for event in trace
+    ]
+
+
+def horovod_trace_events(timing: StepTiming) -> list[TraceEvent]:
+    """One complete Chrome event per message a Horovod step submitted.
+
+    Events sit at their message's simulated start (seconds after backward
+    begins), in submission order (:attr:`StepTiming.messages`).
+    """
+    return [
+        TraceEvent(
+            name=record.algorithm,
+            ts_us=record.start * 1e6,
+            dur_us=record.duration * 1e6,
+            pid="horovod",
+            tid="messages",
+            cat="horovod",
+            args={"nbytes": record.nbytes, "fused_count": record.fused_count},
+        )
+        for record in timing.messages
+    ]

@@ -146,3 +146,44 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+    # subcommand -> the shared flags it declares (besides the cache pair)
+    SHARED_FLAGS = {
+        "scale": ("--jobs",),
+        "resilience": ("--jobs", "--report"),
+        "serve": ("--jobs", "--report"),
+        "chaos": ("--jobs", "--report"),
+        "comm": (),
+        "hybrid": ("--jobs", "--report"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SHARED_FLAGS))
+    def test_shared_flags_parse_on_each_subcommand(self, command):
+        flags = self.SHARED_FLAGS[command]
+        parser = build_parser()
+        defaults = parser.parse_args([command])
+        assert defaults.no_cache is False
+        assert defaults.cache_dir is None
+        assert getattr(defaults, "jobs", None) == (1 if "--jobs" in flags else None)
+        assert getattr(defaults, "report", None) is None
+        argv = [command, "--no-cache", "--cache-dir", "cache-here"]
+        if "--jobs" in flags:
+            argv += ["--jobs", "3"]
+        if "--report" in flags:
+            argv += ["--report", "out.json"]
+        args = parser.parse_args(argv)
+        assert args.no_cache is True
+        assert args.cache_dir == "cache-here"
+        if "--jobs" in flags:
+            assert args.jobs == 3
+        if "--report" in flags:
+            assert args.report == "out.json"
+        for flag in {"--jobs", "--report"} - set(flags):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, flag, "1"])
+
+    def test_cache_command_takes_only_the_directory(self):
+        parser = build_parser()
+        assert parser.parse_args(["cache", "--cache-dir", "d"]).cache_dir == "d"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["cache", "--no-cache"])

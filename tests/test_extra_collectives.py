@@ -1,4 +1,4 @@
-"""Tests for gather/scatter/alltoall and the timeline chrome-trace export."""
+"""Tests for gather/scatter/alltoall and the Horovod step's Chrome-trace export."""
 
 import json
 
@@ -7,10 +7,12 @@ import pytest
 
 from repro.errors import MpiError
 from repro.hardware import LASSEN, Cluster
-from repro.horovod import Timeline
+from repro.horovod import HorovodConfig, HorovodEngine, PendingTensor
+from repro.horovod.engine import MessageRecord, StepTiming
 from repro.mpi import Mv2Config, MpiWorld, WorldSpec
 from repro.mpi.comm import GpuBuffer
 from repro.mpi.process import SingletonDevicePolicy
+from repro.profiling import horovod_trace_events, write_chrome_trace
 from repro.sim import Environment
 from repro.utils.units import KIB, MIB
 
@@ -75,36 +77,45 @@ class TestGatherScatter:
 
 class TestChromeTrace:
     def test_export_structure(self):
-        timeline = Timeline()
-        timeline.record("allreduce", start=0.010, duration=0.005,
-                        nbytes=32 * MIB, detail="slot0")
-        timeline.record("bcast", start=0.020, duration=0.001)
-        trace = timeline.to_chrome_trace()
+        timing = StepTiming(
+            backward_time=0.02, comm_finish=0.021, coordination_time=0.0,
+            messages=[
+                MessageRecord(nbytes=32 * MIB, start=0.010, finish=0.015,
+                              fused_count=3, algorithm="ring"),
+                MessageRecord(nbytes=KIB, start=0.020, finish=0.021,
+                              fused_count=1, algorithm="recursive-doubling"),
+            ],
+        )
+        trace = [e.to_chrome() for e in horovod_trace_events(timing)]
         assert len(trace) == 2
         event = trace[0]
         assert event["ph"] == "X"
-        assert event["name"] == "allreduce"
+        assert event["name"] == "ring"
+        assert event["cat"] == "horovod"
         assert event["ts"] == pytest.approx(10_000)  # us
         assert event["dur"] == pytest.approx(5_000)
-        assert event["args"]["nbytes"] == 32 * MIB
+        assert event["args"] == {"nbytes": 32 * MIB, "fused_count": 3}
+        assert trace[1]["ts"] == pytest.approx(20_000)
 
     def test_save_and_reload(self, tmp_path):
-        timeline = Timeline()
-        timeline.record("allreduce", start=0.0, duration=0.001, nbytes=100)
+        timing = StepTiming(
+            backward_time=0.0, comm_finish=0.001, coordination_time=0.0,
+            messages=[MessageRecord(nbytes=100, start=0.0, finish=0.001,
+                                    fused_count=1, algorithm="ring")],
+        )
         path = str(tmp_path / "trace.json")
-        timeline.save_chrome_trace(path)
+        assert write_chrome_trace(path, horovod_trace_events(timing)) == 1
         with open(path) as fh:
             loaded = json.load(fh)
-        assert loaded[0]["name"] == "allreduce"
+        assert loaded["traceEvents"][0]["name"] == "ring"
+        assert loaded["traceEvents"][0]["args"]["nbytes"] == 100
 
-    def test_trace_from_real_engine_run(self, tmp_path):
-        from repro.horovod import HorovodConfig, HorovodEngine, PendingTensor
-
+    def test_trace_from_real_engine_run(self):
         comm = make_comm(4)
-        timeline = Timeline()
-        engine = HorovodEngine(comm, HorovodConfig(cycle_time_s=1e-3),
-                               timeline=timeline)
-        engine.run_step([PendingTensor("g", 8 * MIB)])
-        trace = timeline.to_chrome_trace()
-        assert trace
-        assert all(e["dur"] > 0 for e in trace)
+        engine = HorovodEngine(comm, HorovodConfig(cycle_time_s=1e-3))
+        timing = engine.run_step([PendingTensor("g", 8 * MIB)])
+        events = horovod_trace_events(timing)
+        assert len(events) == len(timing.messages) == 1
+        assert all(e.dur_us > 0 for e in events)
+        assert events[0].ts_us == timing.messages[0].start * 1e6
+        assert events[0].args["nbytes"] == 8 * MIB

@@ -12,7 +12,6 @@ from repro.horovod import (
     HorovodEngine,
     PendingTensor,
     TensorFusion,
-    Timeline,
     broadcast_parameters,
 )
 from repro.horovod.coordinator import straggler_factor
@@ -214,12 +213,18 @@ class TestEngine:
         assert schedules.entries == built
 
     def test_timeline_records_messages(self):
+        # the step's timeline is StepTiming.messages: one record per
+        # submitted message, back to back on the one comm stream
         comm = make_comm(4)
-        timeline = Timeline()
-        engine = HorovodEngine(comm, timeline=timeline)
-        engine.run_step(virtual_stream([1 * MIB, 1 * MIB]))
-        assert len(timeline.by_kind("allreduce")) == 1
-        assert timeline.total_time("allreduce") > 0
+        engine = HorovodEngine(comm)
+        timing = engine.run_step(virtual_stream([1 * MIB, 1 * MIB]))
+        assert len(timing.messages) == 1
+        (message,) = timing.messages
+        assert message.fused_count == 2
+        assert message.nbytes == 2 * MIB
+        assert message.duration > 0
+        assert timing.total_comm_time == message.duration
+        assert timing.comm_finish == message.finish
 
     def test_mismatched_rank_data_rejected(self):
         comm = make_comm(4)
