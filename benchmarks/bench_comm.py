@@ -31,7 +31,6 @@ from __future__ import annotations
 from harness import anchors, exact, floor, main, ratio, timed
 
 from repro.comm import TuningConfig, build_communicator, tune_table
-from repro.comm.selection import clear_active_tables
 from repro.core import MPI_OPT
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
@@ -159,7 +158,6 @@ def time_routed_overhead(quick: bool) -> dict:
 
 
 def measure(args) -> dict:
-    clear_active_tables()
     print("[bench_comm] collective sweep ...")
     sweep = time_collective_sweep(args.quick)
     print("[bench_comm]   {ops} collectives in {wall_s:.2f}s = "

@@ -12,7 +12,7 @@ a world that prices collectives:
 * :mod:`repro.comm.cost` — shared α-β cost identities and the collective
   schedule memo (deduplicated out of the mpi/nccl/horovod layers);
 * :mod:`repro.comm.selection` — (message size × world size) selection
-  tables and the process-local active-table registry;
+  tables, which a study carries in ``StudyConfig.comm_table``;
 * :mod:`repro.comm.api` — :func:`broadcast_weights`, the weight
   re-broadcast charge elastic re-grow uses;
 * :mod:`repro.comm.hierarchical` — intra-node NVLink reduce-scatter +
@@ -24,7 +24,7 @@ a world that prices collectives:
   algorithms per (bytes, ranks) bucket and emits a cached, digest-keyed
   table.
 
-With no active selection table the communicator passes
+With no selection table the communicator passes
 ``algorithm=None`` and each backend applies its own heuristic
 (``tests/test_comm_equivalence``, ``tests/test_comm_golden``).
 
@@ -43,15 +43,7 @@ from repro.comm.cost import (
     ring_step_count,
     weight_broadcast_time,
 )
-from repro.comm.selection import (
-    SelectionTable,
-    active_table_digests,
-    active_tables,
-    clear_active_tables,
-    get_active_table,
-    install_table_payloads,
-    set_active_table,
-)
+from repro.comm.selection import SelectionTable
 from repro.comm.api import broadcast_weights
 
 _LAZY = {
@@ -75,12 +67,6 @@ __all__ = [
     "ring_step_count",
     "weight_broadcast_time",
     "SelectionTable",
-    "active_table_digests",
-    "active_tables",
-    "clear_active_tables",
-    "get_active_table",
-    "install_table_payloads",
-    "set_active_table",
     "broadcast_weights",
     *sorted(_LAZY),
 ]

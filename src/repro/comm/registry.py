@@ -16,7 +16,7 @@ simulate the wrong world when both were omitted).
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.comm.selection import SelectionTable, get_active_table
+from repro.comm.selection import SelectionTable
 from repro.mpi.collectives import ExecutionMode
 
 
@@ -86,18 +86,19 @@ def build_communicator(
     envelopes degrade their link classes and charge message-fault
     penalties through the same injector.
 
-    ``table`` overrides the process-wide active selection table for the
-    backend (``repro.comm.selection.set_active_table``); with neither, the
-    communicator passes ``algorithm=None`` and each backend applies its
-    own heuristic.  ``world.communicator()`` never consults the active
-    table.
+    ``table`` (a :class:`SelectionTable` built for ``backend``) routes the
+    communicator's collectives; without one the communicator passes
+    ``algorithm=None`` and each backend applies its own heuristic.
     """
     factory = _FACTORIES.get(backend)
     if factory is None:
         raise ConfigError(
             f"unknown backend {backend!r}; available: {available_backends()}"
         )
+    if table is not None and table.backend != backend:
+        raise ConfigError(
+            f"selection table for {table.backend!r} cannot route the "
+            f"{backend!r} backend"
+        )
     world = factory(cluster, world_spec, num_ranks, mode, faults)
-    if table is None:
-        table = get_active_table(backend)
     return world, world.communicator(table=table)

@@ -10,8 +10,9 @@ sim-driven autotuner in :mod:`repro.comm.tuning`.
 
 Tables are *opt-in*: with no table the communicator passes
 ``algorithm=None`` and every backend falls back to its own heuristic.
-``build_communicator`` hands its communicator the backend's active table;
-``world.communicator()`` never does.
+A study routes through one by carrying it in its config
+(``StudyConfig.comm_table``), which ``build_communicator(table=...)``
+hands to the communicator; there is no process-wide table.
 """
 
 from __future__ import annotations
@@ -121,36 +122,3 @@ class SelectionTable:
         for label, row in zip(labels, self.algorithms):
             table.add_row(label, *row)
         return table.render()
-
-
-# -- active tables (process-local routing state) ----------------------------
-_ACTIVE: dict[str, SelectionTable] = {}
-
-
-def set_active_table(table: SelectionTable) -> None:
-    """Install ``table`` as the routing policy for its backend."""
-    _ACTIVE[table.backend] = table
-
-
-def get_active_table(backend: str) -> SelectionTable | None:
-    return _ACTIVE.get(backend)
-
-
-def clear_active_tables() -> None:
-    _ACTIVE.clear()
-
-
-def active_tables() -> dict[str, SelectionTable]:
-    return dict(_ACTIVE)
-
-
-def active_table_digests() -> dict[str, str]:
-    """Backend -> table digest for every active table (cache-key material)."""
-    return {backend: table.digest() for backend, table in sorted(_ACTIVE.items())}
-
-
-def install_table_payloads(payloads) -> None:
-    """Re-install serialized tables (worker processes of parallel sweeps)."""
-    clear_active_tables()
-    for payload in payloads or ():
-        set_active_table(SelectionTable.from_payload(payload))

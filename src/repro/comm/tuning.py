@@ -6,9 +6,10 @@ each (message size, rank count) grid point the tuner times every candidate
 algorithm through the *real* backend cost model (the same code path
 training steps take) and fills the selection table with the argmin.  The
 result is content-addressed: the tuning configuration digests to a cache
-key, so re-tuning an unchanged configuration is a cache hit, and the
-table's own digest folds into scaling/serve point digests so tuned-table
-runs never alias untuned cached results.
+key, so re-tuning an unchanged configuration is a cache hit.  A study
+routes through a tuned table by carrying it in ``StudyConfig.comm_table``,
+so the table folds into its point digest and tuned-table runs never alias
+untuned cached results.
 """
 
 from __future__ import annotations
@@ -85,11 +86,7 @@ def _geometric_edges(points: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _build_sweep_comm(config: TuningConfig, num_ranks: int):
-    """A table-free communicator sized for one rank-count sweep column.
-
-    It never routes through the process's active table: the memo and the
-    cache key ignore active tables, so the sweep must not depend on them.
-    """
+    """A table-free communicator sized for one rank-count sweep column."""
     from repro.comm.registry import build_communicator
     from repro.hardware.cluster import build_cluster
 
@@ -103,10 +100,10 @@ def _build_sweep_comm(config: TuningConfig, num_ranks: int):
         world_spec = WorldSpec(
             num_ranks=num_ranks, policy=scenario.policy, config=scenario.mv2
         )
-    world, _ = build_communicator(
+    _, comm = build_communicator(
         cluster, config.backend, world_spec=world_spec, num_ranks=num_ranks
     )
-    return world.communicator()
+    return comm
 
 
 def _sweep(

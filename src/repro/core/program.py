@@ -91,7 +91,7 @@ def build_engine(
     )
     world, comm = build_communicator(
         cluster, scenario.backend, world_spec=world_spec,
-        num_ranks=num_ranks, faults=faults,
+        num_ranks=num_ranks, faults=faults, table=cfg.comm_table,
     )
     if hvprof is not None:
         comm.add_observer(hvprof.observer)

@@ -23,6 +23,7 @@ from repro.core.calibration import (
     TRAIN_BATCH_PER_GPU,
 )
 from repro.comm.api import broadcast_weights
+from repro.comm.selection import SelectionTable
 from repro.compression import CompressionConfig
 from repro.core.program import StepProgram, build_engine
 from repro.core.scenarios import IMAGE_SPEC, Scenario, ScenarioSpec
@@ -90,6 +91,10 @@ class StudyConfig:
     # allreduce and the update.  Folds into point digests like any other
     # config field.
     workload: ScenarioSpec = IMAGE_SPEC
+    # MVAPICH2-style algorithm-selection table for the scenario's backend
+    # (repro.comm.selection); None keeps each backend's own heuristic.
+    # Folds into point digests like any other config field.
+    comm_table: SelectionTable | None = None
 
     def __post_init__(self) -> None:
         if self.batch_per_gpu < 1:
@@ -301,14 +306,12 @@ class ScalingStudy:
         """Content address of the point this study would produce.
 
         Folds in everything that determines the result: scenario (policy,
-        MV2 config, backend), the full :class:`StudyConfig`, world size and
-        per-GPU batch, the ``MV2_*``/``HOROVOD_*``/``REPRO_SIM_*`` environment
-        knobs, the study's fault plan and recovery policy, the digests of
-        any active ``repro.comm`` selection tables (so tuned-table runs
-        never alias untuned cached results), and the cache version salt.
+        MV2 config, backend), the full :class:`StudyConfig` (its selection
+        table included, so tuned-table runs never alias untuned cached
+        results), world size and per-GPU batch, the study's fault plan and
+        recovery policy, and the cache version salt.
         """
-        from repro.comm.selection import active_table_digests
-        from repro.perf.digest import canonical_digest, env_knobs
+        from repro.perf.digest import canonical_digest
 
         return canonical_digest(
             {
@@ -317,10 +320,8 @@ class ScalingStudy:
                 "config": self.config,
                 "num_gpus": num_gpus,
                 "batch_per_gpu": self.batch_for(num_gpus),
-                "env": env_knobs(),
                 "fault_plan": self.fault_plan,
                 "recovery": self.recovery,
-                "comm_tables": active_table_digests(),
             }
         )
 

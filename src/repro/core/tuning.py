@@ -9,7 +9,7 @@ and returns the best configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.scenarios import Scenario
 from repro.core.study import ScalingStudy, StudyConfig
@@ -67,18 +67,11 @@ class HorovodTuner:
         grid: list[tuple[int, float, float]] = []
         for threshold in self.thresholds:
             for cycle in self.cycle_times:
-                horovod = HorovodConfig(
-                    fusion_threshold=threshold, cycle_time_s=cycle
+                horovod = replace(
+                    self.base_config.horovod,
+                    fusion_threshold=threshold, cycle_time_s=cycle,
                 )
-                config = StudyConfig(
-                    model=self.base_config.model,
-                    batch_per_gpu=self.base_config.batch_per_gpu,
-                    cluster=self.base_config.cluster,
-                    horovod=horovod,
-                    jitter_sigma=self.base_config.jitter_sigma,
-                    warmup_steps=self.base_config.warmup_steps,
-                    measure_steps=self.base_config.measure_steps,
-                )
+                config = replace(self.base_config, horovod=horovod)
                 rate = ScalingStudy(self.scenario, config).run_point(
                     num_gpus
                 ).images_per_second

@@ -5,9 +5,9 @@ divide the model width, pp over contiguous stage splits, microbatch counts
 that cut the replica batch evenly, optional fusion-threshold and tuned
 selection-table variants — prices each as a scaling point through the
 sweep runner (:func:`repro.perf.parallel.run_jobs`, so a warm result
-cache short-circuits and ``jobs > 1`` fans out over worker processes, each
-routing through the parent's active selection tables), and emits a ranked
-recommendation.
+cache short-circuits and ``jobs > 1`` fans out over worker processes; a
+tuned candidate carries its table in its ``StudyConfig``), and emits a
+ranked recommendation.
 
 The search loop follows the PR 5 selection-table autotuner: the planner
 configuration content-digests to a cache key, an in-process memo
@@ -79,17 +79,9 @@ _PLAN_MEMO: dict[str, dict] = {}
 
 
 def plan_digest(config: PlannerConfig) -> str:
-    from repro.comm.selection import active_table_digests
-    from repro.perf.digest import canonical_digest, env_knobs
+    from repro.perf.digest import canonical_digest
 
-    return canonical_digest(
-        {
-            "kind": "hybrid-plan",
-            "config": config,
-            "env": env_knobs(),
-            "comm_tables": active_table_digests(),
-        }
-    )
+    return canonical_digest({"kind": "hybrid-plan", "config": config})
 
 
 def scaled_cluster(config: PlannerConfig) -> ClusterSpec:
@@ -152,7 +144,7 @@ def enumerate_layouts(config: PlannerConfig) -> list[ParallelLayout]:
     return layouts
 
 
-def _study_config(config: PlannerConfig, spec, layout, fusion_mib):
+def _study_config(config: PlannerConfig, spec, layout, fusion_mib, table=None):
     from repro.core.study import StudyConfig
 
     horovod = HOROVOD_TUNED
@@ -166,6 +158,7 @@ def _study_config(config: PlannerConfig, spec, layout, fusion_mib):
         warmup_steps=config.warmup_steps,
         measure_steps=config.measure_steps,
         layout=layout,
+        comm_table=table,
     )
 
 
@@ -192,11 +185,6 @@ def plan_hybrid(
     """
     import json
 
-    from repro.comm.selection import (
-        active_tables,
-        clear_active_tables,
-        set_active_table,
-    )
     from repro.core.scenarios import scenario_by_name
     from repro.core.study import ScalingStudy
     from repro.errors import ConfigError as _ConfigError
@@ -215,7 +203,6 @@ def plan_hybrid(
     scenario = scenario_by_name(config.scenario)
     spec = scaled_cluster(config)
     fusion_variants = (0,) + tuple(sorted(set(config.fusion_mib)))
-    tables = ("default", "tuned") if config.use_tuned_tables else ("default",)
 
     # memory feasibility pre-filter: infeasible layouts are reported, not
     # priced (a worker raising a simulated OOM would poison the whole batch)
@@ -254,13 +241,13 @@ def plan_hybrid(
     global_batch = config.ranks * config.batch_per_gpu
     steps_to_train = math.ceil(NOMINAL_TRAIN_IMAGES / global_batch)
 
-    def price_batch(table_name: str) -> None:
-        # the point digest covers the active tables' digests, so
-        # default/tuned rows never collide in the cache
+    def price_batch(table_name: str, table=None) -> None:
+        # the table rides in each point's config, so default/tuned rows
+        # never collide in the cache
         point_jobs = [
             PointJob(
                 scenario, config.ranks,
-                _study_config(config, spec, layout, fusion_mib),
+                _study_config(config, spec, layout, fusion_mib, table),
             )
             for layout, fusion_mib in candidates
         ]
@@ -288,15 +275,8 @@ def plan_hybrid(
             )
 
     price_batch("default")
-    if "tuned" in tables:
-        previous = active_tables()
-        try:
-            set_active_table(_tuned_table(config, spec, cache=cache))
-            price_batch("tuned")
-        finally:
-            clear_active_tables()
-            for table in previous.values():
-                set_active_table(table)
+    if config.use_tuned_tables:
+        price_batch("tuned", _tuned_table(config, spec, cache=cache))
 
     rows.sort(
         key=lambda r: (

@@ -7,7 +7,7 @@ the same (scenario, gpu_count) points are re-simulated by every figure.
 This package exploits both:
 
 * :mod:`repro.perf.digest` — canonical content digests of run
-  configurations (scenario, model, world size, env knobs, fault plan,
+  configurations (scenario, study config, world size, fault plan,
   code-version salt);
 * :mod:`repro.perf.cache` — content-addressed on-disk cache of
   :class:`~repro.core.study.ScalingPoint` results with explicit
@@ -24,7 +24,7 @@ validity conditions of each fast path.
 """
 
 from repro.perf.cache import ResultCache, default_cache_dir
-from repro.perf.digest import CACHE_VERSION_SALT, canonical_digest, env_knobs
+from repro.perf.digest import CACHE_VERSION_SALT, canonical_digest
 from repro.perf.parallel import PointJob, run_jobs
 from repro.perf.profile import profiled_call
 from repro.perf.steady import PeriodicSteadyState
@@ -34,7 +34,6 @@ __all__ = [
     "default_cache_dir",
     "CACHE_VERSION_SALT",
     "canonical_digest",
-    "env_knobs",
     "PointJob",
     "run_jobs",
     "profiled_call",

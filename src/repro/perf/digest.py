@@ -1,17 +1,17 @@
 """Canonical content digests of run configurations.
 
-A sweep point's result is fully determined by (scenario, model config,
-world size, batch, env knobs, fault plan, code version).  ``canonical_digest``
-reduces any composition of dataclasses, enums, and plain containers to a
-stable JSON form and hashes it, giving the content address the on-disk
-result cache is keyed by.
+A sweep point's result is fully determined by (scenario, study config
+including its selection table, world size, batch, fault plan, recovery
+policy, code version).  ``canonical_digest`` reduces any composition of
+dataclasses, enums, and plain containers to a stable JSON form and hashes
+it, giving the content address the on-disk result cache is keyed by.
 
 Two properties matter and are tested:
 
 * **stability** — the same logical configuration always digests the same,
   across processes and dict orderings;
-* **sensitivity** — any knob change (an ``MV2_*``/``HOROVOD_*`` env var, a
-  fault plan, a model preset, a tolerance) changes the digest, so stale
+* **sensitivity** — any knob change (a config field, a selection table,
+  a fault plan, a model preset, a tolerance) changes the digest, so stale
   cache entries can never be returned for a different configuration.
 
 ``CACHE_VERSION_SALT`` is folded into every digest; bump it whenever the
@@ -24,7 +24,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 from typing import Any, Mapping
 
 from repro.errors import ConfigError
@@ -32,18 +31,6 @@ from repro.errors import ConfigError
 #: bump on any change to the simulator's timing semantics — this is the
 #: explicit whole-cache invalidation lever (plus ``ResultCache.clear``).
 CACHE_VERSION_SALT = "repro-perf-v9"
-
-#: environment prefixes that can change simulated results and therefore
-#: participate in the digest
-_ENV_PREFIXES = ("MV2_", "HOROVOD_", "REPRO_SIM_")
-
-
-def env_knobs(env: Mapping[str, str] | None = None) -> dict[str, str]:
-    """The subset of the environment that can affect simulated results."""
-    env = os.environ if env is None else env
-    return {
-        k: v for k, v in sorted(env.items()) if k.startswith(_ENV_PREFIXES)
-    }
 
 
 def _canonical(obj: Any) -> Any:

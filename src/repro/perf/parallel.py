@@ -11,10 +11,10 @@ input order: worker completion order never leaks into the output.
 
 The result cache is consulted and populated in the *parent* process only:
 workers stay cache-blind, so there are no cross-process file races and a
-warm cache short-circuits before any worker starts.  The pool's
-initializer installs the parent's active selection tables in every
-worker, so workers route collectives as the parent would (and the
-digests, computed in the parent, cover those tables).
+warm cache short-circuits before any worker starts.  A job carries all
+of its inputs (a point's selection table rides in its ``StudyConfig``),
+so a worker needs no state from the parent and the job's digest covers
+everything it runs on.
 
 Imports of :mod:`repro.core` are deferred into the functions:
 :mod:`repro.core` imports this package while it loads.
@@ -97,8 +97,6 @@ def run_jobs(
     overhead), else over one pool of ``workers`` processes (default: one
     per CPU).  Cached results equal freshly computed ones.
     """
-    from repro.comm.selection import active_tables, install_table_payloads
-
     workers = max(1, os.cpu_count() or 1) if workers is None else workers
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -119,12 +117,7 @@ def run_jobs(
     if workers == 1 or len(pending) <= 1:
         computed = [jobs[i].run() for i in pending]
     else:
-        tables = active_tables()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            initializer=install_table_payloads,
-            initargs=([tables[k].to_payload() for k in sorted(tables)],),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
             computed = list(pool.map(_run, [jobs[i] for i in pending]))
     for i, result in zip(pending, computed):
         results[i] = result

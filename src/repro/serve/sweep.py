@@ -8,8 +8,8 @@ consulted and populated in the parent process only.
 
 The digest preimage is keyed ``"serve-point"`` (vs the training sweeps'
 ``"scaling-point"``) and covers every serving knob — workload, batching,
-routing policy, admission, autoscaler, SLO, model, duration, seed, env
-knobs, fault plan, recovery policy, and the cache version salt — so a
+routing policy, admission, autoscaler, SLO, model, duration, seed,
+fault plan, recovery policy, and the cache version salt — so a
 cached serving result can never alias a training result or a run with any
 knob changed.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf.digest import canonical_digest, env_knobs
+from repro.perf.digest import canonical_digest
 from repro.serve.simulator import ServeReport, ServeScenario, simulate_serve
 
 
@@ -34,18 +34,14 @@ class ServeJob:
 
     def digest(self) -> str:
         """Content address of the report this job would produce."""
-        from repro.comm.selection import active_table_digests
-
         return canonical_digest(
             {
                 "kind": "serve-point",
                 "scenario": self.scenario,
                 "duration_s": self.duration_s,
                 "seed": self.seed,
-                "env": env_knobs(),
                 "fault_plan": self.fault_plan,
                 "recovery": self.recovery,
-                "comm_tables": active_table_digests(),
             }
         )
 

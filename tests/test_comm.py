@@ -27,15 +27,8 @@ from repro.comm.cost import (
 )
 from repro.comm.hierarchical import ALGORITHM as HIER, HierarchicalWorld
 from repro.comm.records import CommRecord
-from repro.comm.selection import (
-    SelectionTable,
-    active_table_digests,
-    clear_active_tables,
-    get_active_table,
-    install_table_payloads,
-    set_active_table,
-)
-from repro.core import MPI_OPT
+from repro.comm.selection import SelectionTable
+from repro.core import MPI_OPT, ScalingStudy, StudyConfig
 from repro.errors import CommError, ConfigError, NcclError
 from repro.faults import FaultInjector, FaultPlan, LinkFault, MessageFault
 from repro.hardware import LASSEN
@@ -64,13 +57,6 @@ def routed(backend, num_ranks, **kwargs):
 
 def virtual(nbytes, n):
     return [GpuBuffer.virtual(nbytes) for _ in range(n)]
-
-
-@pytest.fixture(autouse=True)
-def _no_active_tables():
-    clear_active_tables()
-    yield
-    clear_active_tables()
 
 
 # -- registry -------------------------------------------------------------------
@@ -102,6 +88,20 @@ class TestRegistry:
         assert type(comm) is Communicator  # the one class, every backend
         assert comm.world.backend_name == "nccl"
         assert comm.size == 4
+
+    def test_rejects_a_table_for_another_backend(self):
+        advisory = SelectionTable(
+            backend="mpi+compression", byte_edges=(), rank_edges=(),
+            algorithms=(("fp16",),), source="tuned",
+        )
+        for table in (default_table("nccl"), advisory):
+            with pytest.raises(ConfigError, match="cannot route the 'mpi'"):
+                routed("mpi", 4, table=table)
+        # a study meets the mismatch when it builds its world, before
+        # pricing anything, not as an unknown-algorithm error mid-step
+        config = StudyConfig(measure_steps=1, comm_table=default_table("nccl"))
+        with pytest.raises(ConfigError, match="'nccl' cannot route"):
+            ScalingStudy(MPI_OPT, config).run_point(8)
 
 
 # -- shared cost helpers --------------------------------------------------------
@@ -188,17 +188,6 @@ class TestSelectionTable:
         )
         assert other.digest() != t.digest()
 
-    def test_active_registry_and_digests(self):
-        assert active_table_digests() == {}
-        t = self.make()
-        set_active_table(t)
-        assert get_active_table("mpi") is t
-        assert active_table_digests() == {"mpi": t.digest()}
-        install_table_payloads([default_table("nccl").to_payload()])
-        # install replaces the whole active set (worker semantics)
-        assert get_active_table("mpi") is None
-        assert set(active_table_digests()) == {"nccl"}
-
 
 # -- routed communicator --------------------------------------------------------
 
@@ -226,11 +215,6 @@ class TestRouting:
             virtual(4 * KIB, 4), algorithm="recursive_doubling"
         )
         assert timing.algorithm == "recursive_doubling"
-
-    def test_active_table_used_when_none_passed(self):
-        set_active_table(self.ring_only_table())
-        comm = routed("mpi", 4)
-        assert comm.allreduce(virtual(4 * KIB, 4)).algorithm == "ring"
 
     def test_unified_records(self):
         comm = routed("mpi", 4, table=self.ring_only_table())
@@ -513,20 +497,18 @@ class TestTunerProperties:
 
 class TestDigestIntegration:
     def test_point_digest_changes_with_active_table(self):
-        from repro.core import ScalingStudy, StudyConfig
+        """The config's selection table folds into the point digest."""
 
-        study = ScalingStudy(MPI_OPT, StudyConfig(measure_steps=1))
-        base = study.point_digest(4)
-        set_active_table(default_table("mpi"))
-        assert study.point_digest(4) != base
-        clear_active_tables()
-        assert study.point_digest(4) == base
+        def digest(table=None):
+            config = StudyConfig(measure_steps=1, comm_table=table)
+            return ScalingStudy(MPI_OPT, config).point_digest(4)
 
-    def test_serve_digest_changes_with_active_table(self):
-        from repro.serve.simulator import ServeScenario
-        from repro.serve.sweep import ServeJob
-
-        job = ServeJob(ServeScenario(), duration_s=5.0, seed=7)
-        base = job.digest()
-        set_active_table(default_table("nccl"))
-        assert job.digest() != base
+        base = digest()
+        tabled = digest(default_table("mpi"))
+        ring = SelectionTable(
+            backend="mpi", byte_edges=(), rank_edges=(),
+            algorithms=(("ring",),), source="tuned",
+        )
+        assert len({base, tabled, digest(ring)}) == 3
+        assert digest(default_table("mpi")) == tabled
+        assert digest() == base

@@ -1,6 +1,6 @@
 """Bit-identity of the registry's communicators with the worlds' own.
 
-With no selection table installed, a communicator from
+With no selection table, a communicator from
 ``build_communicator`` must reproduce ``world.communicator()``'s timings
 *exactly* (==, not approx) — same algorithms, same collective times, same
 engine step timings — from single-node worlds up to the paper's 128-node
@@ -10,7 +10,6 @@ engine step timings — from single-node worlds up to the paper's 128-node
 import pytest
 
 from repro.comm.registry import build_communicator
-from repro.comm.selection import clear_active_tables
 from repro.core import MPI_OPT
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
@@ -24,13 +23,6 @@ from repro.utils.units import KIB, MIB
 #: 1 node up to the paper's 128-node scale
 RANK_COUNTS = (4, 16, 128, 512)
 SIZES = (4 * KIB, 64 * KIB, 1 * MIB, 16 * MIB, 64 * MIB)
-
-
-@pytest.fixture(autouse=True)
-def _no_active_tables():
-    clear_active_tables()
-    yield
-    clear_active_tables()
 
 
 def make_spec(num_ranks):

@@ -21,8 +21,7 @@ Cases:
   and the fault trace;
 * ``observers-<backend>``: two observers on one communicator, carried
   over by restrict and reform;
-* ``table-<backend>`` and ``active-<backend>``: routing through an
-  explicit selection table and through the process's active table, kept
+* ``table-<backend>``: routing through an explicit selection table, kept
   by restrict and reform, and ignored by ``world.communicator()``;
 * ``horovod-<backend>-<mode>``: three Horovod steps with a shrink and a
   reform on the walk oracle (``exact``), the default analytic engine
@@ -48,11 +47,7 @@ import numpy as np
 import pytest
 
 from repro.comm import build_communicator, default_table
-from repro.comm.selection import (
-    SelectionTable,
-    clear_active_tables,
-    set_active_table,
-)
+from repro.comm.selection import SelectionTable
 from repro.core import MPI_OPT
 from repro.errors import MpiTimeoutError
 from repro.faults import FaultPlan, LinkFault, MessageFault, PartitionFault
@@ -414,17 +409,12 @@ def _routed_script(s: Script, comm, world, backend: str) -> None:
         s.close(label, c)
 
 
-def run_table_case(backend: str, active: bool) -> str:
+def run_table_case(backend: str) -> str:
     s = Script()
     for n in (6, 16):
         s.lines.append(f"ranks {n}")
-        if active:
-            set_active_table(TABLES[backend])
-            world, comm = _build(backend, n)
-        else:
-            world, comm = _build(backend, n, table=TABLES[backend])
+        world, comm = _build(backend, n, table=TABLES[backend])
         _routed_script(s, comm, world, backend)
-        clear_active_tables()
     return s.digest()
 
 
@@ -479,8 +469,7 @@ for _b in BACKENDS:
             CASES[f"{_b}-{_n}-{_p}"] = (run_backend_case, (_b, _n, _p))
 for _b in BACKENDS:
     CASES[f"observers-{_b}"] = (run_observer_case, (_b,))
-    CASES[f"table-{_b}"] = (run_table_case, (_b, False))
-    CASES[f"active-{_b}"] = (run_table_case, (_b, True))
+    CASES[f"table-{_b}"] = (run_table_case, (_b,))
     for _m in ("exact", "fast", "event"):
         CASES[f"horovod-{_b}-{_m}"] = (run_horovod_case, (_b, _m))
 
@@ -491,12 +480,6 @@ def case_digest(name: str) -> str:
 
 
 GOLDEN = {
-    "active-hierarchical":
-        "acbc15c18b4c8c2ba4858f7cd5542226fe76bc56f26d1e850d9e41c4b9e60dd4",
-    "active-mpi":
-        "d95d5c1aff33e63ef8b833f6d141acb8f60d1ffbfabcad64de8ca5b938eed08f",
-    "active-nccl":
-        "1c2246e046e808982292d3664a2969a799ee8e39e8caa96d6ce898634a4424b9",
     "hierarchical-1-drop-pair":
         "0f79539f166c3b0533093502a8ec85437c93d13d8f41fe32f63d397e224de1bf",
     "hierarchical-1-drop-seeded":
@@ -738,13 +721,6 @@ GOLDEN = {
     "table-nccl":
         "1c2246e046e808982292d3664a2969a799ee8e39e8caa96d6ce898634a4424b9",
 }
-
-
-@pytest.fixture(autouse=True)
-def _no_active_tables():
-    clear_active_tables()
-    yield
-    clear_active_tables()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

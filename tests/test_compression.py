@@ -43,12 +43,7 @@ from repro.compression import (
     top_k_indices,
 )
 from repro.comm.cost import FLOAT32_BYTES, reduce_time
-from repro.comm.selection import (
-    SelectionTable,
-    clear_active_tables,
-    set_active_table,
-)
-from repro.comm.tuning import _TUNE_MEMO, TuningConfig, tune_compression_table
+from repro.comm.tuning import TuningConfig, tune_compression_table
 from repro.core.scenarios import scenario_by_name
 from repro.core.study import ScalingStudy, StudyConfig
 from repro.cuda.kernels import KernelCostModel
@@ -502,25 +497,6 @@ class TestCompressionTuner:
         for cell in table.extra["timings"].values():
             assert set(cell) == {"none", "fp16", "topk:0.01"}
             assert all(t > 0 for t in cell.values())
-
-    def test_sweep_ignores_the_active_table(self):
-        """Regression: the sweep's dense allreduces used to route through
-        the process's active table, so the cached result depended on
-        which table happened to be installed when it was first tuned."""
-        _TUNE_MEMO.clear()
-        plain = tune_compression_table(self.CFG)
-        _TUNE_MEMO.clear()
-        set_active_table(SelectionTable(
-            backend="mpi", byte_edges=(), rank_edges=(),
-            algorithms=(("ring",),), source="tuned",
-        ))
-        try:
-            routed = tune_compression_table(self.CFG)
-        finally:
-            clear_active_tables()
-            _TUNE_MEMO.clear()
-        assert routed.extra["timings"] == plain.extra["timings"]
-        assert routed.algorithms == plain.algorithms
 
 
 class TestDigests:

@@ -237,6 +237,28 @@ class TestAutoTuner:
         assert len(result.grid) == 4
         assert result.best_images_per_second == max(r for _, _, r in result.grid)
 
+    def test_grid_point_prices_the_base_config(self):
+        """Each grid point is the base config with only the two tuned
+        knobs swapped: a compressed base is tuned compressed, and the
+        winner keeps the base's other Horovod settings."""
+        base = StudyConfig(
+            measure_steps=1, compression="fp16",
+            horovod=HorovodConfig(response_cache=True),
+        )
+        result = HorovodTuner(
+            MPI_OPT, thresholds=(64 * MIB,), cycle_times=(55e-3,),
+            base_config=base,
+        ).tune(num_gpus=8)
+        horovod = HorovodConfig(
+            fusion_threshold=64 * MIB, cycle_time_s=55e-3, response_cache=True
+        )
+        point = ScalingStudy(
+            MPI_OPT, StudyConfig(measure_steps=1, compression="fp16",
+                                 horovod=horovod)
+        ).run_point(8)
+        assert result.grid == [(64 * MIB, 55e-3, point.images_per_second)]
+        assert result.best == horovod
+
     def test_unknown_grid_point_rejected(self):
         tuner = HorovodTuner(
             MPI_OPT, thresholds=(64 * MIB,), cycle_times=(55e-3,),

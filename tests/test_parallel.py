@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.comm import build_communicator
+from repro.comm import TuningConfig, build_communicator, tune_table
 from repro.core.scenarios import scenario_by_name
 from repro.core.study import ScalingStudy, StudyConfig
 from repro.errors import ConfigError, MpiError
@@ -33,6 +33,7 @@ from repro.parallel.planner import (
     _PLAN_MEMO,
     enumerate_layouts,
     plan_hybrid,
+    scaled_cluster,
 )
 from repro.sim.fastpath import walk_oracle
 from repro.utils.units import MIB
@@ -376,6 +377,35 @@ class TestPlanner:
             for r in (serial, fanned, cold, warm)
         }
         assert len(blobs) == 1  # byte-identical
+        _PLAN_MEMO.clear()
+
+    def test_tuned_pass_prices_each_candidate_with_the_tuned_table(self):
+        config = PlannerConfig(
+            ranks=16, max_pp=1, microbatches=(8,), measure_steps=1,
+            use_tuned_tables=True,
+        )
+        _PLAN_MEMO.clear()
+        report = plan_hybrid(config, jobs=1, use_memo=False)
+        assert plan_hybrid(config, jobs=2, use_memo=False) == report
+        layouts = enumerate_layouts(config)
+        rows = {
+            (r["table"], r["dp"], r["tp"], r["pp"]): r for r in report["points"]
+        }
+        assert len(rows) == len(report["points"]) == 2 * len(layouts)
+        spec = scaled_cluster(config)
+        table = tune_table(TuningConfig(backend="mpi", cluster=spec))
+        moved = 0
+        for layout in layouts:
+            key = (layout.dp, layout.tp, layout.pp)
+            tuned, default = rows[("tuned", *key)], rows[("default", *key)]
+            point = ScalingStudy(
+                scenario_by_name(config.scenario),
+                StudyConfig(cluster=spec, measure_steps=1, layout=layout,
+                            comm_table=table),
+            ).run_point(config.ranks)
+            assert tuned["step_time"] == point.step_time
+            moved += tuned["step_time"] != default["step_time"]
+        assert moved >= 1
         _PLAN_MEMO.clear()
 
     def test_plan_memo_round_trips(self):

@@ -20,12 +20,12 @@ from repro.core import ScalingStudy, StudyConfig, scenario_by_name
 from repro.core.study import point_from_payload, point_payload
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, StragglerFault
+from repro.horovod import HorovodConfig
 from repro.perf import (
     CACHE_VERSION_SALT,
     PeriodicSteadyState,
     ResultCache,
     canonical_digest,
-    env_knobs,
 )
 from repro.perf.digest import canonical_json
 
@@ -70,30 +70,21 @@ class TestCanonicalDigest:
 
 
 class TestEnvKnobs:
-    def test_filters_to_simulation_prefixes(self):
-        env = {
-            "MV2_USE_CUDA": "1",
-            "HOROVOD_FUSION_THRESHOLD": "67108864",
-            "REPRO_SIM_SEED": "7",
-            "PATH": "/usr/bin",
-            "HOME": "/root",
-        }
-        knobs = env_knobs(env)
-        assert set(knobs) == {
-            "MV2_USE_CUDA", "HOROVOD_FUSION_THRESHOLD", "REPRO_SIM_SEED"
-        }
-
-    def test_point_digest_changes_with_env_knob(self, monkeypatch):
-        study = ScalingStudy(scenario_by_name("MPI"), StudyConfig())
-        before = study.point_digest(16)
-        monkeypatch.setenv("MV2_SOME_TUNABLE", "42")
-        assert study.point_digest(16) != before
-
     def test_point_digest_ignores_unrelated_env(self, monkeypatch):
+        """A point is determined by its job alone: no environment variable
+        reaches the simulation, so none enters the digest, while the
+        config field an MV2 or Horovod knob maps to does."""
         study = ScalingStudy(scenario_by_name("MPI"), StudyConfig())
         before = study.point_digest(16)
-        monkeypatch.setenv("SOME_UNRELATED_VAR", "42")
+        for name in ("SOME_UNRELATED_VAR", "MV2_SOME_TUNABLE",
+                     "HOROVOD_FUSION_THRESHOLD", "REPRO_SIM_SEED"):
+            monkeypatch.setenv(name, "42")
         assert study.point_digest(16) == before
+        horovod = HorovodConfig.from_env({"HOROVOD_FUSION_THRESHOLD": "42"})
+        fused = StudyConfig(horovod=horovod)
+        assert ScalingStudy(
+            scenario_by_name("MPI"), fused
+        ).point_digest(16) != before
 
 
 class TestPointDigest:

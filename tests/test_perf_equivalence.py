@@ -11,7 +11,8 @@ and bypassed:
 * steady-state extrapolation: matches full simulation within ulp-level
   tolerance (zero jitter), never fires under the default jitter;
 * parallel sweep: identical to the serial sweep, in order, for any
-  scenario, and spawned workers route through the parent's active tables;
+  scenario, and spawned workers route through the config's selection
+  table;
 * result cache: cached point identical to the freshly simulated one.
 """
 
@@ -26,11 +27,8 @@ from multiprocessing import get_context
 import pytest
 
 import repro.hardware.cluster as cluster_module
-from repro.comm.selection import (
-    SelectionTable,
-    clear_active_tables,
-    set_active_table,
-)
+from repro.comm import default_table
+from repro.comm.selection import SelectionTable
 from repro.core import (
     MPI_DEFAULT,
     MPI_OPT,
@@ -283,26 +281,20 @@ class TestParallelSweep:
         self, monkeypatch
     ):
         # spawn-started workers inherit no module state from the parent:
-        # only the pool's initializer can give them the active table
+        # the table reaches them only inside each job's config
         monkeypatch.setattr(
             perf_parallel, "ProcessPoolExecutor",
             functools.partial(
                 ProcessPoolExecutor, mp_context=get_context("spawn")
             ),
         )
-        study = ScalingStudy(MPI_OPT, StudyConfig())
-        untabled = study.run([4, 8])
-        set_active_table(
-            SelectionTable(
-                backend="mpi", byte_edges=(), rank_edges=(),
-                algorithms=(("ring",),), source="tuned",
-            )
-        )
-        try:
-            inline = study.run([4, 8], jobs=1)
-            spawned = study.run([4, 8], jobs=2)
-        finally:
-            clear_active_tables()
+        untabled = ScalingStudy(MPI_OPT, StudyConfig()).run([4, 8])
+        study = ScalingStudy(MPI_OPT, StudyConfig(comm_table=SelectionTable(
+            backend="mpi", byte_edges=(), rank_edges=(),
+            algorithms=(("ring",),), source="tuned",
+        )))
+        inline = study.run([4, 8], jobs=1)
+        spawned = study.run([4, 8], jobs=2)
         assert [p.step_time for p in inline] != [
             p.step_time for p in untabled
         ]
@@ -321,11 +313,12 @@ class TestCacheEquivalence:
         for f, c in zip(fresh, cached):
             assert dataclasses.asdict(f) == dataclasses.asdict(c)
 
-    def test_knob_change_misses_cache(self, tmp_path, monkeypatch):
+    def test_knob_change_misses_cache(self, tmp_path):
         scenario = scenario_by_name("MPI")
         cache = ResultCache(str(tmp_path))
         ScalingStudy(scenario, StudyConfig()).run([4], cache=cache)
         assert cache.entry_count() == 1
-        monkeypatch.setenv("HOROVOD_SOME_KNOB", "on")
-        ScalingStudy(scenario, StudyConfig()).run([4], cache=cache)
+        tabled = StudyConfig(comm_table=default_table("mpi"))
+        ScalingStudy(scenario, tabled).run([4], cache=cache)
+        assert cache.hits == 0
         assert cache.entry_count() == 2  # distinct digest, no false hit
