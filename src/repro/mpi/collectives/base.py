@@ -407,20 +407,30 @@ class StepCoster:
         return quotes, totals
 
     def makespan(self, quotes: list[TransferQuote], totals: list[float]) -> float:
-        """Makespan of one step's transfers given each one's total time.
+        """Makespan of one step's quoted transfers given each one's total
+        time (:meth:`wave_makespan`)."""
+        ranks = self.transport.ranks
+        return self.wave_makespan(
+            [ranks[q.src].node_id if q.staged else None for q in quotes], totals
+        )
+
+    def wave_makespan(self, nodes: list[int | None], totals: list[float]) -> float:
+        """Makespan of one step's transfers given each one's total time
+        and, for a staged transfer, its source node (None for any other).
 
         Staged transfers sharing a source node serialize in
         ``ceil(k / staging_engines)`` waves of the slowest; everything else
         overlaps.
         """
-        ranks = self.transport.ranks
         staged_by_node: dict[int, list[float]] = {}
         other_max = 0.0
-        for q, total in zip(quotes, totals):
-            if q.staged:
-                staged_by_node.setdefault(ranks[q.src].node_id, []).append(total)
+        for node, total in zip(nodes, totals):
+            if node is None:
+                # what max(other_max, total) selects, without the call
+                if total > other_max:
+                    other_max = total
             else:
-                other_max = max(other_max, total)
+                staged_by_node.setdefault(node, []).append(total)
         engines = self.transport.cluster.spec.node.staging_engines
         staged_max = 0.0
         for times in staged_by_node.values():

@@ -128,7 +128,9 @@ class TransferQuote:
     ``dst_cache``/``dst_buf`` for a GDR receiver, both at ``extent``);
     ``ib`` is the sender's HCA for IB kinds.  ``staged`` says whether the
     kind is one of :data:`STAGED_KINDS`.  Every slot is set once, from
-    the constructor's arguments in slot order.
+    the constructor's arguments in slot order.  The ring closed form
+    prices its steady sends from price entries
+    (:meth:`TransportModel.steady_row`) and builds none.
     """
 
     __slots__ = (
@@ -226,6 +228,9 @@ class TransportModel:
             for nid in node_ids
         }
         self._ipc_pairs: set[tuple[int, int]] = set()
+        # the registration caches acquired through since the last
+        # begin_collective: no other cache's call scope holds anything
+        self._scoped: set[RegistrationCache] = set()
         # ordered (src, dst) -> PairGeometry, filled on the pair's first use
         self._pairs: dict[tuple[int, int], PairGeometry] = {}
         # (route class, IPC verdict, src == dst) -> {nbytes: (kind, staged,
@@ -238,9 +243,18 @@ class TransportModel:
         self.staged_seconds: dict[int, float] = {r.rank: 0.0 for r in ranks}
 
     def begin_collective(self) -> None:
-        """Open a new MPI-call scope on every HCA's registration state."""
-        for ib in self._ib.values():
-            ib.reg_cache.begin_transaction()
+        """Open a new MPI-call scope on every HCA's registration state.
+
+        Only an acquire adds to a call scope, and every acquire on this
+        world's caches goes through :meth:`acquire_registrations` or
+        :meth:`send_row`, which note the cache; so resetting the caches
+        noted since the last call resets every scope that holds anything.
+        The resets are independent, so their order is immaterial.
+        """
+        scoped = self._scoped
+        for cache in scoped:
+            cache.begin_transaction()
+        scoped.clear()
 
     # -- selection -----------------------------------------------------------
     def can_ipc(self, a: RankContext, b: RankContext) -> bool:
@@ -312,8 +326,9 @@ class TransportModel:
         ``quote`` changes no protocol state: opening an IPC pair,
         acquiring registrations and counting sends are :meth:`apply`'s.
         Registration-cache state never enters a quote; only
-        ``opens_ipc`` reads protocol state.  Every walked transfer and
-        every ring row is quoted here, and no quote outlives its step.
+        ``opens_ipc`` reads protocol state.  Every walked transfer is
+        quoted here, and no quote outlives its step; the ring closed form
+        prices its rows through :meth:`steady_row` and builds no quote.
 
         What the transfer's shape fixes comes from the world's price
         table (see :meth:`_price`); the sender's HCA, the caches, buffers
@@ -430,31 +445,133 @@ class TransportModel:
         """A rendezvous's protocol seconds after acquiring its sender
         registration (cache enabled) and then its receiver's."""
         protocol = q.protocol
+        scoped = self._scoped
         if q.src_cache.enabled:
+            scoped.add(q.src_cache)
             protocol += q.src_cache.acquire(q.src_buf, q.extent)
         if q.dst_cache is not None:
+            scoped.add(q.dst_cache)
             protocol += q.dst_cache.acquire(q.dst_buf, q.extent)
         return protocol
 
-    def steady_protocol(self, q: TransferQuote) -> float | None:
-        """What the next :meth:`apply` of ``q`` returns, if that apply opens
-        no IPC pair and changes no registration; else None.  Read-only."""
-        if q.opens_ipc:
-            return None
-        protocol = q.protocol
-        if q.src_cache is None:
-            return protocol
-        if q.src_cache.enabled:
-            charge = q.src_cache.peek(q.src_buf, q.extent)
-            if charge is None:
-                return None
-            protocol += charge
-        if q.dst_cache is not None:
-            charge = q.dst_cache.peek(q.dst_buf, q.extent)
-            if charge is None:
-                return None
-            protocol += charge
-        return protocol
+    # -- rows of steady sends --------------------------------------------------
+    def steady_row(
+        self,
+        pairs: list[PairGeometry],
+        nbytes: int,
+        buffer_ids: dict[int, int],
+        extent: int | None,
+    ) -> list[tuple | None]:
+        """Each pair's price entry ``(kind, staged, wire, staging,
+        protocol)`` for its next send of ``nbytes``, or None where that
+        send's :meth:`apply` would open a CUDA IPC pair or change a
+        registration.  Read-only; it builds no quote.
+
+        ``buffer_ids`` and ``extent`` stand for :meth:`quote`'s buffer
+        arguments.  The state rules: a CUDA IPC send is steady once its
+        pair is open; a rendezvous once the sender's cache (if enabled)
+        and, for GDR, the receiver's would acquire without a change
+        (:meth:`RegistrationCache.peek`); any other send always.  A steady
+        acquire charges 0.0, so a steady send's protocol seconds are its
+        entry's, and ``(wire + staging) + protocol`` is the float
+        ``(q.wire + q.staging) + apply(q)`` gives.
+
+        Consecutive pairs of one price row (``PairGeometry.prices``) share
+        its entry object, read once.  Under a ``LinkFault``
+        (``cluster.live_links``) every pair is priced afresh and the table
+        left alone, as :meth:`quote` does.
+        """
+        live = self.cluster.live_links
+        opened = self._ipc_pairs
+        ext = nbytes if extent is None else extent
+        out: list[tuple | None] = []
+        row = entry = None
+        sender = receiver = ipc = False
+        for pair in pairs:
+            prices = pair.prices
+            if live or prices is not row:
+                row = prices
+                entry = None if live else prices.get(nbytes)
+                if entry is None:
+                    entry = self._price(pair, pair.a.rank, pair.b.rank, nbytes)
+                    if not live:
+                        prices[nbytes] = entry
+                kind = entry[0]
+                sender = kind is _GDR_RDMA or kind is _STAGED_INTER
+                receiver = kind is _GDR_RDMA
+                ipc = kind is _CUDA_IPC
+            if sender:
+                src = pair.a.rank
+                buf = buffer_ids.get(src)
+                cache = pair.ib.reg_cache
+                if cache.enabled and cache.peek(
+                    -src - 1 if buf is None else buf, ext
+                ) is None:
+                    out.append(None)
+                    continue
+                if receiver:
+                    dst = pair.b.rank
+                    buf = buffer_ids.get(dst)
+                    if pair.dst_cache.peek(
+                        -dst - 1 if buf is None else buf, ext
+                    ) is None:
+                        out.append(None)
+                        continue
+            elif ipc:
+                src, dst = pair.a.rank, pair.b.rank
+                if (min(src, dst), max(src, dst)) not in opened:
+                    out.append(None)
+                    continue
+            out.append(entry)
+        return out
+
+    def send_row(
+        self,
+        pairs: list[PairGeometry],
+        entries: list[tuple],
+        count: int,
+        moved: list[int],
+        buffer_ids: dict[int, int],
+        extent: int,
+    ) -> None:
+        """Perform ``count`` steady sends over each pair at its
+        :meth:`steady_row` entry, ``moved[i]`` bytes over ``pairs[i]`` in
+        all: what those :meth:`apply` calls leave, but staging.
+
+        The counters (transport stats, the sender HCA's eager or
+        rendezvous sends, a disabled sender cache's per-chunk
+        registrations) are added per pair in sums.  The acquires run once
+        at ``extent``, sender then receiver, pairs in order: every steady
+        send repeats that sequence of warm acquires, and one pass leaves
+        the per-call hit counts and the LRU order all of them would.  A
+        steady send opens no IPC pair; its staging charges are the
+        caller's to replay in its own order (:meth:`charge_staging`).
+        """
+        transfers, bytes_moved = self.stats.transfers, self.stats.bytes_moved
+        scoped = self._scoped
+        for pair, entry, nbytes in zip(pairs, entries, moved):
+            kind = entry[0]
+            transfers[kind] += count
+            bytes_moved[kind] += nbytes
+            if kind is _GDR_RDMA or kind is _STAGED_INTER:
+                ib = pair.ib
+                ib.rndv_sends += count
+                cache = ib.reg_cache
+                if cache.enabled:
+                    src = pair.a.rank
+                    buf = buffer_ids.get(src)
+                    scoped.add(cache)
+                    cache.acquire(-src - 1 if buf is None else buf, extent)
+                else:
+                    cache.misses += count
+                if kind is _GDR_RDMA:
+                    dst = pair.b.rank
+                    buf = buffer_ids.get(dst)
+                    cache = pair.dst_cache
+                    scoped.add(cache)
+                    cache.acquire(-dst - 1 if buf is None else buf, extent)
+            elif kind is _IB_EAGER:
+                pair.ib.eager_sends += count
 
     def record_sends(self, q: TransferQuote, count: int) -> None:
         """Count ``count`` sends of ``q``: transport stats, the HCA's eager

@@ -22,14 +22,20 @@ pins against the walk oracle, :func:`walk_oracle`):
   reduction and corruption-surcharge code, so a run leaves the same
   protocol state and the same floats either way.
 * Ring phases collapse into a closed form only once every remaining
-  transfer is steady (``TransportModel.steady_protocol``: its next
-  ``apply`` opens no IPC pair and changes no registration); the closed
-  form then applies the collapsed steps' side effects in aggregate.
+  transfer is steady (``TransportModel.steady_row``: its next ``apply``
+  opens no IPC pair and changes no registration).  A ring row is priced
+  per price row (``PairGeometry.prices``), not per pair: pairs that
+  share a row share its ``(kind, staged, wire, staging, protocol)``
+  entry, one reduction and one total, and no quote is built.  The
+  closed form then applies the collapsed steps' side effects in
+  aggregate through the transport (``TransportModel.send_row``).
 * A node-group step is priced from representatives only when every
   other group matches its shape's representative pair for pair (price
   row and CUDA IPC open state); the representatives are quoted and
   applied as the walk would, and the other groups' sends are applied in
-  aggregate.
+  aggregate.  A match found with every compared CUDA IPC pair open is
+  permanent, since price rows never change and an open pair stays open,
+  so the session keeps it per node groups and step and checks no more.
 
 ``repro.sim.fastpath`` never approximates; it only skips recomputing
 what is provably unchanged.
@@ -96,6 +102,12 @@ class FastPathSession:
         self.group_transfers = 0
         #: transfers walked through ``step_time_analytic``
         self.exact_transfers = 0
+        # ring ranks -> (each pair's PairGeometry, sender to next rank; the
+        # number of nodes the ranks span)
+        self._rings: dict[tuple[int, ...], tuple[list, int]] = {}
+        # node groups -> {the local pairs a step compares, per group size:
+        # groups spared per size}: the settled node-group verdicts
+        self._settled: dict[tuple, dict[tuple, dict[int, int]]] = {}
 
     @property
     def replayed_transfers(self) -> int:
@@ -136,9 +148,12 @@ class FastPathSession:
         aggregate side effects.  Sums steps in walk order, like the
         exact walk.
         """
+        ring = self._ring(sched.ranks)
         total = 0.0
         for s in range(len(sched)):
-            done = self._ring_tail(coster, sched, s, binding, reduce_after, total)
+            done = self._ring_tail(
+                coster, sched, ring, s, binding, reduce_after, total
+            )
             if done is not None:
                 return done
             total += coster.step_time_analytic(
@@ -146,44 +161,59 @@ class FastPathSession:
             )
         return total
 
+    def _ring(self, ranks: list[int]) -> tuple[list, int]:
+        """The ring's pairs (each rank to the next) and the number of nodes
+        its ranks span, resolved once per session."""
+        key = tuple(ranks)
+        ring = self._rings.get(key)
+        if ring is None:
+            transport = self.transport
+            ring = self._rings[key] = (
+                [
+                    transport._pair(src, dst)
+                    for src, dst in zip(ranks, ranks[1:] + ranks[:1])
+                ],
+                len(transport.cluster.node_groups(ranks)),
+            )
+        return ring
+
     def _ring_row(
         self,
         coster: "StepCoster",
-        sched,
+        pairs: list,
         chunk: int,
         binding: "CallBinding",
+        extent: int | None,
         reduce_after: bool,
     ) -> tuple[list, list[float]] | None:
-        """Quotes and steady totals of every ring pair at one chunk size,
-        or None while some pair's next apply would change protocol state."""
-        transport = self.transport
-        ranks = sched.ranks
-        p = len(ranks)
+        """Each ring pair's price entry and steady total at one chunk size,
+        or None while some pair's next apply would change protocol state.
+
+        ``TransportModel.steady_row`` reads the pairs' protocol state; the
+        total and the reduction are priced once per run of pairs sharing
+        an entry, so once for a ring whose pairs share one price row.
+        """
         ids, dtype_bytes = binding
-        quotes = []
-        totals = []
-        for i in range(p):
-            src = ranks[i]
-            dst = ranks[(i + 1) % p]
-            q = transport.quote(
-                src, dst, chunk,
-                src_buffer=ids.get(src), dst_buffer=ids.get(dst),
-                buffer_extent=sched.extent,
-            )
-            protocol = transport.steady_protocol(q)
-            if protocol is None:
-                return None
-            total = (q.wire + q.staging) + protocol
-            if reduce_after:
-                total += coster.reduction(q.kind, chunk, dtype_bytes)
-            quotes.append(q)
+        entries = self.transport.steady_row(pairs, chunk, ids, extent)
+        if None in entries:
+            return None
+        totals: list[float] = []
+        last = total = None
+        for entry in entries:
+            if entry is not last:
+                last = entry
+                kind, _, wire, staging, protocol = entry
+                total = (wire + staging) + protocol
+                if reduce_after:
+                    total += coster.reduction(kind, chunk, dtype_bytes)
             totals.append(total)
-        return quotes, totals
+        return entries, totals
 
     def _ring_tail(
         self,
         coster: "StepCoster",
         sched,
+        ring: tuple[list, int],
         s0: int,
         binding: "CallBinding",
         reduce_after: bool,
@@ -196,27 +226,26 @@ class FastPathSession:
         when the preconditions do not hold yet and step ``s0`` must be
         walked per-transfer.
         """
-        rem = sched.rem
+        pairs, nodes = ring
+        rem, extent = sched.rem, sched.extent
+        small_chunk, big_chunk = sched.chunk_small, sched.chunk_big
         small = self._ring_row(
-            coster, sched, sched.chunk_small, binding, reduce_after
+            coster, pairs, small_chunk, binding, extent, reduce_after
         )
         if small is None:
             return None
-        big = (
-            self._ring_row(coster, sched, sched.chunk_big, binding, reduce_after)
-            if rem else small
-        )
+        big = self._ring_row(
+            coster, pairs, big_chunk, binding, extent, reduce_after
+        ) if rem else small
         if big is None:
             return None
-        (q_small, t_small), (q_big, t_big) = small, big
+        (e_small, t_small), (e_big, t_big) = small, big
 
-        transport = self.transport
-        ranks = sched.ranks
-        p = len(ranks)
-        if rem and any(q_small[i].kind is not q_big[i].kind for i in range(p)):
+        p = len(pairs)
+        if rem and any(a[0] is not b[0] for a, b in zip(e_small, e_big)):
             return None  # chunk classes straddle a transport threshold
-        staged = [i for i in range(p) if q_small[i].staged]
-        if rem and staged and len(transport.cluster.node_groups(ranks)) < p:
+        staged = [i for i, entry in enumerate(e_small) if entry[1]]
+        if rem and staged and nodes < p:
             # staged transfers sharing a node serialize in engine waves,
             # and the rotating big/small chunk classes reshuffle each
             # step's wave membership — only the uniform ring (allgather:
@@ -229,34 +258,36 @@ class FastPathSession:
             # at most one staged transfer per node: each step's makespan
             # is the plain max of its transfers' totals
             makespans, cnt_big = ring_tail_makespans(t_big, t_small, rem, s0)
+            moved = [
+                small_chunk * n_rem + (big_chunk - small_chunk) * c
+                for c in cnt_big
+            ]
         else:
             # uniform ring: every collapsed step prices identically
-            makespans = [coster.makespan(q_small, t_small)] * n_rem
-            cnt_big = [0] * p
+            sources: list[int | None] = [None] * p
+            for i in staged:
+                sources[i] = pairs[i].a.node_id
+            makespans = [coster.wave_makespan(sources, t_small)] * n_rem
+            moved = [small_chunk * n_rem] * p
         for m in makespans:
             total += m
 
-        # aggregate side effects of the collapsed steps -------------------
-        for i in range(p):
-            cb = cnt_big[i]
-            if cb:
-                transport.record_sends(q_big[i], cb)
-            if cb < n_rem:
-                transport.record_sends(q_small[i], n_rem - cb)
-        # every collapsed step repeats one sequence of warm acquires (src
-        # then dst, pairs ascending; both chunk classes share buffers and
-        # extent): running it once leaves the per-call hit counts and the
-        # LRU order that all of them would
-        for q in q_small:
-            if q.src_cache is not None:
-                transport.acquire_registrations(q)
+        # aggregate side effects of the collapsed steps: every pair sends
+        # n_rem times, of one kind in both chunk classes, and both classes
+        # share buffers and extent
+        transport = self.transport
+        transport.send_row(
+            pairs, e_small, n_rem, moved, binding.buffer_ids,
+            small_chunk if extent is None else extent,
+        )
         # staging charges accumulate per rank in walk order; replay the
         # per-rank add sequence literally (float += order is part of the
         # bit-identity contract)
         for s in range(s0, p - 1):
             for i in staged:
-                q = q_big[i] if (i - s) % p < rem else q_small[i]
-                transport.charge_staging(q.src, q.dst, q.staging)
+                entry = e_big[i] if (i - s) % p < rem else e_small[i]
+                pair = pairs[i]
+                transport.charge_staging(pair.a.rank, pair.b.rank, entry[3])
         self.ring_transfers += n_rem * p
         return total
 
@@ -274,13 +305,17 @@ class FastPathSession:
 
         Sums steps in walk order from the int 0, like the exact walk.
         Under a ``LinkFault`` (``cluster.live_links``) a quote is priced
-        afresh each time, so every step is walked.
+        afresh each time, so every step is walked and no settled verdict
+        is read.
         """
         live = self.transport.cluster.live_links
+        verdicts = None if live else self._settled.setdefault(
+            tuple(map(tuple, sched.groups)), {}
+        )
         total = 0
         for d in range(len(sched)):
             makespan = None if live else self._group_step(
-                coster, sched, d, binding, reduce_after
+                coster, sched, d, binding, reduce_after, verdicts
             )
             if makespan is None:
                 makespan = coster.step_time_analytic(
@@ -296,23 +331,97 @@ class FastPathSession:
         d: int,
         binding: "CallBinding",
         reduce_after: bool,
+        verdicts: dict[tuple, dict[int, int]],
     ) -> float | None:
         """Makespan of node-group step ``d`` from one representative group
         per size, or ``None``, with nothing applied, when a group differs
         from its representative or no group is spared.
 
-        The first group of each size in the step is its representative.
-        Every other group must match it pair for pair: the same price-table
-        row (``PairGeometry.prices``) and, for a CUDA IPC capable pair,
-        the same open state, so each of its transfers costs what the
-        representative's does.  Each node serializes only its own staged
-        transfers and ``max`` only selects a value, so the step's makespan
-        over the representatives is the walk's.  The representatives are
-        quoted and applied as the walk would; the other groups' sends are
-        applied in aggregate, group by group in walk order, through the
-        transport: the IPC pairs they open (``open_ipc``), each rank's
-        staging ``+=`` (``charge_staging``) and the transport stats.  A
-        node group's transfers stay on its node, so they touch no HCA.
+        The first group of each size in the step is its representative,
+        and :meth:`_group_check` says whether every other group matches
+        it.  A verdict reached with every compared CUDA IPC pair open is
+        settled: price rows never change and an open pair stays open, so
+        ``verdicts`` (the settled verdicts of these groups) keeps it under
+        the local pairs the step compares, and later steps comparing the
+        same pairs skip the check.  Each node serializes only its own
+        staged transfers and ``max`` only selects a value, so the step's
+        makespan over the representatives is the walk's.  The
+        representatives are quoted and applied as the walk would; the
+        other groups' sends are applied in aggregate, group by group in
+        walk order, through the transport: the IPC pairs they open
+        (``open_ipc``), each rank's staging ``+=`` (``charge_staging``)
+        and the transport stats.  A node group's transfers stay on its
+        node, so they touch no HCA.
+        """
+        depths = sched.depths
+        compared = tuple(
+            (size, tuple(local[d]))
+            for size, local in depths.items() if d < len(local)
+        )
+        spared = verdicts.get(compared)
+        if spared is None:
+            checked = self._group_check(sched, d)
+            if checked is None:
+                return None
+            spared, settled = checked
+            if not any(spared.values()):
+                return None
+            if settled:
+                verdicts[compared] = spared
+
+        transport = self.transport
+        reps: dict[int, list[int]] = {}  # group size -> its representative
+        for group in sched.groups:
+            size = len(group)
+            if size in spared and size not in reps:
+                reps[size] = group
+                if len(reps) == len(spared):
+                    break
+        quotes: list = []
+        totals: list[float] = []
+        # group size -> the representative's sends that open an IPC pair or
+        # charge staging, with their local indices
+        effects: dict[int, list] = {}
+        for size, group in reps.items():
+            local = depths[size][d]
+            rq, rt = coster.price(
+                sched.transfers(group, d), binding, reduce_after=reduce_after
+            )
+            quotes += rq
+            totals += rt
+            for q in rq:
+                transport.record_sends(q, spared[size])
+            todo = [
+                (i, j, q) for (i, j), q in zip(local, rq)
+                if q.opens_ipc or q.staged
+            ]
+            if todo:
+                effects[size] = todo
+            self.group_transfers += (1 + spared[size]) * len(local)
+        if effects:
+            for group in sched.groups:
+                size = len(group)
+                todo = effects.get(size)
+                if todo is None or group is reps[size]:
+                    continue
+                for i, j, q in todo:
+                    src, dst = group[i], group[j]
+                    if q.opens_ipc:
+                        transport.open_ipc(src, dst)
+                    if q.staged:
+                        transport.charge_staging(src, dst, q.staging)
+        return coster.makespan(quotes, totals)
+
+    def _group_check(self, sched, d: int) -> tuple[dict[int, int], bool] | None:
+        """The groups each representative spares at step ``d`` (every
+        size in the step, zero included) and whether no compared CUDA IPC
+        pair is closed; None when a group differs from its
+        representative.
+
+        A group matches its size's representative pair for pair: the same
+        price-table row (``PairGeometry.prices``) and, for a CUDA IPC
+        capable pair, the same open state, so each of its transfers costs
+        what the representative's does.  Reads protocol state only.
         """
         transport = self.transport
         pairs = transport._pairs
@@ -320,67 +429,30 @@ class FastPathSession:
         depths = sched.depths
         # group size -> its representative's (price row id, IPC open) per pair
         shapes: dict[int, list] = {}
-        priced = spared = 0
+        spared: dict[int, int] = {}
+        settled = True
         for group in sched.groups:
-            local = depths[len(group)]
+            size = len(group)
+            local = depths[size]
             if d >= len(local):
                 continue
             shape = []
             for i, j in local[d]:
                 src, dst = group[i], group[j]
                 pair = pairs.get((src, dst)) or transport._pair(src, dst)
+                is_open = pair.ipc and (min(src, dst), max(src, dst)) in opened
+                if pair.ipc and not is_open:
+                    settled = False
                 shape.append(id(pair.prices))
-                shape.append(
-                    pair.ipc and (min(src, dst), max(src, dst)) in opened
-                )
-            rep = shapes.setdefault(len(group), shape)
+                shape.append(is_open)
+            rep = shapes.setdefault(size, shape)
             if rep is shape:
-                priced += len(local[d])
+                spared[size] = 0
             elif shape == rep:
-                spared += len(local[d])
+                spared[size] += 1
             else:
                 return None
-        if not spared:
-            return None
-
-        quotes: list = []
-        totals: list[float] = []
-        # group size -> its representative's quotes, and the pairs whose
-        # send opens an IPC pair or charges staging
-        rep_quotes: dict[int, list] = {}
-        effects: dict[int, list] = {}
-        sends = dict.fromkeys(shapes, 0)  # group size -> groups spared
-        for group in sched.groups:
-            size = len(group)
-            local = depths[size]
-            if d >= len(local):
-                continue
-            todo = effects.get(size)
-            if todo is None:
-                rq, rt = coster.price(
-                    sched.transfers(group, d), binding,
-                    reduce_after=reduce_after,
-                )
-                quotes += rq
-                totals += rt
-                rep_quotes[size] = rq
-                effects[size] = [
-                    (i, j, q) for (i, j), q in zip(local[d], rq)
-                    if q.opens_ipc or q.staged
-                ]
-                continue
-            sends[size] += 1
-            for i, j, q in todo:
-                src, dst = group[i], group[j]
-                if q.opens_ipc:
-                    transport.open_ipc(src, dst)
-                if q.staged:
-                    transport.charge_staging(src, dst, q.staging)
-        for size, count in sends.items():
-            for q in rep_quotes[size]:
-                transport.record_sends(q, count)
-        self.group_transfers += priced + spared
-        return coster.makespan(quotes, totals)
+        return spared, settled
 
 
 def _window_max(doubled: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:

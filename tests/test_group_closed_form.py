@@ -10,7 +10,10 @@ group per shape (``FastPathSession.group_time``).  It must leave every
 timing and every piece of protocol state bit-identical to the walk oracle
 (``walk_oracle``), and it must walk, collapsing no group, wherever its
 preconditions fail: a partially opened CUDA IPC state, a live
-wire-corruption window and a ``LinkFault``.
+wire-corruption window and a ``LinkFault``.  A check passed with every
+compared CUDA IPC pair open is kept per node groups and step; one that
+saw a closed pair is not, a shrunk communicator checks its own groups,
+and a ``LinkFault`` walks past kept verdicts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.mpi.comm import GpuBuffer
 from repro.mpi.process import SingletonDevicePolicy
 from repro.mpi.transports import TransportKind
 from repro.sim import Environment
-from repro.sim.fastpath import walk_oracle
+from repro.sim.fastpath import FastPathSession, walk_oracle
 from repro.utils.units import KIB, MIB
 
 MPI = Mv2Config(registration_cache=False)
@@ -247,16 +250,47 @@ def test_closed_form_matches_the_walk(config, nodes):
         sum(world.transport.stats.transfers.values())
 
 
-def test_closed_form_walks_a_partially_opened_ipc_state():
+@pytest.fixture()
+def checks(monkeypatch):
+    """Each node-group check the sessions run: (groups, step, verdict),
+    the verdict None for a mismatch, else whether it settled."""
+    seen = []
+    check = FastPathSession._group_check
+
+    def recording(self, sched, d):
+        verdict = check(self, sched, d)
+        seen.append((
+            tuple(map(tuple, sched.groups)), d,
+            None if verdict is None else verdict[1],
+        ))
+        return verdict
+
+    monkeypatch.setattr(FastPathSession, "_group_check", recording)
+    return seen
+
+
+def _hierarchical(comm, base=1000):
+    return timing_line(comm.allreduce(
+        buffers(comm.ranks, 64 * MIB, base), algorithm="hierarchical"))
+
+
+def test_closed_form_walks_a_partially_opened_ipc_state(checks):
     """An allreduce over the first two nodes opens their IPC pairs, so
     the groups of a world-wide intra-node reduce disagree and each of its
     steps is walked; once that walk has opened every pair, groups
-    collapse again."""
+    collapse again.  A check that saw a closed pair keeps no verdict:
+    only a check with every compared pair open settles its step."""
     def sequence(world):
         comm = world.communicator()
-        lines = [timing_line(comm.reform(range(8)).allreduce(
-            buffers(range(8), 64 * MIB, 1000), algorithm="hierarchical"))]
+        pair = comm.reform(range(8))
         session = world.coster.fastpath
+        lines = [_hierarchical(pair)]
+        if session is not None:
+            # the reduce opens the pairs the bcast then finds open
+            assert [(d, settled) for _, d, settled in checks] == [
+                (0, False), (1, False), (0, True), (1, True),
+            ]
+            del checks[:]
         grouped = session.group_transfers if session else 0
         groups = [comm.ranks[n:n + 4] for n in range(0, len(comm.ranks), 4)]
         world.transport.begin_collective()
@@ -265,15 +299,99 @@ def test_closed_form_walks_a_partially_opened_ipc_state():
             reduce_after=True)))
         if session is not None:
             assert session.group_transfers == grouped
-        lines.append(timing_line(comm.allreduce(
-            buffers(comm.ranks, 64 * MIB, 1000), algorithm="hierarchical")))
+            assert [settled for _, _, settled in checks] == [None, None]
+            del checks[:]
+        lines.append(_hierarchical(comm))
         if session is not None:
             assert session.group_transfers > grouped
+            assert [settled for _, _, settled in checks] == [True] * 4
+            del checks[:]
+        # every step is settled now, but the two-node reduce's
+        lines.append(_hierarchical(comm, base=2000))
+        lines.append(_hierarchical(pair, base=3000))
+        if session is not None:
+            assert [(len(g), d, settled) for g, d, settled in checks] == [
+                (2, 0, True), (2, 1, True),
+            ]
         return lines + protocol_state(world)
 
     world = make_world(MPI_OPT, 8)
     assert sequence(world) == oracle(MPI_OPT, 8, sequence=sequence)
     assert len(world.transport._ipc_pairs) == 8 * 3
+
+
+def test_a_check_over_closed_pairs_keeps_no_verdict(checks):
+    """A world-wide allreduce at a staged size opens no CUDA IPC pair, so
+    its checks, every pair closed, settle nothing.  After a two-node
+    allreduce opens only its own nodes' pairs, the world-wide groups
+    disagree at an IPC size, and the steps whose pairs differ walk."""
+    def sequence(world):
+        comm = world.communicator()
+        session = world.coster.fastpath
+        lines = [timing_line(comm.allreduce(
+            buffers(comm.ranks, 256 * KIB, 1000), algorithm="hierarchical"))]
+        lines.append(_hierarchical(comm.reform(range(8)), base=2000))
+        if session is not None:
+            assert [settled for _, _, settled in checks] == [False] * 4 + [
+                False, False, True, True,
+            ]
+            del checks[:]
+        lines.append(_hierarchical(comm, base=3000))
+        if session is not None:
+            assert [settled for _, _, settled in checks] == [
+                None, None, True, True,
+            ]
+        return lines + protocol_state(world)
+
+    world = make_world(MPI_OPT, 4)
+    assert sequence(world) == oracle(MPI_OPT, 4, sequence=sequence)
+
+
+def test_a_shrunk_communicator_runs_its_own_check(checks):
+    """Verdicts settle per node groups.  Once the first three nodes'
+    groups have settled, a communicator shrunk to the last three has
+    groups of the same sizes and trees, the last with its CUDA IPC pairs
+    still closed: it checks them afresh, and its mismatched steps walk."""
+    def sequence(world):
+        comm = world.communicator()
+        session = world.coster.fastpath
+        first = comm.reform(range(12))
+        lines = [_hierarchical(first), _hierarchical(first, base=2000)]
+        if session is not None:
+            assert [settled for _, _, settled in checks] == [
+                False, False, True, True, True, True,
+            ]
+            del checks[:]
+        lines.append(_hierarchical(comm.restrict(range(4, 16)), base=3000))
+        if session is not None:
+            assert [settled for _, _, settled in checks] == [
+                None, None, True, True,
+            ]
+        return lines + protocol_state(world)
+
+    world = make_world(MPI_OPT, 4)
+    assert sequence(world) == oracle(MPI_OPT, 4, sequence=sequence)
+
+
+def test_a_live_link_fault_walks_past_settled_verdicts(checks):
+    """A ``LinkFault`` attached after every verdict has settled still
+    walks every node-group step."""
+    def sequence(world):
+        lines = run_sequence(world)
+        session = world.coster.fastpath
+        if session is not None:
+            assert any(settled for _, _, settled in checks)
+            grouped = session.group_transfers
+            del checks[:]
+        world.cluster.apply_fault_injector(FaultInjector(FLAP))
+        lines += run_sequence(world, calls=1)
+        if session is not None:
+            assert session.group_transfers == grouped
+            assert checks == []
+        return lines
+
+    world = make_world(MPI_OPT, 4)
+    assert sequence(world) == oracle(MPI_OPT, 4, sequence=sequence)
 
 
 @pytest.mark.parametrize("plan", [CORRUPT, FLAP], ids=["corrupt", "link-fault"])

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cuda.runtime import CudaVersion
 from repro.hardware import LASSEN, Cluster
-from repro.mpi import Mv2Config, WorldSpec, build_world
+from repro.mpi import MpiWorld, Mv2Config, WorldSpec, build_world
+from repro.mpi.comm import GpuBuffer
 from repro.mpi.process import SingletonDevicePolicy, AllDevicesPolicy
 from repro.mpi.transports import (
     CUDA_IPC_THRESHOLD,
@@ -12,8 +13,10 @@ from repro.mpi.transports import (
     TransportKind,
     TransportModel,
 )
+from repro.net.regcache import RegistrationCache
 from repro.sim import Environment
 from repro.utils.units import KIB, MIB
+from tests.test_transport_golden import protocol_state
 
 
 def make_world(
@@ -195,3 +198,91 @@ class TestEventMode:
         elapsed = env.now - start
         assert elapsed > 1.8 * single
         assert elapsed < 2.6 * single
+
+
+class TestCallScope:
+    """``begin_collective`` resets only the registration caches acquired
+    through since the last call, the ring closed form's aggregate acquires
+    included, and leaves what resetting every HCA would."""
+
+    @staticmethod
+    def _run(config, reset_every_hca, resets=None):
+        """Three rounds of ring allreduces over nodes 0-1 and over all
+        eight nodes, reusing each communicator's buffers; the protocol
+        state after each call."""
+        cluster = Cluster(Environment(), LASSEN, num_nodes=8)
+        spec = WorldSpec(
+            num_ranks=32, policy=SingletonDevicePolicy(), config=config
+        )
+        world = MpiWorld(cluster, spec)
+        transport = world.transport
+        caches = [ib.reg_cache for _, ib in sorted(transport._ib.items())]
+        if reset_every_hca:
+            def begin_collective():
+                for cache in caches:
+                    cache.begin_transaction()
+
+            transport.begin_collective = begin_collective
+        comm = world.communicator()
+        calls = [
+            (sub, [
+                GpuBuffer(nbytes=nbytes, buffer_id=base + r) for r in sub.ranks
+            ])
+            for sub, nbytes, base in (
+                (comm.reform(range(8)), 8 * MIB, 1000),
+                (comm, 4 * MIB + 8, 2000),
+            )
+        ]
+        lines = []
+        for _ in range(3):
+            for sub, buffers in calls:
+                sub.allreduce(buffers, algorithm="ring")
+                lines.append(protocol_state(transport))
+                if resets is not None:
+                    used = {id(cache) for cache in caches if cache._txn}
+                    counts = [(cache.hits, cache.misses) for cache in caches]
+                    del resets[:]
+                    transport.begin_collective()
+                    # one reset per cache the call used, each scope empty
+                    # after it, and no hit or miss counted
+                    assert {id(cache) for cache in resets} == used
+                    assert len(resets) == len(used)
+                    assert not any(cache._txn for cache in caches)
+                    assert [(c.hits, c.misses) for c in caches] == counts
+        assert world.coster.fastpath.ring_transfers > 0
+        return lines
+
+    @pytest.fixture()
+    def resets(self, monkeypatch):
+        """The cache of each ``begin_transaction`` call, in call order."""
+        seen = []
+        begin = RegistrationCache.begin_transaction
+
+        def counting(cache):
+            seen.append(cache)
+            begin(cache)
+
+        monkeypatch.setattr(RegistrationCache, "begin_transaction", counting)
+        return seen
+
+    @pytest.mark.parametrize("gdr", [True, False], ids=["gdr", "staged"])
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
+    def test_resets_only_the_caches_the_last_call_used(
+        self, cache, gdr, resets
+    ):
+        config = Mv2Config(
+            registration_cache=cache, gdr_enabled=gdr,
+            mv2_visible_devices="all",
+        )
+        want = self._run(config, reset_every_hca=True)
+        assert self._run(config, reset_every_hca=False, resets=resets) == want
+
+    def test_a_two_node_call_resets_two_hcas(self, resets):
+        _, tm = make_world(8, config=Mv2Config(registration_cache=True))
+        tm.begin_collective()
+        assert resets == []
+        for _ in range(2):
+            tm.cost(0, 4, 64 * MIB, src_buffer=7, dst_buffer=8)
+            tm.begin_collective()
+        assert len(resets) == 4
+        assert tm.regcache_stats()["hits"] == 2

@@ -1,17 +1,21 @@
-"""The contract between ``TransportModel.quote`` and ``TransportModel.apply``.
+"""The contract between ``TransportModel.quote``, ``apply`` and the rows.
 
 The walk costs a transfer as ``(wire + staging) + apply(q)``; on
 every analytic world the ring closed form prices warm steps from
-``steady_protocol(q)`` without applying them.  That is sound only if
+``steady_row``, each pair's price entry or None, without quoting or
+applying them.  That is sound only if
 
-* ``quote`` reads protocol state and never changes it,
+* ``quote`` and ``steady_row`` read protocol state and never change it,
 * ``cost`` is exactly ``apply(quote(...))``, and
-* whenever ``steady_protocol(q)`` is not None, the next ``apply(q)``
-  charges exactly that value and changes no registration.
+* a pair's row entry is None exactly when its next ``apply`` would open
+  an IPC pair or change a registration, and otherwise that send costs
+  the entry's ``(wire + staging) + protocol``, the steady protocol, and
+* ``send_row`` leaves what that many steady applies leave, but staging.
 
 Each property is checked for every transport kind, with the registration
 cache enabled and disabled, from cold, warm, next-call, poisoned,
-undersized and flushed states.
+undersized and flushed states, and on a row whose consecutive pairs
+belong to different price rows.
 """
 
 from __future__ import annotations
@@ -64,6 +68,21 @@ def _quote(transport, transfer, extent=EXTENT):
         src, dst, nbytes, src_buffer=SRC_BUF, dst_buffer=DST_BUF,
         buffer_extent=extent,
     )
+
+
+def _row(transport, transfer, extent=EXTENT):
+    """``transfer``'s entry in a one-pair steady row, or None."""
+    src, dst, nbytes = TRANSFERS[transfer]
+    [entry] = transport.steady_row(
+        [transport._pair(src, dst)], nbytes, {src: SRC_BUF, dst: DST_BUF},
+        extent,
+    )
+    return entry
+
+
+def _row_total(entry) -> float:
+    _, _, wire, staging, protocol = entry
+    return (wire + staging) + protocol
 
 
 def _prepared(config, transfer, state):
@@ -144,15 +163,21 @@ def test_steady_protocol_is_the_next_apply(name):
     steady = 0
     for transfer, state in _cases():
         transport = _prepared(CONFIGS[name], transfer, state)
+        before = protocol_state(transport)
+        entry = _row(transport, transfer)
+        assert protocol_state(transport) == before, (transfer, state)
         q = _quote(transport, transfer)
-        predicted = transport.steady_protocol(q)
-        if predicted is None:
+        registrations = _registrations(transport)
+        charged = transport.apply(q)
+        changed = _registrations(transport) != registrations
+        assert (entry is None) == changed, (transfer, state)
+        if entry is None:
             continue
         steady += 1
-        before = _registrations(transport)
-        charged = transport.apply(q)
-        assert charged.hex() == predicted.hex(), (transfer, state)
-        assert _registrations(transport) == before, (transfer, state)
+        assert entry[:2] == (q.kind, q.staged), (transfer, state)
+        assert _row_total(entry).hex() == (
+            (q.wire + q.staging) + charged
+        ).hex(), (transfer, state)
     assert steady
 
 
@@ -160,12 +185,81 @@ def test_steady_protocol_reads_state_it_does_not_change():
     """A cold rendezvous is unsteady and stays so until it is applied."""
     transport = _transport(Mv2Config(registration_cache=True))
     transport.begin_collective()
-    q = _quote(transport, "inter-large")
     before = protocol_state(transport)
-    assert transport.steady_protocol(q) is None
+    assert _row(transport, "inter-large") is None
     assert protocol_state(transport) == before
-    transport.apply(q)
-    assert transport.steady_protocol(q) is not None
+    transport.apply(_quote(transport, "inter-large"))
+    assert _row(transport, "inter-large") is not None
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_send_row_is_repeated_steady_applies(name):
+    """``send_row`` leaves what as many applies of a steady send leave,
+    but the staging charges, which its caller replays."""
+    sent = 0
+    for transfer, state in _cases():
+        if transfer == "self":
+            continue  # a ring pair never sends to itself
+        by_row = _prepared(CONFIGS[name], transfer, state)
+        by_apply = _prepared(CONFIGS[name], transfer, state)
+        entry = _row(by_row, transfer)
+        if entry is None:
+            continue
+        src, dst, nbytes = TRANSFERS[transfer]
+        by_row.send_row(
+            [by_row._pair(src, dst)], [entry], 3, [3 * nbytes],
+            {src: SRC_BUF, dst: DST_BUF}, EXTENT,
+        )
+        for _ in range(3):
+            q = _quote(by_apply, transfer)
+            by_apply.apply(q)
+            if q.staged:
+                by_row.charge_staging(src, dst, q.staging)
+        assert protocol_state(by_row) == protocol_state(by_apply), (
+            transfer, state,
+        )
+        sent += 1
+    assert sent
+
+
+#: a ring over each node's first two GPUs, 0 -> 1 -> 4 -> 5 -> 0: an
+#: intra-node pair, then an inter-node one, and so on, so no two
+#: consecutive pairs share a price row
+MIXED_RING = (0, 1, 4, 5)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_mixed_row_prices_each_pair_from_its_own_row(name):
+    transport = _transport(CONFIGS[name])
+    nbytes = 8 * MIB
+    pairs = list(zip(MIXED_RING, MIXED_RING[1:] + MIXED_RING[:1]))
+    geometry = [transport._pair(src, dst) for src, dst in pairs]
+    assert all(
+        a.prices is not b.prices for a, b in zip(geometry, geometry[1:])
+    )
+    ids = {rank: 100 + rank for rank in MIXED_RING}
+    steady = 0
+    for call in range(3):
+        transport.begin_collective()
+        before = protocol_state(transport)
+        entries = transport.steady_row(geometry, nbytes, ids, EXTENT)
+        assert protocol_state(transport) == before
+        for (src, dst), pair, entry in zip(pairs, geometry, entries):
+            q = transport.quote(
+                src, dst, nbytes, src_buffer=ids[src], dst_buffer=ids[dst],
+                buffer_extent=EXTENT,
+            )
+            registrations = _registrations(transport)
+            charged = transport.apply(q)
+            changed = _registrations(transport) != registrations
+            assert (entry is None) == changed, (call, src, dst)
+            if entry is not None:
+                steady += 1
+                assert entry is pair.prices[nbytes]
+                assert _row_total(entry).hex() == (
+                    (q.wire + q.staging) + charged
+                ).hex(), (call, src, dst)
+    assert steady
 
 
 def test_every_transport_kind_is_covered():

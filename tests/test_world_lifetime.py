@@ -18,7 +18,8 @@ pin the ownership rule from ``docs/architecture.md``:
 * links build their event-mode channels on first use, with the names and
   capacities they always had;
 * each world owns its collective-schedule memo;
-* no transfer quote outlives its step, on any of the three;
+* no transfer quote outlives its step, on any of the three, and the
+  sessions of a 4096-rank planner call hold none;
 * a world's nodes come from one template: a fresh 4096-rank world holds
   few objects, and an analytic allreduce builds only the nodes its
   route-class representatives cross, and no CUDA state beyond node 0's,
@@ -50,6 +51,7 @@ from repro.resilience import RESTART_FROM_CHECKPOINT, SHRINK_CONTINUE
 from repro.serve import VIDEO_MIX, BatchingConfig, ServeScenario, WorkloadConfig
 from repro.serve.simulator import RETIRED, _ServeSimulation
 from repro.sim import Environment
+from repro.sim import fastpath
 from repro.sim.fastpath import walk_oracle
 from repro.utils.units import KIB, MIB
 
@@ -351,3 +353,31 @@ class TestNoQuoteOutlivesItsStep:
         # the world is alive and has sent: its quotes were all dropped
         assert sum(world.transport.stats.transfers.values()) > 0
         assert quotes == 0
+
+    def test_planner_sessions_hold_no_quote(self, monkeypatch):
+        """A 4,096-rank planner call collapses 1,024-leader rings and node
+        groups; each world it drops dies with its last reference while
+        its session, kept here, holds no quote."""
+        enable = fastpath.enable_fastpath
+        worlds, sessions = [], []
+
+        def watched(world):
+            worlds.append(weakref.ref(world))
+            sessions.append(enable(world))
+            return sessions[-1]
+
+        monkeypatch.setattr(fastpath, "enable_fastpath", watched)
+        config = PlannerConfig(
+            ranks=4096, max_pp=1, microbatches=(8,), measure_steps=1
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            plan_hybrid(config, jobs=1, use_memo=False)
+            assert worlds and all(ref() is None for ref in worlds)
+        finally:
+            gc.enable()
+        gc.collect()
+        assert sum(s.ring_transfers for s in sessions) > 0
+        assert sum(s.group_transfers for s in sessions) > 0
+        assert not any(isinstance(o, TransferQuote) for o in gc.get_objects())
