@@ -35,7 +35,7 @@ from repro.core import MPI_OPT
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
 from repro.mpi import WorldSpec
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -55,8 +55,8 @@ def make_comm(backend: str, num_ranks: int):
     return comm
 
 
-def virtual(nbytes: int, n: int):
-    return [GpuBuffer.virtual(nbytes) for _ in range(n)]
+def virtual(nbytes: int, n: int) -> GpuBuffers:
+    return GpuBuffers.virtual(nbytes, n)
 
 
 def time_collective_sweep(quick: bool) -> dict:

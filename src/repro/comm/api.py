@@ -10,8 +10,8 @@ def broadcast_weights(comm, nbytes: int):
     functionally, and this prices pushing it over the re-formed ring.
     Returns the backend's CollectiveTiming (zero-op on trivial worlds).
     """
-    from repro.mpi.comm import GpuBuffer
+    from repro.mpi.comm import GpuBuffers
 
     if comm.size <= 1 or nbytes <= 0:
         return None
-    return comm.bcast([GpuBuffer.virtual(nbytes) for _ in range(comm.size)])
+    return comm.bcast(GpuBuffers.virtual(nbytes, comm.size))

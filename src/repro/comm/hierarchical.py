@@ -230,24 +230,29 @@ class HierarchicalWorld:
             segments,
         )
 
-    def price_allreduce(self, comm, buffers, nbytes, algorithm):
+    def price_allreduce(self, comm, buffers, algorithm):
         if algorithm not in (None, ALGORITHM):
             raise CommError(
                 f"hierarchical backend implements only {ALGORITHM!r}, "
                 f"got {algorithm!r}"
             )
-        return self._timing("allreduce", comm, nbytes, self._allreduce_segments)
-
-    def price_allgather(self, comm, buffers, nbytes):
-        return self._timing("allgather", comm, nbytes, self._allgather_segments)
-
-    def price_reduce_scatter(self, comm, buffers, nbytes):
         return self._timing(
-            "reduce_scatter", comm, nbytes, self._reduce_scatter_segments
+            "allreduce", comm, buffers.nbytes, self._allreduce_segments
         )
 
-    def price_bcast(self, comm, buffers, nbytes, root_index):
-        return self._timing("bcast", comm, nbytes, self._bcast_segments)
+    def price_allgather(self, comm, buffers):
+        return self._timing(
+            "allgather", comm, buffers.nbytes, self._allgather_segments
+        )
+
+    def price_reduce_scatter(self, comm, buffers):
+        return self._timing(
+            "reduce_scatter", comm, buffers.nbytes // comm.size,
+            self._reduce_scatter_segments,
+        )
+
+    def price_bcast(self, comm, buffers, root_index):
+        return self._timing("bcast", comm, buffers.nbytes, self._bcast_segments)
 
     def price_barrier(self, comm):
         p = comm.size

@@ -38,7 +38,9 @@ class SelectionTable:
     byte_edges: tuple[int, ...]
     rank_edges: tuple[int, ...]
     algorithms: tuple[tuple[str, ...], ...]
-    source: str = "builtin"
+    #: provenance ("builtin", "tuned", ...) and tuning records: neither
+    #: changes what the table routes, so neither enters equality or a digest
+    source: str = field(default="builtin", compare=False)
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:

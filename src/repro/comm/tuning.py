@@ -170,11 +170,11 @@ def _sweep(
 
 
 def _time_algorithm(comm, nbytes: int, algorithm: str) -> float | None:
-    from repro.mpi.comm import GpuBuffer
+    from repro.mpi.comm import GpuBuffers
 
     if algorithm in _POW2_ONLY and comm.size & (comm.size - 1):
         return None
-    buffers = [GpuBuffer.virtual(nbytes) for _ in range(comm.size)]
+    buffers = GpuBuffers.virtual(nbytes, comm.size)
     return comm.allreduce(buffers, algorithm=algorithm).time
 
 
@@ -193,23 +193,19 @@ def tune_table(config: TuningConfig, *, cache=None) -> SelectionTable:
 def _time_compression(comm, nbytes: int, mode: str, ratio: float) -> float:
     """Simulated wire time of one gradient exchange under ``mode``."""
     from repro.compression import sparse_wire_nbytes, top_k_count
-    from repro.mpi.comm import GpuBuffer
+    from repro.mpi.comm import GpuBuffers
     from repro.mpi.datatypes import Datatype
 
     if mode == "none":
-        buffers = [GpuBuffer.virtual(nbytes) for _ in range(comm.size)]
-        return comm.allreduce(buffers).time
+        return comm.allreduce(GpuBuffers.virtual(nbytes, comm.size)).time
     if mode == "fp16":
         wire = (nbytes // Datatype.FLOAT32.size) * Datatype.FLOAT16.size
-        buffers = [
-            GpuBuffer.virtual(wire, Datatype.FLOAT16) for _ in range(comm.size)
-        ]
+        buffers = GpuBuffers.virtual(wire, comm.size, Datatype.FLOAT16)
         return comm.allreduce(buffers).time
     # top-k: per-rank (index, value) payload exchanged via allgather
     k = top_k_count(nbytes // Datatype.FLOAT32.size, ratio)
     wire = sparse_wire_nbytes(k)
-    buffers = [GpuBuffer.virtual(wire, Datatype.UINT8) for _ in range(comm.size)]
-    _, timing = comm.allgather(buffers)
+    _, timing = comm.allgather(GpuBuffers.virtual(wire, comm.size, Datatype.UINT8))
     return timing.time
 
 

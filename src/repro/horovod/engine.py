@@ -24,12 +24,11 @@ from repro.compression import (
     sparsify_with_feedback,
     top_k_count,
 )
-from repro.cuda.memory import DeviceAllocation
 from repro.errors import HorovodError
 from repro.horovod.coordinator import CoordinatorModel
 from repro.horovod.env import HorovodConfig
 from repro.horovod.fusion import FusionMessage, PendingTensor, TensorFusion
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers, fresh_ids
 from repro.mpi.datatypes import Datatype
 from repro.utils.folds import fold_sum
 
@@ -93,10 +92,7 @@ class HorovodEngine:
         self._topk_residuals: dict[tuple, np.ndarray] = {}
         # Stable fusion-buffer identities per slot, one per rank: the reuse
         # that makes the registration cache effective (paper §III-D).
-        self._slot_buffers: dict[object, list[int]] = {}
-        # the buffers of virtual fused messages, reused per (slot, wire
-        # nbytes, dtype): they hold only the ring's size and slot ids
-        self._virtual_buffers: dict[tuple, list[GpuBuffer]] = {}
+        self._slot_buffers: dict[object, tuple[int, ...]] = {}
         self._fusion_allocations: list = []
         # response cache: signatures of previously-negotiated drain sets
         self._response_cache: set[frozenset] = set()
@@ -153,7 +149,6 @@ class HorovodEngine:
 
     def _reset_ring_state(self) -> None:
         self._slot_buffers.clear()
-        self._virtual_buffers.clear()
         self._response_cache.clear()
         coster = getattr(getattr(self.comm, "world", None), "coster", None)
         if coster is not None:
@@ -175,58 +170,38 @@ class HorovodEngine:
     def _buffers_for(
         self,
         message: FusionMessage,
+        datas: list | None,
         *,
         wire_nbytes: int | None = None,
         dtype: Datatype = Datatype.FLOAT32,
-        datas: list | None = None,
-    ) -> list[GpuBuffer]:
-        """Per-rank GpuBuffers for one message (stable ids for fused slots).
+    ) -> GpuBuffers:
+        """Every rank's buffer for one message (stable ids for fused slots),
+        holding ``datas``, or none for a virtual message.
 
-        With no overrides this builds the uncompressed fp32 wire image.  A
+        With no overrides this is the uncompressed fp32 wire image.  A
         compressor swaps in its own ``wire_nbytes``/``dtype``/``datas``
         while keeping the same buffer identities, so the registration cache
         sees one stable fusion buffer regardless of wire format.  A fused
-        message without data gets the same list back for the same slot,
-        wire size and dtype until the ring changes; callers only read it.
+        message passes its slot's id tuple, so it builds no per-rank
+        object.
         """
-        if datas is None and all(t.data is not None for t in message.tensors):
-            datas = TensorFusion.pack(message, self.num_ranks)
         nbytes = message.nbytes if wire_nbytes is None else wire_nbytes
-        if datas is None:
-            datas = [None] * self.num_ranks
         if not message.fused:
             # unfused tensors live in freshly-allocated gradient memory
             # every step: no stable identity, no registration reuse
+            ids = fresh_ids(self.num_ranks)
             name = message.tensors[0].name
-            return [
-                GpuBuffer(nbytes=nbytes, dtype=dtype, data=data, name=name)
-                for data in datas
-            ]
-        slot = message.buffer_slot
-        key = (slot, nbytes, dtype)
-        virtual = all(data is None for data in datas)
-        if virtual and key in self._virtual_buffers:
-            return self._virtual_buffers[key]
-        name = f"fusion-slot{slot}"
-        buffers = [
-            GpuBuffer(
-                nbytes=nbytes, dtype=dtype, data=data, name=name,
-                buffer_id=buffer_id,
-            )
-            for buffer_id, data in zip(self._slot_ids(slot), datas)
-        ]
-        if virtual:
-            self._virtual_buffers[key] = buffers
-        return buffers
+        else:
+            ids = self._slot_ids(message.buffer_slot)
+            name = f"fusion-slot{message.buffer_slot}"
+        return GpuBuffers(nbytes, ids, dtype=dtype, datas=datas, name=name)
 
-    def _slot_ids(self, slot) -> list[int]:
+    def _slot_ids(self, slot) -> tuple[int, ...]:
         """The stable buffer ids of ``slot``, one per rank, minted in rank
         order on the slot's first use."""
         ids = self._slot_buffers.get(slot)
         if ids is None:
-            ids = self._slot_buffers[slot] = [
-                next(DeviceAllocation._ids) for _ in range(self.num_ranks)
-            ]
+            ids = self._slot_buffers[slot] = fresh_ids(self.num_ranks)
         return ids
 
     # -- submission paths --------------------------------------------------------
@@ -236,39 +211,36 @@ class HorovodEngine:
         byte-for-byte; fp16/bf16 halve the wire image before submission."""
         mode = self.compression.mode
         functional = all(t.data is not None for t in message.tensors)
+        packed = TensorFusion.pack(message, self.num_ranks) if functional else None
         if mode == "none":
-            buffers = self._buffers_for(message)
+            buffers = self._buffers_for(message, packed)
             timing = self.comm.allreduce(buffers, average=True)
             if functional:
-                TensorFusion.unpack(message, [b.data for b in buffers])
+                TensorFusion.unpack(message, buffers.datas)
         else:
             wire_nbytes = self.compressor.wire_nbytes(message.nbytes)
-            packed = TensorFusion.pack(message, self.num_ranks) if functional else None
             if mode == "fp16":
-                datas = (
-                    [self.compressor.compress(p) for p in packed]
-                    if functional
-                    else [None] * self.num_ranks
-                )
                 buffers = self._buffers_for(
                     message,
+                    [self.compressor.compress(p) for p in packed]
+                    if functional else None,
                     wire_nbytes=wire_nbytes,
                     dtype=self.compressor.wire_dtype,
-                    datas=datas,
                 )
                 timing = self.comm.allreduce(buffers, average=True)
                 if functional:
                     TensorFusion.unpack(
-                        message, [self.compressor.decompress(b.data) for b in buffers]
+                        message,
+                        [self.compressor.decompress(d) for d in buffers.datas],
                     )
             else:  # bf16: numpy has no native bfloat16, so the arithmetic
                 # happens locally on truncated fp32 while the wire is priced
                 # as 2-byte elements through virtual buffers.
                 buffers = self._buffers_for(
                     message,
+                    None,
                     wire_nbytes=wire_nbytes,
                     dtype=self.compressor.wire_dtype,
-                    datas=[None] * self.num_ranks,
                 )
                 timing = self.comm.allreduce(buffers, average=True)
                 if functional:
@@ -280,7 +252,7 @@ class HorovodEngine:
                     TensorFusion.unpack(message, [result] * self.num_ranks)
         finish = start + timing.time
         return MessageRecord(
-            nbytes=buffers[0].nbytes,
+            nbytes=buffers.nbytes,
             start=start,
             finish=finish,
             fused_count=len(message.tensors),
@@ -319,14 +291,9 @@ class HorovodEngine:
         # so the registration cache still keys on a fixed identity despite
         # the fresh (index, value) content
         name = f"sparse:{tensor.name}"
-        buffers = [
-            GpuBuffer(
-                nbytes=wire, dtype=Datatype.UINT8, name=name,
-                buffer_id=buffer_id,
-            )
-            for buffer_id in self._slot_ids(name)
-        ]
-        _, timing = self.comm.allgather(buffers)
+        _, timing = self.comm.allgather(
+            GpuBuffers(wire, self._slot_ids(name), dtype=Datatype.UINT8, name=name)
+        )
         finish = start + timing.time
         return MessageRecord(
             nbytes=wire,

@@ -19,7 +19,7 @@ from typing import Sequence
 from repro.errors import HorovodError
 from repro.horovod.engine import HorovodEngine, StepTiming
 from repro.horovod.fusion import PendingTensor
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.tensor.nn.module import Module
 from repro.tensor.optim.base import Optimizer
 
@@ -38,12 +38,13 @@ def broadcast_parameters(models: Sequence[Module], engine: HorovodEngine) -> Non
     named = [dict(m.named_parameters()) for m in models]
     reference = named[0]
     for name, param in reference.items():
-        buffers = []
         for rank in range(engine.num_ranks):
             if name not in named[rank]:
                 raise HorovodError(f"replica {rank} is missing parameter {name!r}")
-            buffers.append(GpuBuffer.from_array(named[rank][name].data, name=name))
-        engine.comm.bcast(buffers, root_index=0)
+        engine.comm.bcast(
+            GpuBuffers.from_arrays([n[name].data for n in named], name=name),
+            root_index=0,
+        )
 
 
 class DistributedOptimizer:

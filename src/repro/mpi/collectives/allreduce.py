@@ -18,7 +18,6 @@ from __future__ import annotations
 # allreduce_lower_bound is re-exported for legacy callers
 from repro.comm.cost import FLOAT32_BYTES, allreduce_lower_bound  # noqa: F401
 from repro.errors import MpiError
-from repro.hardware.cluster import Cluster
 from repro.mpi.collectives.base import (
     CollectivePlan,
     CollectiveTiming,
@@ -102,10 +101,10 @@ def _binomial_bcast_tree(g: int) -> list[list[tuple[int, int]]]:
 
 
 def _allreduce_plan(
-    cluster: Cluster, ranks: list[int], nbytes: int, override: str | None
+    coster: StepCoster, ranks: list[int], nbytes: int, override: str | None
 ) -> CollectivePlan:
     p = len(ranks)
-    groups = cluster.node_groups(sorted(ranks))
+    groups = coster.node_groups(sorted(ranks))
     algorithm = select_allreduce_algorithm(
         p, nbytes, nodes=len(groups), override=override
     )
@@ -164,10 +163,9 @@ def allreduce_timing(
     doubling and reduce-scatter-allgather fall back to ``ring`` on a
     world whose size is not a power of two.
     """
-    transport = coster.transport
-    override = algorithm or transport.config.allreduce_algorithm
+    override = algorithm or coster.transport.config.allreduce_algorithm
     return plan_timing(
         coster, "allreduce", ranks, nbytes,
-        lambda: _allreduce_plan(transport.cluster, ranks, nbytes, override),
+        lambda: _allreduce_plan(coster, ranks, nbytes, override),
         variant=override, buffer_ids=buffer_ids, dtype_bytes=dtype_bytes,
     )

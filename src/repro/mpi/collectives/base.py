@@ -269,10 +269,23 @@ class StepCoster:
         self._reductions: dict[tuple[bool, int, int], float] = {}
         # this world's collective plans, one per call key (plan_timing)
         self.schedules = ScheduleMemo()
+        # rank list -> its node groups (node_groups)
+        self._groups: dict[tuple[int, ...], list[list[int]]] = {}
         # the repro.sim.fastpath.FastPathSession that MpiWorld attaches
         # to an analytic coster (None under the walk oracle): analytic
         # walks collapse warm ring phases and same-shaped node groups
         self.fastpath = None
+
+    def node_groups(self, ranks: list[int]) -> list[list[int]]:
+        """``Cluster.node_groups(ranks)``, resolved once per rank list in
+        this world: every plan over the same ranks shares one groups
+        value, and the node-group closed form keeps its settled verdicts
+        per groups value."""
+        key = tuple(ranks)
+        groups = self._groups.get(key)
+        if groups is None:
+            groups = self._groups[key] = self.transport.cluster.node_groups(key)
+        return groups
 
     # -- reduction compute costs ------------------------------------------------
     def gpu_reduce_time(self, nbytes: int, dtype_bytes: int = FLOAT32_BYTES) -> float:

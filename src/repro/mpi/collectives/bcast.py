@@ -8,7 +8,6 @@ relevant message range.
 
 from __future__ import annotations
 
-from repro.hardware.cluster import Cluster
 from repro.mpi.collectives.base import (
     CollectivePlan,
     CollectiveTiming,
@@ -31,7 +30,7 @@ def _binomial_tree(g: int) -> list[list[tuple[int, int]]]:
 
 
 def _bcast_plan(
-    cluster: Cluster, ranks: list[int], nbytes: int, root: int | None
+    coster: StepCoster, ranks: list[int], nbytes: int, root: int | None
 ) -> CollectivePlan:
     if len(ranks) <= 1 or nbytes == 0:
         return CollectivePlan("binomial")
@@ -42,7 +41,7 @@ def _bcast_plan(
 
     # each group starts at its node's first rank in root-first order, so
     # the root leads its own node
-    groups = cluster.node_groups(ordered)
+    groups = coster.node_groups(ordered)
     if len(groups) == 1:
         return CollectivePlan("binomial", (("tree", tree(groups), False),))
     # Hierarchical: binomial among node leaders, root's node first and the
@@ -65,9 +64,8 @@ def bcast_timing(
     buffer_ids: dict[int, int] | None = None,
 ) -> CollectiveTiming:
     """Time a broadcast of ``nbytes`` from ``root`` (default: first rank)."""
-    cluster = coster.transport.cluster
     return plan_timing(
         coster, "bcast", ranks, nbytes,
-        lambda: _bcast_plan(cluster, ranks, nbytes, root),
+        lambda: _bcast_plan(coster, ranks, nbytes, root),
         variant=root, buffer_ids=buffer_ids,
     )

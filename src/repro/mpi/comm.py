@@ -2,22 +2,24 @@
 
 The simulation runs all ranks lock-step in one Python process (bulk-
 synchronous SPMD): a collective call receives *every* rank's buffer at
-once, performs the real numpy reduction (functional mode), and obtains the
-operation's simulated duration from its world.
+once, as one :class:`GpuBuffers` value (a size, a dtype, one buffer id per
+rank and, in functional mode, one array per rank), performs the real
+numpy reduction (functional mode), and obtains the operation's simulated
+duration from its world.
 
 :class:`Communicator` is the one communicator of every backend.  A world
 (:class:`MpiWorld`, :class:`~repro.nccl.NcclWorld`,
 :class:`~repro.comm.hierarchical.HierarchicalWorld`) only prices
-collectives: one ``price_<collective>(comm, ...)`` method each, with the
-same signature in every world.
+collectives: one ``price_<collective>(comm, buffers, ...)`` method each,
+with the same signature in every world.
 
 Profilers subscribe as observers — this is the seam ``hvprof`` hooks into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import itertools
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,84 +46,113 @@ from repro.mpi.process import RankContext, WorldSpec, build_world
 from repro.mpi.transports import TransportModel
 
 
-@dataclass
-class GpuBuffer:
-    """A (possibly virtual) device buffer participating in collectives.
+class GpuBuffers:
+    """One collective call's (possibly virtual) device buffers, one per rank.
 
-    ``buffer_id`` is the registration-cache / IPC identity: Horovod's fusion
-    buffer keeps one id across training steps, which is what makes the
-    registration cache effective.  ``data`` is present in functional mode
-    and ``None`` in performance mode.
+    Every rank's buffer holds ``nbytes`` bytes of ``dtype``.  ``ids`` is
+    each rank's registration-cache / IPC identity, in communicator order:
+    Horovod's fusion buffer keeps its ids across training steps, which is
+    what makes the registration cache effective.  ``datas`` is one array
+    per rank in functional mode and ``None`` in performance mode.  A
+    value is built once per call and only read after that.
     """
 
-    nbytes: int
-    dtype: Datatype = Datatype.FLOAT32
-    data: Optional[np.ndarray] = None
-    name: str = ""
-    buffer_id: int = field(default_factory=lambda: next(DeviceAllocation._ids))
+    __slots__ = ("nbytes", "dtype", "ids", "datas", "name")
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise MpiError(f"buffer size must be >= 0, got {self.nbytes}")
-        if self.data is not None:
-            actual = self.data.size * self.data.itemsize
-            if actual != self.nbytes:
+    def __init__(
+        self,
+        nbytes: int,
+        ids: Sequence[int],
+        *,
+        dtype: Datatype = Datatype.FLOAT32,
+        datas: Sequence[np.ndarray] | None = None,
+        name: str = "",
+    ):
+        if nbytes < 0:
+            raise MpiError(f"buffer size must be >= 0, got {nbytes}")
+        ids = tuple(ids)
+        if datas is not None:
+            if len(datas) != len(ids):
                 raise MpiError(
-                    f"buffer {self.name!r}: data is {actual}B but nbytes={self.nbytes}"
+                    f"buffers {name!r}: {len(datas)} arrays for {len(ids)} ids"
                 )
-
-    @classmethod
-    def from_array(cls, array: np.ndarray, name: str = "") -> "GpuBuffer":
-        return cls(
-            nbytes=array.size * array.itemsize,
-            dtype=Datatype.from_numpy(array.dtype),
-            data=array,
-            name=name,
-        )
+            for data in datas:
+                if data is None:
+                    raise MpiError("mixed functional/virtual buffers in one call")
+                actual = data.size * data.itemsize
+                if actual != nbytes:
+                    raise MpiError(
+                        f"buffer {name!r}: data is {actual}B but nbytes={nbytes}"
+                    )
+        self.nbytes = nbytes
+        self.dtype = dtype
+        self.ids = ids
+        self.datas = datas
+        self.name = name
 
     @classmethod
     def virtual(
-        cls, nbytes: int, dtype: Datatype = Datatype.FLOAT32, name: str = ""
-    ) -> "GpuBuffer":
-        return cls(nbytes=nbytes, dtype=dtype, name=name)
+        cls,
+        nbytes: int,
+        count: int,
+        dtype: Datatype = Datatype.FLOAT32,
+        name: str = "",
+    ) -> "GpuBuffers":
+        """``count`` buffers without data, each with a fresh id."""
+        return cls(nbytes, fresh_ids(count), dtype=dtype, name=name)
 
-    @property
-    def elements(self) -> int:
-        return self.nbytes // self.dtype.size
+    @classmethod
+    def from_arrays(
+        cls, arrays: Sequence[np.ndarray], name: str = ""
+    ) -> "GpuBuffers":
+        """One buffer per array, each with a fresh id; every array must
+        hold as many bytes as the first, whose dtype they all take."""
+        if not arrays:
+            raise MpiError(f"buffers {name!r}: no arrays")
+        first = arrays[0]
+        return cls(
+            first.size * first.itemsize,
+            fresh_ids(len(arrays)),
+            dtype=Datatype.from_numpy(first.dtype),
+            datas=list(arrays),
+            name=name,
+        )
+
+
+def fresh_ids(count: int) -> tuple[int, ...]:
+    """``count`` new buffer ids, minted in order from the one device
+    allocation counter."""
+    return tuple(itertools.islice(DeviceAllocation._ids, count))
 
 
 CollectiveObserver = Callable[[CollectiveTiming, str], None]
 
 
 def apply_allreduce(
-    buffers: Sequence[GpuBuffer], op: ReduceOp, *, average: bool = False
+    buffers: GpuBuffers, op: ReduceOp, *, average: bool = False
 ) -> None:
     """Functional-mode allreduce arithmetic."""
-    datas = [b.data for b in buffers]
-    if all(d is None for d in datas):
+    datas = buffers.datas
+    if datas is None:
         return
-    if any(d is None for d in datas):
-        raise MpiError("mixed functional/virtual buffers in one allreduce")
     if average and op is not ReduceOp.SUM:
         raise MpiError("average=True requires ReduceOp.SUM")
-    reduced = op.reduce([d for d in datas])
+    reduced = op.reduce(datas)
     if average:
         reduced = reduced / len(datas)
     for d in datas:
         np.copyto(d, reduced.astype(d.dtype, copy=False))
 
 
-def apply_bcast(buffers: Sequence[GpuBuffer], root_index: int) -> None:
+def apply_bcast(buffers: GpuBuffers, root_index: int) -> None:
     """Functional-mode bcast."""
-    root_data = buffers[root_index].data
-    if root_data is None:
+    datas = buffers.datas
+    if datas is None:
         return
-    for i, b in enumerate(buffers):
-        if i == root_index:
-            continue
-        if b.data is None:
-            raise MpiError("mixed functional/virtual buffers in one bcast")
-        np.copyto(b.data, root_data)
+    root_data = datas[root_index]
+    for i, data in enumerate(datas):
+        if i != root_index:
+            np.copyto(data, root_data)
 
 
 class MpiWorld:
@@ -173,70 +204,70 @@ class MpiWorld:
         return self.transport.regcache_stats()
 
     # -- pricing ----------------------------------------------------------------
-    def price_allreduce(self, comm, buffers, nbytes, algorithm):
+    def price_allreduce(self, comm, buffers, algorithm):
         self.transport.begin_collective()
         return allreduce_timing(
             self.coster,
             comm.ranks,
-            nbytes,
+            buffers.nbytes,
             buffer_ids=_buffer_ids(comm, buffers),
             algorithm=algorithm,
-            dtype_bytes=buffers[0].dtype.size,
+            dtype_bytes=buffers.dtype.size,
         )
 
-    def price_bcast(self, comm, buffers, nbytes, root_index):
+    def price_bcast(self, comm, buffers, root_index):
         self.transport.begin_collective()
         return bcast_timing(
             self.coster,
             comm.ranks,
-            nbytes,
+            buffers.nbytes,
             root=comm.ranks[root_index],
             buffer_ids=_buffer_ids(comm, buffers),
         )
 
-    def price_allgather(self, comm, buffers, nbytes):
+    def price_allgather(self, comm, buffers):
         self.transport.begin_collective()
         return allgather_timing(
             self.coster,
             comm.ranks,
-            nbytes,
+            buffers.nbytes,
             buffer_ids=_buffer_ids(comm, buffers),
-            dtype_bytes=buffers[0].dtype.size,
+            dtype_bytes=buffers.dtype.size,
         )
 
-    def price_reduce_scatter(self, comm, buffers, nbytes):
+    def price_reduce_scatter(self, comm, buffers):
         self.transport.begin_collective()
         return reduce_scatter_timing(
             self.coster,
             comm.ranks,
-            nbytes,
+            buffers.nbytes // comm.size,
             buffer_ids=_buffer_ids(comm, buffers),
-            dtype_bytes=buffers[0].dtype.size,
+            dtype_bytes=buffers.dtype.size,
         )
 
     def price_barrier(self, comm):
         return barrier_timing(self.coster, comm.ranks)
 
-    def price_reduce(self, comm, buffers, nbytes, root_index):
+    def price_reduce(self, comm, buffers, root_index):
         self.transport.begin_collective()
         return reduce_timing(
             self.coster,
             comm.ranks,
-            nbytes,
+            buffers.nbytes,
             root=comm.ranks[root_index],
             buffer_ids=_buffer_ids(comm, buffers),
         )
 
-    def price_gather(self, comm, buffers, nbytes, root_index):
+    def price_gather(self, comm, buffers, root_index):
         self.transport.begin_collective()
         return gather_timing(
-            self.coster, comm.ranks, nbytes, root=comm.ranks[root_index]
+            self.coster, comm.ranks, buffers.nbytes, root=comm.ranks[root_index]
         )
 
-    def price_scatter(self, comm, buffers, nbytes, root_index):
+    def price_scatter(self, comm, buffers, root_index):
         self.transport.begin_collective()
         return scatter_timing(
-            self.coster, comm.ranks, nbytes, root=comm.ranks[root_index]
+            self.coster, comm.ranks, buffers.nbytes, root=comm.ranks[root_index]
         )
 
     def price_alltoall(self, comm, nbytes_per_pair):
@@ -244,8 +275,9 @@ class MpiWorld:
         return alltoall_timing(self.coster, comm.ranks, nbytes_per_pair)
 
 
-def _buffer_ids(comm, buffers: Sequence[GpuBuffer]) -> dict[int, int]:
-    return {rank: buf.buffer_id for rank, buf in zip(comm.ranks, buffers)}
+def _buffer_ids(comm, buffers: GpuBuffers) -> dict[int, int]:
+    """The call's binding of each rank to its buffer id."""
+    return dict(zip(comm.ranks, buffers.ids))
 
 
 class Communicator:
@@ -311,17 +343,12 @@ class Communicator:
         return sub
 
     # -- internal ------------------------------------------------------------
-    def _validate(self, buffers: Sequence[GpuBuffer]) -> int:
-        if len(buffers) != self.size:
+    def _validate(self, buffers: GpuBuffers) -> None:
+        if len(buffers.ids) != self.size:
             raise self.world.error(
-                f"collective needs {self.size} buffers (one per rank), got {len(buffers)}"
+                f"collective needs {self.size} buffers (one per rank), "
+                f"got {len(buffers.ids)}"
             )
-        sizes = {b.nbytes for b in buffers}
-        if len(sizes) != 1:
-            raise self.world.error(
-                f"mismatched buffer sizes across ranks: {sorted(sizes)}"
-            )
-        return sizes.pop()
 
     def _notify(self, timing: CollectiveTiming) -> CollectiveTiming:
         self.total_comm_time += timing.time
@@ -333,45 +360,37 @@ class Communicator:
     # -- collectives --------------------------------------------------------------
     def allreduce(
         self,
-        buffers: Sequence[GpuBuffer],
+        buffers: GpuBuffers,
         op: ReduceOp = ReduceOp.SUM,
         *,
         average: bool = False,
         algorithm: str | None = None,
     ) -> CollectiveTiming:
         """Element-wise reduce across ranks; result replaces each buffer's data."""
-        nbytes = self._validate(buffers)
+        self._validate(buffers)
         if algorithm is None and self.table is not None:
-            algorithm = self.table.lookup(nbytes, self.size)
+            algorithm = self.table.lookup(buffers.nbytes, self.size)
         apply_allreduce(buffers, op, average=average)
-        return self._notify(
-            self.world.price_allreduce(self, buffers, nbytes, algorithm)
-        )
+        return self._notify(self.world.price_allreduce(self, buffers, algorithm))
 
-    def bcast(
-        self, buffers: Sequence[GpuBuffer], *, root_index: int = 0
-    ) -> CollectiveTiming:
+    def bcast(self, buffers: GpuBuffers, *, root_index: int = 0) -> CollectiveTiming:
         """Copy the root's data to all ranks."""
-        nbytes = self._validate(buffers)
+        self._validate(buffers)
         apply_bcast(buffers, root_index)
-        return self._notify(
-            self.world.price_bcast(self, buffers, nbytes, root_index)
-        )
+        return self._notify(self.world.price_bcast(self, buffers, root_index))
 
     def allgather(
-        self, buffers: Sequence[GpuBuffer]
+        self, buffers: GpuBuffers
     ) -> tuple[list[np.ndarray] | None, CollectiveTiming]:
         """Gather every rank's data to all ranks."""
-        nbytes = self._validate(buffers)
-        datas = [b.data for b in buffers]
-        gathered = None
-        if all(d is not None for d in datas):
-            gathered = [d.copy() for d in datas]
-        timing = self.world.price_allgather(self, buffers, nbytes)
+        self._validate(buffers)
+        datas = buffers.datas
+        gathered = None if datas is None else [d.copy() for d in datas]
+        timing = self.world.price_allgather(self, buffers)
         return gathered, self._notify(timing)
 
     def reduce_scatter(
-        self, buffers: Sequence[GpuBuffer], op: ReduceOp = ReduceOp.SUM
+        self, buffers: GpuBuffers, op: ReduceOp = ReduceOp.SUM
     ) -> tuple[list[np.ndarray] | None, CollectiveTiming]:
         """Reduce every rank's full vector, scatter one shard per rank.
 
@@ -379,21 +398,19 @@ class Communicator:
         ``nbytes / size`` shard of the element-wise reduction (the
         reduce-scatter phase of the ring allreduce run standalone).
         """
-        nbytes = self._validate(buffers)
+        self._validate(buffers)
+        nbytes = buffers.nbytes
         if self.size > 1 and nbytes % self.size:
             raise self.world.error(
                 f"reduce_scatter needs nbytes divisible by {self.size} "
                 f"ranks, got {nbytes}"
             )
-        datas = [b.data for b in buffers]
         scattered = None
-        if all(d is not None for d in datas):
-            reduced = op.reduce([d for d in datas])
+        if buffers.datas is not None:
+            reduced = op.reduce(buffers.datas)
             if reduced.size % self.size == 0:
                 scattered = [c.copy() for c in np.split(reduced, self.size)]
-        timing = self.world.price_reduce_scatter(
-            self, buffers, nbytes // self.size
-        )
+        timing = self.world.price_reduce_scatter(self, buffers)
         return scattered, self._notify(timing)
 
     def barrier(self) -> CollectiveTiming:
@@ -401,52 +418,45 @@ class Communicator:
 
     def reduce(
         self,
-        buffers: Sequence[GpuBuffer],
+        buffers: GpuBuffers,
         op: ReduceOp = ReduceOp.SUM,
         *,
         root_index: int = 0,
     ) -> CollectiveTiming:
-        nbytes = self._validate(buffers)
-        datas = [b.data for b in buffers]
-        if all(d is not None for d in datas):
-            reduced = op.reduce([d for d in datas])
-            np.copyto(buffers[root_index].data, reduced)
-        return self._notify(
-            self.world.price_reduce(self, buffers, nbytes, root_index)
-        )
+        self._validate(buffers)
+        datas = buffers.datas
+        if datas is not None:
+            np.copyto(datas[root_index], op.reduce(datas))
+        return self._notify(self.world.price_reduce(self, buffers, root_index))
 
     def gather(
-        self, buffers: Sequence[GpuBuffer], *, root_index: int = 0
+        self, buffers: GpuBuffers, *, root_index: int = 0
     ) -> tuple[list[np.ndarray] | None, CollectiveTiming]:
         """Collect every rank's buffer at the root."""
-        nbytes = self._validate(buffers)
-        datas = [b.data for b in buffers]
-        gathered = [d.copy() for d in datas] if all(
-            d is not None for d in datas
-        ) else None
-        timing = self.world.price_gather(self, buffers, nbytes, root_index)
+        self._validate(buffers)
+        datas = buffers.datas
+        gathered = None if datas is None else [d.copy() for d in datas]
+        timing = self.world.price_gather(self, buffers, root_index)
         return gathered, self._notify(timing)
 
     def scatter(
         self,
         blocks: Sequence[np.ndarray] | None,
-        buffers: Sequence[GpuBuffer],
+        buffers: GpuBuffers,
         *,
         root_index: int = 0,
     ) -> CollectiveTiming:
         """Distribute the root's per-rank blocks into each rank's buffer."""
-        nbytes = self._validate(buffers)
+        self._validate(buffers)
         if blocks is not None:
             if len(blocks) != self.size:
                 raise self.world.error(
                     f"scatter needs {self.size} blocks, got {len(blocks)}"
                 )
-            for block, buf in zip(blocks, buffers):
-                if buf.data is not None:
-                    np.copyto(buf.data, block)
-        return self._notify(
-            self.world.price_scatter(self, buffers, nbytes, root_index)
-        )
+            if buffers.datas is not None:
+                for block, data in zip(blocks, buffers.datas):
+                    np.copyto(data, block)
+        return self._notify(self.world.price_scatter(self, buffers, root_index))
 
     def alltoall(self, nbytes_per_pair: int) -> CollectiveTiming:
         """Timing-only alltoall (no DL-training use; completeness of the

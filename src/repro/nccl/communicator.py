@@ -252,15 +252,18 @@ class NcclWorld:
         )
 
     # -- pricing ----------------------------------------------------------------
-    def price_allreduce(self, comm, buffers, nbytes, algorithm):
+    def price_allreduce(self, comm, buffers, algorithm):
+        nbytes = buffers.nbytes
         time, algo = self._allreduce_time(comm, nbytes, algorithm)
         return _timing("allreduce", algo, comm, nbytes, time)
 
-    def price_allgather(self, comm, buffers, nbytes):
+    def price_allgather(self, comm, buffers):
+        nbytes = buffers.nbytes
         time = self._allgather_time(comm, nbytes)
         return _timing("allgather", "nccl-ring", comm, nbytes, time)
 
-    def price_bcast(self, comm, buffers, nbytes, root_index):
+    def price_bcast(self, comm, buffers, root_index):
+        nbytes = buffers.nbytes
         time = self._bcast_time(comm, nbytes)
         return _timing("bcast", "nccl-ring", comm, nbytes, time)
 

@@ -40,7 +40,7 @@ from repro.hardware.cluster import build_cluster
 from repro.hardware.specs import ClusterSpec
 from repro.horovod.coordinator import straggler_factor
 from repro.models.costing import ThroughputModel, TrainingMemoryModel
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.parallel.layout import ParallelLayout
 from repro.parallel.partition import (
     StageShard,
@@ -140,12 +140,10 @@ def _tp_comm(
                 continue
             act = layer.activation_bytes * mb  # per-rank shard bytes
             if act not in ag_memo:
-                _, timing = comm.allgather(
-                    [GpuBuffer.virtual(act) for _ in range(tp)]
-                )
+                _, timing = comm.allgather(GpuBuffers.virtual(act, tp))
                 ag_memo[act] = timing.time
                 _, timing = comm.reduce_scatter(
-                    [GpuBuffer.virtual(act * tp) for _ in range(tp)]
+                    GpuBuffers.virtual(act * tp, tp)
                 )
                 rs_memo[act] = timing.time
             f += ag_memo[act]
@@ -153,10 +151,7 @@ def _tp_comm(
         s = 0.0
         if stage.replicated_params:
             timing = comm.allreduce(
-                [
-                    GpuBuffer.virtual(stage.replicated_params * 4)
-                    for _ in range(tp)
-                ]
+                GpuBuffers.virtual(stage.replicated_params * 4, tp)
             )
             s = timing.time
         fwd.append(f)

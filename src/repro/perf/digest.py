@@ -14,6 +14,11 @@ Two properties matter and are tested:
   a fault plan, a model preset, a tolerance) changes the digest, so stale
   cache entries can never be returned for a different configuration.
 
+A dataclass field declared with ``compare=False`` is provenance, not
+content: it takes no part in equality, and none in the digest either.  A
+selection table's ``source`` and ``extra`` are such fields, so a table
+enters a digest by its routing content only.
+
 ``CACHE_VERSION_SALT`` is folded into every digest; bump it whenever the
 simulator's timing semantics change so old caches invalidate wholesale.
 """
@@ -45,7 +50,7 @@ def _canonical(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = {
             f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
+            for f in dataclasses.fields(obj) if f.compare
         }
         return {"__dataclass__": type(obj).__name__, "fields": fields}
     if isinstance(obj, (list, tuple)):

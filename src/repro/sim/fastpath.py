@@ -33,9 +33,15 @@ pins against the walk oracle, :func:`walk_oracle`):
   other group matches its shape's representative pair for pair (price
   row and CUDA IPC open state); the representatives are quoted and
   applied as the walk would, and the other groups' sends are applied in
-  aggregate.  A match found with every compared CUDA IPC pair open is
-  permanent, since price rows never change and an open pair stays open,
-  so the session keeps it per node groups and step and checks no more.
+  aggregate.  Every node is built from one ``NodeSpec`` and a world
+  shares one MPI device mask per local rank (``build_world``), so within
+  a node a pair's price row and IPC verdict depend only on the two
+  ranks' local ranks: the check reads them once per local pair, and the
+  open state per pair.  A match found with every compared CUDA IPC pair
+  open is permanent, since price rows never change and an open pair
+  stays open, so the session keeps it per node groups and step and
+  checks no more; plans over the same ranks share one groups value
+  (``StepCoster.node_groups``) and so one set of kept verdicts.
 
 ``repro.sim.fastpath`` never approximates; it only skips recomputing
 what is provably unchanged.
@@ -105,9 +111,15 @@ class FastPathSession:
         # ring ranks -> (each pair's PairGeometry, sender to next rank; the
         # number of nodes the ranks span)
         self._rings: dict[tuple[int, ...], tuple[list, int]] = {}
-        # node groups -> {the local pairs a step compares, per group size:
-        # groups spared per size}: the settled node-group verdicts
-        self._settled: dict[tuple, dict[tuple, dict[int, int]]] = {}
+        # id(node groups) -> (those groups, {the local pairs a step
+        # compares, per group size: groups spared per size}): the settled
+        # node-group verdicts, per groups value (plans over the same ranks
+        # share one, ``StepCoster.node_groups``); holding the groups keeps
+        # their id from being reused
+        self._settled: dict[int, tuple[list, dict[tuple, dict[int, int]]]] = {}
+        # (local rank, local rank) -> (id of the price row, CUDA IPC
+        # verdict) of every same-node pair of those local ranks
+        self._local_rows: dict[tuple[int, int], tuple[int, bool]] = {}
 
     @property
     def replayed_transfers(self) -> int:
@@ -309,9 +321,7 @@ class FastPathSession:
         is read.
         """
         live = self.transport.cluster.live_links
-        verdicts = None if live else self._settled.setdefault(
-            tuple(map(tuple, sched.groups)), {}
-        )
+        verdicts = None if live else self._verdicts(sched.groups)
         total = 0
         for d in range(len(sched)):
             makespan = None if live else self._group_step(
@@ -412,6 +422,13 @@ class FastPathSession:
                         transport.charge_staging(src, dst, q.staging)
         return coster.makespan(quotes, totals)
 
+    def _verdicts(self, groups: list) -> dict[tuple, dict[int, int]]:
+        """The settled verdicts kept for the groups value ``groups``."""
+        held = self._settled.get(id(groups))
+        if held is None or held[0] is not groups:
+            held = self._settled[id(groups)] = (groups, {})
+        return held[1]
+
     def _group_check(self, sched, d: int) -> tuple[dict[int, int], bool] | None:
         """The groups each representative spares at step ``d`` (every
         size in the step, zero included) and whether no compared CUDA IPC
@@ -421,11 +438,13 @@ class FastPathSession:
         A group matches its size's representative pair for pair: the same
         price-table row (``PairGeometry.prices``) and, for a CUDA IPC
         capable pair, the same open state, so each of its transfers costs
-        what the representative's does.  Reads protocol state only.
+        what the representative's does.  The row and the IPC verdict are
+        read per local pair (:meth:`_local_row`), the open state per
+        pair.  Reads protocol state only.
         """
-        transport = self.transport
-        pairs = transport._pairs
-        opened = transport._ipc_pairs
+        opened = self.transport._ipc_pairs
+        gpn = self.transport.cluster.gpus_per_node
+        rows = self._local_rows
         depths = sched.depths
         # group size -> its representative's (price row id, IPC open) per pair
         shapes: dict[int, list] = {}
@@ -439,11 +458,13 @@ class FastPathSession:
             shape = []
             for i, j in local[d]:
                 src, dst = group[i], group[j]
-                pair = pairs.get((src, dst)) or transport._pair(src, dst)
-                is_open = pair.ipc and (min(src, dst), max(src, dst)) in opened
-                if pair.ipc and not is_open:
+                row, ipc = (
+                    rows.get((src % gpn, dst % gpn)) or self._local_row(src, dst)
+                )
+                is_open = ipc and (min(src, dst), max(src, dst)) in opened
+                if ipc and not is_open:
                     settled = False
-                shape.append(id(pair.prices))
+                shape.append(row)
                 shape.append(is_open)
             rep = shapes.setdefault(size, shape)
             if rep is shape:
@@ -453,6 +474,23 @@ class FastPathSession:
             else:
                 return None
         return spared, settled
+
+    def _local_row(self, src: int, dst: int) -> tuple[int, bool]:
+        """The price row id and CUDA IPC verdict of the same-node pair
+        ``(src, dst)``, kept under its local ranks.
+
+        Every node is built from one ``NodeSpec`` and a world shares one
+        MPI device mask per local rank (``build_world``), so on one node
+        the pair's route class, and with it its price row, and its IPC
+        verdict depend only on the two local ranks: every node's pair of
+        those local ranks has the same row and verdict.
+        """
+        pair = self.transport._pair(src, dst)
+        gpn = self.transport.cluster.gpus_per_node
+        row = self._local_rows[(src % gpn, dst % gpn)] = (
+            id(pair.prices), pair.ipc
+        )
+        return row
 
 
 def _window_max(doubled: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ with the pre-refactor entry points lives in test_comm_equivalence.py.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.faults import FaultInjector, FaultPlan, LinkFault, MessageFault
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
 from repro.mpi import WorldSpec
-from repro.mpi.comm import Communicator, GpuBuffer
+from repro.mpi.comm import Communicator, GpuBuffers
 from repro.nccl import NcclWorld
 from repro.nccl.protocol import DEFAULT_PROTOCOL
 from repro.profiling import Hvprof
@@ -56,7 +57,7 @@ def routed(backend, num_ranks, **kwargs):
 
 
 def virtual(nbytes, n):
-    return [GpuBuffer.virtual(nbytes) for _ in range(n)]
+    return GpuBuffers.virtual(nbytes, n)
 
 
 # -- registry -------------------------------------------------------------------
@@ -299,11 +300,11 @@ class TestHierarchicalBackend:
 
         comm = routed("hierarchical", 8)
         arrays = [np.full(64, float(r), dtype=np.float32) for r in range(8)]
-        comm.allreduce([GpuBuffer.from_array(a) for a in arrays], average=True)
+        comm.allreduce(GpuBuffers.from_arrays(arrays), average=True)
         for a in arrays:
             np.testing.assert_allclose(a, np.mean(range(8)))
         arrays = [np.full(64, float(r), dtype=np.float32) for r in range(8)]
-        comm.bcast([GpuBuffer.from_array(a) for a in arrays])
+        comm.bcast(GpuBuffers.from_arrays(arrays))
         for a in arrays:
             np.testing.assert_allclose(a, 0.0)
 
@@ -512,3 +513,16 @@ class TestDigestIntegration:
         assert len({base, tabled, digest(ring)}) == 3
         assert digest(default_table("mpi")) == tabled
         assert digest() == base
+
+    def test_point_digest_ignores_table_provenance(self):
+        """A table folds into the point digest by what it routes: its
+        ``source`` and tuning records leave the digest alone."""
+
+        def digest(table):
+            config = StudyConfig(measure_steps=1, comm_table=table)
+            return ScalingStudy(MPI_OPT, config).point_digest(8)
+
+        table = default_table("mpi")
+        relabelled = replace(table, source="tuned", extra={"timings": [1.0]})
+        assert relabelled.digest() == table.digest()
+        assert digest(relabelled) == digest(table)

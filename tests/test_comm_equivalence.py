@@ -16,7 +16,7 @@ from repro.hardware.cluster import build_cluster
 from repro.horovod import HorovodConfig, HorovodEngine
 from repro.horovod.fusion import PendingTensor
 from repro.mpi import MpiWorld, WorldSpec
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.nccl import NcclWorld
 from repro.utils.units import KIB, MIB
 
@@ -47,7 +47,7 @@ def routed_comm(backend, num_ranks):
 
 
 def virtual(nbytes, n):
-    return [GpuBuffer.virtual(nbytes) for _ in range(n)]
+    return GpuBuffers.virtual(nbytes, n)
 
 
 class TestCollectiveBitIdentity:

@@ -53,7 +53,7 @@ from repro.hardware.specs import V100_16GB
 from repro.horovod import HorovodConfig, HorovodEngine
 from repro.horovod.fusion import PendingTensor
 from repro.mpi import MpiWorld, Mv2Config, WorldSpec
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.datatypes import Datatype
 from repro.mpi.process import SingletonDevicePolicy
 from repro.perf.digest import CACHE_VERSION_SALT
@@ -279,9 +279,9 @@ class TestDtypePricing:
         comm = make_world(4).communicator()
         n = 64 * MIB
         fp32 = comm.allreduce(
-            [GpuBuffer.virtual(n) for _ in range(4)], algorithm="ring").time
+            GpuBuffers.virtual(n, 4), algorithm="ring").time
         fp16 = comm.allreduce(
-            [GpuBuffer.virtual(n // 2, Datatype.FLOAT16) for _ in range(4)],
+            GpuBuffers.virtual(n // 2, 4, Datatype.FLOAT16),
             algorithm="ring").time
         assert fp16 < fp32
 

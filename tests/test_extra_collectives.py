@@ -10,7 +10,7 @@ from repro.hardware import LASSEN, Cluster
 from repro.horovod import HorovodConfig, HorovodEngine, PendingTensor
 from repro.horovod.engine import MessageRecord, StepTiming
 from repro.mpi import Mv2Config, MpiWorld, WorldSpec
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.process import SingletonDevicePolicy
 from repro.profiling import horovod_trace_events, write_chrome_trace
 from repro.sim import Environment
@@ -32,7 +32,7 @@ class TestGatherScatter:
     def test_gather_collects_everything(self):
         comm = make_comm(4)
         arrays = [np.full(8, float(r), dtype=np.float32) for r in range(4)]
-        gathered, timing = comm.gather([GpuBuffer.from_array(a) for a in arrays])
+        gathered, timing = comm.gather(GpuBuffers.from_arrays(arrays))
         assert timing.time > 0
         assert len(gathered) == 4
         np.testing.assert_array_equal(gathered[3], 3.0)
@@ -41,7 +41,7 @@ class TestGatherScatter:
         comm = make_comm(4)
         arrays = [np.zeros(8, dtype=np.float32) for _ in range(4)]
         blocks = [np.full(8, float(r * 10), dtype=np.float32) for r in range(4)]
-        timing = comm.scatter(blocks, [GpuBuffer.from_array(a) for a in arrays])
+        timing = comm.scatter(blocks, GpuBuffers.from_arrays(arrays))
         assert timing.time > 0
         for r, a in enumerate(arrays):
             np.testing.assert_array_equal(a, float(r * 10))
@@ -52,12 +52,12 @@ class TestGatherScatter:
         with pytest.raises(MpiError):
             comm.scatter(
                 [np.zeros(4, dtype=np.float32)],
-                [GpuBuffer.from_array(a) for a in arrays],
+                GpuBuffers.from_arrays(arrays),
             )
 
     def test_gather_single_rank_free(self):
         comm = make_comm(1)
-        _, timing = comm.gather([GpuBuffer.virtual(1 * MIB)])
+        _, timing = comm.gather(GpuBuffers.virtual(1 * MIB, 1))
         assert timing.time == 0.0
 
     def test_alltoall_scales_with_world(self):
@@ -69,8 +69,8 @@ class TestGatherScatter:
         # at 32 MiB the inter-node IB wire dominates the staged intra path
         intra = make_comm(4)
         inter = make_comm(8)
-        _, t_intra = intra.gather([GpuBuffer.virtual(32 * MIB) for _ in range(4)])
-        _, t_inter = inter.gather([GpuBuffer.virtual(32 * MIB) for _ in range(8)])
+        _, t_intra = intra.gather(GpuBuffers.virtual(32 * MIB, 4))
+        _, t_inter = inter.gather(GpuBuffers.virtual(32 * MIB, 8))
         assert t_inter.time >= t_intra.time
         assert t_intra.time > 0
 

@@ -13,7 +13,10 @@ preconditions fail: a partially opened CUDA IPC state, a live
 wire-corruption window and a ``LinkFault``.  A check passed with every
 compared CUDA IPC pair open is kept per node groups and step; one that
 saw a closed pair is not, a shrunk communicator checks its own groups,
-and a ``LinkFault`` walks past kept verdicts.
+and a ``LinkFault`` walks past kept verdicts.  The check reads each
+pair's price row and IPC verdict per local pair: it must agree with a
+check over fresh ``PairGeometry`` rows, also where same-size groups hold
+different local ranks.
 """
 
 from __future__ import annotations
@@ -32,15 +35,17 @@ from repro.mpi.collectives.allreduce import (
 )
 from repro.mpi.collectives.base import GroupSchedule, PairTransfer
 from repro.mpi.collectives.bcast import _binomial_tree
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.process import SingletonDevicePolicy
-from repro.mpi.transports import TransportKind
+from repro.mpi.transports import PairGeometry, TransportKind
 from repro.sim import Environment
 from repro.sim.fastpath import FastPathSession, walk_oracle
 from repro.utils.units import KIB, MIB
 
 MPI = Mv2Config(registration_cache=False)
 MPI_OPT = Mv2Config(registration_cache=True, mv2_visible_devices="all")
+# CUDA IPC only between local ranks 0 and 1: verdicts differ by local pair
+MPI_HALF = Mv2Config(registration_cache=True, mv2_visible_devices="0,1")
 CORRUPT = FaultPlan(seed=0, faults=(CorruptionFault(target="wire", prob=0.02),))
 FLAP = FaultPlan(
     seed=0,
@@ -175,7 +180,7 @@ def make_world(config, nodes, plan=None):
 
 
 def buffers(ranks, nbytes, base):
-    return [GpuBuffer(nbytes=nbytes, buffer_id=base + r) for r in ranks]
+    return GpuBuffers(nbytes, [base + r for r in ranks])
 
 
 def protocol_state(world) -> list[str]:
@@ -389,6 +394,113 @@ def test_a_live_link_fault_walks_past_settled_verdicts(checks):
             assert session.group_transfers == grouped
             assert checks == []
         return lines
+
+    world = make_world(MPI_OPT, 4)
+    assert sequence(world) == oracle(MPI_OPT, 4, sequence=sequence)
+
+
+# -- the check by local pair --------------------------------------------------
+def fresh_check(transport, sched, d):
+    """The node-group check over a fresh ``PairGeometry`` per compared
+    pair: what ``FastPathSession._group_check`` must return."""
+    opened = transport._ipc_pairs
+    shapes, spared, settled = {}, {}, True
+    for group in sched.groups:
+        local = sched.depths[len(group)]
+        if d >= len(local):
+            continue
+        shape = []
+        for i, j in local[d]:
+            src, dst = group[i], group[j]
+            pair = PairGeometry(transport, src, dst)
+            is_open = pair.ipc and (min(src, dst), max(src, dst)) in opened
+            settled = settled and (is_open or not pair.ipc)
+            shape += [id(pair.prices), is_open]
+        rep = shapes.setdefault(len(group), shape)
+        if rep is shape:
+            spared[len(group)] = 0
+        elif shape == rep:
+            spared[len(group)] += 1
+        else:
+            return None
+    return spared, settled
+
+
+#: 4 nodes: whole nodes, and shrunk communicators whose same-size groups
+#: hold different local ranks
+LAYOUTS = {
+    "whole": list(range(16)),
+    "shrunk-3": [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 15],
+    "shrunk-2": [0, 1, 6, 7, 9, 11, 12, 13],
+    "ragged": [0, 1, 2, 3, 5, 6, 7, 8, 12, 13],
+}
+
+
+@pytest.mark.parametrize("config", [MPI, MPI_OPT, MPI_HALF],
+                         ids=["mpi", "mpi-opt", "mpi-half"])
+def test_local_rows_are_every_pairs_own(config):
+    """Each same-node pair's row and IPC verdict, read per local pair,
+    are those of a fresh ``PairGeometry`` of that very pair."""
+    world = make_world(config, 4)
+    session, transport = world.coster.fastpath, world.transport
+    verdicts = set()
+    for src in range(16):
+        for dst in range(16):
+            if src == dst or src // 4 != dst // 4:
+                continue
+            fresh = PairGeometry(transport, src, dst)
+            assert session._local_row(src, dst) == (id(fresh.prices), fresh.ipc)
+            verdicts.add(fresh.ipc)
+    assert verdicts == ({True, False} if config is MPI_HALF else {config is MPI_OPT})
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("config", [MPI, MPI_OPT, MPI_HALF],
+                         ids=["mpi", "mpi-opt", "mpi-half"])
+def test_check_matches_fresh_rows(config, layout):
+    """Every step's check equals the check over fresh rows, with no IPC
+    pair open, with one node's pairs open and with every pair open."""
+    world = make_world(config, 4)
+    session, transport = world.coster.fastpath, world.transport
+    comm = world.communicator().reform(LAYOUTS[layout])
+    groups = world.coster.node_groups(sorted(comm.ranks))
+    schedules = [GroupSchedule(groups, tree, 64 * MIB) for tree in
+                 (_binomial_reduce_tree, _binomial_bcast_tree, _binomial_tree)]
+    outcomes = set()
+    for opened in ((), (0,), range(4)):
+        for node in opened:
+            for a in range(4 * node, 4 * node + 4):
+                for b in range(a + 1, 4 * node + 4):
+                    if transport._pair(a, b).ipc:
+                        transport.open_ipc(a, b)
+        for sched in schedules:
+            for d in range(len(sched)):
+                want = fresh_check(transport, sched, d)
+                assert session._group_check(sched, d) == want
+                outcomes.add(None if want is None else want[1])
+    if layout.startswith("shrunk"):
+        assert None in outcomes  # some step's local pairs differ
+
+
+def test_differing_local_ranks_match_the_walk(checks):
+    """On a shrunk communicator the groups of three hold local ranks
+    (0, 1, 2) and (0, 1, 3): steps whose compared local pairs agree are
+    priced from representatives, the others walk, bit-identically to the
+    walk oracle."""
+    def sequence(world):
+        comm = world.communicator().reform(LAYOUTS["shrunk-3"])
+        session = world.coster.fastpath
+        lines = [_hierarchical(comm), _hierarchical(comm, base=2000)]
+        if session is not None:
+            # reduce depths (1->0 agrees, 2->0 differs), bcast depths
+            # (0->2 differs, 0->1 agrees); the second call checks only
+            # the steps whose first check saw a closed pair
+            assert [(d, settled) for _, d, settled in checks] == [
+                (0, False), (1, None), (0, None), (1, True),
+                (0, True), (1, None), (0, None),
+            ]
+            assert session.group_transfers > 0
+        return lines + protocol_state(world)
 
     world = make_world(MPI_OPT, 4)
     assert sequence(world) == oracle(MPI_OPT, 4, sequence=sequence)

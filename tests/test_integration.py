@@ -19,7 +19,7 @@ from repro.models import EDSR, EDSR_TINY, get_model_cost
 from repro.models.costing import TrainingMemoryModel
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.nccl import NcclWorld
 from repro.profiling import Hvprof
 from repro.sim import Environment
@@ -73,12 +73,12 @@ class TestBackendParity:
         hv = Hvprof()
         engine = make_engine(4)
         engine.comm.add_observer(hv.observer)
-        engine.comm.allreduce([GpuBuffer.virtual(1 * MIB) for _ in range(4)])
+        engine.comm.allreduce(GpuBuffers.virtual(1 * MIB, 4))
 
         cluster = Cluster(Environment(), LASSEN, num_nodes=1)
         nccl = NcclWorld(cluster, 4).communicator()
         nccl.add_observer(hv.observer)
-        nccl.allreduce([GpuBuffer.virtual(1 * MIB) for _ in range(4)])
+        nccl.allreduce(GpuBuffers.virtual(1 * MIB, 4))
 
         backends = {r.backend for r in hv.records}
         assert backends == {"mpi", "nccl"}
@@ -92,7 +92,7 @@ class TestEventModeIntegration:
         world = MpiWorld(cluster, spec, mode=ExecutionMode.EVENT)
         comm = world.communicator()
         arrays = [np.full(1024, float(r), dtype=np.float32) for r in range(8)]
-        timing = comm.allreduce([GpuBuffer.from_array(a) for a in arrays])
+        timing = comm.allreduce(GpuBuffers.from_arrays(arrays))
         for a in arrays:
             np.testing.assert_allclose(a, sum(range(8)))
         assert timing.time > 0

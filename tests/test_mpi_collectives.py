@@ -16,7 +16,7 @@ from repro.mpi.collectives.allgather import allgather_timing
 from repro.mpi.collectives.barrier import barrier_timing
 from repro.mpi.collectives.bcast import bcast_timing
 from repro.mpi.collectives.reduce import reduce_timing
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.datatypes import ReduceOp
 from repro.mpi.process import SingletonDevicePolicy
 from repro.sim import Environment
@@ -233,7 +233,7 @@ class TestCommunicatorSemantics:
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(1024, float(r + 1), dtype=np.float32) for r in range(4)]
-        buffers = [GpuBuffer.from_array(a) for a in arrays]
+        buffers = GpuBuffers.from_arrays(arrays)
         comm.allreduce(buffers)
         for a in arrays:
             np.testing.assert_allclose(a, 10.0)
@@ -242,7 +242,7 @@ class TestCommunicatorSemantics:
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(16, float(r), dtype=np.float32) for r in range(4)]
-        comm.allreduce([GpuBuffer.from_array(a) for a in arrays], average=True)
+        comm.allreduce(GpuBuffers.from_arrays(arrays), average=True)
         for a in arrays:
             np.testing.assert_allclose(a, 1.5)
 
@@ -255,14 +255,14 @@ class TestCommunicatorSemantics:
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(8, float(r), dtype=np.float32) for r in range(4)]
-        comm.allreduce([GpuBuffer.from_array(a) for a in arrays], op=op)
+        comm.allreduce(GpuBuffers.from_arrays(arrays), op=op)
         np.testing.assert_allclose(arrays[0], expected)
 
     def test_bcast_copies_root(self):
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(64, float(r), dtype=np.float32) for r in range(4)]
-        comm.bcast([GpuBuffer.from_array(a) for a in arrays], root_index=2)
+        comm.bcast(GpuBuffers.from_arrays(arrays), root_index=2)
         for a in arrays:
             np.testing.assert_allclose(a, 2.0)
 
@@ -270,7 +270,7 @@ class TestCommunicatorSemantics:
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(8, float(r), dtype=np.float32) for r in range(4)]
-        gathered, _ = comm.allgather([GpuBuffer.from_array(a) for a in arrays])
+        gathered, _ = comm.allgather(GpuBuffers.from_arrays(arrays))
         assert len(gathered) == 4
         np.testing.assert_allclose(gathered[3], 3.0)
 
@@ -278,7 +278,7 @@ class TestCommunicatorSemantics:
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(8, 1.0, dtype=np.float32) for _ in range(4)]
-        comm.reduce([GpuBuffer.from_array(a) for a in arrays], root_index=1)
+        comm.reduce(GpuBuffers.from_arrays(arrays), root_index=1)
         np.testing.assert_allclose(arrays[1], 4.0)
 
     def test_mismatched_sizes_rejected(self):
@@ -287,9 +287,9 @@ class TestCommunicatorSemantics:
         world = make_world(2)
         comm = world.communicator()
         with pytest.raises(MpiError):
-            comm.allreduce([
-                GpuBuffer.virtual(100), GpuBuffer.virtual(200),
-            ])
+            comm.allreduce(GpuBuffers.from_arrays([
+                np.zeros(25, dtype=np.float32), np.zeros(50, dtype=np.float32),
+            ]))
 
     def test_wrong_buffer_count_rejected(self):
         from repro.errors import MpiError
@@ -297,12 +297,12 @@ class TestCommunicatorSemantics:
         world = make_world(4)
         comm = world.communicator()
         with pytest.raises(MpiError):
-            comm.allreduce([GpuBuffer.virtual(100)])
+            comm.allreduce(GpuBuffers.virtual(100, 1))
 
     def test_virtual_buffers_time_without_data(self):
         world = make_world(4)
         comm = world.communicator()
-        timing = comm.allreduce([GpuBuffer.virtual(64 * MIB) for _ in range(4)])
+        timing = comm.allreduce(GpuBuffers.virtual(64 * MIB, 4))
         assert timing.time > 0
 
     def test_observer_called(self):
@@ -310,7 +310,7 @@ class TestCommunicatorSemantics:
         comm = world.communicator()
         seen = []
         comm.add_observer(lambda timing, backend: seen.append((timing.op, backend)))
-        comm.allreduce([GpuBuffer.virtual(1 * MIB) for _ in range(4)])
+        comm.allreduce(GpuBuffers.virtual(1 * MIB, 4))
         comm.barrier()
         assert seen == [("allreduce", "mpi"), ("barrier", "mpi")]
 

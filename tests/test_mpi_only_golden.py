@@ -41,7 +41,7 @@ from repro.core import MPI_DEFAULT, MPI_OPT
 from repro.hardware import LASSEN, Cluster
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.transports import TransportKind
 from repro.sim import Environment
 from repro.sim.fastpath import walk_oracle
@@ -71,7 +71,7 @@ def _timing(timing) -> str:
 
 
 def _buffers(ranks, nbytes, base):
-    return [GpuBuffer(nbytes=nbytes, buffer_id=base + r) for r in ranks]
+    return GpuBuffers(nbytes, [base + r for r in ranks])
 
 
 def _state(world) -> list[str]:

@@ -5,7 +5,7 @@ import pytest
 from repro.cuda.runtime import CudaVersion
 from repro.hardware import LASSEN, Cluster
 from repro.mpi import MpiWorld, Mv2Config, WorldSpec, build_world
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.process import SingletonDevicePolicy, AllDevicesPolicy
 from repro.mpi.transports import (
     CUDA_IPC_THRESHOLD,
@@ -225,9 +225,7 @@ class TestCallScope:
             transport.begin_collective = begin_collective
         comm = world.communicator()
         calls = [
-            (sub, [
-                GpuBuffer(nbytes=nbytes, buffer_id=base + r) for r in sub.ranks
-            ])
+            (sub, GpuBuffers(nbytes, [base + r for r in sub.ranks]))
             for sub, nbytes, base in (
                 (comm.reform(range(8)), 8 * MIB, 1000),
                 (comm, 4 * MIB + 8, 2000),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import NcclError
 from repro.hardware import LASSEN, Cluster
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.nccl import NcclWorld, build_ring, ring_bandwidth
 from repro.nccl.protocol import DEFAULT_PROTOCOL, NcclProtocol
 from repro.sim import Environment
@@ -49,14 +49,14 @@ class TestNcclAllreduce:
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(256, float(r), dtype=np.float32) for r in range(4)]
-        comm.allreduce([GpuBuffer.from_array(a) for a in arrays], average=True)
+        comm.allreduce(GpuBuffers.from_arrays(arrays), average=True)
         np.testing.assert_allclose(arrays[0], 1.5)
 
     def test_large_message_time_near_bandwidth_bound(self):
         world = make_world(4)
         comm = world.communicator()
         nbytes = 64 * MIB
-        t = comm.allreduce([GpuBuffer.virtual(nbytes) for _ in range(4)])
+        t = comm.allreduce(GpuBuffers.virtual(nbytes, 4))
         bw = ring_bandwidth(world.cluster, list(range(4)), DEFAULT_PROTOCOL)
         bound = 2 * nbytes * 3 / (4 * bw)
         assert t.time >= bound
@@ -65,13 +65,13 @@ class TestNcclAllreduce:
     def test_small_message_latency_floor(self):
         world = make_world(4)
         comm = world.communicator()
-        t = comm.allreduce([GpuBuffer.virtual(4 * KIB) for _ in range(4)])
+        t = comm.allreduce(GpuBuffers.virtual(4 * KIB, 4))
         assert t.time >= DEFAULT_PROTOCOL.ll_op_latency_s
 
     def test_tree_engages_at_scale(self):
         world = make_world(64)  # 16 nodes >= tree threshold
         comm = world.communicator()
-        t = comm.allreduce([GpuBuffer.virtual(64 * MIB) for _ in range(64)])
+        t = comm.allreduce(GpuBuffers.virtual(64 * MIB, 64))
         assert t.algorithm in ("nccl-tree", "nccl-ring")
         # at 16 nodes the tree should win for bandwidth-bound sizes
         assert t.algorithm == "nccl-tree"
@@ -79,7 +79,7 @@ class TestNcclAllreduce:
     def test_single_rank_free(self):
         world = make_world(1)
         comm = world.communicator()
-        t = comm.allreduce([GpuBuffer.virtual(64 * MIB)])
+        t = comm.allreduce(GpuBuffers.virtual(64 * MIB, 1))
         assert t.time == 0.0
 
     def test_observers_and_counters(self):
@@ -87,7 +87,7 @@ class TestNcclAllreduce:
         comm = world.communicator()
         seen = []
         comm.add_observer(lambda timing, backend: seen.append(backend))
-        comm.allreduce([GpuBuffer.virtual(1 * MIB) for _ in range(4)])
+        comm.allreduce(GpuBuffers.virtual(1 * MIB, 4))
         assert seen == ["nccl"]
         assert comm.op_count == 1
         assert comm.total_comm_time > 0
@@ -96,7 +96,7 @@ class TestNcclAllreduce:
         world = make_world(4)
         comm = world.communicator()
         arrays = [np.full(64, float(r), dtype=np.float32) for r in range(4)]
-        t = comm.bcast([GpuBuffer.from_array(a) for a in arrays], root_index=1)
+        t = comm.bcast(GpuBuffers.from_arrays(arrays), root_index=1)
         np.testing.assert_allclose(arrays[3], 1.0)
         assert t.time > 0
 
@@ -114,4 +114,5 @@ class TestNcclAllreduce:
         world = make_world(2)
         comm = world.communicator()
         with pytest.raises(NcclError):
-            comm.allreduce([GpuBuffer.virtual(10), GpuBuffer.virtual(20)])
+            # buffers of different sizes cannot be built: one rank short
+            comm.allreduce(GpuBuffers.virtual(10, 1))

@@ -19,7 +19,7 @@ from repro.errors import ConfigError, MpiError
 from repro.hardware import LASSEN
 from repro.hardware.cluster import build_cluster
 from repro.models import get_model_cost
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.parallel import (
     ParallelLayout,
     model_width,
@@ -153,9 +153,9 @@ class TestReduceScatter:
     def test_hierarchical_mirrors_allgather(self):
         _, comm = build_communicator(
             build_cluster(LASSEN, 8), "hierarchical", num_ranks=8)
-        _, ag = comm.allgather([GpuBuffer.virtual(MIB) for _ in range(8)])
+        _, ag = comm.allgather(GpuBuffers.virtual(MIB, 8))
         _, rs = comm.reduce_scatter(
-            [GpuBuffer.virtual(8 * MIB) for _ in range(8)])
+            GpuBuffers.virtual(8 * MIB, 8))
         assert rs.time == ag.time  # exact byte-mirror of the same segments
         assert rs.op == "reduce_scatter"
         assert rs.time > 0
@@ -167,7 +167,7 @@ class TestReduceScatter:
             np.full(8, float(r + 1), dtype=np.float32) for r in range(4)
         ]
         shards, _ = comm.reduce_scatter(
-            [GpuBuffer.from_array(a) for a in arrays])
+            GpuBuffers.from_arrays(arrays))
         assert len(shards) == 4
         for shard in shards:
             np.testing.assert_array_equal(shard, 10.0)  # 1+2+3+4
@@ -178,7 +178,7 @@ class TestReduceScatter:
         _, comm = build_communicator(
             build_cluster(LASSEN, 4), "hierarchical", num_ranks=4)
         with pytest.raises(CommError):
-            comm.reduce_scatter([GpuBuffer.virtual(6) for _ in range(4)])
+            comm.reduce_scatter(GpuBuffers.virtual(6, 4))
 
     def test_mpi_ring_reduce_scatter(self):
         from tests.test_extra_collectives import make_comm
@@ -188,12 +188,12 @@ class TestReduceScatter:
             np.arange(8, dtype=np.float32) * (r + 1) for r in range(4)
         ]
         shards, timing = comm.reduce_scatter(
-            [GpuBuffer.from_array(a) for a in arrays])
+            GpuBuffers.from_arrays(arrays))
         np.testing.assert_array_equal(
             np.concatenate(shards), np.arange(8, dtype=np.float32) * 10)
         assert timing.time > 0
         with pytest.raises(MpiError):
-            comm.reduce_scatter([GpuBuffer.virtual(6) for _ in range(4)])
+            comm.reduce_scatter(GpuBuffers.virtual(6, 4))
 
 
 class TestDigestSeparation:

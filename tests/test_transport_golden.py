@@ -43,7 +43,7 @@ from repro.faults import CorruptionFault, FaultPlan, LinkFault
 from repro.faults.injector import FaultInjector
 from repro.hardware import LASSEN, Cluster
 from repro.mpi import Mv2Config, MpiWorld, WorldSpec
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.process import SingletonDevicePolicy
 from repro.mpi.transports import TransportKind
 from repro.sim import Environment
@@ -98,7 +98,7 @@ SIZES = (400, 256 * KIB, 16 * MIB + 28, 64 * MIB + 12)
 
 
 def _buffers(ranks, nbytes, base):
-    return [GpuBuffer(nbytes=nbytes, buffer_id=base + r) for r in ranks]
+    return GpuBuffers(nbytes, [base + r for r in ranks])
 
 
 def protocol_state(transport) -> list[str]:

@@ -43,7 +43,7 @@ from repro.hardware import LASSEN, Cluster, Link, LinkKind, MemoryPool, Node
 from repro.hardware import links as links_module
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.mpi.transports import TransferQuote
 from repro.parallel.planner import PlannerConfig, plan_hybrid
 from repro.profiling import Hvprof
@@ -74,7 +74,7 @@ def _world(mode: str, ranks: int = RANKS):
 
 def _allreduces(comm) -> None:
     for nbytes in (8 * MIB, 64 * KIB):
-        comm.allreduce([GpuBuffer.virtual(nbytes) for _ in range(comm.size)])
+        comm.allreduce(GpuBuffers.virtual(nbytes, comm.size))
 
 
 def assert_no_cyclic_garbage(run) -> None:
@@ -193,7 +193,7 @@ class TestOneNodeTemplate:
         before = _type_counts()
         world = _fresh_4096_world()
         comm = world.communicator()
-        comm.allreduce([GpuBuffer.virtual(8 * MIB) for _ in range(comm.size)])
+        comm.allreduce(GpuBuffers.virtual(8 * MIB, comm.size))
         built = _type_counts() - before
         cluster = world.cluster
         # the build places node 0's CUDA state, so that it raises its errors
@@ -322,7 +322,7 @@ class TestLazyChannels:
 class TestScheduleMemoPerWorld:
     def test_two_worlds_never_share_a_schedule(self):
         # the same buffers on both worlds, so both memos hold the same keys
-        buffers = [GpuBuffer.virtual(8 * MIB) for _ in range(8)]
+        buffers = GpuBuffers.virtual(8 * MIB, 8)
         memos = []
         for _ in range(2):
             world, comm = _world("exact", ranks=8)
@@ -345,7 +345,7 @@ class TestNoQuoteOutlivesItsStep:
         world, comm = _world(mode, ranks=16)
         for algorithm in ("ring", "hierarchical"):
             comm.allreduce(
-                [GpuBuffer.virtual(8 * MIB) for _ in range(comm.size)],
+                GpuBuffers.virtual(8 * MIB, comm.size),
                 algorithm=algorithm,
             )
         gc.collect()

@@ -44,7 +44,7 @@ from repro.hardware.node import DeviceKind, DeviceRef
 from repro.horovod import HorovodConfig, HorovodEngine
 from repro.mpi import MpiWorld, WorldSpec
 from repro.mpi.collectives import ExecutionMode
-from repro.mpi.comm import GpuBuffer
+from repro.mpi.comm import GpuBuffers
 from repro.nccl.communicator import NcclWorld
 from repro.sim import Environment
 from repro.utils.units import GIB, MIB
@@ -108,7 +108,7 @@ def run_case(name: str, num_ranks: int, touch: str) -> str:
     lines.append(f"fusion {engine.allocate_fusion_buffers()}")
     lines.extend(_snapshot(cluster, world))
     timing = comm.allreduce(
-        [GpuBuffer.virtual(8 * MIB) for _ in range(num_ranks)]
+        GpuBuffers.virtual(8 * MIB, num_ranks)
     )
     lines.append(f"allreduce {timing.time.hex()}")
     lines.extend(_snapshot(cluster, world))
