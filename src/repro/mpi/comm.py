@@ -107,8 +107,6 @@ class GpuBuffers:
     ) -> "GpuBuffers":
         """One buffer per array, each with a fresh id; every array must
         hold as many bytes as the first, whose dtype they all take."""
-        if not arrays:
-            raise MpiError(f"buffers {name!r}: no arrays")
         first = arrays[0]
         return cls(
             first.size * first.itemsize,

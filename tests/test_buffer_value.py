@@ -50,8 +50,6 @@ class TestConstruction:
     def test_one_array_per_id(self):
         with pytest.raises(MpiError):
             GpuBuffers(8, [1, 2], datas=[np.zeros(2, dtype=np.float32)])
-        with pytest.raises(MpiError):
-            GpuBuffers.from_arrays([])
 
     def test_functional_and_virtual_buffers_do_not_mix(self):
         with pytest.raises(MpiError):
