@@ -253,19 +253,16 @@ class NcclWorld:
 
     # -- pricing ----------------------------------------------------------------
     def price_allreduce(self, comm, buffers, algorithm):
-        nbytes = buffers.nbytes
-        time, algo = self._allreduce_time(comm, nbytes, algorithm)
-        return _timing("allreduce", algo, comm, nbytes, time)
+        time, algo = self._allreduce_time(comm, buffers.nbytes, algorithm)
+        return _timing("allreduce", algo, comm, buffers.nbytes, time)
 
     def price_allgather(self, comm, buffers):
-        nbytes = buffers.nbytes
-        time = self._allgather_time(comm, nbytes)
-        return _timing("allgather", "nccl-ring", comm, nbytes, time)
+        time = self._allgather_time(comm, buffers.nbytes)
+        return _timing("allgather", "nccl-ring", comm, buffers.nbytes, time)
 
     def price_bcast(self, comm, buffers, root_index):
-        nbytes = buffers.nbytes
-        time = self._bcast_time(comm, nbytes)
-        return _timing("bcast", "nccl-ring", comm, nbytes, time)
+        time = self._bcast_time(comm, buffers.nbytes)
+        return _timing("bcast", "nccl-ring", comm, buffers.nbytes, time)
 
     def price_barrier(self, comm):
         p = len(comm.ranks)
